@@ -88,6 +88,8 @@ def _require_keys(section: dict, path: str, required, allowed):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, "expected a number")
+    if not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -313,7 +315,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
             alt = opt["attractivity_history"]
             alt_history = InitialHistory(float(alt[0]), float(alt[1]))
             att = run_attractivity(spec, history, alt_history, t_end,
-                                   threshold=float(opt["attractivity_threshold"]), h=h, t0=t0)
+                                   threshold=float(opt["attractivity_threshold"]), h=h, t0=t0, traj_a=traj)
             _write_csv(out_dir / "attractivity.csv", "t,distance",
                        zip(att.times[::stride], att.distances[::stride]))
             files["attractivity"] = out_dir / "attractivity.csv"

@@ -8,6 +8,17 @@ from the initial history for times before t0.  The step size must not
 exceed the smallest delay, so a delayed lookup never needs a knot that has
 not been computed yet.
 
+The kernel follows the method of steps.  Consecutive steps are grouped into
+windows [k0, k1) in which every RK4 stage reads delayed values at or before
+knot k0; with constant delays a window is W = floor(min delay / h) steps.  Per
+window the delayed values, the predator slope (which depends on delayed
+values only, so y advances by a running sum) and the prey forcing
+q = c1 e^{y(t-tau1)} / (e^{x(t-sigma1)} + k1) are computed at once with
+numpy.  What stays sequential is the scalar prey recurrence
+x' = a1 - b e^x - q.  Every exponential goes through math.exp, so the knots
+are the same floats as those of a plain per-step RK4 loop, and a batch
+column is bit-identical to the single run from the same history.
+
 A single integration is sequential; distinct integrations are independent
 and a finished Trajectory is immutable and safe to share.
 """
@@ -34,6 +45,9 @@ __all__ = [
 ]
 
 _LOG_LIMIT = 700.0  # beyond this exp overflows
+# delayed channels in lookup order, and the component (0 = x, 1 = y) each reads
+_CHANNELS = ("sigma1", "sigma2", "tau1", "tau2")
+_COMPONENT = np.array([[0], [0], [1], [1]])
 
 
 @dataclass(eq=False)
@@ -98,236 +112,204 @@ def _log_or_neginf(value: float, what: str) -> float:
     raise IntegrationError(f"{what} must be >= 0, got {value!r}")
 
 
-def _snap_interval(pos: float) -> tuple[int, float]:
-    """Map a fractional grid position to (interval index, theta in [0, 1]),
+def _snap_interval(pos):
+    """Map fractional grid positions to (interval index, theta in [0, 1]),
     preferring the completed left interval at exact knots."""
-    idx = math.floor(pos)
+    idx = np.floor(pos)
     theta = pos - idx
-    if theta < 1e-9:
-        theta = 0.0
-    elif theta > 1.0 - 1e-9:
-        idx += 1
-        theta = 0.0
-    if theta == 0.0 and idx >= 1:
-        idx -= 1
-        theta = 1.0
-    return int(idx), theta
+    theta = np.where(theta < 1e-9, 0.0, theta)
+    up = theta > 1.0 - 1e-9
+    idx = np.where(up, idx + 1.0, idx)
+    theta = np.where(up, 0.0, theta)
+    left = (theta == 0.0) & (idx >= 1.0)
+    return np.where(left, idx - 1.0, idx).astype(np.intp), np.where(left, 1.0, theta)
 
 
-class _StagePlan:
-    """Precomputed per-stage coefficient values and delayed-lookup plans.
+def _hermite_weights(theta, h):
+    """Cubic Hermite basis (value left, slope left, value right, slope right)."""
+    om = 1.0 - theta
+    return (
+        (1.0 + 2.0 * theta) * om * om,
+        h * theta * om * om,
+        theta * theta * (3.0 - 2.0 * theta),
+        h * theta * theta * (theta - 1.0),
+    )
 
-    Stage grid: t0 + j*h/2 for j = 0..2n.  For each of the four delayed
-    channels (u at t-sigma1, u at t-sigma2, v at t-tau1, v at t-tau2) and
-    each stage, the plan holds either the history value (in log space) or
-    the Hermite interval index plus the four basis weights.
+
+def _exp(a: np.ndarray) -> np.ndarray:
+    """Elementwise math.exp (np.exp may differ from it in the last ulp)."""
+    return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
+
+
+def _prey_steps(x: float, kx1: float, a1: list, b: list, q: list, h: float) -> tuple[list, list]:
+    """RK4 on x' = a1 - b e^x - q over the steps of one window, for one column.
+
+    x and kx1 are the knot k0 and its slope; a1, b and q hold the values at
+    the stages after 2k0, two per step (mid-step, end of step).  Returns the
+    knots x[k0+1 ..] and their slopes; the lists stop short at the first
+    knot whose |x| reaches the overflow guard."""
+    exp = math.exp
+    hh = 0.5 * h
+    h6 = h / 6.0
+    xs, dxs = [], []
+    # zip stops with q, which may cover fewer steps than a1 and b
+    for am, bm, qm, ae, be, qe in zip(a1[0::2], b[0::2], q[0::2], a1[1::2], b[1::2], q[1::2]):
+        kx2 = am - bm * exp(x + hh * kx1) - qm
+        kx3 = am - bm * exp(x + hh * kx2) - qm
+        kx4 = ae - be * exp(x + h * kx3) - qe
+        x = x + h6 * (kx1 + 2.0 * (kx2 + kx3) + kx4)
+        if not abs(x) < _LOG_LIMIT:
+            break
+        kx1 = ae - be * exp(x) - qe
+        xs.append(x)
+        dxs.append(kx1)
+    return xs, dxs
+
+
+def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
+    """The RK4 kernel on m columns sharing one model and grid.
+
+    log_hist(component, thetas) gives the log-history of component 0 (u) or
+    1 (v) at the shifted times thetas, as an array of shape (len(thetas), m).
+    Returns the knot arrays (x, y, dx, dy), each of shape (n+1, m), and the
+    history reach r.
     """
-
-    def __init__(self, spec: ModelSpec, t0: float, h: float, n: int):
-        tgrid = t0 + 0.5 * h * np.arange(2 * n + 1)
-        self.a1 = evaluate_array(spec.a1, tgrid).tolist()
-        self.a2 = evaluate_array(spec.a2, tgrid).tolist()
-        self.b = evaluate_array(spec.b, tgrid).tolist()
-        self.c1 = evaluate_array(spec.c1, tgrid).tolist()
-        self.c2 = evaluate_array(spec.c2, tgrid).tolist()
-        self.k1 = evaluate_array(spec.k1, tgrid).tolist()
-        self.k2 = evaluate_array(spec.k2, tgrid).tolist()
-
-        delays = {sym: evaluate_array(spec.expr(sym), tgrid) for sym in ("sigma1", "sigma2", "tau1", "tau2")}
-        min_delay = min(float(d.min()) for d in delays.values())
-        if min_delay <= 0.0:
-            raise IntegrationError("delays must stay positive on the integration window")
-        if n > 0 and h > min_delay * (1.0 + 1e-12):
-            raise IntegrationError(
-                f"step h={h!r} exceeds the smallest delay {min_delay!r}; "
-                "choose h <= min delay so delayed lookups never outrun the solution"
-            )
-        self.delayed_times = {sym: tgrid - delays[sym] for sym in delays}
-        self.r = max(0.0, float(max((t0 - dt.min()) for dt in self.delayed_times.values())))
-
-    def channel_plan(self, sym: str, t0: float, h: float, log_hist):
-        """List over stages: (True, loghist) or (False, idx, w00, w10, w01, w11)."""
-        plan = []
-        for s in self.delayed_times[sym]:
-            if s < t0:
-                plan.append((True, log_hist(s - t0)))
-                continue
-            idx, theta = _snap_interval((s - t0) / h) if h > 0 else (0, 0.0)
-            om = 1.0 - theta
-            w00 = (1.0 + 2.0 * theta) * om * om
-            w10 = h * theta * om * om
-            w01 = theta * theta * (3.0 - 2.0 * theta)
-            w11 = h * theta * theta * (theta - 1.0)
-            plan.append((False, idx, w00, w10, w01, w11))
-        return plan
-
-
-def _resolve_steps(spec: ModelSpec, t0: float, t_end: float, h: float) -> int:
+    for name, value in (("t0", t0), ("t_end", t_end), ("step h", h)):
+        if not math.isfinite(value):
+            raise IntegrationError(f"{name} must be finite, got {value!r}")
     if h <= 0.0:
         raise IntegrationError("step h must be > 0")
     if t_end < t0:
         raise IntegrationError("t_end must be >= t0")
-    # check the delay precondition first so a too-large step gets the
-    # actionable error even when it also fails to divide the span
-    if t_end > t0:
-        probe = np.linspace(t0, t_end, 101)
-        min_delay = min(
-            float(evaluate_array(spec.expr(sym), probe).min())
-            for sym in ("tau1", "tau2", "sigma1", "sigma2")
-        )
-        if h > min_delay * (1.0 + 1e-12):
-            raise IntegrationError(
-                f"step h={h!r} exceeds the smallest delay {min_delay!r}; "
-                "choose h <= min delay so delayed lookups never outrun the solution"
-            )
     span = t_end - t0
     n = int(round(span / h))
+    # stage grid t0 + j*h/2, j = 0..2n; the delay check comes before the
+    # divisibility check so a too-large step gets the actionable error
+    tgrid = t0 + 0.5 * h * np.arange(2 * n + 1)
+    delays = np.array([evaluate_array(spec.expr(sym), tgrid) for sym in _CHANNELS])
+    min_delay = float(delays.min())
+    if min_delay <= 0.0:
+        raise IntegrationError("delays must stay positive on the integration window")
+    if n > 0 and h > min_delay * (1.0 + 1e-12):
+        raise IntegrationError(
+            f"step h={h!r} exceeds the smallest delay {min_delay!r}; "
+            "choose h <= min delay so delayed lookups never outrun the solution"
+        )
     if abs(n * h - span) > 1e-9 * max(1.0, span):
         raise IntegrationError("t_end - t0 must be an integer number of steps")
-    return n
+
+    x0 = log_hist(0, np.zeros(1))[0]
+    y0 = log_hist(1, np.zeros(1))[0]
+    m = len(x0)
+    a1, b = (evaluate_array(spec.expr(sym), tgrid).tolist() for sym in ("a1", "b"))
+    a2, c1, c2, k1, k2 = (evaluate_array(spec.expr(sym), tgrid)[:, None]
+                          for sym in ("a2", "c1", "c2", "k1", "k2"))
+
+    # Hermite plan of every stage and channel, shape (4, 2n+1)
+    delayed = tgrid - delays
+    r = max(0.0, float((t0 - delayed.min(axis=1)).max()))
+    in_history = delayed < t0
+    idx, theta = _snap_interval((delayed - t0) / h)
+    weights = [w[..., None] for w in _hermite_weights(theta, h)]
+    # the knot each stage reads last with a nonzero weight (-1: history only)
+    reads = np.where(in_history, -1, idx + (theta > 0.0)).max(axis=0)
+    i0 = np.where(in_history, 0, idx)
+    i1 = np.minimum(i0 + 1, n)
+    hist_stages = [np.flatnonzero(row) for row in in_history]
+    hist_values = [log_hist(int(_COMPONENT[c, 0]), delayed[c, stages] - t0) for c, stages in enumerate(hist_stages)]
+
+    # knots per component: z[0] = x, z[1] = y (zeros: a zero-weight Hermite
+    # term may touch a knot not computed yet, and 0.0 * 0.0 must stay 0.0)
+    z = np.zeros((2, n + 1, m))
+    dz = np.zeros((2, n + 1, m))
+    z[0, 0], z[1, 0] = x0, y0
+
+    def forcing(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Prey forcing q and predator slope ky at stages lo..hi, each (hi-lo+1, m)."""
+        sl = slice(lo, hi + 1)
+        j0, j1 = i0[:, sl], i1[:, sl]
+        w00, w10, w01, w11 = (w[:, sl] for w in weights)
+        vals = (w00 * z[_COMPONENT, j0] + w10 * dz[_COMPONENT, j0]
+                + w01 * z[_COMPONENT, j1] + w11 * dz[_COMPONENT, j1])
+        for c, stages in enumerate(hist_stages):
+            a, e = np.searchsorted(stages, (lo, hi + 1))
+            if a < e:
+                vals[c, stages[a:e] - lo] = hist_values[c][a:e]
+        es1, es2, et1, et2 = _exp(vals)
+        return c1[sl] * et1 / (es1 + k1[sl]), a2[sl] - c2[sl] * et2 / (es2 + k2[sl])
+
+    q, ky = forcing(0, 0)
+    dz[0, 0] = [a1[0] - b[0] * math.exp(x) - qc for x, qc in zip(z[0, 0].tolist(), q[0].tolist())]
+    dz[1, 0] = ky[0]
+
+    # the window [k0, k_next) holds the steps whose stages 2k+1, 2k+2 read no
+    # knot past k0 (stage 2k0 was done with the window before).  Rounding at
+    # |t|/h beyond ~1e7 may put a stage a hair past the knot it may read;
+    # such a step gets a window of its own.
+    step_reads = np.maximum(reads[1::2], reads[2::2])
+    reach = np.maximum.accumulate(np.minimum(step_reads, np.arange(n)))
+    h6 = h / 6.0
+    k0 = 0
+    while k0 < n:
+        k_next = int(np.searchsorted(reach, k0, side="right"))
+        q, ky = forcing(2 * k0 + 1, 2 * k_next)
+        ky = np.concatenate([dz[1, k0][None], ky])
+        mid = ky[1::2]
+        inc = h6 * (ky[0:-1:2] + 2.0 * (mid + mid) + ky[2::2])
+        y = np.cumsum(np.concatenate([z[1, k0][None], inc]), axis=0)[1:]
+        bad = np.flatnonzero(~(np.abs(y) < _LOG_LIMIT).all(axis=1))
+        steps = int(bad[0]) + 1 if bad.size else k_next - k0  # up to the first bad y knot
+        a1w, bw = a1[2 * k0 + 1:2 * k_next + 1], b[2 * k0 + 1:2 * k_next + 1]
+        cols = [_prey_steps(x, kx1, a1w, bw, qc, h)
+                for x, kx1, qc in zip(z[0, k0].tolist(), dz[0, k0].tolist(), q[:2 * steps].T.tolist())]
+        done = min(len(xs) for xs, _ in cols)
+        if bad.size or done < steps:
+            raise IntegrationError(f"log-state overflow at t={t0 + (k0 + min(done, steps - 1) + 1) * h!r}")
+        z[0, k0 + 1:k_next + 1] = np.array([xs for xs, _ in cols]).T
+        dz[0, k0 + 1:k_next + 1] = np.array([dxs for _, dxs in cols]).T
+        z[1, k0 + 1:k_next + 1] = y
+        dz[1, k0 + 1:k_next + 1] = ky[2::2]
+        k0 = k_next
+
+    return z[0], z[1], dz[0], dz[1], r
 
 
 def integrate(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float, h: float) -> Trajectory:
     """Integrate the system from an initial history; deterministic for fixed
     inputs (two identical calls give bit-identical knots)."""
-    n = _resolve_steps(spec, t0, t_end, h)
-    plan = _StagePlan(spec, t0, h, n)
-
-    def log_hist1(theta):
-        return _log_or_neginf(history.value1(theta), "history phi1")
-
-    def log_hist2(theta):
-        return _log_or_neginf(history.value2(theta), "history phi2")
-
-    p_s1 = plan.channel_plan("sigma1", t0, h, log_hist1)
-    p_s2 = plan.channel_plan("sigma2", t0, h, log_hist1)
-    p_t1 = plan.channel_plan("tau1", t0, h, log_hist2)
-    p_t2 = plan.channel_plan("tau2", t0, h, log_hist2)
-
-    u0 = history.value1(0.0)
-    v0 = history.value2(0.0)
-    if u0 <= 0.0 or v0 <= 0.0:
+    values = (history.value1, history.value2)
+    if values[0](0.0) <= 0.0 or values[1](0.0) <= 0.0:
         raise IntegrationError("history must satisfy phi1(0) > 0 and phi2(0) > 0")
 
-    xs = [0.0] * (n + 1)
-    ys = [0.0] * (n + 1)
-    dxs = [0.0] * (n + 1)
-    dys = [0.0] * (n + 1)
-    xs[0] = math.log(u0)
-    ys[0] = math.log(v0)
+    def log_hist(comp, thetas):
+        return np.array([[_log_or_neginf(values[comp](th), f"history phi{comp + 1}")] for th in thetas.tolist()])
 
-    a1, a2, b, c1, c2, k1, k2 = plan.a1, plan.a2, plan.b, plan.c1, plan.c2, plan.k1, plan.k2
-    exp = math.exp
-
-    def lookup(p, vals, dvals):
-        if p[0]:
-            return p[1]
-        _, i, w00, w10, w01, w11 = p
-        return w00 * vals[i] + w10 * dvals[i] + w01 * vals[i + 1] + w11 * dvals[i + 1]
-
-    def stage(j, xv, yv):
-        xs1 = lookup(p_s1[j], xs, dxs)
-        xs2 = lookup(p_s2[j], xs, dxs)
-        yt1 = lookup(p_t1[j], ys, dys)
-        yt2 = lookup(p_t2[j], ys, dys)
-        u = exp(xv)
-        kx = a1[j] - b[j] * u - c1[j] * exp(yt1) / (exp(xs1) + k1[j])
-        ky = a2[j] - c2[j] * exp(yt2) / (exp(xs2) + k2[j])
-        return kx, ky
-
-    hh = 0.5 * h
-    h6 = h / 6.0
-    for k in range(n):
-        x0, y0 = xs[k], ys[k]
-        j0 = 2 * k
-        k1x, k1y = stage(j0, x0, y0)
-        dxs[k], dys[k] = k1x, k1y
-        k2x, k2y = stage(j0 + 1, x0 + hh * k1x, y0 + hh * k1y)
-        k3x, k3y = stage(j0 + 1, x0 + hh * k2x, y0 + hh * k2y)
-        k4x, k4y = stage(j0 + 2, x0 + h * k3x, y0 + h * k3y)
-        xn = x0 + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        yn = y0 + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if not (abs(xn) < _LOG_LIMIT and abs(yn) < _LOG_LIMIT):
-            raise IntegrationError(f"log-state overflow at t={t0 + (k + 1) * h!r}")
-        xs[k + 1], ys[k + 1] = xn, yn
-    dxs[n], dys[n] = stage(2 * n, xs[n], ys[n])
-
-    t = t0 + h * np.arange(n + 1)
-    return Trajectory(t0, t0 + n * h, h, t,
-                      np.array(xs), np.array(ys), np.array(dxs), np.array(dys),
-                      history, plan.r)
+    x, y, dx, dy, r = _rk4(spec, t0, t_end, h, log_hist)
+    n = len(x) - 1
+    return Trajectory(t0, t0 + n * h, h, t0 + h * np.arange(n + 1),
+                      x[:, 0], y[:, 0], dx[:, 0], dy[:, 0], history, r)
 
 
 def integrate_batch(spec: ModelSpec, histories: np.ndarray, t0: float, t_end: float, h: float) -> BatchTrajectory:
     """Integrate many constant-history runs of one model on a shared grid.
 
     histories: array of shape (m, 2) of positive constants (u0, v0).
-    Column i of the result is bit-identical to the corresponding single
-    integrate() run.
+    Column i of the result is bit-identical to the single integrate() run
+    from the history (u0, v0) of row i: both go through the same kernel.
     """
     histories = np.asarray(histories, dtype=float)
     if histories.ndim != 2 or histories.shape[1] != 2:
         raise IntegrationError("histories must have shape (m, 2)")
     if (histories <= 0.0).any():
         raise IntegrationError("constant histories must be strictly positive")
-    m = histories.shape[0]
-    n = _resolve_steps(spec, t0, t_end, h)
-    plan = _StagePlan(spec, t0, h, n)
+    logs = np.array([[math.log(v) for v in col] for col in histories.T.tolist()])
 
-    logu = np.log(histories[:, 0])
-    logv = np.log(histories[:, 1])
-    p_s1 = plan.channel_plan("sigma1", t0, h, lambda th: logu)
-    p_s2 = plan.channel_plan("sigma2", t0, h, lambda th: logu)
-    p_t1 = plan.channel_plan("tau1", t0, h, lambda th: logv)
-    p_t2 = plan.channel_plan("tau2", t0, h, lambda th: logv)
+    def log_hist(comp, thetas):
+        return np.broadcast_to(logs[comp], (len(thetas), len(histories)))
 
-    # zeros, not empty: zero-weight Hermite terms still touch the not-yet
-    # written knot and 0.0 * garbage must stay 0.0
-    xs = np.zeros((n + 1, m))
-    ys = np.zeros((n + 1, m))
-    dxs = np.zeros((n + 1, m))
-    dys = np.zeros((n + 1, m))
-    xs[0] = logu
-    ys[0] = logv
-
-    a1, a2, b, c1, c2, k1, k2 = plan.a1, plan.a2, plan.b, plan.c1, plan.c2, plan.k1, plan.k2
-    exp = np.exp
-
-    def lookup(p, vals, dvals):
-        if p[0]:
-            return p[1]
-        _, i, w00, w10, w01, w11 = p
-        return w00 * vals[i] + w10 * dvals[i] + w01 * vals[i + 1] + w11 * dvals[i + 1]
-
-    def stage(j, xv, yv):
-        xs1 = lookup(p_s1[j], xs, dxs)
-        xs2 = lookup(p_s2[j], xs, dxs)
-        yt1 = lookup(p_t1[j], ys, dys)
-        yt2 = lookup(p_t2[j], ys, dys)
-        u = exp(xv)
-        kx = a1[j] - b[j] * u - c1[j] * exp(yt1) / (exp(xs1) + k1[j])
-        ky = a2[j] - c2[j] * exp(yt2) / (exp(xs2) + k2[j])
-        return kx, ky
-
-    hh = 0.5 * h
-    h6 = h / 6.0
-    for k in range(n):
-        x0, y0 = xs[k], ys[k]
-        j0 = 2 * k
-        k1x, k1y = stage(j0, x0, y0)
-        dxs[k], dys[k] = k1x, k1y
-        k2x, k2y = stage(j0 + 1, x0 + hh * k1x, y0 + hh * k1y)
-        k3x, k3y = stage(j0 + 1, x0 + hh * k2x, y0 + hh * k2y)
-        k4x, k4y = stage(j0 + 2, x0 + h * k3x, y0 + h * k3y)
-        xn = x0 + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        yn = y0 + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if not (np.abs(xn).max() < _LOG_LIMIT and np.abs(yn).max() < _LOG_LIMIT):
-            raise IntegrationError(f"log-state overflow at t={t0 + (k + 1) * h!r}")
-        xs[k + 1], ys[k + 1] = xn, yn
-    dxs[n], dys[n] = stage(2 * n, xs[n], ys[n])
-
-    t = t0 + h * np.arange(n + 1)
-    return BatchTrajectory(t0, t0 + n * h, h, t, xs, ys, dxs, dys, histories, plan.r)
+    x, y, dx, dy, r = _rk4(spec, t0, t_end, h, log_hist)
+    n = len(x) - 1
+    return BatchTrajectory(t0, t0 + n * h, h, t0 + h * np.arange(n + 1), x, y, dx, dy, histories, r)
 
 
 def sample_state(traj: Trajectory, t: float) -> tuple[float, float]:
@@ -341,12 +323,8 @@ def sample_state(traj: Trajectory, t: float) -> tuple[float, float]:
         return math.exp(traj.x[0]), math.exp(traj.y[0])
     n = len(traj.t) - 1
     idx, theta = _snap_interval((t - traj.t0) / traj.h)
-    idx = min(max(idx, 0), n - 1)
-    om = 1.0 - theta
-    w00 = (1.0 + 2.0 * theta) * om * om
-    w10 = traj.h * theta * om * om
-    w01 = theta * theta * (3.0 - 2.0 * theta)
-    w11 = traj.h * theta * theta * (theta - 1.0)
+    idx = min(max(int(idx), 0), n - 1)
+    w00, w10, w01, w11 = _hermite_weights(float(theta), traj.h)
     x = w00 * traj.x[idx] + w10 * traj.dx[idx] + w01 * traj.x[idx + 1] + w11 * traj.dx[idx + 1]
     y = w00 * traj.y[idx] + w10 * traj.dy[idx] + w01 * traj.y[idx + 1] + w11 * traj.dy[idx + 1]
     return math.exp(x), math.exp(y)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import LagInversionError
 from .expr import CoefficientExpr, evaluate
-from .integrator import integrate
+from .integrator import Trajectory, integrate
 from .model import InitialHistory, ModelSpec
 from .permanence import CoefficientBounds, PermanenceBounds
 
@@ -145,13 +145,12 @@ def eval_alpha_beta(
     beta_denominator: str = "M2",
 ) -> tuple[float, float]:
     """alpha(t), beta(t) with every lag gap obtained by lag inversion."""
-    gaps = (
-        lag_inverse_gap(spec.tau1, t),
-        lag_inverse_gap(spec.tau2, t),
-        lag_inverse_gap(spec.sigma1, t),
-        lag_inverse_gap(spec.sigma2, t),
-    )
-    return alpha_beta_from_gaps(bounds.inputs_used, bounds, gaps, beta_denominator)
+    return alpha_beta_from_gaps(bounds.inputs_used, bounds, _lag_gaps(spec, t), beta_denominator)
+
+
+def _lag_gaps(spec: ModelSpec, t: float) -> tuple[float, float, float, float]:
+    """Lag inverse gaps of tau1, tau2, sigma1, sigma2 at time t."""
+    return tuple(lag_inverse_gap(spec.expr(sym), t) for sym in ("tau1", "tau2", "sigma1", "sigma2"))
 
 
 @dataclass
@@ -161,6 +160,7 @@ class LiminfEstimate:
     tail_start: float
     alpha_samples: list[tuple[float, float]]
     beta_samples: list[tuple[float, float]]
+    beta_liminf_alt: float  # the other beta denominator, from the same gaps
 
 
 def estimate_liminf(
@@ -173,29 +173,31 @@ def estimate_liminf(
 
     Samples on t_grid and takes the running minimum over the tail
     [T1/2, T1]; representative when the coefficients are (pseudo) almost
-    periodic.
+    periodic.  The four lag gaps are found once per grid point and serve
+    both beta denominators.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
-    alpha_samples = []
-    beta_samples = []
-    for t in t_grid:
-        a, b = eval_alpha_beta(spec, bounds, float(t), beta_denominator)
-        alpha_samples.append((float(t), a))
-        beta_samples.append((float(t), b))
-    tail_start = float(t_grid[-1]) / 2.0
-    tail_alpha = [a for t, a in alpha_samples if t >= tail_start]
-    tail_beta = [b for t, b in beta_samples if t >= tail_start]
-    if not tail_alpha:
-        tail_alpha = [a for _, a in alpha_samples]
-        tail_beta = [b for _, b in beta_samples]
+    alt = "M1" if beta_denominator == "M2" else "M2"
+    cb = bounds.inputs_used
+    times = t_grid.tolist()
+    alphas, betas, betas_alt = [], [], []
+    for t in times:
+        gaps = _lag_gaps(spec, t)
+        a, b = alpha_beta_from_gaps(cb, bounds, gaps, beta_denominator)
+        alphas.append(a)
+        betas.append(b)
+        betas_alt.append(alpha_beta_from_gaps(cb, bounds, gaps, alt)[1])
+    tail_start = times[-1] / 2.0
+    tail = [i for i, t in enumerate(times) if t >= tail_start] or range(len(times))
     return LiminfEstimate(
-        alpha_liminf=min(tail_alpha),
-        beta_liminf=min(tail_beta),
+        alpha_liminf=min(alphas[i] for i in tail),
+        beta_liminf=min(betas[i] for i in tail),
         tail_start=tail_start,
-        alpha_samples=alpha_samples,
-        beta_samples=beta_samples,
+        alpha_samples=list(zip(times, alphas)),
+        beta_samples=list(zip(times, betas)),
+        beta_liminf_alt=min(betas_alt[i] for i in tail),
     )
 
 
@@ -217,15 +219,18 @@ def run_attractivity(
     threshold: float,
     h: float = 0.01,
     t0: float = 0.0,
+    traj_a: Trajectory | None = None,
 ) -> AttractivityResult:
     """Integrate two admissible histories on a shared grid and watch the
     distance d(t) = |u_a - u_b| + |v_a - v_b| contract.
 
     Pass requires d(t_end) < threshold and a nonincreasing envelope over the
     last quarter of the run (window maxima of the tail must not grow).
-    The curve is symmetric under swapping the two histories.
+    The curve is symmetric under swapping the two histories.  A trajectory
+    of history_a already integrated on the same grid may be passed as
+    traj_a to avoid re-integration.
     """
-    ta = integrate(spec, history_a, t0, t_end, h)
+    ta = traj_a if traj_a is not None else integrate(spec, history_a, t0, t_end, h)
     tb = integrate(spec, history_b, t0, t_end, h)
     d = np.abs(ta.u - tb.u) + np.abs(ta.v - tb.v)
     n = d.size
@@ -266,9 +271,7 @@ def build_stability_report(
 ) -> StabilityReport:
     """Liminf estimation under the active beta denominator, with the other
     variant recorded alongside."""
-    alt = "M1" if beta_denominator == "M2" else "M2"
     est = estimate_liminf(spec, bounds, t_grid, beta_denominator)
-    est_alt = estimate_liminf(spec, bounds, t_grid, alt)
     return StabilityReport(
         alpha_samples=est.alpha_samples,
         beta_samples=est.beta_samples,
@@ -277,5 +280,5 @@ def build_stability_report(
         hypothesis_holds=est.alpha_liminf > 0.0 and est.beta_liminf > 0.0,
         attractivity_curves=[attractivity] if attractivity is not None else [],
         beta_denominator=beta_denominator,
-        beta_liminf_alt=est_alt.beta_liminf,
+        beta_liminf_alt=est.beta_liminf_alt,
     )

@@ -137,6 +137,18 @@ def test_step_above_delay_exits_3(tmp_path, capsys):
     assert "smallest delay" in err and "hint" in err
 
 
+@pytest.mark.parametrize("key, literal", [("h", "NaN"), ("t_end", "Infinity"), ("t0", "-Infinity")])
+def test_nonfinite_run_value_exits_2(tmp_path, capsys, key, literal):
+    data = small_config()
+    data["run"][key] = "PLACEHOLDER"
+    cfg = tmp_path / "bad.json"
+    # json.dumps would write the same literal; spelled out to show the input
+    cfg.write_text(json.dumps(data).replace('"PLACEHOLDER"', literal), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"/run/{key}" in err and "finite" in err
+
+
 def test_config_validation_exits_2(tmp_path, capsys):
     data = small_config()
     del data["model"]["c2"]

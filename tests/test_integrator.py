@@ -13,6 +13,7 @@ from lgholling import (
     order_check,
     sample_state,
 )
+from conftest import make_spec, reference_rk4
 
 
 def logistic_spec(**overrides):
@@ -101,15 +102,95 @@ def test_overflow_reported_with_time():
         integrate(spec, InitialHistory(0.5, 0.5), 0.0, 10.0, 0.01)
 
 
+@pytest.mark.parametrize("overrides, t_ref", [
+    ({"a2": "200", "c2": "1e-300"}, 3.6),  # y runs up past the guard
+    ({"c1": "300"}, 8.0),                  # x runs down past it
+])
+def test_overflow_time_is_the_first_knot_past_the_guard(overrides, t_ref):
+    spec = logistic_spec(**overrides)
+    hist = InitialHistory(0.5, 0.5)
+    x, y, _, _ = reference_rk4(spec, hist, 0.0, t_ref, 0.01)
+    k = int(np.flatnonzero((np.abs(x) >= 700.0) | (np.abs(y) >= 700.0))[0])
+    with pytest.raises(IntegrationError, match=f"overflow at t={k * 0.01!r}$"):
+        integrate(spec, hist, 0.0, 10.0, 0.01)
+
+
+@pytest.mark.parametrize("t0, t_end, h, name", [
+    (math.nan, 10.0, 0.01, "t0"),
+    (0.0, math.inf, 0.01, "t_end"),
+    (0.0, 10.0, math.nan, "step h"),
+    (0.0, 10.0, math.inf, "step h"),
+])
+def test_nonfinite_time_arguments_rejected(t0, t_end, h, name):
+    with pytest.raises(IntegrationError, match=f"{name} must be finite"):
+        integrate(logistic_spec(), InitialHistory(0.5, 0.5), t0, t_end, h)
+
+
 def test_batch_matches_single_runs(example2_spec):
     rng = np.random.default_rng(11)
-    hists = np.vstack([[0.5, 0.5], rng.uniform(0.05, 2.0, size=(3, 2))])
+    # a value on which np.log and math.log differ in the last bit, if this
+    # platform has one, so a batch that took its logs another way would show
+    odd = next((float(v) for v in np.linspace(0.5, 1.5, 2001) if np.log(v) != math.log(v)), 0.7)
+    hists = np.vstack([[0.5, 0.5], [odd, odd], rng.uniform(0.05, 2.0, size=(3, 2))])
     batch = integrate_batch(example2_spec, hists, 0.0, 5.0, 0.01)
     for i in range(len(hists)):
         single = integrate(example2_spec, InitialHistory(*map(float, hists[i])), 0.0, 5.0, 0.01)
-        # np.exp and math.exp may differ in the last ulp; demand near-bitwise
-        assert np.abs(single.x - batch.x[:, i]).max() < 1e-12
-        assert np.abs(single.y - batch.y[:, i]).max() < 1e-12
+        for got, want in zip((batch.x, batch.y, batch.dx, batch.dy), (single.x, single.y, single.dx, single.dy)):
+            assert np.array_equal(got[:, i], want)
+
+
+ORACLE_PREDATION = {"c1": "0.3", "c2": "0.4", "a2": "0.5"}
+
+
+def seeded_varying_delay_spec(seed: int) -> ModelSpec:
+    """Time-varying coefficients and four distinct time-varying delays
+    d0 + d1 sin(w t + p), all at least 0.3."""
+    rng = np.random.default_rng(seed)
+    coeffs = {
+        "a1": f"{rng.uniform(0.8, 1.2)!r} + 0.2*abs(cos({rng.uniform(0.5, 2.0)!r}*t))",
+        "a2": f"{rng.uniform(0.3, 0.6)!r} + 0.1*abs(sin({rng.uniform(0.5, 2.0)!r}*t))",
+        "b": f"{rng.uniform(0.8, 1.2)!r} + 0.2*cos(t)",
+        "c1": f"{rng.uniform(0.2, 0.4)!r}", "c2": f"{rng.uniform(0.3, 0.5)!r}",
+        "k1": "1", "k2": f"1 + 0.3*sin({rng.uniform(0.5, 2.0)!r}*t)",
+    }
+    for sym in ("tau1", "tau2", "sigma1", "sigma2"):
+        d0 = rng.uniform(0.4, 0.9)
+        coeffs[sym] = f"{d0!r} + {0.1 * d0!r}*sin({rng.uniform(0.5, 3.0)!r}*t + {rng.uniform(0.0, 6.0)!r})"
+    return ModelSpec.from_strings(coeffs)
+
+
+ORACLE_CASES = {
+    # name: (spec, history, t0, t_end, h)
+    "varying-delay": (seeded_varying_delay_spec(7), InitialHistory(0.6, 0.4), 0.0, 30.0, 0.01),
+    "h-equals-min-delay": (logistic_spec(**ORACLE_PREDATION, tau1="0.05", tau2="0.07", sigma1="0.06",
+                                         sigma2="0.05"), InitialHistory(0.4, 0.3), 0.0, 10.0, 0.05),
+    "delay-off-grid": (logistic_spec(**ORACLE_PREDATION, tau1="0.537", tau2="0.6131", sigma1="0.7293",
+                                     sigma2="0.4489"), InitialHistory(0.4, 0.3), 0.0, 20.0, 0.01),
+    "expression-history": (logistic_spec(**ORACLE_PREDATION),
+                           InitialHistory(parse_expression("0.5 + 0.2*t"), parse_expression("0.3*exp(t)")),
+                           0.0, 10.0, 0.01),
+    "history-zero-on-left": (logistic_spec(**ORACLE_PREDATION),
+                             InitialHistory(parse_expression("(t + 0.25 + abs(t + 0.25))/2"), 0.5),
+                             0.0, 5.0, 0.01),
+    "t0-nonzero": (seeded_varying_delay_spec(3), InitialHistory(0.5, 0.5), 3.7, 23.7, 0.01),
+}
+
+
+def assert_knots_equal(traj, reference):
+    for name, got, want in zip(("x", "y", "dx", "dy"), (traj.x, traj.y, traj.dx, traj.dy), reference):
+        assert np.array_equal(got, want), f"{name} differs by {np.abs(got - want).max():.3e}"
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_knots_equal_reference_rk4(case):
+    spec, hist, t0, t_end, h = ORACLE_CASES[case]
+    assert_knots_equal(integrate(spec, hist, t0, t_end, h), reference_rk4(spec, hist, t0, t_end, h))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_preset_knots_equal_reference_rk4(name):
+    spec, hist = make_spec(name), InitialHistory(0.5, 0.5)
+    assert_knots_equal(integrate(spec, hist, 0.0, 200.0, 0.01), reference_rk4(spec, hist, 0.0, 200.0, 0.01))
 
 
 def test_batch_positivity_random_histories(example1_spec):

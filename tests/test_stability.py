@@ -11,6 +11,7 @@ from lgholling import (
     estimate_liminf,
     eval_alpha_beta,
     evaluate,
+    integrate,
     lag_inverse_gap,
     parse_expression,
     run_attractivity,
@@ -144,6 +145,10 @@ def test_liminf_with_time_varying_delays(example2_bounds):
     a_direct, _ = alpha_beta_from_gaps(cb, pb, gaps)
     a_eval, _ = eval_alpha_beta(spec, pb, t_probe)
     assert a_eval == pytest.approx(a_direct, abs=1e-12)
+    # the other beta denominator comes from the same gaps, with the same values
+    other = estimate_liminf(spec, pb, np.linspace(0.0, 40.0, 81), beta_denominator="M1")
+    assert est.beta_liminf_alt == other.beta_liminf
+    assert other.beta_liminf_alt == est.beta_liminf
 
 
 def test_attractivity_identical_histories(unit_spec):
@@ -158,6 +163,14 @@ def test_attractivity_swap_invariance(unit_spec):
     r1 = run_attractivity(unit_spec, a, b, 20.0, threshold=1.0, h=0.01)
     r2 = run_attractivity(unit_spec, b, a, 20.0, threshold=1.0, h=0.01)
     assert np.array_equal(r1.distances, r2.distances)
+
+
+def test_attractivity_reuses_a_given_trajectory(unit_spec):
+    a, b = InitialHistory(0.4, 0.6), InitialHistory(0.7, 0.2)
+    traj_a = integrate(unit_spec, a, 0.0, 20.0, 0.01)
+    fresh = run_attractivity(unit_spec, a, b, 20.0, threshold=1.0, h=0.01)
+    reused = run_attractivity(unit_spec, a, b, 20.0, threshold=1.0, h=0.01, traj_a=traj_a)
+    assert np.array_equal(fresh.distances, reused.distances)
 
 
 def test_attractivity_contracting_system():
