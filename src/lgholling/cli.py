@@ -56,6 +56,12 @@ _DEFAULT_OPTIONS = {
     "csv_stride": 10,
 }
 
+# options that must lie above a floor: counts, steps and lengths
+_OPTION_FLOOR = {
+    "bounds_samples": 1, "liminf_points": 0, "fp_max_iter": 0, "csv_stride": 0,
+    "bounds_horizon": 0.0, "fp_t_hi": 0.0, "fp_step": 0.0, "fp_quad_step": 0.0, "fp_tail_tol": 0.0,
+}
+
 _PAPER_VALUE_KEYS = set(CoefficientBounds.__dataclass_fields__) | {
     "M1", "M2", "m1", "m2", "alpha_inf", "beta_inf",
 }
@@ -88,9 +94,30 @@ def _require_keys(section: dict, path: str, required, allowed):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, "expected a number")
-    if not math.isfinite(value):
+    number = float(value) if abs(value) <= sys.float_info.max else math.inf  # no OverflowError on huge ints
+    if not math.isfinite(number):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
-    return float(value)
+    return number
+
+
+def _check_option(key: str, value) -> None:
+    """An option value must have the type of its default and clear its floor."""
+    path = f"/options/{key}"
+    default = _DEFAULT_OPTIONS[key]
+    if isinstance(default, str):
+        if value not in ("M1", "M2"):
+            raise ConfigError(path, "must be 'M1' or 'M2'")
+        return
+    if isinstance(default, list):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise ConfigError(path, f"expected a list of {len(default)} numbers")
+        for i, item in enumerate(value):
+            _number(item, f"{path}/{i}")
+        return
+    if isinstance(default, int) and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ConfigError(path, "expected an integer")
+    if not _number(value, path) > _OPTION_FLOOR.get(key, -math.inf):
+        raise ConfigError(path, f"must be > {_OPTION_FLOOR[key]}")
 
 
 def load_config(data: dict) -> RunConfig:
@@ -149,20 +176,23 @@ def load_config(data: dict) -> RunConfig:
     if "options" in data:
         _require_keys(data["options"], "/options", (), tuple(_DEFAULT_OPTIONS))
         options.update(data["options"])
-    if options["beta_denominator"] not in ("M1", "M2"):
-        raise ConfigError("/options/beta_denominator", "must be 'M1' or 'M2'")
+    for key, value in options.items():
+        _check_option(key, value)
 
     table_bounds = data.get("table_bounds")
     if table_bounds is not None:
         _require_keys(table_bounds, "/table_bounds", (), tuple(CoefficientBounds.__dataclass_fields__))
+        for key, value in table_bounds.items():
+            _number(value, f"/table_bounds/{key}")
 
     paper_values = data.get("paper_values")
     if paper_values is not None:
         if not isinstance(paper_values, dict):
             raise ConfigError("/paper_values", "expected an object")
-        for key in paper_values:
+        for key, value in paper_values.items():
             if key not in _PAPER_VALUE_KEYS:
                 raise ConfigError(f"/paper_values/{key}", "unknown quantity")
+            _number(value, f"/paper_values/{key}")
 
     out_value = data.get("output_dir")
     if out_value is not None and not isinstance(out_value, str):
@@ -236,7 +266,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
 
     opt = config.options
     spec = ModelSpec.from_strings(config.model)
-    vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]), samples=int(opt["bounds_samples"]))
+    vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]), samples=opt["bounds_samples"])
     if not vrep.ok:
         sym, t_bad, value = vrep.failures[0]
         raise ValidationError(f"coefficient {sym} is {value:.6g} <= 0 at t={t_bad:.6g}")
@@ -268,7 +298,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
     pb_active = pb_table if pb_table is not None else pb_est
 
     traj = integrate(spec, history, t0, t_end, h)
-    stride = max(1, int(opt["csv_stride"]))
+    stride = opt["csv_stride"]
     files: dict[str, Path] = {}
     out_dir.mkdir(parents=True, exist_ok=True)
     u, v = traj.u, traj.v
@@ -319,7 +349,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
             _write_csv(out_dir / "attractivity.csv", "t,distance",
                        zip(att.times[::stride], att.distances[::stride]))
             files["attractivity"] = out_dir / "attractivity.csv"
-        t_grid = np.linspace(0.0, float(opt["liminf_t_max"]), int(opt["liminf_points"]))
+        t_grid = np.linspace(0.0, float(opt["liminf_t_max"]), opt["liminf_points"])
         sr = build_stability_report(spec, pb_active, t_grid,
                                     beta_denominator=opt["beta_denominator"], attractivity=att)
         sample_stride = max(1, len(sr.alpha_samples) // 25)
@@ -351,7 +381,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
                                                     float(opt["fp_step"]), seed_phi, seed_psi)
         result = iterate_fixed_point(
             spec, seed_pair,
-            tol=float(opt["fp_tol"]), max_iter=int(opt["fp_max_iter"]),
+            tol=float(opt["fp_tol"]), max_iter=opt["fp_max_iter"],
             quad_step=float(opt["fp_quad_step"]), tail_tol=float(opt["fp_tail_tol"]),
             coeff_bounds=table_cb if table_cb is not None else est_cb,
         )
@@ -487,7 +517,7 @@ def _load_config_file(path: str | Path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError("", f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bad UTF-8, or an integer past Python's digit limit
         raise ConfigError("", f"malformed JSON: {exc}") from exc
 
 

@@ -6,6 +6,11 @@ parentheses, the functions abs/exp/sin/cos/sqrt, and the operators
 ``+ - * / ^`` with conventional precedence.  ``^`` is restricted to literal
 integer exponents >= 0.
 
+There is one evaluator: ``evaluate_array`` walks the tree once over an
+array of times, and ``evaluate`` is that evaluator on a one-point array.
+The sup/inf estimate refines all candidate cells of its grid scan together,
+one evaluator call per golden-section iteration.
+
 Expressions are immutable after parsing and evaluation is pure, so a parsed
 expression may be shared freely between threads.
 """
@@ -217,53 +222,6 @@ def parse_expression(text: str) -> CoefficientExpr:
 # ---------------------------------------------------------------------------
 
 
-def _eval_scalar(node: Node, t: float) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return t
-    if isinstance(node, Unary):
-        v = _eval_scalar(node.arg, t)
-        if node.op == "neg":
-            return -v
-        if node.op == "abs":
-            return abs(v)
-        if node.op == "sqrt":
-            if v < 0.0:
-                raise ExprDomainError(f"sqrt of negative value {v!r} at t={t!r}")
-            return math.sqrt(v)
-        try:
-            return getattr(math, node.op)(v)
-        except OverflowError as exc:
-            raise ExprDomainError(f"{node.op} overflow at t={t!r}") from exc
-    left = _eval_scalar(node.left, t)
-    right = _eval_scalar(node.right, t)
-    op = node.op
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0.0:
-            raise ExprDomainError(f"division by zero at t={t!r}")
-        return left / right
-    # op == "^", right is a literal nonnegative integer
-    try:
-        return left ** int(right)
-    except OverflowError as exc:
-        raise ExprDomainError(f"power overflow at t={t!r}") from exc
-
-
-def evaluate(expr: CoefficientExpr, t: float) -> float:
-    """Value of the expression at a finite time t (pure, thread-safe)."""
-    value = _eval_scalar(expr.root, float(t))
-    if not math.isfinite(value):
-        raise ExprDomainError(f"non-finite value at t={t!r}")
-    return value
-
-
 def _eval_array(node: Node, t: np.ndarray) -> np.ndarray:
     if isinstance(node, Const):
         return np.full_like(t, node.value)
@@ -278,10 +236,9 @@ def _eval_array(node: Node, t: np.ndarray) -> np.ndarray:
         if node.op == "sqrt":
             bad = v < 0.0
             if bad.any():
-                raise ExprDomainError(f"sqrt of negative value at t={t[bad][0]!r}")
+                raise ExprDomainError(f"sqrt of negative value at t={float(t[bad][0])!r}")
             return np.sqrt(v)
-        with np.errstate(over="ignore"):
-            return getattr(np, node.op)(v)
+        return getattr(np, node.op)(v)
     left = _eval_array(node.left, t)
     right = _eval_array(node.right, t)
     op = node.op
@@ -294,19 +251,29 @@ def _eval_array(node: Node, t: np.ndarray) -> np.ndarray:
     if op == "/":
         bad = right == 0.0
         if bad.any():
-            raise ExprDomainError(f"division by zero at t={t[bad][0]!r}")
+            raise ExprDomainError(f"division by zero at t={float(t[bad][0])!r}")
         return left / right
     return left ** int(node.right.value)
 
 
 def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
-    """Vectorized evaluation over a time grid."""
+    """Values of the expression over an array of times (pure, thread-safe).
+
+    Overflow is not an error until it reaches the result: a non-finite
+    value raises ExprDomainError naming the first time it occurs at."""
     t = np.asarray(t, dtype=float)
-    values = _eval_array(expr.root, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _eval_array(expr.root, t)
     bad = ~np.isfinite(values)
     if bad.any():
-        raise ExprDomainError(f"non-finite value at t={t[bad][0]!r}")
+        raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}")
     return values
+
+
+def evaluate(expr: CoefficientExpr, t: float) -> float:
+    """Value of the expression at one finite time t: the array evaluator on
+    a one-point grid."""
+    return float(evaluate_array(expr, np.array([float(t)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -339,49 +306,52 @@ def serialize(expr: CoefficientExpr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 80) -> float:
-    """Plain golden-section minimum of fn on [lo, hi]; deterministic."""
+def _golden_min(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarray:
+    """Plain golden-section minima of fn on the brackets [lo[i], hi[i]],
+    refined together; deterministic.  fn maps an array of times to an array
+    of values and is called once per iteration, on the brackets that have
+    not yet shrunk below 1e-14 relative width (those stay frozen)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
+    active = np.ones(a.shape, dtype=bool)
     for _ in range(iters):
-        if b - a < 1e-14 * max(1.0, abs(a), abs(b)):
+        active &= b - a >= 1e-14 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        if not active.any():
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    return min(fc, fd)
+        left = active & (fc < fd)
+        right = active & ~left
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = b[left] - invphi * (b[left] - a[left])
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = a[right] + invphi * (b[right] - a[right])
+        values = fn(np.where(left, c, d)[active])
+        fc[left] = values[left[active]]
+        fd[right] = values[right[active]]
+    return np.minimum(fc, fd)
 
 
-def _candidate_cells(values: np.ndarray, cap: int = 40) -> list[int]:
+def _candidate_cells(values: np.ndarray, cap: int = 40) -> np.ndarray:
     """Local-minimum cells of the sampled values within a sampling-offset
     slack of the grid minimum.  Every basin whose bottom could undercut the
     best sampled cell gets refined, so a coarser grid cannot out-refine a
     finer one on near-tied basins."""
     n = values.size
     if n < 3:
-        return [int(np.argmin(values))]
+        return np.array([np.argmin(values)])
     diffs = np.abs(np.diff(values))
     dmax = float(diffs.max())
     if dmax == 0.0:
-        return [int(np.argmin(values))]  # flat sampling, nothing to refine
+        return np.array([np.argmin(values)])  # flat sampling, nothing to refine
     interior = (values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])
     idxs = np.concatenate([[0], np.flatnonzero(interior) + 1, [n - 1]])
     vmin = float(values.min())
-    sel = idxs[values[idxs] <= vmin + 2.0 * dmax + 1e-15]
-    if sel.size == 0:
-        return [int(np.argmin(values))]
+    sel = idxs[values[idxs] <= vmin + 2.0 * dmax + 1e-15]  # holds the grid minimum
     if sel.size > cap:
         sel = sel[np.argpartition(values[sel], cap)[:cap]]
-    order = np.argsort(values[sel], kind="stable")
-    return [int(i) for i in sel[order]]
+    return sel
 
 
 def _scan(expr: CoefficientExpr, horizon: float, samples: int):
@@ -391,27 +361,21 @@ def _scan(expr: CoefficientExpr, horizon: float, samples: int):
     raw = evaluate_array(expr, grid)
     mag = np.abs(raw)
     h = grid[1] - grid[0] if samples > 1 else 0.0
-
-    def absf(t):
-        return abs(evaluate(expr, t))
-
-    inf_value = float(mag.min())
-    sup_value = float(mag.max())
-    if samples > 1:
-        for idx in _candidate_cells(mag):
-            lo = max(0.0, grid[idx] - h)
-            hi = min(horizon, grid[idx] + h)
-            inf_value = min(inf_value, _golden_min(absf, lo, hi))
-        for idx in _candidate_cells(-mag):
-            lo = max(0.0, grid[idx] - h)
-            hi = min(horizon, grid[idx] + h)
-            sup_value = max(sup_value, -_golden_min(lambda t: -absf(t), lo, hi))
+    # least of sign*|f| per sign: the inf for +1, minus the sup for -1
+    least = {}
+    for sign in (1.0, -1.0):
+        values = sign * mag
+        cells = _candidate_cells(values)
+        lo = np.maximum(0.0, grid[cells] - h)
+        hi = np.minimum(horizon, grid[cells] + h)  # lo == hi == 0 on a one-point grid
+        refined = _golden_min(lambda t: sign * np.abs(evaluate_array(expr, t)), lo, hi)
+        least[sign] = min(float(values.min()), float(refined.min()))
     nonpos = raw <= 0.0
     if nonpos.any():
         ibad = int(np.argmax(nonpos))  # first violation
     else:
         ibad = int(np.argmin(raw))
-    est = BoundsEstimate(inf_value, sup_value, horizon, samples)
+    est = BoundsEstimate(least[1.0], -least[-1.0], horizon, samples)
     return est, float(raw[ibad]), float(grid[ibad])
 
 

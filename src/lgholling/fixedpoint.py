@@ -27,8 +27,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import NumericalError, QuadratureError
-from .expr import CoefficientExpr, evaluate, evaluate_array
-from .model import ModelSpec
+from .expr import CoefficientExpr, evaluate_array
+from .model import ModelSpec, eval_rhs
 from .permanence import CoefficientBounds, PermanenceBounds
 
 __all__ = [
@@ -101,63 +101,32 @@ class FixedPointResult:
     status: str  # converged | max_iter | diverged
 
 
-def eval_f(
-    spec: ModelSpec,
-    j: int,
-    s: float,
-    phi_s: float,
-    phi_shifted: float,
-    psi_s: float,
-    psi_shifted: float,
-) -> float:
-    """Literal inhomogeneity f_j at time s.
+def eval_f(spec: ModelSpec, j: int, s, phi_s, phi_shifted, psi_s, psi_shifted):
+    """Literal inhomogeneity f_j at time s, or elementwise over an array of
+    times (with matching value arrays).
 
     For j=1 the shifted arguments are phi(s - sigma1(s)) and psi(s - tau1(s));
-    for j=2 they are phi(s - sigma2(s)) and psi(s - tau2(s)).
+    for j=2 they are phi(s - sigma2(s)) and psi(s - tau2(s)).  f_1 does not
+    read psi_s and f_2 does not read phi_s.
     """
+    if j not in (1, 2):
+        raise ValueError("j must be 1 or 2")
+    den = phi_shifted + (spec.k1 if j == 1 else spec.k2)(s)
+    bad = np.asarray(den <= 0.0)
+    if bad.any():
+        s_bad = float(np.broadcast_to(s, bad.shape)[bad][0])
+        raise NumericalError(f"f_{j} denominator not positive at s={s_bad!r}")
     if j == 1:
-        b = evaluate(spec.b, s)
-        c1 = evaluate(spec.c1, s)
-        k1 = evaluate(spec.k1, s)
-        den = phi_shifted + k1
-        if den <= 0.0:
-            raise NumericalError(f"f_1 denominator not positive at s={s!r}")
-        return b * phi_s * phi_s + c1 * psi_shifted * phi_s / den
-    if j == 2:
-        c2 = evaluate(spec.c2, s)
-        k2 = evaluate(spec.k2, s)
-        den = phi_shifted + k2
-        if den <= 0.0:
-            raise NumericalError(f"f_2 denominator not positive at s={s!r}")
-        return c2 * psi_shifted * psi_s / den
-    raise ValueError("j must be 1 or 2")
+        return spec.b(s) * phi_s * phi_s + spec.c1(s) * psi_shifted * phi_s / den
+    return spec.c2(s) * psi_shifted * psi_s / den
 
 
 def _f_values(spec: ModelSpec, pair: GridFunctionPair, j: int, s: np.ndarray) -> np.ndarray:
     if j == 1:
-        b = evaluate_array(spec.b, s)
-        c1 = evaluate_array(spec.c1, s)
-        k1 = evaluate_array(spec.k1, s)
-        sigma1 = evaluate_array(spec.sigma1, s)
-        tau1 = evaluate_array(spec.tau1, s)
-        phi_s = pair.phi_at(s)
-        phi_sig = pair.phi_at(s - sigma1)
-        psi_tau = pair.psi_at(s - tau1)
-        den = phi_sig + k1
-        if (den <= 0.0).any():
-            raise NumericalError("f_1 denominator not positive on the quadrature grid")
-        return b * phi_s * phi_s + c1 * psi_tau * phi_s / den
-    c2 = evaluate_array(spec.c2, s)
-    k2 = evaluate_array(spec.k2, s)
-    sigma2 = evaluate_array(spec.sigma2, s)
-    tau2 = evaluate_array(spec.tau2, s)
-    psi_s = pair.psi_at(s)
-    phi_sig = pair.phi_at(s - sigma2)
-    psi_tau = pair.psi_at(s - tau2)
-    den = phi_sig + k2
-    if (den <= 0.0).any():
-        raise NumericalError("f_2 denominator not positive on the quadrature grid")
-    return c2 * psi_tau * psi_s / den
+        return eval_f(spec, 1, s, pair.phi_at(s), pair.phi_at(s - spec.sigma1(s)),
+                      None, pair.psi_at(s - spec.tau1(s)))
+    return eval_f(spec, 2, s, None, pair.phi_at(s - spec.sigma2(s)),
+                  pair.psi_at(s), pair.psi_at(s - spec.tau2(s)))
 
 
 def _prefix_simpson(nodes: np.ndarray, mids: np.ndarray, dx: float) -> np.ndarray:
@@ -314,21 +283,11 @@ def dde_residual(spec: ModelSpec, pair: GridFunctionPair) -> float:
     s = grid[1:-1]
     dphi = (pair.phi[2:] - pair.phi[:-2]) / (2.0 * g)
     dpsi = (pair.psi[2:] - pair.psi[:-2]) / (2.0 * g)
-    a1 = evaluate_array(spec.a1, s)
-    a2 = evaluate_array(spec.a2, s)
-    b = evaluate_array(spec.b, s)
-    c1 = evaluate_array(spec.c1, s)
-    c2 = evaluate_array(spec.c2, s)
-    k1 = evaluate_array(spec.k1, s)
-    k2 = evaluate_array(spec.k2, s)
-    tau1 = evaluate_array(spec.tau1, s)
-    tau2 = evaluate_array(spec.tau2, s)
-    sigma1 = evaluate_array(spec.sigma1, s)
-    sigma2 = evaluate_array(spec.sigma2, s)
     phi_s = pair.phi[1:-1]
     psi_s = pair.psi[1:-1]
-    rhs_u = (a1 - b * phi_s - c1 * pair.psi_at(s - tau1) / (pair.phi_at(s - sigma1) + k1)) * phi_s
-    rhs_v = (a2 - c2 * pair.psi_at(s - tau2) / (pair.phi_at(s - sigma2) + k2)) * psi_s
+    rhs_u, rhs_v = eval_rhs(spec, s, phi_s, psi_s,
+                            pair.phi_at(s - spec.sigma1(s)), pair.phi_at(s - spec.sigma2(s)),
+                            pair.psi_at(s - spec.tau1(s)), pair.psi_at(s - spec.tau2(s)))
     return float((np.abs(dphi - rhs_u) + np.abs(dpsi - rhs_v)).max())
 
 

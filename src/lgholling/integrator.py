@@ -282,7 +282,7 @@ def integrate(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float,
         raise IntegrationError("history must satisfy phi1(0) > 0 and phi2(0) > 0")
 
     def log_hist(comp, thetas):
-        return np.array([[_log_or_neginf(values[comp](th), f"history phi{comp + 1}")] for th in thetas.tolist()])
+        return np.array([[_log_or_neginf(v, f"history phi{comp + 1}")] for v in values[comp](thetas).tolist()])
 
     x, y, dx, dy, r = _rk4(spec, t0, t_end, h, log_hist)
     n = len(x) - 1

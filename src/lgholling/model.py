@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .expr import BoundsEstimate, CoefficientExpr, evaluate, evaluate_array, parse_expression, _scan
+from .expr import BoundsEstimate, CoefficientExpr, parse_expression, _scan
 
 __all__ = [
     "SYMBOLS",
@@ -59,6 +59,12 @@ class ModelSpec:
         return getattr(self, symbol)
 
 
+def _history_value(phi: float | CoefficientExpr, theta):
+    if isinstance(phi, CoefficientExpr):
+        return phi(theta)
+    return phi if np.ndim(theta) == 0 else np.full(np.shape(theta), phi)
+
+
 @dataclass
 class InitialHistory:
     """Initial data on [-r, 0]; each component is a positive constant or an
@@ -67,28 +73,21 @@ class InitialHistory:
     phi1: float | CoefficientExpr
     phi2: float | CoefficientExpr
 
-    def value1(self, theta: float) -> float:
-        if isinstance(self.phi1, CoefficientExpr):
-            return evaluate(self.phi1, theta)
-        return self.phi1
+    def value1(self, theta):
+        """phi1 at a time or over an array of times."""
+        return _history_value(self.phi1, theta)
 
-    def value2(self, theta: float) -> float:
-        if isinstance(self.phi2, CoefficientExpr):
-            return evaluate(self.phi2, theta)
-        return self.phi2
+    def value2(self, theta):
+        """phi2 at a time or over an array of times."""
+        return _history_value(self.phi2, theta)
 
     def validate(self, r: float, samples: int = 256) -> None:
         if self.value1(0.0) <= 0.0 or self.value2(0.0) <= 0.0:
             raise ValidationError("history must satisfy phi1(0) > 0 and phi2(0) > 0")
         thetas = np.linspace(-r, 0.0, samples) if r > 0 else np.array([0.0])
-        for name, phi in (("phi1", self.phi1), ("phi2", self.phi2)):
-            if isinstance(phi, CoefficientExpr):
-                vals = evaluate_array(phi, thetas)
-                if (vals < 0.0).any():
-                    bad = float(thetas[vals < 0.0][0])
-                    raise ValidationError(f"history {name} negative at theta={bad}")
-            elif phi < 0.0:
-                raise ValidationError(f"history {name} negative")
+        for name, vals in (("phi1", self.value1(thetas)), ("phi2", self.value2(thetas))):
+            if (vals < 0.0).any():
+                raise ValidationError(f"history {name} negative at theta={float(thetas[vals < 0.0][0])}")
 
 
 @dataclass
@@ -129,27 +128,13 @@ def validate_model(spec: ModelSpec, horizon: float = 1000.0, samples: int = 100_
     return report
 
 
-def eval_rhs(
-    spec: ModelSpec,
-    t: float,
-    u: float,
-    v: float,
-    u_sigma1: float,
-    u_sigma2: float,
-    v_tau1: float,
-    v_tau2: float,
-) -> tuple[float, float]:
-    """Right-hand side given current state and delayed state values.
+def eval_rhs(spec: ModelSpec, t, u, v, u_sigma1, u_sigma2, v_tau1, v_tau2):
+    """Right-hand side given current state and delayed state values, at one
+    time or elementwise over an array of times (with matching state arrays).
 
     The axes are invariant: u = 0 forces du = 0 and v = 0 forces dv = 0.
     """
-    a1 = evaluate(spec.a1, t)
-    a2 = evaluate(spec.a2, t)
-    b = evaluate(spec.b, t)
-    c1 = evaluate(spec.c1, t)
-    c2 = evaluate(spec.c2, t)
-    k1 = evaluate(spec.k1, t)
-    k2 = evaluate(spec.k2, t)
+    a1, a2, b, c1, c2, k1, k2 = (spec.expr(sym)(t) for sym in ("a1", "a2", "b", "c1", "c2", "k1", "k2"))
     du = (a1 - b * u - c1 * v_tau1 / (u_sigma1 + k1)) * u
     dv = (a2 - c2 * v_tau2 / (u_sigma2 + k2)) * v
     return du, dv

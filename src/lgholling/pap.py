@@ -25,13 +25,9 @@ __all__ = [
 
 
 def _sample(f, grid: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(grid), dtype=float)
-        if vals.shape == grid.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([float(f(t)) for t in grid])
+    """f over the grid; f takes an array of times (a constant result is
+    broadcast)."""
+    return np.broadcast_to(np.asarray(f(grid), dtype=float), grid.shape)
 
 
 def ergodic_mean(f, T: float, n: int = 200_000) -> float:

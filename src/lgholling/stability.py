@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LagInversionError
-from .expr import CoefficientExpr, evaluate
+from .expr import CoefficientExpr, evaluate_array
 from .integrator import Trajectory, integrate
 from .model import InitialHistory, ModelSpec
 from .permanence import CoefficientBounds, PermanenceBounds
@@ -39,67 +39,82 @@ __all__ = [
 ]
 
 
-def lag_inverse_gap(delay: CoefficientExpr, t: float, tol: float = 1e-12) -> float:
-    """Solve theta(s) = s - delay(s) = t for s and return s - t.
+def lag_inverse_gap(delay: CoefficientExpr, t, tol: float = 1e-12):
+    """Solve theta(s) = s - delay(s) = t for s and return s - t, for one
+    time or elementwise for an array of times.
 
     theta must be strictly increasing on the bracket (checked by sampling);
-    the root is located by bisection until |theta(s) - t| <= tol.
+    the root is located by bisection until |theta(s) - t| <= tol.  All
+    times are bracketed and bisected together, each with its own stopping
+    point; when some fail, the error raised is the one the first failing
+    time (in array order) meets first.
     """
+    times = np.asarray(t, dtype=float)
+    tv = times.reshape(-1)
+    faults: dict[int, str] = {}  # first failure per position in tv
 
     def theta(s):
-        return s - evaluate(delay, s)
+        return s - evaluate_array(delay, s)
 
-    def check_increasing(a, b):
-        samples = np.linspace(a, b, 65)
-        values = [theta(s) for s in samples]
-        for i in range(len(samples) - 1):
-            if values[i + 1] <= values[i] + 1e-9 * (samples[i + 1] - samples[i]):
-                raise LagInversionError(
-                    f"s - delay(s) is not strictly increasing near s={float(samples[i])!r}"
-                )
+    def check_increasing(idx, a, b):
+        # mask of the brackets [a, b] (of times tv[idx]) where theta increases
+        samples = np.linspace(a, b, 65, axis=-1)
+        values = theta(samples)
+        bad = values[:, 1:] <= values[:, :-1] + 1e-9 * np.diff(samples, axis=-1)
+        ok = ~bad.any(axis=-1)
+        for row in np.flatnonzero(~ok):
+            s_bad = float(samples[row, np.argmax(bad[row])])
+            faults.setdefault(int(idx[row]), f"s - delay(s) is not strictly increasing near s={s_bad!r}")
+        return ok
 
-    lo = t
-    width = max(2.0 * evaluate(delay, t), 1.0)
-    check_increasing(lo, lo + width)
-    hi = t + width
+    width = np.maximum(2.0 * evaluate_array(delay, tv), 1.0)
+    hi = tv + width
+    looking = check_increasing(np.arange(tv.size), tv, hi)  # for a bracket
     for _ in range(64):
-        if theta(hi) >= t:
+        idx = np.flatnonzero(looking)
+        if idx.size == 0:
             break
-        check_increasing(hi, hi + width)
-        hi += width
-        width *= 2.0
-    else:
-        raise LagInversionError(f"could not bracket the lag inverse near t={t!r}")
+        idx = idx[theta(hi[idx]) < tv[idx]]
+        looking[:] = False
+        looking[idx] = check_increasing(idx, hi[idx], hi[idx] + width[idx])
+        hi[idx] += width[idx]
+        width[idx] *= 2.0
+    for i in np.flatnonzero(looking):
+        faults.setdefault(int(i), f"could not bracket the lag inverse near t={float(tv[i])!r}")
 
-    a, b = lo, hi
-    fa = theta(a) - t
+    hi[list(faults)] = tv[list(faults)]  # failed times take no further part
+    a, b = tv.copy(), hi
+    fa = theta(a) - tv
+    active = np.ones(tv.size, dtype=bool)
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = theta(mid) - t
-        if abs(fm) <= tol:
-            return mid - t
-        if (fa <= 0.0) == (fm <= 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-        if b - a < 1e-17 * max(1.0, abs(t)):
+        k = np.flatnonzero(active)
+        if k.size == 0:
             break
+        mid = 0.5 * (a[k] + b[k])
+        fm = theta(mid) - tv[k]
+        hit = np.abs(fm) <= tol  # close the bracket on mid, so that s = mid below
+        lower = (fa[k] <= 0.0) == (fm <= 0.0)
+        a[k] = np.where(hit | lower, mid, a[k])
+        fa[k] = np.where(lower, fm, fa[k])
+        b[k] = np.where(hit | ~lower, mid, b[k])
+        active[k] = b[k] - a[k] >= 1e-17 * np.maximum(1.0, np.abs(tv[k]))
     s = 0.5 * (a + b)
-    if abs(theta(s) - t) > max(tol, 4.0 * np.finfo(float).eps * max(1.0, abs(t))):
-        raise LagInversionError(f"bisection stalled at t={t!r}")
-    return s - t
+    stalled = np.abs(theta(s) - tv) > np.maximum(tol, 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(tv)))
+    for i in np.flatnonzero(stalled):
+        faults.setdefault(int(i), f"bisection stalled at t={float(tv[i])!r}")
+    if faults:
+        raise LagInversionError(faults[min(faults)])
+    gap = s - tv
+    return float(gap[0]) if times.ndim == 0 else gap.reshape(times.shape)
 
 
-def alpha_beta_from_gaps(
-    cb: CoefficientBounds,
-    pb: PermanenceBounds,
-    gaps: tuple[float, float, float, float],
-    beta_denominator: str = "M2",
-) -> tuple[float, float]:
+def alpha_beta_from_gaps(cb: CoefficientBounds, pb: PermanenceBounds, gaps: tuple,
+                         beta_denominator: str = "M2") -> tuple:
     """Literal evaluation of the two attractivity coefficients.
 
     gaps = (g_zeta1, g_zeta2, g_sigma1, g_sigma2): lag inverse gaps of
-    tau1, tau2, sigma1, sigma2 at the evaluation time.
+    tau1, tau2, sigma1, sigma2 at the evaluation time, as floats or as
+    arrays over many times (the formulas work elementwise).
     """
     g_z1, g_z2, g_s1, g_s2 = gaps
     M1, M2, m1 = pb.M1, pb.M2, pb.m1
@@ -148,8 +163,9 @@ def eval_alpha_beta(
     return alpha_beta_from_gaps(bounds.inputs_used, bounds, _lag_gaps(spec, t), beta_denominator)
 
 
-def _lag_gaps(spec: ModelSpec, t: float) -> tuple[float, float, float, float]:
-    """Lag inverse gaps of tau1, tau2, sigma1, sigma2 at time t."""
+def _lag_gaps(spec: ModelSpec, t) -> tuple:
+    """Lag inverse gaps of tau1, tau2, sigma1, sigma2 at a time or over an
+    array of times."""
     return tuple(lag_inverse_gap(spec.expr(sym), t) for sym in ("tau1", "tau2", "sigma1", "sigma2"))
 
 
@@ -173,31 +189,29 @@ def estimate_liminf(
 
     Samples on t_grid and takes the running minimum over the tail
     [T1/2, T1]; representative when the coefficients are (pseudo) almost
-    periodic.  The four lag gaps are found once per grid point and serve
-    both beta denominators.
+    periodic.  The four lag gaps are found once, over the whole grid, and
+    serve both beta denominators.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     alt = "M1" if beta_denominator == "M2" else "M2"
     cb = bounds.inputs_used
+    gaps = _lag_gaps(spec, t_grid)
+    alphas, betas = alpha_beta_from_gaps(cb, bounds, gaps, beta_denominator)
+    betas_alt = alpha_beta_from_gaps(cb, bounds, gaps, alt)[1]
     times = t_grid.tolist()
-    alphas, betas, betas_alt = [], [], []
-    for t in times:
-        gaps = _lag_gaps(spec, t)
-        a, b = alpha_beta_from_gaps(cb, bounds, gaps, beta_denominator)
-        alphas.append(a)
-        betas.append(b)
-        betas_alt.append(alpha_beta_from_gaps(cb, bounds, gaps, alt)[1])
     tail_start = times[-1] / 2.0
-    tail = [i for i, t in enumerate(times) if t >= tail_start] or range(len(times))
+    tail = t_grid >= tail_start
+    if not tail.any():
+        tail[:] = True
     return LiminfEstimate(
-        alpha_liminf=min(alphas[i] for i in tail),
-        beta_liminf=min(betas[i] for i in tail),
+        alpha_liminf=float(alphas[tail].min()),
+        beta_liminf=float(betas[tail].min()),
         tail_start=tail_start,
-        alpha_samples=list(zip(times, alphas)),
-        beta_samples=list(zip(times, betas)),
-        beta_liminf_alt=min(betas_alt[i] for i in tail),
+        alpha_samples=list(zip(times, alphas.tolist())),
+        beta_samples=list(zip(times, betas.tolist())),
+        beta_liminf_alt=float(betas_alt[tail].min()),
     )
 
 

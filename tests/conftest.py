@@ -8,8 +8,10 @@ import pytest
 from lgholling import (
     CoefficientBounds,
     InitialHistory,
+    LagInversionError,
     ModelSpec,
     compute_permanence_bounds_from_values,
+    evaluate,
     evaluate_array,
     run_preset,
 )
@@ -183,3 +185,74 @@ def reference_rk4(spec: ModelSpec, history: InitialHistory, t0: float, t_end: fl
         ys[k + 1] = y0 + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
     dxs[n], dys[n] = stage(2 * n, xs[n])
     return np.array(xs), np.array(ys), np.array(dxs), np.array(dys)
+
+
+def reference_lag_gap(delay, t: float, tol: float = 1e-12) -> float:
+    """Reference oracle for lag inversion: bracket and bisect one time t at
+    a time, with scalar evaluations of s - delay(s), the 65-sample
+    monotonicity check per bracket piece and the same stopping rules."""
+
+    def theta(s):
+        return s - evaluate(delay, s)
+
+    def check_increasing(a, b):
+        samples = np.linspace(a, b, 65)
+        values = [theta(s) for s in samples]
+        for i in range(len(samples) - 1):
+            if values[i + 1] <= values[i] + 1e-9 * (samples[i + 1] - samples[i]):
+                raise LagInversionError(
+                    f"s - delay(s) is not strictly increasing near s={float(samples[i])!r}"
+                )
+
+    lo = t
+    width = max(2.0 * evaluate(delay, t), 1.0)
+    check_increasing(lo, lo + width)
+    hi = t + width
+    for _ in range(64):
+        if theta(hi) >= t:
+            break
+        check_increasing(hi, hi + width)
+        hi += width
+        width *= 2.0
+    else:
+        raise LagInversionError(f"could not bracket the lag inverse near t={t!r}")
+
+    a, b = lo, hi
+    fa = theta(a) - t
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = theta(mid) - t
+        if abs(fm) <= tol:
+            return mid - t
+        if (fa <= 0.0) == (fm <= 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+        if b - a < 1e-17 * max(1.0, abs(t)):
+            break
+    s = 0.5 * (a + b)
+    if abs(theta(s) - t) > max(tol, 4.0 * np.finfo(float).eps * max(1.0, abs(t))):
+        raise LagInversionError(f"bisection stalled at t={t!r}")
+    return s - t
+
+
+def reference_golden_min(fn, lo: float, hi: float, iters: int = 80) -> float:
+    """Reference oracle for the sup/inf refinement: golden-section minimum
+    of a scalar function fn on one bracket [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if b - a < 1e-14 * max(1.0, abs(a), abs(b)):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    return min(fc, fd)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,6 +150,46 @@ def test_nonfinite_run_value_exits_2(tmp_path, capsys, key, literal):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"/run/{key}" in err and "finite" in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("options", "slack", "abc"),
+    ("options", "csv_stride", "x"),
+    ("options", "fp_step", 0),
+    ("options", "bounds_samples", 0),
+    ("options", "bounds_samples", 1),
+    ("options", "liminf_points", 0),
+    ("options", "attractivity_history", "x"),
+    ("table_bounds", "a1_inf", "x"),
+    ("paper_values", "M1", "x"),
+    ("run", "h", 10**400),  # a JSON integer no float can hold
+])
+def test_malformed_value_exits_2_naming_its_path(tmp_path, capsys, section, key, value):
+    data = small_config()
+    data.setdefault(section, {})[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"/{section}/{key}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [b'{"model": 1' + b"0" * 5000 + b"}", b'{"model": "\xff"}'])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, raw):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(raw)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "malformed JSON" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "lgholling", "run", str(tmp_path / "missing.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "cannot read config" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_config_validation_exits_2(tmp_path, capsys):

@@ -11,6 +11,9 @@ from lgholling import (
     parse_expression,
     serialize,
 )
+from lgholling.expr import _candidate_cells
+from lgholling.presets import PRESET_NAMES, preset_config
+from conftest import reference_golden_min
 
 EXPR_CORPUS = [
     "0.04 + 0.125*abs(cos(sqrt(2)*t)) + 0.125*exp(-t)",
@@ -209,3 +212,25 @@ def test_bounds_are_of_absolute_value():
     est = estimate_bounds(parse_expression("-2 + t"), horizon=4.0, samples=4001)
     assert est.inf_value == pytest.approx(0.0, abs=1e-6)
     assert est.sup_value == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_estimate_bounds_equals_scalar_golden_reference(name):
+    """Refining all candidate cells together gives the same sup/inf, bit for
+    bit, as refining them one at a time with scalar evaluations."""
+    options = preset_config(name)["options"]
+    horizon, samples = options["bounds_horizon"], options["bounds_samples"]
+    grid = np.linspace(0.0, horizon, samples)
+    h = grid[1] - grid[0]
+    for sym, text in preset_config(name)["model"].items():
+        e = parse_expression(text)
+        mag = np.abs(evaluate_array(e, grid))
+        inf_value, sup_value = float(mag.min()), float(mag.max())
+        for idx in _candidate_cells(mag):
+            lo, hi = max(0.0, grid[idx] - h), min(horizon, grid[idx] + h)
+            inf_value = min(inf_value, reference_golden_min(lambda t: abs(evaluate(e, t)), lo, hi))
+        for idx in _candidate_cells(-mag):
+            lo, hi = max(0.0, grid[idx] - h), min(horizon, grid[idx] + h)
+            sup_value = max(sup_value, -reference_golden_min(lambda t: -abs(evaluate(e, t)), lo, hi))
+        est = estimate_bounds(e, horizon=horizon, samples=samples)
+        assert (est.inf_value, est.sup_value) == (inf_value, sup_value), sym

@@ -16,6 +16,7 @@ from lgholling import (
     parse_expression,
     run_attractivity,
 )
+from conftest import reference_lag_gap
 
 # calculator oracles for the preset coefficients (frozen ahead of the build)
 EX1_ALPHA = 2.3990621757903132
@@ -39,6 +40,39 @@ def test_sine_delay_residual():
         g = lag_inverse_gap(d, float(t))
         s_star = t + g
         assert abs((s_star - evaluate(d, s_star)) - t) <= 1e-12
+
+
+@pytest.mark.parametrize("text, times", [
+    ("0.5 + 0.25*sin(t)", np.random.default_rng(3).uniform(0.0, 100.0, size=100)),
+    ("0.9 + 0.3*abs(cos(0.7*t + 0.4))", np.linspace(0.0, 500.0, 1001)),
+    ("0.8 + 0.4*cos(0.5*t)", np.linspace(0.0, 500.0, 1001)),
+    ("0.5 + 0.25*sin(t)", np.linspace(-60.0, -0.5, 120)),
+])
+def test_array_lag_gaps_equal_scalar_reference(text, times):
+    d = parse_expression(text)
+    gaps = lag_inverse_gap(d, times)
+    assert gaps.shape == times.shape
+    assert np.array_equal(gaps, [reference_lag_gap(d, float(t)) for t in times])
+    assert lag_inverse_gap(d, float(times[7])) == gaps[7]
+
+
+def test_array_lag_inversion_raises_the_first_scalar_error():
+    # delay' reaches 2*sqrt(2/e) > 1 near t = 50, so s - delay(s) turns down there
+    d = parse_expression("0.5 + 2*exp(-(t - 50)^2)")
+    times = np.linspace(0.0, 100.0, 201)
+    first_bad = message = None
+    for t in times.tolist():
+        try:
+            reference_lag_gap(d, t)
+        except LagInversionError as exc:
+            first_bad, message = t, str(exc)
+            break
+    assert first_bad is not None and first_bad > times[0] and "near s=" in message
+    with pytest.raises(LagInversionError) as scalar:
+        lag_inverse_gap(d, first_bad)
+    with pytest.raises(LagInversionError) as array:
+        lag_inverse_gap(d, times)
+    assert str(array.value) == str(scalar.value) == message
 
 
 def test_degenerate_delay_raises_monotonicity_error():
