@@ -62,6 +62,9 @@ _OPTION_FLOOR = {
     "bounds_horizon": 0.0, "fp_t_hi": 0.0, "fp_step": 0.0, "fp_quad_step": 0.0, "fp_tail_tol": 0.0,
 }
 
+# most grid intervals a run may ask for: (t_end - t0) / h and fp_t_hi / fp_step
+_MAX_STEPS = 10**7
+
 _PAPER_VALUE_KEYS = set(CoefficientBounds.__dataclass_fields__) | {
     "M1", "M2", "m1", "m2", "alpha_inf", "beta_inf",
 }
@@ -148,8 +151,8 @@ def load_config(data: dict) -> RunConfig:
                 parse_expression(v)
             except ValidationError as exc:
                 raise ConfigError(f"/history/{key}", str(exc)) from exc
-        elif isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"/history/{key}", "expected a number or expression string")
+        else:
+            _number(v, f"/history/{key}")
 
     run = data["run"]
     _require_keys(run, "/run", ("t0", "t_end", "h"), ("t0", "t_end", "h", "t_settle"))
@@ -160,6 +163,8 @@ def load_config(data: dict) -> RunConfig:
         raise ConfigError("/run/h", "step must be > 0")
     if t_end <= t0:
         raise ConfigError("/run/t_end", "t_end must be > t0")
+    if (t_end - t0) / h > _MAX_STEPS:
+        raise ConfigError("/run/h", f"(t_end - t0) / h is {(t_end - t0) / h:.6g} steps; at most {_MAX_STEPS} allowed")
     t_settle = _number(run.get("t_settle", 0.5 * (t0 + t_end)), "/run/t_settle")
     if not (t0 <= t_settle < t_end):
         raise ConfigError("/run/t_settle", "t_settle must lie in [t0, t_end)")
@@ -178,6 +183,8 @@ def load_config(data: dict) -> RunConfig:
         options.update(data["options"])
     for key, value in options.items():
         _check_option(key, value)
+    if not 0.5 < options["fp_t_hi"] / options["fp_step"] <= _MAX_STEPS:
+        raise ConfigError("/options/fp_step", f"fp_t_hi / fp_step must round to 1 .. {_MAX_STEPS} intervals")
 
     table_bounds = data.get("table_bounds")
     if table_bounds is not None:
@@ -269,9 +276,12 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
     vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]), samples=opt["bounds_samples"])
     if not vrep.ok:
         sym, t_bad, value = vrep.failures[0]
-        raise ValidationError(f"coefficient {sym} is {value:.6g} <= 0 at t={t_bad:.6g}")
+        raise ConfigError(f"/model/{sym}", f"coefficient {sym} is {value:.6g} <= 0 at t={t_bad:.6g}")
     history = _make_history(config)
-    history.validate(vrep.max_lag_r)
+    try:
+        history.validate(vrep.max_lag_r)
+    except ValidationError as exc:
+        raise ConfigError("/history", str(exc)) from exc
 
     t0, t_end, h, t_settle = (config.run[k] for k in ("t0", "t_end", "h", "t_settle"))
     report: dict = {
@@ -292,9 +302,12 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
     }
 
     est_cb = CoefficientBounds.from_validation(vrep.bounds)
-    table_cb = CoefficientBounds.from_table(config.table_bounds) if config.table_bounds else None
     pb_est = compute_permanence_bounds_from_values(est_cb)
-    pb_table = compute_permanence_bounds_from_values(table_cb) if table_cb else None
+    try:
+        table_cb = CoefficientBounds.from_table(config.table_bounds) if config.table_bounds else None
+        pb_table = compute_permanence_bounds_from_values(table_cb) if table_cb else None
+    except ValidationError as exc:
+        raise ConfigError("/table_bounds", str(exc)) from exc
     pb_active = pb_table if pb_table is not None else pb_est
 
     traj = integrate(spec, history, t0, t_end, h)
@@ -486,12 +499,18 @@ def emit_report(report: dict, out_dir: Path, files: dict[str, Path] | None = Non
 
 
 def _apply_overrides(data: dict, args) -> dict:
+    """The config with the command-line overrides applied.  A malformed
+    config passes through unchanged, for load_config to name the bad field."""
+    if not (isinstance(data, dict) and isinstance(data.get("run"), dict)
+            and isinstance(data.get("options", {}), dict)):
+        return data
     run = dict(data["run"])
     if getattr(args, "h", None) is not None:
         run["h"] = args.h
     if getattr(args, "t_end", None) is not None:
         run["t_end"] = args.t_end
-        if run.get("t_settle", 0.0) >= args.t_end:
+        t_settle = run.get("t_settle", 0.0)
+        if isinstance(t_settle, (int, float)) and t_settle >= args.t_end:
             run["t_settle"] = 0.5 * args.t_end
     data = dict(data, run=run)
     if getattr(args, "beta_denominator", None) is not None:
@@ -598,6 +617,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         if "exceeds the smallest delay" in str(exc):
             print("hint: lower run.h below the smallest delay value", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # float arithmetic on extreme inputs, e.g. table bounds near 1e300
+        print(f"numerical failure: overflow: {exc}", file=sys.stderr)
         return 3
     return 0
 

@@ -6,10 +6,17 @@ parentheses, the functions abs/exp/sin/cos/sqrt, and the operators
 ``+ - * / ^`` with conventional precedence.  ``^`` is restricted to literal
 integer exponents >= 0.
 
+Parsing folds every subtree free of ``t`` into one ``Const`` of the value
+the evaluator gives it (``"2*1.6"`` and ``"sqrt(2)"`` parse to a ``Const``
+root), except a subtree whose evaluation raises or is non-finite: it
+raises its ExprDomainError, with the same message, when evaluated.
+
 There is one evaluator: ``evaluate_array`` walks the tree once over an
-array of times, and ``evaluate`` is that evaluator on a one-point array.
-The sup/inf estimate refines all candidate cells of its grid scan together,
-one evaluator call per golden-section iteration.
+array of times, with constants as float64 scalars that numpy broadcasts,
+and ``evaluate`` is that evaluator on a one-point array.  The sup/inf
+estimate of a constant is closed-form; any other expression's grid scan
+refines all its candidate cells together, one evaluator call per
+golden-section iteration.
 
 Expressions are immutable after parsing and evaluation is pure, so a parsed
 expression may be shared freely between threads.
@@ -214,7 +221,24 @@ def parse_expression(text: str) -> CoefficientExpr:
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return CoefficientExpr(_Parser(text).parse(), text)
+    return CoefficientExpr(_fold(_Parser(text).parse()), text)
+
+
+def _fold(node: Node) -> Node:
+    """The tree with every subtree free of t replaced by one Const, unless
+    evaluating that subtree raises or gives a non-finite value."""
+    if isinstance(node, Unary):
+        node = Unary(node.op, _fold(node.arg))
+    elif isinstance(node, Binary):
+        node = Binary(node.op, _fold(node.left), _fold(node.right))
+    else:
+        return node
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = _eval_array(node, np.zeros(1))  # a scalar exactly when node is free of t
+    except ExprDomainError:
+        return node
+    return Const(float(value)) if np.ndim(value) == 0 and math.isfinite(value) else node
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +246,10 @@ def parse_expression(text: str) -> CoefficientExpr:
 # ---------------------------------------------------------------------------
 
 
-def _eval_array(node: Node, t: np.ndarray) -> np.ndarray:
+def _eval_array(node: Node, t: np.ndarray):
+    """Values over t; a subtree free of t gives a float64 scalar."""
     if isinstance(node, Const):
-        return np.full_like(t, node.value)
+        return np.float64(node.value)
     if isinstance(node, Var):
         return t
     if isinstance(node, Unary):
@@ -234,7 +259,7 @@ def _eval_array(node: Node, t: np.ndarray) -> np.ndarray:
         if node.op == "abs":
             return np.abs(v)
         if node.op == "sqrt":
-            bad = v < 0.0
+            bad = np.broadcast_to(v < 0.0, t.shape)
             if bad.any():
                 raise ExprDomainError(f"sqrt of negative value at t={float(t[bad][0])!r}")
             return np.sqrt(v)
@@ -249,21 +274,24 @@ def _eval_array(node: Node, t: np.ndarray) -> np.ndarray:
     if op == "*":
         return left * right
     if op == "/":
-        bad = right == 0.0
+        bad = np.broadcast_to(right == 0.0, t.shape)
         if bad.any():
             raise ExprDomainError(f"division by zero at t={float(t[bad][0])!r}")
         return left / right
-    return left ** int(node.right.value)
+    return np.power(left, int(node.right.value))  # not **: a float64 scalar's ** rounds differently
 
 
 def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
-    """Values of the expression over an array of times (pure, thread-safe).
+    """Values of the expression over an array of times (pure, thread-safe),
+    as a new float array of t's shape.
 
     Overflow is not an error until it reaches the result: a non-finite
     value raises ExprDomainError naming the first time it occurs at."""
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         values = _eval_array(expr.root, t)
+    if values is t or values.shape != t.shape:
+        values = np.array(np.broadcast_to(values, t.shape))
     bad = ~np.isfinite(values)
     if bad.any():
         raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}")
@@ -283,7 +311,8 @@ def evaluate(expr: CoefficientExpr, t: float) -> float:
 
 def _serialize(node: Node) -> str:
     if isinstance(node, Const):
-        return repr(node.value)
+        text = repr(node.value)
+        return f"({text})" if text.startswith("-") else text  # a folded negation
     if isinstance(node, Var):
         return "t"
     if isinstance(node, Unary):
@@ -333,16 +362,17 @@ def _golden_min(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarr
     return np.minimum(fc, fd)
 
 
-def _candidate_cells(values: np.ndarray, cap: int = 40) -> np.ndarray:
+def _candidate_cells(values: np.ndarray, cap: int = 40, dmax: float | None = None) -> np.ndarray:
     """Local-minimum cells of the sampled values within a sampling-offset
     slack of the grid minimum.  Every basin whose bottom could undercut the
     best sampled cell gets refined, so a coarser grid cannot out-refine a
-    finer one on near-tied basins."""
+    finer one on near-tied basins.  dmax, the largest step between
+    neighbouring samples, is computed when not given."""
     n = values.size
     if n < 3:
         return np.array([np.argmin(values)])
-    diffs = np.abs(np.diff(values))
-    dmax = float(diffs.max())
+    if dmax is None:
+        dmax = float(np.abs(np.diff(values)).max())
     if dmax == 0.0:
         return np.array([np.argmin(values)])  # flat sampling, nothing to refine
     interior = (values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])
@@ -354,18 +384,23 @@ def _candidate_cells(values: np.ndarray, cap: int = 40) -> np.ndarray:
     return sel
 
 
-def _scan(expr: CoefficientExpr, horizon: float, samples: int):
-    """Shared grid scan: (BoundsEstimate of |f|, first nonpositive raw value
-    and its t if any, else the raw minimum and its t)."""
-    grid = np.linspace(0.0, horizon, samples)
+def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
+    """Shared scan of the grid linspace(0, horizon, samples): (BoundsEstimate
+    of |f|, first nonpositive raw value and its t if any, else the raw
+    minimum and its t).  A constant c needs no scan: every sample and every
+    refinement finds |c|, and its raw minimum is c at the first sample."""
+    if isinstance(expr.root, Const):
+        c = evaluate(expr, 0.0)  # a non-finite literal raises here, as in the scan
+        return BoundsEstimate(abs(c), abs(c), horizon, grid.size), c, 0.0
     raw = evaluate_array(expr, grid)
     mag = np.abs(raw)
-    h = grid[1] - grid[0] if samples > 1 else 0.0
+    h = grid[1] - grid[0] if grid.size > 1 else 0.0
+    dmax = float(np.abs(np.diff(mag)).max()) if grid.size > 2 else None  # the same for both signs
     # least of sign*|f| per sign: the inf for +1, minus the sup for -1
     least = {}
     for sign in (1.0, -1.0):
         values = sign * mag
-        cells = _candidate_cells(values)
+        cells = _candidate_cells(values, dmax=dmax)
         lo = np.maximum(0.0, grid[cells] - h)
         hi = np.minimum(horizon, grid[cells] + h)  # lo == hi == 0 on a one-point grid
         refined = _golden_min(lambda t: sign * np.abs(evaluate_array(expr, t)), lo, hi)
@@ -375,7 +410,7 @@ def _scan(expr: CoefficientExpr, horizon: float, samples: int):
         ibad = int(np.argmax(nonpos))  # first violation
     else:
         ibad = int(np.argmin(raw))
-    est = BoundsEstimate(least[1.0], -least[-1.0], horizon, samples)
+    est = BoundsEstimate(least[1.0], -least[-1.0], horizon, grid.size)
     return est, float(raw[ibad]), float(grid[ibad])
 
 
@@ -385,10 +420,12 @@ def estimate_bounds(expr: CoefficientExpr, horizon: float = 1000.0, samples: int
     Uniform grid scan refined by golden-section search around the grid
     extrema.  Refinement only widens the interval, so finer grids never
     shrink it: inf is non-increasing and sup non-decreasing in samples.
+    A constant c (every expression free of t folds to one) gets the value
+    the scan would find, inf = sup = |c|, without sampling.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be > 0")
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    est, _, _ = _scan(expr, horizon, samples)
+    est, _, _ = _scan(expr, horizon, np.linspace(0.0, horizon, samples))
     return est

@@ -115,8 +115,9 @@ def validate_model(spec: ModelSpec, horizon: float = 1000.0, samples: int = 100_
     """
     bounds: dict[str, BoundsEstimate] = {}
     failures: list[tuple[str, float, float]] = []
+    grid = np.linspace(0.0, horizon, samples)
     for sym in SYMBOLS:
-        est, raw_min, t_min = _scan(spec.expr(sym), horizon, samples)
+        est, raw_min, t_min = _scan(spec.expr(sym), horizon, grid)
         bounds[sym] = est
         if raw_min <= 0.0:
             failures.append((sym, t_min, raw_min))

@@ -7,6 +7,7 @@ import pytest
 
 from lgholling import (
     CoefficientBounds,
+    ExprDomainError,
     InitialHistory,
     LagInversionError,
     ModelSpec,
@@ -15,6 +16,7 @@ from lgholling import (
     evaluate_array,
     run_preset,
 )
+from lgholling.expr import Const, Unary, Var, _Parser
 from lgholling.presets import preset_config
 
 
@@ -256,3 +258,49 @@ def reference_golden_min(fn, lo: float, hi: float, iters: int = 80) -> float:
             d = a + invphi * (b - a)
             fd = fn(d)
     return min(fc, fd)
+
+
+def reference_eval_array(text: str, t) -> np.ndarray:
+    """Reference oracle for the evaluator: the tree of text as written, with
+    no constant folding, walked over an array of times with every literal
+    as a full array of t's shape.  Raises ExprDomainError with the
+    evaluator's messages."""
+    t = np.asarray(t, dtype=float)
+
+    def walk(node):
+        if isinstance(node, Const):
+            return np.full_like(t, node.value)
+        if isinstance(node, Var):
+            return t
+        if isinstance(node, Unary):
+            v = walk(node.arg)
+            if node.op == "neg":
+                return -v
+            if node.op == "abs":
+                return np.abs(v)
+            if node.op == "sqrt":
+                bad = v < 0.0
+                if bad.any():
+                    raise ExprDomainError(f"sqrt of negative value at t={float(t[bad][0])!r}")
+                return np.sqrt(v)
+            return getattr(np, node.op)(v)
+        left, right = walk(node.left), walk(node.right)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            bad = right == 0.0
+            if bad.any():
+                raise ExprDomainError(f"division by zero at t={float(t[bad][0])!r}")
+            return left / right
+        return left ** int(node.right.value)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = walk(_Parser(text).parse())
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}")
+    return values

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lgholling import ConfigError, load_config, run_config
 from lgholling.cli import main
@@ -210,6 +215,21 @@ def test_nonpositive_coefficient_exits_2(tmp_path, capsys):
     assert "coefficient b" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "division by zero at t=0.0"),
+    ("sqrt(-1)", "sqrt of negative value at t=0.0"),
+    ("exp(1000)", "non-finite value at t=0.0"),
+])
+def test_failing_constant_coefficient_exits_3(tmp_path, capsys, text, message):
+    data = small_config()
+    data["model"]["c1"] = text
+    load_config(data)  # parses: the error belongs to evaluation
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+
+
 def test_pipeline_accepts_expression_history(tmp_path):
     data = small_config()
     data["history"] = {"phi1": "0.5 + 0.1*cos(t)", "phi2": 0.4}
@@ -268,3 +288,81 @@ def test_plot_script_references_relative_paths(example2_run):
     assert "'trajectories.csv'" in script
     assert "'attractivity.csv'" in script
     assert "/" not in script.split("'")[1]  # relative, not absolute
+
+
+# fuzz mutations: a field of a config takes one of these values, or is deleted
+_FUZZ_VALUES = [None, True, "x", "", "t", "1/0", "sqrt(-1)", "exp(1000)", "(-3.2)", "M1", [], [0.5, "x"],
+                [1.0, 1.0], {}, -1, 0, 1, 3, -0.5, 0.25, 2.5, 1e300, -1e300, 10**400, math.nan, math.inf]
+_DELETE = "<delete>"
+
+
+def short_preset(name):
+    """A preset config cut to a 4-unit run with coarse analysis grids."""
+    data = preset_config(name)
+    data["run"].update(t_end=4.0, t_settle=2.0, h=0.05)
+    data["options"].update(bounds_horizon=20.0, bounds_samples=2001, liminf_t_max=10.0, liminf_points=11,
+                           fp_t_hi=2.0, fp_max_iter=2)
+    return data
+
+
+def config_fields(node, path=()):
+    """The path of every field below node, sections and list items included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from config_fields(value, path + (key,))
+
+
+def run_mutated(tmp_path, name, path, value, flags):
+    """Run the CLI on short_preset(name) with the field at path set to value
+    (or deleted); returns the exit code and standard error."""
+    data = short_preset(name)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    cfg = tmp_path / "mutated.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", str(cfg), "--out", str(tmp_path / "out")] + flags)
+    return code, err.getvalue()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["example1", "example2"]),
+       path=st.sampled_from(list(config_fields(short_preset("example1")))),
+       value=st.sampled_from(_FUZZ_VALUES + [_DELETE]),
+       flags=st.sampled_from([[], ["--beta-denominator", "M1"], ["--t-end", "3"], ["--h", "0.1"]]))
+def test_mutated_preset_config_exits_cleanly(tmp_path, name, path, value, flags):
+    """One field of a preset config mutated: the CLI exits 0, 2 or 3
+    without a traceback, and a validation error names a JSON path."""
+    code, err = run_mutated(tmp_path, name, path, value, flags)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    if code == 2:
+        assert re.match(r"validation error: /\w", err), err
+
+
+@pytest.mark.parametrize("path, value, flags, code, named", [
+    (("model", "c1"), "(-3.2)", [], 2, "/model/c1"),
+    (("history", "phi1"), "t", [], 2, "/history"),
+    (("history", "phi1"), 10**400, [], 2, "/history/phi1"),
+    (("run", "t_end"), 1e300, [], 2, "/run/h"),
+    (("options", "fp_step"), 1e300, [], 2, "/options/fp_step"),
+    (("table_bounds", "b_inf"), 0, [], 2, "/table_bounds"),
+    (("table_bounds", "a1_inf"), _DELETE, [], 2, "/table_bounds"),
+    (("table_bounds", "a2_sup"), 1e300, [], 3, "overflow"),
+    (("run",), 5, ["--t-end", "3"], 2, "/run"),
+    (("options",), 5, ["--beta-denominator", "M1"], 2, "/options"),
+], ids=["negative-c1", "phi1-zero-at-0", "phi1-huge-int", "t_end-huge", "fp_step-huge", "b_inf-zero",
+        "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object"])
+def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
+    """Mutations that once ended in a traceback or in an error naming no
+    field."""
+    got, err = run_mutated(tmp_path, "example2", path, value, flags)
+    assert (got, "Traceback" in err) == (code, False)
+    assert named in err

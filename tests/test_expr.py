@@ -11,9 +11,9 @@ from lgholling import (
     parse_expression,
     serialize,
 )
-from lgholling.expr import _candidate_cells
+from lgholling.expr import Const, _candidate_cells
 from lgholling.presets import PRESET_NAMES, preset_config
-from conftest import reference_golden_min
+from conftest import reference_eval_array, reference_golden_min
 
 EXPR_CORPUS = [
     "0.04 + 0.125*abs(cos(sqrt(2)*t)) + 0.125*exp(-t)",
@@ -131,7 +131,7 @@ def random_expr_text(draw, depth=0):
     )
     if depth >= 3 or draw(st.integers(0, 2)) == 0:
         return draw(leaf)
-    kind = draw(st.integers(0, 6))
+    kind = draw(st.integers(0, 7))
     a = random_expr_text(draw, depth + 1)
     if kind == 0:
         return f"({a} + {random_expr_text(draw, depth + 1)})"
@@ -146,6 +146,8 @@ def random_expr_text(draw, depth=0):
         return f"{fn}({a})"
     if kind == 5:
         return f"sqrt(abs({a}))"
+    if kind == 6:
+        return f"({a})^{draw(st.integers(0, 3))}"
     return f"(-{a})"
 
 
@@ -158,6 +160,64 @@ def test_random_ast_round_trip(data, t):
     v1, v2 = evaluate(e, t), evaluate(e2, t)
     assert v1 == v2
     assert serialize(e2) == serialize(e)
+
+
+@pytest.mark.parametrize("text", EXPR_CORPUS + ["2*1.6", "t*(2^3) - sqrt(2)/cos(1)", "exp(-0.5)*t^3", "1/exp(1000) + t"])
+def test_folded_evaluation_equals_unfolded_reference(text):
+    ts = np.linspace(-5.0, 5.0, 1001)
+    assert np.array_equal(evaluate_array(parse_expression(text), ts), reference_eval_array(text, ts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_random_ast_folded_evaluation_equals_unfolded_reference(data):
+    text = random_expr_text(data.draw)
+    ts = np.linspace(-20.0, 20.0, 257)
+    assert np.array_equal(evaluate_array(parse_expression(text), ts), reference_eval_array(text, ts))
+
+
+@pytest.mark.parametrize("text", ["3.2", "2*1.6", "(-3.2)", "sqrt(2)", "2^3", "abs(cos(1))*exp(-2)", "1/exp(1000)"])
+def test_constant_subtrees_fold_to_one_const(text):
+    root = parse_expression(text).root
+    assert isinstance(root, Const)
+    assert root.value == reference_eval_array(text, [0.0])[0]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1/0", "division by zero at t=0.0"),
+    ("sqrt(-1)", "sqrt of negative value at t=0.0"),
+    ("exp(1000)", "non-finite value at t=0.0"),
+    ("exp(1000)*0", "non-finite value at t=0.0"),
+    ("t + 1/(2 - 2)", "division by zero at t=0.0"),
+])
+def test_failing_constant_subtrees_stay_unfolded(text, message):
+    e = parse_expression(text)
+    assert not isinstance(e.root, Const)
+    ts = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ExprDomainError) as exc:
+        evaluate_array(e, ts)
+    assert str(exc.value) == message
+    with pytest.raises(ExprDomainError) as exc:
+        reference_eval_array(text, ts)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", ["t", "+t", "3.2", "2*t"])
+def test_evaluate_array_returns_a_fresh_array(text):
+    g = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    before = g.copy()
+    out = evaluate_array(parse_expression(text), g)
+    assert out is not g and out.shape == g.shape and out.dtype == np.float64
+    out[...] = -1.0  # raises if the result is read-only
+    assert np.array_equal(g, before)
+
+
+def test_serialize_keeps_a_folded_negative_literal_parenthesized():
+    # (-1e200)^2 overflows, so it stays unfolded, with the folded -1e200 as its base
+    e = parse_expression("t/((-1e200)^2)")
+    e2 = parse_expression(serialize(e))
+    assert serialize(e2) == serialize(e)
+    assert not np.signbit(evaluate(e2, 1.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,9 +234,9 @@ def test_estimate_bounds_cosine():
 
 
 def test_estimate_bounds_constant():
-    est = estimate_bounds(parse_expression("3.5"), horizon=10.0, samples=100)
-    assert est.inf_value == 3.5
-    assert est.sup_value == 3.5
+    for text in ("3.5", "(-3.5)", "7/2"):
+        est = estimate_bounds(parse_expression(text), horizon=10.0, samples=100)
+        assert (est.inf_value, est.sup_value, est.horizon, est.samples) == (3.5, 3.5, 10.0, 100)
 
 
 def test_estimate_bounds_rational():

@@ -1,7 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lgholling import InitialHistory, ModelSpec, ValidationError, eval_rhs, parse_expression, validate_model
+from lgholling import (
+    BoundsEstimate,
+    InitialHistory,
+    ModelSpec,
+    ValidationError,
+    eval_rhs,
+    parse_expression,
+    validate_model,
+)
 
 
 def constant_spec(**overrides):
@@ -40,6 +48,14 @@ def test_validate_rejects_sign_changing_coefficient():
     _, t_bad, value = report.failures[0]
     assert 1.4 < t_bad < 2.0  # first zero crossing of cos is at pi/2
     assert value <= 0.0
+
+
+@pytest.mark.parametrize("text, value", [("(-3.2)", -3.2), ("0", 0.0), ("2*(-1.6)", -3.2)])
+def test_validate_reports_a_nonpositive_constant_at_t0(text, value):
+    report = validate_model(constant_spec(c1=text), horizon=10.0, samples=1001)
+    assert not report.ok
+    assert report.failures == [("c1", 0.0, value)]
+    assert report.bounds["c1"] == BoundsEstimate(abs(value), abs(value), 10.0, 1001)
 
 
 def test_eval_rhs_extinction_equilibrium():
