@@ -311,7 +311,7 @@ def evaluate(expr: CoefficientExpr, t: float) -> float:
 
 def _serialize(node: Node) -> str:
     if isinstance(node, Const):
-        text = repr(node.value)
+        text = repr(node.value).replace("inf", "1e999")  # a literal past float range reparses to inf
         return f"({text})" if text.startswith("-") else text  # a folded negation
     if isinstance(node, Var):
         return "t"

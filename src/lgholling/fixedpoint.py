@@ -10,7 +10,12 @@ The operator applied to a candidate pair (phi, psi) is
                         / (phi(s - sigma2(s)) + k2) ds
 
 The kernel decays like exp(-a_j^i (s - t)), which bounds the truncation
-tail: the improper integral is cut at L = ln(sup f / (a^i tol)) / a^i.
+tail: the improper integral is cut at L = ln(sup f / (a^i tol)) / a^i.  With
+A_k = int_{t_lo}^{s_k} a_j on the nodes s_k = t_lo + k q, the Simpson integral
+R_k from s_k to the last node obeys the backward (variation-of-constants) step
+R_k = e^{A_k - A_{k+2}} R_{k+2} + (q/3)(f_k + 4 e^{A_k - A_{k+1}} f_{k+1} +
+e^{A_k - A_{k+2}} f_{k+2}), so each point's window [s_lo, s_lo + L] of N nodes
+is R_lo - e^{A_lo - A_{lo+N}} R_{lo+N}: O(K) work for K nodes in all.
 
 Picard iteration is plain (no damping) and reports non-convergence honestly:
 existence of a fixed point does not make the iteration contractive, and
@@ -122,27 +127,22 @@ def eval_f(spec: ModelSpec, j: int, s, phi_s, phi_shifted, psi_s, psi_shifted):
 
 
 def _f_values(spec: ModelSpec, pair: GridFunctionPair, j: int, s: np.ndarray) -> np.ndarray:
-    if j == 1:
-        return eval_f(spec, 1, s, pair.phi_at(s), pair.phi_at(s - spec.sigma1(s)),
-                      None, pair.psi_at(s - spec.tau1(s)))
-    return eval_f(spec, 2, s, None, pair.phi_at(s - spec.sigma2(s)),
-                  pair.psi_at(s), pair.psi_at(s - spec.tau2(s)))
+    """f_j of the pair at the times s; NumericalError unless all finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if j == 1:
+            f = eval_f(spec, 1, s, pair.phi_at(s), pair.phi_at(s - spec.sigma1(s)),
+                       None, pair.psi_at(s - spec.tau1(s)))
+        else:
+            f = eval_f(spec, 2, s, None, pair.phi_at(s - spec.sigma2(s)),
+                       pair.psi_at(s), pair.psi_at(s - spec.tau2(s)))
+    if not np.isfinite(f).all():
+        raise NumericalError(f"f_{j} not finite on the pair's grid")
+    return f
 
 
 def _prefix_simpson(nodes: np.ndarray, mids: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral at the nodes via per-interval Simpson increments."""
-    inc = (dx / 6.0) * (nodes[:-1] + 4.0 * mids + nodes[1:])
-    out = np.empty(nodes.size)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return out
-
-
-def _simpson_weights(n: int, dx: float) -> np.ndarray:
-    w = np.full(n + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (dx / 3.0)
+    return np.concatenate(([0.0], np.cumsum((dx / 6.0) * (nodes[:-1] + 4.0 * mids + nodes[1:]))))
 
 
 def _growth_infs(spec: ModelSpec, coeff_bounds: CoefficientBounds | None) -> tuple[float, float]:
@@ -153,13 +153,25 @@ def _growth_infs(spec: ModelSpec, coeff_bounds: CoefficientBounds | None) -> tup
         return cb.a1_inf, cb.a2_inf
     from .expr import estimate_bounds
 
-    return (
-        estimate_bounds(spec.a1, horizon=200.0, samples=20_001).inf_value,
-        estimate_bounds(spec.a2, horizon=200.0, samples=20_001).inf_value,
-    )
+    return tuple(estimate_bounds(a, horizon=200.0, samples=20_001).inf_value for a in (spec.a1, spec.a2))
 
 
 _MAX_TAIL_NODES = 4_000_000
+_CHUNK_SPAN = 500.0  # largest rise of A within one rescaled chunk; e^500 is finite
+
+
+def _tail_integrals(A: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """R_m = sum_{j >= m} e^{A_m - A_j} inc_j (len(A) = len(inc) + 1, R_M = 0), the
+    backward recursion R_m = e^{A_m - A_{m+1}} R_{m+1} + inc_m run as reversed
+    cumsums over chunks of A-span <= _CHUNK_SPAN, each rescaled by its first A."""
+    R = np.zeros(A.size)
+    hi = inc.size
+    while hi > 0:
+        lo = min(int(np.searchsorted(A, A[hi - 1] - _CHUNK_SPAN)), hi - 1)
+        part = np.cumsum((np.exp(A[lo] - A[lo:hi]) * inc[lo:hi])[::-1])[::-1]
+        R[lo:hi] = np.exp(A[lo:hi] - A[lo]) * part + np.exp(A[lo:hi] - A[hi]) * R[hi]
+        hi = lo
+    return R
 
 
 def apply_upsilon(
@@ -170,14 +182,13 @@ def apply_upsilon(
     coeff_bounds: CoefficientBounds | None = None,
     tail_len: float | None = None,
 ) -> GridFunctionPair:
-    """One application of the integral operator on the pair's grid.
-
-    For every grid point t the improper integral is evaluated by composite
-    Simpson on [t, t + L] with the exponential weight accumulated by the
-    same per-interval quadrature; L comes from the kernel decay bound unless
-    tail_len overrides it.  Beyond its grid the pair is continued by its
-    boundary values (the tail weight is exponentially small there).
-    """
+    """One application of the integral operator on the pair's grid: each
+    grid point t gets composite Simpson on exactly [t, t + L] through the
+    backward recursion of the module docstring, one per node parity when the
+    grid step is an odd number of quad steps.  L comes from the kernel decay
+    bound unless tail_len overrides it.  Beyond its grid the pair is
+    continued by its boundary values (the tail weight is exponentially small
+    there)."""
     p = int(round(pair.step / quad_step))
     if p < 1 or abs(p * quad_step - pair.step) > 1e-9 * pair.step:
         raise QuadratureError("quad_step must divide the pair's grid step")
@@ -190,8 +201,7 @@ def apply_upsilon(
 
     outputs = []
     for j, aj_inf, aj_expr in ((1, a1_inf, spec.a1), (2, a2_inf, spec.a2)):
-        f_span = _f_values(spec, pair, j, pair.grid())
-        supf = float(np.abs(f_span).max())
+        supf = float(np.abs(_f_values(spec, pair, j, pair.grid())).max())
         if tail_len is not None:
             L = float(tail_len)
         else:
@@ -199,24 +209,23 @@ def apply_upsilon(
             # span sup through coefficient oscillation
             L = math.log(max(2.0 * supf, 1e-12) / (aj_inf * tail_tol)) / aj_inf
             L = max(L, 4.0 * q)
-        N = int(math.ceil(L / q))
-        N += N % 2
-        N = max(N, 8)
+        N = max(8, 2 * math.ceil(L / (2.0 * q)))  # even, for Simpson pairs
         if N > _MAX_TAIL_NODES:
-            raise QuadratureError(
-                f"tail needs {N} nodes at quad_step={q}; grid too short for requested tail_tol"
-            )
+            raise QuadratureError(f"tail needs {N} nodes at quad_step={q}; grid too short for requested tail_tol")
         K = nint * p + N
         s = pair.t_lo + q * np.arange(K + 1)
         smid = s[:-1] + 0.5 * q
         A = _prefix_simpson(evaluate_array(aj_expr, s), evaluate_array(aj_expr, smid), q)
         f = _f_values(spec, pair, j, s)
-        w = _simpson_weights(N, q)
+        # Simpson on [s_k, s_{k+2}] with the kernel taken relative to s_k
+        inc = (q / 3.0) * (f[:-2] + 4.0 * np.exp(A[:-2] - A[1:-1]) * f[1:-1] + np.exp(A[:-2] - A[2:]) * f[2:])
+        lo = p * np.arange(npts)
         out = np.empty(npts)
-        for i in range(npts):
-            lo = i * p
-            sl = slice(lo, lo + N + 1)
-            out[i] = float(np.dot(np.exp(A[lo] - A[sl]) * f[sl], w))
+        for parity in np.unique(lo % 2):
+            R = _tail_integrals(A[parity::2], inc[parity::2])
+            at = lo % 2 == parity
+            k = lo[at]
+            out[at] = R[k // 2] - np.exp(A[k] - A[k + N]) * R[(k + N) // 2]
         outputs.append(out)
     return GridFunctionPair(pair.t_lo, pair.t_hi, pair.step, outputs[0], outputs[1])
 
@@ -237,8 +246,6 @@ def iterate_fixed_point(
     sweeps, or as soon as the iterates blow past escape_factor times the
     seed scale (diverged).  Non-convergence is a reported outcome.
     """
-    if coeff_bounds is None and spec.bounds:
-        coeff_bounds = CoefficientBounds.from_validation(spec.bounds)
     scale = max(float(np.abs(seed.phi).max()), float(np.abs(seed.psi).max()), 1.0)
     pair = seed
     delta = math.inf
@@ -246,10 +253,7 @@ def iterate_fixed_point(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         new = apply_upsilon(spec, pair, quad_step, tail_tol, coeff_bounds)
-        delta = max(
-            float(np.abs(new.phi - pair.phi).max()),
-            float(np.abs(new.psi - pair.psi).max()),
-        )
+        delta = max(float(np.abs(new.phi - pair.phi).max()), float(np.abs(new.psi - pair.psi).max()))
         pair = new
         top = max(float(np.abs(pair.phi).max()), float(np.abs(pair.psi).max()))
         if not math.isfinite(top) or top > escape_factor * scale:
@@ -258,19 +262,12 @@ def iterate_fixed_point(
         if delta <= tol:
             status = "converged"
             break
-    converged = status == "converged"
     try:
         residual = dde_residual(spec, pair)
     except (NumericalError, OverflowError, FloatingPointError):
         residual = None
-    return FixedPointResult(
-        pair=pair,
-        iterations=iterations,
-        final_delta=delta,
-        residual=residual,
-        converged=converged,
-        status=status,
-    )
+    return FixedPointResult(pair=pair, iterations=iterations, final_delta=delta, residual=residual,
+                            converged=status == "converged", status=status)
 
 
 def dde_residual(spec: ModelSpec, pair: GridFunctionPair) -> float:
@@ -322,5 +319,8 @@ def kernel_identity_check(
     B = _prefix_simpson(b_nodes, b_mids, dx)
     lhs = math.exp(-A[-1]) - math.exp(-B[-1])
     integrand = np.exp(-(A[-1] - A)) * np.exp(-B) * (b_nodes - a_nodes)
-    rhs = float(np.dot(integrand, _simpson_weights(quad_n, dx)))
+    w = np.full(quad_n + 1, 2.0)  # composite Simpson weights, times 3/dx
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    rhs = float(np.dot(integrand, w * (dx / 3.0)))
     return lhs, rhs, abs(lhs - rhs)

@@ -17,6 +17,7 @@ from lgholling import (
     run_preset,
 )
 from lgholling.expr import Const, Unary, Var, _Parser
+from lgholling.fixedpoint import _f_values, _growth_infs, _prefix_simpson
 from lgholling.presets import preset_config
 
 
@@ -187,6 +188,42 @@ def reference_rk4(spec: ModelSpec, history: InitialHistory, t0: float, t_end: fl
         ys[k + 1] = y0 + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
     dxs[n], dys[n] = stage(2 * n, xs[n])
     return np.array(xs), np.array(ys), np.array(dxs), np.array(dys)
+
+
+def reference_upsilon(spec: ModelSpec, pair, quad_step: float = 0.05, tail_tol: float = 1e-6,
+                      coeff_bounds=None, tail_len=None):
+    """Reference oracle for the integral operator: for every grid point
+    t = s_lo separately, one composite Simpson dot product over its N-node
+    window [t, t + L], with the kernel e^{A_lo - A_k} exponentiated per node.
+    Same nodes, exponent A, f values, L and N as apply_upsilon; returns the
+    (phi, psi) image arrays."""
+    p = int(round(pair.step / quad_step))
+    q = pair.step / p
+    npts = len(pair.phi)
+    outputs = []
+    for j, aj_inf, aj_expr in zip((1, 2), _growth_infs(spec, coeff_bounds), (spec.a1, spec.a2)):
+        supf = float(np.abs(_f_values(spec, pair, j, pair.grid())).max())
+        if tail_len is not None:
+            L = float(tail_len)
+        else:
+            L = max(math.log(max(2.0 * supf, 1e-12) / (aj_inf * tail_tol)) / aj_inf, 4.0 * q)
+        N = int(math.ceil(L / q))
+        N += N % 2
+        N = max(N, 8)
+        s = pair.t_lo + q * np.arange((npts - 1) * p + N + 1)
+        A = _prefix_simpson(evaluate_array(aj_expr, s), evaluate_array(aj_expr, s[:-1] + 0.5 * q), q)
+        f = _f_values(spec, pair, j, s)
+        w = np.full(N + 1, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        w *= q / 3.0
+        out = np.empty(npts)
+        for i in range(npts):
+            lo = i * p
+            sl = slice(lo, lo + N + 1)
+            out[i] = float(np.dot(np.exp(A[lo] - A[sl]) * f[sl], w))
+        outputs.append(out)
+    return outputs[0], outputs[1]
 
 
 def reference_lag_gap(delay, t: float, tol: float = 1e-12) -> float:

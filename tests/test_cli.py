@@ -366,3 +366,19 @@ def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
     got, err = run_mutated(tmp_path, "example2", path, value, flags)
     assert (got, "Traceback" in err) == (code, False)
     assert named in err
+
+
+def test_overflowing_fixed_point_source_exits_3_without_warning(tmp_path):
+    """Extreme table bounds make the Picard seed so large that f_2 overflows:
+    the run exits 3 naming f, with no numpy RuntimeWarning on stderr."""
+    data = short_preset("example1")
+    data["table_bounds"]["a2_inf"] = 1e300
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-W", "default", "-m", "lgholling", "run", str(cfg),
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert "f_2 not finite" in proc.stderr

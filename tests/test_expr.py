@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,7 @@ from lgholling import (
     parse_expression,
     serialize,
 )
-from lgholling.expr import Const, _candidate_cells
+from lgholling.expr import Binary, CoefficientExpr, Const, Var, _candidate_cells
 from lgholling.presets import PRESET_NAMES, preset_config
 from conftest import reference_eval_array, reference_golden_min
 
@@ -218,6 +220,20 @@ def test_serialize_keeps_a_folded_negative_literal_parenthesized():
     e2 = parse_expression(serialize(e))
     assert serialize(e2) == serialize(e)
     assert not np.signbit(evaluate(e2, 1.0))
+
+
+@pytest.mark.parametrize("value, text", [(math.inf, "(1.0/(1e999*t))"), (-math.inf, "(1.0/((-1e999)*t))")])
+def test_serialize_writes_an_infinite_literal_that_reparses(value, text):
+    """A literal past float range is infinite; it serializes to a literal
+    that reparses to the same infinity (1/(inf*t) is a finite +-0)."""
+    e = CoefficientExpr(Binary("/", Const(1.0), Binary("*", Const(value), Var())), text)
+    assert serialize(e) == text
+    reparsed = parse_expression(text)
+    assert serialize(reparsed) == text
+    g = np.array([-2.0, 0.5, 3.0])
+    a, b = evaluate_array(e, g), evaluate_array(reparsed, g)
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    assert serialize(parse_expression("1e999*t")) == "(1e999*t)"
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from lgholling import (
+    CoefficientBounds,
     GridFunctionPair,
     InitialHistory,
+    ModelSpec,
+    NumericalError,
     QuadratureError,
     apply_upsilon,
     dde_residual,
@@ -16,7 +19,9 @@ from lgholling import (
     parse_expression,
     sample_state,
 )
-from conftest import example2_constant_pair_u2, table_bounds, trapz
+from conftest import (example2_constant_pair_u2, make_spec, reference_upsilon, table_bounds, table_permanence,
+                      trapz)
+from lgholling.presets import preset_config
 
 
 def unit_pair(phi, psi, t_hi=10.0, step=0.1):
@@ -111,6 +116,91 @@ def test_apply_upsilon_nonconstant_pair_against_brute_force(unit_spec, unit_coef
         want2 = trapz(w * f2, q)
         assert out.phi[i_ref] == pytest.approx(want1, rel=1e-5)
         assert out.psi[i_ref] == pytest.approx(want2, rel=1e-5)
+
+
+@pytest.fixture(scope="session")
+def settled_trajectories():
+    """Both presets' trajectories on [0, 200] at h = 0.01, from their own histories."""
+    out = {}
+    for name in ("example1", "example2"):
+        spec, history = make_spec(name), preset_config(name)["history"]
+        out[name] = spec, integrate(spec, InitialHistory(history["phi1"], history["phi2"]), 0.0, 200.0, 0.01)
+    return out
+
+
+def settled_pair(traj, step, t_lo=100.0, t_hi=200.0):
+    """The trajectory sampled at step (a multiple of h = 0.01) from t_lo to at most t_hi."""
+    stride = int(round(step / 0.01))
+    i0 = int(round(t_lo / 0.01))
+    n = int((t_hi - t_lo) / step + 1e-9)
+    sl = slice(i0, i0 + n * stride + 1, stride)
+    return GridFunctionPair(t_lo, t_lo + n * step, step, traj.u[sl], traj.v[sl])
+
+
+def assert_upsilon_matches_reference(spec, pair, **kwargs):
+    image = apply_upsilon(spec, pair, **kwargs)
+    phi, psi = reference_upsilon(spec, pair, **kwargs)
+    np.testing.assert_allclose(image.phi, phi, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(image.psi, psi, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name, step, quad_step, tail_len", [
+    ("example1", 0.1, 0.05, None),
+    ("example2", 0.1, 0.05, None),
+    ("example1", 0.1, 0.1, None),
+    ("example2", 0.15, 0.05, None),
+    ("example1", 0.15, 0.05, 12.3),
+    ("example2", 0.1, 0.05, 40.0),
+], ids=["example1", "example2", "p1", "odd-p", "odd-p-tail-len", "tail-len"])
+def test_apply_upsilon_matches_per_point_reference(settled_trajectories, name, step, quad_step, tail_len):
+    """The backward recursion gives every grid point the same truncated
+    window as the per-point Simpson loop: on the settled [100, 200] pairs,
+    with one quad step per grid step (p = 1), an odd p (both node parities)
+    and a tail_len override."""
+    spec, traj = settled_trajectories[name]
+    assert_upsilon_matches_reference(spec, settled_pair(traj, step), quad_step=quad_step, tail_tol=1e-6,
+                                     coeff_bounds=table_bounds(name), tail_len=tail_len)
+
+
+def test_apply_upsilon_fast_decay_needs_no_global_exponential(settled_trajectories):
+    """a1 = 40 over a 100-unit window: exp(int a1) passes 1e1737, so only a
+    recursion rescaled chunk by chunk can stay finite."""
+    spec, traj = settled_trajectories["example1"]
+    fast = ModelSpec.from_strings(dict(preset_config("example1")["model"], a1="40"))
+    bounds = CoefficientBounds.from_table(dict(preset_config("example1")["table_bounds"], a1_inf=40.0, a1_sup=40.0))
+    pair = settled_pair(traj, 0.1)
+    assert 40.0 * (pair.t_hi - pair.t_lo) > math.log(np.finfo(float).max)
+    assert_upsilon_matches_reference(fast, pair, quad_step=0.05, tail_tol=1e-6, coeff_bounds=bounds)
+    assert_upsilon_matches_reference(fast, settled_pair(traj, 0.15), quad_step=0.05, tail_tol=1e-6,
+                                     coeff_bounds=bounds)
+
+
+def preset_picard(name):
+    pb = table_permanence(name)
+    seed = GridFunctionPair.from_constants(0.0, 30.0, 0.1, 0.5 * (pb.m1 + pb.M1), 0.5 * (pb.m2 + pb.M2))
+    spec = make_spec(name)
+    return spec, iterate_fixed_point(spec, seed, tol=1e-6, max_iter=200, quad_step=0.05, tail_tol=1e-6,
+                                     coeff_bounds=table_bounds(name))
+
+
+@pytest.mark.parametrize("name, sweeps", [("example1", 5), ("example2", 8)])
+def test_iterate_preset_seeds_keep_status_and_sweeps(name, sweeps):
+    """The pipeline's Picard run from each preset's box-midpoint seed
+    diverges after the same number of sweeps as the per-point operator."""
+    _, res = preset_picard(name)
+    assert (res.status, res.iterations, res.converged) == ("diverged", sweeps, False)
+
+
+def test_apply_upsilon_matches_reference_on_a_diverging_iterate():
+    spec, res = preset_picard("example2")
+    assert res.status == "diverged"
+    assert_upsilon_matches_reference(spec, res.pair, quad_step=0.05, tail_tol=1e-6,
+                                     coeff_bounds=table_bounds("example2"))
+
+
+def test_apply_upsilon_names_f_when_it_overflows(unit_spec, unit_coeff_bounds):
+    with pytest.raises(NumericalError, match="f_1 not finite"):
+        apply_upsilon(unit_spec, unit_pair(1e200, 1.0), coeff_bounds=unit_coeff_bounds)
 
 
 def test_iterate_unit_system_converges(unit_spec, unit_coeff_bounds):
