@@ -56,7 +56,6 @@ from .permanence import (
 from .stability import (
     AttractivityResult,
     LiminfEstimate,
-    StabilityReport,
     alpha_beta_from_gaps,
     estimate_liminf,
     eval_alpha_beta,

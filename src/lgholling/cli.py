@@ -16,6 +16,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,42 +33,58 @@ from .permanence import (
     verify_permanence,
 )
 from .presets import PRESET_NAMES, preset_config
-from .stability import build_stability_report, run_attractivity
+from .stability import estimate_liminf, run_attractivity
 
 __all__ = ["RunConfig", "load_config", "run_preset", "run_config", "run_pipeline", "emit_report", "main"]
 
-_DEFAULT_ANALYSES = {"bounds": True, "stability": True, "attractivity": True, "fixed_point": True, "pap": True}
-
-_DEFAULT_OPTIONS = {
-    "beta_denominator": "M2",
-    "slack": 0.05,
-    "bounds_horizon": 1000.0,
-    "bounds_samples": 100_000,
-    "liminf_t_max": 500.0,
-    "liminf_points": 251,
-    "attractivity_threshold": 1e-3,
-    "attractivity_history": [0.75, 0.75],
-    "fp_t_hi": 30.0,
-    "fp_step": 0.1,
-    "fp_quad_step": 0.05,
-    "fp_tail_tol": 1e-6,
-    "fp_tol": 1e-6,
-    "fp_max_iter": 60,
-    "csv_stride": 10,
-}
-
-# options that must lie above a floor: counts, steps and lengths
-_OPTION_FLOOR = {
-    "bounds_samples": 1, "liminf_points": 0, "fp_max_iter": 0, "csv_stride": 0,
-    "bounds_horizon": 0.0, "fp_t_hi": 0.0, "fp_step": 0.0, "fp_quad_step": 0.0, "fp_tail_tol": 0.0,
-}
-
-# most grid intervals a run may ask for: (t_end - t0) / h and fp_t_hi / fp_step
+# most grid intervals a run may ask for: (t_end - t0) / h and fp_t_hi / fp_step; also caps sample counts
 _MAX_STEPS = 10**7
 
-_PAPER_VALUE_KEYS = set(CoefficientBounds.__dataclass_fields__) | {
-    "M1", "M2", "m1", "m2", "alpha_inf", "beta_inf",
+
+class _Field(NamedTuple):
+    """One config key.  kind is "number", "int", "bool", "expr", "history"
+    (a number or an expression), "pair" (a list of two numbers) or a tuple
+    of the allowed strings.  default is ... for a required key, and None
+    leaves an absent key absent.  A number must satisfy floor < x <= cap."""
+    kind: str | tuple
+    default: object = ...
+    floor: float | None = None
+    cap: float | None = None
+
+
+_NUMBER = _Field("number")
+
+# the one place the config rules live: section -> key -> field.  Rules that
+# join two fields are in load_config.
+_SCHEMA = {
+    "model": dict.fromkeys(SYMBOLS, _Field("expr")),
+    "history": dict.fromkeys(("phi1", "phi2"), _Field("history")),
+    "run": {"t0": _NUMBER, "t_end": _NUMBER, "h": _Field("number", floor=0.0),
+            "t_settle": _Field("number", None)},  # defaults to the run's midpoint
+    "analyses": dict.fromkeys(("bounds", "stability", "attractivity", "fixed_point", "pap"), _Field("bool", True)),
+    "options": {
+        "beta_denominator": _Field(("M1", "M2"), "M2"),
+        "slack": _Field("number", 0.05),
+        "bounds_horizon": _Field("number", 1000.0, 0.0),
+        "bounds_samples": _Field("int", 100_000, 1, _MAX_STEPS),
+        "liminf_t_max": _Field("number", 500.0, 0.0),
+        "liminf_points": _Field("int", 251, 0, _MAX_STEPS),
+        "attractivity_threshold": _Field("number", 1e-3),
+        "attractivity_history": _Field("pair", [0.75, 0.75], 0.0),
+        "fp_t_hi": _Field("number", 30.0, 0.0),
+        "fp_step": _Field("number", 0.1, 0.0),
+        "fp_quad_step": _Field("number", 0.05, 0.0),
+        "fp_tail_tol": _Field("number", 1e-6, 0.0),
+        "fp_tol": _Field("number", 1e-6),
+        "fp_max_iter": _Field("int", 60, 0),
+        "csv_stride": _Field("int", 10, 0),
+    },
+    # these two may be absent or null; a table_bounds section gives every bound
+    "table_bounds": dict.fromkeys(CoefficientBounds.__dataclass_fields__, _NUMBER),
+    "paper_values": dict.fromkeys([*CoefficientBounds.__dataclass_fields__, "M1", "M2", "m1", "m2",
+                                   "alpha_inf", "beta_inf"], _Field("number", None)),
 }
+_NULLABLE = ("table_bounds", "paper_values")
 
 
 @dataclass
@@ -75,23 +92,12 @@ class RunConfig:
     model: dict[str, str]
     history: dict
     run: dict
-    analyses: dict = field(default_factory=lambda: dict(_DEFAULT_ANALYSES))
-    options: dict = field(default_factory=lambda: dict(_DEFAULT_OPTIONS))
+    analyses: dict = field(default_factory=lambda: _check_section({}, "/analyses", _SCHEMA["analyses"]))
+    options: dict = field(default_factory=lambda: _check_section({}, "/options", _SCHEMA["options"]))
     table_bounds: dict | None = None
     paper_values: dict | None = None
     output_dir: str | None = None
     raw: dict = field(default_factory=dict)
-
-
-def _require_keys(section: dict, path: str, required, allowed):
-    if not isinstance(section, dict):
-        raise ConfigError(path or "/", "expected an object")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{path}/{key}", "unknown key")
-    for key in required:
-        if key not in section:
-            raise ConfigError(f"{path}/{key}", "missing required key")
 
 
 def _number(value, path: str) -> float:
@@ -103,119 +109,82 @@ def _number(value, path: str) -> float:
     return number
 
 
-def _check_option(key: str, value) -> None:
-    """An option value must have the type of its default and clear its floor."""
-    path = f"/options/{key}"
-    default = _DEFAULT_OPTIONS[key]
-    if isinstance(default, str):
-        if value not in ("M1", "M2"):
-            raise ConfigError(path, "must be 'M1' or 'M2'")
-        return
-    if isinstance(default, list):
-        if not isinstance(value, list) or len(value) != len(default):
-            raise ConfigError(path, f"expected a list of {len(default)} numbers")
+def _check_value(value, path: str, spec: _Field) -> None:
+    kind = spec.kind
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(path, "must be " + " or ".join(map(repr, kind)))
+    elif kind == "bool":
+        if not isinstance(value, bool):
+            raise ConfigError(path, "expected a boolean")
+    elif kind == "pair":
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError(path, "expected a list of 2 numbers")
         for i, item in enumerate(value):
-            _number(item, f"{path}/{i}")
-        return
-    if isinstance(default, int) and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ConfigError(path, "expected an integer")
-    if not _number(value, path) > _OPTION_FLOOR.get(key, -math.inf):
-        raise ConfigError(path, f"must be > {_OPTION_FLOOR[key]}")
+            _check_value(item, f"{path}/{i}", spec._replace(kind="number"))
+    elif kind == "expr" or (kind == "history" and isinstance(value, str)):
+        if not isinstance(value, str):
+            raise ConfigError(path, "expected an expression string")
+        try:
+            parse_expression(value)
+        except ValidationError as exc:
+            raise ConfigError(path, str(exc)) from exc
+    else:  # "number", "int", or a constant history
+        if kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ConfigError(path, "expected an integer")
+        number = _number(value, path)
+        if spec.floor is not None and not number > spec.floor:
+            raise ConfigError(path, f"must be > {spec.floor}")
+        if spec.cap is not None and number > spec.cap:
+            raise ConfigError(path, f"must be <= {spec.cap}")
+
+
+def _check_section(section, path: str, fields: dict) -> dict:
+    """The section checked key by key against its fields, with the defaults
+    of absent keys appended; given values keep their order and type."""
+    if not isinstance(section, dict):
+        raise ConfigError(path, "expected an object")
+    for key, value in section.items():
+        if key not in fields:
+            raise ConfigError(f"{path}/{key}", "unknown key")
+        _check_value(value, f"{path}/{key}", fields[key])
+    checked = dict(section)
+    for key, spec in fields.items():
+        if key not in section and spec.default is ...:
+            raise ConfigError(f"{path}/{key}", "missing required key")
+        if key not in section and spec.default is not None:
+            checked[key] = spec.default
+    return checked
 
 
 def load_config(data: dict) -> RunConfig:
-    """Validate a raw config dict (unknown keys rejected with pointer paths)."""
+    """Check a raw config dict against _SCHEMA and the rules that join its
+    fields; a bad field raises ConfigError naming its JSON path."""
     if not isinstance(data, dict):
         raise ConfigError("", "config must be a JSON object")
-    _require_keys(data, "", ("model", "history", "run"),
-                  ("model", "history", "run", "analyses", "options", "table_bounds", "paper_values", "output_dir"))
+    for key in data:
+        if key not in _SCHEMA and key != "output_dir":
+            raise ConfigError(f"/{key}", "unknown key")
+    sections = {name: None if name in _NULLABLE and data.get(name) is None
+                else _check_section(data.get(name, {}), f"/{name}", fields)
+                for name, fields in _SCHEMA.items()}
 
-    model = data["model"]
-    if not isinstance(model, dict):
-        raise ConfigError("/model", "expected an object")
-    _require_keys(model, "/model", SYMBOLS, SYMBOLS)
-    for sym in SYMBOLS:
-        if not isinstance(model[sym], str):
-            raise ConfigError(f"/model/{sym}", "expected an expression string")
-        try:
-            parse_expression(model[sym])
-        except ValidationError as exc:
-            raise ConfigError(f"/model/{sym}", str(exc)) from exc
-
-    history = data["history"]
-    _require_keys(history, "/history", ("phi1", "phi2"), ("phi1", "phi2"))
-    for key in ("phi1", "phi2"):
-        v = history[key]
-        if isinstance(v, str):
-            try:
-                parse_expression(v)
-            except ValidationError as exc:
-                raise ConfigError(f"/history/{key}", str(exc)) from exc
-        else:
-            _number(v, f"/history/{key}")
-
-    run = data["run"]
-    _require_keys(run, "/run", ("t0", "t_end", "h"), ("t0", "t_end", "h", "t_settle"))
-    t0 = _number(run["t0"], "/run/t0")
-    t_end = _number(run["t_end"], "/run/t_end")
-    h = _number(run["h"], "/run/h")
-    if h <= 0.0:
-        raise ConfigError("/run/h", "step must be > 0")
+    run = sections["run"] = {key: float(value) for key, value in sections["run"].items()}
+    t0, t_end, h = run["t0"], run["t_end"], run["h"]
     if t_end <= t0:
         raise ConfigError("/run/t_end", "t_end must be > t0")
     if (t_end - t0) / h > _MAX_STEPS:
         raise ConfigError("/run/h", f"(t_end - t0) / h is {(t_end - t0) / h:.6g} steps; at most {_MAX_STEPS} allowed")
-    t_settle = _number(run.get("t_settle", 0.5 * (t0 + t_end)), "/run/t_settle")
-    if not (t0 <= t_settle < t_end):
+    run.setdefault("t_settle", 0.5 * (t0 + t_end))
+    if not (t0 <= run["t_settle"] < t_end):
         raise ConfigError("/run/t_settle", "t_settle must lie in [t0, t_end)")
-
-    analyses = dict(_DEFAULT_ANALYSES)
-    if "analyses" in data:
-        _require_keys(data["analyses"], "/analyses", (), tuple(_DEFAULT_ANALYSES))
-        for key, value in data["analyses"].items():
-            if not isinstance(value, bool):
-                raise ConfigError(f"/analyses/{key}", "expected a boolean")
-            analyses[key] = value
-
-    options = dict(_DEFAULT_OPTIONS)
-    if "options" in data:
-        _require_keys(data["options"], "/options", (), tuple(_DEFAULT_OPTIONS))
-        options.update(data["options"])
-    for key, value in options.items():
-        _check_option(key, value)
+    options = sections["options"]
     if not 0.5 < options["fp_t_hi"] / options["fp_step"] <= _MAX_STEPS:
         raise ConfigError("/options/fp_step", f"fp_t_hi / fp_step must round to 1 .. {_MAX_STEPS} intervals")
-
-    table_bounds = data.get("table_bounds")
-    if table_bounds is not None:
-        _require_keys(table_bounds, "/table_bounds", (), tuple(CoefficientBounds.__dataclass_fields__))
-        for key, value in table_bounds.items():
-            _number(value, f"/table_bounds/{key}")
-
-    paper_values = data.get("paper_values")
-    if paper_values is not None:
-        if not isinstance(paper_values, dict):
-            raise ConfigError("/paper_values", "expected an object")
-        for key, value in paper_values.items():
-            if key not in _PAPER_VALUE_KEYS:
-                raise ConfigError(f"/paper_values/{key}", "unknown quantity")
-            _number(value, f"/paper_values/{key}")
-
-    out_value = data.get("output_dir")
-    if out_value is not None and not isinstance(out_value, str):
+    output_dir = data.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("/output_dir", "expected a string path")
-
-    return RunConfig(
-        model=dict(model),
-        history={"phi1": history["phi1"], "phi2": history["phi2"]},
-        run={"t0": t0, "t_end": t_end, "h": h, "t_settle": t_settle},
-        analyses=analyses,
-        options=options,
-        table_bounds=dict(table_bounds) if table_bounds else None,
-        paper_values=dict(paper_values) if paper_values else None,
-        output_dir=out_value,
-        raw=data,
-    )
+    return RunConfig(**sections, output_dir=output_dir, raw=data)
 
 
 def _make_history(config: RunConfig) -> InitialHistory:
@@ -225,37 +194,11 @@ def _make_history(config: RunConfig) -> InitialHistory:
     return InitialHistory(conv(config.history["phi1"]), conv(config.history["phi2"]))
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header: str, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _gap_flag(rel_gap: float) -> str:
-    if rel_gap > 0.05:
-        return "major"
-    if rel_gap > 0.005:
-        return "minor"
-    return "ok"
-
-
-def _discrepancy(quantity: str, published: float, computed: float, computed_alt=None) -> dict:
-    rel = abs(published - computed) / max(abs(published), 1e-12)
-    entry = {
-        "quantity": quantity,
-        "paper_value": published,
-        "computed_value": computed,
-        "relative_gap": rel,
-        "flag": _gap_flag(rel),
-    }
-    if computed_alt is not None:
-        entry["computed_alt"] = computed_alt
-    return entry
+            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
 
 
 def _bounds_dict(pb: PermanenceBounds) -> dict:
@@ -363,20 +306,18 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
                        zip(att.times[::stride], att.distances[::stride]))
             files["attractivity"] = out_dir / "attractivity.csv"
         t_grid = np.linspace(0.0, float(opt["liminf_t_max"]), opt["liminf_points"])
-        sr = build_stability_report(spec, pb_active, t_grid,
-                                    beta_denominator=opt["beta_denominator"], attractivity=att)
-        sample_stride = max(1, len(sr.alpha_samples) // 25)
+        est = estimate_liminf(spec, pb_active, t_grid, opt["beta_denominator"])
+        sample_stride = max(1, len(est.alpha_samples) // 25)
         stability_section = {
-            "beta_denominator": sr.beta_denominator,
-            "alpha_liminf": sr.alpha_liminf,
-            "beta_liminf": sr.beta_liminf,
-            "beta_liminf_alt": sr.beta_liminf_alt,
-            "hypothesis_holds": sr.hypothesis_holds,
-            "alpha_samples": [[t, a] for t, a in sr.alpha_samples[::sample_stride]],
-            "beta_samples": [[t, b] for t, b in sr.beta_samples[::sample_stride]],
+            "beta_denominator": opt["beta_denominator"],
+            "alpha_liminf": est.alpha_liminf,
+            "beta_liminf": est.beta_liminf,
+            "beta_liminf_alt": est.beta_liminf_alt,
+            "hypothesis_holds": est.alpha_liminf > 0.0 and est.beta_liminf > 0.0,
+            "alpha_samples": [[t, a] for t, a in est.alpha_samples[::sample_stride]],
+            "beta_samples": [[t, b] for t, b in est.beta_samples[::sample_stride]],
         }
         if att is not None:
-            alt = opt["attractivity_history"]
             stability_section["attractivity"] = {
                 "histories": [[history.value1(0.0), history.value2(0.0)], [float(alt[0]), float(alt[1])]],
                 "t_end": t_end,
@@ -432,26 +373,30 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
 
 
 def _build_discrepancies(paper_values: dict, vrep, pb_table, pb_est, stability_section) -> list[dict]:
+    """Each published value beside its recomputed one.  computed_alt holds
+    the estimates' box when the table's is active, and beta's other
+    denominator."""
+    pb_main, pb_alt = (pb_est, None) if pb_table is None else (pb_table, pb_est)
     entries = []
-    pb_main = pb_table if pb_table is not None else pb_est
-    pb_alt = pb_est if pb_table is not None else None
-    derived = {"M1": "M1", "M2": "M2", "m1": "m1", "m2": "m2"}
-    bound_keys = set(CoefficientBounds.__dataclass_fields__)
     for quantity, published in paper_values.items():
-        if quantity in bound_keys:
+        published, alt = float(published), None
+        if quantity in _SCHEMA["table_bounds"]:
             sym, side = quantity.rsplit("_", 1)
-            est = vrep.bounds[sym]
-            computed = est.inf_value if side == "inf" else est.sup_value
-            entries.append(_discrepancy(quantity, float(published), computed))
-        elif quantity in derived:
-            computed = getattr(pb_main, derived[quantity])
-            alt = getattr(pb_alt, derived[quantity]) if pb_alt is not None else None
-            entries.append(_discrepancy(quantity, float(published), computed, computed_alt=alt))
-        elif quantity == "alpha_inf" and stability_section is not None:
-            entries.append(_discrepancy(quantity, float(published), stability_section["alpha_liminf"]))
-        elif quantity == "beta_inf" and stability_section is not None:
-            entries.append(_discrepancy(quantity, float(published), stability_section["beta_liminf"],
-                                        computed_alt=stability_section["beta_liminf_alt"]))
+            computed = getattr(vrep.bounds[sym], f"{side}_value")
+        elif quantity in ("M1", "M2", "m1", "m2"):
+            computed = getattr(pb_main, quantity)
+            alt = getattr(pb_alt, quantity, None)
+        elif stability_section is None:
+            continue
+        elif quantity == "alpha_inf":
+            computed = stability_section["alpha_liminf"]
+        else:  # beta_inf
+            computed, alt = stability_section["beta_liminf"], stability_section["beta_liminf_alt"]
+        rel = abs(published - computed) / max(abs(published), 1e-12)
+        entries.append({"quantity": quantity, "paper_value": published, "computed_value": computed,
+                        "relative_gap": rel, "flag": "major" if rel > 0.05 else "minor" if rel > 0.005 else "ok"})
+        if alt is not None:
+            entries[-1]["computed_alt"] = alt
     return entries
 
 
@@ -498,11 +443,24 @@ def emit_report(report: dict, out_dir: Path, files: dict[str, Path] | None = Non
     return path
 
 
+_ANALYSIS_SUBCOMMANDS = {
+    "bounds": ("bounds",),
+    "stability": ("stability", "attractivity"),
+    "fixed-point": ("fixed_point",),
+    "pap-check": ("pap",),
+}
+
+
 def _apply_overrides(data: dict, args) -> dict:
-    """The config with the command-line overrides applied.  A malformed
-    config passes through unchanged, for load_config to name the bad field."""
-    if not (isinstance(data, dict) and isinstance(data.get("run"), dict)
-            and isinstance(data.get("options", {}), dict)):
+    """The config with the subcommand's analyses mask and the command-line
+    overrides applied.  Malformed input is passed on as it is, for
+    load_config to name the bad field."""
+    if not isinstance(data, dict):
+        return data
+    flags = {"simulate": (), **_ANALYSIS_SUBCOMMANDS}.get(getattr(args, "command", None))
+    if flags is not None:
+        data = dict(data, analyses={key: key in flags for key in _SCHEMA["analyses"]})
+    if not (isinstance(data.get("run"), dict) and isinstance(data.get("options", {}), dict)):
         return data
     run = dict(data["run"])
     if getattr(args, "h", None) is not None:
@@ -514,20 +472,23 @@ def _apply_overrides(data: dict, args) -> dict:
             run["t_settle"] = 0.5 * args.t_end
     data = dict(data, run=run)
     if getattr(args, "beta_denominator", None) is not None:
-        options = dict(data.get("options", {}))
-        options["beta_denominator"] = args.beta_denominator
-        data["options"] = options
+        data["options"] = dict(data.get("options", {}), beta_denominator=args.beta_denominator)
     return data
+
+
+def _run(data, args, out_dir: Path | None, **pipeline_kwargs) -> dict:
+    """The one entry path: overrides, then load_config, then run_pipeline."""
+    config = load_config(_apply_overrides(data, args))
+    if out_dir is None:
+        out_dir = Path(config.output_dir or "lgholling-out")
+    return run_pipeline(config, out_dir, **pipeline_kwargs)
 
 
 def run_preset(name: str, out_dir: Path, args=None, **pipeline_kwargs) -> dict:
     """Run one of the built-in configurations end to end."""
     if name not in PRESET_NAMES:
         raise ConfigError("/preset", f"unknown preset {name!r}")
-    data = preset_config(name)
-    if args is not None:
-        data = _apply_overrides(data, args)
-    return run_pipeline(load_config(data), out_dir, **pipeline_kwargs)
+    return _run(preset_config(name), args, out_dir, **pipeline_kwargs)
 
 
 def _load_config_file(path: str | Path) -> dict:
@@ -541,22 +502,9 @@ def _load_config_file(path: str | Path) -> dict:
 
 
 def run_config(path: str | Path, out_dir: Path | None = None, args=None, **pipeline_kwargs) -> dict:
-    """Run a user configuration file end to end."""
-    data = _load_config_file(path)
-    if args is not None:
-        data = _apply_overrides(data, args)
-    config = load_config(data)
-    if out_dir is None:
-        out_dir = Path(config.output_dir) if config.output_dir else Path("lgholling-out")
-    return run_pipeline(config, out_dir, **pipeline_kwargs)
-
-
-_ANALYSIS_SUBCOMMANDS = {
-    "bounds": ("bounds",),
-    "stability": ("stability", "attractivity"),
-    "fixed-point": ("fixed_point",),
-    "pap-check": ("pap",),
-}
+    """Run a user configuration file end to end; out_dir defaults to the
+    config's output_dir."""
+    return _run(_load_config_file(path), args, out_dir, **pipeline_kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -594,22 +542,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out_dir = args.out if args.out is not None else Path("lgholling-out")
+    # only `run` falls back to the config's output_dir
+    out_dir = args.out if args.out is not None or args.command == "run" else Path("lgholling-out")
     try:
         if args.command == "preset":
             run_preset(args.name, out_dir, args=args)
-        elif args.command == "run":
-            run_config(args.config, args.out, args=args)
         elif args.command == "simulate":
-            data = _apply_overrides(_load_config_file(args.config), args)
-            data["analyses"] = {key: False for key in _DEFAULT_ANALYSES}
-            run_pipeline(load_config(data), out_dir, require_analysis=False,
-                         random_histories=args.random_histories, seed=args.seed)
+            run_config(args.config, out_dir, args=args, require_analysis=False,
+                       random_histories=args.random_histories, seed=args.seed)
         else:
-            flags = _ANALYSIS_SUBCOMMANDS[args.command]
-            data = _apply_overrides(_load_config_file(args.config), args)
-            data["analyses"] = {key: key in flags for key in _DEFAULT_ANALYSES}
-            run_pipeline(load_config(data), out_dir)
+            run_config(args.config, out_dir, args=args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

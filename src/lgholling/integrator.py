@@ -90,15 +90,6 @@ class BatchTrajectory:
     histories: np.ndarray  # shape (m, 2)
     r: float
 
-    def trajectory(self, i: int) -> Trajectory:
-        hist = InitialHistory(float(self.histories[i, 0]), float(self.histories[i, 1]))
-        return Trajectory(
-            self.t0, self.t_end, self.h, self.t,
-            self.x[:, i].copy(), self.y[:, i].copy(),
-            self.dx[:, i].copy(), self.dy[:, i].copy(),
-            hist, self.r,
-        )
-
     def min_uv(self) -> np.ndarray:
         """Per-history minimum of min(u, v) over all knots."""
         return np.exp(np.minimum(self.x.min(axis=0), self.y.min(axis=0)))

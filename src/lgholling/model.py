@@ -97,15 +97,6 @@ class ValidationReport:
     max_lag_r: float
     failures: list[tuple[str, float, float]]  # (symbol, t, value)
 
-    def describe(self) -> str:
-        lines = []
-        for sym, est in self.bounds.items():
-            lines.append(f"{sym}: inf={est.inf_value:.6g} sup={est.sup_value:.6g}")
-        for sym, t, value in self.failures:
-            lines.append(f"FAIL {sym}: value {value:.6g} <= 0 at t={t:.6g}")
-        lines.append(f"max lag r = {self.max_lag_r:.6g}")
-        return "\n".join(lines)
-
 
 def validate_model(spec: ModelSpec, horizon: float = 1000.0, samples: int = 100_000) -> ValidationReport:
     """Check positivity of all eleven coefficients on a sampling grid and

@@ -28,7 +28,6 @@ from .model import InitialHistory, ModelSpec
 from .permanence import CoefficientBounds, PermanenceBounds
 
 __all__ = [
-    "StabilityReport",
     "LiminfEstimate",
     "AttractivityResult",
     "lag_inverse_gap",
@@ -261,38 +260,4 @@ def run_attractivity(
         tail_nonincreasing=tail_ok,
         passed=(final < threshold) and tail_ok,
         threshold=threshold,
-    )
-
-
-@dataclass
-class StabilityReport:
-    alpha_samples: list[tuple[float, float]]
-    beta_samples: list[tuple[float, float]]
-    alpha_liminf: float
-    beta_liminf: float
-    hypothesis_holds: bool
-    attractivity_curves: list[AttractivityResult]
-    beta_denominator: str
-    beta_liminf_alt: float  # the other denominator variant, for the record
-
-
-def build_stability_report(
-    spec: ModelSpec,
-    bounds: PermanenceBounds,
-    t_grid: np.ndarray,
-    beta_denominator: str = "M2",
-    attractivity: AttractivityResult | None = None,
-) -> StabilityReport:
-    """Liminf estimation under the active beta denominator, with the other
-    variant recorded alongside."""
-    est = estimate_liminf(spec, bounds, t_grid, beta_denominator)
-    return StabilityReport(
-        alpha_samples=est.alpha_samples,
-        beta_samples=est.beta_samples,
-        alpha_liminf=est.alpha_liminf,
-        beta_liminf=est.beta_liminf,
-        hypothesis_holds=est.alpha_liminf > 0.0 and est.beta_liminf > 0.0,
-        attractivity_curves=[attractivity] if attractivity is not None else [],
-        beta_denominator=beta_denominator,
-        beta_liminf_alt=est.beta_liminf_alt,
     )

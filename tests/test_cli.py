@@ -168,6 +168,12 @@ def test_nonfinite_run_value_exits_2(tmp_path, capsys, key, literal):
     ("table_bounds", "a1_inf", "x"),
     ("paper_values", "M1", "x"),
     ("run", "h", 10**400),  # a JSON integer no float can hold
+    ("options", "attractivity_history", [0, 0.75]),
+    ("options", "attractivity_history", [-1.0, 0.75]),
+    ("options", "liminf_t_max", 0),
+    ("options", "liminf_t_max", -5.0),
+    ("options", "bounds_samples", 10**12),  # caps: rejected before any sample is taken
+    ("options", "liminf_points", 10**12),
 ])
 def test_malformed_value_exits_2_naming_its_path(tmp_path, capsys, section, key, value):
     data = small_config()
@@ -177,6 +183,48 @@ def test_malformed_value_exits_2_naming_its_path(tmp_path, capsys, section, key,
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"/{section}/{key}" in err and "Traceback" not in err
+    if isinstance(value, list):  # the bad item is named by its index
+        assert f"/{section}/{key}/0" in err
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "bounds", "stability", "fixed-point", "pap-check"])
+def test_non_object_config_exits_2(tmp_path, capsys, command):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]", encoding="utf-8")
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config must be a JSON object" in err and "Traceback" not in err
+
+
+def test_sample_counts_are_capped():
+    for key in ("bounds_samples", "liminf_points"):
+        data = small_config()
+        data["options"][key] = 10**7
+        assert load_config(data).options[key] == 10**7
+        data["options"][key] = 10**7 + 1
+        with pytest.raises(ConfigError, match=f"/options/{key}: must be <= "):
+            load_config(data)
+
+
+def test_table_bounds_section_gives_every_bound():
+    table = preset_config("example2")["table_bounds"]
+    assert load_config(small_config(table_bounds=table)).table_bounds == table
+    assert load_config(small_config(table_bounds=None)).table_bounds is None
+    for partial in ({}, {k: v for k, v in table.items() if k != "k2_sup"}):
+        with pytest.raises(ConfigError, match="/table_bounds/(a1_inf|k2_sup): missing required key"):
+            load_config(small_config(table_bounds=partial))
+
+
+def test_values_are_kept_as_given_and_defaults_filled_in():
+    data = small_config()
+    data["options"] = {"bounds_horizon": 20, "fp_max_iter": 3}
+    config = load_config(data)
+    assert config.options["bounds_horizon"] == 20 and isinstance(config.options["bounds_horizon"], int)
+    assert config.options["slack"] == 0.05 and config.options["attractivity_history"] == [0.75, 0.75]
+    assert config.run["t0"] == 0.0 and isinstance(config.run["t0"], float)
+    del data["analyses"], data["run"]["t_settle"]
+    config = load_config(data)
+    assert all(config.analyses.values()) and config.run["t_settle"] == 2.5
 
 
 @pytest.mark.parametrize("raw", [b'{"model": 1' + b"0" * 5000 + b"}", b'{"model": "\xff"}'])
@@ -354,7 +402,7 @@ def test_mutated_preset_config_exits_cleanly(tmp_path, name, path, value, flags)
     (("run", "t_end"), 1e300, [], 2, "/run/h"),
     (("options", "fp_step"), 1e300, [], 2, "/options/fp_step"),
     (("table_bounds", "b_inf"), 0, [], 2, "/table_bounds"),
-    (("table_bounds", "a1_inf"), _DELETE, [], 2, "/table_bounds"),
+    (("table_bounds", "a1_inf"), _DELETE, [], 2, "/table_bounds/a1_inf"),
     (("table_bounds", "a2_sup"), 1e300, [], 3, "overflow"),
     (("run",), 5, ["--t-end", "3"], 2, "/run"),
     (("options",), 5, ["--beta-denominator", "M1"], 2, "/options"),
