@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError, ValidationError
 from .expr import parse_expression
 from .fixedpoint import GridFunctionPair, iterate_fixed_point
-from .integrator import integrate, integrate_batch
+from .integrator import integrate_batch
 from .model import InitialHistory, ModelSpec, SYMBOLS, validate_model
 from .pap import solution_window_report
 from .permanence import (
@@ -253,7 +253,13 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         raise ConfigError("/table_bounds", str(exc)) from exc
     pb_active = pb_table if pb_table is not None else pb_est
 
-    traj = integrate(spec, history, t0, t_end, h)
+    # the main history and the attractivity partner are two columns of one kernel call
+    histories = [history]
+    if analyses["stability"] and analyses["attractivity"]:
+        alt = opt["attractivity_history"]
+        histories.append(InitialHistory(float(alt[0]), float(alt[1])))
+    runs = integrate_batch(spec, histories, t0, t_end, h)
+    traj = runs.column(0)
     stride = opt["csv_stride"]
     files: dict[str, Path] = {}
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -298,10 +304,9 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
     if analyses["stability"]:
         att = None
         if analyses["attractivity"]:
-            alt = opt["attractivity_history"]
-            alt_history = InitialHistory(float(alt[0]), float(alt[1]))
-            att = run_attractivity(spec, history, alt_history, t_end,
-                                   threshold=float(opt["attractivity_threshold"]), h=h, t0=t0, traj_a=traj)
+            att = run_attractivity(spec, history, histories[1], t_end,
+                                   threshold=float(opt["attractivity_threshold"]), h=h, t0=t0,
+                                   traj_a=traj, traj_b=runs.column(1))
             _write_csv(out_dir / "attractivity.csv", "t,distance",
                        zip(att.times[::stride], att.distances[::stride]))
             files["attractivity"] = out_dir / "attractivity.csv"
@@ -484,8 +489,9 @@ def _run(data, args, out_dir: Path | None, **pipeline_kwargs) -> dict:
     return run_pipeline(config, out_dir, **pipeline_kwargs)
 
 
-def run_preset(name: str, out_dir: Path, args=None, **pipeline_kwargs) -> dict:
-    """Run one of the built-in configurations end to end."""
+def run_preset(name: str, out_dir: Path | None, args=None, **pipeline_kwargs) -> dict:
+    """Run one of the built-in configurations end to end; out_dir defaults
+    to ./lgholling-out."""
     if name not in PRESET_NAMES:
         raise ConfigError("/preset", f"unknown preset {name!r}")
     return _run(preset_config(name), args, out_dir, **pipeline_kwargs)
@@ -519,7 +525,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=float, default=None, help="override integration step")
         p.add_argument("--t-end", dest="t_end", type=float, default=None, help="override end time")
         p.add_argument("--beta-denominator", choices=("M1", "M2"), default=None)
-        p.add_argument("--seed", type=int, default=0, help="seed for random-history sweeps")
 
     p = sub.add_parser("preset", help="run a built-in configuration")
     p.add_argument("name", choices=PRESET_NAMES)
@@ -532,6 +537,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--random-histories", type=int, default=0,
                    help="additionally integrate N random positive constant histories")
+    p.add_argument("--seed", type=int, default=0, help="seed for the random histories")
 
     for name in _ANALYSIS_SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run only the {name.replace('-', ' ')} analysis")
@@ -542,16 +548,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # only `run` falls back to the config's output_dir
-    out_dir = args.out if args.out is not None or args.command == "run" else Path("lgholling-out")
     try:
         if args.command == "preset":
-            run_preset(args.name, out_dir, args=args)
+            run_preset(args.name, args.out, args=args)
         elif args.command == "simulate":
-            run_config(args.config, out_dir, args=args, require_analysis=False,
+            run_config(args.config, args.out, args=args, require_analysis=False,
                        random_histories=args.random_histories, seed=args.seed)
         else:
-            run_config(args.config, out_dir, args=args)
+            run_config(args.config, args.out, args=args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -14,9 +14,11 @@ raises its ExprDomainError, with the same message, when evaluated.
 There is one evaluator: ``evaluate_array`` walks the tree once over an
 array of times, with constants as float64 scalars that numpy broadcasts,
 and ``evaluate`` is that evaluator on a one-point array.  The sup/inf
-estimate of a constant is closed-form; any other expression's grid scan
-refines all its candidate cells together, one evaluator call per
-golden-section iteration.
+estimate of a constant is closed-form.  Any other expression's grid is
+scanned in cache-sized blocks, each reduced at once to its extremes, its
+largest step, its local minima and its first nonpositive value; then the
+candidate cells of both the sup and the inf are refined together, one
+evaluator call per golden-section iteration.
 
 Expressions are immutable after parsing and evaluation is pure, so a parsed
 expression may be shared freely between threads.
@@ -335,16 +337,17 @@ def serialize(expr: CoefficientExpr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarray:
-    """Plain golden-section minima of fn on the brackets [lo[i], hi[i]],
-    refined together; deterministic.  fn maps an array of times to an array
-    of values and is called once per iteration, on the brackets that have
-    not yet shrunk below 1e-14 relative width (those stay frozen)."""
+def _golden_min(g, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, iters: int = 80) -> np.ndarray:
+    """Plain golden-section minima of sign[i] * g(t) on the brackets
+    [lo[i], hi[i]], refined together; deterministic.  g maps an array of
+    times to an array of values.  It is called once for both starting
+    points and then once per iteration, on the brackets that have not yet
+    shrunk below 1e-14 relative width (those stay frozen)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc, fd = np.split(np.tile(sign, 2) * g(np.concatenate([c, d])), 2)
     active = np.ones(a.shape, dtype=bool)
     for _ in range(iters):
         active &= b - a >= 1e-14 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
@@ -356,62 +359,108 @@ def _golden_min(fn, lo: np.ndarray, hi: np.ndarray, iters: int = 80) -> np.ndarr
         c[left] = b[left] - invphi * (b[left] - a[left])
         a[right], c[right], fc[right] = c[right], d[right], fd[right]
         d[right] = a[right] + invphi * (b[right] - a[right])
-        values = fn(np.where(left, c, d)[active])
+        values = sign[active] * g(np.where(left, c, d)[active])
         fc[left] = values[left[active]]
         fd[right] = values[right[active]]
     return np.minimum(fc, fd)
 
 
-def _candidate_cells(values: np.ndarray, cap: int = 40, dmax: float | None = None) -> np.ndarray:
-    """Local-minimum cells of the sampled values within a sampling-offset
-    slack of the grid minimum.  Every basin whose bottom could undercut the
-    best sampled cell gets refined, so a coarser grid cannot out-refine a
-    finer one on near-tied basins.  dmax, the largest step between
-    neighbouring samples, is computed when not given."""
-    n = values.size
-    if n < 3:
-        return np.array([np.argmin(values)])
-    if dmax is None:
-        dmax = float(np.abs(np.diff(values)).max())
-    if dmax == 0.0:
-        return np.array([np.argmin(values)])  # flat sampling, nothing to refine
-    interior = (values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])
-    idxs = np.concatenate([[0], np.flatnonzero(interior) + 1, [n - 1]])
-    vmin = float(values.min())
-    sel = idxs[values[idxs] <= vmin + 2.0 * dmax + 1e-15]  # holds the grid minimum
-    if sel.size > cap:
-        sel = sel[np.argpartition(values[sel], cap)[:cap]]
-    return sel
+_SCAN_BLOCK = 1 << 16  # samples per block of the grid scan; a block's arrays stay in cache
+_SCAN_CAP = 40  # most candidate cells refined per sign
 
 
 def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
-    """Shared scan of the grid linspace(0, horizon, samples): (BoundsEstimate
-    of |f|, first nonpositive raw value and its t if any, else the raw
-    minimum and its t).  A constant c needs no scan: every sample and every
-    refinement finds |c|, and its raw minimum is c at the first sample."""
+    """Scan of the grid linspace(0, horizon, samples): (BoundsEstimate of
+    |f|, first nonpositive raw value and its t if any, else the raw minimum
+    and its t).  A constant c needs no scan: every sample and every
+    refinement finds |c|, and its raw minimum is c at the first sample.
+
+    The grid is evaluated in blocks of _SCAN_BLOCK samples, each with one
+    neighbour on either side so that every adjacent pair is compared, and
+    each block is reduced at once.  For each sign, the least of sign*|f| is
+    refined in the candidate cells: the local minima of sign*|f| (the
+    endpoints included) within a sampling-offset slack, twice the largest
+    step between neighbouring samples, of the least sample.  Every basin
+    whose bottom could undercut the best sampled cell gets refined, so a
+    coarser grid cannot out-refine a finer one on near-tied basins; past
+    _SCAN_CAP cells, the lowest are kept.  Both signs' cells are refined
+    in one golden-section search."""
     if isinstance(expr.root, Const):
         c = evaluate(expr, 0.0)  # a non-finite literal raises here, as in the scan
         return BoundsEstimate(abs(c), abs(c), horizon, grid.size), c, 0.0
-    raw = evaluate_array(expr, grid)
-    mag = np.abs(raw)
-    h = grid[1] - grid[0] if grid.size > 1 else 0.0
-    dmax = float(np.abs(np.diff(mag)).max()) if grid.size > 2 else None  # the same for both signs
-    # least of sign*|f| per sign: the inf for +1, minus the sup for -1
-    least = {}
-    for sign in (1.0, -1.0):
-        values = sign * mag
-        cells = _candidate_cells(values, dmax=dmax)
-        lo = np.maximum(0.0, grid[cells] - h)
-        hi = np.minimum(horizon, grid[cells] + h)  # lo == hi == 0 on a one-point grid
-        refined = _golden_min(lambda t: sign * np.abs(evaluate_array(expr, t)), lo, hi)
-        least[sign] = min(float(values.min()), float(refined.min()))
-    nonpos = raw <= 0.0
-    if nonpos.any():
-        ibad = int(np.argmax(nonpos))  # first violation
-    else:
-        ibad = int(np.argmin(raw))
-    est = BoundsEstimate(least[1.0], -least[-1.0], horizon, grid.size)
-    return est, float(raw[ibad]), float(grid[ibad])
+    n = grid.size
+    dmax = 0.0  # largest |f| step between neighbouring samples
+    ends = []  # |f| at the first and the last sample
+    least = [(math.inf, 0), (math.inf, 0)]  # least sample of |f| and of -|f|, with its first index
+    minima = ([], []), ([], [])  # per sign: indices and |f| of the interior local minima of sign*|f|
+    raw_min = (math.inf, 0)  # least raw sample and its first index, until a nonpositive one is found
+    bad = None  # the first nonpositive raw sample and its index
+    for start in range(0, n, _SCAN_BLOCK):
+        lo, stop = max(start - 1, 0), min(start + _SCAN_BLOCK, n)
+        try:
+            raw = evaluate_array(expr, grid[lo:stop + 1])
+        except ExprDomainError:
+            evaluate_array(expr, grid)  # raises the first error of the whole-grid walk
+            raise
+        mag = np.abs(raw)
+        own = slice(start - lo, stop - lo)
+        if start == 0:
+            ends.append(mag[0])
+        if stop == n:
+            ends.append(mag[-1])
+        for k, values in enumerate((mag[own], -mag[own])):
+            i = int(np.argmin(values))
+            if values[i] < least[k][0]:
+                least[k] = (float(values[i]), start + i)
+        if bad is None:
+            values = raw[own]
+            i = int(np.argmin(values))
+            if values[i] <= 0.0:
+                i = int(np.argmax(values <= 0.0))
+                bad = (float(values[i]), start + i)
+            elif values[i] < raw_min[0]:
+                raw_min = (float(values[i]), start + i)
+        step = np.diff(mag)
+        if step.size:
+            dmax = max(dmax, float(np.abs(step).max()))
+        falls, rises = step[:-1], step[1:]
+        for k, interior in enumerate(((falls <= 0.0) & (rises >= 0.0), (falls >= 0.0) & (rises <= 0.0))):
+            cells = np.flatnonzero(interior) + 1
+            minima[k][0].append(cells + lo)
+            minima[k][1].append(mag[cells])
+
+    h = grid[1] - grid[0] if n > 1 else 0.0
+    cells, signs = [], []
+    for k, sign in enumerate((1.0, -1.0)):
+        if n < 3 or dmax == 0.0:
+            sel = np.array([least[k][1]])  # flat sampling, nothing to refine
+        else:
+            idxs = np.concatenate([[0], *minima[k][0], [n - 1]])
+            values = sign * np.concatenate([[ends[0]], *minima[k][1], [ends[-1]]])
+            keep = values <= least[k][0] + 2.0 * dmax + 1e-15  # holds the grid minimum
+            sel = idxs[keep]
+            if sel.size > _SCAN_CAP:
+                sel = sel[np.argpartition(values[keep], _SCAN_CAP)[:_SCAN_CAP]]
+        cells.append(sel)
+        signs.append(np.full(sel.size, sign))
+    cells = np.concatenate(cells)
+    lo = np.maximum(0.0, grid[cells] - h)
+    hi = np.minimum(horizon, grid[cells] + h)  # lo == hi == 0 on a one-point grid
+    split, signs = signs[0].size, np.concatenate(signs)
+
+    def mag(t):
+        return np.abs(evaluate_array(expr, t))
+
+    try:
+        refined = _golden_min(mag, lo, hi, signs)
+    except ExprDomainError:
+        for part in (slice(None, split), slice(split, None)):
+            _golden_min(mag, lo[part], hi[part], signs[part])  # the first error of the inf's search, then the sup's
+        raise
+    inf_value = min(least[0][0], float(refined[:split].min()))
+    sup_value = -min(least[1][0], float(refined[split:].min()))
+    value, i = bad or raw_min
+    return BoundsEstimate(inf_value, sup_value, horizon, n), value, float(grid[i])
 
 
 def estimate_bounds(expr: CoefficientExpr, horizon: float = 1000.0, samples: int = 100_000) -> BoundsEstimate:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .expr import evaluate_array
+from .expr import CoefficientExpr, evaluate_array
 from .model import InitialHistory, ModelSpec
 
 __all__ = [
@@ -77,7 +77,7 @@ class Trajectory:
 @dataclass(eq=False)
 class BatchTrajectory:
     """Several trajectories of the same model on a shared grid (one column
-    per constant initial history)."""
+    per initial history)."""
 
     t0: float
     t_end: float
@@ -87,12 +87,17 @@ class BatchTrajectory:
     y: np.ndarray
     dx: np.ndarray
     dy: np.ndarray
-    histories: np.ndarray  # shape (m, 2)
+    histories: tuple[InitialHistory, ...]  # m of them
     r: float
 
     def min_uv(self) -> np.ndarray:
         """Per-history minimum of min(u, v) over all knots."""
         return np.exp(np.minimum(self.x.min(axis=0), self.y.min(axis=0)))
+
+    def column(self, i: int) -> Trajectory:
+        """The run from histories[i], as the Trajectory integrate() gives."""
+        x, y, dx, dy = (np.ascontiguousarray(a[:, i]) for a in (self.x, self.y, self.dx, self.dy))
+        return Trajectory(self.t0, self.t_end, self.h, self.t, x, y, dx, dy, self.histories[i], self.r)
 
 
 def _log_or_neginf(value: float, what: str) -> float:
@@ -155,6 +160,14 @@ def _prey_steps(x: float, kx1: float, a1: list, b: list, q: list, h: float) -> t
         xs.append(x)
         dxs.append(kx1)
     return xs, dxs
+
+
+def _log_history(phi, thetas: np.ndarray, what: str) -> list:
+    """ln phi at the shifted times thetas, through math.log (np.log may
+    differ from it in the last ulp); a constant is taken once."""
+    if isinstance(phi, CoefficientExpr):
+        return [_log_or_neginf(v, what) for v in phi(thetas).tolist()]
+    return [_log_or_neginf(phi, what)] * len(thetas)
 
 
 def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
@@ -265,42 +278,43 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
     return z[0], z[1], dz[0], dz[1], r
 
 
+def _integrate(spec: ModelSpec, histories, t0: float, t_end: float, h: float) -> BatchTrajectory:
+    """The kernel run with one column per initial history."""
+    for history in histories:
+        if history.value1(0.0) <= 0.0 or history.value2(0.0) <= 0.0:
+            raise IntegrationError("history must satisfy phi1(0) > 0 and phi2(0) > 0")
+
+    def log_hist(comp, thetas):
+        return np.array([_log_history((hist.phi1, hist.phi2)[comp], thetas, f"history phi{comp + 1}")
+                         for hist in histories]).T
+
+    x, y, dx, dy, r = _rk4(spec, t0, t_end, h, log_hist)
+    n = len(x) - 1
+    return BatchTrajectory(t0, t0 + n * h, h, t0 + h * np.arange(n + 1), x, y, dx, dy, tuple(histories), r)
+
+
 def integrate(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float, h: float) -> Trajectory:
     """Integrate the system from an initial history; deterministic for fixed
-    inputs (two identical calls give bit-identical knots)."""
-    values = (history.value1, history.value2)
-    if values[0](0.0) <= 0.0 or values[1](0.0) <= 0.0:
-        raise IntegrationError("history must satisfy phi1(0) > 0 and phi2(0) > 0")
-
-    def log_hist(comp, thetas):
-        return np.array([[_log_or_neginf(v, f"history phi{comp + 1}")] for v in values[comp](thetas).tolist()])
-
-    x, y, dx, dy, r = _rk4(spec, t0, t_end, h, log_hist)
-    n = len(x) - 1
-    return Trajectory(t0, t0 + n * h, h, t0 + h * np.arange(n + 1),
-                      x[:, 0], y[:, 0], dx[:, 0], dy[:, 0], history, r)
+    inputs (two identical calls give bit-identical knots).  The run is a
+    batch of one."""
+    return _integrate(spec, [history], t0, t_end, h).column(0)
 
 
-def integrate_batch(spec: ModelSpec, histories: np.ndarray, t0: float, t_end: float, h: float) -> BatchTrajectory:
-    """Integrate many constant-history runs of one model on a shared grid.
+def integrate_batch(spec: ModelSpec, histories, t0: float, t_end: float, h: float) -> BatchTrajectory:
+    """Integrate many runs of one model on a shared grid, in one kernel call.
 
-    histories: array of shape (m, 2) of positive constants (u0, v0).
-    Column i of the result is bit-identical to the single integrate() run
-    from the history (u0, v0) of row i: both go through the same kernel.
+    histories: a sequence of InitialHistory, or an array of shape (m, 2)
+    of positive constants (u0, v0), one row per run.  column(i) of the
+    result is bit-identical to the single integrate() run from history i.
     """
-    histories = np.asarray(histories, dtype=float)
-    if histories.ndim != 2 or histories.shape[1] != 2:
-        raise IntegrationError("histories must have shape (m, 2)")
-    if (histories <= 0.0).any():
-        raise IntegrationError("constant histories must be strictly positive")
-    logs = np.array([[math.log(v) for v in col] for col in histories.T.tolist()])
-
-    def log_hist(comp, thetas):
-        return np.broadcast_to(logs[comp], (len(thetas), len(histories)))
-
-    x, y, dx, dy, r = _rk4(spec, t0, t_end, h, log_hist)
-    n = len(x) - 1
-    return BatchTrajectory(t0, t0 + n * h, h, t0 + h * np.arange(n + 1), x, y, dx, dy, histories, r)
+    if len(histories) == 0 or not all(isinstance(hist, InitialHistory) for hist in histories):
+        consts = np.asarray(histories, dtype=float)
+        if consts.ndim != 2 or consts.shape[1] != 2:
+            raise IntegrationError("histories must have shape (m, 2)")
+        if (consts <= 0.0).any():
+            raise IntegrationError("constant histories must be strictly positive")
+        histories = [InitialHistory(u0, v0) for u0, v0 in consts.tolist()]
+    return _integrate(spec, histories, t0, t_end, h)
 
 
 def sample_state(traj: Trajectory, t: float) -> tuple[float, float]:

@@ -233,18 +233,19 @@ def run_attractivity(
     h: float = 0.01,
     t0: float = 0.0,
     traj_a: Trajectory | None = None,
+    traj_b: Trajectory | None = None,
 ) -> AttractivityResult:
     """Integrate two admissible histories on a shared grid and watch the
     distance d(t) = |u_a - u_b| + |v_a - v_b| contract.
 
     Pass requires d(t_end) < threshold and a nonincreasing envelope over the
     last quarter of the run (window maxima of the tail must not grow).
-    The curve is symmetric under swapping the two histories.  A trajectory
-    of history_a already integrated on the same grid may be passed as
-    traj_a to avoid re-integration.
+    The curve is symmetric under swapping the two histories.  Trajectories
+    of history_a and history_b already integrated on the same grid may be
+    passed as traj_a and traj_b to avoid re-integration.
     """
     ta = traj_a if traj_a is not None else integrate(spec, history_a, t0, t_end, h)
-    tb = integrate(spec, history_b, t0, t_end, h)
+    tb = traj_b if traj_b is not None else integrate(spec, history_b, t0, t_end, h)
     d = np.abs(ta.u - tb.u) + np.abs(ta.v - tb.v)
     n = d.size
     tail = d[3 * n // 4:]

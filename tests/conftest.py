@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lgholling import (
+    BoundsEstimate,
     CoefficientBounds,
     ExprDomainError,
     InitialHistory,
@@ -295,6 +296,54 @@ def reference_golden_min(fn, lo: float, hi: float, iters: int = 80) -> float:
             d = a + invphi * (b - a)
             fd = fn(d)
     return min(fc, fd)
+
+
+def reference_candidate_cells(values: np.ndarray, cap: int = 40, dmax: float | None = None) -> np.ndarray:
+    """Reference oracle for the candidate cells of the sup/inf scan, on the
+    whole array of sampled values: the local minima (endpoints included)
+    within 2 dmax + 1e-15 of the least sample, at most cap of them (the
+    lowest, by argpartition); dmax, the largest step between neighbouring
+    samples, is computed when not given.  Fewer than 3 samples or a flat
+    sampling give the first least sample alone."""
+    n = values.size
+    if n < 3:
+        return np.array([np.argmin(values)])
+    if dmax is None:
+        dmax = float(np.abs(np.diff(values)).max())
+    if dmax == 0.0:
+        return np.array([np.argmin(values)])
+    interior = (values[1:-1] <= values[:-2]) & (values[1:-1] <= values[2:])
+    idxs = np.concatenate([[0], np.flatnonzero(interior) + 1, [n - 1]])
+    vmin = float(values.min())
+    sel = idxs[values[idxs] <= vmin + 2.0 * dmax + 1e-15]
+    if sel.size > cap:
+        sel = sel[np.argpartition(values[sel], cap)[:cap]]
+    return sel
+
+
+def reference_scan(expr, horizon: float, grid: np.ndarray):
+    """Reference oracle for the sup/inf scan: the whole grid evaluated in
+    one call and reduced array by array, each candidate cell refined on
+    its own by reference_golden_min with scalar evaluations.  Returns
+    (BoundsEstimate, first nonpositive raw value or else the raw minimum,
+    its t) and raises the whole grid's ExprDomainError."""
+    if isinstance(expr.root, Const):
+        c = evaluate(expr, 0.0)
+        return BoundsEstimate(abs(c), abs(c), horizon, grid.size), c, 0.0
+    raw = evaluate_array(expr, grid)
+    mag = np.abs(raw)
+    h = grid[1] - grid[0] if grid.size > 1 else 0.0
+    dmax = float(np.abs(np.diff(mag)).max()) if grid.size > 2 else None
+    least = {}
+    for sign in (1.0, -1.0):
+        values = sign * mag
+        refined = [reference_golden_min(lambda t: sign * abs(evaluate(expr, t)),
+                                        max(0.0, grid[i] - h), min(horizon, grid[i] + h))
+                   for i in reference_candidate_cells(values, dmax=dmax)]
+        least[sign] = min(float(values.min()), float(min(refined)))
+    nonpos = raw <= 0.0
+    ibad = int(np.argmax(nonpos)) if nonpos.any() else int(np.argmin(raw))
+    return BoundsEstimate(least[1.0], -least[-1.0], horizon, grid.size), float(raw[ibad]), float(grid[ibad])
 
 
 def reference_eval_array(text: str, t) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lgholling import ConfigError, load_config, run_config
+from lgholling import ConfigError, InitialHistory, ModelSpec, load_config, run_attractivity, run_config
 from lgholling.cli import main
 from lgholling.presets import preset_config
 from conftest import load_report
@@ -430,3 +430,59 @@ def test_overflowing_fixed_point_source_exits_3_without_warning(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert "f_2 not finite" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "bounds", "stability", "fixed-point", "pap-check"])
+def test_config_output_dir_is_the_default_out(tmp_path, monkeypatch, command):
+    data = small_config(output_dir=str(tmp_path / "from-config"))
+    data["analyses"] = dict.fromkeys(data["analyses"], True)
+    data["options"].update(liminf_t_max=10.0, liminf_points=11, fp_t_hi=1.0, fp_max_iter=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main([command, str(cfg)]) == 0
+    assert (tmp_path / "from-config" / "report.json").exists()
+    assert not (tmp_path / "lgholling-out").exists()
+
+
+def test_seed_is_refused_where_nothing_reads_it(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config()), encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "lgholling", "run", str(cfg), "--out", str(tmp_path / "out"),
+                           "--seed", "5"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --seed 5" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_attractivity_history_exits_3_before_any_file(tmp_path, capsys):
+    """The main history and the attractivity history are integrated in one
+    kernel call, so an overflow in the second stops the run before
+    trajectories.csv is written."""
+    data = short_preset("example2")
+    data["options"]["attractivity_history"] = [0.75, 1e300]
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "numerical failure: log-state overflow at t=0.05\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_attractivity_equals_lone_runs(example2_run):
+    """The pipeline's attractivity curve, from one kernel call for both
+    histories, is the one two separate integrations give."""
+    report, out = example2_run
+    config = preset_config("example2")
+    spec = ModelSpec.from_strings(config["model"])
+    run, opts = config["run"], config["options"]
+    alone = run_attractivity(spec, InitialHistory(config["history"]["phi1"], config["history"]["phi2"]),
+                             InitialHistory(*opts["attractivity_history"]), run["t_end"],
+                             threshold=opts["attractivity_threshold"], h=run["h"], t0=run["t0"])
+    assert alone.distances.max() > 0.1
+    assert report["stability"]["attractivity"]["final_distance"] == alone.final_distance
+    rows = (out / "attractivity.csv").read_text(encoding="utf-8").splitlines()[1:]
+    stride = opts["csv_stride"]
+    assert [float(row.split(",")[1]) for row in rows] == alone.distances[::stride].tolist()

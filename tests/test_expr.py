@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 from lgholling import (
     ExprDomainError,
     ExprSyntaxError,
+    ModelSpec,
     estimate_bounds,
     evaluate,
     evaluate_array,
     parse_expression,
     serialize,
+    validate_model,
 )
-from lgholling.expr import Binary, CoefficientExpr, Const, Var, _candidate_cells
+from lgholling import expr as expr_module
+from lgholling.expr import Binary, CoefficientExpr, Const, Var, _scan
 from lgholling.presets import PRESET_NAMES, preset_config
-from conftest import reference_eval_array, reference_golden_min
+from conftest import reference_candidate_cells, reference_eval_array, reference_scan
 
 EXPR_CORPUS = [
     "0.04 + 0.125*abs(cos(sqrt(2)*t)) + 0.125*exp(-t)",
@@ -292,21 +295,106 @@ def test_bounds_are_of_absolute_value():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_estimate_bounds_equals_scalar_golden_reference(name):
-    """Refining all candidate cells together gives the same sup/inf, bit for
-    bit, as refining them one at a time with scalar evaluations."""
-    options = preset_config(name)["options"]
-    horizon, samples = options["bounds_horizon"], options["bounds_samples"]
+    """The blocked scan, with all candidate cells refined together, gives
+    the same sup/inf, raw minimum and its t, bit for bit, as the
+    whole-array scan that refines the cells one at a time with scalar
+    evaluations; so do estimate_bounds and validate_model."""
+    config = preset_config(name)
+    horizon, samples = config["options"]["bounds_horizon"], config["options"]["bounds_samples"]
     grid = np.linspace(0.0, horizon, samples)
-    h = grid[1] - grid[0]
-    for sym, text in preset_config(name)["model"].items():
+    report = validate_model(ModelSpec.from_strings(config["model"]), horizon=horizon, samples=samples)
+    for sym, text in config["model"].items():
         e = parse_expression(text)
-        mag = np.abs(evaluate_array(e, grid))
-        inf_value, sup_value = float(mag.min()), float(mag.max())
-        for idx in _candidate_cells(mag):
-            lo, hi = max(0.0, grid[idx] - h), min(horizon, grid[idx] + h)
-            inf_value = min(inf_value, reference_golden_min(lambda t: abs(evaluate(e, t)), lo, hi))
-        for idx in _candidate_cells(-mag):
-            lo, hi = max(0.0, grid[idx] - h), min(horizon, grid[idx] + h)
-            sup_value = max(sup_value, -reference_golden_min(lambda t: -abs(evaluate(e, t)), lo, hi))
-        est = estimate_bounds(e, horizon=horizon, samples=samples)
-        assert (est.inf_value, est.sup_value) == (inf_value, sup_value), sym
+        want = reference_scan(e, horizon, grid)
+        assert _scan(e, horizon, grid) == want, sym
+        assert estimate_bounds(e, horizon=horizon, samples=samples) == want[0], sym
+        assert report.bounds[sym] == want[0], sym
+
+
+def scan_both(text: str, horizon: float, n: int):
+    """The blocked scan and the whole-array reference on linspace(0, horizon, n)."""
+    e = parse_expression(text)
+    grid = np.linspace(0.0, horizon, n)
+    return _scan(e, horizon, grid), reference_scan(e, horizon, grid)
+
+
+@pytest.fixture
+def block8(monkeypatch):
+    """Scan blocks of 8 samples."""
+    monkeypatch.setattr(expr_module, "_SCAN_BLOCK", 8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 17])
+@pytest.mark.parametrize("text", [t for t in EXPR_CORPUS if t != "3.2"] + ["sin(3*t)"])
+def test_blocked_scan_equals_whole_array_scan(block8, text, n):
+    got, want = scan_both(text, 10.0, n)
+    assert got == want
+
+
+@pytest.mark.parametrize("idx", [7, 8, 15, 16])
+@pytest.mark.parametrize("shape", ["1 + (t - {c})^2", "2 - 0.1*(t - {c})^2"])
+def test_blocked_scan_extremum_on_a_block_edge(block8, shape, idx):
+    grid = np.linspace(0.0, 3.2, 33)
+    text = shape.format(c=repr(float(grid[idx])))
+    mag = np.abs(evaluate_array(parse_expression(text), grid))
+    extreme = mag if shape.startswith("1") else -mag
+    assert idx in reference_candidate_cells(extreme)
+    got, want = scan_both(text, 3.2, 33)
+    assert got == want
+
+
+def test_blocked_scan_of_a_flat_expression(block8):
+    assert not isinstance(parse_expression("1 + 0*t").root, Const)
+    got, want = scan_both("1 + 0*t", 10.0, 101)
+    assert got == want
+    assert (got[0].inf_value, got[0].sup_value) == (1.0, 1.0)
+
+
+def test_blocked_scan_caps_near_tied_minima(monkeypatch):
+    monkeypatch.setattr(expr_module, "_SCAN_BLOCK", 64)
+    grid = np.linspace(0.0, 200.0, 2001)
+    mag = np.abs(evaluate_array(parse_expression("abs(sin(t))"), grid))
+    assert reference_candidate_cells(mag, cap=10**6).size > 40
+    got, want = scan_both("abs(sin(t))", 200.0, 2001)
+    assert got == want
+
+
+@pytest.mark.parametrize("text, t_min", [("cos(t)", 1.6), ("2 + cos(t)", 9.4)])
+def test_blocked_scan_finds_the_raw_minimum_in_a_later_block(block8, text, t_min):
+    """cos(t) first goes nonpositive at t = 1.6, in the third block; 2 + cos(t)
+    stays positive and is least at 9.4, in the twelfth."""
+    got, want = scan_both(text, 10.0, 101)
+    assert got == want
+    assert got[2] == t_min
+
+
+@pytest.mark.parametrize("block", [8, 1 << 16])
+def test_blocked_scan_raises_the_whole_grid_error(monkeypatch, block):
+    """A block that holds t = 100 but no t > 400 fails on the division; the
+    whole-grid walk fails on the square root first, and so does the scan."""
+    monkeypatch.setattr(expr_module, "_SCAN_BLOCK", block)
+    e = parse_expression("sqrt(400-t) + 1/(t-100)")
+    grid = np.linspace(0.0, 1000.0, 1001)
+    with pytest.raises(ExprDomainError, match="division by zero at t=100.0"):
+        evaluate_array(e, grid[96:104])
+    with pytest.raises(ExprDomainError) as whole:
+        reference_scan(e, 1000.0, grid)
+    assert str(whole.value) == "sqrt of negative value at t=401.0"
+    with pytest.raises(ExprDomainError) as blocked:
+        _scan(e, 1000.0, grid)
+    assert str(blocked.value) == str(whole.value)
+
+
+def test_blocked_scan_raises_the_inf_refinement_error_first():
+    """Every sample lies in the domain, but both refinements step out of it:
+    the inf's near t = 0.55 and, in an earlier golden-section iteration, the
+    sup's near t = 0.25.  The error raised is the inf's, as when each sign
+    is refined alone."""
+    e = parse_expression("sqrt(abs(t-0.55) - 0.003) + 1/sqrt(abs(t-0.25) - 0.004)")
+    grid = np.linspace(0.0, 1.0, 12)
+    evaluate_array(e, grid)
+    with pytest.raises(ExprDomainError) as want:
+        reference_scan(e, 1.0, grid)
+    with pytest.raises(ExprDomainError) as got:
+        _scan(e, 1.0, grid)
+    assert str(got.value) == str(want.value) == "sqrt of negative value at t=0.5505207354546219"

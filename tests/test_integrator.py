@@ -13,6 +13,7 @@ from lgholling import (
     order_check,
     sample_state,
 )
+from lgholling.presets import preset_config
 from conftest import make_spec, reference_rk4
 
 
@@ -191,6 +192,34 @@ def test_knots_equal_reference_rk4(case):
 def test_preset_knots_equal_reference_rk4(name):
     spec, hist = make_spec(name), InitialHistory(0.5, 0.5)
     assert_knots_equal(integrate(spec, hist, 0.0, 200.0, 0.01), reference_rk4(spec, hist, 0.0, 200.0, 0.01))
+
+
+def assert_same_run(got, want):
+    for name in ("t", "x", "y", "dx", "dy"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.t0, got.t_end, got.h, got.r, got.history) == (want.t0, want.t_end, want.h, want.r, want.history)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_pipeline_histories_in_one_call_equal_lone_runs(name):
+    """The pipeline integrates its history and the attractivity history as
+    two columns of one kernel call; each column is the lone run."""
+    config = preset_config(name)
+    spec, run = make_spec(name), config["run"]
+    hists = [InitialHistory(config["history"]["phi1"], config["history"]["phi2"]),
+             InitialHistory(*config["options"]["attractivity_history"])]
+    batch = integrate_batch(spec, hists, run["t0"], run["t_end"], run["h"])
+    for i, hist in enumerate(hists):
+        assert_same_run(batch.column(i), integrate(spec, hist, run["t0"], run["t_end"], run["h"]))
+
+
+def test_expression_history_beside_a_constant_one_equals_lone_runs(example2_spec):
+    hists = [InitialHistory(parse_expression("0.5 + 0.1*cos(t)"), parse_expression("0.4*exp(t)")),
+             InitialHistory(0.75, 0.75)]
+    batch = integrate_batch(example2_spec, hists, 0.0, 20.0, 0.01)
+    assert np.array_equal(batch.t, 0.01 * np.arange(2001))
+    for i, hist in enumerate(hists):
+        assert_same_run(batch.column(i), integrate(example2_spec, hist, 0.0, 20.0, 0.01))
 
 
 def test_batch_positivity_random_histories(example1_spec):
