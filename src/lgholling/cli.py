@@ -39,6 +39,8 @@ __all__ = ["RunConfig", "load_config", "run_preset", "run_config", "run_pipeline
 
 # most grid intervals a run may ask for: (t_end - t0) / h and fp_t_hi / fp_step; also caps sample counts
 _MAX_STEPS = 10**7
+# rows formatted per write by _write_csv: bounds the text and values held at once
+_CSV_BLOCK_ROWS = 1 << 16
 
 
 class _Field(NamedTuple):
@@ -194,11 +196,17 @@ def _make_history(config: RunConfig) -> InitialHistory:
     return InitialHistory(conv(config.history["phi1"]), conv(config.history["phi2"]))
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, columns) -> None:
+    """One row per index of the equal-length columns, each value as %.17g
+    (the same text as format(v, ".17g")), formatted in blocks of rows by
+    one % operation over a repeated line template."""
+    table = np.column_stack(columns)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+        for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[lo:lo + _CSV_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _bounds_dict(pb: PermanenceBounds) -> dict:
@@ -253,11 +261,22 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         raise ConfigError("/table_bounds", str(exc)) from exc
     pb_active = pb_table if pb_table is not None else pb_est
 
-    # the main history and the attractivity partner are two columns of one kernel call
+    # the main history, the attractivity partner and the random histories
+    # are columns of one kernel call
     histories = [history]
     if analyses["stability"] and analyses["attractivity"]:
         alt = opt["attractivity_history"]
         histories.append(InitialHistory(float(alt[0]), float(alt[1])))
+    if random_histories > 0:
+        # the random set's row 0 is the constant (phi1(0), phi2(0)): column 0
+        # itself when the main history is that constant
+        row0 = InitialHistory(float(history.value1(0.0)), float(history.value2(0.0)))
+        first = 0 if row0 == history else len(histories)
+        if first:
+            histories.append(row0)
+        random_cols = [first, *range(len(histories), len(histories) + random_histories)]
+        rng = np.random.default_rng(seed)
+        histories += [InitialHistory(u0, v0) for u0, v0 in rng.uniform(0.05, 2.0, size=(random_histories, 2)).tolist()]
     runs = integrate_batch(spec, histories, t0, t_end, h)
     traj = runs.column(0)
     stride = opt["csv_stride"]
@@ -265,15 +284,11 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
     out_dir.mkdir(parents=True, exist_ok=True)
     u, v = traj.u, traj.v
     _write_csv(out_dir / "trajectories.csv", "t,u,v",
-               zip(traj.t[::stride], u[::stride], v[::stride]))
+               (traj.t[::stride], u[::stride], v[::stride]))
     files["trajectories"] = out_dir / "trajectories.csv"
 
     if random_histories > 0:
-        rng = np.random.default_rng(seed)
-        hists = np.vstack([[history.value1(0.0), history.value2(0.0)],
-                           rng.uniform(0.05, 2.0, size=(random_histories, 2))])
-        batch = integrate_batch(spec, hists, t0, t_end, h)
-        min_uv = batch.min_uv()
+        min_uv = runs.min_uv()[random_cols]
         report["random_histories"] = {
             "count": int(random_histories),
             "seed": int(seed),
@@ -308,7 +323,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
                                    threshold=float(opt["attractivity_threshold"]), h=h, t0=t0,
                                    traj_a=traj, traj_b=runs.column(1))
             _write_csv(out_dir / "attractivity.csv", "t,distance",
-                       zip(att.times[::stride], att.distances[::stride]))
+                       (att.times[::stride], att.distances[::stride]))
             files["attractivity"] = out_dir / "attractivity.csv"
         t_grid = np.linspace(0.0, float(opt["liminf_t_max"]), opt["liminf_points"])
         est = estimate_liminf(spec, pb_active, t_grid, opt["beta_denominator"])
@@ -345,7 +360,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
             coeff_bounds=table_cb if table_cb is not None else est_cb,
         )
         _write_csv(out_dir / "fixedpoint.csv", "t,u_star,v_star",
-                   zip(result.pair.grid(), result.pair.phi, result.pair.psi))
+                   (result.pair.grid(), result.pair.phi, result.pair.psi))
         files["fixedpoint"] = out_dir / "fixedpoint.csv"
         report["fixed_point"] = {
             "grid": {"t_lo": result.pair.t_lo, "t_hi": result.pair.t_hi, "step": result.pair.step},

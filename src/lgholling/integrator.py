@@ -14,8 +14,12 @@ knot k0; with constant delays a window is W = floor(min delay / h) steps.  Per
 window the delayed values, the predator slope (which depends on delayed
 values only, so y advances by a running sum) and the prey forcing
 q = c1 e^{y(t-tau1)} / (e^{x(t-sigma1)} + k1) are computed at once with
-numpy.  What stays sequential is the scalar prey recurrence
-x' = a1 - b e^x - q.  Every exponential goes through math.exp, so the knots
+numpy.  A delayed value depends only on the component read and the delay,
+so each distinct delayed argument is read once: channels with the same
+component and the same delay text share one Hermite plan, one gather and
+one exponential pass (both presets set all four delays equal, so u(t-sigma1)
+serves for u(t-sigma2) and v(t-tau1) for v(t-tau2)).  What stays sequential
+is the scalar prey recurrence x' = a1 - b e^x - q.  Every exponential goes through math.exp, so the knots
 are the same floats as those of a plain per-step RK4 loop, and a batch
 column is bit-identical to the single run from the same history.
 
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError
-from .expr import CoefficientExpr, evaluate_array
+from .expr import CoefficientExpr, evaluate_array, serialize
 from .model import InitialHistory, ModelSpec
 
 __all__ = [
@@ -47,7 +51,7 @@ __all__ = [
 _LOG_LIMIT = 700.0  # beyond this exp overflows
 # delayed channels in lookup order, and the component (0 = x, 1 = y) each reads
 _CHANNELS = ("sigma1", "sigma2", "tau1", "tau2")
-_COMPONENT = np.array([[0], [0], [1], [1]])
+_COMPONENT = (0, 0, 1, 1)
 
 
 @dataclass(eq=False)
@@ -190,7 +194,14 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
     # stage grid t0 + j*h/2, j = 0..2n; the delay check comes before the
     # divisibility check so a too-large step gets the actionable error
     tgrid = t0 + 0.5 * h * np.arange(2 * n + 1)
-    delays = np.array([evaluate_array(spec.expr(sym), tgrid) for sym in _CHANNELS])
+    # a delayed read depends only on its component and its delay, so the
+    # channels sharing both (key: component, canonical text, which keeps 0.0
+    # and -0.0 apart) share every read: the U distinct keys, in the order
+    # they first occur, are planned, read and exponentiated once each
+    keys = [(comp, serialize(spec.expr(sym))) for sym, comp in zip(_CHANNELS, _COMPONENT)]
+    distinct = list(dict.fromkeys(keys))
+    slot = [distinct.index(key) for key in keys]
+    delays = np.array([evaluate_array(spec.expr(_CHANNELS[keys.index(key)]), tgrid) for key in distinct])
     min_delay = float(delays.min())
     if min_delay <= 0.0:
         raise IntegrationError("delays must stay positive on the integration window")
@@ -209,7 +220,7 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
     a2, c1, c2, k1, k2 = (evaluate_array(spec.expr(sym), tgrid)[:, None]
                           for sym in ("a2", "c1", "c2", "k1", "k2"))
 
-    # Hermite plan of every stage and channel, shape (4, 2n+1)
+    # Hermite plan of every stage and distinct key, shape (U, 2n+1)
     delayed = tgrid - delays
     r = max(0.0, float((t0 - delayed.min(axis=1)).max()))
     in_history = delayed < t0
@@ -220,26 +231,32 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
     i0 = np.where(in_history, 0, idx)
     i1 = np.minimum(i0 + 1, n)
     hist_stages = [np.flatnonzero(row) for row in in_history]
-    hist_values = [log_hist(int(_COMPONENT[c, 0]), delayed[c, stages] - t0) for c, stages in enumerate(hist_stages)]
+    hist_values = [log_hist(comp, row[stages] - t0) for (comp, _), stages, row in zip(distinct, hist_stages, delayed)]
+    # as rows of the flat knot arrays below: row c*(n+1) + i is knot i of component c
+    comp_row = (n + 1) * np.array([[comp] for comp, _ in distinct])
+    i0 += comp_row
+    i1 += comp_row
 
     # knots per component: z[0] = x, z[1] = y (zeros: a zero-weight Hermite
     # term may touch a knot not computed yet, and 0.0 * 0.0 must stay 0.0)
     z = np.zeros((2, n + 1, m))
     dz = np.zeros((2, n + 1, m))
     z[0, 0], z[1, 0] = x0, y0
+    z_rows, dz_rows = z.reshape(-1, m), dz.reshape(-1, m)
 
     def forcing(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Prey forcing q and predator slope ky at stages lo..hi, each (hi-lo+1, m)."""
         sl = slice(lo, hi + 1)
         j0, j1 = i0[:, sl], i1[:, sl]
         w00, w10, w01, w11 = (w[:, sl] for w in weights)
-        vals = (w00 * z[_COMPONENT, j0] + w10 * dz[_COMPONENT, j0]
-                + w01 * z[_COMPONENT, j1] + w11 * dz[_COMPONENT, j1])
-        for c, stages in enumerate(hist_stages):
+        vals = (w00 * z_rows.take(j0, axis=0) + w10 * dz_rows.take(j0, axis=0)
+                + w01 * z_rows.take(j1, axis=0) + w11 * dz_rows.take(j1, axis=0))
+        for u, stages in enumerate(hist_stages):
             a, e = np.searchsorted(stages, (lo, hi + 1))
             if a < e:
-                vals[c, stages[a:e] - lo] = hist_values[c][a:e]
-        es1, es2, et1, et2 = _exp(vals)
+                vals[u, stages[a:e] - lo] = hist_values[u][a:e]
+        exps = _exp(vals)
+        es1, es2, et1, et2 = (exps[u] for u in slot)
         return c1[sl] * et1 / (es1 + k1[sl]), a2[sl] - c2[sl] * et2 / (es2 + k2[sl])
 
     q, ky = forcing(0, 0)

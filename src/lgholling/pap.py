@@ -115,11 +115,12 @@ def solution_window_report(
     T_list = [half / 8.0, half / 4.0, half / 2.0, half]
     trend = pap0_trend(centered, T_list, n_per_T=lambda T: 4_000)
 
-    # shift search on the raw window signal
+    # shift search on the raw window signal: shift_defect's max |u(t + tau) - u(t)|
+    # over base, with u(t) interpolated once for all the shifts
     base = times[times <= t_end - half]
-    sig = lambda th: np.interp(np.asarray(th), times, u)
+    u_base = np.interp(base, times, u)
     candidates = np.linspace(0.25, half, 200)
-    defects = [(float(tau), shift_defect(sig, tau, base)) for tau in candidates]
+    defects = [(float(tau), float(np.abs(np.interp(base + tau, times, u) - u_base).max())) for tau in candidates]
     defects.sort(key=lambda p: p[1])
     best = sorted(defects[:n_shift_candidates])
     return PapReport(

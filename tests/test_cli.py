@@ -8,11 +8,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lgholling import ConfigError, InitialHistory, ModelSpec, load_config, run_attractivity, run_config
-from lgholling.cli import main
+from lgholling import (ConfigError, InitialHistory, ModelSpec, integrate_batch, integrator, load_config,
+                       parse_expression, run_attractivity, run_config)
+from lgholling.cli import _write_csv, main
 from lgholling.presets import preset_config
 from conftest import load_report
 
@@ -306,6 +308,68 @@ def test_cli_simulate_with_random_histories(tmp_path):
     assert report["random_histories"]["all_positive"] is True
     assert report["random_histories"]["count"] == 5
     assert "permanence" not in report
+
+
+@pytest.mark.parametrize("history, own_row0", [
+    ({"phi1": 0.5, "phi2": 0.5}, False),
+    ({"phi1": "0.03", "phi2": "0.02 + 5*t*t"}, True),
+], ids=["constant", "expression"])
+def test_random_histories_ride_in_the_one_kernel_call(tmp_path, monkeypatch, history, own_row0):
+    """simulate --random-histories integrates the main and the random
+    histories as columns of one kernel call.  min_uv is the one a separate
+    batch of the constant (phi1(0), phi2(0)) and the random rows gives: a
+    constant history is its own row 0, an expression history gets a column
+    of its own for it."""
+    calls = []
+    kernel = integrator._rk4
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(integrator, "_rk4", counting)
+    data = small_config(history=history)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "out"), "--random-histories", "5", "--seed", "3"]) == 0
+    assert len(calls) == 1
+    got = load_report(tmp_path / "out")["random_histories"]["min_uv"]
+
+    monkeypatch.undo()
+    spec, run = ModelSpec.from_strings(data["model"]), data["run"]
+    hist = InitialHistory(*(parse_expression(v) if isinstance(v, str) else v for v in history.values()))
+    rows = np.vstack([[hist.value1(0.0), hist.value2(0.0)], np.random.default_rng(3).uniform(0.05, 2.0, size=(5, 2))])
+    assert got == integrate_batch(spec, rows, run["t0"], run["t_end"], run["h"]).min_uv().min()
+    # the expression history's own run dips lower than its constant row 0
+    main_min = integrate_batch(spec, [hist], run["t0"], run["t_end"], run["h"]).min_uv()[0]
+    assert (main_min < got) == own_row0
+
+
+def test_overflowing_random_history_exits_3_before_any_file(tmp_path, capsys):
+    """The random histories ride in the main kernel call, so an overflow in
+    one of them stops the run before trajectories.csv is written."""
+    data = small_config(history={"phi1": 0.5, "phi2": 1e-300})  # no predation on u for the whole run
+    data["model"]["c1"] = "300"
+    cfg = tmp_path / "overflow.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "alone")]) == 0
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "out"), "--random-histories", "3", "--seed", "3"]) == 3
+    assert capsys.readouterr().err == "numerical failure: log-state overflow at t=2.15\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("block_rows", [1 << 16, 4])
+def test_csv_writer_equals_per_value_format(tmp_path, monkeypatch, block_rows):
+    """One % over a %.17g line template per block of rows writes the bytes
+    format(v, ".17g") per value gives, on signed zeros, non-finite values,
+    subnormals and values that need all 17 digits."""
+    monkeypatch.setattr("lgholling.cli._CSV_BLOCK_ROWS", block_rows)
+    values = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072009e-308, 2.2250738585072014e-308,
+              1.7976931348623157e308, 0.1, 1 / 3, -2 / 3, 1e16, 123456789012345678.0, 1e-7, 0.5, 7.0, -1e22]
+    cols = (np.array(values), np.array(values[::-1]), np.arange(len(values)) * 0.1)
+    _write_csv(tmp_path / "new.csv", "a,b,c", cols)
+    want = "a,b,c\n" + "".join(",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*cols))
+    assert (tmp_path / "new.csv").read_bytes() == want.encode("utf-8")
 
 
 def test_cli_single_analysis_subcommands(tmp_path):

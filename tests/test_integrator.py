@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from lgholling import (
+    ExprDomainError,
     InitialHistory,
     parse_expression,
     IntegrationError,
     ModelSpec,
     integrate,
     integrate_batch,
+    integrator,
     order_check,
     sample_state,
 )
@@ -174,6 +176,18 @@ ORACLE_CASES = {
                              InitialHistory(parse_expression("(t + 0.25 + abs(t + 0.25))/2"), 0.5),
                              0.0, 5.0, 0.01),
     "t0-nonzero": (seeded_varying_delay_spec(3), InitialHistory(0.5, 0.5), 3.7, 23.7, 0.01),
+    # channels with the same component and delay share one plan and read
+    "four-equal-varying-delays": (logistic_spec(**ORACLE_PREDATION, **dict.fromkeys(
+        ("tau1", "tau2", "sigma1", "sigma2"), "0.55 + 0.1*sin(1.7*t)")), InitialHistory(0.4, 0.3), 0.0, 20.0, 0.01),
+    "sigmas-equal-taus-equal": (logistic_spec(**ORACLE_PREDATION, tau1="0.6131", tau2="0.6131", sigma1="0.4489",
+                                              sigma2="0.4489"), InitialHistory(0.4, 0.3), 0.0, 20.0, 0.01),
+    "sigma1-text-equals-tau1": (logistic_spec(**ORACLE_PREDATION, tau1="0.5 + 0.1*cos(t)", tau2="0.7",
+                                              sigma1="0.5 + 0.1*cos(t)", sigma2="0.45"),
+                                InitialHistory(0.4, 0.3), 0.0, 20.0, 0.01),
+    "shared-delays-expression-history": (logistic_spec(**ORACLE_PREDATION, tau1="0.45", tau2="0.45",
+                                                       sigma1="0.3", sigma2="0.3"),
+                                         InitialHistory(parse_expression("0.5 + 0.2*t"), parse_expression("0.3*exp(t)")),
+                                         0.0, 10.0, 0.01),
 }
 
 
@@ -192,6 +206,40 @@ def test_knots_equal_reference_rk4(case):
 def test_preset_knots_equal_reference_rk4(name):
     spec, hist = make_spec(name), InitialHistory(0.5, 0.5)
     assert_knots_equal(integrate(spec, hist, 0.0, 200.0, 0.01), reference_rk4(spec, hist, 0.0, 200.0, 0.01))
+
+
+@pytest.mark.parametrize("spec, rows", [
+    (make_spec("example1"), 2),
+    (make_spec("example2"), 2),
+    (seeded_varying_delay_spec(7), 4),
+])
+def test_each_distinct_delayed_argument_is_exponentiated_once(monkeypatch, spec, rows):
+    """The presets set all four delays equal, so the kernel reads and
+    exponentiates one u row and one v row; four distinct delays keep four."""
+    seen = []
+    exp = integrator._exp
+
+    def counting(a):
+        seen.append(a.shape[0])
+        return exp(a)
+
+    monkeypatch.setattr(integrator, "_exp", counting)
+    integrate(spec, InitialHistory(0.5, 0.5), 0.0, 5.0, 0.01)
+    assert seen and set(seen) == {rows}
+
+
+def test_first_delay_error_is_the_first_channel_that_raises():
+    """Delays are evaluated in channel order sigma1, sigma2, tau1, tau2: a
+    raising sigma2 is reported even though tau1 fails earlier in time."""
+    spec = logistic_spec(**ORACLE_PREDATION, sigma2="0.4 + 0.1*sqrt(3 - t)", tau1="0.4 + 0.1*sqrt(2 - t)")
+    with pytest.raises(ExprDomainError, match=r"^sqrt of negative value at t=3\.005$"):
+        integrate(spec, InitialHistory(0.5, 0.5), 0.0, 5.0, 0.01)
+
+
+def test_smallest_delay_message_with_shared_delays():
+    spec = logistic_spec(**dict.fromkeys(("tau1", "tau2", "sigma1", "sigma2"), "0.5 + 0.1*sin(t)"))
+    with pytest.raises(IntegrationError, match=r"^step h=0\.45 exceeds the smallest delay 0\.40000795178539983; "):
+        integrate(spec, InitialHistory(0.5, 0.5), 0.0, 5.0, 0.45)
 
 
 def assert_same_run(got, want):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from lgholling import ergodic_mean, pap0_trend, shift_defect
+from lgholling import InitialHistory, ergodic_mean, integrate, pap0_trend, shift_defect
+from lgholling.pap import solution_window_report
 
 
 def test_ergodic_mean_constant():
@@ -97,3 +98,16 @@ def test_ergodic_decomposition_sanity():
         gaps.append(abs(ergodic_mean(f, T, n) - ergodic_mean(g, T, n)))
     assert gaps[2] < gaps[1] < gaps[0]
     assert gaps[2] < 1.1e-3  # (1 - e^-T)/T at T=1000 is 1e-3 on the nose
+
+
+def test_solution_window_shift_search_equals_shift_defect(example1_spec):
+    """The report's shift search, which interpolates u(t) once for all 200
+    shifts, keeps the defects shift_defect gives on the window signal."""
+    traj = integrate(example1_spec, InitialHistory(0.5, 0.5), 0.0, 60.0, 0.01)
+    rep = solution_window_report(traj, 30.0, 60.0)
+    mask = (traj.t >= 30.0) & (traj.t <= 60.0)
+    times, u = traj.t[mask], traj.u[mask]
+    base = times[times <= 45.0]
+    defects = [(float(tau), shift_defect(lambda th: np.interp(th, times, u), tau, base))
+               for tau in np.linspace(0.25, 15.0, 200)]
+    assert rep.shift_defects == sorted(sorted(defects, key=lambda p: p[1])[:3])
