@@ -6,9 +6,9 @@ Main entry points:
 
 - expression layer: parse_expression, evaluate, estimate_bounds
 - model: ModelSpec, InitialHistory, validate_model, eval_rhs
-- integration: integrate, sample_state, order_check
-- permanence box: compute_permanence_bounds, verify_permanence
-- attractivity: eval_alpha_beta, estimate_liminf, run_attractivity
+- integration: Trajectory, integrate, integrate_batch, sample_state, order_check
+- permanence box: compute_permanence_bounds, verify_permanence(trajectory)
+- attractivity: eval_alpha_beta, estimate_liminf, run_attractivity(two trajectories)
 - almost-periodicity diagnostics: ergodic_mean, shift_defect, pap0_trend
 - integral operator: apply_upsilon, iterate_fixed_point, dde_residual
 - orchestration: run_preset, run_config (also the `lgholling` CLI)
@@ -36,7 +36,6 @@ from .expr import (
 )
 from .model import InitialHistory, ModelSpec, ValidationReport, eval_rhs, validate_model
 from .integrator import (
-    BatchTrajectory,
     OrderCheck,
     Trajectory,
     integrate,

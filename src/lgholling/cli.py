@@ -297,8 +297,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         }
 
     if analyses["bounds"]:
-        verification = verify_permanence(spec, history, pb_active, t_settle, t_end,
-                                         slack=float(opt["slack"]), h=h, traj=traj)
+        verification = verify_permanence(traj, pb_active, t_settle, t_end, slack=float(opt["slack"]))
         report["permanence"] = {
             "active_source": "table" if pb_table is not None else "estimates",
             "from_estimates": _bounds_dict(pb_est),
@@ -319,9 +318,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
     if analyses["stability"]:
         att = None
         if analyses["attractivity"]:
-            att = run_attractivity(spec, history, histories[1], t_end,
-                                   threshold=float(opt["attractivity_threshold"]), h=h, t0=t0,
-                                   traj_a=traj, traj_b=runs.column(1))
+            att = run_attractivity(traj, runs.column(1), threshold=float(opt["attractivity_threshold"]))
             _write_csv(out_dir / "attractivity.csv", "t,distance",
                        (att.times[::stride], att.distances[::stride]))
             files["attractivity"] = out_dir / "attractivity.csv"
@@ -528,6 +525,12 @@ def run_config(path: str | Path, out_dir: Path | None = None, args=None, **pipel
     return _run(_load_config_file(path), args, out_dir, **pipeline_kwargs)
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lgholling",
                                      description="Delayed predator-prey simulation and analysis toolkit")
@@ -550,9 +553,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate the model and export the trajectory")
     common(p)
-    p.add_argument("--random-histories", type=int, default=0,
+    p.add_argument("--random-histories", type=_count, default=0,
                    help="additionally integrate N random positive constant histories")
-    p.add_argument("--seed", type=int, default=0, help="seed for the random histories")
+    p.add_argument("--seed", type=_count, default=0, help="seed for the random histories")
 
     for name in _ANALYSIS_SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run only the {name.replace('-', ' ')} analysis")

@@ -19,9 +19,10 @@ so each distinct delayed argument is read once: channels with the same
 component and the same delay text share one Hermite plan, one gather and
 one exponential pass (both presets set all four delays equal, so u(t-sigma1)
 serves for u(t-sigma2) and v(t-tau1) for v(t-tau2)).  What stays sequential
-is the scalar prey recurrence x' = a1 - b e^x - q.  Every exponential goes through math.exp, so the knots
-are the same floats as those of a plain per-step RK4 loop, and a batch
-column is bit-identical to the single run from the same history.
+is the scalar prey recurrence x' = a1 - b e^x - q.  Every exponential goes
+through math.exp, so the knots are the same floats as those of a plain
+per-step RK4 loop.  Every run is a batch: integrate is column(0) of a batch
+of one, and a column is bit-identical to the single run from its history.
 
 A single integration is sequential; distinct integrations are independent
 and a finished Trajectory is immutable and safe to share.
@@ -40,7 +41,6 @@ from .model import InitialHistory, ModelSpec
 
 __all__ = [
     "Trajectory",
-    "BatchTrajectory",
     "OrderCheck",
     "integrate",
     "integrate_batch",
@@ -56,7 +56,8 @@ _COMPONENT = (0, 0, 1, 1)
 
 @dataclass(eq=False)
 class Trajectory:
-    """Dense log-space solution on a uniform knot grid."""
+    """Dense log-space solution on a uniform knot grid; the knot arrays are
+    (n+1,) for one run and (n+1, m) for a batch, one column per history."""
 
     t0: float
     t_end: float
@@ -66,7 +67,7 @@ class Trajectory:
     y: np.ndarray  # ln v at knots
     dx: np.ndarray
     dy: np.ndarray
-    history: InitialHistory
+    histories: tuple[InitialHistory, ...]
     r: float  # history reach actually used by delayed lookups
 
     @property
@@ -77,31 +78,14 @@ class Trajectory:
     def v(self) -> np.ndarray:
         return np.exp(self.y)
 
-
-@dataclass(eq=False)
-class BatchTrajectory:
-    """Several trajectories of the same model on a shared grid (one column
-    per initial history)."""
-
-    t0: float
-    t_end: float
-    h: float
-    t: np.ndarray
-    x: np.ndarray  # shape (n+1, m)
-    y: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    histories: tuple[InitialHistory, ...]  # m of them
-    r: float
-
     def min_uv(self) -> np.ndarray:
-        """Per-history minimum of min(u, v) over all knots."""
+        """Minimum of min(u, v) over all knots, per column."""
         return np.exp(np.minimum(self.x.min(axis=0), self.y.min(axis=0)))
 
     def column(self, i: int) -> Trajectory:
-        """The run from histories[i], as the Trajectory integrate() gives."""
+        """The run of a batch from histories[i], as integrate() gives it."""
         x, y, dx, dy = (np.ascontiguousarray(a[:, i]) for a in (self.x, self.y, self.dx, self.dy))
-        return Trajectory(self.t0, self.t_end, self.h, self.t, x, y, dx, dy, self.histories[i], self.r)
+        return Trajectory(self.t0, self.t_end, self.h, self.t, x, y, dx, dy, (self.histories[i],), self.r)
 
 
 def _log_or_neginf(value: float, what: str) -> float:
@@ -295,11 +279,16 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
     return z[0], z[1], dz[0], dz[1], r
 
 
-def _integrate(spec: ModelSpec, histories, t0: float, t_end: float, h: float) -> BatchTrajectory:
-    """The kernel run with one column per initial history."""
-    for history in histories:
-        if history.value1(0.0) <= 0.0 or history.value2(0.0) <= 0.0:
-            raise IntegrationError("history must satisfy phi1(0) > 0 and phi2(0) > 0")
+def integrate_batch(spec: ModelSpec, histories, t0: float, t_end: float, h: float) -> Trajectory:
+    """Integrate many runs of one model on a shared grid, in one kernel call.
+
+    histories: a nonempty sequence of InitialHistory, one column each.
+    column(i) of the result is bit-identical to the single integrate() run
+    from histories[i].
+    """
+    histories = tuple(histories)
+    if not histories or any(hist.value1(0.0) <= 0.0 or hist.value2(0.0) <= 0.0 for hist in histories):
+        raise IntegrationError("need at least one history, each with phi1(0) > 0 and phi2(0) > 0")
 
     def log_hist(comp, thetas):
         return np.array([_log_history((hist.phi1, hist.phi2)[comp], thetas, f"history phi{comp + 1}")
@@ -307,40 +296,23 @@ def _integrate(spec: ModelSpec, histories, t0: float, t_end: float, h: float) ->
 
     x, y, dx, dy, r = _rk4(spec, t0, t_end, h, log_hist)
     n = len(x) - 1
-    return BatchTrajectory(t0, t0 + n * h, h, t0 + h * np.arange(n + 1), x, y, dx, dy, tuple(histories), r)
+    return Trajectory(t0, t0 + n * h, h, t0 + h * np.arange(n + 1), x, y, dx, dy, histories, r)
 
 
 def integrate(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float, h: float) -> Trajectory:
     """Integrate the system from an initial history; deterministic for fixed
     inputs (two identical calls give bit-identical knots).  The run is a
     batch of one."""
-    return _integrate(spec, [history], t0, t_end, h).column(0)
-
-
-def integrate_batch(spec: ModelSpec, histories, t0: float, t_end: float, h: float) -> BatchTrajectory:
-    """Integrate many runs of one model on a shared grid, in one kernel call.
-
-    histories: a sequence of InitialHistory, or an array of shape (m, 2)
-    of positive constants (u0, v0), one row per run.  column(i) of the
-    result is bit-identical to the single integrate() run from history i.
-    """
-    if len(histories) == 0 or not all(isinstance(hist, InitialHistory) for hist in histories):
-        consts = np.asarray(histories, dtype=float)
-        if consts.ndim != 2 or consts.shape[1] != 2:
-            raise IntegrationError("histories must have shape (m, 2)")
-        if (consts <= 0.0).any():
-            raise IntegrationError("constant histories must be strictly positive")
-        histories = [InitialHistory(u0, v0) for u0, v0 in consts.tolist()]
-    return _integrate(spec, histories, t0, t_end, h)
+    return integrate_batch(spec, [history], t0, t_end, h).column(0)
 
 
 def sample_state(traj: Trajectory, t: float) -> tuple[float, float]:
-    """Dense evaluation: exp of the Hermite-interpolated log-state, exact at
-    knots; initial history for t < t0."""
+    """Dense evaluation of a single run: exp of the Hermite-interpolated
+    log-state, exact at knots; initial history for t < t0."""
     if t < traj.t0 - traj.r - 1e-9 or t > traj.t_end + 1e-9:
         raise IntegrationError(f"t={t!r} outside trajectory domain [{traj.t0 - traj.r}, {traj.t_end}]")
     if t < traj.t0:
-        return traj.history.value1(t - traj.t0), traj.history.value2(t - traj.t0)
+        return traj.histories[0].value1(t - traj.t0), traj.histories[0].value2(t - traj.t0)
     if traj.t_end == traj.t0:
         return math.exp(traj.x[0]), math.exp(traj.y[0])
     n = len(traj.t) - 1

@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, asdict
 
 from .errors import ValidationError
-from .integrator import Trajectory, integrate
-from .model import InitialHistory, ModelSpec
+from .integrator import Trajectory
+from .model import ModelSpec
 
 __all__ = [
     "CoefficientBounds",
@@ -141,25 +141,20 @@ class PermanenceVerification:
 
 
 def verify_permanence(
-    spec: ModelSpec,
-    history: InitialHistory,
+    traj: Trajectory,
     bounds: PermanenceBounds,
     t_settle: float,
     t_end: float,
     slack: float = 0.05,
-    h: float = 0.01,
-    traj: Trajectory | None = None,
 ) -> PermanenceVerification:
-    """Check that a trajectory settles into the permanence box.
+    """Check that a trajectory covering [t_settle, t_end] settles into the
+    permanence box there.
 
     The bounds are asymptotic (limsup/liminf statements), so a finite-horizon
-    check needs the slack.  A precomputed trajectory covering [t_settle, t_end] may be passed
-    to avoid re-integration.
+    check needs the slack.
     """
     if t_settle >= t_end:
         raise ValidationError("t_settle must be < t_end")
-    if traj is None:
-        traj = integrate(spec, history, 0.0, t_end, h)
     mask = (traj.t >= t_settle) & (traj.t <= t_end)
     u = traj.u[mask]
     v = traj.v[mask]

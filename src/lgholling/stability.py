@@ -11,8 +11,8 @@ divides c2^i by (M2 + k2^s) while the derivation it comes from divides by
 (M1 + k2^s).  Both variants are computed; ``beta_denominator`` selects which
 one a run treats as active ("M2" is the default).
 
-Everything here is pure given a spec and bounds; attractivity pairs may be
-integrated concurrently.
+Everything here is pure given a spec and bounds; the attractivity
+experiment reads two trajectories integrated elsewhere.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import LagInversionError
 from .expr import CoefficientExpr, evaluate_array
-from .integrator import Trajectory, integrate
-from .model import InitialHistory, ModelSpec
+from .integrator import Trajectory
+from .model import ModelSpec
 from .permanence import CoefficientBounds, PermanenceBounds
 
 __all__ = [
@@ -224,29 +224,15 @@ class AttractivityResult:
     threshold: float
 
 
-def run_attractivity(
-    spec: ModelSpec,
-    history_a: InitialHistory,
-    history_b: InitialHistory,
-    t_end: float,
-    threshold: float,
-    h: float = 0.01,
-    t0: float = 0.0,
-    traj_a: Trajectory | None = None,
-    traj_b: Trajectory | None = None,
-) -> AttractivityResult:
-    """Integrate two admissible histories on a shared grid and watch the
-    distance d(t) = |u_a - u_b| + |v_a - v_b| contract.
+def run_attractivity(traj_a: Trajectory, traj_b: Trajectory, threshold: float) -> AttractivityResult:
+    """Watch the distance d(t) = |u_a - u_b| + |v_a - v_b| between two runs
+    on the same grid contract.
 
     Pass requires d(t_end) < threshold and a nonincreasing envelope over the
     last quarter of the run (window maxima of the tail must not grow).
-    The curve is symmetric under swapping the two histories.  Trajectories
-    of history_a and history_b already integrated on the same grid may be
-    passed as traj_a and traj_b to avoid re-integration.
+    The curve is symmetric under swapping the two runs.
     """
-    ta = traj_a if traj_a is not None else integrate(spec, history_a, t0, t_end, h)
-    tb = traj_b if traj_b is not None else integrate(spec, history_b, t0, t_end, h)
-    d = np.abs(ta.u - tb.u) + np.abs(ta.v - tb.v)
+    d = np.abs(traj_a.u - traj_b.u) + np.abs(traj_a.v - traj_b.v)
     n = d.size
     tail = d[3 * n // 4:]
     windows = np.array_split(tail, 4)
@@ -255,7 +241,7 @@ def run_attractivity(
     tail_ok = all(maxima[i + 1] <= maxima[i] + eps for i in range(len(maxima) - 1))
     final = float(d[-1])
     return AttractivityResult(
-        times=ta.t,
+        times=traj_a.t,
         distances=d,
         final_distance=final,
         tail_nonincreasing=tail_ok,

@@ -64,7 +64,7 @@ def test_criterion_01_positivity():
         spec = make_spec(name)
         rng = np.random.default_rng(42)
         hists = np.vstack([[0.5, 0.5], rng.uniform(0.05, 2.0, size=(100, 2))])
-        batch = integrate_batch(spec, hists, 0.0, 100.0, 0.01)
+        batch = integrate_batch(spec, [InitialHistory(u0, v0) for u0, v0 in hists.tolist()], 0.0, 100.0, 0.01)
         worst = min(worst, float(batch.min_uv().min()))
     elapsed = time.perf_counter() - start
     ok = worst > 0.0 and elapsed < 10.0
@@ -108,7 +108,7 @@ def test_criterion_03_empirical_permanence():
     pb = table_permanence("example2")
     start = time.perf_counter()
     traj = integrate(spec, InitialHistory(0.5, 0.5), 0.0, 200.0, 0.01)
-    res = verify_permanence(spec, InitialHistory(0.5, 0.5), pb, 100.0, 200.0, slack=0.05, traj=traj)
+    res = verify_permanence(traj, pb, 100.0, 200.0, slack=0.05)
     elapsed = time.perf_counter() - start
     ok = res.all_ok and elapsed < 5.0
     _report(ok, 3, "empirical permanence",
@@ -123,8 +123,8 @@ def test_criterion_04_attractivity(name):
 
     spec = make_spec(name)
     start = time.perf_counter()
-    res = run_attractivity(spec, InitialHistory(0.5, 0.5), InitialHistory(0.75, 0.75),
-                           200.0, threshold=1e-3, h=0.01)
+    res = run_attractivity(integrate(spec, InitialHistory(0.5, 0.5), 0.0, 200.0, 0.01),
+                           integrate(spec, InitialHistory(0.75, 0.75), 0.0, 200.0, 0.01), threshold=1e-3)
     elapsed = time.perf_counter() - start
     ok = res.passed and elapsed < 10.0
     _report(ok, 4, f"attractivity {name}",

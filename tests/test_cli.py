@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lgholling import (ConfigError, InitialHistory, ModelSpec, integrate_batch, integrator, load_config,
-                       parse_expression, run_attractivity, run_config)
+from lgholling import (ConfigError, InitialHistory, ModelSpec, integrate, integrate_batch, integrator,
+                       load_config, parse_expression, run_attractivity, run_config)
 from lgholling.cli import _write_csv, main
 from lgholling.presets import preset_config
 from conftest import load_report
@@ -339,10 +339,49 @@ def test_random_histories_ride_in_the_one_kernel_call(tmp_path, monkeypatch, his
     spec, run = ModelSpec.from_strings(data["model"]), data["run"]
     hist = InitialHistory(*(parse_expression(v) if isinstance(v, str) else v for v in history.values()))
     rows = np.vstack([[hist.value1(0.0), hist.value2(0.0)], np.random.default_rng(3).uniform(0.05, 2.0, size=(5, 2))])
+    rows = [InitialHistory(u0, v0) for u0, v0 in rows.tolist()]
     assert got == integrate_batch(spec, rows, run["t0"], run["t_end"], run["h"]).min_uv().min()
     # the expression history's own run dips lower than its constant row 0
     main_min = integrate_batch(spec, [hist], run["t0"], run["t_end"], run["h"]).min_uv()[0]
     assert (main_min < got) == own_row0
+
+
+def test_run_with_every_analysis_makes_one_kernel_call(tmp_path, monkeypatch):
+    """The analyses read the pipeline's trajectories: a run with bounds,
+    stability, attractivity, fixed point and pap enabled integrates once."""
+    calls = []
+    kernel = integrator._rk4
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(integrator, "_rk4", counting)
+    data = short_preset("example2")
+    assert all(data["analyses"].values())
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    report = load_report(tmp_path / "out")
+    assert {"permanence", "stability", "fixed_point", "pap"} <= report.keys()
+    assert "attractivity" in report["stability"]
+
+
+@pytest.mark.parametrize("flag", ["--random-histories", "--seed"])
+def test_negative_count_exits_2_naming_the_flag(tmp_path, flag):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_config()), encoding="utf-8")
+    counts = {"--random-histories": "3", "--seed": "1", flag: "-3"}
+    argv = [arg for pair in counts.items() for arg in pair]
+    proc = subprocess.run([sys.executable, "-m", "lgholling", "simulate", str(cfg), "--out", str(tmp_path / "out"),
+                           *argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert f"argument {flag}: expected an integer >= 0, got '-3'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_random_history_exits_3_before_any_file(tmp_path, capsys):
@@ -542,9 +581,10 @@ def test_pipeline_attractivity_equals_lone_runs(example2_run):
     config = preset_config("example2")
     spec = ModelSpec.from_strings(config["model"])
     run, opts = config["run"], config["options"]
-    alone = run_attractivity(spec, InitialHistory(config["history"]["phi1"], config["history"]["phi2"]),
-                             InitialHistory(*opts["attractivity_history"]), run["t_end"],
-                             threshold=opts["attractivity_threshold"], h=run["h"], t0=run["t0"])
+    lone_runs = [integrate(spec, hist, run["t0"], run["t_end"], run["h"])
+                 for hist in (InitialHistory(config["history"]["phi1"], config["history"]["phi2"]),
+                              InitialHistory(*opts["attractivity_history"]))]
+    alone = run_attractivity(*lone_runs, threshold=opts["attractivity_threshold"])
     assert alone.distances.max() > 0.1
     assert report["stability"]["attractivity"]["final_distance"] == alone.final_distance
     rows = (out / "attractivity.csv").read_text(encoding="utf-8").splitlines()[1:]

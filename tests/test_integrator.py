@@ -135,7 +135,7 @@ def test_batch_matches_single_runs(example2_spec):
     # platform has one, so a batch that took its logs another way would show
     odd = next((float(v) for v in np.linspace(0.5, 1.5, 2001) if np.log(v) != math.log(v)), 0.7)
     hists = np.vstack([[0.5, 0.5], [odd, odd], rng.uniform(0.05, 2.0, size=(3, 2))])
-    batch = integrate_batch(example2_spec, hists, 0.0, 5.0, 0.01)
+    batch = integrate_batch(example2_spec, [InitialHistory(u0, v0) for u0, v0 in hists.tolist()], 0.0, 5.0, 0.01)
     for i in range(len(hists)):
         single = integrate(example2_spec, InitialHistory(*map(float, hists[i])), 0.0, 5.0, 0.01)
         for got, want in zip((batch.x, batch.y, batch.dx, batch.dy), (single.x, single.y, single.dx, single.dy)):
@@ -245,7 +245,7 @@ def test_smallest_delay_message_with_shared_delays():
 def assert_same_run(got, want):
     for name in ("t", "x", "y", "dx", "dy"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert (got.t0, got.t_end, got.h, got.r, got.history) == (want.t0, want.t_end, want.h, want.r, want.history)
+    assert (got.t0, got.t_end, got.h, got.r, got.histories) == (want.t0, want.t_end, want.h, want.r, want.histories)
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
@@ -270,16 +270,29 @@ def test_expression_history_beside_a_constant_one_equals_lone_runs(example2_spec
         assert_same_run(batch.column(i), integrate(example2_spec, hist, 0.0, 20.0, 0.01))
 
 
+def test_batch_column_carries_its_history_and_minimum(example2_spec):
+    hists = [InitialHistory(0.5, 0.5), InitialHistory(parse_expression("0.3 + 0.1*sin(t)"), 0.05),
+             InitialHistory(1.7, 0.9)]
+    batch = integrate_batch(example2_spec, hists, 0.0, 10.0, 0.01)
+    assert batch.histories == tuple(hists)
+    assert batch.x.shape == (1001, 3) and batch.min_uv().shape == (3,)
+    for i, hist in enumerate(hists):
+        col = batch.column(i)
+        assert col.histories == (hist,)
+        assert col.x.shape == (1001,)
+        assert col.min_uv() == batch.min_uv()[i]
+
+
 def test_batch_positivity_random_histories(example1_spec):
     rng = np.random.default_rng(5)
-    hists = rng.uniform(0.05, 2.0, size=(25, 2))
+    hists = [InitialHistory(u0, v0) for u0, v0 in rng.uniform(0.05, 2.0, size=(25, 2)).tolist()]
     batch = integrate_batch(example1_spec, hists, 0.0, 30.0, 0.01)
     assert (batch.min_uv() > 0.0).all()
 
 
 def test_batch_rejects_nonpositive_history(example1_spec):
     with pytest.raises(IntegrationError):
-        integrate_batch(example1_spec, np.array([[0.5, 0.0]]), 0.0, 1.0, 0.01)
+        integrate_batch(example1_spec, [InitialHistory(0.5, 0.0)], 0.0, 1.0, 0.01)
 
 
 def test_time_shift_invariance_for_autonomous_coefficients():

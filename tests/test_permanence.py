@@ -10,6 +10,7 @@ from lgholling import (
     check_c0,
     compute_permanence_bounds,
     compute_permanence_bounds_from_values,
+    integrate,
     validate_model,
     verify_permanence,
 )
@@ -110,14 +111,14 @@ def test_monotonicity_in_a1_sup_and_tau2_sup(a1_sup, bump, data):
 
 
 def test_verify_permanence_example2(example2_spec, example2_bounds):
-    res = verify_permanence(example2_spec, InitialHistory(0.5, 0.5), example2_bounds,
-                            t_settle=100.0, t_end=200.0, slack=0.05)
+    traj = integrate(example2_spec, InitialHistory(0.5, 0.5), 0.0, 200.0, 0.01)
+    res = verify_permanence(traj, example2_bounds, t_settle=100.0, t_end=200.0, slack=0.05)
     assert res.all_ok, res.checks
 
 
 def test_verify_permanence_example1_lower_prey_trivial(example1_spec, example1_bounds):
-    res = verify_permanence(example1_spec, InitialHistory(0.5, 0.5), example1_bounds,
-                            t_settle=60.0, t_end=120.0, slack=0.05)
+    traj = integrate(example1_spec, InitialHistory(0.5, 0.5), 0.0, 120.0, 0.01)
+    res = verify_permanence(traj, example1_bounds, t_settle=60.0, t_end=120.0, slack=0.05)
     assert res.checks["u_above_m1"]  # m1 = 0, so any positive trajectory passes
 
 
@@ -129,7 +130,8 @@ def test_verify_permanence_logistic_limit():
     })
     report = validate_model(spec, horizon=10.0, samples=1001)
     pb = compute_permanence_bounds(spec)
-    res = verify_permanence(spec, InitialHistory(0.4, 0.3), pb, t_settle=40.0, t_end=80.0, slack=0.05)
+    traj = integrate(spec, InitialHistory(0.4, 0.3), 0.0, 80.0, 0.01)
+    res = verify_permanence(traj, pb, t_settle=40.0, t_end=80.0, slack=0.05)
     assert res.u_max <= pb.M1 + 0.05
     assert abs(res.u_max - 0.5) < 0.01  # a1/b = 0.5
 
@@ -139,5 +141,6 @@ def test_verify_permanence_requires_window():
                                   | {s: "0.5" for s in ("tau1", "tau2", "sigma1", "sigma2")})
     cb = CoefficientBounds.from_table({f: 1.0 for f in CoefficientBounds.__dataclass_fields__})
     pb = compute_permanence_bounds_from_values(cb)
+    traj = integrate(spec, InitialHistory(0.5, 0.5), 0.0, 10.0, 0.01)
     with pytest.raises(Exception):
-        verify_permanence(spec, InitialHistory(0.5, 0.5), pb, t_settle=10.0, t_end=10.0)
+        verify_permanence(traj, pb, t_settle=10.0, t_end=10.0)

@@ -187,24 +187,18 @@ def test_liminf_with_time_varying_delays(example2_bounds):
 
 def test_attractivity_identical_histories(unit_spec):
     h = InitialHistory(0.5, 0.5)
-    res = run_attractivity(unit_spec, h, h, 10.0, threshold=1e-3, h=0.01)
+    res = run_attractivity(integrate(unit_spec, h, 0.0, 10.0, 0.01), integrate(unit_spec, h, 0.0, 10.0, 0.01),
+                           threshold=1e-3)
     assert res.final_distance == 0.0
     assert res.passed
 
 
 def test_attractivity_swap_invariance(unit_spec):
     a, b = InitialHistory(0.4, 0.6), InitialHistory(0.7, 0.2)
-    r1 = run_attractivity(unit_spec, a, b, 20.0, threshold=1.0, h=0.01)
-    r2 = run_attractivity(unit_spec, b, a, 20.0, threshold=1.0, h=0.01)
+    traj_a, traj_b = (integrate(unit_spec, hist, 0.0, 20.0, 0.01) for hist in (a, b))
+    r1 = run_attractivity(traj_a, traj_b, threshold=1.0)
+    r2 = run_attractivity(traj_b, traj_a, threshold=1.0)
     assert np.array_equal(r1.distances, r2.distances)
-
-
-def test_attractivity_reuses_a_given_trajectory(unit_spec):
-    a, b = InitialHistory(0.4, 0.6), InitialHistory(0.7, 0.2)
-    traj_a = integrate(unit_spec, a, 0.0, 20.0, 0.01)
-    fresh = run_attractivity(unit_spec, a, b, 20.0, threshold=1.0, h=0.01)
-    reused = run_attractivity(unit_spec, a, b, 20.0, threshold=1.0, h=0.01, traj_a=traj_a)
-    assert np.array_equal(fresh.distances, reused.distances)
 
 
 def test_attractivity_contracting_system():
@@ -212,6 +206,6 @@ def test_attractivity_contracting_system():
         "a1": "1", "a2": "0.5", "b": "1", "c1": "0.1", "c2": "0.5", "k1": "1", "k2": "1",
         "tau1": "0.25", "tau2": "0.25", "sigma1": "0.25", "sigma2": "0.25",
     })
-    res = run_attractivity(spec, InitialHistory(0.5, 0.5), InitialHistory(0.75, 0.75),
-                           60.0, threshold=1e-3, h=0.01)
+    res = run_attractivity(integrate(spec, InitialHistory(0.5, 0.5), 0.0, 60.0, 0.01),
+                           integrate(spec, InitialHistory(0.75, 0.75), 0.0, 60.0, 0.01), threshold=1e-3)
     assert res.passed, (res.final_distance, res.tail_nonincreasing)
