@@ -5,9 +5,10 @@ functional response, time-varying coefficients).
 Main entry points:
 
 - expression layer: parse_expression, evaluate, estimate_bounds
-- model: ModelSpec, InitialHistory, validate_model, eval_rhs
+- model: ModelSpec (frozen), InitialHistory, validate_model, eval_rhs
 - integration: Trajectory, integrate, integrate_batch, sample_state, order_check
-- permanence box: compute_permanence_bounds, verify_permanence(trajectory)
+- coefficient sup/inf and permanence box: CoefficientBounds, compute_permanence_bounds_from_values,
+  verify_permanence(trajectory)
 - attractivity: eval_alpha_beta, estimate_liminf, run_attractivity(two trajectories)
 - almost-periodicity diagnostics: ergodic_mean, shift_defect, pap0_trend
 - integral operator: apply_upsilon, iterate_fixed_point, dde_residual
@@ -48,7 +49,6 @@ from .permanence import (
     PermanenceBounds,
     PermanenceVerification,
     check_c0,
-    compute_permanence_bounds,
     compute_permanence_bounds_from_values,
     verify_permanence,
 )

@@ -252,11 +252,10 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         },
     }
 
-    est_cb = CoefficientBounds.from_validation(vrep.bounds)
-    pb_est = compute_permanence_bounds_from_values(est_cb)
+    pb_est = compute_permanence_bounds_from_values(CoefficientBounds.from_validation(vrep.bounds))
     try:
-        table_cb = CoefficientBounds.from_table(config.table_bounds) if config.table_bounds else None
-        pb_table = compute_permanence_bounds_from_values(table_cb) if table_cb else None
+        pb_table = (compute_permanence_bounds_from_values(CoefficientBounds.from_table(config.table_bounds))
+                    if config.table_bounds else None)
     except ValidationError as exc:
         raise ConfigError("/table_bounds", str(exc)) from exc
     pb_active = pb_table if pb_table is not None else pb_est
@@ -354,7 +353,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
             spec, seed_pair,
             tol=float(opt["fp_tol"]), max_iter=opt["fp_max_iter"],
             quad_step=float(opt["fp_quad_step"]), tail_tol=float(opt["fp_tail_tol"]),
-            coeff_bounds=table_cb if table_cb is not None else est_cb,
+            coeff_bounds=pb_active.inputs_used,
         )
         _write_csv(out_dir / "fixedpoint.csv", "t,u_star,v_star",
                    (result.pair.grid(), result.pair.phi, result.pair.psi))
@@ -382,14 +381,13 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         }
 
     if config.paper_values:
-        report["discrepancies"] = _build_discrepancies(config.paper_values, vrep, pb_table, pb_est,
-                                                       stability_section)
+        report["discrepancies"] = _build_discrepancies(config.paper_values, pb_table, pb_est, stability_section)
 
     emit_report(report, out_dir, files)
     return report
 
 
-def _build_discrepancies(paper_values: dict, vrep, pb_table, pb_est, stability_section) -> list[dict]:
+def _build_discrepancies(paper_values: dict, pb_table, pb_est, stability_section) -> list[dict]:
     """Each published value beside its recomputed one.  computed_alt holds
     the estimates' box when the table's is active, and beta's other
     denominator."""
@@ -398,8 +396,7 @@ def _build_discrepancies(paper_values: dict, vrep, pb_table, pb_est, stability_s
     for quantity, published in paper_values.items():
         published, alt = float(published), None
         if quantity in _SCHEMA["table_bounds"]:
-            sym, side = quantity.rsplit("_", 1)
-            computed = getattr(vrep.bounds[sym], f"{side}_value")
+            computed = getattr(pb_est.inputs_used, quantity)
         elif quantity in ("M1", "M2", "m1", "m2"):
             computed = getattr(pb_main, quantity)
             alt = getattr(pb_alt, quantity, None)

@@ -145,18 +145,8 @@ def _prefix_simpson(nodes: np.ndarray, mids: np.ndarray, dx: float) -> np.ndarra
     return np.concatenate(([0.0], np.cumsum((dx / 6.0) * (nodes[:-1] + 4.0 * mids + nodes[1:]))))
 
 
-def _growth_infs(spec: ModelSpec, coeff_bounds: CoefficientBounds | None) -> tuple[float, float]:
-    if coeff_bounds is not None:
-        return coeff_bounds.a1_inf, coeff_bounds.a2_inf
-    if spec.bounds:
-        cb = CoefficientBounds.from_validation(spec.bounds)
-        return cb.a1_inf, cb.a2_inf
-    from .expr import estimate_bounds
-
-    return tuple(estimate_bounds(a, horizon=200.0, samples=20_001).inf_value for a in (spec.a1, spec.a2))
-
-
 _MAX_TAIL_NODES = 4_000_000
+_ESCAPE_FACTOR = 50.0  # Picard iterates past this multiple of the seed scale count as diverged
 _CHUNK_SPAN = 500.0  # largest rise of A within one rescaled chunk; e^500 is finite
 
 
@@ -177,30 +167,29 @@ def _tail_integrals(A: np.ndarray, inc: np.ndarray) -> np.ndarray:
 def apply_upsilon(
     spec: ModelSpec,
     pair: GridFunctionPair,
-    quad_step: float = 0.05,
-    tail_tol: float = 1e-6,
-    coeff_bounds: CoefficientBounds | None = None,
+    quad_step: float,
+    tail_tol: float,
+    coeff_bounds: CoefficientBounds,
     tail_len: float | None = None,
 ) -> GridFunctionPair:
     """One application of the integral operator on the pair's grid: each
     grid point t gets composite Simpson on exactly [t, t + L] through the
     backward recursion of the module docstring, one per node parity when the
     grid step is an odd number of quad steps.  L comes from the kernel decay
-    bound unless tail_len overrides it.  Beyond its grid the pair is
-    continued by its boundary values (the tail weight is exponentially small
-    there)."""
+    bound, with the decay rates a1^i and a2^i read from coeff_bounds, unless
+    tail_len overrides it.  Beyond its grid the pair is continued by its
+    boundary values (the tail weight is exponentially small there)."""
     p = int(round(pair.step / quad_step))
     if p < 1 or abs(p * quad_step - pair.step) > 1e-9 * pair.step:
         raise QuadratureError("quad_step must divide the pair's grid step")
     q = pair.step / p
     npts = len(pair.phi)
     nint = npts - 1
-    a1_inf, a2_inf = _growth_infs(spec, coeff_bounds)
-    if a1_inf <= 0.0 or a2_inf <= 0.0:
+    if coeff_bounds.a1_inf <= 0.0 or coeff_bounds.a2_inf <= 0.0:
         raise QuadratureError("kernel decay rates a1^i, a2^i must be positive")
 
     outputs = []
-    for j, aj_inf, aj_expr in ((1, a1_inf, spec.a1), (2, a2_inf, spec.a2)):
+    for j, aj_inf, aj_expr in ((1, coeff_bounds.a1_inf, spec.a1), (2, coeff_bounds.a2_inf, spec.a2)):
         supf = float(np.abs(_f_values(spec, pair, j, pair.grid())).max())
         if tail_len is not None:
             L = float(tail_len)
@@ -233,17 +222,16 @@ def apply_upsilon(
 def iterate_fixed_point(
     spec: ModelSpec,
     seed: GridFunctionPair,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-    quad_step: float = 0.05,
-    tail_tol: float = 1e-6,
-    coeff_bounds: CoefficientBounds | None = None,
-    escape_factor: float = 50.0,
+    tol: float,
+    max_iter: int,
+    quad_step: float,
+    tail_tol: float,
+    coeff_bounds: CoefficientBounds,
 ) -> FixedPointResult:
     """Plain Picard iteration of the operator from a seed pair.
 
     Stops when the sup-norm update drops to tol (converged), after max_iter
-    sweeps, or as soon as the iterates blow past escape_factor times the
+    sweeps, or as soon as the iterates blow past _ESCAPE_FACTOR times the
     seed scale (diverged).  Non-convergence is a reported outcome.
     """
     scale = max(float(np.abs(seed.phi).max()), float(np.abs(seed.psi).max()), 1.0)
@@ -256,7 +244,7 @@ def iterate_fixed_point(
         delta = max(float(np.abs(new.phi - pair.phi).max()), float(np.abs(new.psi - pair.psi).max()))
         pair = new
         top = max(float(np.abs(pair.phi).max()), float(np.abs(pair.psi).max()))
-        if not math.isfinite(top) or top > escape_factor * scale:
+        if not math.isfinite(top) or top > _ESCAPE_FACTOR * scale:
             status = "diverged"
             break
         if delta <= tol:

@@ -309,6 +309,8 @@ def integrate(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float,
 def sample_state(traj: Trajectory, t: float) -> tuple[float, float]:
     """Dense evaluation of a single run: exp of the Hermite-interpolated
     log-state, exact at knots; initial history for t < t0."""
+    if traj.x.ndim != 1:
+        raise IntegrationError("sample_state reads one run; take a batch's run with column(i)")
     if t < traj.t0 - traj.r - 1e-9 or t > traj.t_end + 1e-9:
         raise IntegrationError(f"t={t!r} outside trajectory domain [{traj.t0 - traj.r}, {traj.t_end}]")
     if t < traj.t0:

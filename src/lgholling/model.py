@@ -5,12 +5,12 @@ and the right-hand side of the delayed predator-prey equations
     v'(t) = (a2(t) - c2(t) v(t-tau2(t)) / (u(t-sigma2(t)) + k2(t))) v(t)
 
 The coefficient written b and b1 elsewhere is one and the same function here.
-A ModelSpec is treated as immutable once validated; eval_rhs is pure.
+A ModelSpec is frozen (validate_model returns its sup/inf in a report); eval_rhs is pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ SYMBOLS = ("a1", "a2", "b", "c1", "c2", "k1", "k2", "tau1", "tau2", "sigma1", "s
 DELAY_SYMBOLS = ("tau1", "tau2", "sigma1", "sigma2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     a1: CoefficientExpr
     a2: CoefficientExpr
@@ -44,9 +44,6 @@ class ModelSpec:
     tau2: CoefficientExpr
     sigma1: CoefficientExpr
     sigma2: CoefficientExpr
-    # filled in by validate_model; treat the spec as frozen afterwards
-    bounds: dict[str, BoundsEstimate] = field(default_factory=dict)
-    max_lag_r: float | None = None
 
     @classmethod
     def from_strings(cls, coefficients: dict[str, str]) -> "ModelSpec":
@@ -100,10 +97,7 @@ class ValidationReport:
 
 def validate_model(spec: ModelSpec, horizon: float = 1000.0, samples: int = 100_000) -> ValidationReport:
     """Check positivity of all eleven coefficients on a sampling grid and
-    estimate their sup/inf; computes the maximal lag r.
-
-    On success the estimates are attached to the spec (bounds, max_lag_r).
-    """
+    estimate their sup/inf; computes the maximal lag r."""
     bounds: dict[str, BoundsEstimate] = {}
     failures: list[tuple[str, float, float]] = []
     grid = np.linspace(0.0, horizon, samples)
@@ -113,11 +107,7 @@ def validate_model(spec: ModelSpec, horizon: float = 1000.0, samples: int = 100_
         if raw_min <= 0.0:
             failures.append((sym, t_min, raw_min))
     r = max(bounds[s].sup_value for s in DELAY_SYMBOLS)
-    report = ValidationReport(ok=not failures, bounds=bounds, max_lag_r=r, failures=failures)
-    if report.ok:
-        spec.bounds = bounds
-        spec.max_lag_r = r
-    return report
+    return ValidationReport(ok=not failures, bounds=bounds, max_lag_r=r, failures=failures)
 
 
 def eval_rhs(spec: ModelSpec, t, u, v, u_sigma1, u_sigma2, v_tau1, v_tau2):

@@ -22,14 +22,12 @@ from dataclasses import dataclass, asdict
 
 from .errors import ValidationError
 from .integrator import Trajectory
-from .model import ModelSpec
 
 __all__ = [
     "CoefficientBounds",
     "PermanenceBounds",
     "PermanenceVerification",
     "check_c0",
-    "compute_permanence_bounds",
     "compute_permanence_bounds_from_values",
     "verify_permanence",
 ]
@@ -68,21 +66,9 @@ class CoefficientBounds:
 
     @classmethod
     def from_validation(cls, bounds: dict) -> "CoefficientBounds":
-        def pick(sym, side):
-            est = bounds[sym]
-            return est.inf_value if side == "inf" else est.sup_value
-
-        return cls(
-            a1_inf=pick("a1", "inf"), a1_sup=pick("a1", "sup"),
-            a2_inf=pick("a2", "inf"), a2_sup=pick("a2", "sup"),
-            b_inf=pick("b", "inf"), b_sup=pick("b", "sup"),
-            c1_inf=pick("c1", "inf"), c1_sup=pick("c1", "sup"),
-            c2_inf=pick("c2", "inf"), c2_sup=pick("c2", "sup"),
-            k1_inf=pick("k1", "inf"), k1_sup=pick("k1", "sup"),
-            k2_inf=pick("k2", "inf"), k2_sup=pick("k2", "sup"),
-            tau1_sup=pick("tau1", "sup"), tau2_sup=pick("tau2", "sup"),
-            sigma1_sup=pick("sigma1", "sup"), sigma2_sup=pick("sigma2", "sup"),
-        )
+        """From validate_model's estimates: a1_inf is bounds["a1"].inf_value."""
+        split = (f.partition("_") for f in cls.__dataclass_fields__)
+        return cls(**{f"{sym}_{side}": getattr(bounds[sym], f"{side}_value") for sym, _, side in split})
 
     def to_dict(self) -> dict[str, float]:
         return asdict(self)
@@ -120,13 +106,6 @@ def compute_permanence_bounds_from_values(cb: CoefficientBounds) -> PermanenceBo
     return PermanenceBounds(M1=M1, M2=M2, m1=m1, m2=m2, c0_holds=c0, inputs_used=cb)
 
 
-def compute_permanence_bounds(spec: ModelSpec) -> PermanenceBounds:
-    """Bounds from the spec's estimated coefficient sup/infs (validate first)."""
-    if not spec.bounds:
-        raise ValidationError("model spec has no bounds estimates; run validate_model first")
-    return compute_permanence_bounds_from_values(CoefficientBounds.from_validation(spec.bounds))
-
-
 @dataclass
 class PermanenceVerification:
     t_settle: float
@@ -153,9 +132,10 @@ def verify_permanence(
     The bounds are asymptotic (limsup/liminf statements), so a finite-horizon
     check needs the slack.
     """
-    if t_settle >= t_end:
-        raise ValidationError("t_settle must be < t_end")
     mask = (traj.t >= t_settle) & (traj.t <= t_end)
+    # half a step of slop: the last knot t0 + n h may fall an ulp short of the t_end the run was asked for
+    if not (traj.t0 <= t_settle < t_end <= traj.t_end + 0.5 * traj.h and mask.any()):
+        raise ValidationError(f"window [{t_settle}, {t_end}] is empty or off the run [{traj.t0}, {traj.t_end}]")
     u = traj.u[mask]
     v = traj.v[mask]
     u_min, u_max = float(u.min()), float(u.max())

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LagInversionError
+from .errors import LagInversionError, ValidationError
 from .expr import CoefficientExpr, evaluate_array
 from .integrator import Trajectory
 from .model import ModelSpec
@@ -232,6 +232,9 @@ def run_attractivity(traj_a: Trajectory, traj_b: Trajectory, threshold: float) -
     last quarter of the run (window maxima of the tail must not grow).
     The curve is symmetric under swapping the two runs.
     """
+    if not np.array_equal(traj_a.t, traj_b.t):
+        raise ValidationError(f"runs on different grids: [{traj_a.t0}, {traj_a.t_end}] step {traj_a.h} "
+                              f"and [{traj_b.t0}, {traj_b.t_end}] step {traj_b.h}")
     d = np.abs(traj_a.u - traj_b.u) + np.abs(traj_a.v - traj_b.v)
     n = d.size
     tail = d[3 * n // 4:]

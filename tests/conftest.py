@@ -18,7 +18,7 @@ from lgholling import (
     run_preset,
 )
 from lgholling.expr import Const, Unary, Var, _Parser
-from lgholling.fixedpoint import _f_values, _growth_infs, _prefix_simpson
+from lgholling.fixedpoint import _f_values, _prefix_simpson
 from lgholling.presets import preset_config
 
 
@@ -191,8 +191,8 @@ def reference_rk4(spec: ModelSpec, history: InitialHistory, t0: float, t_end: fl
     return np.array(xs), np.array(ys), np.array(dxs), np.array(dys)
 
 
-def reference_upsilon(spec: ModelSpec, pair, quad_step: float = 0.05, tail_tol: float = 1e-6,
-                      coeff_bounds=None, tail_len=None):
+def reference_upsilon(spec: ModelSpec, pair, quad_step: float, tail_tol: float,
+                      coeff_bounds: CoefficientBounds, tail_len=None):
     """Reference oracle for the integral operator: for every grid point
     t = s_lo separately, one composite Simpson dot product over its N-node
     window [t, t + L], with the kernel e^{A_lo - A_k} exponentiated per node.
@@ -202,7 +202,7 @@ def reference_upsilon(spec: ModelSpec, pair, quad_step: float = 0.05, tail_tol: 
     q = pair.step / p
     npts = len(pair.phi)
     outputs = []
-    for j, aj_inf, aj_expr in zip((1, 2), _growth_infs(spec, coeff_bounds), (spec.a1, spec.a2)):
+    for j, aj_inf, aj_expr in ((1, coeff_bounds.a1_inf, spec.a1), (2, coeff_bounds.a2_inf, spec.a2)):
         supf = float(np.abs(_f_values(spec, pair, j, pair.grid())).max())
         if tail_len is not None:
             L = float(tail_len)

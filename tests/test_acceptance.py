@@ -297,7 +297,8 @@ def test_criterion_09_fixed_point_cross_validation():
 
     seed = GridFunctionPair.from_constants(0.0, 30.0, 0.1,
                                            0.5 * (pb.m1 + pb.M1), 0.5 * (pb.m2 + pb.M2))
-    result = iterate_fixed_point(spec, seed, tol=1e-6, max_iter=60, coeff_bounds=table_bounds("example2"))
+    result = iterate_fixed_point(spec, seed, tol=1e-6, max_iter=60, quad_step=0.05, tail_tol=1e-6,
+                                 coeff_bounds=table_bounds("example2"))
     if not result.converged:
         print(f"ACCEPTANCE 9 (fixed-point cross-validation): SKIP: Picard iteration "
               f"{result.status} after {result.iterations} sweeps; negative control "

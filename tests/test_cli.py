@@ -60,6 +60,16 @@ def test_every_paper_value_appears_once(example1_run, example2_run):
         assert sorted(quantities) == sorted(paper)
 
 
+def test_coefficient_discrepancies_are_the_model_estimates(example1_run):
+    report, _ = example1_run
+    coefficients = report["model"]["coefficients"]
+    rows = [d for d in report["discrepancies"] if d["quantity"] in report["config"]["table_bounds"]]
+    assert len(rows) == 18
+    for row in rows:
+        sym, side = row["quantity"].split("_")
+        assert row["computed_value"] == coefficients[sym][side], row["quantity"]
+
+
 def test_run_config_equals_preset(tmp_path, example2_run):
     report_preset, _ = example2_run
     cfg = tmp_path / "ex2.json"

@@ -52,22 +52,26 @@ def test_apply_upsilon_constant_closed_form(unit_spec, unit_coeff_bounds):
 
 
 def test_apply_upsilon_zero_predator(unit_spec, unit_coeff_bounds):
-    out = apply_upsilon(unit_spec, unit_pair(1.0, 0.0), coeff_bounds=unit_coeff_bounds)
+    out = apply_upsilon(unit_spec, unit_pair(1.0, 0.0), quad_step=0.05, tail_tol=1e-6,
+                        coeff_bounds=unit_coeff_bounds)
     assert np.abs(out.psi).max() == 0.0
 
 
 def test_apply_upsilon_tail_truncation_stability(unit_spec, unit_coeff_bounds):
     tail_tol = 1e-6
     pair = unit_pair(1.0, 1.0)
-    base = apply_upsilon(unit_spec, pair, tail_tol=tail_tol, coeff_bounds=unit_coeff_bounds, tail_len=14.0)
-    doubled = apply_upsilon(unit_spec, pair, tail_tol=tail_tol, coeff_bounds=unit_coeff_bounds, tail_len=28.0)
+    base = apply_upsilon(unit_spec, pair, quad_step=0.05, tail_tol=tail_tol, coeff_bounds=unit_coeff_bounds,
+                         tail_len=14.0)
+    doubled = apply_upsilon(unit_spec, pair, quad_step=0.05, tail_tol=tail_tol, coeff_bounds=unit_coeff_bounds,
+                            tail_len=28.0)
     change = max(np.abs(base.phi - doubled.phi).max(), np.abs(base.psi - doubled.psi).max())
     assert change < 2.0 * tail_tol
 
 
 def test_apply_upsilon_quad_step_must_divide(unit_spec, unit_coeff_bounds):
     with pytest.raises(QuadratureError):
-        apply_upsilon(unit_spec, unit_pair(1.0, 1.0), quad_step=0.07, coeff_bounds=unit_coeff_bounds)
+        apply_upsilon(unit_spec, unit_pair(1.0, 1.0), quad_step=0.07, tail_tol=1e-6,
+                      coeff_bounds=unit_coeff_bounds)
 
 
 def test_upsilon_example2_box_corners_leave_box(example2_spec, example2_bounds):
@@ -200,12 +204,14 @@ def test_apply_upsilon_matches_reference_on_a_diverging_iterate():
 
 def test_apply_upsilon_names_f_when_it_overflows(unit_spec, unit_coeff_bounds):
     with pytest.raises(NumericalError, match="f_1 not finite"):
-        apply_upsilon(unit_spec, unit_pair(1e200, 1.0), coeff_bounds=unit_coeff_bounds)
+        apply_upsilon(unit_spec, unit_pair(1e200, 1.0), quad_step=0.05, tail_tol=1e-6,
+                      coeff_bounds=unit_coeff_bounds)
 
 
 def test_iterate_unit_system_converges(unit_spec, unit_coeff_bounds):
     seed = unit_pair(0.3, 0.3)
-    res = iterate_fixed_point(unit_spec, seed, tol=1e-8, max_iter=100, coeff_bounds=unit_coeff_bounds)
+    res = iterate_fixed_point(unit_spec, seed, tol=1e-8, max_iter=100, quad_step=0.05, tail_tol=1e-6,
+                              coeff_bounds=unit_coeff_bounds)
     assert res.converged
     assert res.final_delta <= 1e-8
     # fixed-point algebra at every grid point: phi = (b phi^2 + c1 psi phi/(phi+k1))/a1
@@ -216,8 +222,10 @@ def test_iterate_unit_system_converges(unit_spec, unit_coeff_bounds):
 
 def test_iterate_idempotent_at_fixed_point(unit_spec, unit_coeff_bounds):
     seed = unit_pair(0.3, 0.3)
-    first = iterate_fixed_point(unit_spec, seed, tol=1e-8, max_iter=100, coeff_bounds=unit_coeff_bounds)
-    again = iterate_fixed_point(unit_spec, first.pair, tol=1e-8, max_iter=100, coeff_bounds=unit_coeff_bounds)
+    first = iterate_fixed_point(unit_spec, seed, tol=1e-8, max_iter=100, quad_step=0.05, tail_tol=1e-6,
+                                coeff_bounds=unit_coeff_bounds)
+    again = iterate_fixed_point(unit_spec, first.pair, tol=1e-8, max_iter=100, quad_step=0.05, tail_tol=1e-6,
+                                coeff_bounds=unit_coeff_bounds)
     assert again.converged
     assert again.iterations == 1
 
@@ -226,7 +234,7 @@ def test_iterate_example2_reports_nonconvergence(example2_spec, example2_bounds)
     pb = example2_bounds
     seed = GridFunctionPair.from_constants(0.0, 30.0, 0.1,
                                            0.5 * (pb.m1 + pb.M1), 0.5 * (pb.m2 + pb.M2))
-    res = iterate_fixed_point(example2_spec, seed, tol=1e-6, max_iter=60,
+    res = iterate_fixed_point(example2_spec, seed, tol=1e-6, max_iter=60, quad_step=0.05, tail_tol=1e-6,
                               coeff_bounds=table_bounds("example2"))
     assert not res.converged
     assert res.status in ("diverged", "max_iter")
@@ -256,7 +264,7 @@ def test_fixed_point_cross_validation_with_trajectory(example2_spec, example2_bo
     pb = example2_bounds
     seed = GridFunctionPair.from_constants(0.0, 30.0, 0.1,
                                            0.5 * (pb.m1 + pb.M1), 0.5 * (pb.m2 + pb.M2))
-    res = iterate_fixed_point(example2_spec, seed, tol=1e-6, max_iter=60,
+    res = iterate_fixed_point(example2_spec, seed, tol=1e-6, max_iter=60, quad_step=0.05, tail_tol=1e-6,
                               coeff_bounds=table_bounds("example2"))
     if not res.converged:
         pytest.skip(f"Picard iteration did not converge (status={res.status}); "

@@ -77,6 +77,16 @@ def test_sample_state_domain_errors():
         sample_state(traj, -10.0)
 
 
+def test_sample_state_refuses_a_batch():
+    spec = make_spec("example2")
+    runs = integrate_batch(spec, [InitialHistory(0.5, 0.5), InitialHistory(0.75, 0.75)], 0.0, 5.0, 0.01)
+    for t in (1.0, -0.5):
+        with pytest.raises(IntegrationError, match=r"one run.*column\(i\)"):
+            sample_state(runs, t)
+    assert sample_state(runs.column(1), 1.0) == sample_state(
+        integrate(spec, InitialHistory(0.75, 0.75), 0.0, 5.0, 0.01), 1.0)
+
+
 def test_history_consistency_on_left_interval():
     hist = InitialHistory(0.8, 0.6)
     traj = integrate(logistic_spec(), hist, 0.0, 1.0, 0.05)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from lgholling import (
     parse_expression,
     validate_model,
 )
+from lgholling.model import SYMBOLS
 
 
 def constant_spec(**overrides):
@@ -36,7 +39,17 @@ def test_validate_constant_set():
     report = validate_model(spec, horizon=50.0, samples=5001)
     assert report.ok
     assert report.max_lag_r == pytest.approx(0.5, abs=1e-12)
-    assert spec.bounds  # attached on success
+
+
+def test_validate_leaves_the_frozen_spec_unchanged():
+    spec = constant_spec(a1="1 + 0.5*sin(t)")
+    before = dataclasses.astuple(spec)
+    report = validate_model(spec, horizon=10.0, samples=1001)
+    assert report.ok
+    assert dataclasses.astuple(spec) == before
+    assert [f.name for f in dataclasses.fields(spec)] == list(SYMBOLS)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.a1 = parse_expression("2")
 
 
 def test_validate_rejects_sign_changing_coefficient():

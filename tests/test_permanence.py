@@ -8,10 +8,10 @@ from lgholling import (
     InitialHistory,
     ModelSpec,
     check_c0,
-    compute_permanence_bounds,
     compute_permanence_bounds_from_values,
     integrate,
     validate_model,
+    ValidationError,
     verify_permanence,
 )
 from conftest import table_bounds
@@ -79,10 +79,22 @@ def test_unit_case_by_direct_formula():
 def test_bounds_from_estimates_match_table_when_inputs_match(unit_spec):
     report = validate_model(unit_spec, horizon=10.0, samples=1001)
     assert report.ok
-    pb_est = compute_permanence_bounds(unit_spec)
     cb = CoefficientBounds.from_validation(report.bounds)
-    pb_tab = compute_permanence_bounds_from_values(cb)
+    pb_est = compute_permanence_bounds_from_values(cb)
+    pb_tab = compute_permanence_bounds_from_values(CoefficientBounds.from_table(cb.to_dict()))
     assert pb_est == pb_tab
+
+
+def test_from_validation_maps_every_field_to_its_estimate():
+    # every coefficient 10 (i + 1) + sin(t): the 18 fields are 18 distinct values
+    spec = ModelSpec.from_strings({s: f"{10 * (i + 1)} + sin(t)" for i, s in enumerate(
+        ("a1", "a2", "b", "c1", "c2", "k1", "k2", "tau1", "tau2", "sigma1", "sigma2"))})
+    report = validate_model(spec, horizon=10.0, samples=1001)
+    cb = CoefficientBounds.from_validation(report.bounds)
+    for name, value in cb.to_dict().items():
+        sym, side = name.split("_")
+        assert value == getattr(report.bounds[sym], f"{side}_value"), name
+    assert len(set(cb.to_dict().values())) == 18
 
 
 def test_invariant_m2_positive(example1_bounds, example2_bounds):
@@ -129,11 +141,26 @@ def test_verify_permanence_logistic_limit():
         "tau1": "0.5", "tau2": "0.5", "sigma1": "0.5", "sigma2": "0.5",
     })
     report = validate_model(spec, horizon=10.0, samples=1001)
-    pb = compute_permanence_bounds(spec)
+    pb = compute_permanence_bounds_from_values(CoefficientBounds.from_validation(report.bounds))
     traj = integrate(spec, InitialHistory(0.4, 0.3), 0.0, 80.0, 0.01)
     res = verify_permanence(traj, pb, t_settle=40.0, t_end=80.0, slack=0.05)
     assert res.u_max <= pb.M1 + 0.05
     assert abs(res.u_max - 0.5) < 0.01  # a1/b = 0.5
+
+
+@pytest.mark.parametrize("t_settle, t_end", [(10.0, 20.0), (3.0, 7.0), (-1.0, 4.0), (2.001, 2.009)])
+def test_verify_permanence_names_a_window_the_run_does_not_cover(unit_spec, t_settle, t_end):
+    pb = compute_permanence_bounds_from_values(table_bounds("example2"))
+    traj = integrate(unit_spec, InitialHistory(0.5, 0.5), 0.0, 5.0, 0.01)
+    with pytest.raises(ValidationError, match=rf"window \[{t_settle}, {t_end}\].*\[0.0, 5.0\]"):
+        verify_permanence(traj, pb, t_settle=t_settle, t_end=t_end)
+
+
+def test_verify_permanence_accepts_the_run_window_when_the_last_knot_falls_short(unit_spec):
+    traj = integrate(unit_spec, InitialHistory(0.5, 0.5), 0.3, 0.45, 0.01)
+    assert traj.t[-1] < 0.45
+    pb = compute_permanence_bounds_from_values(table_bounds("example2"))
+    assert verify_permanence(traj, pb, t_settle=0.3, t_end=0.45).t_end == 0.45
 
 
 def test_verify_permanence_requires_window():

@@ -14,6 +14,7 @@ from lgholling import (
     integrate,
     lag_inverse_gap,
     parse_expression,
+    ValidationError,
     run_attractivity,
 )
 from conftest import reference_lag_gap
@@ -199,6 +200,17 @@ def test_attractivity_swap_invariance(unit_spec):
     r1 = run_attractivity(traj_a, traj_b, threshold=1.0)
     r2 = run_attractivity(traj_b, traj_a, threshold=1.0)
     assert np.array_equal(r1.distances, r2.distances)
+
+
+@pytest.mark.parametrize("t0_b, t_end_b, h_b", [(0.0, 4.0, 0.01), (0.0, 5.0, 0.02), (1.0, 6.0, 0.01)])
+def test_attractivity_names_a_grid_mismatch(unit_spec, t0_b, t_end_b, h_b):
+    h = InitialHistory(0.5, 0.5)
+    traj_a = integrate(unit_spec, h, 0.0, 5.0, 0.01)
+    traj_b = integrate(unit_spec, h, t0_b, t_end_b, h_b)
+    with pytest.raises(ValidationError, match=r"different grids: \[0.0, 5.0\] step 0.01 and"):
+        run_attractivity(traj_a, traj_b, threshold=1e-3)
+    with pytest.raises(ValidationError, match="different grids"):
+        run_attractivity(traj_b, traj_a, threshold=1e-3)
 
 
 def test_attractivity_contracting_system():
