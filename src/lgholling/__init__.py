@@ -6,11 +6,11 @@ Main entry points:
 
 - expression layer: parse_expression, evaluate, estimate_bounds
 - model: ModelSpec (frozen), InitialHistory, validate_model, eval_rhs
-- integration: Trajectory, integrate, integrate_batch, sample_state, order_check
+- integration: Trajectory, integrate, integrate_batch, sample_state
 - coefficient sup/inf and permanence box: CoefficientBounds, compute_permanence_bounds_from_values,
   verify_permanence(trajectory)
-- attractivity: eval_alpha_beta, estimate_liminf, run_attractivity(two trajectories)
-- almost-periodicity diagnostics: ergodic_mean, shift_defect, pap0_trend
+- attractivity: lag_inverse_gap, estimate_liminf, run_attractivity(two trajectories)
+- almost-periodicity diagnostics: ergodic_mean, pap0_trend, solution_window_report
 - integral operator: apply_upsilon, iterate_fixed_point, dde_residual
 - orchestration: run_preset, run_config (also the `lgholling` CLI)
 """
@@ -36,14 +36,7 @@ from .expr import (
     serialize,
 )
 from .model import InitialHistory, ModelSpec, ValidationReport, eval_rhs, validate_model
-from .integrator import (
-    OrderCheck,
-    Trajectory,
-    integrate,
-    integrate_batch,
-    order_check,
-    sample_state,
-)
+from .integrator import Trajectory, integrate, integrate_batch, sample_state
 from .permanence import (
     CoefficientBounds,
     PermanenceBounds,
@@ -57,11 +50,10 @@ from .stability import (
     LiminfEstimate,
     alpha_beta_from_gaps,
     estimate_liminf,
-    eval_alpha_beta,
     lag_inverse_gap,
     run_attractivity,
 )
-from .pap import PapReport, PapTrend, ergodic_mean, pap0_trend, shift_defect, solution_window_report
+from .pap import PapReport, PapTrend, ergodic_mean, pap0_trend, solution_window_report
 from .fixedpoint import (
     FixedPointResult,
     GridFunctionPair,
@@ -69,7 +61,6 @@ from .fixedpoint import (
     dde_residual,
     eval_f,
     iterate_fixed_point,
-    kernel_identity_check,
 )
 from .presets import PRESET_NAMES, preset_config
 from .cli import RunConfig, emit_report, load_config, run_config, run_pipeline, run_preset

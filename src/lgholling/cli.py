@@ -372,7 +372,10 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         }
 
     if analyses["pap"]:
-        pr = solution_window_report(traj, t_settle, t_end)
+        try:
+            pr = solution_window_report(traj, t_settle, t_end)
+        except ValidationError as exc:
+            raise ConfigError("/run/t_settle", str(exc)) from exc
         report["pap"] = {
             "window": list(pr.window),
             "trend_verdict": pr.trend_verdict,

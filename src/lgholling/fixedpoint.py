@@ -1,6 +1,6 @@
 """Integral operator whose fixed points are bounded solutions of the system,
-Picard iteration toward the distinguished solution, a residual check against
-the differential equations, and the exponential-kernel difference identity.
+Picard iteration toward the distinguished solution, and a residual check
+against the differential equations.
 
 The operator applied to a candidate pair (phi, psi) is
 
@@ -32,9 +32,9 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import NumericalError, QuadratureError
-from .expr import CoefficientExpr, evaluate_array
+from .expr import evaluate_array
 from .model import ModelSpec, eval_rhs
-from .permanence import CoefficientBounds, PermanenceBounds
+from .permanence import CoefficientBounds
 
 __all__ = [
     "GridFunctionPair",
@@ -43,7 +43,6 @@ __all__ = [
     "apply_upsilon",
     "iterate_fixed_point",
     "dde_residual",
-    "kernel_identity_check",
 ]
 
 
@@ -88,12 +87,6 @@ class GridFunctionPair:
 
     def psi_at(self, s) -> np.ndarray:
         return self._psi_spline(np.clip(s, self.t_lo, self.t_hi))
-
-    def in_box(self, bounds: PermanenceBounds, tol: float = 0.0) -> bool:
-        return bool(
-            (self.phi >= bounds.m1 - tol).all() and (self.phi <= bounds.M1 + tol).all()
-            and (self.psi >= bounds.m2 - tol).all() and (self.psi <= bounds.M2 + tol).all()
-        )
 
 
 @dataclass(eq=False)
@@ -274,41 +267,3 @@ def dde_residual(spec: ModelSpec, pair: GridFunctionPair) -> float:
                             pair.phi_at(s - spec.sigma1(s)), pair.phi_at(s - spec.sigma2(s)),
                             pair.psi_at(s - spec.tau1(s)), pair.psi_at(s - spec.tau2(s)))
     return float((np.abs(dphi - rhs_u) + np.abs(dpsi - rhs_v)).max())
-
-
-def kernel_identity_check(
-    a_expr: CoefficientExpr,
-    b_expr: CoefficientExpr,
-    alpha_shift: float,
-    s: float,
-    t: float,
-    quad_n: int = 4096,
-) -> tuple[float, float, float]:
-    """Check the exponential-kernel difference identity
-
-        e^{-int_s^t a(u+alpha) du} - e^{-int_s^t b(u) du}
-          = int_s^t e^{-int_r^t a(u+alpha) du} e^{-int_s^r b(u) du}
-                    (b(r) - a(r+alpha)) dr
-
-    by composite Simpson with quad_n subintervals; returns (lhs, rhs, gap).
-    """
-    if not s < t:
-        raise ValueError("need s < t")
-    if quad_n < 2 or quad_n % 2:
-        raise ValueError("quad_n must be even and >= 2")
-    r = np.linspace(s, t, quad_n + 1)
-    dx = (t - s) / quad_n
-    rmid = r[:-1] + 0.5 * dx
-    a_nodes = evaluate_array(a_expr, r + alpha_shift)
-    a_mids = evaluate_array(a_expr, rmid + alpha_shift)
-    b_nodes = evaluate_array(b_expr, r)
-    b_mids = evaluate_array(b_expr, rmid)
-    A = _prefix_simpson(a_nodes, a_mids, dx)  # int_s^r a(u+alpha) du
-    B = _prefix_simpson(b_nodes, b_mids, dx)
-    lhs = math.exp(-A[-1]) - math.exp(-B[-1])
-    integrand = np.exp(-(A[-1] - A)) * np.exp(-B) * (b_nodes - a_nodes)
-    w = np.full(quad_n + 1, 2.0)  # composite Simpson weights, times 3/dx
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    rhs = float(np.dot(integrand, w * (dx / 3.0)))
-    return lhs, rhs, abs(lhs - rhs)

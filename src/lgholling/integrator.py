@@ -35,17 +35,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, ValidationError
 from .expr import CoefficientExpr, evaluate_array, serialize
 from .model import InitialHistory, ModelSpec
 
 __all__ = [
     "Trajectory",
-    "OrderCheck",
     "integrate",
     "integrate_batch",
     "sample_state",
-    "order_check",
 ]
 
 _LOG_LIMIT = 700.0  # beyond this exp overflows
@@ -86,6 +84,15 @@ class Trajectory:
         """The run of a batch from histories[i], as integrate() gives it."""
         x, y, dx, dy = (np.ascontiguousarray(a[:, i]) for a in (self.x, self.y, self.dx, self.dy))
         return Trajectory(self.t0, self.t_end, self.h, self.t, x, y, dx, dy, (self.histories[i],), self.r)
+
+    def window(self, t_lo: float, t_hi: float) -> np.ndarray:
+        """Mask of the knots in [t_lo, t_hi]; ValidationError naming the
+        window unless it lies on the run and holds a knot."""
+        mask = (self.t >= t_lo) & (self.t <= t_hi)
+        # half a step of slop: the last knot t0 + n h may fall an ulp short of the t_end the run was asked for
+        if not (self.t0 <= t_lo < t_hi <= self.t_end + 0.5 * self.h and mask.any()):
+            raise ValidationError(f"window [{t_lo}, {t_hi}] is empty or off the run [{self.t0}, {self.t_end}]")
+        return mask
 
 
 def _log_or_neginf(value: float, what: str) -> float:
@@ -324,32 +331,3 @@ def sample_state(traj: Trajectory, t: float) -> tuple[float, float]:
     x = w00 * traj.x[idx] + w10 * traj.dx[idx] + w01 * traj.x[idx + 1] + w11 * traj.dx[idx + 1]
     y = w00 * traj.y[idx] + w10 * traj.dy[idx] + w01 * traj.y[idx + 1] + w11 * traj.dy[idx + 1]
     return math.exp(x), math.exp(y)
-
-
-@dataclass
-class OrderCheck:
-    ratio: float
-    err_coarse: float  # ||sol_h - sol_{h/2}||_inf over shared knots
-    err_fine: float    # ||sol_{h/2} - sol_{h/4}||_inf
-    plateau: bool      # differences at machine-precision floor; ratio meaningless
-
-
-def order_check(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float, h: float) -> OrderCheck:
-    """Richardson convergence check at steps h, h/2, h/4.
-
-    For a 4th-order scheme the ratio approaches 2^4 = 16 on smooth problems;
-    delay-interpolation effects degrade it mildly.
-    """
-    sols = [integrate(spec, history, t0, t_end, step) for step in (h, h / 2.0, h / 4.0)]
-
-    def diff(a: Trajectory, b: Trajectory, stride: int) -> float:
-        du = np.abs(a.u - b.u[::stride]).max()
-        dv = np.abs(a.v - b.v[::stride]).max()
-        return float(max(du, dv))
-
-    err_coarse = diff(sols[0], sols[1], 2)
-    err_fine = diff(sols[1], sols[2], 2)
-    scale = float(max(np.abs(sols[2].u).max(), np.abs(sols[2].v).max(), 1.0))
-    plateau = err_fine < 1e-13 * scale
-    ratio = math.inf if err_fine == 0.0 else err_coarse / err_fine
-    return OrderCheck(ratio=ratio, err_coarse=err_coarse, err_fine=err_fine, plateau=plateau)

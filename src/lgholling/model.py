@@ -29,6 +29,7 @@ __all__ = [
 
 SYMBOLS = ("a1", "a2", "b", "c1", "c2", "k1", "k2", "tau1", "tau2", "sigma1", "sigma2")
 DELAY_SYMBOLS = ("tau1", "tau2", "sigma1", "sigma2")
+_HISTORY_SAMPLES = 256  # points on [-r, 0] where a history is checked for sign
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,10 @@ class InitialHistory:
         """phi2 at a time or over an array of times."""
         return _history_value(self.phi2, theta)
 
-    def validate(self, r: float, samples: int = 256) -> None:
+    def validate(self, r: float) -> None:
         if self.value1(0.0) <= 0.0 or self.value2(0.0) <= 0.0:
             raise ValidationError("history must satisfy phi1(0) > 0 and phi2(0) > 0")
-        thetas = np.linspace(-r, 0.0, samples) if r > 0 else np.array([0.0])
+        thetas = np.linspace(-r, 0.0, _HISTORY_SAMPLES) if r > 0 else np.array([0.0])
         for name, vals in (("phi1", self.value1(thetas)), ("phi2", self.value2(thetas))):
             if (vals < 0.0).any():
                 raise ValidationError(f"history {name} negative at theta={float(thetas[vals < 0.0][0])}")

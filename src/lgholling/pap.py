@@ -1,4 +1,6 @@
-"""Numerical diagnostics for almost-periodic / ergodic structure.
+"""Numerical diagnostics for almost-periodic / ergodic structure: ergodic
+means, their trend over growing windows, and the report on one computed
+solution's settled window that the pipeline writes.
 
 None of these verdicts are proofs: membership of the relevant function
 classes is not decidable from finite data, so the diagnostics report
@@ -12,16 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
+from .errors import ValidationError
 from .integrator import Trajectory
 
 __all__ = [
     "PapReport",
     "PapTrend",
     "ergodic_mean",
-    "shift_defect",
     "pap0_trend",
     "solution_window_report",
 ]
+
+_SHIFT_CANDIDATES = 3  # shifts a window report keeps, those with the smallest defects
 
 
 def _sample(f, grid: np.ndarray) -> np.ndarray:
@@ -39,13 +43,6 @@ def ergodic_mean(f, T: float, n: int = 200_000) -> float:
     grid = np.linspace(-T, T, n + 1)
     vals = np.abs(_sample(f, grid))
     return float(simpson(vals, dx=2.0 * T / n) / (2.0 * T))
-
-
-def shift_defect(f, tau_shift: float, grid: np.ndarray) -> float:
-    """max over the grid of |f(t + tau) - f(t)|; an epsilon-almost-period
-    has defect below epsilon."""
-    grid = np.asarray(grid, dtype=float)
-    return float(np.abs(_sample(f, grid + tau_shift) - _sample(f, grid)).max())
 
 
 @dataclass
@@ -89,20 +86,21 @@ class PapReport:
     window: tuple[float, float]  # solution window the diagnostics were run on
 
 
-def solution_window_report(
-    traj: Trajectory,
-    t_settle: float,
-    t_end: float,
-    n_shift_candidates: int = 3,
-) -> PapReport:
+def solution_window_report(traj: Trajectory, t_settle: float, t_end: float) -> PapReport:
     """Diagnostics for a computed solution on [t_settle, t_end].
 
     The window is re-centered so its midpoint plays the role of 0; the
     deviation of u from its window mean is fed to the ergodic-mean trend
     (persistent oscillation shows up as a non-vanishing mean), and a grid
-    search reports the shifts with the smallest sup-distance defects.
+    search reports the shifts with the smallest sup-distance defects.  A
+    window off the run, or holding fewer than 2 of its knots, raises
+    ValidationError.
     """
-    mask = (traj.t >= t_settle) & (traj.t <= t_end)
+    if traj.u.ndim != 1:
+        raise ValidationError("solution_window_report reads one run; take a batch's run with column(i)")
+    mask = traj.window(t_settle, t_end)
+    if mask.sum() < 2:
+        raise ValidationError(f"window [{t_settle}, {t_end}] holds {mask.sum()} knot(s) of the run; need at least 2")
     times = traj.t[mask]
     u = traj.u[mask]
     mid = 0.5 * (t_settle + t_end)
@@ -122,7 +120,7 @@ def solution_window_report(
     candidates = np.linspace(0.25, half, 200)
     defects = [(float(tau), float(np.abs(np.interp(base + tau, times, u) - u_base).max())) for tau in candidates]
     defects.sort(key=lambda p: p[1])
-    best = sorted(defects[:n_shift_candidates])
+    best = sorted(defects[:_SHIFT_CANDIDATES])
     return PapReport(
         ergodic_means=trend.means,
         shift_defects=best,

@@ -132,10 +132,7 @@ def verify_permanence(
     The bounds are asymptotic (limsup/liminf statements), so a finite-horizon
     check needs the slack.
     """
-    mask = (traj.t >= t_settle) & (traj.t <= t_end)
-    # half a step of slop: the last knot t0 + n h may fall an ulp short of the t_end the run was asked for
-    if not (traj.t0 <= t_settle < t_end <= traj.t_end + 0.5 * traj.h and mask.any()):
-        raise ValidationError(f"window [{t_settle}, {t_end}] is empty or off the run [{traj.t0}, {traj.t_end}]")
+    mask = traj.window(t_settle, t_end)
     u = traj.u[mask]
     v = traj.v[mask]
     u_min, u_max = float(u.min()), float(u.max())

@@ -2,7 +2,8 @@
 including the published table values they are audited against.
 
 The coefficient formulas are carried verbatim; ``table_bounds`` holds the
-hand-entered sup/inf values and ``paper_values`` every published quantity,
+hand-entered sup/inf values and ``paper_values`` every published quantity
+(that table, then the permanence box and the liminf values),
 so a report can diff the published numbers against recomputed ones.
 
 Note the second preset's prey growth rate really does add the same cosine
@@ -39,6 +40,19 @@ _COMMON_OPTIONS = {
     "csv_stride": 10,
 }
 
+# each preset's published sup/inf table: its table_bounds, and the head of its paper_values
+_TABLE1 = {
+    "a1_inf": 0.04, "a1_sup": 0.29,
+    "a2_inf": 0.01, "a2_sup": 0.26,
+    "b_inf": 2.6, "b_sup": 3.1,
+    "c1_inf": 3.2, "c1_sup": 3.2,
+    "c2_inf": 3.5, "c2_sup": 3.5,
+    "k1_inf": 17.0, "k1_sup": 17.0,
+    "k2_inf": 3.4, "k2_sup": 3.4,
+    "tau1_sup": 0.75, "tau2_sup": 0.75,
+    "sigma1_sup": 0.75, "sigma2_sup": 0.75,
+}
+
 _EXAMPLE1 = {
     "model": {
         "a1": "0.04 + 0.125*abs(cos(sqrt(2)*t)) + 0.125*exp(-t)",
@@ -57,30 +71,24 @@ _EXAMPLE1 = {
     "run": {"t0": 0.0, "t_end": 200.0, "h": 0.01, "t_settle": 100.0},
     "analyses": {"bounds": True, "stability": True, "attractivity": True, "fixed_point": True, "pap": True},
     "options": dict(_COMMON_OPTIONS, beta_denominator="M1"),
-    "table_bounds": {
-        "a1_inf": 0.04, "a1_sup": 0.29,
-        "a2_inf": 0.01, "a2_sup": 0.26,
-        "b_inf": 2.6, "b_sup": 3.1,
-        "c1_inf": 3.2, "c1_sup": 3.2,
-        "c2_inf": 3.5, "c2_sup": 3.5,
-        "k1_inf": 17.0, "k1_sup": 17.0,
-        "k2_inf": 3.4, "k2_sup": 3.4,
-        "tau1_sup": 0.75, "tau2_sup": 0.75,
-        "sigma1_sup": 0.75, "sigma2_sup": 0.75,
-    },
+    "table_bounds": _TABLE1,
     "paper_values": {
-        "a1_inf": 0.04, "a1_sup": 0.29,
-        "a2_inf": 0.01, "a2_sup": 0.26,
-        "b_inf": 2.6, "b_sup": 3.1,
-        "c1_inf": 3.2, "c1_sup": 3.2,
-        "c2_inf": 3.5, "c2_sup": 3.5,
-        "k1_inf": 17.0, "k1_sup": 17.0,
-        "k2_inf": 3.4, "k2_sup": 3.4,
-        "tau1_sup": 0.75, "tau2_sup": 0.75,
-        "sigma1_sup": 0.75, "sigma2_sup": 0.75,
+        **_TABLE1,
         "M1": 0.7085, "m1": 0.0, "M2": 0.6506, "m2": 0.0829,
         "alpha_inf": 2.4, "beta_inf": 0.012,
     },
+}
+
+_TABLE2 = {
+    "a1_inf": 4.8, "a1_sup": 5.05,
+    "a2_inf": 0.03, "a2_sup": 0.28,
+    "b_inf": 8.1, "b_sup": 8.6,
+    "c1_inf": 0.32, "c1_sup": 0.32,
+    "c2_inf": 3.6, "c2_sup": 3.6,
+    "k1_inf": 16.7, "k1_sup": 16.7,
+    "k2_inf": 5.7, "k2_sup": 5.7,
+    "tau1_sup": 0.92, "tau2_sup": 0.92,
+    "sigma1_sup": 0.92, "sigma2_sup": 0.92,
 }
 
 _EXAMPLE2 = {
@@ -101,27 +109,9 @@ _EXAMPLE2 = {
     "run": {"t0": 0.0, "t_end": 200.0, "h": 0.01, "t_settle": 100.0},
     "analyses": {"bounds": True, "stability": True, "attractivity": True, "fixed_point": True, "pap": True},
     "options": dict(_COMMON_OPTIONS, beta_denominator="M2"),
-    "table_bounds": {
-        "a1_inf": 4.8, "a1_sup": 5.05,
-        "a2_inf": 0.03, "a2_sup": 0.28,
-        "b_inf": 8.1, "b_sup": 8.6,
-        "c1_inf": 0.32, "c1_sup": 0.32,
-        "c2_inf": 3.6, "c2_sup": 3.6,
-        "k1_inf": 16.7, "k1_sup": 16.7,
-        "k2_inf": 5.7, "k2_sup": 5.7,
-        "tau1_sup": 0.92, "tau2_sup": 0.92,
-        "sigma1_sup": 0.92, "sigma2_sup": 0.92,
-    },
+    "table_bounds": _TABLE2,
     "paper_values": {
-        "a1_inf": 4.8, "a1_sup": 5.05,
-        "a2_inf": 0.03, "a2_sup": 0.28,
-        "b_inf": 8.1, "b_sup": 8.6,
-        "c1_inf": 0.32, "c1_sup": 0.32,
-        "c2_inf": 3.6, "c2_sup": 3.6,
-        "k1_inf": 16.7, "k1_sup": 16.7,
-        "k2_inf": 5.7, "k2_sup": 5.7,
-        "tau1_sup": 0.92, "tau2_sup": 0.92,
-        "sigma1_sup": 0.92, "sigma2_sup": 0.92,
+        **_TABLE2,
         "M1": 0.6226, "m1": 0.5567, "M2": 0.6403, "m2": 0.0408,
         "alpha_inf": 7.25, "beta_inf": 0.009,
     },

@@ -32,18 +32,19 @@ __all__ = [
     "AttractivityResult",
     "lag_inverse_gap",
     "alpha_beta_from_gaps",
-    "eval_alpha_beta",
     "estimate_liminf",
     "run_attractivity",
 ]
 
+_LAG_TOL = 1e-12  # bisection stops once |theta(s) - t| <= _LAG_TOL
 
-def lag_inverse_gap(delay: CoefficientExpr, t, tol: float = 1e-12):
+
+def lag_inverse_gap(delay: CoefficientExpr, t):
     """Solve theta(s) = s - delay(s) = t for s and return s - t, for one
     time or elementwise for an array of times.
 
     theta must be strictly increasing on the bracket (checked by sampling);
-    the root is located by bisection until |theta(s) - t| <= tol.  All
+    the root is located by bisection until |theta(s) - t| <= _LAG_TOL.  All
     times are bracketed and bisected together, each with its own stopping
     point; when some fail, the error raised is the one the first failing
     time (in array order) meets first.
@@ -91,14 +92,14 @@ def lag_inverse_gap(delay: CoefficientExpr, t, tol: float = 1e-12):
             break
         mid = 0.5 * (a[k] + b[k])
         fm = theta(mid) - tv[k]
-        hit = np.abs(fm) <= tol  # close the bracket on mid, so that s = mid below
+        hit = np.abs(fm) <= _LAG_TOL  # close the bracket on mid, so that s = mid below
         lower = (fa[k] <= 0.0) == (fm <= 0.0)
         a[k] = np.where(hit | lower, mid, a[k])
         fa[k] = np.where(lower, fm, fa[k])
         b[k] = np.where(hit | ~lower, mid, b[k])
         active[k] = b[k] - a[k] >= 1e-17 * np.maximum(1.0, np.abs(tv[k]))
     s = 0.5 * (a + b)
-    stalled = np.abs(theta(s) - tv) > np.maximum(tol, 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(tv)))
+    stalled = np.abs(theta(s) - tv) > np.maximum(_LAG_TOL, 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(tv)))
     for i in np.flatnonzero(stalled):
         faults.setdefault(int(i), f"bisection stalled at t={float(tv[i])!r}")
     if faults:
@@ -152,22 +153,6 @@ def alpha_beta_from_gaps(cb: CoefficientBounds, pb: PermanenceBounds, gaps: tupl
     return alpha, beta
 
 
-def eval_alpha_beta(
-    spec: ModelSpec,
-    bounds: PermanenceBounds,
-    t: float,
-    beta_denominator: str = "M2",
-) -> tuple[float, float]:
-    """alpha(t), beta(t) with every lag gap obtained by lag inversion."""
-    return alpha_beta_from_gaps(bounds.inputs_used, bounds, _lag_gaps(spec, t), beta_denominator)
-
-
-def _lag_gaps(spec: ModelSpec, t) -> tuple:
-    """Lag inverse gaps of tau1, tau2, sigma1, sigma2 at a time or over an
-    array of times."""
-    return tuple(lag_inverse_gap(spec.expr(sym), t) for sym in ("tau1", "tau2", "sigma1", "sigma2"))
-
-
 @dataclass
 class LiminfEstimate:
     alpha_liminf: float
@@ -196,7 +181,7 @@ def estimate_liminf(
         raise ValueError("t_grid must be nonempty")
     alt = "M1" if beta_denominator == "M2" else "M2"
     cb = bounds.inputs_used
-    gaps = _lag_gaps(spec, t_grid)
+    gaps = tuple(lag_inverse_gap(spec.expr(sym), t_grid) for sym in ("tau1", "tau2", "sigma1", "sigma2"))
     alphas, betas = alpha_beta_from_gaps(cb, bounds, gaps, beta_denominator)
     betas_alt = alpha_beta_from_gaps(cb, bounds, gaps, alt)[1]
     times = t_grid.tolist()

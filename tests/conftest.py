@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -8,17 +9,23 @@ import pytest
 from lgholling import (
     BoundsEstimate,
     CoefficientBounds,
+    CoefficientExpr,
     ExprDomainError,
+    GridFunctionPair,
     InitialHistory,
     LagInversionError,
     ModelSpec,
+    PermanenceBounds,
+    Trajectory,
     compute_permanence_bounds_from_values,
     evaluate,
     evaluate_array,
+    integrate,
     run_preset,
 )
 from lgholling.expr import Const, Unary, Var, _Parser
 from lgholling.fixedpoint import _f_values, _prefix_simpson
+from lgholling.pap import _sample
 from lgholling.presets import preset_config
 
 
@@ -390,3 +397,84 @@ def reference_eval_array(text: str, t) -> np.ndarray:
     if bad.any():
         raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}")
     return values
+
+
+@dataclass
+class OrderCheck:
+    ratio: float
+    err_coarse: float  # ||sol_h - sol_{h/2}||_inf over shared knots
+    err_fine: float    # ||sol_{h/2} - sol_{h/4}||_inf
+    plateau: bool      # differences at machine-precision floor; ratio meaningless
+
+
+def order_check(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float, h: float) -> OrderCheck:
+    """Richardson convergence check at steps h, h/2, h/4.
+
+    For a 4th-order scheme the ratio approaches 2^4 = 16 on smooth problems;
+    delay-interpolation effects degrade it mildly.
+    """
+    sols = [integrate(spec, history, t0, t_end, step) for step in (h, h / 2.0, h / 4.0)]
+
+    def diff(a: Trajectory, b: Trajectory, stride: int) -> float:
+        du = np.abs(a.u - b.u[::stride]).max()
+        dv = np.abs(a.v - b.v[::stride]).max()
+        return float(max(du, dv))
+
+    err_coarse = diff(sols[0], sols[1], 2)
+    err_fine = diff(sols[1], sols[2], 2)
+    scale = float(max(np.abs(sols[2].u).max(), np.abs(sols[2].v).max(), 1.0))
+    plateau = err_fine < 1e-13 * scale
+    ratio = math.inf if err_fine == 0.0 else err_coarse / err_fine
+    return OrderCheck(ratio=ratio, err_coarse=err_coarse, err_fine=err_fine, plateau=plateau)
+
+
+def kernel_identity_check(
+    a_expr: CoefficientExpr,
+    b_expr: CoefficientExpr,
+    alpha_shift: float,
+    s: float,
+    t: float,
+    quad_n: int = 4096,
+) -> tuple[float, float, float]:
+    """Check the exponential-kernel difference identity
+
+        e^{-int_s^t a(u+alpha) du} - e^{-int_s^t b(u) du}
+          = int_s^t e^{-int_r^t a(u+alpha) du} e^{-int_s^r b(u) du}
+                    (b(r) - a(r+alpha)) dr
+
+    by composite Simpson with quad_n subintervals; returns (lhs, rhs, gap).
+    """
+    if not s < t:
+        raise ValueError("need s < t")
+    if quad_n < 2 or quad_n % 2:
+        raise ValueError("quad_n must be even and >= 2")
+    r = np.linspace(s, t, quad_n + 1)
+    dx = (t - s) / quad_n
+    rmid = r[:-1] + 0.5 * dx
+    a_nodes = evaluate_array(a_expr, r + alpha_shift)
+    a_mids = evaluate_array(a_expr, rmid + alpha_shift)
+    b_nodes = evaluate_array(b_expr, r)
+    b_mids = evaluate_array(b_expr, rmid)
+    A = _prefix_simpson(a_nodes, a_mids, dx)  # int_s^r a(u+alpha) du
+    B = _prefix_simpson(b_nodes, b_mids, dx)
+    lhs = math.exp(-A[-1]) - math.exp(-B[-1])
+    integrand = np.exp(-(A[-1] - A)) * np.exp(-B) * (b_nodes - a_nodes)
+    w = np.full(quad_n + 1, 2.0)  # composite Simpson weights, times 3/dx
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    rhs = float(np.dot(integrand, w * (dx / 3.0)))
+    return lhs, rhs, abs(lhs - rhs)
+
+
+def shift_defect(f, tau_shift: float, grid: np.ndarray) -> float:
+    """max over the grid of |f(t + tau) - f(t)|; an epsilon-almost-period
+    has defect below epsilon."""
+    grid = np.asarray(grid, dtype=float)
+    return float(np.abs(_sample(f, grid + tau_shift) - _sample(f, grid)).max())
+
+
+def in_box(pair: GridFunctionPair, bounds: PermanenceBounds) -> bool:
+    return bool(
+        (pair.phi >= bounds.m1).all() and (pair.phi <= bounds.M1).all()
+        and (pair.psi >= bounds.m2).all() and (pair.psi <= bounds.M2).all()
+    )

@@ -32,8 +32,6 @@ from lgholling import (
     integrate,
     integrate_batch,
     iterate_fixed_point,
-    kernel_identity_check,
-    order_check,
     pap0_trend,
     parse_expression,
     preset_config,
@@ -41,7 +39,8 @@ from lgholling import (
     sample_state,
     verify_permanence,
 )
-from conftest import example2_constant_pair_u2, load_report, make_spec, table_bounds, table_permanence
+from conftest import (example2_constant_pair_u2, in_box, kernel_identity_check, load_report, make_spec, order_check,
+                      table_bounds, table_permanence)
 
 # frozen calculator-oracle values for the example2 table bounds (computed in
 # a separate session from the plain one-line formulas)
@@ -253,7 +252,7 @@ def test_criterion_08_operator_invariance(unit_spec, unit_coeff_bounds):
                                  out.psi.min() - v_lo, v_hi - out.psi.max())))
         over_u = max(float((pb.m1 - out.phi).max()), float((out.phi - pb.M1).max()))
         over_v = max(float((pb.m2 - out.psi).max()), float((out.psi - pb.M2).max()))
-        if not out.in_box(pb):
+        if not in_box(out, pb):
             violations.append((idx, round(max(over_u, over_v), 4)))
     escapes = [(idx, m) for idx, m in enumerate(margins) if m < 0.0]
     envelope_ok = not escapes

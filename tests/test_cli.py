@@ -33,6 +33,12 @@ def small_config(**overrides):
     return data
 
 
+def write_config(path: Path, data) -> Path:
+    """Write data to path as JSON and return the path."""
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
 def test_preset_example2_report_contents(example2_run):
     report, out = example2_run
     assert report["permanence"]["m1"] == pytest.approx(0.5567, abs=1e-3)
@@ -72,8 +78,7 @@ def test_coefficient_discrepancies_are_the_model_estimates(example1_run):
 
 def test_run_config_equals_preset(tmp_path, example2_run):
     report_preset, _ = example2_run
-    cfg = tmp_path / "ex2.json"
-    cfg.write_text(json.dumps(preset_config("example2")), encoding="utf-8")
+    cfg = write_config(tmp_path / "ex2.json", preset_config("example2"))
     report = run_config(cfg, tmp_path / "out")
     a = dict(report_preset)
     b = load_report(tmp_path / "out")
@@ -149,8 +154,7 @@ def test_emit_report_rejects_bare_report(tmp_path):
 def test_step_above_delay_exits_3(tmp_path, capsys):
     data = small_config()
     data["run"]["h"] = 0.7  # exceeds the 0.5 delays
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "bad.json", data)
     code = main(["run", str(cfg), "--out", str(tmp_path / "out")])
     assert code == 3
     err = capsys.readouterr().err
@@ -190,8 +194,7 @@ def test_nonfinite_run_value_exits_2(tmp_path, capsys, key, literal):
 def test_malformed_value_exits_2_naming_its_path(tmp_path, capsys, section, key, value):
     data = small_config()
     data.setdefault(section, {})[key] = value
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "bad.json", data)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"/{section}/{key}" in err and "Traceback" not in err
@@ -260,8 +263,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
 def test_config_validation_exits_2(tmp_path, capsys):
     data = small_config()
     del data["model"]["c2"]
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "bad.json", data)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "/model/c2" in capsys.readouterr().err
 
@@ -269,8 +271,7 @@ def test_config_validation_exits_2(tmp_path, capsys):
 def test_nonpositive_coefficient_exits_2(tmp_path, capsys):
     data = small_config()
     data["model"]["b"] = "cos(t)"  # crosses zero
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "bad.json", data)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "coefficient b" in capsys.readouterr().err
 
@@ -284,8 +285,7 @@ def test_failing_constant_coefficient_exits_3(tmp_path, capsys, text, message):
     data = small_config()
     data["model"]["c1"] = text
     load_config(data)  # parses: the error belongs to evaluation
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "bad.json", data)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
@@ -293,24 +293,21 @@ def test_failing_constant_coefficient_exits_3(tmp_path, capsys, text, message):
 def test_pipeline_accepts_expression_history(tmp_path):
     data = small_config()
     data["history"] = {"phi1": "0.5 + 0.1*cos(t)", "phi2": 0.4}
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "cfg.json", data)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     report = load_report(tmp_path / "out")
     assert report["permanence"]["verification"]["observed"]["u_min"] > 0.0
 
 
 def test_cli_run_small_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(small_config()), encoding="utf-8")
+    cfg = write_config(tmp_path / "cfg.json", small_config())
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     report = load_report(tmp_path / "out")
     assert report["permanence"]["M1"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_cli_simulate_with_random_histories(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(small_config()), encoding="utf-8")
+    cfg = write_config(tmp_path / "cfg.json", small_config())
     code = main(["simulate", str(cfg), "--out", str(tmp_path / "out"),
                  "--random-histories", "5", "--seed", "3"])
     assert code == 0
@@ -339,8 +336,7 @@ def test_random_histories_ride_in_the_one_kernel_call(tmp_path, monkeypatch, his
 
     monkeypatch.setattr(integrator, "_rk4", counting)
     data = small_config(history=history)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "cfg.json", data)
     assert main(["simulate", str(cfg), "--out", str(tmp_path / "out"), "--random-histories", "5", "--seed", "3"]) == 0
     assert len(calls) == 1
     got = load_report(tmp_path / "out")["random_histories"]["min_uv"]
@@ -369,8 +365,7 @@ def test_run_with_every_analysis_makes_one_kernel_call(tmp_path, monkeypatch):
     monkeypatch.setattr(integrator, "_rk4", counting)
     data = short_preset("example2")
     assert all(data["analyses"].values())
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "cfg.json", data)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
     report = load_report(tmp_path / "out")
@@ -382,8 +377,7 @@ def test_run_with_every_analysis_makes_one_kernel_call(tmp_path, monkeypatch):
 def test_negative_count_exits_2_naming_the_flag(tmp_path, flag):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(small_config()), encoding="utf-8")
+    cfg = write_config(tmp_path / "cfg.json", small_config())
     counts = {"--random-histories": "3", "--seed": "1", flag: "-3"}
     argv = [arg for pair in counts.items() for arg in pair]
     proc = subprocess.run([sys.executable, "-m", "lgholling", "simulate", str(cfg), "--out", str(tmp_path / "out"),
@@ -399,8 +393,7 @@ def test_overflowing_random_history_exits_3_before_any_file(tmp_path, capsys):
     one of them stops the run before trajectories.csv is written."""
     data = small_config(history={"phi1": 0.5, "phi2": 1e-300})  # no predation on u for the whole run
     data["model"]["c1"] = "300"
-    cfg = tmp_path / "overflow.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "overflow.json", data)
     assert main(["simulate", str(cfg), "--out", str(tmp_path / "alone")]) == 0
     assert main(["simulate", str(cfg), "--out", str(tmp_path / "out"), "--random-histories", "3", "--seed", "3"]) == 3
     assert capsys.readouterr().err == "numerical failure: log-state overflow at t=2.15\n"
@@ -422,8 +415,7 @@ def test_csv_writer_equals_per_value_format(tmp_path, monkeypatch, block_rows):
 
 
 def test_cli_single_analysis_subcommands(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(small_config()), encoding="utf-8")
+    cfg = write_config(tmp_path / "cfg.json", small_config())
     assert main(["bounds", str(cfg), "--out", str(tmp_path / "b")]) == 0
     rep = load_report(tmp_path / "b")
     assert "permanence" in rep and "stability" not in rep
@@ -485,8 +477,7 @@ def run_mutated(tmp_path, name, path, value, flags):
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    cfg = tmp_path / "mutated.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "mutated.json", data)
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["run", str(cfg), "--out", str(tmp_path / "out")] + flags)
@@ -519,8 +510,9 @@ def test_mutated_preset_config_exits_cleanly(tmp_path, name, path, value, flags)
     (("table_bounds", "a2_sup"), 1e300, [], 3, "overflow"),
     (("run",), 5, ["--t-end", "3"], 2, "/run"),
     (("options",), 5, ["--beta-denominator", "M1"], 2, "/options"),
+    (("run", "t_settle"), 3.99, [], 2, "/run/t_settle"),  # a settle window holding one knot
 ], ids=["negative-c1", "phi1-zero-at-0", "phi1-huge-int", "t_end-huge", "fp_step-huge", "b_inf-zero",
-        "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object"])
+        "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object", "t_settle-one-knot"])
 def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
     """Mutations that once ended in a traceback or in an error naming no
     field."""
@@ -534,8 +526,7 @@ def test_overflowing_fixed_point_source_exits_3_without_warning(tmp_path):
     the run exits 3 naming f, with no numpy RuntimeWarning on stderr."""
     data = short_preset("example1")
     data["table_bounds"]["a2_inf"] = 1e300
-    cfg = tmp_path / "overflow.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "overflow.json", data)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-W", "default", "-m", "lgholling", "run", str(cfg),
@@ -550,8 +541,7 @@ def test_config_output_dir_is_the_default_out(tmp_path, monkeypatch, command):
     data = small_config(output_dir=str(tmp_path / "from-config"))
     data["analyses"] = dict.fromkeys(data["analyses"], True)
     data["options"].update(liminf_t_max=10.0, liminf_points=11, fp_t_hi=1.0, fp_max_iter=1)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "cfg.json", data)
     monkeypatch.chdir(tmp_path)
     assert main([command, str(cfg)]) == 0
     assert (tmp_path / "from-config" / "report.json").exists()
@@ -561,8 +551,7 @@ def test_config_output_dir_is_the_default_out(tmp_path, monkeypatch, command):
 def test_seed_is_refused_where_nothing_reads_it(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(small_config()), encoding="utf-8")
+    cfg = write_config(tmp_path / "cfg.json", small_config())
     proc = subprocess.run([sys.executable, "-m", "lgholling", "run", str(cfg), "--out", str(tmp_path / "out"),
                            "--seed", "5"], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
@@ -577,8 +566,7 @@ def test_overflowing_attractivity_history_exits_3_before_any_file(tmp_path, caps
     trajectories.csv is written."""
     data = short_preset("example2")
     data["options"]["attractivity_history"] = [0.75, 1e300]
-    cfg = tmp_path / "overflow.json"
-    cfg.write_text(json.dumps(data), encoding="utf-8")
+    cfg = write_config(tmp_path / "overflow.json", data)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err == "numerical failure: log-state overflow at t=0.05\n"
     assert not (tmp_path / "out").exists()

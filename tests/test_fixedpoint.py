@@ -15,12 +15,11 @@ from lgholling import (
     eval_f,
     integrate,
     iterate_fixed_point,
-    kernel_identity_check,
     parse_expression,
     sample_state,
 )
-from conftest import (example2_constant_pair_u2, make_spec, reference_upsilon, table_bounds, table_permanence,
-                      trapz)
+from conftest import (example2_constant_pair_u2, in_box, kernel_identity_check, make_spec, reference_upsilon,
+                      table_bounds, table_permanence, trapz)
 from lgholling.presets import preset_config
 
 
@@ -88,7 +87,7 @@ def test_upsilon_example2_box_corners_leave_box(example2_spec, example2_bounds):
         oracle_u2 = example2_constant_pair_u2(phi0, psi0, t_ref)
         i_ref = int(round((t_ref - pair.t_lo) / step))
         assert out.psi[i_ref] == pytest.approx(oracle_u2, rel=2e-3)
-        assert not out.in_box(pb)  # the map genuinely exits the box
+        assert not in_box(out, pb)  # the map genuinely exits the box
 
 
 def test_apply_upsilon_nonconstant_pair_against_brute_force(unit_spec, unit_coeff_bounds):

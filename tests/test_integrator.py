@@ -12,11 +12,10 @@ from lgholling import (
     integrate,
     integrate_batch,
     integrator,
-    order_check,
     sample_state,
 )
 from lgholling.presets import preset_config
-from conftest import make_spec, reference_rk4
+from conftest import make_spec, order_check, reference_rk4
 
 
 def logistic_spec(**overrides):

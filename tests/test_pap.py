@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lgholling import InitialHistory, ergodic_mean, integrate, pap0_trend, shift_defect
+from lgholling import InitialHistory, ValidationError, ergodic_mean, integrate, integrate_batch, pap0_trend
 from lgholling.pap import solution_window_report
+from conftest import shift_defect
 
 
 def test_ergodic_mean_constant():
@@ -111,3 +113,23 @@ def test_solution_window_shift_search_equals_shift_defect(example1_spec):
     defects = [(float(tau), shift_defect(lambda th: np.interp(th, times, u), tau, base))
                for tau in np.linspace(0.25, 15.0, 200)]
     assert rep.shift_defects == sorted(sorted(defects, key=lambda p: p[1])[:3])
+
+
+@pytest.mark.parametrize("t_settle, t_end, message", [
+    (10.0, 20.0, r"window \[10.0, 20.0\] is empty or off the run \[0.0, 5.0\]"),
+    (4.0, 3.0, r"window \[4.0, 3.0\] is empty or off the run"),
+    (4.995, 5.0, r"window \[4.995, 5.0\] holds 1 knot\(s\) of the run"),
+])
+def test_solution_window_report_names_a_window_it_cannot_read(unit_spec, t_settle, t_end, message):
+    traj = integrate(unit_spec, InitialHistory(0.5, 0.5), 0.0, 5.0, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no raw numpy warning on the way to the error
+        with pytest.raises(ValidationError, match=message):
+            solution_window_report(traj, t_settle, t_end)
+
+
+def test_solution_window_report_reads_one_run(unit_spec):
+    runs = integrate_batch(unit_spec, [InitialHistory(0.5, 0.5), InitialHistory(0.75, 0.75)], 0.0, 5.0, 0.01)
+    with pytest.raises(ValidationError, match=r"reads one run.*column\(i\)"):
+        solution_window_report(runs, 2.0, 5.0)
+    assert solution_window_report(runs.column(1), 2.0, 5.0).window == (2.0, 5.0)

@@ -9,7 +9,6 @@ from lgholling import (
     PermanenceBounds,
     alpha_beta_from_gaps,
     estimate_liminf,
-    eval_alpha_beta,
     evaluate,
     integrate,
     lag_inverse_gap,
@@ -115,8 +114,8 @@ def test_alpha_beta_nonincreasing_in_each_gap():
 
 
 def test_example1_alpha_beta_against_oracle(example1_spec, example1_bounds):
-    alpha, beta_m2 = eval_alpha_beta(example1_spec, example1_bounds, 7.0, beta_denominator="M2")
-    _, beta_m1 = eval_alpha_beta(example1_spec, example1_bounds, 7.0, beta_denominator="M1")
+    est = estimate_liminf(example1_spec, example1_bounds, np.array([7.0]), "M2")
+    alpha, beta_m2, beta_m1 = est.alpha_liminf, est.beta_liminf, est.beta_liminf_alt
     assert alpha == pytest.approx(EX1_ALPHA, abs=1e-9)
     assert beta_m2 == pytest.approx(EX1_BETA_M2, abs=1e-9)
     assert beta_m1 == pytest.approx(EX1_BETA_M1, abs=1e-9)
@@ -127,8 +126,8 @@ def test_example1_alpha_beta_against_oracle(example1_spec, example1_bounds):
 
 
 def test_example2_alpha_beta_against_oracle(example2_spec, example2_bounds):
-    alpha, beta_m2 = eval_alpha_beta(example2_spec, example2_bounds, 3.0, beta_denominator="M2")
-    _, beta_m1 = eval_alpha_beta(example2_spec, example2_bounds, 3.0, beta_denominator="M1")
+    est = estimate_liminf(example2_spec, example2_bounds, np.array([3.0]), "M2")
+    alpha, beta_m2, beta_m1 = est.alpha_liminf, est.beta_liminf, est.beta_liminf_alt
     assert alpha == pytest.approx(EX2_ALPHA, abs=1e-9)
     assert beta_m2 == pytest.approx(EX2_BETA_M2, abs=1e-9)
     assert beta_m1 == pytest.approx(EX2_BETA_M1, abs=1e-9)
@@ -178,7 +177,7 @@ def test_liminf_with_time_varying_delays(example2_bounds):
     gaps = (lag_inverse_gap(spec.tau1, t_probe), lag_inverse_gap(spec.tau2, t_probe),
             lag_inverse_gap(spec.sigma1, t_probe), lag_inverse_gap(spec.sigma2, t_probe))
     a_direct, _ = alpha_beta_from_gaps(cb, pb, gaps)
-    a_eval, _ = eval_alpha_beta(spec, pb, t_probe)
+    a_eval = estimate_liminf(spec, pb, np.array([t_probe]), "M2").alpha_liminf
     assert a_eval == pytest.approx(a_direct, abs=1e-12)
     # the other beta denominator comes from the same gaps, with the same values
     other = estimate_liminf(spec, pb, np.linspace(0.0, 40.0, 81), beta_denominator="M1")
