@@ -63,6 +63,6 @@ from .fixedpoint import (
     iterate_fixed_point,
 )
 from .presets import PRESET_NAMES, preset_config
-from .cli import RunConfig, emit_report, load_config, run_config, run_pipeline, run_preset
+from .cli import RunConfig, load_config, run_config, run_pipeline, run_preset
 
 __version__ = "0.1.0"

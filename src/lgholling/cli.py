@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -26,16 +26,11 @@ from .fixedpoint import GridFunctionPair, iterate_fixed_point
 from .integrator import integrate_batch
 from .model import InitialHistory, ModelSpec, SYMBOLS, validate_model
 from .pap import solution_window_report
-from .permanence import (
-    CoefficientBounds,
-    PermanenceBounds,
-    compute_permanence_bounds_from_values,
-    verify_permanence,
-)
+from .permanence import CoefficientBounds, compute_permanence_bounds_from_values, verify_permanence
 from .presets import PRESET_NAMES, preset_config
 from .stability import estimate_liminf, run_attractivity
 
-__all__ = ["RunConfig", "load_config", "run_preset", "run_config", "run_pipeline", "emit_report", "main"]
+__all__ = ["RunConfig", "load_config", "run_preset", "run_config", "run_pipeline", "main"]
 
 # most grid intervals a run may ask for: (t_end - t0) / h and fp_t_hi / fp_step; also caps sample counts
 _MAX_STEPS = 10**7
@@ -209,15 +204,11 @@ def _write_csv(path: Path, header: str, columns) -> None:
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def _bounds_dict(pb: PermanenceBounds) -> dict:
-    return {"M1": pb.M1, "M2": pb.M2, "m1": pb.m1, "m2": pb.m2, "c0_holds": pb.c0_holds,
-            "inputs_used": pb.inputs_used.to_dict()}
-
-
 def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True,
                  random_histories: int = 0, seed: int = 0) -> dict:
-    """Run the configured analyses and write report.json, CSV series, and a
-    gnuplot script into out_dir; returns the report dict."""
+    """Run the configured analyses, then write report.json, CSV series, and a
+    gnuplot script into out_dir; returns the report dict.  A run that fails
+    writes nothing."""
     analyses = config.analyses
     if require_analysis and not any(analyses.values()):
         raise ConfigError("/analyses", "nothing to report: every analysis is disabled")
@@ -276,15 +267,14 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         random_cols = [first, *range(len(histories), len(histories) + random_histories)]
         rng = np.random.default_rng(seed)
         histories += [InitialHistory(u0, v0) for u0, v0 in rng.uniform(0.05, 2.0, size=(random_histories, 2)).tolist()]
-    runs = integrate_batch(spec, histories, t0, t_end, h)
+    try:
+        runs = integrate_batch(spec, histories, t0, t_end, h)
+    except ValidationError as exc:
+        raise ConfigError("/run/h", str(exc)) from exc
     traj = runs.column(0)
     stride = opt["csv_stride"]
-    files: dict[str, Path] = {}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    u, v = traj.u, traj.v
-    _write_csv(out_dir / "trajectories.csv", "t,u,v",
-               (traj.t[::stride], u[::stride], v[::stride]))
-    files["trajectories"] = out_dir / "trajectories.csv"
+    # name -> (header, columns): each becomes <name>.csv once every stage has run
+    series = {"trajectories": ("t,u,v", (traj.t[::stride], traj.u[::stride], traj.v[::stride]))}
 
     if random_histories > 0:
         min_uv = runs.min_uv()[random_cols]
@@ -299,8 +289,8 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         verification = verify_permanence(traj, pb_active, t_settle, t_end, slack=float(opt["slack"]))
         report["permanence"] = {
             "active_source": "table" if pb_table is not None else "estimates",
-            "from_estimates": _bounds_dict(pb_est),
-            "from_table": _bounds_dict(pb_table) if pb_table is not None else None,
+            "from_estimates": asdict(pb_est),
+            "from_table": asdict(pb_table) if pb_table is not None else None,
             "M1": pb_active.M1, "M2": pb_active.M2, "m1": pb_active.m1, "m2": pb_active.m2,
             "c0_holds": pb_active.c0_holds,
             "verification": {
@@ -318,9 +308,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         att = None
         if analyses["attractivity"]:
             att = run_attractivity(traj, runs.column(1), threshold=float(opt["attractivity_threshold"]))
-            _write_csv(out_dir / "attractivity.csv", "t,distance",
-                       (att.times[::stride], att.distances[::stride]))
-            files["attractivity"] = out_dir / "attractivity.csv"
+            series["attractivity"] = ("t,distance", (att.times[::stride], att.distances[::stride]))
         t_grid = np.linspace(0.0, float(opt["liminf_t_max"]), opt["liminf_points"])
         est = estimate_liminf(spec, pb_active, t_grid, opt["beta_denominator"])
         sample_stride = max(1, len(est.alpha_samples) // 25)
@@ -355,9 +343,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
             quad_step=float(opt["fp_quad_step"]), tail_tol=float(opt["fp_tail_tol"]),
             coeff_bounds=pb_active.inputs_used,
         )
-        _write_csv(out_dir / "fixedpoint.csv", "t,u_star,v_star",
-                   (result.pair.grid(), result.pair.phi, result.pair.psi))
-        files["fixedpoint"] = out_dir / "fixedpoint.csv"
+        series["fixedpoint"] = ("t,u_star,v_star", (result.pair.grid(), result.pair.phi, result.pair.psi))
         report["fixed_point"] = {
             "grid": {"t_lo": result.pair.t_lo, "t_hi": result.pair.t_hi, "step": result.pair.step},
             "seed": [seed_phi, seed_psi],
@@ -386,7 +372,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
     if config.paper_values:
         report["discrepancies"] = _build_discrepancies(config.paper_values, pb_table, pb_est, stability_section)
 
-    emit_report(report, out_dir, files)
+    _write_outputs(out_dir, report, series)
     return report
 
 
@@ -441,23 +427,23 @@ plot 'fixedpoint.csv' using 1:2 with lines title 'u*', \\
 """
 
 
-def emit_report(report: dict, out_dir: Path, files: dict[str, Path] | None = None) -> Path:
-    """Write report.json and the plot script; CSVs are written by the
-    pipeline as the series are produced."""
-    files = files or {}
-    if not files and all(key in ("generated_at", "config", "model") for key in report):
-        raise ConfigError("/analyses", "nothing to report")
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_outputs(out_dir: Path, report: dict, series: dict) -> None:
+    """Every file of a run: <name>.csv for each series, plots.gp, then
+    report.json.  An unwritable out_dir raises ConfigError naming it."""
     script = _PLOT_SCRIPT.format(
-        attractivity=_PLOT_ATTRACTIVITY if "attractivity" in files else "",
-        fixedpoint=_PLOT_FIXEDPOINT if "fixedpoint" in files else "",
+        attractivity=_PLOT_ATTRACTIVITY if "attractivity" in series else "",
+        fixedpoint=_PLOT_FIXEDPOINT if "fixedpoint" in series else "",
     )
-    (out_dir / "plots.gp").write_text(script, encoding="utf-8")
-    path = out_dir / "report.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    return path
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (header, columns) in series.items():
+            _write_csv(out_dir / f"{name}.csv", header, columns)
+        (out_dir / "plots.gp").write_text(script, encoding="utf-8")
+        with open(out_dir / "report.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError("", f"cannot write output directory {str(out_dir)!r}: {exc}") from exc
 
 
 _ANALYSIS_SUBCOMMANDS = {

@@ -86,8 +86,10 @@ class Trajectory:
         return Trajectory(self.t0, self.t_end, self.h, self.t, x, y, dx, dy, (self.histories[i],), self.r)
 
     def window(self, t_lo: float, t_hi: float) -> np.ndarray:
-        """Mask of the knots in [t_lo, t_hi]; ValidationError naming the
-        window unless it lies on the run and holds a knot."""
+        """Mask of the knots in [t_lo, t_hi]; ValidationError for a batch,
+        and naming the window unless it lies on the run and holds a knot."""
+        if self.x.ndim != 1:
+            raise ValidationError("a window reads one run; take a batch's run with column(i)")
         mask = (self.t >= t_lo) & (self.t <= t_hi)
         # half a step of slop: the last knot t0 + n h may fall an ulp short of the t_end the run was asked for
         if not (self.t0 <= t_lo < t_hi <= self.t_end + 0.5 * self.h and mask.any()):
@@ -201,8 +203,8 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
             f"step h={h!r} exceeds the smallest delay {min_delay!r}; "
             "choose h <= min delay so delayed lookups never outrun the solution"
         )
-    if abs(n * h - span) > 1e-9 * max(1.0, span):
-        raise IntegrationError("t_end - t0 must be an integer number of steps")
+    if abs(n * h - span) > 1e-9 * max(1.0, span):  # malformed input, not a numerical failure
+        raise ValidationError(f"step h={h!r} does not divide t_end - t0 = {span!r} into whole steps")
 
     x0 = log_hist(0, np.zeros(1))[0]
     y0 = log_hist(1, np.zeros(1))[0]

@@ -93,11 +93,9 @@ def solution_window_report(traj: Trajectory, t_settle: float, t_end: float) -> P
     deviation of u from its window mean is fed to the ergodic-mean trend
     (persistent oscillation shows up as a non-vanishing mean), and a grid
     search reports the shifts with the smallest sup-distance defects.  A
-    window off the run, or holding fewer than 2 of its knots, raises
-    ValidationError.
+    batch, a window off the run, or one holding fewer than 2 of its knots
+    raises ValidationError.
     """
-    if traj.u.ndim != 1:
-        raise ValidationError("solution_window_report reads one run; take a batch's run with column(i)")
     mask = traj.window(t_settle, t_end)
     if mask.sum() < 2:
         raise ValidationError(f"window [{t_settle}, {t_end}] holds {mask.sum()} knot(s) of the run; need at least 2")

@@ -18,7 +18,7 @@ All computations here are pure; sweeping parameter grids in parallel is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .integrator import Trajectory
@@ -69,9 +69,6 @@ class CoefficientBounds:
         """From validate_model's estimates: a1_inf is bounds["a1"].inf_value."""
         split = (f.partition("_") for f in cls.__dataclass_fields__)
         return cls(**{f"{sym}_{side}": getattr(bounds[sym], f"{side}_value") for sym, _, side in split})
-
-    def to_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -145,12 +145,6 @@ def test_nothing_to_report():
         run_pipeline(load_config(data), Path("/tmp/never-used"))
 
 
-def test_emit_report_rejects_bare_report(tmp_path):
-    from lgholling import emit_report
-    with pytest.raises(ConfigError, match="nothing to report"):
-        emit_report({"generated_at": "x", "config": {}, "model": {}}, tmp_path)
-
-
 def test_step_above_delay_exits_3(tmp_path, capsys):
     data = small_config()
     data["run"]["h"] = 0.7  # exceeds the 0.5 delays
@@ -159,6 +153,21 @@ def test_step_above_delay_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "smallest delay" in err and "hint" in err
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["out-is-a-file", "out-below-a-file"])
+def test_unwritable_out_exits_2(tmp_path, capsys, under_file):
+    """An --out that cannot be a directory exits 2 naming it, with no
+    traceback, and the file in its way is left as it was."""
+    cfg = write_config(tmp_path / "cfg.json", small_config())
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep\n", encoding="utf-8")
+    out = blocker / "x" if under_file else blocker
+    code = main(["run", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "cannot write output directory" in err and str(out) in err and "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
 
 
 @pytest.mark.parametrize("key, literal", [("h", "NaN"), ("t_end", "Infinity"), ("t0", "-Infinity")])
@@ -511,14 +520,17 @@ def test_mutated_preset_config_exits_cleanly(tmp_path, name, path, value, flags)
     (("run",), 5, ["--t-end", "3"], 2, "/run"),
     (("options",), 5, ["--beta-denominator", "M1"], 2, "/options"),
     (("run", "t_settle"), 3.99, [], 2, "/run/t_settle"),  # a settle window holding one knot
+    (("run", "h"), 0.03, [], 2, "/run/h"),  # a step that does not divide the 4-unit run
 ], ids=["negative-c1", "phi1-zero-at-0", "phi1-huge-int", "t_end-huge", "fp_step-huge", "b_inf-zero",
-        "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object", "t_settle-one-knot"])
+        "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object", "t_settle-one-knot",
+        "h-not-dividing"])
 def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
     """Mutations that once ended in a traceback or in an error naming no
-    field."""
+    field.  A failed run writes no file, whichever stage it stops in."""
     got, err = run_mutated(tmp_path, "example2", path, value, flags)
     assert (got, "Traceback" in err) == (code, False)
     assert named in err
+    assert not list((tmp_path / "out").rglob("*"))
 
 
 def test_overflowing_fixed_point_source_exits_3_without_warning(tmp_path):

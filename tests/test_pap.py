@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lgholling import InitialHistory, ValidationError, ergodic_mean, integrate, integrate_batch, pap0_trend
+from lgholling import (InitialHistory, ValidationError, ergodic_mean, integrate, integrate_batch, pap0_trend,
+                       verify_permanence)
 from lgholling.pap import solution_window_report
 from conftest import shift_defect
 
@@ -128,8 +129,11 @@ def test_solution_window_report_names_a_window_it_cannot_read(unit_spec, t_settl
             solution_window_report(traj, t_settle, t_end)
 
 
-def test_solution_window_report_reads_one_run(unit_spec):
+def test_solution_window_report_reads_one_run(unit_spec, example2_bounds):
     runs = integrate_batch(unit_spec, [InitialHistory(0.5, 0.5), InitialHistory(0.75, 0.75)], 0.0, 5.0, 0.01)
     with pytest.raises(ValidationError, match=r"reads one run.*column\(i\)"):
         solution_window_report(runs, 2.0, 5.0)
+    # verify_permanence reads the same window: a batch's columns are not merged into one run
+    with pytest.raises(ValidationError, match=r"reads one run.*column\(i\)"):
+        verify_permanence(runs, example2_bounds, 2.0, 5.0)
     assert solution_window_report(runs.column(1), 2.0, 5.0).window == (2.0, 5.0)

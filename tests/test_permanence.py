@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -81,7 +82,7 @@ def test_bounds_from_estimates_match_table_when_inputs_match(unit_spec):
     assert report.ok
     cb = CoefficientBounds.from_validation(report.bounds)
     pb_est = compute_permanence_bounds_from_values(cb)
-    pb_tab = compute_permanence_bounds_from_values(CoefficientBounds.from_table(cb.to_dict()))
+    pb_tab = compute_permanence_bounds_from_values(CoefficientBounds.from_table(dataclasses.asdict(cb)))
     assert pb_est == pb_tab
 
 
@@ -91,10 +92,10 @@ def test_from_validation_maps_every_field_to_its_estimate():
         ("a1", "a2", "b", "c1", "c2", "k1", "k2", "tau1", "tau2", "sigma1", "sigma2"))})
     report = validate_model(spec, horizon=10.0, samples=1001)
     cb = CoefficientBounds.from_validation(report.bounds)
-    for name, value in cb.to_dict().items():
+    for name, value in dataclasses.asdict(cb).items():
         sym, side = name.split("_")
         assert value == getattr(report.bounds[sym], f"{side}_value"), name
-    assert len(set(cb.to_dict().values())) == 18
+    assert len(set(dataclasses.asdict(cb).values())) == 18
 
 
 def test_invariant_m2_positive(example1_bounds, example2_bounds):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -146,7 +148,7 @@ def test_estimate_liminf_constant_case(example2_spec, example2_bounds):
 
 def test_estimate_liminf_sign_flip_by_construction(example2_spec, example2_bounds):
     # inflate c1^s so the leading beta terms go negative
-    vals = example2_bounds.inputs_used.to_dict()
+    vals = dataclasses.asdict(example2_bounds.inputs_used)
     vals["c1_sup"] = 50.0
     cb = CoefficientBounds.from_table(vals)
     pb = PermanenceBounds(M1=example2_bounds.M1, M2=example2_bounds.M2,
