@@ -15,11 +15,11 @@ class ValidationError(LgError):
 
 
 class ConfigError(ValidationError):
-    """Malformed run configuration; carries a JSON-pointer-style path."""
+    """Malformed run configuration; carries a JSON-pointer-style path ("" for the whole file)."""
 
     def __init__(self, path: str, message: str):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 class NumericalError(LgError):

@@ -17,6 +17,10 @@ R_k = e^{A_k - A_{k+2}} R_{k+2} + (q/3)(f_k + 4 e^{A_k - A_{k+1}} f_{k+1} +
 e^{A_k - A_{k+2}} f_{k+2}), so each point's window [s_lo, s_lo + L] of N nodes
 is R_lo - e^{A_lo - A_{lo+N}} R_{lo+N}: O(K) work for K nodes in all.
 
+A candidate pair is the natural cubic spline through its grid values, equal
+bit for bit to scipy's CubicSpline(bc_type="natural") without importing scipy,
+and constant beyond [t_lo, t_hi].
+
 Picard iteration is plain (no damping) and reports non-convergence honestly:
 existence of a fixed point does not make the iteration contractive, and
 divergence is a reported outcome, not an error.
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import NumericalError, QuadratureError
 from .expr import evaluate_array
@@ -46,10 +49,58 @@ __all__ = [
 ]
 
 
+class _NaturalSpline:
+    """Natural cubic spline through (x, y), with the operations of scipy's
+    CubicSpline(x, y, bc_type="natural") and PPoly evaluation in their order;
+    every point from x_end on takes the one value at x_end."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, x_end: float):
+        if not np.isfinite(y).all():
+            raise ValueError("spline values must be finite")
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        # slope system with diagonals d, du (super), dl (sub); the end rows set y'' = 0.0
+        d = (2 * np.concatenate((dx[:1], dx[:-1] + dx[1:], dx[-1:]))).tolist()
+        du, dl = np.concatenate((dx[:1], dx[:-1])).tolist(), np.concatenate((dx[1:], dx[-1:])).tolist()
+        ends = [-0.5 * 0.0 * dx[0] ** 2 + 3 * (y[1] - y[0]), 0.5 * 0.0 * dx[-1] ** 2 + 3 * (y[-1] - y[-2])]
+        b = np.concatenate((ends[:1], 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:]), ends[1:])).tolist()
+        # LAPACK dgtsv's elimination for one right-hand side: a uniform grid's system is
+        # strictly diagonally dominant, so dgtsv never swaps rows and no pivot branch is needed
+        for i in range(len(b) - 1):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+        b[-1] /= d[-1]
+        b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+        for i in range(len(b) - 3, -1, -1):
+            b[i] = (b[i] - du[i] * b[i + 1] - 0.0 * b[i + 2]) / d[i]
+        s = np.array(b)
+        # CubicHermiteSpline's coefficients; PPoly's sum starts from 0.0, which turns a -0.0 value into 0.0
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x, self.c0, self.c1, self.c2, self.c3 = x, t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1] + 0.0
+        self.x_end, self.end = x_end, self._eval(np.array([x_end]))[0]
+
+    def __call__(self, xv) -> np.ndarray:
+        xv = np.asarray(xv, dtype=float)
+        out = np.full(xv.shape, self.end)
+        below = ~(xv >= self.x_end)  # NaN counts as below and evaluates to NaN
+        out[below] = self._eval(xv[below])
+        return out
+
+    def _eval(self, xv: np.ndarray) -> np.ndarray:
+        i = np.searchsorted(self.x[1:-1], xv, side="right")  # PPoly's interval, clamped to 0 .. n-2
+        s = xv - self.x[i]
+        s2 = s * s
+        out = self.c3[i] + self.c2[i] * s
+        out += self.c1[i] * s2
+        out += self.c0[i] * (s2 * s)
+        return out
+
+
 @dataclass(eq=False)
 class GridFunctionPair:
-    """Candidate solution pair on a uniform grid, interpolated cubically and
-    extended by its boundary values outside [t_lo, t_hi]."""
+    """Candidate pair on a uniform grid of >= 2 points: the natural cubic spline
+    through its values (scipy's, bit for bit) on [t_lo, t_hi], constant beyond."""
 
     t_lo: float
     t_hi: float
@@ -57,17 +108,26 @@ class GridFunctionPair:
     phi: np.ndarray
     psi: np.ndarray
 
+    @staticmethod
+    def _intervals(t_lo: float, t_hi: float, step: float) -> int:
+        span = (t_hi - t_lo) / step if all(map(math.isfinite, (t_lo, t_hi, step))) and step > 0.0 else 0.0
+        if not 0.5 < span < math.inf:  # at least 1 interval after rounding, and a finite count
+            raise ValueError(f"need finite t_lo, t_hi, step > 0 and at least 2 grid points, got {t_lo}, {t_hi}, {step}")
+        return round(span)
+
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
         self.psi = np.asarray(self.psi, dtype=float)
-        n = int(round((self.t_hi - self.t_lo) / self.step))
+        n = self._intervals(self.t_lo, self.t_hi, self.step)
         if len(self.phi) != n + 1 or len(self.psi) != n + 1:
             raise ValueError("grid arrays must have (t_hi - t_lo)/step + 1 points")
+        if not (np.diff(self.grid()) > 0.0).all():
+            raise ValueError("step too small for distinct grid points")
 
     @classmethod
     def from_constants(cls, t_lo: float, t_hi: float, step: float,
                        phi_value: float, psi_value: float) -> "GridFunctionPair":
-        n = int(round((t_hi - t_lo) / step))
+        n = cls._intervals(t_lo, t_hi, step)
         return cls(t_lo, t_hi, step,
                    np.full(n + 1, float(phi_value)), np.full(n + 1, float(psi_value)))
 
@@ -76,11 +136,11 @@ class GridFunctionPair:
 
     @cached_property
     def _phi_spline(self):
-        return CubicSpline(self.grid(), self.phi, bc_type="natural")
+        return _NaturalSpline(self.grid(), self.phi, self.t_hi)
 
     @cached_property
     def _psi_spline(self):
-        return CubicSpline(self.grid(), self.psi, bc_type="natural")
+        return _NaturalSpline(self.grid(), self.psi, self.t_hi)
 
     def phi_at(self, s) -> np.ndarray:
         return self._phi_spline(np.clip(s, self.t_lo, self.t_hi))

@@ -220,6 +220,19 @@ def test_non_object_config_exits_2(tmp_path, capsys, command):
     assert "config must be a JSON object" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("content, message", [(None, "cannot read config: "),
+                                              ("[1]", "config must be a JSON object")],
+                         ids=["missing-file", "non-object"])
+def test_whole_file_error_prints_message_alone(tmp_path, capsys, content, message):
+    """An error about the whole config file has no JSON path, and prints
+    without an empty path and doubled colon in front of its message."""
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {message}")
+
+
 def test_sample_counts_are_capped():
     for key in ("bounds_samples", "liminf_points"):
         data = small_config()
@@ -267,6 +280,21 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert proc.returncode == 2
     assert "cannot read config" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_preset_run_loads_no_scipy(tmp_path):
+    """The package and a whole preset run need numpy only: no scipy module
+    is loaded by the time the last file is written."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    script = ("import sys\n"
+              "from lgholling.cli import main\n"
+              f"assert main(['preset', 'example1', '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
 def test_config_validation_exits_2(tmp_path, capsys):

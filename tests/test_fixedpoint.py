@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from lgholling import (
     CoefficientBounds,
@@ -25,6 +27,59 @@ from lgholling.presets import preset_config
 
 def unit_pair(phi, psi, t_hi=10.0, step=0.1):
     return GridFunctionPair.from_constants(0.0, t_hi, step, phi, psi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 300), t_lo=st.floats(-50.0, 150.0), step=st.floats(1e-3, 3.0),
+       hi_ulps=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 2**32 - 1))
+def test_pair_interpolant_equals_scipy_natural_spline(n, t_lo, step, hi_ulps, seed):
+    """phi_at and psi_at equal scipy's natural CubicSpline at the clipped
+    points bit for bit: at knots, midpoints, random points, beyond both ends,
+    with t_hi one ulp off the last grid point, and for a scalar."""
+    rng = np.random.default_rng(seed)
+    t_hi = t_lo + n * step
+    t_hi = float(np.nextafter(t_hi, math.copysign(math.inf, hi_ulps))) if hi_ulps else t_hi
+    pair = GridFunctionPair(t_lo, t_hi, step, rng.normal(size=n + 1) * 10.0 ** rng.integers(-3, 4),
+                            rng.uniform(0.0, 2.0, n + 1))
+    g = pair.grid()
+    s = np.concatenate((g, g[:-1] + 0.5 * step, rng.uniform(t_lo - 3 * step, t_hi + 3 * step, 200),
+                        [t_lo - 1e6, t_hi + 1e6, t_hi, np.nextafter(t_hi, -math.inf)]))
+    for values, at in ((pair.phi, pair.phi_at), (pair.psi, pair.psi_at)):
+        spline = CubicSpline(g, values, bc_type="natural")
+        assert np.array_equal(at(s), spline(np.clip(s, t_lo, t_hi)))
+        for x in (float(s[int(rng.integers(s.size))]), t_hi + 1.0):
+            got, want = at(x), spline(np.clip(x, t_lo, t_hi))
+            assert got.shape == want.shape == () and got == want
+
+
+@pytest.mark.parametrize("t_lo, t_hi, step, npts", [
+    (0.0, 1.0, 0.0, 1),
+    (0.0, 1.0, -0.5, 3),
+    (0.0, math.nan, 0.1, 11),
+    (math.inf, 1.0, 0.1, 11),
+    (0.0, math.inf, 0.1, 11),
+    (0.0, 1.0, math.nan, 11),
+    (0.0, 1.0, math.inf, 11),
+    (0.0, 0.0, 0.1, 1),
+    (0.0, 0.04, 0.1, 1),
+    (1e17, 1e17 + 10.0, 1.0, 11),  # doubles near 1e17 are 16 apart
+    (-1e308, 1e308, 1.0, 3),  # the interval count overflows to inf
+], ids=["zero-step", "negative-step", "nan-t_hi", "inf-t_lo", "inf-t_hi", "nan-step", "inf-step",
+        "one-point", "rounds-to-one-point", "indistinct-points", "overflowing-count"])
+def test_pair_grid_checks(t_lo, t_hi, step, npts):
+    with pytest.raises(ValueError):
+        GridFunctionPair(t_lo, t_hi, step, np.ones(npts), np.ones(npts))
+    with pytest.raises(ValueError):
+        GridFunctionPair.from_constants(t_lo, t_hi, step, 1.0, 1.0)
+
+
+def test_pair_nonfinite_values_raise_at_first_interpolation():
+    """A pair holding a non-finite value builds, so that Picard iteration can
+    report a diverged iterate; its spline refuses it when first built."""
+    pair = GridFunctionPair(0.0, 1.0, 0.5, [1.0, math.inf, 1.0], [1.0, 1.0, 1.0])
+    assert pair.psi_at(0.25) == 1.0
+    with pytest.raises(ValueError, match="finite"):
+        pair.phi_at(0.25)
 
 
 def test_eval_f_zero_predator(unit_spec):

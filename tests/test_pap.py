@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from lgholling import (InitialHistory, ValidationError, ergodic_mean, integrate, integrate_batch, pap0_trend,
                        verify_permanence)
@@ -24,6 +25,14 @@ def test_ergodic_mean_decaying_exponential():
 def test_ergodic_mean_abs_cos():
     got = ergodic_mean(lambda t: np.abs(np.cos(t)), 1e4, 2_000_000)
     assert got == pytest.approx(2.0 / math.pi, abs=1e-3)
+
+
+@pytest.mark.parametrize("f", [lambda t: np.exp(-np.abs(t)), lambda t: np.cos(3.0 * t) - 0.2 * t,
+                               lambda t: np.sqrt(np.abs(t)) * np.sin(t)], ids=["exp", "cos-trend", "sqrt-sin"])
+@pytest.mark.parametrize("T, n", [(0.5, 2), (1.0, 4), (7.3, 1_000), (100.0, 200_000), (1e4, 4_002)])
+def test_ergodic_mean_equals_scipy_simpson(f, T, n):
+    vals = np.abs(f(np.linspace(-T, T, n + 1)))
+    assert ergodic_mean(f, T, n) == float(simpson(vals, dx=2.0 * T / n) / (2.0 * T))
 
 
 def test_ergodic_mean_argument_validation():
