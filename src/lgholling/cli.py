@@ -77,7 +77,7 @@ _SCHEMA = {
         "csv_stride": _Field("int", 10, 0),
     },
     # these two may be absent or null; a table_bounds section gives every bound
-    "table_bounds": dict.fromkeys(CoefficientBounds.__dataclass_fields__, _NUMBER),
+    "table_bounds": dict.fromkeys(CoefficientBounds.__dataclass_fields__, _Field("number", floor=0.0)),
     "paper_values": dict.fromkeys([*CoefficientBounds.__dataclass_fields__, "M1", "M2", "m1", "m2",
                                    "alpha_inf", "beta_inf"], _Field("number", None)),
 }
@@ -176,8 +176,11 @@ def load_config(data: dict) -> RunConfig:
     if not (t0 <= run["t_settle"] < t_end):
         raise ConfigError("/run/t_settle", "t_settle must lie in [t0, t_end)")
     options = sections["options"]
-    if not 0.5 < options["fp_t_hi"] / options["fp_step"] <= _MAX_STEPS:
-        raise ConfigError("/options/fp_step", f"fp_t_hi / fp_step must round to 1 .. {_MAX_STEPS} intervals")
+    for outer, inner in (("fp_t_hi", "fp_step"), ("fp_step", "fp_quad_step")):
+        span, step = options[outer], options[inner]
+        count = span / step  # whole to 1e-9 relative, as apply_upsilon tests the quadrature step
+        if not (0.5 < count <= _MAX_STEPS and abs(round(count) * step - span) <= 1e-9 * span):
+            raise ConfigError(f"/options/{inner}", f"{inner} must divide {outer} into 1 .. {_MAX_STEPS} whole steps")
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("/output_dir", "expected a string path")
@@ -470,9 +473,9 @@ def _apply_overrides(data: dict, args) -> dict:
         run["h"] = args.h
     if getattr(args, "t_end", None) is not None:
         run["t_end"] = args.t_end
-        t_settle = run.get("t_settle", 0.0)
-        if isinstance(t_settle, (int, float)) and t_settle >= args.t_end:
-            run["t_settle"] = 0.5 * args.t_end
+        t0, t_settle = run.get("t0", 0.0), run.get("t_settle", 0.0)
+        if isinstance(t0, (int, float)) and isinstance(t_settle, (int, float)) and t_settle >= args.t_end:
+            run["t_settle"] = 0.5 * (t0 + args.t_end)  # the midpoint, load_config's default
     data = dict(data, run=run)
     if getattr(args, "beta_denominator", None) is not None:
         data["options"] = dict(data.get("options", {}), beta_denominator=args.beta_denominator)

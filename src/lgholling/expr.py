@@ -4,7 +4,10 @@ coefficient expressions.
 Grammar: decimal literals (plain or scientific), the variable ``t``,
 parentheses, the functions abs/exp/sin/cos/sqrt, and the operators
 ``+ - * / ^`` with conventional precedence.  ``^`` is restricted to literal
-integer exponents >= 0.
+integer exponents >= 0.  The parser reads the whole text into one token
+list, then builds the tree by precedence climbing over it (Pratt, POPL
+1973); a syntax error, or a tree too deep for the recursion limit, raises
+ExprSyntaxError at a character position.
 
 Parsing folds every subtree free of ``t`` into one ``Const`` of the value
 the evaluator gives it (``"2*1.6"`` and ``"sqrt(2)"`` parse to a ``Const``
@@ -15,10 +18,10 @@ There is one evaluator: ``evaluate_array`` walks the tree once over an
 array of times, with constants as float64 scalars that numpy broadcasts,
 and ``evaluate`` is that evaluator on a one-point array.  The sup/inf
 estimate of a constant is closed-form.  Any other expression's grid is
-scanned in cache-sized blocks, each reduced at once to its extremes, its
-largest step, its local minima and its first nonpositive value; then the
-candidate cells of both the sup and the inf are refined together, one
-evaluator call per golden-section iteration.
+scanned in cache-sized blocks, each reduced at once to its largest step,
+its candidate samples (local minima and the grid's endpoints) and its first
+nonpositive value; then the candidate cells of both the sup and the inf are
+refined together, one evaluator call per golden-section iteration.
 
 Expressions are immutable after parsing and evaluation is pure, so a parsed
 expression may be shared freely between threads.
@@ -108,122 +111,80 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            # skip leading whitespace manually to report the right offset
-            stripped = pos + len(text[pos:]) - len(text[pos:].lstrip())
-            if stripped >= len(text):
-                break
-            raise ExprSyntaxError(f"unexpected character {text[stripped]!r}", stripped)
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 # binding powers; unary minus sits between * / and ^
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 _UNARY_PREC = 3
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _parse(text: str) -> Node:
+    """The unfolded tree of text (the module docstring describes the parser)."""
+    tokens, pos = [], 0
+    while m := _TOKEN_RE.match(text, pos):
+        tokens.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
+        pos = m.end()
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ExprSyntaxError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+    tokens.append(("end", "", len(text)))
+    tokens.reverse()  # the next token is the last one, so taking it is a pop
 
-    def peek(self):
-        return self.tokens[self.i]
+    def take(kind, value=None, message=None):
+        """The next token's text, taken if it is of kind (and is value); else
+        ExprSyntaxError(message) at its position, by default naming it."""
+        k, v, p = tokens[-1]
+        if k != kind or value not in (None, v):
+            raise ExprSyntaxError(message or f"unexpected token {v!r}", p)
+        return tokens.pop()[1]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ExprSyntaxError(f"expected {op!r}", pos)
-        return self.advance()
-
-    def parse(self) -> Node:
-        node = self.parse_expr(0)
-        kind, value, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected token {value!r}", pos)
-        return node
-
-    def parse_expr(self, min_prec: int) -> Node:
-        node = self.parse_atom()
-        while True:
-            kind, value, pos = self.peek()
-            if kind != "op" or value not in _PREC:
-                break
-            prec = _PREC[value]
-            if prec < min_prec:
-                break
-            self.advance()
-            if value == "^":
-                right = self.parse_exponent(pos)
+    def climb(min_prec: int) -> Node:
+        node = atom()
+        while _PREC.get(tokens[-1][1], -1) >= min_prec:  # only an operator's text has a binding power
+            op = take("op")
+            kind, value, p = tokens[-1]
+            if op != "^":
+                node = Binary(op, node, climb(_PREC[op] + 1))
+            elif kind == "num" and float(value).is_integer() and float(value) >= 0:  # a literal integer exponent
+                node = Binary(op, node, Const(float(take("num"))))
             else:
-                right = self.parse_expr(prec + 1)
-            node = Binary(value, node, right)
+                raise ExprSyntaxError("exponent must be a literal integer >= 0", p)
         return node
 
-    def parse_exponent(self, op_pos: int) -> Node:
-        # only literal integer exponents >= 0 are admitted
-        kind, value, pos = self.peek()
-        if kind != "num":
-            raise ExprSyntaxError("exponent must be a literal integer >= 0", pos)
-        self.advance()
-        num = float(value)
-        if num != int(num) or num < 0:
-            raise ExprSyntaxError("exponent must be a literal integer >= 0", pos)
-        return Const(float(int(num)))
-
-    def parse_atom(self) -> Node:
-        kind, value, pos = self.advance()
+    def atom() -> Node:
+        kind, value, p = tokens.pop()
         if kind == "num":
             return Const(float(value))
-        if kind == "ident":
-            if value == "t":
-                return Var()
-            if value in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.parse_expr(0)
-                self.expect_op(")")
-                return Unary(value, arg)
-            raise ExprSyntaxError(f"unknown identifier {value!r}", pos)
-        if kind == "op":
-            if value == "(":
-                node = self.parse_expr(0)
-                self.expect_op(")")
-                return node
-            if value == "-":
-                return Unary("neg", self.parse_expr(_UNARY_PREC))
-            if value == "+":
-                return self.parse_expr(_UNARY_PREC)
-        raise ExprSyntaxError("unexpected end of input" if kind == "end" else f"unexpected token {value!r}", pos)
+        if value == "t":
+            return Var()
+        if value in ("+", "-"):
+            node = climb(_UNARY_PREC)
+            return Unary("neg", node) if value == "-" else node
+        if value in _FUNCTIONS:
+            take("op", "(", "expected '('")
+        elif kind == "ident":
+            raise ExprSyntaxError(f"unknown identifier {value!r}", p)
+        elif value != "(":
+            raise ExprSyntaxError("unexpected end of input" if kind == "end" else f"unexpected token {value!r}", p)
+        node = climb(0)
+        take("op", ")", "expected ')'")
+        return node if value == "(" else Unary(value, node)
+
+    node = climb(0)
+    take("end")
+    return node
 
 
 def parse_expression(text: str) -> CoefficientExpr:
     """Parse an expression string into an immutable AST.
 
-    Raises ExprSyntaxError (with character position) on malformed input or
-    unknown identifiers.
+    Raises ExprSyntaxError (with character position) on malformed input,
+    unknown identifiers, or a tree too deep for the recursion limit.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return CoefficientExpr(_fold(_Parser(text).parse()), text)
+    try:
+        return CoefficientExpr(_fold(_parse(text)), text)
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
 
 
 def _fold(node: Node) -> Node:
@@ -288,10 +249,14 @@ def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
     as a new float array of t's shape.
 
     Overflow is not an error until it reaches the result: a non-finite
-    value raises ExprDomainError naming the first time it occurs at."""
+    value raises ExprDomainError naming the first time it occurs at, and so
+    does a tree too deep to walk from the caller's stack depth."""
     t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _eval_array(expr.root, t)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _eval_array(expr.root, t)
+    except RecursionError:
+        raise ExprDomainError("expression nested too deeply to evaluate") from None
     if values is t or values.shape != t.shape:
         values = np.array(np.broadcast_to(values, t.shape))
     bad = ~np.isfinite(values)
@@ -328,8 +293,12 @@ def _serialize(node: Node) -> str:
 
 def serialize(expr: CoefficientExpr) -> str:
     """Fully parenthesized canonical form; reparsing yields an expression
-    that evaluates identically (exact float equality)."""
-    return _serialize(expr.root)
+    that evaluates identically (exact float equality).  A tree too deep to
+    walk from the caller's stack depth raises ExprDomainError."""
+    try:
+        return _serialize(expr.root)
+    except RecursionError:
+        raise ExprDomainError("expression nested too deeply to serialize") from None
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +346,11 @@ def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
 
     The grid is evaluated in blocks of _SCAN_BLOCK samples, each with one
     neighbour on either side so that every adjacent pair is compared, and
-    each block is reduced at once.  For each sign, the least of sign*|f| is
-    refined in the candidate cells: the local minima of sign*|f| (the
-    endpoints included) within a sampling-offset slack, twice the largest
-    step between neighbouring samples, of the least sample.  Every basin
+    each block is reduced at once to its candidates for each sign: the
+    grid's endpoints and the interior local minima of sign*|f| under a
+    non-strict test, which hold the first least sample of sign*|f|.  That
+    least is refined in the candidate cells within a sampling-offset slack,
+    twice the largest step between neighbouring samples, of it.  Every basin
     whose bottom could undercut the best sampled cell gets refined, so a
     coarser grid cannot out-refine a finer one on near-tied basins; past
     _SCAN_CAP cells, the lowest are kept.  Both signs' cells are refined
@@ -390,10 +360,7 @@ def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
         return BoundsEstimate(abs(c), abs(c), horizon, grid.size), c, 0.0
     n = grid.size
     dmax = 0.0  # largest |f| step between neighbouring samples
-    ends = []  # |f| at the first and the last sample
-    least = [(math.inf, 0), (math.inf, 0)]  # least sample of |f| and of -|f|, with its first index
-    minima = ([], []), ([], [])  # per sign: indices and |f| of the interior local minima of sign*|f|
-    raw_min = (math.inf, 0)  # least raw sample and its first index, until a nonpositive one is found
+    candidates = ([], []), ([], [])  # per sign: their indices and |f|, in index order
     bad = None  # the first nonpositive raw sample and its index
     for start in range(0, n, _SCAN_BLOCK):
         lo, stop = max(start - 1, 0), min(start + _SCAN_BLOCK, n)
@@ -404,39 +371,31 @@ def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
             raise
         mag = np.abs(raw)
         own = slice(start - lo, stop - lo)
-        if start == 0:
-            ends.append(mag[0])
-        if stop == n:
-            ends.append(mag[-1])
-        for k, values in enumerate((mag[own], -mag[own])):
-            i = int(np.argmin(values))
-            if values[i] < least[k][0]:
-                least[k] = (float(values[i]), start + i)
-        if bad is None:
-            values = raw[own]
-            i = int(np.argmin(values))
-            if values[i] <= 0.0:
-                i = int(np.argmax(values <= 0.0))
-                bad = (float(values[i]), start + i)
-            elif values[i] < raw_min[0]:
-                raw_min = (float(values[i]), start + i)
+        if bad is None and (raw[own] <= 0.0).any():
+            i = int(np.argmax(raw[own] <= 0.0))
+            bad = (float(raw[own][i]), start + i)
         step = np.diff(mag)
         if step.size:
             dmax = max(dmax, float(np.abs(step).max()))
         falls, rises = step[:-1], step[1:]
+        pick = np.zeros(mag.size, dtype=bool)
+        pick[0], pick[-1] = start == 0, stop == n  # the grid's endpoints, for both signs
         for k, interior in enumerate(((falls <= 0.0) & (rises >= 0.0), (falls >= 0.0) & (rises <= 0.0))):
-            cells = np.flatnonzero(interior) + 1
-            minima[k][0].append(cells + lo)
-            minima[k][1].append(mag[cells])
+            pick[1:-1] = interior
+            cells = np.flatnonzero(pick)
+            candidates[k][0].append(cells + lo)
+            candidates[k][1].append(mag[cells])
 
     h = grid[1] - grid[0] if n > 1 else 0.0
-    cells, signs = [], []
+    cells, signs, least = [], [], []
     for k, sign in enumerate((1.0, -1.0)):
+        idxs = np.concatenate(candidates[k][0])
+        values = sign * np.concatenate(candidates[k][1])
+        first = int(np.argmin(values))
+        least.append((float(values[first]), int(idxs[first])))  # the least sample of sign*|f|, first index
         if n < 3 or dmax == 0.0:
             sel = np.array([least[k][1]])  # flat sampling, nothing to refine
         else:
-            idxs = np.concatenate([[0], *minima[k][0], [n - 1]])
-            values = sign * np.concatenate([[ends[0]], *minima[k][1], [ends[-1]]])
             keep = values <= least[k][0] + 2.0 * dmax + 1e-15  # holds the grid minimum
             sel = idxs[keep]
             if sel.size > _SCAN_CAP:
@@ -459,7 +418,7 @@ def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
         raise
     inf_value = min(least[0][0], float(refined[:split].min()))
     sup_value = -min(least[1][0], float(refined[split:].min()))
-    value, i = bad or raw_min
+    value, i = bad or least[0]  # with no nonpositive sample, f = |f|
     return BoundsEstimate(inf_value, sup_value, horizon, n), value, float(grid[i])
 
 

@@ -23,7 +23,7 @@ from lgholling import (
     integrate,
     run_preset,
 )
-from lgholling.expr import Const, Unary, Var, _Parser
+from lgholling.expr import Const, Unary, Var, _parse
 from lgholling.fixedpoint import _f_values, _prefix_simpson
 from lgholling.pap import _sample
 from lgholling.presets import preset_config
@@ -392,7 +392,7 @@ def reference_eval_array(text: str, t) -> np.ndarray:
         return left ** int(node.right.value)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        values = walk(_Parser(text).parse())
+        values = walk(_parse(text))
     bad = ~np.isfinite(values)
     if bad.any():
         raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}")

@@ -549,9 +549,22 @@ def test_mutated_preset_config_exits_cleanly(tmp_path, name, path, value, flags)
     (("options",), 5, ["--beta-denominator", "M1"], 2, "/options"),
     (("run", "t_settle"), 3.99, [], 2, "/run/t_settle"),  # a settle window holding one knot
     (("run", "h"), 0.03, [], 2, "/run/h"),  # a step that does not divide the 4-unit run
+    (("model", "a1"), "5 + 0*t^1e400", [], 2, "/model/a1: exponent must be a literal integer >= 0 at position 8"),
+    (("model", "a1"), "-" * 3000 + "5", [], 2, "/model/a1: expression nested too deeply"),
+    (("model", "a1"), "+".join(["0.001"] * 5000), [], 2, "/model/a1: expression nested too deeply"),
+    (("model", "a1"), "5 + 0*t" + "+0*t" * 5000, [], 2, "/model/a1: expression nested too deeply"),
+    (("model", "a1"), "5+0*(" * 400 + "t" + ")" * 400, [], 2, "/model/a1: expression nested too deeply"),
+    (("table_bounds", "a2_inf"), 0, [], 2, "/table_bounds/a2_inf"),
+    (("table_bounds", "a2_inf"), -1, [], 2, "/table_bounds/a2_inf"),
+    (("table_bounds", "a1_inf"), -0.5, [], 2, "/table_bounds/a1_inf"),
+    (("table_bounds", "tau2_sup"), -5, [], 2, "/table_bounds/tau2_sup"),
+    (("options", "fp_quad_step"), 0.03, [], 2, "/options/fp_quad_step"),  # does not divide fp_step 0.1
+    (("options", "fp_step"), 0.07, [], 2, "/options/fp_step"),  # does not divide fp_t_hi 2.0
 ], ids=["negative-c1", "phi1-zero-at-0", "phi1-huge-int", "t_end-huge", "fp_step-huge", "b_inf-zero",
         "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object", "t_settle-one-knot",
-        "h-not-dividing"])
+        "h-not-dividing", "exponent-infinite", "unary-minus-3000", "sum-5000", "t-sum-5000", "parens-400",
+        "a2_inf-zero", "a2_inf-negative", "a1_inf-negative", "tau2_sup-negative", "fp_quad_step-not-dividing",
+        "fp_step-not-dividing"])
 def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
     """Mutations that once ended in a traceback or in an error naming no
     field.  A failed run writes no file, whichever stage it stops in."""
@@ -559,6 +572,25 @@ def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
     assert (got, "Traceback" in err) == (code, False)
     assert named in err
     assert not list((tmp_path / "out").rglob("*"))
+
+
+@pytest.mark.parametrize("value", [
+    "+".join(["0.001"] * 300),
+    "abs(" * 150 + "2.6 + 0.5*cos(t)" + ")" * 150,
+    "-" * 150 + "(2.6 + 0.5*cos(t))",
+], ids=["sum-300", "abs-150", "unary-minus-150"])
+def test_deep_expressions_within_the_recursion_limit_run(tmp_path, value):
+    code, err = run_mutated(tmp_path, "example2", ("model", "a1"), value, [])
+    assert (code, err) == (0, "")
+
+
+def test_t_end_override_keeps_t_settle_after_t0(tmp_path):
+    """--t-end moves a t_settle it passes to the new run's midpoint, from t0."""
+    data = short_preset("example2")
+    data["run"]["t0"] = 1.5
+    cfg = write_config(tmp_path / "t0.json", data)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--t-end", "2"]) == 0
+    assert load_report(tmp_path / "out")["config"]["run"]["t_settle"] == 1.75
 
 
 def test_overflowing_fixed_point_source_exits_3_without_warning(tmp_path):

@@ -96,6 +96,90 @@ def test_power_requires_literal_nonnegative_integer():
         parse_expression("t^-1")
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("", "empty expression", 0),
+    ("   ", "empty expression", 0),
+    ("2*", "unexpected end of input", 2),
+    ("sin(", "unexpected end of input", 4),
+    ("2 * $", "unexpected character '$'", 4),
+    ("  @t", "unexpected character '@'", 2),
+    (".", "unexpected character '.'", 0),
+    ("t + 1 $ )", "unexpected character '$'", 6),  # the whole text is tokenized before parsing
+    ("q + 1", "unknown identifier 'q'", 0),
+    ("tan(t)", "unknown identifier 'tan'", 0),
+    ("sin t", "expected '('", 4),
+    ("sin", "expected '('", 3),
+    ("sin(t", "expected ')'", 5),
+    ("(t", "expected ')'", 2),
+    ("t)", "unexpected token ')'", 1),
+    (")", "unexpected token ')'", 0),
+    ("t+)", "unexpected token ')'", 2),
+    ("2t", "unexpected token 't'", 1),
+    ("t 2", "unexpected token '2'", 2),
+    ("1..2", "unexpected token '.2'", 2),
+    ("1e", "unexpected token 'e'", 1),
+    ("abs()", "unexpected token ')'", 4),
+    ("t^2.5", "exponent must be a literal integer >= 0", 2),
+    ("t^-1", "exponent must be a literal integer >= 0", 2),
+    ("t^t", "exponent must be a literal integer >= 0", 2),
+    ("t^(2)", "exponent must be a literal integer >= 0", 2),
+    ("t^", "exponent must be a literal integer >= 0", 2),
+])
+def test_syntax_error_message_and_position(text, message, position):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expression(text)
+    assert (str(exc.value), exc.value.position) == (f"{message} at position {position}", position)
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("-2^2", "(-4.0)"),  # unary minus binds looser than ^
+    ("2^3^2", "64.0"),  # ^ is left-associative: (2^3)^2
+    ("--t", "(-(-t))"),
+    ("+t", "t"),
+    (" t ", "t"),
+    ("sqrt(2)*t", "(1.4142135623730951*t)"),
+    ("-t^2", "(-(t^2))"),
+    ("t^0", "(t^0)"),
+    ("1.5e+3*t^02", "(1500.0*(t^2))"),
+    (".5e-1-t", "(0.05-t)"),
+    ("t\t+\t1", "(t+1.0)"),
+    ("3^2*t+-t/2", "((9.0*t)+((-t)/2.0))"),
+    ("1e999*t", "(1e999*t)"),
+])
+def test_parse_folds_to_canonical_form(text, canonical):
+    assert serialize(parse_expression(text)) == canonical
+
+
+def test_non_finite_exponent_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expression("5 + 0*t^1e400")
+    assert (str(exc.value), exc.value.position) == ("exponent must be a literal integer >= 0 at position 8", 8)
+
+
+@pytest.mark.parametrize("text", [
+    "-" * 3000 + "5",
+    "+".join(["0.001"] * 5000),
+    "5 + 0*t" + "+0*t" * 5000,
+    "5+0*(" * 400 + "t" + ")" * 400,
+], ids=["unary-minus", "sum", "t-sum", "parens"])
+def test_too_deep_expression_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match="^expression nested too deeply at position 0$"):
+        parse_expression(text)
+
+
+def test_too_deep_tree_is_a_domain_error_to_evaluate_and_serialize():
+    """A tree that parsed may still be too deep to walk from a deeper stack:
+    evaluation and serialization raise ExprDomainError, not RecursionError."""
+    root = Var()
+    for _ in range(5000):
+        root = Binary("+", root, Var())
+    e = CoefficientExpr(root, "t" + "+t" * 5000)
+    with pytest.raises(ExprDomainError, match="nested too deeply to evaluate"):
+        evaluate_array(e, np.zeros(3))
+    with pytest.raises(ExprDomainError, match="nested too deeply to serialize"):
+        serialize(e)
+
+
 def test_scientific_literals():
     assert evaluate(parse_expression("1e-9"), 0.0) == 1e-9
     assert evaluate(parse_expression("2.5E+2"), 0.0) == 250.0
