@@ -28,7 +28,7 @@ from .model import InitialHistory, ModelSpec, SYMBOLS, validate_model
 from .pap import solution_window_report
 from .permanence import CoefficientBounds, compute_permanence_bounds_from_values, verify_permanence
 from .presets import PRESET_NAMES, preset_config
-from .stability import estimate_liminf, run_attractivity
+from .stability import estimate_liminf, run_attractivity, small_denominator
 
 __all__ = ["RunConfig", "load_config", "run_preset", "run_config", "run_pipeline", "main"]
 
@@ -313,7 +313,11 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
             att = run_attractivity(traj, runs.column(1), threshold=float(opt["attractivity_threshold"]))
             series["attractivity"] = ("t,distance", (att.times[::stride], att.distances[::stride]))
         t_grid = np.linspace(0.0, float(opt["liminf_t_max"]), opt["liminf_points"])
-        est = estimate_liminf(spec, pb_active, t_grid, opt["beta_denominator"])
+        try:
+            est = estimate_liminf(spec, pb_active, t_grid, opt["beta_denominator"])
+        except ValidationError as exc:  # the active box's m1 + k^i is too small
+            sym = small_denominator(pb_active.inputs_used, pb_active)
+            raise ConfigError(f"/table_bounds/{sym}_inf" if pb_table is not None else f"/model/{sym}", str(exc)) from exc
         sample_stride = max(1, len(est.alpha_samples) // 25)
         stability_section = {
             "beta_denominator": opt["beta_denominator"],

@@ -5,23 +5,27 @@ Grammar: decimal literals (plain or scientific), the variable ``t``,
 parentheses, the functions abs/exp/sin/cos/sqrt, and the operators
 ``+ - * / ^`` with conventional precedence.  ``^`` is restricted to literal
 integer exponents >= 0.  The parser reads the whole text into one token
-list, then builds the tree by precedence climbing over it (Pratt, POPL
-1973); a syntax error, or a tree too deep for the recursion limit, raises
-ExprSyntaxError at a character position.
+list, then emits a postfix program by precedence climbing (Pratt, POPL
+1973) in one loop, with an explicit stack of pending operators.  A syntax
+error raises ExprSyntaxError at a character position; so does a tree
+deeper than _MAX_DEPTH levels, at position 0.  Nothing here recurses.
 
-Parsing folds every subtree free of ``t`` into one ``Const`` of the value
-the evaluator gives it (``"2*1.6"`` and ``"sqrt(2)"`` parse to a ``Const``
-root), except a subtree whose evaluation raises or is non-finite: it
-raises its ExprDomainError, with the same message, when evaluated.
+A program is a tuple of ``(op, arg)`` stack-machine instructions:
+``("const", v)`` and ``("t", None)`` push a value, ``neg``, the functions
+and ``("^", k)`` map the top one, and ``+ - * /`` combine the top two.
+Parsing folds every part free of ``t`` into one ``("const", v)`` (``"2*1.6"``
+and ``"sqrt(2)"`` fold), evaluating each instruction once on its operands'
+values, except a part whose evaluation raises or is non-finite: it raises
+its ExprDomainError, with the same message, when evaluated.
 
-There is one evaluator: ``evaluate_array`` walks the tree once over an
-array of times, with constants as float64 scalars that numpy broadcasts,
-and ``evaluate`` is that evaluator on a one-point array.  The sup/inf
-estimate of a constant is closed-form.  Any other expression's grid is
-scanned in cache-sized blocks, each reduced at once to its largest step,
-its candidate samples (local minima and the grid's endpoints) and its first
-nonpositive value; then the candidate cells of both the sup and the inf are
-refined together, one evaluator call per golden-section iteration.
+One loop evaluates a program: ``evaluate_array`` over an array of times,
+with constants as float64 scalars that numpy broadcasts, and ``evaluate``
+on a one-point array.  The sup/inf estimate of a constant is closed-form.
+Any other expression's grid is scanned in cache-sized blocks, each reduced
+at once to its largest step, its candidate samples (local minima and the
+grid's endpoints) and its first nonpositive value; then the candidate cells
+of both the sup and the inf are refined together, one evaluator call per
+golden-section iteration.
 
 Expressions are immutable after parsing and evaluation is pure, so a parsed
 expression may be shared freely between threads.
@@ -48,39 +52,19 @@ __all__ = [
 ]
 
 _FUNCTIONS = ("abs", "exp", "sin", "cos", "sqrt")
-
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    pass
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str  # neg | abs | exp | sin | cos | sqrt
-    arg: "Node"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # + - * / ^
-    left: "Node"
-    right: "Node"
-
-
-Node = Const | Var | Unary | Binary
+# each instruction's numpy call in the evaluation loop
+_UNARY = {"neg": np.negative, "abs": np.abs, "exp": np.exp, "sin": np.sin, "cos": np.cos, "sqrt": np.sqrt}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+_ARITY = {"const": 0, "t": 0, **dict.fromkeys(_BINARY, 2)}  # every other instruction takes 1 operand
+_MAX_DEPTH = 500  # deepest tree a parsed expression may have
 
 
 @dataclass(frozen=True)
 class CoefficientExpr:
-    """A parsed coefficient function of time t."""
+    """A parsed coefficient function of time t: its postfix program (the
+    module docstring describes it) and the text it was parsed from."""
 
-    root: Node
+    program: tuple[tuple[str, float | int | None], ...]
     source_text: str
 
     def __call__(self, t):
@@ -109,15 +93,11 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()]))"
 )
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}  # binding powers; unary minus's, 3, sits between * / and ^
 
 
-# binding powers; unary minus sits between * / and ^
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_UNARY_PREC = 3
-
-
-def _parse(text: str) -> Node:
-    """The unfolded tree of text (the module docstring describes the parser)."""
+def _parse(text: str) -> tuple:
+    """The unfolded program of text (the module docstring describes the parser)."""
     tokens, pos = [], 0
     while m := _TOKEN_RE.match(text, pos):
         tokens.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
@@ -136,112 +116,129 @@ def _parse(text: str) -> Node:
             raise ExprSyntaxError(message or f"unexpected token {v!r}", p)
         return tokens.pop()[1]
 
-    def climb(min_prec: int) -> Node:
-        node = atom()
-        while _PREC.get(tokens[-1][1], -1) >= min_prec:  # only an operator's text has a binding power
-            op = take("op")
-            kind, value, p = tokens[-1]
-            if op != "^":
-                node = Binary(op, node, climb(_PREC[op] + 1))
-            elif kind == "num" and float(value).is_integer() and float(value) >= 0:  # a literal integer exponent
-                node = Binary(op, node, Const(float(take("num"))))
-            else:
-                raise ExprSyntaxError("exponent must be a literal integer >= 0", p)
-        return node
+    program, depths = [], []  # depths: the tree depth of each value on the program's stack
 
-    def atom() -> Node:
-        kind, value, p = tokens.pop()
+    def emit(op, arg=None):
+        n = _ARITY.get(op, 1)
+        depth = 1 + max(depths[len(depths) - n:], default=0)
+        if depth > _MAX_DEPTH:
+            raise ExprSyntaxError("expression nested too deeply", 0)
+        depths[len(depths) - n:] = [depth]
+        program.append((op, arg))
+
+    # operators still waiting for their right operand to end, each with the
+    # binding power an operator needs to extend that operand: binary
+    # operators, "neg", and "(" or a function, which wait for ")"
+    pending = []
+    while True:
+        kind, value, p = tokens.pop()  # an operand starts here
         if kind == "num":
-            return Const(float(value))
-        if value == "t":
-            return Var()
-        if value in ("+", "-"):
-            node = climb(_UNARY_PREC)
-            return Unary("neg", node) if value == "-" else node
-        if value in _FUNCTIONS:
-            take("op", "(", "expected '('")
+            emit("const", float(value))
+        elif value == "t":
+            emit("t")
+        elif value == "-":
+            pending.append(("neg", 3))
+            continue
+        elif value == "+":
+            continue  # unary plus leaves its operand as it is
+        elif value == "(" or value in _FUNCTIONS:
+            if value != "(":
+                take("op", "(", "expected '('")
+            pending.append((value, 0))
+            continue
         elif kind == "ident":
             raise ExprSyntaxError(f"unknown identifier {value!r}", p)
-        elif value != "(":
+        else:
             raise ExprSyntaxError("unexpected end of input" if kind == "end" else f"unexpected token {value!r}", p)
-        node = climb(0)
-        take("op", ")", "expected ')'")
-        return node if value == "(" else Unary(value, node)
-
-    node = climb(0)
-    take("end")
-    return node
+        while True:  # an operand is complete: extend it, or end what it completes
+            op = tokens[-1][1]
+            if _PREC.get(op, -1) >= (pending[-1][1] if pending else 0):  # only an operator's text has a binding power
+                take("op")
+                if op != "^":
+                    pending.append((op, _PREC[op] + 1))
+                    break
+                kind, value, p = tokens[-1]
+                if not (kind == "num" and float(value).is_integer() and float(value) >= 0):  # a literal integer exponent
+                    raise ExprSyntaxError("exponent must be a literal integer >= 0", p)
+                emit("^", int(float(take("num"))))
+            elif not pending:
+                take("end")
+                return tuple(program)
+            else:
+                op, power = pending.pop()
+                if power == 0:
+                    take("op", ")", "expected ')'")
+                if op != "(":
+                    emit(op)
 
 
 def parse_expression(text: str) -> CoefficientExpr:
-    """Parse an expression string into an immutable AST.
+    """Parse an expression string into its folded postfix program.
 
     Raises ExprSyntaxError (with character position) on malformed input,
-    unknown identifiers, or a tree too deep for the recursion limit.
+    unknown identifiers, or a tree deeper than _MAX_DEPTH levels.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    try:
-        return CoefficientExpr(_fold(_parse(text)), text)
-    except RecursionError:
-        raise ExprSyntaxError("expression nested too deeply", 0) from None
+    return CoefficientExpr(_fold(_parse(text)), text)
 
 
-def _fold(node: Node) -> Node:
-    """The tree with every subtree free of t replaced by one Const, unless
-    evaluating that subtree raises or gives a non-finite value."""
-    if isinstance(node, Unary):
-        node = Unary(node.op, _fold(node.arg))
-    elif isinstance(node, Binary):
-        node = Binary(node.op, _fold(node.left), _fold(node.right))
-    else:
-        return node
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = _eval_array(node, np.zeros(1))  # a scalar exactly when node is free of t
-    except ExprDomainError:
-        return node
-    return Const(float(value)) if np.ndim(value) == 0 and math.isfinite(value) else node
+def _fold(program: tuple) -> tuple:
+    """The program with every subprogram free of t replaced by one
+    ("const", v), unless evaluating it raises or gives a non-finite value."""
+    out = []
+    stack = []  # per value: where its subprogram starts in out, and the value if free of t and evaluable
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op, arg in program:
+            n = _ARITY.get(op, 1)
+            operands = stack[len(stack) - n:]
+            start = operands[0][0] if operands else len(out)
+            out.append((op, arg))
+            value = arg if op == "const" else None
+            if n and all(v is not None for _, v in operands):
+                try:
+                    value = _run(tuple(("const", v) for _, v in operands) + ((op, arg),), np.zeros(1))
+                except ExprDomainError:
+                    value = None  # every part holding this one raises too
+                if value is not None and math.isfinite(value):
+                    out[start:] = [("const", float(value))]
+            stack[len(stack) - n:] = [(start, value)]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# the two loops over a program: evaluation and serialization
 # ---------------------------------------------------------------------------
 
 
-def _eval_array(node: Node, t: np.ndarray):
-    """Values over t; a subtree free of t gives a float64 scalar."""
-    if isinstance(node, Const):
-        return np.float64(node.value)
-    if isinstance(node, Var):
-        return t
-    if isinstance(node, Unary):
-        v = _eval_array(node.arg, t)
-        if node.op == "neg":
-            return -v
-        if node.op == "abs":
-            return np.abs(v)
-        if node.op == "sqrt":
-            bad = np.broadcast_to(v < 0.0, t.shape)
-            if bad.any():
-                raise ExprDomainError(f"sqrt of negative value at t={float(t[bad][0])!r}")
-            return np.sqrt(v)
-        return getattr(np, node.op)(v)
-    left = _eval_array(node.left, t)
-    right = _eval_array(node.right, t)
-    op = node.op
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        bad = np.broadcast_to(right == 0.0, t.shape)
-        if bad.any():
-            raise ExprDomainError(f"division by zero at t={float(t[bad][0])!r}")
-        return left / right
-    return np.power(left, int(node.right.value))  # not **: a float64 scalar's ** rounds differently
+def _run(program: tuple, t: np.ndarray):
+    """The evaluation loop: the program's values over t; a program free of t
+    gives a float64 scalar.  Only the values on its stack stay alive."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op, arg in program:
+        if op == "const":
+            push(np.float64(arg))
+        elif op == "t":
+            push(t)
+        elif (f := _BINARY.get(op)) is not None:
+            if op == "/":
+                _check(stack[-1] == 0.0, t, "division by zero")
+            stack[-1] = f(stack[-2], pop())  # both operands are read before the left one's slot is the top
+        elif op == "^":
+            stack[-1] = np.power(stack[-1], arg)  # not **: a float64 scalar's ** rounds differently
+        else:
+            if op == "sqrt":
+                _check(stack[-1] < 0.0, t, "sqrt of negative value")
+            stack[-1] = _UNARY[op](stack[-1])
+    return stack[-1]
+
+
+def _check(bad, t: np.ndarray, what: str) -> None:
+    """ExprDomainError naming the first time in t where bad holds, if any."""
+    bad = np.broadcast_to(bad, t.shape)
+    if bad.any():
+        raise ExprDomainError(f"{what} at t={float(t[bad][0])!r}")
 
 
 def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
@@ -249,14 +246,10 @@ def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
     as a new float array of t's shape.
 
     Overflow is not an error until it reaches the result: a non-finite
-    value raises ExprDomainError naming the first time it occurs at, and so
-    does a tree too deep to walk from the caller's stack depth."""
+    value raises ExprDomainError naming the first time it occurs at."""
     t = np.asarray(t, dtype=float)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _eval_array(expr.root, t)
-    except RecursionError:
-        raise ExprDomainError("expression nested too deeply to evaluate") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _run(expr.program, t)
     if values is t or values.shape != t.shape:
         values = np.array(np.broadcast_to(values, t.shape))
     bad = ~np.isfinite(values)
@@ -271,34 +264,26 @@ def evaluate(expr: CoefficientExpr, t: float) -> float:
     return float(evaluate_array(expr, np.array([float(t)]))[0])
 
 
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def _serialize(node: Node) -> str:
-    if isinstance(node, Const):
-        text = repr(node.value).replace("inf", "1e999")  # a literal past float range reparses to inf
-        return f"({text})" if text.startswith("-") else text  # a folded negation
-    if isinstance(node, Var):
-        return "t"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return f"(-{_serialize(node.arg)})"
-        return f"{node.op}({_serialize(node.arg)})"
-    if node.op == "^":
-        return f"({_serialize(node.left)}^{int(node.right.value)})"
-    return f"({_serialize(node.left)}{node.op}{_serialize(node.right)})"
-
-
 def serialize(expr: CoefficientExpr) -> str:
     """Fully parenthesized canonical form; reparsing yields an expression
-    that evaluates identically (exact float equality).  A tree too deep to
-    walk from the caller's stack depth raises ExprDomainError."""
-    try:
-        return _serialize(expr.root)
-    except RecursionError:
-        raise ExprDomainError("expression nested too deeply to serialize") from None
+    that evaluates identically (exact float equality)."""
+    stack = []
+    for op, arg in expr.program:
+        if op == "const":
+            text = repr(arg).replace("inf", "1e999")  # a literal past float range reparses to inf
+            stack.append(f"({text})" if text.startswith("-") else text)  # a folded negation
+        elif op == "t":
+            stack.append("t")
+        elif op == "neg":
+            stack[-1] = f"(-{stack[-1]})"
+        elif op == "^":
+            stack[-1] = f"({stack[-1]}^{arg})"
+        elif op in _BINARY:
+            right = stack.pop()
+            stack[-1] = f"({stack[-1]}{op}{right})"
+        else:
+            stack[-1] = f"{op}({stack[-1]})"
+    return stack[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +340,7 @@ def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
     coarser grid cannot out-refine a finer one on near-tied basins; past
     _SCAN_CAP cells, the lowest are kept.  Both signs' cells are refined
     in one golden-section search."""
-    if isinstance(expr.root, Const):
+    if len(expr.program) == 1 and expr.program[0][0] == "const":
         c = evaluate(expr, 0.0)  # a non-finite literal raises here, as in the scan
         return BoundsEstimate(abs(c), abs(c), horizon, grid.size), c, 0.0
     n = grid.size

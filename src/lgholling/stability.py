@@ -31,12 +31,14 @@ __all__ = [
     "LiminfEstimate",
     "AttractivityResult",
     "lag_inverse_gap",
+    "small_denominator",
     "alpha_beta_from_gaps",
     "estimate_liminf",
     "run_attractivity",
 ]
 
 _LAG_TOL = 1e-12  # bisection stops once |theta(s) - t| <= _LAG_TOL
+_K_FLOOR = np.finfo(float).tiny ** 0.25  # K**4 of a K below it is not a normal float
 
 
 def lag_inverse_gap(delay: CoefficientExpr, t):
@@ -108,14 +110,23 @@ def lag_inverse_gap(delay: CoefficientExpr, t):
     return float(gap[0]) if times.ndim == 0 else gap.reshape(times.shape)
 
 
+def small_denominator(cb: CoefficientBounds, pb: PermanenceBounds) -> str | None:
+    """The first of "k1", "k2" whose m1 + k^i is so small that its 4th power,
+    which alpha divides by, underflows (1e-300 squares to 0); else None."""
+    return next((sym for sym in ("k1", "k2") if not pb.m1 + getattr(cb, f"{sym}_inf") >= _K_FLOOR), None)
+
+
 def alpha_beta_from_gaps(cb: CoefficientBounds, pb: PermanenceBounds, gaps: tuple,
                          beta_denominator: str = "M2") -> tuple:
     """Literal evaluation of the two attractivity coefficients.
 
     gaps = (g_zeta1, g_zeta2, g_sigma1, g_sigma2): lag inverse gaps of
     tau1, tau2, sigma1, sigma2 at the evaluation time, as floats or as
-    arrays over many times (the formulas work elementwise).
+    arrays over many times (the formulas work elementwise).  Raises
+    ValidationError when small_denominator names k1 or k2.
     """
+    if sym := small_denominator(cb, pb):
+        raise ValidationError(f"m1 + {sym}^i = {pb.m1 + getattr(cb, f'{sym}_inf'):.6g} is too small: its 4th power underflows")
     g_z1, g_z2, g_s1, g_s2 = gaps
     M1, M2, m1 = pb.M1, pb.M2, pb.m1
     c1s, c2s, c2i = cb.c1_sup, cb.c2_sup, cb.c2_inf

@@ -23,7 +23,7 @@ from lgholling import (
     integrate,
     run_preset,
 )
-from lgholling.expr import Const, Unary, Var, _parse
+from lgholling.expr import _parse
 from lgholling.fixedpoint import _f_values, _prefix_simpson
 from lgholling.pap import _sample
 from lgholling.presets import preset_config
@@ -334,7 +334,7 @@ def reference_scan(expr, horizon: float, grid: np.ndarray):
     its own by reference_golden_min with scalar evaluations.  Returns
     (BoundsEstimate, first nonpositive raw value or else the raw minimum,
     its t) and raises the whole grid's ExprDomainError."""
-    if isinstance(expr.root, Const):
+    if len(expr.program) == 1 and expr.program[0][0] == "const":
         c = evaluate(expr, 0.0)
         return BoundsEstimate(abs(c), abs(c), horizon, grid.size), c, 0.0
     raw = evaluate_array(expr, grid)
@@ -354,45 +354,40 @@ def reference_scan(expr, horizon: float, grid: np.ndarray):
 
 
 def reference_eval_array(text: str, t) -> np.ndarray:
-    """Reference oracle for the evaluator: the tree of text as written, with
-    no constant folding, walked over an array of times with every literal
-    as a full array of t's shape.  Raises ExprDomainError with the
-    evaluator's messages."""
+    """Reference oracle for the evaluator: the program of text as written,
+    with no constant folding, run over an array of times by its own stack
+    loop, with every literal as a full array of t's shape.  Raises
+    ExprDomainError with the evaluator's messages."""
     t = np.asarray(t, dtype=float)
-
-    def walk(node):
-        if isinstance(node, Const):
-            return np.full_like(t, node.value)
-        if isinstance(node, Var):
-            return t
-        if isinstance(node, Unary):
-            v = walk(node.arg)
-            if node.op == "neg":
-                return -v
-            if node.op == "abs":
-                return np.abs(v)
-            if node.op == "sqrt":
+    unary = {"neg": lambda v: -v, "abs": np.abs, "exp": np.exp, "sin": np.sin, "cos": np.cos}
+    binary = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}
+    stack = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op, arg in _parse(text):
+            if op == "const":
+                stack.append(np.full_like(t, arg))
+            elif op == "t":
+                stack.append(t)
+            elif op == "^":
+                stack.append(stack.pop() ** arg)
+            elif op in binary:
+                right = stack.pop()
+                stack.append(binary[op](stack.pop(), right))
+            elif op == "/":
+                right = stack.pop()
+                bad = right == 0.0
+                if bad.any():
+                    raise ExprDomainError(f"division by zero at t={float(t[bad][0])!r}")
+                stack.append(stack.pop() / right)
+            elif op == "sqrt":
+                v = stack.pop()
                 bad = v < 0.0
                 if bad.any():
                     raise ExprDomainError(f"sqrt of negative value at t={float(t[bad][0])!r}")
-                return np.sqrt(v)
-            return getattr(np, node.op)(v)
-        left, right = walk(node.left), walk(node.right)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            bad = right == 0.0
-            if bad.any():
-                raise ExprDomainError(f"division by zero at t={float(t[bad][0])!r}")
-            return left / right
-        return left ** int(node.right.value)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = walk(_parse(text))
+                stack.append(np.sqrt(v))
+            else:
+                stack.append(unary[op](stack.pop()))
+    (values,) = stack
     bad = ~np.isfinite(values)
     if bad.any():
         raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}")

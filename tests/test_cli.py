@@ -560,11 +560,12 @@ def test_mutated_preset_config_exits_cleanly(tmp_path, name, path, value, flags)
     (("table_bounds", "tau2_sup"), -5, [], 2, "/table_bounds/tau2_sup"),
     (("options", "fp_quad_step"), 0.03, [], 2, "/options/fp_quad_step"),  # does not divide fp_step 0.1
     (("options", "fp_step"), 0.07, [], 2, "/options/fp_step"),  # does not divide fp_t_hi 2.0
+    (("table_bounds", "k1_inf"), 1e-300, [], 2, "/table_bounds/k1_inf"),  # (m1 + k1^i)**2 underflows to 0
 ], ids=["negative-c1", "phi1-zero-at-0", "phi1-huge-int", "t_end-huge", "fp_step-huge", "b_inf-zero",
         "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object", "t_settle-one-knot",
         "h-not-dividing", "exponent-infinite", "unary-minus-3000", "sum-5000", "t-sum-5000", "parens-400",
         "a2_inf-zero", "a2_inf-negative", "a1_inf-negative", "tau2_sup-negative", "fp_quad_step-not-dividing",
-        "fp_step-not-dividing"])
+        "fp_step-not-dividing", "k1_inf-tiny"])
 def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
     """Mutations that once ended in a traceback or in an error naming no
     field.  A failed run writes no file, whichever stage it stops in."""
@@ -582,6 +583,23 @@ def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
 def test_deep_expressions_within_the_recursion_limit_run(tmp_path, value):
     code, err = run_mutated(tmp_path, "example2", ("model", "a1"), value, [])
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("table, code, named", [(False, 2, "validation error: /model/k1: "), (True, 0, "")])
+def test_tiny_model_k1_fails_only_in_the_active_box(tmp_path, table, code, named):
+    """model.k1 = 1e-300 makes the estimates' m1 + k1^i too small for alpha
+    and beta: an error naming /model/k1 when that box is active, harmless
+    when the table's box is."""
+    data = short_preset("example2")
+    data["model"]["k1"] = "1e-300"
+    if not table:
+        data["table_bounds"] = None
+    cfg = write_config(tmp_path / "k1.json", data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        got = main(["run", str(cfg), "--out", str(tmp_path / "out")])
+    assert (got, err.getvalue().startswith(named)) == (code, True)
+    assert bool(list((tmp_path / "out").rglob("*"))) == table
 
 
 def test_t_end_override_keeps_t_settle_after_t0(tmp_path):

@@ -16,7 +16,7 @@ from lgholling import (
     validate_model,
 )
 from lgholling import expr as expr_module
-from lgholling.expr import Binary, CoefficientExpr, Const, Var, _scan
+from lgholling.expr import _MAX_DEPTH, CoefficientExpr, _scan
 from lgholling.presets import PRESET_NAMES, preset_config
 from conftest import reference_candidate_cells, reference_eval_array, reference_scan
 
@@ -167,17 +167,37 @@ def test_too_deep_expression_is_a_syntax_error(text):
         parse_expression(text)
 
 
-def test_too_deep_tree_is_a_domain_error_to_evaluate_and_serialize():
-    """A tree that parsed may still be too deep to walk from a deeper stack:
-    evaluation and serialization raise ExprDomainError, not RecursionError."""
-    root = Var()
-    for _ in range(5000):
-        root = Binary("+", root, Var())
-    e = CoefficientExpr(root, "t" + "+t" * 5000)
-    with pytest.raises(ExprDomainError, match="nested too deeply to evaluate"):
-        evaluate_array(e, np.zeros(3))
-    with pytest.raises(ExprDomainError, match="nested too deeply to serialize"):
-        serialize(e)
+def nest(shape: str, depth: int) -> str:
+    """An expression whose tree is depth levels deep."""
+    n = depth - 1
+    return {"sum": "t" + "+t" * n, "minus": "-" * n + "t", "abs": "abs(" * n + "t" + ")" * n,
+            "parens": "5+0*(" * (n // 2) + "t" + ")" * (n // 2) + "^1" * (n % 2)}[shape]
+
+
+def in_nested_frames(frames: int, fn, *args):
+    """fn(*args) called from inside frames nested Python calls."""
+    return fn(*args) if frames == 0 else in_nested_frames(frames - 1, fn, *args)
+
+
+@pytest.mark.parametrize("frames", [0, 900])
+@pytest.mark.parametrize("shape", ["sum", "minus", "abs", "parens"])
+def test_depth_cap_is_500_wherever_the_caller_stands(shape, frames):
+    """The cap is the tree's depth, not the stack's: depth 500 parses and
+    depth 501 raises at position 0, also from 900 frames down."""
+    assert _MAX_DEPTH == 500
+    e = in_nested_frames(frames, parse_expression, nest(shape, 500))
+    assert evaluate(e, 2.0) == evaluate(parse_expression(serialize(e)), 2.0)
+    with pytest.raises(ExprSyntaxError) as exc:
+        in_nested_frames(frames, parse_expression, nest(shape, 501))
+    assert (str(exc.value), exc.value.position) == ("expression nested too deeply at position 0", 0)
+
+
+def test_a_program_deeper_than_the_cap_evaluates_and_serializes():
+    """A 5,000-deep program built directly runs in the evaluation and
+    serialization loops; neither recurses."""
+    e = CoefficientExpr((("t", None),) + (("t", None), ("+", None)) * 5000, "t" + "+t" * 5000)
+    assert np.array_equal(evaluate_array(e, np.arange(3.0)), np.arange(3.0) * 5001)
+    assert serialize(e) == "(" * 5000 + "t" + "+t)" * 5000
 
 
 def test_scientific_literals():
@@ -267,9 +287,9 @@ def test_random_ast_folded_evaluation_equals_unfolded_reference(data):
 
 @pytest.mark.parametrize("text", ["3.2", "2*1.6", "(-3.2)", "sqrt(2)", "2^3", "abs(cos(1))*exp(-2)", "1/exp(1000)"])
 def test_constant_subtrees_fold_to_one_const(text):
-    root = parse_expression(text).root
-    assert isinstance(root, Const)
-    assert root.value == reference_eval_array(text, [0.0])[0]
+    (op, value), = parse_expression(text).program
+    assert op == "const"
+    assert value == reference_eval_array(text, [0.0])[0]
 
 
 @pytest.mark.parametrize("text, message", [
@@ -281,7 +301,7 @@ def test_constant_subtrees_fold_to_one_const(text):
 ])
 def test_failing_constant_subtrees_stay_unfolded(text, message):
     e = parse_expression(text)
-    assert not isinstance(e.root, Const)
+    assert len(e.program) > 1
     ts = np.linspace(0.0, 1.0, 11)
     with pytest.raises(ExprDomainError) as exc:
         evaluate_array(e, ts)
@@ -313,7 +333,7 @@ def test_serialize_keeps_a_folded_negative_literal_parenthesized():
 def test_serialize_writes_an_infinite_literal_that_reparses(value, text):
     """A literal past float range is infinite; it serializes to a literal
     that reparses to the same infinity (1/(inf*t) is a finite +-0)."""
-    e = CoefficientExpr(Binary("/", Const(1.0), Binary("*", Const(value), Var())), text)
+    e = CoefficientExpr((("const", 1.0), ("const", value), ("t", None), ("*", None), ("/", None)), text)
     assert serialize(e) == text
     reparsed = parse_expression(text)
     assert serialize(reparsed) == text
@@ -428,7 +448,7 @@ def test_blocked_scan_extremum_on_a_block_edge(block8, shape, idx):
 
 
 def test_blocked_scan_of_a_flat_expression(block8):
-    assert not isinstance(parse_expression("1 + 0*t").root, Const)
+    assert len(parse_expression("1 + 0*t").program) > 1
     got, want = scan_both("1 + 0*t", 10.0, 101)
     assert got == want
     assert (got[0].inf_value, got[0].sup_value) == (1.0, 1.0)

@@ -16,9 +16,11 @@ from lgholling import (
     lag_inverse_gap,
     parse_expression,
     ValidationError,
+    compute_permanence_bounds_from_values,
     run_attractivity,
 )
-from conftest import reference_lag_gap
+from lgholling.stability import small_denominator
+from conftest import reference_lag_gap, table_bounds
 
 # calculator oracles for the preset coefficients (frozen ahead of the build)
 EX1_ALPHA = 2.3990621757903132
@@ -222,3 +224,13 @@ def test_attractivity_contracting_system():
     res = run_attractivity(integrate(spec, InitialHistory(0.5, 0.5), 0.0, 60.0, 0.01),
                            integrate(spec, InitialHistory(0.75, 0.75), 0.0, 60.0, 0.01), threshold=1e-3)
     assert res.passed, (res.final_distance, res.tail_nonincreasing)
+
+
+@pytest.mark.parametrize("field, sym", [("k1_inf", "k1"), ("k2_inf", "k2")])
+def test_a_denominator_too_small_for_alpha_and_beta_is_a_validation_error(field, sym):
+    """With m1 = 0 and k^i = 1e-300, (m1 + k^i)**2 underflows to 0."""
+    cb = dataclasses.replace(table_bounds("example1"), **{field: 1e-300})
+    pb = compute_permanence_bounds_from_values(cb)
+    assert (pb.m1, small_denominator(cb, pb)) == (0.0, sym)
+    with pytest.raises(ValidationError, match=rf"^m1 \+ {sym}\^i = 1e-300 is too small: its 4th power underflows$"):
+        alpha_beta_from_gaps(cb, pb, (0.75,) * 4)
