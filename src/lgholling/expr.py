@@ -8,7 +8,8 @@ integer exponents >= 0.  The parser reads the whole text into one token
 list, then emits a postfix program by precedence climbing (Pratt, POPL
 1973) in one loop, with an explicit stack of pending operators.  A syntax
 error raises ExprSyntaxError at a character position; so does a tree
-deeper than _MAX_DEPTH levels, at position 0.  Nothing here recurses.
+deeper than _MAX_DEPTH levels, at position 0, and a text longer than
+_MAX_LENGTH characters, before it is tokenized.  Nothing here recurses.
 
 A program is a tuple of ``(op, arg)`` stack-machine instructions:
 ``("const", v)`` and ``("t", None)`` push a value, ``neg``, the functions
@@ -57,6 +58,7 @@ _UNARY = {"neg": np.negative, "abs": np.abs, "exp": np.exp, "sin": np.sin, "cos"
 _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 _ARITY = {"const": 0, "t": 0, **dict.fromkeys(_BINARY, 2)}  # every other instruction takes 1 operand
 _MAX_DEPTH = 500  # deepest tree a parsed expression may have
+_MAX_LENGTH = 65_536  # longest text parse_expression reads, checked before tokenizing
 
 
 @dataclass(frozen=True)
@@ -176,8 +178,11 @@ def parse_expression(text: str) -> CoefficientExpr:
     """Parse an expression string into its folded postfix program.
 
     Raises ExprSyntaxError (with character position) on malformed input,
-    unknown identifiers, or a tree deeper than _MAX_DEPTH levels.
+    unknown identifiers, text longer than _MAX_LENGTH characters (at that
+    position), or a tree deeper than _MAX_DEPTH levels.
     """
+    if len(text) > _MAX_LENGTH:
+        raise ExprSyntaxError(f"expression longer than {_MAX_LENGTH} characters", _MAX_LENGTH)
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     return CoefficientExpr(_fold(_parse(text)), text)

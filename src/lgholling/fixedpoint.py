@@ -9,13 +9,19 @@ The operator applied to a candidate pair (phi, psi) is
     U_2(phi, psi)(t) = int_t^inf exp(int_s^t a2) c2 psi(s - tau2(s)) psi(s)
                         / (phi(s - sigma2(s)) + k2) ds
 
-The kernel decays like exp(-a_j^i (s - t)), which bounds the truncation
-tail: the improper integral is cut at L = ln(sup f / (a^i tol)) / a^i.  With
-A_k = int_{t_lo}^{s_k} a_j on the nodes s_k = t_lo + k q, the Simpson integral
-R_k from s_k to the last node obeys the backward (variation-of-constants) step
-R_k = e^{A_k - A_{k+2}} R_{k+2} + (q/3)(f_k + 4 e^{A_k - A_{k+1}} f_{k+1} +
-e^{A_k - A_{k+2}} f_{k+2}), so each point's window [s_lo, s_lo + L] of N nodes
-is R_lo - e^{A_lo - A_{lo+N}} R_{lo+N}: O(K) work for K nodes in all.
+With A = int_{t_lo} a_j, the kernel exp(A(t) - A(s)) decays at least like
+exp(-a_j^i (s - t)), so once A has risen by Lambda = ln(sup f / (a^i tol))
+past t, the rest of the improper integral is at most tol.  With
+A_k = int_{t_lo}^{s_k} a_j on the nodes s_k = t_lo + k q, each point s_k's
+window ends at the first even offset N_k >= 8 where A_{k+N_k} >= A_k + Lambda,
+and never past the N nodes of L = Lambda / a^i, where the decay floor alone
+would cut it.  The Simpson integral R_k from s_k to the last node obeys the
+backward (variation-of-constants) step R_k = e^{A_k - A_{k+2}} R_{k+2} +
+(q/3)(f_k + 4 e^{A_k - A_{k+1}} f_{k+1} + e^{A_k - A_{k+2}} f_{k+2}), so the
+window [s_k, s_{k+N_k}] is R_k - e^{A_k - A_{k+N_k}} R_{k+N_k}: O(K) work for
+K nodes in all.  The nodes reach past the grid only as far as A needs: a
+first tail sized from the window's mean rate of A, doubled until A has risen
+by Lambda past every grid point.
 
 A candidate pair is the natural cubic spline through its grid values, equal
 bit for bit to scipy's CubicSpline(bc_type="natural") without importing scipy,
@@ -226,48 +232,74 @@ def apply_upsilon(
     tail_len: float | None = None,
 ) -> GridFunctionPair:
     """One application of the integral operator on the pair's grid: each
-    grid point t gets composite Simpson on exactly [t, t + L] through the
+    grid point s_k gets composite Simpson on [s_k, s_{k+N_k}] through the
     backward recursion of the module docstring, one per node parity when the
-    grid step is an odd number of quad steps.  L comes from the kernel decay
-    bound, with the decay rates a1^i and a2^i read from coeff_bounds, unless
-    tail_len overrides it.  Beyond its grid the pair is continued by its
+    grid step is an odd number of quad steps.  N_k is the first even offset
+    from 8 on where A has risen by Lambda = ln(2 sup f / (a^i tail_tol)), with
+    sup f over the window's nodes and the decay floors a1^i, a2^i read from
+    coeff_bounds, and at most the N nodes of L = Lambda / a^i; tail_len fixes
+    every window at L instead.  Beyond its grid the pair is continued by its
     boundary values (the tail weight is exponentially small there)."""
     p = int(round(pair.step / quad_step))
     if p < 1 or abs(p * quad_step - pair.step) > 1e-9 * pair.step:
         raise QuadratureError("quad_step must divide the pair's grid step")
     q = pair.step / p
     npts = len(pair.phi)
-    nint = npts - 1
+    K0 = (npts - 1) * p  # the last grid point's node
     if coeff_bounds.a1_inf <= 0.0 or coeff_bounds.a2_inf <= 0.0:
         raise QuadratureError("kernel decay rates a1^i, a2^i must be positive")
 
     outputs = []
     for j, aj_inf, aj_expr in ((1, coeff_bounds.a1_inf, spec.a1), (2, coeff_bounds.a2_inf, spec.a2)):
-        supf = float(np.abs(_f_values(spec, pair, j, pair.grid())).max())
+        s = pair.t_lo + q * np.arange(K0 + 1)
+        f = _f_values(spec, pair, j, s)
+        # factor 2: the constant-extended tail can slightly exceed the
+        # window's sup through coefficient oscillation
+        lam = math.log(max(2.0 * float(np.abs(f).max()), 1e-12) / (aj_inf * tail_tol))
+        L = max(lam / aj_inf, 4.0 * q)
         if tail_len is not None:
-            L = float(tail_len)
-        else:
-            # factor 2: the constant-extended tail can slightly exceed the
-            # span sup through coefficient oscillation
-            L = math.log(max(2.0 * supf, 1e-12) / (aj_inf * tail_tol)) / aj_inf
-            L = max(L, 4.0 * q)
+            L, lam = float(tail_len), math.inf  # A never rises by inf: every window takes all N nodes
         N = max(8, 2 * math.ceil(L / (2.0 * q)))  # even, for Simpson pairs
         if N > _MAX_TAIL_NODES:
             raise QuadratureError(f"tail needs {N} nodes at quad_step={q}; grid too short for requested tail_tol")
-        K = nint * p + N
-        s = pair.t_lo + q * np.arange(K + 1)
-        smid = s[:-1] + 0.5 * q
-        A = _prefix_simpson(evaluate_array(aj_expr, s), evaluate_array(aj_expr, smid), q)
-        f = _f_values(spec, pair, j, s)
+        # the first pass takes the window alone and sizes the tail from A's
+        # mean rate there; the tail then doubles until A has risen by lam
+        # past every grid point, or holds N nodes
+        a_s = a_mid = np.empty(0)
+        n = 0
+        while True:
+            s = pair.t_lo + q * np.arange(K0 + n + 1)
+            a = evaluate_array(aj_expr, np.concatenate((s[a_s.size:], s[a_mid.size:-1] + 0.5 * q)))
+            m = s.size - a_s.size
+            a_s, a_mid = np.concatenate((a_s, a[:m])), np.concatenate((a_mid, a[m:]))
+            A = _prefix_simpson(a_s, a_mid, q)
+            if n == 0:
+                rate = A[-1] / (pair.t_hi - pair.t_lo)
+                n = min(N, max(8, 2 * math.ceil(min(1.25 * lam / (2.0 * q * rate), N)))) if rate > 0.0 else N
+            elif n == N or A[-2:].min() >= A[:K0 + 1].max() + lam:
+                break
+            else:
+                n = min(2 * n, N)
+        f = np.concatenate((f, _f_values(spec, pair, j, s[K0 + 1:])))
         # Simpson on [s_k, s_{k+2}] with the kernel taken relative to s_k
         inc = (q / 3.0) * (f[:-2] + 4.0 * np.exp(A[:-2] - A[1:-1]) * f[1:-1] + np.exp(A[:-2] - A[2:]) * f[2:])
         lo = p * np.arange(npts)
         out = np.empty(npts)
         for parity in np.unique(lo % 2):
-            R = _tail_integrals(A[parity::2], inc[parity::2])
+            B = A[parity::2]
+            R = _tail_integrals(B, inc[parity::2])
             at = lo % 2 == parity
-            k = lo[at]
-            out[at] = R[k // 2] - np.exp(A[k] - A[k + N]) * R[(k + N) // 2]
+            c = lo[at] // 2
+            # first node from c + 4 on whose B reaches B[c] + lam, through the
+            # running max; where a_j < 0 makes B fall, the running max can
+            # pass the target early, and those points walk on
+            target, cap = B[c] + lam, c + N // 2
+            e = np.minimum(np.maximum(np.searchsorted(np.maximum.accumulate(B), target), c + 4), cap)
+            late = (B[e] < target) & (e < cap)
+            while late.any():
+                e[late] += 1
+                late &= (B[e] < target) & (e < cap)
+            out[at] = R[c] - np.exp(B[c] - B[e]) * R[e]
         outputs.append(out)
     return GridFunctionPair(pair.t_lo, pair.t_hi, pair.step, outputs[0], outputs[1])
 

@@ -201,34 +201,39 @@ def reference_rk4(spec: ModelSpec, history: InitialHistory, t0: float, t_end: fl
 def reference_upsilon(spec: ModelSpec, pair, quad_step: float, tail_tol: float,
                       coeff_bounds: CoefficientBounds, tail_len=None):
     """Reference oracle for the integral operator: for every grid point
-    t = s_lo separately, one composite Simpson dot product over its N-node
-    window [t, t + L], with the kernel e^{A_lo - A_k} exponentiated per node.
-    Same nodes, exponent A, f values, L and N as apply_upsilon; returns the
-    (phi, psi) image arrays."""
+    t = s_lo separately, one composite Simpson dot product over its window
+    [s_lo, s_lo + n q], with the kernel e^{A_lo - A_k} exponentiated per node.
+    Its own walk finds n: from 8 up in steps of 2 until A_{lo+n} reaches
+    A_lo + Lambda, but not past the N nodes of the decay-floor L (every n is
+    N when tail_len is given).  Same nodes, exponent A, f values, Lambda and
+    N as apply_upsilon; returns the (phi, psi) image arrays."""
     p = int(round(pair.step / quad_step))
     q = pair.step / p
     npts = len(pair.phi)
     outputs = []
     for j, aj_inf, aj_expr in ((1, coeff_bounds.a1_inf, spec.a1), (2, coeff_bounds.a2_inf, spec.a2)):
-        supf = float(np.abs(_f_values(spec, pair, j, pair.grid())).max())
-        if tail_len is not None:
-            L = float(tail_len)
-        else:
-            L = max(math.log(max(2.0 * supf, 1e-12) / (aj_inf * tail_tol)) / aj_inf, 4.0 * q)
+        window = pair.t_lo + q * np.arange((npts - 1) * p + 1)
+        supf = float(np.abs(_f_values(spec, pair, j, window)).max())
+        lam = math.log(max(2.0 * supf, 1e-12) / (aj_inf * tail_tol))
+        L = float(tail_len) if tail_len is not None else max(lam / aj_inf, 4.0 * q)
         N = int(math.ceil(L / q))
         N += N % 2
         N = max(N, 8)
         s = pair.t_lo + q * np.arange((npts - 1) * p + N + 1)
         A = _prefix_simpson(evaluate_array(aj_expr, s), evaluate_array(aj_expr, s[:-1] + 0.5 * q), q)
         f = _f_values(spec, pair, j, s)
-        w = np.full(N + 1, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        w *= q / 3.0
+        A_list = A.tolist()
         out = np.empty(npts)
         for i in range(npts):
             lo = i * p
-            sl = slice(lo, lo + N + 1)
+            n = N if tail_len is not None else 8
+            while n < N and A_list[lo + n] < A_list[lo] + lam:
+                n += 2
+            w = np.full(n + 1, 2.0)
+            w[1::2] = 4.0
+            w[0] = w[-1] = 1.0
+            w *= q / 3.0
+            sl = slice(lo, lo + n + 1)
             out[i] = float(np.dot(np.exp(A[lo] - A[sl]) * f[sl], w))
         outputs.append(out)
     return outputs[0], outputs[1]

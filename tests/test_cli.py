@@ -554,6 +554,7 @@ def test_mutated_preset_config_exits_cleanly(tmp_path, name, path, value, flags)
     (("model", "a1"), "+".join(["0.001"] * 5000), [], 2, "/model/a1: expression nested too deeply"),
     (("model", "a1"), "5 + 0*t" + "+0*t" * 5000, [], 2, "/model/a1: expression nested too deeply"),
     (("model", "a1"), "5+0*(" * 400 + "t" + ")" * 400, [], 2, "/model/a1: expression nested too deeply"),
+    (("model", "a1"), "t" + "+t" * 40_000, [], 2, "/model/a1: expression longer than 65536 characters"),
     (("table_bounds", "a2_inf"), 0, [], 2, "/table_bounds/a2_inf"),
     (("table_bounds", "a2_inf"), -1, [], 2, "/table_bounds/a2_inf"),
     (("table_bounds", "a1_inf"), -0.5, [], 2, "/table_bounds/a1_inf"),
@@ -563,7 +564,7 @@ def test_mutated_preset_config_exits_cleanly(tmp_path, name, path, value, flags)
     (("table_bounds", "k1_inf"), 1e-300, [], 2, "/table_bounds/k1_inf"),  # (m1 + k1^i)**2 underflows to 0
 ], ids=["negative-c1", "phi1-zero-at-0", "phi1-huge-int", "t_end-huge", "fp_step-huge", "b_inf-zero",
         "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object", "t_settle-one-knot",
-        "h-not-dividing", "exponent-infinite", "unary-minus-3000", "sum-5000", "t-sum-5000", "parens-400",
+        "h-not-dividing", "exponent-infinite", "unary-minus-3000", "sum-5000", "t-sum-5000", "parens-400", "text-80k",
         "a2_inf-zero", "a2_inf-negative", "a1_inf-negative", "tau2_sup-negative", "fp_quad_step-not-dividing",
         "fp_step-not-dividing", "k1_inf-tiny"])
 def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):

@@ -16,7 +16,7 @@ from lgholling import (
     validate_model,
 )
 from lgholling import expr as expr_module
-from lgholling.expr import _MAX_DEPTH, CoefficientExpr, _scan
+from lgholling.expr import _MAX_DEPTH, _MAX_LENGTH, CoefficientExpr, _scan
 from lgholling.presets import PRESET_NAMES, preset_config
 from conftest import reference_candidate_cells, reference_eval_array, reference_scan
 
@@ -165,6 +165,23 @@ def test_non_finite_exponent_is_a_syntax_error():
 def test_too_deep_expression_is_a_syntax_error(text):
     with pytest.raises(ExprSyntaxError, match="^expression nested too deeply at position 0$"):
         parse_expression(text)
+
+
+def test_text_longer_than_the_cap_is_refused_before_tokenizing(monkeypatch):
+    """A text of 65,536 characters parses; one character more is refused
+    at that position without being tokenized, whatever it holds."""
+    at_cap = "5" + " " * (_MAX_LENGTH - 1)
+    assert _MAX_LENGTH == 65_536 and evaluate(parse_expression(at_cap), 0.0) == 5.0
+
+    def no_tokenizing(text):
+        raise AssertionError("tokenized")
+
+    monkeypatch.setattr(expr_module, "_parse", no_tokenizing)
+    for text in (at_cap + " ", "t" + "+t" * 10**6):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expression(text)
+        assert (str(exc.value), exc.value.position) == ("expression longer than 65536 characters at position 65536",
+                                                        65536)
 
 
 def nest(shape: str, depth: int) -> str:

@@ -22,6 +22,8 @@ from lgholling import (
 )
 from conftest import (example2_constant_pair_u2, in_box, kernel_identity_check, make_spec, reference_upsilon,
                       table_bounds, table_permanence, trapz)
+from lgholling import fixedpoint
+from lgholling.fixedpoint import _f_values
 from lgholling.presets import preset_config
 
 
@@ -231,6 +233,68 @@ def test_apply_upsilon_fast_decay_needs_no_global_exponential(settled_trajectori
     assert_upsilon_matches_reference(fast, pair, quad_step=0.05, tail_tol=1e-6, coeff_bounds=bounds)
     assert_upsilon_matches_reference(fast, settled_pair(traj, 0.15), quad_step=0.05, tail_tol=1e-6,
                                      coeff_bounds=bounds)
+
+
+def decay_floor_nodes(spec, pair, j, a_inf, quad_step, tail_tol):
+    """The decay-floor tail of component j, as (L, N): L = ln(2 sup f / (a^i tail_tol)) / a^i
+    with sup f on the pair's grid, and N its even node count."""
+    supf = float(np.abs(_f_values(spec, pair, j, pair.grid())).max())
+    L = max(math.log(2.0 * supf / (a_inf * tail_tol)) / a_inf, 4.0 * quad_step)
+    return L, max(8, 2 * math.ceil(L / (2.0 * quad_step)))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_tail_from_A_stays_within_tail_tol_of_the_decay_floor_tail(settled_trajectories, name):
+    """Cutting each window where A has risen by Lambda moves the image by
+    less than tail_tol from cutting every window at the decay floor's L."""
+    spec, traj = settled_trajectories[name]
+    pair, cb, tol = settled_pair(traj, 0.1), table_bounds(name), 1e-6
+    image = apply_upsilon(spec, pair, quad_step=0.05, tail_tol=tol, coeff_bounds=cb)
+    for j, a_inf, got in ((1, cb.a1_inf, image.phi), (2, cb.a2_inf, image.psi)):
+        L, _ = decay_floor_nodes(spec, pair, j, a_inf, 0.05, tol)
+        floor = apply_upsilon(spec, pair, quad_step=0.05, tail_tol=tol, coeff_bounds=cb, tail_len=L)
+        assert np.abs(got - (floor.phi if j == 1 else floor.psi)).max() < tol
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_tail_nodes_stop_where_A_has_risen(settled_trajectories, monkeypatch, name):
+    """The nodes reaching _tail_integrals reach past the grid by at least 8
+    and at most the decay floor's N, and f_2's end at K <= 5,000, where the
+    decay floor alone takes them to 33,118 (example1) and 12,180."""
+    sizes, tail_integrals = [], fixedpoint._tail_integrals
+
+    def recording(A, inc):
+        sizes.append(A.size)
+        return tail_integrals(A, inc)
+
+    monkeypatch.setattr(fixedpoint, "_tail_integrals", recording)
+    spec, traj = settled_trajectories[name]
+    pair, cb = settled_pair(traj, 0.1), table_bounds(name)
+    apply_upsilon(spec, pair, quad_step=0.05, tail_tol=1e-6, coeff_bounds=cb)
+    K0 = 2 * (len(pair.phi) - 1)
+    assert len(sizes) == 2  # two quad steps per grid step: one node parity per component
+    for j, a_inf, size in ((1, cb.a1_inf, sizes[0]), (2, cb.a2_inf, sizes[1])):
+        K = 2 * (size - 1)
+        assert K0 + 8 <= K <= K0 + decay_floor_nodes(spec, pair, j, a_inf, 0.05, 1e-6)[1]
+    assert 2 * (sizes[1] - 1) <= 5000
+
+
+@pytest.mark.parametrize("model, a1_inf, tail_tol", [
+    ({"a1": "1"}, 5.0, 1e-6),
+    ({"a1": "0.5 + 5*sin(t)"}, 0.5, 1e-2),
+    ({"c2": "1 + 0.9*sin(31.4159*t)"}, 1.0, 1e-6),
+], ids=["floor-overstated", "a1-dips-negative", "f-peaks-between-knots"])
+def test_apply_upsilon_matches_reference_on_unit_variants(model, a1_inf, tail_tol):
+    """A decay floor above a1 caps every window at its N.  An a1 that dips
+    below 0 makes A fall, so a running max of A can pass a point's target
+    before A itself does, and the window must still end where A does.  A c2
+    peaking midway between grid points puts sup f on the quadrature nodes."""
+    unit = dict.fromkeys(("a1", "a2", "b", "c1", "c2", "k1", "k2"), "1")
+    spec = ModelSpec.from_strings(unit | dict.fromkeys(("tau1", "tau2", "sigma1", "sigma2"), "0.5") | model)
+    bounds = CoefficientBounds.from_table(dict(dict.fromkeys(CoefficientBounds.__dataclass_fields__, 1.0),
+                                               a1_inf=a1_inf))
+    pair = GridFunctionPair(0.0, 10.0, 0.1, 0.8 + 0.2 * np.sin(0.07 * np.arange(101)), np.full(101, 0.6))
+    assert_upsilon_matches_reference(spec, pair, quad_step=0.05, tail_tol=tail_tol, coeff_bounds=bounds)
 
 
 def preset_picard(name):
