@@ -207,6 +207,7 @@ def _prefix_simpson(nodes: np.ndarray, mids: np.ndarray, dx: float) -> np.ndarra
 _MAX_TAIL_NODES = 4_000_000
 _ESCAPE_FACTOR = 50.0  # Picard iterates past this multiple of the seed scale count as diverged
 _CHUNK_SPAN = 500.0  # largest rise of A within one rescaled chunk; e^500 is finite
+_EPS = float(np.finfo(float).eps)
 
 
 def _tail_integrals(A: np.ndarray, inc: np.ndarray) -> np.ndarray:
@@ -281,25 +282,35 @@ def apply_upsilon(
             else:
                 n = min(2 * n, N)
         f = np.concatenate((f, _f_values(spec, pair, j, s[K0 + 1:])))
-        # Simpson on [s_k, s_{k+2}] with the kernel taken relative to s_k
-        inc = (q / 3.0) * (f[:-2] + 4.0 * np.exp(A[:-2] - A[1:-1]) * f[1:-1] + np.exp(A[:-2] - A[2:]) * f[2:])
         lo = p * np.arange(npts)
         out = np.empty(npts)
-        for parity in np.unique(lo % 2):
-            B = A[parity::2]
-            R = _tail_integrals(B, inc[parity::2])
-            at = lo % 2 == parity
-            c = lo[at] // 2
-            # first node from c + 4 on whose B reaches B[c] + lam, through the
-            # running max; where a_j < 0 makes B fall, the running max can
-            # pass the target early, and those points walk on
-            target, cap = B[c] + lam, c + N // 2
-            e = np.minimum(np.maximum(np.searchsorted(np.maximum.accumulate(B), target), c + 4), cap)
-            late = (B[e] < target) & (e < cap)
-            while late.any():
-                e[late] += 1
-                late &= (B[e] < target) & (e < cap)
-            out[at] = R[c] - np.exp(B[c] - B[e]) * R[e]
+        # an a_j that falls far makes the kernel overflow or R[c] dwarf the
+        # image; the check below turns either into an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Simpson on [s_k, s_{k+2}] with the kernel taken relative to s_k
+            inc = (q / 3.0) * (f[:-2] + 4.0 * np.exp(A[:-2] - A[1:-1]) * f[1:-1] + np.exp(A[:-2] - A[2:]) * f[2:])
+            for parity in np.unique(lo % 2):
+                B = A[parity::2]
+                R = _tail_integrals(B, inc[parity::2])
+                at = lo % 2 == parity
+                c = lo[at] // 2
+                # first node from c + 4 on whose B reaches B[c] + lam, through the
+                # running max; where a_j < 0 makes B fall, the running max can
+                # pass the target early, and those points walk on
+                target, cap = B[c] + lam, c + N // 2
+                e = np.minimum(np.maximum(np.searchsorted(np.maximum.accumulate(B), target), c + 4), cap)
+                late = (B[e] < target) & (e < cap)
+                while late.any():
+                    e[late] += 1
+                    late &= (B[e] < target) & (e < cap)
+                beyond = np.exp(B[c] - B[e]) * R[e]
+                image = out[at] = R[c] - beyond
+                # the difference's rounding error is about eps (|R[c]| + |beyond|):
+                # refuse it past both tail_tol and half the image's digits
+                size = np.abs(R[c]) + np.abs(beyond)
+                if not (np.isfinite(image) & ((_EPS * size <= tail_tol) | (size <= 2.0**26 * np.abs(image)))).all():
+                    raise QuadratureError(f"f_{j}: a{j} falls so far that the tail integrals of the kernel "
+                                          f"exp(int a{j}) cannot be resolved to tail_tol={tail_tol!r}")
         outputs.append(out)
     return GridFunctionPair(pair.t_lo, pair.t_hi, pair.step, outputs[0], outputs[1])
 

@@ -24,6 +24,18 @@ through math.exp, so the knots are the same floats as those of a plain
 per-step RK4 loop.  Every run is a batch: integrate is column(0) of a batch
 of one, and a column is bit-identical to the single run from its history.
 
+Stages are planned per block of _PLAN_STEPS steps, in two passes.  The
+first evaluates the delays block by block and keeps only the smallest delay
+and the history reach.  The second plans one block (coefficients, Hermite
+weights and indices, history values) and steps through it; a window ends at
+its block's end at the latest, which repeats the same additions in the same
+order, so the knots do not depend on the block size.  A run keeps its knots,
+32 bytes per step per column, and its working memory is one block's plan
+(about 5 MB with four distinct delays) rather than the 650-950 bytes per
+step of a whole-run plan.  An error met inside a block is raised only after
+the coefficients and the history have been evaluated over the whole stage
+grid, so a run fails with the error a whole-run plan would have met first.
+
 A single integration is sequential; distinct integrations are independent
 and a finished Trajectory is immutable and safe to share.
 """
@@ -35,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationError, ValidationError
+from .errors import ExprDomainError, IntegrationError, ValidationError
 from .expr import CoefficientExpr, evaluate_array, serialize
 from .model import InitialHistory, ModelSpec
 
@@ -50,6 +62,9 @@ _LOG_LIMIT = 700.0  # beyond this exp overflows
 # delayed channels in lookup order, and the component (0 = x, 1 = y) each reads
 _CHANNELS = ("sigma1", "sigma2", "tau1", "tau2")
 _COMPONENT = (0, 0, 1, 1)
+# coefficients in the order a run evaluates them; a1 and b drive the prey steps
+_COEFFS = ("a1", "b", "a2", "c1", "c2", "k1", "k2")
+_PLAN_STEPS = 4096  # steps per block of the stage plan: a run's working memory is one block's plan
 
 
 @dataclass(eq=False)
@@ -184,9 +199,17 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
         raise IntegrationError("t_end must be >= t0")
     span = t_end - t0
     n = int(round(span / h))
-    # stage grid t0 + j*h/2, j = 0..2n; the delay check comes before the
-    # divisibility check so a too-large step gets the actionable error
-    tgrid = t0 + 0.5 * h * np.arange(2 * n + 1)
+
+    def stage_times(lo: int, hi: int) -> np.ndarray:
+        """Times t0 + j*h/2 of the stages j = lo..hi-1 (the same floats for any split)."""
+        return t0 + 0.5 * h * np.arange(lo, hi)
+
+    # blocks of steps [s0, s1), each with its stages [lo, hi): the stages
+    # 2k+1 and 2k+2 of each step k, and in the first block also stage 0
+    blocks = []
+    for s0 in range(0, max(n, 1), _PLAN_STEPS):
+        s1 = min(s0 + _PLAN_STEPS, n)
+        blocks.append((s0, s1, 2 * s0 + (s0 > 0), 2 * s1 + 1))
     # a delayed read depends only on its component and its delay, so the
     # channels sharing both (key: component, canonical text, which keeps 0.0
     # and -0.0 apart) share every read: the U distinct keys, in the order
@@ -194,8 +217,24 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
     keys = [(comp, serialize(spec.expr(sym))) for sym, comp in zip(_CHANNELS, _COMPONENT)]
     distinct = list(dict.fromkeys(keys))
     slot = [distinct.index(key) for key in keys]
-    delays = np.array([evaluate_array(spec.expr(_CHANNELS[keys.index(key)]), tgrid) for key in distinct])
-    min_delay = float(delays.min())
+    delay_exprs = [spec.expr(_CHANNELS[keys.index(key)]) for key in distinct]
+
+    # pass 1: the smallest delay and the history reach, channel by channel
+    # (so the first channel that raises is the one reported) and block by
+    # block; the delay check comes before the divisibility check so a
+    # too-large step gets the actionable error
+    min_delay = min_delayed = math.inf
+    for expr in delay_exprs:
+        for _, _, lo, hi in blocks:
+            t = stage_times(lo, hi)
+            try:
+                delay = evaluate_array(expr, t)
+            except ExprDomainError:  # the whole grid's first error, which may lie in a later block
+                evaluate_array(expr, stage_times(0, 2 * n + 1))
+                raise
+            min_delay = min(min_delay, float(delay.min()))
+            min_delayed = min(min_delayed, float((t - delay).min()))
+    r = max(0.0, t0 - min_delayed)
     if min_delay <= 0.0:
         raise IntegrationError("delays must stay positive on the integration window")
     if n > 0 and h > min_delay * (1.0 + 1e-12):
@@ -209,83 +248,102 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
     x0 = log_hist(0, np.zeros(1))[0]
     y0 = log_hist(1, np.zeros(1))[0]
     m = len(x0)
-    a1, b = (evaluate_array(spec.expr(sym), tgrid).tolist() for sym in ("a1", "b"))
-    a2, c1, c2, k1, k2 = (evaluate_array(spec.expr(sym), tgrid)[:, None]
-                          for sym in ("a2", "c1", "c2", "k1", "k2"))
-
-    # Hermite plan of every stage and distinct key, shape (U, 2n+1)
-    delayed = tgrid - delays
-    r = max(0.0, float((t0 - delayed.min(axis=1)).max()))
-    in_history = delayed < t0
-    idx, theta = _snap_interval((delayed - t0) / h)
-    weights = [w[..., None] for w in _hermite_weights(theta, h)]
-    # the knot each stage reads last with a nonzero weight (-1: history only)
-    reads = np.where(in_history, -1, idx + (theta > 0.0)).max(axis=0)
-    i0 = np.where(in_history, 0, idx)
-    i1 = np.minimum(i0 + 1, n)
-    hist_stages = [np.flatnonzero(row) for row in in_history]
-    hist_values = [log_hist(comp, row[stages] - t0) for (comp, _), stages, row in zip(distinct, hist_stages, delayed)]
-    # as rows of the flat knot arrays below: row c*(n+1) + i is knot i of component c
-    comp_row = (n + 1) * np.array([[comp] for comp, _ in distinct])
-    i0 += comp_row
-    i1 += comp_row
-
     # knots per component: z[0] = x, z[1] = y (zeros: a zero-weight Hermite
     # term may touch a knot not computed yet, and 0.0 * 0.0 must stay 0.0)
     z = np.zeros((2, n + 1, m))
     dz = np.zeros((2, n + 1, m))
     z[0, 0], z[1, 0] = x0, y0
     z_rows, dz_rows = z.reshape(-1, m), dz.reshape(-1, m)
-
-    def forcing(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Prey forcing q and predator slope ky at stages lo..hi, each (hi-lo+1, m)."""
-        sl = slice(lo, hi + 1)
-        j0, j1 = i0[:, sl], i1[:, sl]
-        w00, w10, w01, w11 = (w[:, sl] for w in weights)
-        vals = (w00 * z_rows.take(j0, axis=0) + w10 * dz_rows.take(j0, axis=0)
-                + w01 * z_rows.take(j1, axis=0) + w11 * dz_rows.take(j1, axis=0))
-        for u, stages in enumerate(hist_stages):
-            a, e = np.searchsorted(stages, (lo, hi + 1))
-            if a < e:
-                vals[u, stages[a:e] - lo] = hist_values[u][a:e]
-        exps = _exp(vals)
-        es1, es2, et1, et2 = (exps[u] for u in slot)
-        return c1[sl] * et1 / (es1 + k1[sl]), a2[sl] - c2[sl] * et2 / (es2 + k2[sl])
-
-    q, ky = forcing(0, 0)
-    dz[0, 0] = [a1[0] - b[0] * math.exp(x) - qc for x, qc in zip(z[0, 0].tolist(), q[0].tolist())]
-    dz[1, 0] = ky[0]
-
-    # the window [k0, k_next) holds the steps whose stages 2k+1, 2k+2 read no
-    # knot past k0 (stage 2k0 was done with the window before).  Rounding at
-    # |t|/h beyond ~1e7 may put a stage a hair past the knot it may read;
-    # such a step gets a window of its own.
-    step_reads = np.maximum(reads[1::2], reads[2::2])
-    reach = np.maximum.accumulate(np.minimum(step_reads, np.arange(n)))
+    # as rows of the flat knot arrays: row c*(n+1) + i is knot i of component c
+    comp_row = (n + 1) * np.array([[comp] for comp, _ in distinct])
     h6 = h / 6.0
-    k0 = 0
-    while k0 < n:
-        k_next = int(np.searchsorted(reach, k0, side="right"))
-        q, ky = forcing(2 * k0 + 1, 2 * k_next)
-        ky = np.concatenate([dz[1, k0][None], ky])
-        mid = ky[1::2]
-        inc = h6 * (ky[0:-1:2] + 2.0 * (mid + mid) + ky[2::2])
-        y = np.cumsum(np.concatenate([z[1, k0][None], inc]), axis=0)[1:]
-        bad = np.flatnonzero(~(np.abs(y) < _LOG_LIMIT).all(axis=1))
-        steps = int(bad[0]) + 1 if bad.size else k_next - k0  # up to the first bad y knot
-        a1w, bw = a1[2 * k0 + 1:2 * k_next + 1], b[2 * k0 + 1:2 * k_next + 1]
-        cols = [_prey_steps(x, kx1, a1w, bw, qc, h)
-                for x, kx1, qc in zip(z[0, k0].tolist(), dz[0, k0].tolist(), q[:2 * steps].T.tolist())]
-        done = min(len(xs) for xs, _ in cols)
-        if bad.size or done < steps:
-            raise IntegrationError(f"log-state overflow at t={t0 + (k0 + min(done, steps - 1) + 1) * h!r}")
-        z[0, k0 + 1:k_next + 1] = np.array([xs for xs, _ in cols]).T
-        dz[0, k0 + 1:k_next + 1] = np.array([dxs for _, dxs in cols]).T
-        z[1, k0 + 1:k_next + 1] = y
-        dz[1, k0 + 1:k_next + 1] = ky[2::2]
-        k0 = k_next
 
-    return z[0], z[1], dz[0], dz[1], r
+    # pass 2: plan one block of stages at a time and step through it
+    try:
+        for s0, s1, lo, hi in blocks:
+            t = stage_times(lo, hi)
+            a1, b = (evaluate_array(spec.expr(sym), t).tolist() for sym in ("a1", "b"))
+            a2, c1, c2, k1, k2 = (evaluate_array(spec.expr(sym), t)[:, None] for sym in _COEFFS[2:])
+
+            # Hermite plan of the block's stages for every distinct key, shape (U, hi-lo)
+            delayed = t - np.array([evaluate_array(expr, t) for expr in delay_exprs])
+            in_history = delayed < t0
+            idx, theta = _snap_interval((delayed - t0) / h)
+            weights = [w[..., None] for w in _hermite_weights(theta, h)]
+            # the knot each stage reads last with a nonzero weight (-1: history only)
+            reads = np.where(in_history, -1, idx + (theta > 0.0)).max(axis=0)
+            i0 = np.where(in_history, 0, idx)
+            i1 = np.minimum(i0 + 1, n)
+            i0 += comp_row
+            i1 += comp_row
+            hist_stages = [np.flatnonzero(row) for row in in_history]
+            hist_values = [log_hist(comp, row[stages] - t0)
+                           for (comp, _), stages, row in zip(distinct, hist_stages, delayed)]
+
+            def forcing(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+                """Prey forcing q and predator slope ky at stages first..last, each (last-first+1, m)."""
+                sl = slice(first - lo, last - lo + 1)
+                j0, j1 = i0[:, sl], i1[:, sl]
+                w00, w10, w01, w11 = (w[:, sl] for w in weights)
+                vals = (w00 * z_rows.take(j0, axis=0) + w10 * dz_rows.take(j0, axis=0)
+                        + w01 * z_rows.take(j1, axis=0) + w11 * dz_rows.take(j1, axis=0))
+                for u, stages in enumerate(hist_stages):
+                    a, e = np.searchsorted(stages, (sl.start, sl.stop))
+                    if a < e:
+                        vals[u, stages[a:e] - sl.start] = hist_values[u][a:e]
+                exps = _exp(vals)
+                es1, es2, et1, et2 = (exps[u] for u in slot)
+                return c1[sl] * et1 / (es1 + k1[sl]), a2[sl] - c2[sl] * et2 / (es2 + k2[sl])
+
+            if lo == 0:
+                q, ky = forcing(0, 0)
+                dz[0, 0] = [a1[0] - b[0] * math.exp(x) - qc for x, qc in zip(z[0, 0].tolist(), q[0].tolist())]
+                dz[1, 0] = ky[0]
+
+            # the window [k0, k_next) holds the steps whose stages 2k+1, 2k+2
+            # read no knot past k0 (stage 2k0 was done with the window before),
+            # and ends at the block's end at the latest.  Rounding at |t|/h
+            # beyond ~1e7 may put a stage a hair past the knot it may read;
+            # such a step gets a window of its own.
+            step_reads = np.maximum(reads[2 * s0 + 1 - lo::2], reads[2 * s0 + 2 - lo::2])
+            # (a step before k0 reads a knot before k0, so no running max need
+            # cross a block's start)
+            reach = np.maximum.accumulate(np.minimum(step_reads, np.arange(s0, s1)))
+            k0 = s0
+            while k0 < s1:
+                k_next = s0 + int(np.searchsorted(reach, k0, side="right"))
+                q, ky = forcing(2 * k0 + 1, 2 * k_next)
+                ky = np.concatenate([dz[1, k0][None], ky])
+                mid = ky[1::2]
+                inc = h6 * (ky[0:-1:2] + 2.0 * (mid + mid) + ky[2::2])
+                y = np.cumsum(np.concatenate([z[1, k0][None], inc]), axis=0)[1:]
+                bad = np.flatnonzero(~(np.abs(y) < _LOG_LIMIT).all(axis=1))
+                steps = int(bad[0]) + 1 if bad.size else k_next - k0  # up to the first bad y knot
+                a1w, bw = a1[2 * k0 + 1 - lo:2 * k_next + 1 - lo], b[2 * k0 + 1 - lo:2 * k_next + 1 - lo]
+                cols = [_prey_steps(x, kx1, a1w, bw, qc, h)
+                        for x, kx1, qc in zip(z[0, k0].tolist(), dz[0, k0].tolist(), q[:2 * steps].T.tolist())]
+                done = min(len(xs) for xs, _ in cols)
+                if bad.size or done < steps:
+                    raise IntegrationError(f"log-state overflow at t={t0 + (k0 + min(done, steps - 1) + 1) * h!r}")
+                z[0, k0 + 1:k_next + 1] = np.array([xs for xs, _ in cols]).T
+                dz[0, k0 + 1:k_next + 1] = np.array([dxs for _, dxs in cols]).T
+                z[1, k0 + 1:k_next + 1] = y
+                dz[1, k0 + 1:k_next + 1] = ky[2::2]
+                k0 = k_next
+    except Exception as exc:  # re-raised below unless an up-front error outranks it, whatever its kind
+        failure = exc
+    else:
+        return z[0], z[1], dz[0], dz[1], r
+    # a whole-run plan evaluated every coefficient, then the history, over
+    # the whole stage grid before the first step: their first error
+    # outranks the one met in a block
+    tgrid = stage_times(0, 2 * n + 1)
+    for sym in _COEFFS:
+        evaluate_array(spec.expr(sym), tgrid)
+    for (comp, _), expr in zip(distinct, delay_exprs):
+        delayed = tgrid - evaluate_array(expr, tgrid)
+        log_hist(comp, delayed[delayed < t0] - t0)
+    raise failure
 
 
 def integrate_batch(spec: ModelSpec, histories, t0: float, t_end: float, h: float) -> Trajectory:

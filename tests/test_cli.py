@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lgholling import (ConfigError, InitialHistory, ModelSpec, integrate, integrate_batch, integrator,
                        load_config, parse_expression, run_attractivity, run_config)
-from lgholling.cli import _write_csv, main
+from lgholling.cli import _SCHEMA, _write_csv, main
 from lgholling.presets import preset_config
 from conftest import load_report
 
@@ -534,6 +535,30 @@ def test_mutated_preset_config_exits_cleanly(tmp_path, name, path, value, flags)
     assert "Traceback" not in err
     if code == 2:
         assert re.match(r"validation error: /\w", err), err
+
+
+# a value at or past some boundary of every field kind: edges of the float
+# range, an int past it, wrong types, and expressions that fail on [0, 4]
+_BOUNDARY_VALUES = [0, -1, 1e-300, 1e300, 10**400, None, True, "x", [], {}, [0.5, "x"],
+                    "1/t", "sqrt(t-1)", "exp(t*1000)"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from([(section, key) for section, fields in _SCHEMA.items() for key in fields]),
+       value=st.sampled_from(_BOUNDARY_VALUES))
+def test_schema_field_at_a_boundary_keeps_the_exit_contract(field, value):
+    """Any _SCHEMA field of the shortened example2 set to a boundary value:
+    exit 0, 2 or 3 without a traceback, no file after 2 or 3, and an exit 2
+    names a path in the field's section."""
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_mutated(Path(tmp), "example2", field, value, [])
+        written = list((Path(tmp) / "out").rglob("*"))
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err
+    assert code == 0 or not written
+    if code == 2:
+        assert err.startswith(f"validation error: /{field[0]}"), err
 
 
 @pytest.mark.parametrize("path, value, flags, code, named", [

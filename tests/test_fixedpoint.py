@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,22 @@ def test_apply_upsilon_matches_reference_on_unit_variants(model, a1_inf, tail_to
                                                a1_inf=a1_inf))
     pair = GridFunctionPair(0.0, 10.0, 0.1, 0.8 + 0.2 * np.sin(0.07 * np.arange(101)), np.full(101, 0.6))
     assert_upsilon_matches_reference(spec, pair, quad_step=0.05, tail_tol=tail_tol, coeff_bounds=bounds)
+
+
+@pytest.mark.parametrize("amplitude", [800, 200])
+def test_apply_upsilon_refuses_a_kernel_it_cannot_resolve(amplitude):
+    """a1 = 0.5 + 800 sin(t) makes the kernel exp(int a1) about e^1600 and
+    overflows; at 200 every number is finite, but R[c] dwarfs the image and
+    the difference R[c] - e^{B_c - B_e} R[e] is rounding noise.  Both name
+    f_1, and no numpy warning escapes."""
+    unit = dict.fromkeys(("a1", "a2", "b", "c1", "c2", "k1", "k2"), "1")
+    spec = ModelSpec.from_strings(unit | dict.fromkeys(("tau1", "tau2", "sigma1", "sigma2"), "0.5")
+                                  | {"a1": f"0.5 + {amplitude}*sin(t)"})
+    bounds = CoefficientBounds.from_table(dict(dict.fromkeys(CoefficientBounds.__dataclass_fields__, 1.0), a1_inf=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=r"^f_1: a1 falls so far"):
+            apply_upsilon(spec, unit_pair(1.0, 1.0), quad_step=0.05, tail_tol=1e-6, coeff_bounds=bounds)
 
 
 def preset_picard(name):

@@ -1,4 +1,7 @@
+import functools
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +252,104 @@ def test_smallest_delay_message_with_shared_delays():
     spec = logistic_spec(**dict.fromkeys(("tau1", "tau2", "sigma1", "sigma2"), "0.5 + 0.1*sin(t)"))
     with pytest.raises(IntegrationError, match=r"^step h=0\.45 exceeds the smallest delay 0\.40000795178539983; "):
         integrate(spec, InitialHistory(0.5, 0.5), 0.0, 5.0, 0.45)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_knots(case):
+    spec, hist, t0, t_end, h = ORACLE_CASES[case]
+    return reference_rk4(spec, hist, t0, t_end, h)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 64])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_block_size_does_not_move_a_knot(monkeypatch, case, steps):
+    """A window cut at a block's end repeats the same additions in the same
+    order, so every block size gives the default block's floats.  A run of
+    k steps is the first k steps of a longer one, so the small blocks run
+    150 blocks of each case (64-step blocks run it whole)."""
+    spec, hist, t0, t_end, h = ORACLE_CASES[case]
+    k = min(int(round((t_end - t0) / h)), 150 * steps)
+    default = integrate(spec, hist, t0, t0 + k * h, h)
+    monkeypatch.setattr(integrator, "_PLAN_STEPS", steps)
+    traj = integrate(spec, hist, t0, t0 + k * h, h)
+    assert_same_run(traj, default)
+    assert_knots_equal(traj, [a[:k + 1] for a in reference_knots(case)])
+
+
+def test_block_size_does_not_move_a_batch(monkeypatch, example2_spec):
+    hists = [InitialHistory(parse_expression("0.5 + 0.1*cos(t)"), parse_expression("0.4*exp(t)")),
+             InitialHistory(0.75, 0.75), InitialHistory(1.7, 0.2)]
+    default = integrate_batch(example2_spec, hists, 0.0, 4.0, 0.01)
+    for steps in (1, 2, 7, 64):
+        monkeypatch.setattr(integrator, "_PLAN_STEPS", steps)
+        assert_same_run(integrate_batch(example2_spec, hists, 0.0, 4.0, 0.01), default)
+
+
+def test_delay_errors_at_block_size_one(monkeypatch):
+    monkeypatch.setattr(integrator, "_PLAN_STEPS", 1)
+    test_first_delay_error_is_the_first_channel_that_raises()
+    test_smallest_delay_message_with_shared_delays()
+
+
+# 1/t divides by zero at stage 0, in the first 256-step block; sqrt(30 - t)
+# fails at t = 30.005, in a later one.  One evaluation over the whole stage
+# grid checks sqrt first (it comes first in the program), so its error is
+# the one raised.
+SQRT_THEN_DIVISION = "0*sqrt(30 - t) + 0*(1/t)"
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"sigma1": "0.5 + " + SQRT_THEN_DIVISION}, "sqrt of negative value at t=30.005"),
+    ({"k2": "1 + " + SQRT_THEN_DIVISION}, "sqrt of negative value at t=30.005"),
+    # a coefficient is evaluated before the delays and the history, so its
+    # later error outranks a delay's earlier one
+    ({"c2": "0.4 + sqrt(35 - t)", "tau2": "0.5 + 0*(1/t)"}, "division by zero at t=0.0"),
+    ({"c2": "0.4 + sqrt(35 - t)", "b": "1 + 0*(1/(t - 32))"}, "division by zero at t=32.0"),
+])
+def test_domain_error_is_the_whole_grid_error(monkeypatch, overrides, message):
+    monkeypatch.setattr(integrator, "_PLAN_STEPS", 256)
+    spec = logistic_spec(**ORACLE_PREDATION | overrides)
+    with pytest.raises(ExprDomainError, match=f"^{re.escape(message)}$"):
+        integrate(spec, InitialHistory(0.5, 0.5), 0.0, 40.0, 0.01)
+
+
+# a history that fails only for theta in (-0.06, -0.04), read near t = 0.45
+NOTCHED_HISTORY = InitialHistory(parse_expression("0.5 + sqrt((t + 0.05)*(t + 0.05) - 0.0001)"), 0.5)
+
+
+@pytest.mark.parametrize("overrides, hist, t_end, steps, message", [
+    # c1 fails at t = 100.005, three blocks after the log-state overflows near t = 3.6
+    ({"a2": "200", "c2": "1e-300", "c1": "0.3 + sqrt(100 - t)"}, InitialHistory(0.5, 0.5), 120.0, None,
+     "sqrt of negative value at t=100.005"),
+    # a1 fails at t = 60.005, a block after the history's error
+    ({"c1": "0.3", "c2": "0.4", "a1": "1 + sqrt(60 - t)"},
+     InitialHistory(parse_expression("0.5 + sqrt(t + 0.25)"), 0.5), 80.0, None, "sqrt of negative value at t=60.005"),
+    ({"c1": "0.3", "c2": "0.4"}, InitialHistory(parse_expression("0.5 + sqrt(t + 0.25)"), 0.5), 80.0, None,
+     "sqrt of negative value at t=-0.5"),
+    # the log-state overflows at t = 0.36, a block before the history's error is read
+    ({"a2": "2000", "c2": "1e-300"}, NOTCHED_HISTORY, 10.0, 7, "sqrt of negative value at t=-0.06"),
+], ids=["coefficient-after-overflow", "coefficient-after-history", "history", "history-after-overflow"])
+def test_up_front_error_outranks_an_earlier_block_error(monkeypatch, overrides, hist, t_end, steps, message):
+    """A whole-run plan evaluated every coefficient, then the history, before
+    the first step: their first error is raised, not the one a block meets."""
+    if steps is not None:
+        monkeypatch.setattr(integrator, "_PLAN_STEPS", steps)
+    with pytest.raises(ExprDomainError, match=f"^{re.escape(message)}$"):
+        integrate(logistic_spec(**overrides), hist, 0.0, t_end, 0.01)
+
+
+def test_working_memory_is_one_block():
+    """A 100k-step run with four distinct varying delays allocates about one
+    block's plan beyond the knots it keeps, not a plan of the whole run."""
+    spec, hist = seeded_varying_delay_spec(7), InitialHistory(0.6, 0.4)
+    tracemalloc.start()
+    try:
+        traj = integrate(spec, hist, 0.0, 1000.0, 0.01)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.t) == 100_001
+    assert peak - kept <= 8e6, f"peak {peak / 1e6:.1f} MB over {kept / 1e6:.1f} MB kept"
 
 
 def assert_same_run(got, want):
