@@ -5,7 +5,7 @@ functional response, time-varying coefficients).
 Main entry points:
 
 - expression layer: parse_expression, evaluate, estimate_bounds
-- model: ModelSpec (frozen), InitialHistory, validate_model, eval_rhs
+- model: ModelSpec (frozen), InitialHistory, validate_model, delayed_term
 - integration: Trajectory, integrate, integrate_batch, sample_state
 - coefficient sup/inf and permanence box: CoefficientBounds, compute_permanence_bounds_from_values,
   verify_permanence(trajectory)
@@ -35,7 +35,7 @@ from .expr import (
     parse_expression,
     serialize,
 )
-from .model import InitialHistory, ModelSpec, ValidationReport, eval_rhs, validate_model
+from .model import InitialHistory, ModelSpec, ValidationReport, delayed_term, validate_model
 from .integrator import Trajectory, integrate, integrate_batch, sample_state
 from .permanence import (
     CoefficientBounds,

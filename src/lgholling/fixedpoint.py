@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import NumericalError, QuadratureError
 from .expr import evaluate_array
-from .model import ModelSpec, eval_rhs
+from .model import ModelSpec, delayed_term
 from .permanence import CoefficientBounds
 
 __all__ = [
@@ -173,16 +173,12 @@ def eval_f(spec: ModelSpec, j: int, s, phi_s, phi_shifted, psi_s, psi_shifted):
     for j=2 they are phi(s - sigma2(s)) and psi(s - tau2(s)).  f_1 does not
     read psi_s and f_2 does not read phi_s.
     """
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    den = phi_shifted + (spec.k1 if j == 1 else spec.k2)(s)
-    bad = np.asarray(den <= 0.0)
-    if bad.any():
-        s_bad = float(np.broadcast_to(s, bad.shape)[bad][0])
-        raise NumericalError(f"f_{j} denominator not positive at s={s_bad!r}")
     if j == 1:
-        return spec.b(s) * phi_s * phi_s + spec.c1(s) * psi_shifted * phi_s / den
-    return spec.c2(s) * psi_shifted * psi_s / den
+        return spec.b(s) * phi_s * phi_s + delayed_term(spec.c1(s) * psi_shifted * phi_s, phi_shifted, spec.k1(s),
+                                                         s, "f_1 denominator")
+    if j == 2:
+        return delayed_term(spec.c2(s) * psi_shifted * psi_s, phi_shifted, spec.k2(s), s, "f_2 denominator")
+    raise ValueError("j must be 1 or 2")
 
 
 def _f_values(spec: ModelSpec, pair: GridFunctionPair, j: int, s: np.ndarray) -> np.ndarray:
@@ -230,7 +226,6 @@ def apply_upsilon(
     quad_step: float,
     tail_tol: float,
     coeff_bounds: CoefficientBounds,
-    tail_len: float | None = None,
 ) -> GridFunctionPair:
     """One application of the integral operator on the pair's grid: each
     grid point s_k gets composite Simpson on [s_k, s_{k+N_k}] through the
@@ -238,9 +233,9 @@ def apply_upsilon(
     grid step is an odd number of quad steps.  N_k is the first even offset
     from 8 on where A has risen by Lambda = ln(2 sup f / (a^i tail_tol)), with
     sup f over the window's nodes and the decay floors a1^i, a2^i read from
-    coeff_bounds, and at most the N nodes of L = Lambda / a^i; tail_len fixes
-    every window at L instead.  Beyond its grid the pair is continued by its
-    boundary values (the tail weight is exponentially small there)."""
+    coeff_bounds, and at most the N nodes of L = Lambda / a^i.  Beyond its
+    grid the pair is continued by its boundary values (the tail weight is
+    exponentially small there)."""
     p = int(round(pair.step / quad_step))
     if p < 1 or abs(p * quad_step - pair.step) > 1e-9 * pair.step:
         raise QuadratureError("quad_step must divide the pair's grid step")
@@ -258,8 +253,6 @@ def apply_upsilon(
         # window's sup through coefficient oscillation
         lam = math.log(max(2.0 * float(np.abs(f).max()), 1e-12) / (aj_inf * tail_tol))
         L = max(lam / aj_inf, 4.0 * q)
-        if tail_len is not None:
-            L, lam = float(tail_len), math.inf  # A never rises by inf: every window takes all N nodes
         N = max(8, 2 * math.ceil(L / (2.0 * q)))  # even, for Simpson pairs
         if N > _MAX_TAIL_NODES:
             raise QuadratureError(f"tail needs {N} nodes at quad_step={q}; grid too short for requested tail_tol")
@@ -366,7 +359,9 @@ def dde_residual(spec: ModelSpec, pair: GridFunctionPair) -> float:
     dpsi = (pair.psi[2:] - pair.psi[:-2]) / (2.0 * g)
     phi_s = pair.phi[1:-1]
     psi_s = pair.psi[1:-1]
-    rhs_u, rhs_v = eval_rhs(spec, s, phi_s, psi_s,
-                            pair.phi_at(s - spec.sigma1(s)), pair.phi_at(s - spec.sigma2(s)),
-                            pair.psi_at(s - spec.tau1(s)), pair.psi_at(s - spec.tau2(s)))
+    u1, u2 = pair.phi_at(s - spec.sigma1(s)), pair.phi_at(s - spec.sigma2(s))
+    v1, v2 = pair.psi_at(s - spec.tau1(s)), pair.psi_at(s - spec.tau2(s))
+    rhs_u = (spec.a1(s) - spec.b(s) * phi_s
+             - delayed_term(spec.c1(s) * v1, u1, spec.k1(s), s, "u(t - sigma1) + k1")) * phi_s
+    rhs_v = (spec.a2(s) - delayed_term(spec.c2(s) * v2, u2, spec.k2(s), s, "u(t - sigma2) + k2")) * psi_s
     return float((np.abs(dphi - rhs_u) + np.abs(dpsi - rhs_v)).max())

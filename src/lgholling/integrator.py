@@ -14,27 +14,27 @@ knot k0; with constant delays a window is W = floor(min delay / h) steps.  Per
 window the delayed values, the predator slope (which depends on delayed
 values only, so y advances by a running sum) and the prey forcing
 q = c1 e^{y(t-tau1)} / (e^{x(t-sigma1)} + k1) are computed at once with
-numpy.  A delayed value depends only on the component read and the delay,
-so each distinct delayed argument is read once: channels with the same
-component and the same delay text share one Hermite plan, one gather and
-one exponential pass (both presets set all four delays equal, so u(t-sigma1)
-serves for u(t-sigma2) and v(t-tau1) for v(t-tau2)).  What stays sequential
-is the scalar prey recurrence x' = a1 - b e^x - q.  Every exponential goes
-through math.exp, so the knots are the same floats as those of a plain
-per-step RK4 loop.  Every run is a batch: integrate is column(0) of a batch
+numpy, both delayed terms through model.delayed_term.  A delayed value
+depends only on the component read and the delay, so each distinct delayed
+argument is read once: channels with the same component and the same delay
+text share one Hermite plan, one gather and one exponential pass (both
+presets set all four delays equal, so u(t-sigma1) serves for u(t-sigma2)
+and v(t-tau1) for v(t-tau2)).  What stays sequential is the scalar prey
+recurrence x' = a1 - b e^x - q.  Every exponential goes through math.exp, so
+the knots are the same floats as those of a plain per-step RK4 loop.  Every run is a batch: integrate is column(0) of a batch
 of one, and a column is bit-identical to the single run from its history.
 
-Stages are planned per block of _PLAN_STEPS steps, in two passes.  The
-first evaluates the delays block by block and keeps only the smallest delay
-and the history reach.  The second plans one block (coefficients, Hermite
-weights and indices, history values) and steps through it; a window ends at
-its block's end at the latest, which repeats the same additions in the same
+Stages are planned per block of _PLAN_STEPS steps, in one pass.  A block
+evaluates its distinct delays once, keeps running minima of the delays and
+of the delayed times (the history reach), checks the step against the
+smallest delay so far, then plans its coefficients, Hermite weights and
+indices and history values and steps through them.  A window ends at its
+block's end at the latest, which repeats the same additions in the same
 order, so the knots do not depend on the block size.  A run keeps its knots,
-32 bytes per step per column, and its working memory is one block's plan
-(about 5 MB with four distinct delays) rather than the 650-950 bytes per
-step of a whole-run plan.  An error met inside a block is raised only after
-the coefficients and the history have been evaluated over the whole stage
-grid, so a run fails with the error a whole-run plan would have met first.
+32 bytes per step per column; its working memory is one block's plan.  An
+error met in a block is raised only after the replay of a whole-run plan,
+one whole-grid array at a time: each distinct delay in channel order, the
+step checks on their minimum, every coefficient, then the history.
 
 A single integration is sequential; distinct integrations are independent
 and a finished Trajectory is immutable and safe to share.
@@ -47,9 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExprDomainError, IntegrationError, ValidationError
+from .errors import IntegrationError, ValidationError
 from .expr import CoefficientExpr, evaluate_array, serialize
-from .model import InitialHistory, ModelSpec
+from .model import InitialHistory, ModelSpec, delayed_term
 
 __all__ = [
     "Trajectory",
@@ -155,22 +155,25 @@ def _prey_steps(x: float, kx1: float, a1: list, b: list, q: list, h: float) -> t
     x and kx1 are the knot k0 and its slope; a1, b and q hold the values at
     the stages after 2k0, two per step (mid-step, end of step).  Returns the
     knots x[k0+1 ..] and their slopes; the lists stop short at the first
-    knot whose |x| reaches the overflow guard."""
+    knot whose |x| reaches the overflow guard or whose stages overflow exp."""
     exp = math.exp
     hh = 0.5 * h
     h6 = h / 6.0
     xs, dxs = [], []
-    # zip stops with q, which may cover fewer steps than a1 and b
-    for am, bm, qm, ae, be, qe in zip(a1[0::2], b[0::2], q[0::2], a1[1::2], b[1::2], q[1::2]):
-        kx2 = am - bm * exp(x + hh * kx1) - qm
-        kx3 = am - bm * exp(x + hh * kx2) - qm
-        kx4 = ae - be * exp(x + h * kx3) - qe
-        x = x + h6 * (kx1 + 2.0 * (kx2 + kx3) + kx4)
-        if not abs(x) < _LOG_LIMIT:
-            break
-        kx1 = ae - be * exp(x) - qe
-        xs.append(x)
-        dxs.append(kx1)
+    try:
+        # zip stops with q, which may cover fewer steps than a1 and b
+        for am, bm, qm, ae, be, qe in zip(a1[0::2], b[0::2], q[0::2], a1[1::2], b[1::2], q[1::2]):
+            kx2 = am - bm * exp(x + hh * kx1) - qm
+            kx3 = am - bm * exp(x + hh * kx2) - qm
+            kx4 = ae - be * exp(x + h * kx3) - qe
+            x = x + h6 * (kx1 + 2.0 * (kx2 + kx3) + kx4)
+            if not abs(x) < _LOG_LIMIT:
+                break
+            kx1 = ae - be * exp(x) - qe
+            xs.append(x)
+            dxs.append(kx1)
+    except OverflowError:
+        pass
     return xs, dxs
 
 
@@ -219,31 +222,17 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
     slot = [distinct.index(key) for key in keys]
     delay_exprs = [spec.expr(_CHANNELS[keys.index(key)]) for key in distinct]
 
-    # pass 1: the smallest delay and the history reach, channel by channel
-    # (so the first channel that raises is the one reported) and block by
-    # block; the delay check comes before the divisibility check so a
-    # too-large step gets the actionable error
-    min_delay = min_delayed = math.inf
-    for expr in delay_exprs:
-        for _, _, lo, hi in blocks:
-            t = stage_times(lo, hi)
-            try:
-                delay = evaluate_array(expr, t)
-            except ExprDomainError:  # the whole grid's first error, which may lie in a later block
-                evaluate_array(expr, stage_times(0, 2 * n + 1))
-                raise
-            min_delay = min(min_delay, float(delay.min()))
-            min_delayed = min(min_delayed, float((t - delay).min()))
-    r = max(0.0, t0 - min_delayed)
-    if min_delay <= 0.0:
-        raise IntegrationError("delays must stay positive on the integration window")
-    if n > 0 and h > min_delay * (1.0 + 1e-12):
-        raise IntegrationError(
-            f"step h={h!r} exceeds the smallest delay {min_delay!r}; "
-            "choose h <= min delay so delayed lookups never outrun the solution"
-        )
-    if abs(n * h - span) > 1e-9 * max(1.0, span):  # malformed input, not a numerical failure
-        raise ValidationError(f"step h={h!r} does not divide t_end - t0 = {span!r} into whole steps")
+    def check_delays(min_delay: float) -> None:
+        # the delay checks come before the divisibility check, so a too-large step gets the actionable error
+        if min_delay <= 0.0:
+            raise IntegrationError("delays must stay positive on the integration window")
+        if n > 0 and h > min_delay * (1.0 + 1e-12):
+            raise IntegrationError(
+                f"step h={h!r} exceeds the smallest delay {min_delay!r}; "
+                "choose h <= min delay so delayed lookups never outrun the solution"
+            )
+        if abs(n * h - span) > 1e-9 * max(1.0, span):  # malformed input, not a numerical failure
+            raise ValidationError(f"step h={h!r} does not divide t_end - t0 = {span!r} into whole steps")
 
     x0 = log_hist(0, np.zeros(1))[0]
     y0 = log_hist(1, np.zeros(1))[0]
@@ -258,15 +247,20 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
     comp_row = (n + 1) * np.array([[comp] for comp, _ in distinct])
     h6 = h / 6.0
 
-    # pass 2: plan one block of stages at a time and step through it
+    # plan one block of stages at a time and step through it
+    min_delay = min_delayed = math.inf  # over the blocks so far; min_delayed gives the history reach
     try:
         for s0, s1, lo, hi in blocks:
             t = stage_times(lo, hi)
+            delays = np.array([evaluate_array(expr, t) for expr in delay_exprs])
+            delayed = t - delays  # shape (U, hi-lo)
+            min_delay = min(min_delay, float(delays.min()))
+            min_delayed = min(min_delayed, float(delayed.min()))
+            check_delays(min_delay)
             a1, b = (evaluate_array(spec.expr(sym), t).tolist() for sym in ("a1", "b"))
             a2, c1, c2, k1, k2 = (evaluate_array(spec.expr(sym), t)[:, None] for sym in _COEFFS[2:])
 
-            # Hermite plan of the block's stages for every distinct key, shape (U, hi-lo)
-            delayed = t - np.array([evaluate_array(expr, t) for expr in delay_exprs])
+            # Hermite plan of the block's stages for every distinct key
             in_history = delayed < t0
             idx, theta = _snap_interval((delayed - t0) / h)
             weights = [w[..., None] for w in _hermite_weights(theta, h)]
@@ -293,7 +287,8 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
                         vals[u, stages[a:e] - sl.start] = hist_values[u][a:e]
                 exps = _exp(vals)
                 es1, es2, et1, et2 = (exps[u] for u in slot)
-                return c1[sl] * et1 / (es1 + k1[sl]), a2[sl] - c2[sl] * et2 / (es2 + k2[sl])
+                return (delayed_term(c1[sl] * et1, es1, k1[sl], t[sl, None], "u(t - sigma1) + k1"),
+                        a2[sl] - delayed_term(c2[sl] * et2, es2, k2[sl], t[sl, None], "u(t - sigma2) + k2"))
 
             if lo == 0:
                 q, ky = forcing(0, 0)
@@ -333,11 +328,12 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
     except Exception as exc:  # re-raised below unless an up-front error outranks it, whatever its kind
         failure = exc
     else:
-        return z[0], z[1], dz[0], dz[1], r
-    # a whole-run plan evaluated every coefficient, then the history, over
-    # the whole stage grid before the first step: their first error
-    # outranks the one met in a block
+        return z[0], z[1], dz[0], dz[1], max(0.0, t0 - min_delayed)
+    # a whole-run plan evaluated each distinct delay, checked the step, then
+    # evaluated every coefficient and the history over the whole stage grid
+    # before the first step: their first error outranks the one met in a block
     tgrid = stage_times(0, 2 * n + 1)
+    check_delays(min(float(evaluate_array(expr, tgrid).min()) for expr in delay_exprs))
     for sym in _COEFFS:
         evaluate_array(spec.expr(sym), tgrid)
     for (comp, _), expr in zip(distinct, delay_exprs):

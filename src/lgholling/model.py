@@ -1,11 +1,13 @@
 """System specification: the eleven time-varying coefficients, validation,
-and the right-hand side of the delayed predator-prey equations
+and the one division of both delayed terms of the predator-prey equations
 
     u'(t) = (a1(t) - b(t) u(t) - c1(t) v(t-tau1(t)) / (u(t-sigma1(t)) + k1(t))) u(t)
     v'(t) = (a2(t) - c2(t) v(t-tau2(t)) / (u(t-sigma2(t)) + k2(t))) v(t)
 
 The coefficient written b and b1 elsewhere is one and the same function here.
-A ModelSpec is frozen (validate_model returns its sup/inf in a report); eval_rhs is pure.
+A ModelSpec is frozen (validate_model returns its sup/inf in a report).
+The integrator, the integral operator and the residual check all divide by
+u(t - sigma) + k through delayed_term.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .expr import BoundsEstimate, CoefficientExpr, parse_expression, _scan
 
 __all__ = [
@@ -24,7 +26,7 @@ __all__ = [
     "InitialHistory",
     "ValidationReport",
     "validate_model",
-    "eval_rhs",
+    "delayed_term",
 ]
 
 SYMBOLS = ("a1", "a2", "b", "c1", "c2", "k1", "k2", "tau1", "tau2", "sigma1", "sigma2")
@@ -111,13 +113,13 @@ def validate_model(spec: ModelSpec, horizon: float = 1000.0, samples: int = 100_
     return ValidationReport(ok=not failures, bounds=bounds, max_lag_r=r, failures=failures)
 
 
-def eval_rhs(spec: ModelSpec, t, u, v, u_sigma1, u_sigma2, v_tau1, v_tau2):
-    """Right-hand side given current state and delayed state values, at one
-    time or elementwise over an array of times (with matching state arrays).
-
-    The axes are invariant: u = 0 forces du = 0 and v = 0 forces dv = 0.
-    """
-    a1, a2, b, c1, c2, k1, k2 = (spec.expr(sym)(t) for sym in ("a1", "a2", "b", "c1", "c2", "k1", "k2"))
-    du = (a1 - b * u - c1 * v_tau1 / (u_sigma1 + k1)) * u
-    dv = (a2 - c2 * v_tau2 / (u_sigma2 + k2)) * v
-    return du, dv
+def delayed_term(num, u_delayed, k, t, name: str):
+    """num / (u_delayed + k), num being c v(t - tau) times any factor taken
+    before the division, at a time t or elementwise over arrays broadcasting
+    against t; NumericalError naming `name` at the first t where u_delayed + k <= 0."""
+    den = u_delayed + k
+    bad = np.asarray(den <= 0.0)
+    if bad.any():
+        t_bad = float(np.broadcast_to(t, bad.shape)[bad][0])
+        raise NumericalError(f"{name} not positive at t={t_bad!r}")
+    return num / den

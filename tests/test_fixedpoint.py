@@ -94,6 +94,15 @@ def test_eval_f_unit_constants(unit_spec):
     assert eval_f(unit_spec, 2, 0.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("j", [1, 2])
+def test_eval_f_names_f_j_where_its_denominator_is_not_positive(unit_spec, j):
+    """phi(s - sigma_j) + k_j = 1 - 1 = 0 at the second time: f_j is refused there."""
+    s = np.array([0.5, 1.5, 2.5])
+    phi_shifted = np.array([0.5, -1.0, -2.0])
+    with pytest.raises(NumericalError, match=rf"^f_{j} denominator not positive at t=1\.5$"):
+        eval_f(unit_spec, j, s, np.ones(3), phi_shifted, np.ones(3), np.ones(3))
+
+
 def test_eval_f_example2_direct_substitution(example2_spec):
     # b(0) = 0.25 + 33.72/4; f1 = b(0)*0.25 + 0.32*0.5*0.5/(0.5+16.7)
     want = (0.25 + 33.72 / 4.0) * 0.25 + 0.32 * 0.5 * 0.5 / (0.5 + 16.7)
@@ -117,11 +126,9 @@ def test_apply_upsilon_zero_predator(unit_spec, unit_coeff_bounds):
 def test_apply_upsilon_tail_truncation_stability(unit_spec, unit_coeff_bounds):
     tail_tol = 1e-6
     pair = unit_pair(1.0, 1.0)
-    base = apply_upsilon(unit_spec, pair, quad_step=0.05, tail_tol=tail_tol, coeff_bounds=unit_coeff_bounds,
-                         tail_len=14.0)
-    doubled = apply_upsilon(unit_spec, pair, quad_step=0.05, tail_tol=tail_tol, coeff_bounds=unit_coeff_bounds,
-                            tail_len=28.0)
-    change = max(np.abs(base.phi - doubled.phi).max(), np.abs(base.psi - doubled.psi).max())
+    base = apply_upsilon(unit_spec, pair, quad_step=0.05, tail_tol=tail_tol, coeff_bounds=unit_coeff_bounds)
+    tight = apply_upsilon(unit_spec, pair, quad_step=0.05, tail_tol=1e-9, coeff_bounds=unit_coeff_bounds)
+    change = max(np.abs(base.phi - tight.phi).max(), np.abs(base.psi - tight.psi).max())
     assert change < 2.0 * tail_tol
 
 
@@ -205,22 +212,19 @@ def assert_upsilon_matches_reference(spec, pair, **kwargs):
     np.testing.assert_allclose(image.psi, psi, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("name, step, quad_step, tail_len", [
-    ("example1", 0.1, 0.05, None),
-    ("example2", 0.1, 0.05, None),
-    ("example1", 0.1, 0.1, None),
-    ("example2", 0.15, 0.05, None),
-    ("example1", 0.15, 0.05, 12.3),
-    ("example2", 0.1, 0.05, 40.0),
-], ids=["example1", "example2", "p1", "odd-p", "odd-p-tail-len", "tail-len"])
-def test_apply_upsilon_matches_per_point_reference(settled_trajectories, name, step, quad_step, tail_len):
+@pytest.mark.parametrize("name, step, quad_step", [
+    ("example1", 0.1, 0.05),
+    ("example2", 0.1, 0.05),
+    ("example1", 0.1, 0.1),
+    ("example2", 0.15, 0.05),
+], ids=["example1", "example2", "p1", "odd-p"])
+def test_apply_upsilon_matches_per_point_reference(settled_trajectories, name, step, quad_step):
     """The backward recursion gives every grid point the same truncated
     window as the per-point Simpson loop: on the settled [100, 200] pairs,
-    with one quad step per grid step (p = 1), an odd p (both node parities)
-    and a tail_len override."""
+    with one quad step per grid step (p = 1) and an odd p (both node parities)."""
     spec, traj = settled_trajectories[name]
     assert_upsilon_matches_reference(spec, settled_pair(traj, step), quad_step=quad_step, tail_tol=1e-6,
-                                     coeff_bounds=table_bounds(name), tail_len=tail_len)
+                                     coeff_bounds=table_bounds(name))
 
 
 def test_apply_upsilon_fast_decay_needs_no_global_exponential(settled_trajectories):
@@ -253,8 +257,8 @@ def test_tail_from_A_stays_within_tail_tol_of_the_decay_floor_tail(settled_traje
     image = apply_upsilon(spec, pair, quad_step=0.05, tail_tol=tol, coeff_bounds=cb)
     for j, a_inf, got in ((1, cb.a1_inf, image.phi), (2, cb.a2_inf, image.psi)):
         L, _ = decay_floor_nodes(spec, pair, j, a_inf, 0.05, tol)
-        floor = apply_upsilon(spec, pair, quad_step=0.05, tail_tol=tol, coeff_bounds=cb, tail_len=L)
-        assert np.abs(got - (floor.phi if j == 1 else floor.psi)).max() < tol
+        floor = reference_upsilon(spec, pair, quad_step=0.05, tail_tol=tol, coeff_bounds=cb, tail_len=L)
+        assert np.abs(got - floor[j - 1]).max() < tol
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])

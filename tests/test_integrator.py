@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from lgholling import (
     parse_expression,
     IntegrationError,
     ModelSpec,
+    NumericalError,
     integrate,
     integrate_batch,
     integrator,
@@ -301,8 +303,9 @@ SQRT_THEN_DIVISION = "0*sqrt(30 - t) + 0*(1/t)"
 @pytest.mark.parametrize("overrides, message", [
     ({"sigma1": "0.5 + " + SQRT_THEN_DIVISION}, "sqrt of negative value at t=30.005"),
     ({"k2": "1 + " + SQRT_THEN_DIVISION}, "sqrt of negative value at t=30.005"),
-    # a coefficient is evaluated before the delays and the history, so its
-    # later error outranks a delay's earlier one
+    # the delays are evaluated before the coefficients, so a delay's earlier
+    # error outranks a coefficient's later one; coefficients go in _COEFFS
+    # order, so b's error outranks c2's
     ({"c2": "0.4 + sqrt(35 - t)", "tau2": "0.5 + 0*(1/t)"}, "division by zero at t=0.0"),
     ({"c2": "0.4 + sqrt(35 - t)", "b": "1 + 0*(1/(t - 32))"}, "division by zero at t=32.0"),
 ])
@@ -336,6 +339,51 @@ def test_up_front_error_outranks_an_earlier_block_error(monkeypatch, overrides, 
         monkeypatch.setattr(integrator, "_PLAN_STEPS", steps)
     with pytest.raises(ExprDomainError, match=f"^{re.escape(message)}$"):
         integrate(logistic_spec(**overrides), hist, 0.0, t_end, 0.01)
+
+
+def test_each_distinct_delay_is_evaluated_once_per_stage(monkeypatch):
+    """A successful run evaluates each distinct delay on its 2n+1 stage
+    samples, block by block, and never again."""
+    spec = seeded_varying_delay_spec(7)
+    samples = {}
+    evaluate_array = integrator.evaluate_array
+
+    def counting(expr, t):
+        samples[id(expr)] = samples.get(id(expr), 0) + np.size(t)
+        return evaluate_array(expr, t)
+
+    monkeypatch.setattr(integrator, "evaluate_array", counting)
+    monkeypatch.setattr(integrator, "_PLAN_STEPS", 64)
+    integrate(spec, InitialHistory(0.6, 0.4), 0.0, 5.0, 0.01)
+    assert [samples[id(spec.expr(sym))] for sym in ("sigma1", "sigma2", "tau1", "tau2")] == [1001] * 4
+
+
+@pytest.mark.parametrize("steps", [1, 7, 4096])
+def test_history_reach_is_the_whole_runs(monkeypatch, steps):
+    """sigma1 = 0.5 + 2t makes the lag map fall, so the earliest delayed
+    time, t - sigma1 = -1.5, is read at the run's last stage."""
+    monkeypatch.setattr(integrator, "_PLAN_STEPS", steps)
+    traj = integrate(logistic_spec(sigma1="0.5 + 2*t"), InitialHistory(0.5, 0.5), 0.0, 1.0, 0.01)
+    assert traj.r == pytest.approx(1.5, rel=1e-15)
+
+
+def test_a_nonpositive_holling_denominator_is_a_numerical_error():
+    """k1 = -1 puts u(t - sigma1) + k1 below 0 at the first stage: the run
+    names that denominator there, with no numpy warning on the way."""
+    spec = ModelSpec.from_strings({"a1": "1", "a2": "1", "b": "0.3", "c1": "0.3", "c2": "0.3", "k1": "-1",
+                                   "k2": "0.3", "tau1": "0.3", "tau2": "0.3 + 0.1*sin(t)", "sigma1": "0.3",
+                                   "sigma2": "0.3"})
+    hist = InitialHistory(parse_expression("0.5 + 0.2*t"), parse_expression("exp(-1000*t)"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^u\(t - sigma1\) \+ k1 not positive at t=0\.0$"):
+            integrate(spec, hist, 0.0, 5.0, 0.01)
+
+
+def test_an_overflowing_stage_exponential_is_a_log_state_overflow():
+    """a1 = 1e6 sends the first mid-step stage of x past exp's range."""
+    with pytest.raises(IntegrationError, match=r"^log-state overflow at t=0\.01$"):
+        integrate(logistic_spec(a1="1e6"), InitialHistory(0.5, 0.5), 0.0, 5.0, 0.01)
 
 
 def test_working_memory_is_one_block():

@@ -1,18 +1,22 @@
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lgholling import (
     BoundsEstimate,
+    GridFunctionPair,
     InitialHistory,
     ModelSpec,
+    NumericalError,
     ValidationError,
-    eval_rhs,
+    dde_residual,
+    delayed_term,
     parse_expression,
     validate_model,
 )
-from lgholling.model import SYMBOLS
+from lgholling.model import DELAY_SYMBOLS, SYMBOLS
 
 
 def constant_spec(**overrides):
@@ -71,49 +75,76 @@ def test_validate_reports_a_nonpositive_constant_at_t0(text, value):
     assert report.bounds["c1"] == BoundsEstimate(abs(value), abs(value), 10.0, 1001)
 
 
-def test_eval_rhs_extinction_equilibrium():
-    spec = constant_spec()
-    assert eval_rhs(spec, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) == (0.0, 0.0)
+def constant_pair(u, v, t_lo=0.0, t_hi=1.0):
+    """A constant candidate pair: its central differences vanish and every
+    delayed value is the constant, so dde_residual is max |du| + |dv|."""
+    return GridFunctionPair.from_constants(t_lo, t_hi, 0.1, u, v)
 
 
-def test_eval_rhs_logistic_arithmetic():
-    spec = constant_spec(c1="1e-300")  # predation negligible
-    du, dv = eval_rhs(spec, 0.0, 0.5, 1.0, 0.3, 0.3, 0.7, 0.7)
-    assert du == pytest.approx(0.5 * (1.0 - 0.5), abs=1e-12)
+def test_delayed_term_is_the_plain_division():
+    assert delayed_term(0.3 * 0.7, 0.3, 1.0, 0.0, "u(t - sigma1) + k1") == 0.3 * 0.7 / (0.3 + 1.0)
+    num, u, k = np.array([0.21, 0.5]), np.array([0.3, 2.0]), np.array([1.0, 0.25])
+    assert np.array_equal(delayed_term(num, u, k, np.array([0.0, 1.0]), "u(t - sigma1) + k1"), num / (u + k))
 
 
-def test_eval_rhs_example2_direct_substitution(example2_spec):
-    # direct-substitution oracle at t=0, u=v=0.5, delayed values 0.5:
-    # a1(0) = 4.8 + 0.25, b(0) = 0.25 + 33.72/4, a2(0) = 0.03 + 0.125
-    a1_0 = 4.8 + 0.125 * 2.0
-    b_0 = 0.25 + 33.72 / 4.0
-    a2_0 = 0.03 + 0.125 * (0.0 + 1.0)
-    want_du = (a1_0 - b_0 * 0.5 - 0.32 * 0.5 / (0.5 + 16.7)) * 0.5
-    want_dv = (a2_0 - 3.6 * 0.5 / (0.5 + 5.7)) * 0.5
-    du, dv = eval_rhs(example2_spec, 0.0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
-    assert du == pytest.approx(want_du, rel=1e-14)
-    assert dv == pytest.approx(want_dv, rel=1e-14)
+def test_delayed_term_names_the_first_time_its_denominator_is_not_positive():
+    # stage rows by history columns, as the integrator calls it: the first
+    # time is the first row holding a denominator <= 0
+    u = np.array([[0.5, 0.5], [0.5, 0.2], [-1.0, 0.0]])
+    t = np.array([[0.0], [0.25], [0.5]])
+    with pytest.raises(NumericalError, match=r"^u\(t - sigma2\) \+ k2 not positive at t=0\.25$"):
+        delayed_term(np.ones((3, 2)), u, -0.2, t, "u(t - sigma2) + k2")
+    with pytest.raises(NumericalError, match=r"^f_1 denominator not positive at t=2\.0$"):
+        delayed_term(1.0, 0.0, 0.0, 2.0, "f_1 denominator")
+
+
+def test_extinction_equilibrium_has_no_residual():
+    assert dde_residual(constant_spec(), constant_pair(0.0, 0.0)) == 0.0
+
+
+def test_logistic_arithmetic():
+    # predation negligible, and v = u + k2 with a2 = c2 keeps the predator still
+    spec = constant_spec(c1="1e-300")
+    assert dde_residual(spec, constant_pair(0.5, 1.5)) == pytest.approx(0.5 * (1.0 - 0.5), abs=1e-12)
+
+
+def test_example2_direct_substitution(example2_spec):
+    # direct-substitution oracle at u = v = 0.5, every delayed value 0.5,
+    # at the interior grid points s = -0.1, 0, 0.1
+    s = np.array([-0.1, 0.0, 0.1])
+    a1 = 4.8 + 0.125 * 2.0 * np.abs(np.cos(np.sqrt(2.0) * s))
+    b = 0.25 * np.abs(np.cos(s)) + (33.72 + 32.72 * s**2) / (4.0 + 4.0 * s**2)
+    a2 = 0.03 + 0.125 * (np.abs(np.sin(np.sqrt(2.0) * s)) + np.abs(np.cos(np.sqrt(5.0) * s)))
+    want_du = (a1 - b * 0.5 - 0.32 * 0.5 / (0.5 + 16.7)) * 0.5
+    want_dv = (a2 - 3.6 * 0.5 / (0.5 + 5.7)) * 0.5
+    got = dde_residual(example2_spec, constant_pair(0.5, 0.5, -0.2, 0.2))
+    assert got == pytest.approx(float((np.abs(want_du) + np.abs(want_dv)).max()), rel=1e-14)
+    assert delayed_term(example2_spec.c1(0.0) * 0.5, 0.5, example2_spec.k1(0.0), 0.0, "u(t - sigma1) + k1") \
+        == pytest.approx(0.32 * 0.5 / (0.5 + 16.7), rel=1e-14)
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    v=st.floats(min_value=0.0, max_value=5.0),
-    dv1=st.floats(min_value=0.0, max_value=5.0),
-    dv2=st.floats(min_value=0.0, max_value=5.0),
-)
-def test_axes_are_invariant(v, dv1, dv2):
-    spec = constant_spec()
-    du, _ = eval_rhs(spec, 1.0, 0.0, v, dv1, dv2, dv1, dv2)
-    _, dvv = eval_rhs(spec, 1.0, v, 0.0, dv1, dv2, dv1, dv2)
-    assert du == 0.0
-    assert dvv == 0.0
+@given(u=st.floats(min_value=0.0, max_value=5.0), v=st.floats(min_value=0.0, max_value=5.0))
+def test_axes_are_invariant(u, v):
+    """u = 0 forces du = 0 and v = 0 forces dv = 0: on each axis the
+    other component is held still by its own growth rate (a2 = c2 v / k2
+    on the v axis, a1 = b u on the u axis), so the residual is 0."""
+    assert dde_residual(constant_spec(a2=repr(v)), constant_pair(0.0, v)) == 0.0
+    assert dde_residual(constant_spec(a1=repr(u)), constant_pair(u, 0.0)) == 0.0
 
 
 def test_growth_independent_of_delays_without_predation():
-    spec = constant_spec(c1="1e-300")
-    du_a, _ = eval_rhs(spec, 0.0, 0.5, 1.0, 0.1, 0.1, 0.1, 0.1)
-    du_b, _ = eval_rhs(spec, 0.0, 0.5, 1.0, 4.0, 4.0, 4.0, 4.0)
-    assert du_a == pytest.approx(du_b, abs=1e-250)
+    t = np.linspace(0.0, 10.0, 101)
+    pair = GridFunctionPair(0.0, 10.0, 0.1, 0.5 + 0.1 * np.sin(t), 1.0 + 0.2 * np.cos(t))
+
+    def residuals(**overrides):
+        return [dde_residual(constant_spec(**overrides, **dict.fromkeys(DELAY_SYMBOLS, d)), pair)
+                for d in ("0.1", "4.0")]
+
+    short, long = residuals(c1="1e-300", c2="1e-300")
+    assert short == pytest.approx(long, abs=1e-250)
+    short, long = residuals()  # with predation the delays move it
+    assert abs(short - long) > 1e-3
 
 
 def test_history_validation():
