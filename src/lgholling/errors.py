@@ -36,7 +36,13 @@ class ExprSyntaxError(ValidationError):
 
 class ExprDomainError(NumericalError):
     """Expression evaluation hit a domain error (division by zero, sqrt of
-    a negative number, overflow)."""
+    a negative number, overflow); carries the position in the program of
+    the check that failed (the final non-finite check counts as the one
+    after the last instruction), or None."""
+
+    def __init__(self, message: str, instruction: int | None = None):
+        self.instruction = instruction
+        super().__init__(message)
 
 
 class IntegrationError(NumericalError):

@@ -21,12 +21,16 @@ its ExprDomainError, with the same message, when evaluated.
 
 One loop evaluates a program: ``evaluate_array`` over an array of times,
 with constants as float64 scalars that numpy broadcasts, and ``evaluate``
-on a one-point array.  The sup/inf estimate of a constant is closed-form.
-Any other expression's grid is scanned in cache-sized blocks, each reduced
-at once to its largest step, its candidate samples (local minima and the
-grid's endpoints) and its first nonpositive value; then the candidate cells
-of both the sup and the inf are refined together, one evaluator call per
-golden-section iteration.
+on a one-point array.  An ExprDomainError carries the position in the
+program of the check that failed, so that arrays evaluated part by part
+raise the error of one walk over the whole: the earliest failing check,
+at its first time.  The sup/inf estimate of a constant is closed-form.
+Any other expression's grid, linspace(0, horizon, samples), is scanned in
+cache-sized blocks without ever being built: each block makes its own
+times, as the same floats, and is reduced at once to its largest step, its
+candidate samples (local minima and the grid's endpoints) and its first
+nonpositive value; then the candidate cells of both the sup and the inf
+are refined together, one evaluator call per golden-section iteration.
 
 Expressions are immutable after parsing and evaluation is pure, so a parsed
 expression may be shared freely between threads.
@@ -221,29 +225,29 @@ def _run(program: tuple, t: np.ndarray):
     gives a float64 scalar.  Only the values on its stack stay alive."""
     stack = []
     push, pop = stack.append, stack.pop
-    for op, arg in program:
+    for i, (op, arg) in enumerate(program):
         if op == "const":
             push(np.float64(arg))
         elif op == "t":
             push(t)
         elif (f := _BINARY.get(op)) is not None:
             if op == "/":
-                _check(stack[-1] == 0.0, t, "division by zero")
+                _check(stack[-1] == 0.0, t, "division by zero", i)
             stack[-1] = f(stack[-2], pop())  # both operands are read before the left one's slot is the top
         elif op == "^":
             stack[-1] = np.power(stack[-1], arg)  # not **: a float64 scalar's ** rounds differently
         else:
             if op == "sqrt":
-                _check(stack[-1] < 0.0, t, "sqrt of negative value")
+                _check(stack[-1] < 0.0, t, "sqrt of negative value", i)
             stack[-1] = _UNARY[op](stack[-1])
     return stack[-1]
 
 
-def _check(bad, t: np.ndarray, what: str) -> None:
+def _check(bad, t: np.ndarray, what: str, instruction: int) -> None:
     """ExprDomainError naming the first time in t where bad holds, if any."""
     bad = np.broadcast_to(bad, t.shape)
     if bad.any():
-        raise ExprDomainError(f"{what} at t={float(t[bad][0])!r}")
+        raise ExprDomainError(f"{what} at t={float(t[bad][0])!r}", instruction)
 
 
 def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
@@ -259,8 +263,29 @@ def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
         values = np.array(np.broadcast_to(values, t.shape))
     bad = ~np.isfinite(values)
     if bad.any():
-        raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}")
+        raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}", len(expr.program))
     return values
+
+
+def _evaluate_parts(expr: CoefficientExpr, parts):
+    """evaluate_array over each array of times from the iterable parts, in
+    order, yielding (times, values) until a part raises ExprDomainError.
+    The parts after it are evaluated only to find the error that one walk
+    over all of them together meets: that of the failing check earliest in
+    the program, at the first part where it fails.  It is raised once the
+    parts run out.  Only one part need be alive at a time."""
+    held = None
+    for t in parts:
+        try:
+            values = evaluate_array(expr, t)
+        except ExprDomainError as err:
+            if held is None or err.instruction < held.instruction:
+                held = err
+            continue
+        if held is None:
+            yield t, values
+    if held is not None:
+        raise held
 
 
 def evaluate(expr: CoefficientExpr, t: float) -> float:
@@ -300,8 +325,9 @@ def _golden_min(g, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, iters: int 
     """Plain golden-section minima of sign[i] * g(t) on the brackets
     [lo[i], hi[i]], refined together; deterministic.  g maps an array of
     times to an array of values.  It is called once for both starting
-    points and then once per iteration, on the brackets that have not yet
-    shrunk below 1e-14 relative width (those stay frozen)."""
+    points and then once per iteration, on every bracket's new probe point.
+    A bracket that has shrunk below 1e-14 relative width stays frozen: its
+    probe is a point already evaluated, and its result is dropped."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - invphi * (b - a)
@@ -314,13 +340,13 @@ def _golden_min(g, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, iters: int 
             break
         left = active & (fc < fd)
         right = active & ~left
-        b[left], d[left], fd[left] = d[left], c[left], fc[left]
-        c[left] = b[left] - invphi * (b[left] - a[left])
-        a[right], c[right], fc[right] = c[right], d[right], fd[right]
-        d[right] = a[right] + invphi * (b[right] - a[right])
-        values = sign[active] * g(np.where(left, c, d)[active])
-        fc[left] = values[left[active]]
-        fd[right] = values[right[active]]
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        c = np.where(left, b - invphi * (b - a), c)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
+        d = np.where(right, a + invphi * (b - a), d)
+        values = sign * g(np.where(left, c, d))
+        fc = np.where(left, values, fc)
+        fd = np.where(right, values, fd)
     return np.minimum(fc, fd)
 
 
@@ -328,15 +354,29 @@ _SCAN_BLOCK = 1 << 16  # samples per block of the grid scan; a block's arrays st
 _SCAN_CAP = 40  # most candidate cells refined per sign
 
 
-def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
-    """Scan of the grid linspace(0, horizon, samples): (BoundsEstimate of
+def _grid(i: np.ndarray, n: int, horizon: float) -> np.ndarray:
+    """The samples i (an array of indices) of np.linspace(0.0, horizon, n),
+    as the same floats, made without the rest of the grid: i * (horizon /
+    (n - 1)), the last sample exactly horizon, and n = 1 giving [0.0]."""
+    div = max(n - 1, 1)
+    step = horizon / div
+    t = i * step if n > 1 and step != 0.0 else i / div * horizon  # linspace's way when the step underflows
+    if not step > 0.0:
+        t += 0.0  # linspace adds its start, 0.0, which turns a -0.0 into 0.0
+    if n > 1:
+        t[i == div] = horizon
+    return t
+
+
+def _scan(expr: CoefficientExpr, horizon: float, n: int):
+    """Scan of the n samples of linspace(0, horizon, n): (BoundsEstimate of
     |f|, first nonpositive raw value and its t if any, else the raw minimum
     and its t).  A constant c needs no scan: every sample and every
     refinement finds |c|, and its raw minimum is c at the first sample.
 
-    The grid is evaluated in blocks of _SCAN_BLOCK samples, each with one
-    neighbour on either side so that every adjacent pair is compared, and
-    each block is reduced at once to its candidates for each sign: the
+    No grid is built.  Each block of _SCAN_BLOCK samples makes its own
+    times, with one neighbour on either side so that every adjacent pair is
+    compared, and is reduced at once to its candidates for each sign: the
     grid's endpoints and the interior local minima of sign*|f| under a
     non-strict test, which hold the first least sample of sign*|f|.  That
     least is refined in the candidate cells within a sampling-offset slack,
@@ -344,21 +384,19 @@ def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
     whose bottom could undercut the best sampled cell gets refined, so a
     coarser grid cannot out-refine a finer one on near-tied basins; past
     _SCAN_CAP cells, the lowest are kept.  Both signs' cells are refined
-    in one golden-section search."""
+    in one golden-section search.  A block that raises ends the reductions,
+    and the scan raises the whole-grid walk's error (see _evaluate_parts)."""
     if len(expr.program) == 1 and expr.program[0][0] == "const":
         c = evaluate(expr, 0.0)  # a non-finite literal raises here, as in the scan
-        return BoundsEstimate(abs(c), abs(c), horizon, grid.size), c, 0.0
-    n = grid.size
+        return BoundsEstimate(abs(c), abs(c), horizon, n), c, 0.0
     dmax = 0.0  # largest |f| step between neighbouring samples
     candidates = ([], []), ([], [])  # per sign: their indices and |f|, in index order
     bad = None  # the first nonpositive raw sample and its index
-    for start in range(0, n, _SCAN_BLOCK):
+    blocks = (_grid(np.arange(max(start - 1, 0), min(start + _SCAN_BLOCK + 1, n), dtype=float), n, horizon)
+              for start in range(0, n, _SCAN_BLOCK))
+    for j, (_, raw) in enumerate(_evaluate_parts(expr, blocks)):
+        start = j * _SCAN_BLOCK
         lo, stop = max(start - 1, 0), min(start + _SCAN_BLOCK, n)
-        try:
-            raw = evaluate_array(expr, grid[lo:stop + 1])
-        except ExprDomainError:
-            evaluate_array(expr, grid)  # raises the first error of the whole-grid walk
-            raise
         mag = np.abs(raw)
         own = slice(start - lo, stop - lo)
         if bad is None and (raw[own] <= 0.0).any():
@@ -376,7 +414,8 @@ def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
             candidates[k][0].append(cells + lo)
             candidates[k][1].append(mag[cells])
 
-    h = grid[1] - grid[0] if n > 1 else 0.0
+    t0, t1 = _grid(np.arange(2), n, horizon)
+    h = t1 - t0 if n > 1 else 0.0
     cells, signs, least = [], [], []
     for k, sign in enumerate((1.0, -1.0)):
         idxs = np.concatenate(candidates[k][0])
@@ -393,8 +432,9 @@ def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
         cells.append(sel)
         signs.append(np.full(sel.size, sign))
     cells = np.concatenate(cells)
-    lo = np.maximum(0.0, grid[cells] - h)
-    hi = np.minimum(horizon, grid[cells] + h)  # lo == hi == 0 on a one-point grid
+    at = _grid(cells, n, horizon)
+    lo = np.maximum(0.0, at - h)
+    hi = np.minimum(horizon, at + h)  # lo == hi == 0 on a one-point grid
     split, signs = signs[0].size, np.concatenate(signs)
 
     def mag(t):
@@ -409,7 +449,7 @@ def _scan(expr: CoefficientExpr, horizon: float, grid: np.ndarray):
     inf_value = min(least[0][0], float(refined[:split].min()))
     sup_value = -min(least[1][0], float(refined[split:].min()))
     value, i = bad or least[0]  # with no nonpositive sample, f = |f|
-    return BoundsEstimate(inf_value, sup_value, horizon, n), value, float(grid[i])
+    return BoundsEstimate(inf_value, sup_value, horizon, n), value, float(_grid(np.array([i]), n, horizon)[0])
 
 
 def estimate_bounds(expr: CoefficientExpr, horizon: float = 1000.0, samples: int = 100_000) -> BoundsEstimate:
@@ -425,5 +465,5 @@ def estimate_bounds(expr: CoefficientExpr, horizon: float = 1000.0, samples: int
         raise ValueError("horizon must be > 0")
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    est, _, _ = _scan(expr, horizon, np.linspace(0.0, horizon, samples))
+    est, _, _ = _scan(expr, horizon, samples)
     return est

@@ -100,12 +100,12 @@ class ValidationReport:
 
 def validate_model(spec: ModelSpec, horizon: float = 1000.0, samples: int = 100_000) -> ValidationReport:
     """Check positivity of all eleven coefficients on a sampling grid and
-    estimate their sup/inf; computes the maximal lag r."""
+    estimate their sup/inf; computes the maximal lag r.  The grid is
+    linspace(0, horizon, samples), scanned block by block without being built."""
     bounds: dict[str, BoundsEstimate] = {}
     failures: list[tuple[str, float, float]] = []
-    grid = np.linspace(0.0, horizon, samples)
     for sym in SYMBOLS:
-        est, raw_min, t_min = _scan(spec.expr(sym), horizon, grid)
+        est, raw_min, t_min = _scan(spec.expr(sym), horizon, samples)
         bounds[sym] = est
         if raw_min <= 0.0:
             failures.append((sym, t_min, raw_min))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LagInversionError, ValidationError
-from .expr import CoefficientExpr, evaluate_array
+from .expr import CoefficientExpr, _evaluate_parts, evaluate_array
 from .integrator import Trajectory
 from .model import ModelSpec
 from .permanence import CoefficientBounds, PermanenceBounds
@@ -39,6 +39,7 @@ __all__ = [
 
 _LAG_TOL = 1e-12  # bisection stops once |theta(s) - t| <= _LAG_TOL
 _K_FLOOR = np.finfo(float).tiny ** 0.25  # K**4 of a K below it is not a normal float
+_CHECK_ROWS = 2048  # brackets sampled at once by the monotonicity check, 65 samples each
 
 
 def lag_inverse_gap(delay: CoefficientExpr, t):
@@ -59,14 +60,20 @@ def lag_inverse_gap(delay: CoefficientExpr, t):
         return s - evaluate_array(delay, s)
 
     def check_increasing(idx, a, b):
-        # mask of the brackets [a, b] (of times tv[idx]) where theta increases
-        samples = np.linspace(a, b, 65, axis=-1)
-        values = theta(samples)
-        bad = values[:, 1:] <= values[:, :-1] + 1e-9 * np.diff(samples, axis=-1)
-        ok = ~bad.any(axis=-1)
-        for row in np.flatnonzero(~ok):
-            s_bad = float(samples[row, np.argmax(bad[row])])
-            faults.setdefault(int(idx[row]), f"s - delay(s) is not strictly increasing near s={s_bad!r}")
+        # mask of the brackets [a, b] (of times tv[idx]) where theta increases,
+        # sampled _CHECK_ROWS brackets at a time, in order, so that the faults
+        # and any ExprDomainError are those of all the samples at once
+        ok = np.empty(idx.size, dtype=bool)
+        parts = (np.linspace(a[r:r + _CHECK_ROWS], b[r:r + _CHECK_ROWS], 65, axis=-1)
+                 for r in range(0, idx.size, _CHECK_ROWS))
+        for k, (samples, delays) in enumerate(_evaluate_parts(delay, parts)):
+            r = k * _CHECK_ROWS
+            values = samples - delays
+            bad = values[:, 1:] <= values[:, :-1] + 1e-9 * np.diff(samples, axis=-1)
+            ok[r:r + _CHECK_ROWS] = ~bad.any(axis=-1)
+            for row in np.flatnonzero(~ok[r:r + _CHECK_ROWS]):
+                s_bad = float(samples[row, np.argmax(bad[row])])
+                faults.setdefault(int(idx[r + row]), f"s - delay(s) is not strictly increasing near s={s_bad!r}")
         return ok
 
     width = np.maximum(2.0 * evaluate_array(delay, tv), 1.0)

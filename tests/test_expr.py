@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from lgholling import (
     validate_model,
 )
 from lgholling import expr as expr_module
-from lgholling.expr import _MAX_DEPTH, _MAX_LENGTH, CoefficientExpr, _scan
+from lgholling.expr import _MAX_DEPTH, _MAX_LENGTH, CoefficientExpr, _grid, _scan
 from lgholling.presets import PRESET_NAMES, preset_config
 from conftest import reference_candidate_cells, reference_eval_array, reference_scan
 
@@ -427,16 +428,28 @@ def test_estimate_bounds_equals_scalar_golden_reference(name):
     for sym, text in config["model"].items():
         e = parse_expression(text)
         want = reference_scan(e, horizon, grid)
-        assert _scan(e, horizon, grid) == want, sym
+        assert _scan(e, horizon, samples) == want, sym
         assert estimate_bounds(e, horizon=horizon, samples=samples) == want[0], sym
         assert report.bounds[sym] == want[0], sym
+
+
+@pytest.mark.parametrize("n, horizon", [(1, 1000.0), (2, 1000.0), (16, 1000.0), (12, 3.2), (1001, 1000.0),
+                                        (3, 5e-324), (7, -5.0)])
+def test_scan_grid_is_linspace(n, horizon):
+    """The scan's samples, made index by index, are the floats of
+    np.linspace(0, horizon, n), in any order: with an endpoint that
+    (n - 1) * step misses (16 on 1000, 12 on 3.2), a step that underflows
+    to 0 and a negative horizon's zero."""
+    want = np.linspace(0.0, horizon, n)
+    for i in (np.arange(n), np.arange(n)[::-1]):
+        assert _grid(i, n, horizon).tobytes() == want[i].tobytes()
 
 
 def scan_both(text: str, horizon: float, n: int):
     """The blocked scan and the whole-array reference on linspace(0, horizon, n)."""
     e = parse_expression(text)
     grid = np.linspace(0.0, horizon, n)
-    return _scan(e, horizon, grid), reference_scan(e, horizon, grid)
+    return _scan(e, horizon, n), reference_scan(e, horizon, grid)
 
 
 @pytest.fixture
@@ -489,21 +502,38 @@ def test_blocked_scan_finds_the_raw_minimum_in_a_later_block(block8, text, t_min
     assert got[2] == t_min
 
 
-@pytest.mark.parametrize("block", [8, 1 << 16])
-def test_blocked_scan_raises_the_whole_grid_error(monkeypatch, block):
-    """A block that holds t = 100 but no t > 400 fails on the division; the
-    whole-grid walk fails on the square root first, and so does the scan."""
+@pytest.mark.parametrize("block", [1, 8, 1 << 16])
+@pytest.mark.parametrize("text, n, message, early", [
+    # a block that holds t = 100 but no t > 400 fails on the division; the
+    # whole-grid walk fails on the square root first, and so does the scan
+    ("sqrt(400-t) + 1/(t-100)", 1001, "sqrt of negative value at t=401.0", (96, "division by zero at t=100.0")),
+    # three checks, each first failing in a later block than the check after
+    # it in the program: the first in the program wins
+    ("sqrt(700-t) + 0*sqrt(400-t) + 1/(t-100)", 1001, "sqrt of negative value at t=701.0",
+     (396, "sqrt of negative value at t=401.0")),
+    # non-finite from t = 0 on, but the final non-finite check comes after
+    # every instruction, so a square root that fails only later wins
+    ("exp(800 - 10*t) + sqrt(500 - t)", 1001, "sqrt of negative value at t=501.0", (0, "non-finite value at t=0.0")),
+    # one sample, at 0, and two, at 0 and exactly the horizon
+    ("sqrt(400-t) + 1/t", 1, "division by zero at t=0.0", None),
+    ("sqrt(400-t) + 1/t", 2, "sqrt of negative value at t=1000.0", None),
+    ("1/(t - 1000) + exp(800 - t)", 2, "division by zero at t=1000.0", None),
+    ("exp(800 - t)", 2, "non-finite value at t=0.0", None),
+])
+def test_blocked_scan_raises_the_whole_grid_error(monkeypatch, block, text, n, message, early):
     monkeypatch.setattr(expr_module, "_SCAN_BLOCK", block)
-    e = parse_expression("sqrt(400-t) + 1/(t-100)")
-    grid = np.linspace(0.0, 1000.0, 1001)
-    with pytest.raises(ExprDomainError, match="division by zero at t=100.0"):
-        evaluate_array(e, grid[96:104])
+    e = parse_expression(text)
+    grid = np.linspace(0.0, 1000.0, n)
     with pytest.raises(ExprDomainError) as whole:
         reference_scan(e, 1000.0, grid)
-    assert str(whole.value) == "sqrt of negative value at t=401.0"
+    assert str(whole.value) == message
     with pytest.raises(ExprDomainError) as blocked:
-        _scan(e, 1000.0, grid)
-    assert str(blocked.value) == str(whole.value)
+        _scan(e, 1000.0, n)
+    assert str(blocked.value) == message
+    if early:  # an 8-sample block there meets another error
+        start, block_message = early
+        with pytest.raises(ExprDomainError, match=f"^{re.escape(block_message)}$"):
+            evaluate_array(e, grid[start:start + 8])
 
 
 def test_blocked_scan_raises_the_inf_refinement_error_first():
@@ -517,5 +547,5 @@ def test_blocked_scan_raises_the_inf_refinement_error_first():
     with pytest.raises(ExprDomainError) as want:
         reference_scan(e, 1.0, grid)
     with pytest.raises(ExprDomainError) as got:
-        _scan(e, 1.0, grid)
+        _scan(e, 1.0, grid.size)
     assert str(got.value) == str(want.value) == "sqrt of negative value at t=0.5505207354546219"

@@ -386,18 +386,20 @@ def test_an_overflowing_stage_exponential_is_a_log_state_overflow():
         integrate(logistic_spec(a1="1e6"), InitialHistory(0.5, 0.5), 0.0, 5.0, 0.01)
 
 
-def test_working_memory_is_one_block():
-    """A 100k-step run with four distinct varying delays allocates about one
-    block's plan beyond the knots it keeps, not a plan of the whole run."""
+def test_working_memory_is_one_block(monkeypatch):
+    """A 10k-step run with four distinct varying delays, in 40 blocks of 256
+    steps, allocates about one block's plan (0.3 MB) beyond the knots it
+    keeps, not a plan of the whole run (9 MB)."""
+    monkeypatch.setattr(integrator, "_PLAN_STEPS", 256, raising=False)
     spec, hist = seeded_varying_delay_spec(7), InitialHistory(0.6, 0.4)
     tracemalloc.start()
     try:
-        traj = integrate(spec, hist, 0.0, 1000.0, 0.01)
+        traj = integrate(spec, hist, 0.0, 100.0, 0.01)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(traj.t) == 100_001
-    assert peak - kept <= 8e6, f"peak {peak / 1e6:.1f} MB over {kept / 1e6:.1f} MB kept"
+    assert len(traj.t) == 10_001
+    assert peak - kept <= 1.5e6, f"peak {peak / 1e6:.2f} MB over {kept / 1e6:.2f} MB kept"
 
 
 def assert_same_run(got, want):

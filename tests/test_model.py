@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lgholling import (
     BoundsEstimate,
+    ExprDomainError,
     GridFunctionPair,
     InitialHistory,
     ModelSpec,
@@ -13,10 +15,12 @@ from lgholling import (
     ValidationError,
     dde_residual,
     delayed_term,
+    evaluate_array,
     parse_expression,
     validate_model,
 )
 from lgholling.model import DELAY_SYMBOLS, SYMBOLS
+from lgholling.presets import preset_config
 
 
 def constant_spec(**overrides):
@@ -73,6 +77,33 @@ def test_validate_reports_a_nonpositive_constant_at_t0(text, value):
     assert not report.ok
     assert report.failures == [("c1", 0.0, value)]
     assert report.bounds["c1"] == BoundsEstimate(abs(value), abs(value), 10.0, 1001)
+
+
+@pytest.mark.parametrize("a1", [None, "sqrt(900 - t)"])
+def test_validate_scans_in_one_block_of_memory(a1):
+    """At 2e6 samples the scan holds one block, not the 16 MB grid, whether
+    every coefficient passes or a1 fails late in the grid; the error is the
+    one the whole grid's evaluation raises."""
+    config = preset_config("example1")
+    model = config["model"] | ({"a1": a1} if a1 else {})
+    spec, samples = ModelSpec.from_strings(model), 2_000_000
+    want = None
+    if a1:
+        with pytest.raises(ExprDomainError) as whole:
+            evaluate_array(spec.a1, np.linspace(0.0, 1000.0, samples))
+        want = str(whole.value)
+        assert want.startswith("sqrt of negative value at t=900.")
+    got = None
+    tracemalloc.start()
+    try:
+        validate_model(spec, horizon=1000.0, samples=samples)
+    except ExprDomainError as exc:
+        got = str(exc)
+    finally:
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 6e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def constant_pair(u, v, t_lo=0.0, t_hi=1.0):

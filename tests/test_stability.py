@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lgholling import (
     CoefficientBounds,
+    ExprDomainError,
     InitialHistory,
     LagInversionError,
     ModelSpec,
@@ -19,6 +21,7 @@ from lgholling import (
     compute_permanence_bounds_from_values,
     run_attractivity,
 )
+from lgholling import stability
 from lgholling.stability import small_denominator
 from conftest import reference_lag_gap, table_bounds
 
@@ -77,6 +80,43 @@ def test_array_lag_inversion_raises_the_first_scalar_error():
     with pytest.raises(LagInversionError) as array:
         lag_inverse_gap(d, times)
     assert str(array.value) == str(scalar.value) == message
+
+
+def test_lag_inversion_holds_a_few_thousand_brackets_at_a_time(monkeypatch):
+    """The monotonicity check samples its (N, 65) brackets in row chunks:
+    at 2e4 times the traced peak is a few MB (the whole array took 31 MB),
+    and the gaps are those of a one-chunk check."""
+    d = parse_expression("0.8 + 0.4*cos(0.5*t)")
+    times = np.linspace(0.0, 500.0, 20_000)
+    tracemalloc.start()
+    try:
+        gaps = lag_inverse_gap(d, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
+    monkeypatch.setattr(stability, "_CHECK_ROWS", times.size)
+    assert np.array_equal(gaps, lag_inverse_gap(d, times))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 10**6])
+def test_chunked_lag_check_raises_the_whole_array_error(monkeypatch, rows):
+    """s - delay(s) turns down near t = 0, a monotonicity fault in the
+    first chunk, and the square root fails past s = 10.5, in the brackets of
+    the last times: the domain error wins, at its first sample in array
+    order, whatever the chunk size."""
+    monkeypatch.setattr(stability, "_CHECK_ROWS", rows)
+    times = np.linspace(0.0, 10.0, 21)
+    with pytest.raises(LagInversionError, match="not strictly increasing"):
+        lag_inverse_gap(parse_expression("0.5 + 0.9*sin(2*t)"), times)
+    d = parse_expression("0.5 + 0.9*sin(2*t) + 0*sqrt(10.5 - t)")
+    with pytest.raises(ExprDomainError) as chunked:
+        lag_inverse_gap(d, times)
+    monkeypatch.setattr(stability, "_CHECK_ROWS", times.size)
+    with pytest.raises(ExprDomainError) as whole:
+        lag_inverse_gap(d, times)
+    assert str(chunked.value) == str(whole.value)
+    assert str(whole.value).startswith("sqrt of negative value at t=10.5")
 
 
 def test_degenerate_delay_raises_monotonicity_error():
