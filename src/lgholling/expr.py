@@ -392,6 +392,7 @@ def _scan(expr: CoefficientExpr, horizon: float, n: int):
     dmax = 0.0  # largest |f| step between neighbouring samples
     candidates = ([], []), ([], [])  # per sign: their indices and |f|, in index order
     bad = None  # the first nonpositive raw sample and its index
+    flat, c = 0, 0.0  # while dmax is 0: the samples [0, flat) all tie at |f| = c
     blocks = (_grid(np.arange(max(start - 1, 0), min(start + _SCAN_BLOCK + 1, n), dtype=float), n, horizon)
               for start in range(0, n, _SCAN_BLOCK))
     for j, (_, raw) in enumerate(_evaluate_parts(expr, blocks)):
@@ -405,6 +406,9 @@ def _scan(expr: CoefficientExpr, horizon: float, n: int):
         step = np.diff(mag)
         if step.size:
             dmax = max(dmax, float(np.abs(step).max()))
+        if dmax == 0.0:  # a flat prefix: its candidates, every sample, are made only if a later block varies
+            flat, c = stop, float(mag[0])
+            continue
         falls, rises = step[:-1], step[1:]
         pick = np.zeros(mag.size, dtype=bool)
         pick[0], pick[-1] = start == 0, stop == n  # the grid's endpoints, for both signs
@@ -417,9 +421,10 @@ def _scan(expr: CoefficientExpr, horizon: float, n: int):
     t0, t1 = _grid(np.arange(2), n, horizon)
     h = t1 - t0 if n > 1 else 0.0
     cells, signs, least = [], [], []
+    head = flat if dmax else 1  # the flat prefix, or its first sample when every sample ties
     for k, sign in enumerate((1.0, -1.0)):
-        idxs = np.concatenate(candidates[k][0])
-        values = sign * np.concatenate(candidates[k][1])
+        idxs = np.concatenate([np.arange(head), *candidates[k][0]])
+        values = sign * np.concatenate([np.full(head, c), *candidates[k][1]])
         first = int(np.argmin(values))
         least.append((float(values[first]), int(idxs[first])))  # the least sample of sign*|f|, first index
         if n < 3 or dmax == 0.0:

@@ -1,5 +1,5 @@
-"""Fixed-step RK4 integration of the delay system in log-space with cubic
-Hermite dense output.
+"""Fixed-step integration of the delay system in log-space on RK4's stage
+grid, with cubic Hermite dense output.
 
 The state advanced is (x, y) = (ln u, ln v), so u = exp(x) and v = exp(y)
 are positive by construction.  Each delayed value is read from the dense
@@ -9,32 +9,38 @@ exceed the smallest delay, so a delayed lookup never needs a knot that has
 not been computed yet.
 
 The kernel follows the method of steps.  Consecutive steps are grouped into
-windows [k0, k1) in which every RK4 stage reads delayed values at or before
-knot k0; with constant delays a window is W = floor(min delay / h) steps.  Per
-window the delayed values, the predator slope (which depends on delayed
-values only, so y advances by a running sum) and the prey forcing
-q = c1 e^{y(t-tau1)} / (e^{x(t-sigma1)} + k1) are computed at once with
-numpy, both delayed terms through model.delayed_term.  A delayed value
-depends only on the component read and the delay, so each distinct delayed
-argument is read once: channels with the same component and the same delay
-text share one Hermite plan, one gather and one exponential pass (both
-presets set all four delays equal, so u(t-sigma1) serves for u(t-sigma2)
-and v(t-tau1) for v(t-tau2)).  What stays sequential is the scalar prey
-recurrence x' = a1 - b e^x - q.  Every exponential goes through math.exp, so
-the knots are the same floats as those of a plain per-step RK4 loop.  Every run is a batch: integrate is column(0) of a batch
-of one, and a column is bit-identical to the single run from its history.
+windows [k0, k1) in which every stage (a step's start, middle and end)
+reads delayed values at or before knot k0; with constant delays a window is
+W = floor(min delay / h) steps.  Per window, for every column at once, one
+take gathers the delayed values' Hermite terms and one np.exp pass gives the
+predator slope and the prey forcing q = c1 e^{y(t-tau1)} / (e^{x(t-sigma1)} + k1),
+both delayed terms through model.delayed_term.  Channels with the same
+component and the same delay text share one plan, gather and exponential
+(both presets set all four delays equal).  The predator slope depends on
+delayed values only, so y advances by RK4's running sum.  The prey
+u' = (a1 - q) u - b u^2 is a Bernoulli equation: w = 1/u solves the linear
+w' = -(a1 - q) w + b and takes an integrating-factor step (Hochbruck &
+Ostermann, Acta Numerica 19, 2010), w <- e^{-P} w + f, with P the integral
+of a1 - q over the step and f Simpson's rule for the b term.  Over a window
+that is running sums, x_k = S_k - log(w_k0 + sum e^{S_j+1} f_j) with S the
+running sum of P, taken in log space so that no a1 overflows them: no step
+loops in Python.  A step whose P passes _STIFF_LIMIT raises an
+IntegrationError, for Simpson's weights fail there; below it the prey's
+equilibrium is off by (P/6)(1 + 4e^{-P/2} + e^{-P})/(1 - e^{-P}) - 1, 3e-4
+at P = 1 and 1.5% at P = 2.7.  Every run is a batch: integrate is column(0)
+of a batch of one, and a column is bit-identical to the single run.
 
 Stages are planned per block of _PLAN_STEPS steps, in one pass.  A block
 evaluates its distinct delays once, keeps running minima of the delays and
 of the delayed times (the history reach), checks the step against the
 smallest delay so far, then plans its coefficients, Hermite weights and
-indices and history values and steps through them.  A window ends at its
-block's end at the latest, which repeats the same additions in the same
-order, so the knots do not depend on the block size.  A run keeps its knots,
-32 bytes per step per column; its working memory is one block's plan.  An
-error met in a block is raised only after the replay of a whole-run plan,
-one whole-grid array at a time: each distinct delay in channel order, the
-step checks on their minimum, every coefficient, then the history.
+indices and history values and steps through them.  A window cut by its
+block's end goes on in the next block with the same running sums, so the
+knots do not depend on the block size.  A run keeps its knots, 32 bytes per
+step per column; its working memory is one block's plan.  An error met in a
+block is raised only after the replay of a whole-run plan, one whole-grid
+array at a time: each distinct delay in channel order, the step checks on
+their minimum, every coefficient, then the history.
 
 A single integration is sequential; distinct integrations are independent
 and a finished Trajectory is immutable and safe to share.
@@ -59,6 +65,10 @@ __all__ = [
 ]
 
 _LOG_LIMIT = 700.0  # beyond this exp overflows
+# largest integral of a1 - q over one step, about RK4's stability limit on the
+# real axis: past it Simpson's weights for the prey's b term fail (at a1 h = 1e4
+# the prey would settle at 6/(b h), not at a1/b)
+_STIFF_LIMIT = 2.79
 # delayed channels in lookup order, and the component (0 = x, 1 = y) each reads
 _CHANNELS = ("sigma1", "sigma2", "tau1", "tau2")
 _COMPONENT = (0, 0, 1, 1)
@@ -112,14 +122,6 @@ class Trajectory:
         return mask
 
 
-def _log_or_neginf(value: float, what: str) -> float:
-    if value > 0.0:
-        return math.log(value)
-    if value == 0.0:
-        return -math.inf
-    raise IntegrationError(f"{what} must be >= 0, got {value!r}")
-
-
 def _snap_interval(pos):
     """Map fractional grid positions to (interval index, theta in [0, 1]),
     preferring the completed left interval at exact knots."""
@@ -144,49 +146,19 @@ def _hermite_weights(theta, h):
     )
 
 
-def _exp(a: np.ndarray) -> np.ndarray:
-    """Elementwise math.exp (np.exp may differ from it in the last ulp)."""
-    return np.fromiter(map(math.exp, a.ravel().tolist()), float, a.size).reshape(a.shape)
-
-
-def _prey_steps(x: float, kx1: float, a1: list, b: list, q: list, h: float) -> tuple[list, list]:
-    """RK4 on x' = a1 - b e^x - q over the steps of one window, for one column.
-
-    x and kx1 are the knot k0 and its slope; a1, b and q hold the values at
-    the stages after 2k0, two per step (mid-step, end of step).  Returns the
-    knots x[k0+1 ..] and their slopes; the lists stop short at the first
-    knot whose |x| reaches the overflow guard or whose stages overflow exp."""
-    exp = math.exp
-    hh = 0.5 * h
-    h6 = h / 6.0
-    xs, dxs = [], []
-    try:
-        # zip stops with q, which may cover fewer steps than a1 and b
-        for am, bm, qm, ae, be, qe in zip(a1[0::2], b[0::2], q[0::2], a1[1::2], b[1::2], q[1::2]):
-            kx2 = am - bm * exp(x + hh * kx1) - qm
-            kx3 = am - bm * exp(x + hh * kx2) - qm
-            kx4 = ae - be * exp(x + h * kx3) - qe
-            x = x + h6 * (kx1 + 2.0 * (kx2 + kx3) + kx4)
-            if not abs(x) < _LOG_LIMIT:
-                break
-            kx1 = ae - be * exp(x) - qe
-            xs.append(x)
-            dxs.append(kx1)
-    except OverflowError:
-        pass
-    return xs, dxs
-
-
-def _log_history(phi, thetas: np.ndarray, what: str) -> list:
-    """ln phi at the shifted times thetas, through math.log (np.log may
-    differ from it in the last ulp); a constant is taken once."""
-    if isinstance(phi, CoefficientExpr):
-        return [_log_or_neginf(v, what) for v in phi(thetas).tolist()]
-    return [_log_or_neginf(phi, what)] * len(thetas)
+def _log_history(phi, thetas: np.ndarray, what: str) -> np.ndarray:
+    """ln phi at the shifted times thetas, -inf where phi is 0."""
+    values = phi(thetas) if isinstance(phi, CoefficientExpr) else np.full(len(thetas), phi, dtype=float)
+    bad = ~(values >= 0.0)
+    if bad.any():
+        raise IntegrationError(f"{what} must be >= 0, got {float(values[bad][0])!r}")
+    with np.errstate(divide="ignore"):
+        return np.log(values)
 
 
 def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
-    """The RK4 kernel on m columns sharing one model and grid.
+    """The kernel on m columns sharing one model and grid: RK4's stage grid,
+    with the Bernoulli step for the prey and RK4's quadrature for the predator.
 
     log_hist(component, thetas) gives the log-history of component 0 (u) or
     1 (v) at the shifted times thetas, as an array of shape (len(thetas), m).
@@ -237,98 +209,122 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
     x0 = log_hist(0, np.zeros(1))[0]
     y0 = log_hist(1, np.zeros(1))[0]
     m = len(x0)
-    # knots per component: z[0] = x, z[1] = y (zeros: a zero-weight Hermite
-    # term may touch a knot not computed yet, and 0.0 * 0.0 must stay 0.0)
-    z = np.zeros((2, n + 1, m))
-    dz = np.zeros((2, n + 1, m))
-    z[0, 0], z[1, 0] = x0, y0
-    z_rows, dz_rows = z.reshape(-1, m), dz.reshape(-1, m)
-    # as rows of the flat knot arrays: row c*(n+1) + i is knot i of component c
-    comp_row = (n + 1) * np.array([[comp] for comp, _ in distinct])
+    # kn[c, 0, i] and kn[c, 1, i] are the value and slope of knot i of component c (0 = x,
+    # 1 = y), so one take of the flat rows reads a Hermite cubic's four terms; knot n+1 pads
+    # the last read (zeros: a zero-weight term may touch a knot not computed yet, 0.0 * 0.0 = 0.0)
+    kn = np.zeros((2, 2, n + 2, m))
+    kn[0, 0, 0], kn[1, 0, 0] = x0, y0
+    rows = kn.reshape(-1, m)
+    comp_row = 2 * (n + 2) * np.array([[comp] for comp, _ in distinct])
     h6 = h / 6.0
 
     # plan one block of stages at a time and step through it
     min_delay = min_delayed = math.inf  # over the blocks so far; min_delayed gives the history reach
     try:
-        for s0, s1, lo, hi in blocks:
-            t = stage_times(lo, hi)
-            delays = np.array([evaluate_array(expr, t) for expr in delay_exprs])
-            delayed = t - delays  # shape (U, hi-lo)
-            min_delay = min(min_delay, float(delays.min()))
-            min_delayed = min(min_delayed, float(delayed.min()))
-            check_delays(min_delay)
-            a1, b = (evaluate_array(spec.expr(sym), t).tolist() for sym in ("a1", "b"))
-            a2, c1, c2, k1, k2 = (evaluate_array(spec.expr(sym), t)[:, None] for sym in _COEFFS[2:])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a bad knot is caught below
+            for s0, s1, lo, hi in blocks:
+                t = stage_times(lo, hi)
+                delays = np.array([evaluate_array(expr, t) for expr in delay_exprs])
+                delayed = t - delays  # shape (U, hi-lo)
+                min_delay = min(min_delay, float(delays.min()))
+                min_delayed = min(min_delayed, float(delayed.min()))
+                check_delays(min_delay)
+                a1, b, a2, c1, c2, k1, k2 = (evaluate_array(spec.expr(sym), t)[:, None] for sym in _COEFFS)
 
-            # Hermite plan of the block's stages for every distinct key
-            in_history = delayed < t0
-            idx, theta = _snap_interval((delayed - t0) / h)
-            weights = [w[..., None] for w in _hermite_weights(theta, h)]
-            # the knot each stage reads last with a nonzero weight (-1: history only)
-            reads = np.where(in_history, -1, idx + (theta > 0.0)).max(axis=0)
-            i0 = np.where(in_history, 0, idx)
-            i1 = np.minimum(i0 + 1, n)
-            i0 += comp_row
-            i1 += comp_row
-            hist_stages = [np.flatnonzero(row) for row in in_history]
-            hist_values = [log_hist(comp, row[stages] - t0)
-                           for (comp, _), stages, row in zip(distinct, hist_stages, delayed)]
+                # Hermite plan of the block's stages for every distinct key
+                in_history = delayed < t0
+                idx, theta = _snap_interval((delayed - t0) / h)
+                weights = np.stack(_hermite_weights(theta, h), axis=-1)[..., None]
+                # the knot each stage reads last with a nonzero weight (-1: history only)
+                reads = np.where(in_history, -1, idx + (theta > 0.0)).max(axis=0)
+                taps = (np.where(in_history, 0, idx) + comp_row)[..., None] + np.array([0, n + 2, 1, n + 3])
+                hist_stages = [np.flatnonzero(row) for row in in_history]
+                hist_values = [log_hist(comp, row[stages] - t0)
+                               for (comp, _), stages, row in zip(distinct, hist_stages, delayed)]
+                history = [(u, stages, values) for u, (stages, values) in enumerate(zip(hist_stages, hist_values))
+                           if stages.size]
 
-            def forcing(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-                """Prey forcing q and predator slope ky at stages first..last, each (last-first+1, m)."""
-                sl = slice(first - lo, last - lo + 1)
-                j0, j1 = i0[:, sl], i1[:, sl]
-                w00, w10, w01, w11 = (w[:, sl] for w in weights)
-                vals = (w00 * z_rows.take(j0, axis=0) + w10 * dz_rows.take(j0, axis=0)
-                        + w01 * z_rows.take(j1, axis=0) + w11 * dz_rows.take(j1, axis=0))
-                for u, stages in enumerate(hist_stages):
-                    a, e = np.searchsorted(stages, (sl.start, sl.stop))
-                    if a < e:
-                        vals[u, stages[a:e] - sl.start] = hist_values[u][a:e]
-                exps = _exp(vals)
-                es1, es2, et1, et2 = (exps[u] for u in slot)
-                return (delayed_term(c1[sl] * et1, es1, k1[sl], t[sl, None], "u(t - sigma1) + k1"),
-                        a2[sl] - delayed_term(c2[sl] * et2, es2, k2[sl], t[sl, None], "u(t - sigma2) + k2"))
+                def forcing(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
+                    """Prey forcing q and predator slope ky at stages first..last, each (last-first+1, m)."""
+                    sl = slice(first - lo, last - lo + 1)
+                    terms = weights[:, sl] * rows.take(taps[:, sl], axis=0)
+                    vals = terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2] + terms[:, :, 3]
+                    for u, stages, values in history:
+                        a, e = np.searchsorted(stages, (sl.start, sl.stop))
+                        if a < e:
+                            vals[u, stages[a:e] - sl.start] = values[a:e]
+                    exps = np.exp(vals)
+                    es1, es2, et1, et2 = (exps[u] for u in slot)
+                    return (delayed_term(c1[sl] * et1, es1, k1[sl], t[sl, None], "u(t - sigma1) + k1"),
+                            a2[sl] - delayed_term(c2[sl] * et2, es2, k2[sl], t[sl, None], "u(t - sigma2) + k2"))
 
-            if lo == 0:
-                q, ky = forcing(0, 0)
-                dz[0, 0] = [a1[0] - b[0] * math.exp(x) - qc for x, qc in zip(z[0, 0].tolist(), q[0].tolist())]
-                dz[1, 0] = ky[0]
+                if lo == 0:
+                    q, ky = forcing(0, 0)
+                    g_last, b_last = a1[:1] - q, b[:1]  # g = a1 - q and b at the last stage stepped
+                    kn[0, 1, 0], kn[1, 1, 0] = g_last[0] - b[0] * np.exp(x0), ky[0]
 
-            # the window [k0, k_next) holds the steps whose stages 2k+1, 2k+2
-            # read no knot past k0 (stage 2k0 was done with the window before),
-            # and ends at the block's end at the latest.  Rounding at |t|/h
-            # beyond ~1e7 may put a stage a hair past the knot it may read;
-            # such a step gets a window of its own.
-            step_reads = np.maximum(reads[2 * s0 + 1 - lo::2], reads[2 * s0 + 2 - lo::2])
-            # (a step before k0 reads a knot before k0, so no running max need
-            # cross a block's start)
-            reach = np.maximum.accumulate(np.minimum(step_reads, np.arange(s0, s1)))
-            k0 = s0
-            while k0 < s1:
-                k_next = s0 + int(np.searchsorted(reach, k0, side="right"))
-                q, ky = forcing(2 * k0 + 1, 2 * k_next)
-                ky = np.concatenate([dz[1, k0][None], ky])
-                mid = ky[1::2]
-                inc = h6 * (ky[0:-1:2] + 2.0 * (mid + mid) + ky[2::2])
-                y = np.cumsum(np.concatenate([z[1, k0][None], inc]), axis=0)[1:]
-                bad = np.flatnonzero(~(np.abs(y) < _LOG_LIMIT).all(axis=1))
-                steps = int(bad[0]) + 1 if bad.size else k_next - k0  # up to the first bad y knot
-                a1w, bw = a1[2 * k0 + 1 - lo:2 * k_next + 1 - lo], b[2 * k0 + 1 - lo:2 * k_next + 1 - lo]
-                cols = [_prey_steps(x, kx1, a1w, bw, qc, h)
-                        for x, kx1, qc in zip(z[0, k0].tolist(), dz[0, k0].tolist(), q[:2 * steps].T.tolist())]
-                done = min(len(xs) for xs, _ in cols)
-                if bad.size or done < steps:
-                    raise IntegrationError(f"log-state overflow at t={t0 + (k0 + min(done, steps - 1) + 1) * h!r}")
-                z[0, k0 + 1:k_next + 1] = np.array([xs for xs, _ in cols]).T
-                dz[0, k0 + 1:k_next + 1] = np.array([dxs for _, dxs in cols]).T
-                z[1, k0 + 1:k_next + 1] = y
-                dz[1, k0 + 1:k_next + 1] = ky[2::2]
-                k0 = k_next
+                # the window [start, k_next) holds the steps whose stages 2k+1,
+                # 2k+2 read no knot past start (stage 2*start was done before).
+                # Rounding at |t|/h beyond ~1e7 may put a stage a hair past the
+                # knot it may read; such a step gets a window of its own.
+                step_reads = np.maximum(reads[2 * s0 + 1 - lo::2], reads[2 * s0 + 2 - lo::2])
+                # (a step before start reads a knot before start, so no running
+                # max need cross a block's start, and a window cut by a block's
+                # end goes on in the next block, with the same sums)
+                reach = np.maximum.accumulate(np.minimum(step_reads, np.arange(s0, s1)))
+                k0 = s0
+                while k0 < s1:
+                    if k0 == 0 or reach[k0 - s0] > start:  # step k0 reads past the window's first knot
+                        # a new window: its first knot, and its prey sums S, log W and log W- (see below)
+                        start, s_sum, log_a, log_n = k0, np.zeros((1, m)), -kn[0, 0, k0][None], None
+                    k_next = s0 + int(np.searchsorted(reach, start, side="right"))
+                    q, ky = forcing(2 * k0 + 1, 2 * k_next)
+                    sl = slice(2 * k0 + 1 - lo, 2 * k_next + 1 - lo)
+                    g, bw = np.concatenate([g_last, a1[sl] - q]), np.concatenate([b_last, b[sl]])
+                    g_last, b_last = g[-1:], bw[-1:]
+                    # prey: w = e^-x solves w' = -g w + b.  Per step, p and p2 integrate
+                    # g's quadratic through its stages over the step and its second half,
+                    # and w <- e^-p w + f.  In a window W = e^S w, S the running sum of p,
+                    # grows by e^S f; x = S - log W.  Where b < 0, W's negative part has a
+                    # sum of its own (log_n, None until then); W <= 0 gives x = inf or nan.
+                    g0, gm, ge = g[:-1:2], g[1::2], g[2::2]
+                    p = h6 * (g0 + 4.0 * gm + ge)
+                    p2 = h / 24.0 * (5.0 * ge + 8.0 * gm - g0)
+                    f = h6 * (np.exp(-p) * bw[:-1:2] + 4.0 * np.exp(-p2) * bw[1::2] + bw[2::2])
+                    s_run = np.cumsum(np.concatenate([s_sum, p]), axis=0)[1:]
+                    s_sum = s_run[-1:]
+                    if log_n is None and (f < 0.0).any():
+                        log_n = np.full((1, m), -math.inf)
+                    f_pos = f if log_n is None else np.maximum(f, 0.0)
+                    log_a = np.logaddexp.accumulate(np.concatenate([log_a[-1:], s_run + np.log(f_pos)]), axis=0)[1:]
+                    x = s_run - log_a
+                    if log_n is not None:
+                        terms = s_run + np.log(f_pos - f)
+                        log_n = np.logaddexp.accumulate(np.concatenate([log_n[-1:], terms]), axis=0)[1:]
+                        x = x - np.log1p(-np.exp(log_n - log_a))
+                    # predator: ky depends on delayed values only, so y is a running sum
+                    ky = np.concatenate([kn[1, 1, k0][None], ky])
+                    mid = ky[1::2]
+                    inc = h6 * (ky[0:-1:2] + 2.0 * (mid + mid) + ky[2::2])
+                    y = np.cumsum(np.concatenate([kn[1, 0, k0][None], inc]), axis=0)[1:]
+                    # the first stiff step, or the first step to a knot past the guard
+                    stiff = (p > _STIFF_LIMIT).any(axis=1)
+                    fail = stiff | ~((np.abs(x) < _LOG_LIMIT) & (np.abs(y) < _LOG_LIMIT)).all(axis=1)
+                    if fail.any():
+                        k = int(np.argmax(fail))
+                        if stiff[k]:
+                            raise IntegrationError(
+                                f"prey too stiff for step h={h!r} at t={t0 + (k0 + k) * h!r}: a1 - q integrates to "
+                                f"{float(p[k].max())!r} over the step, above {_STIFF_LIMIT}; choose a smaller h")
+                        raise IntegrationError(f"log-state overflow at t={t0 + (k0 + k + 1) * h!r}")
+                    done = slice(k0 + 1, k_next + 1)
+                    kn[0, 0, done], kn[0, 1, done] = x, ge - bw[2::2] * np.exp(x)
+                    kn[1, 0, done], kn[1, 1, done] = y, ky[2::2]
+                    k0 = k_next
     except Exception as exc:  # re-raised below unless an up-front error outranks it, whatever its kind
         failure = exc
     else:
-        return z[0], z[1], dz[0], dz[1], max(0.0, t0 - min_delayed)
+        return kn[0, 0, :n + 1], kn[1, 0, :n + 1], kn[0, 1, :n + 1], kn[1, 1, :n + 1], max(0.0, t0 - min_delayed)
     # a whole-run plan evaluated each distinct delay, checked the step, then
     # evaluated every coefficient and the history over the whole stage grid
     # before the first step: their first error outranks the one met in a block
@@ -340,7 +336,6 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
         delayed = tgrid - evaluate_array(expr, tgrid)
         log_hist(comp, delayed[delayed < t0] - t0)
     raise failure
-
 
 def integrate_batch(spec: ModelSpec, histories, t0: float, t_end: float, h: float) -> Trajectory:
     """Integrate many runs of one model on a shared grid, in one kernel call.

@@ -119,11 +119,12 @@ def example2_constant_pair_u2(phi0: float, psi0: float, t_ref: float) -> float:
     return 3.6 * psi0 * psi0 / (phi0 + 5.7) * trapz(np.exp(-A), q)
 
 
-def reference_rk4(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float, h: float):
-    """Reference oracle for the integrator: classical RK4 on the log-state,
-    one Python step at a time, with every delayed value read from the cubic
-    Hermite interpolant of the knots computed so far (or from the history
-    before t0).  Returns the knot arrays (x, y, dx, dy)."""
+def _reference_forcing(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float, h: float):
+    """The stage grid t0 + j h/2 of the reference oracles: n, a1 and b at the
+    stages, and forcing(j, xs, ys, dxs, dys), the prey forcing
+    q = c1 v(t - tau1) / (u(t - sigma1) + k1) and the predator slope at stage
+    j, with every delayed value read from the cubic Hermite interpolant of
+    the knots computed so far (or from the history before t0)."""
     n = int(round((t_end - t0) / h))
     tgrid = t0 + 0.5 * h * np.arange(2 * n + 1)
     a1, a2, b, c1, c2, k1, k2 = (evaluate_array(spec.expr(s), tgrid).tolist()
@@ -159,12 +160,6 @@ def reference_rk4(spec: ModelSpec, history: InitialHistory, t0: float, t_end: fl
     p_s2 = channel_plan("sigma2", history.value1)
     p_t1 = channel_plan("tau1", history.value2)
     p_t2 = channel_plan("tau2", history.value2)
-    xs = [0.0] * (n + 1)
-    ys = [0.0] * (n + 1)
-    dxs = [0.0] * (n + 1)
-    dys = [0.0] * (n + 1)
-    xs[0] = math.log(history.value1(0.0))
-    ys[0] = math.log(history.value2(0.0))
     exp = math.exp
 
     def lookup(p, vals, dvals):
@@ -173,14 +168,32 @@ def reference_rk4(spec: ModelSpec, history: InitialHistory, t0: float, t_end: fl
         _, i, w00, w10, w01, w11 = p
         return w00 * vals[i] + w10 * dvals[i] + w01 * vals[i + 1] + w11 * dvals[i + 1]
 
-    def stage(j, xv):
+    def forcing(j, xs, ys, dxs, dys):
         xs1 = lookup(p_s1[j], xs, dxs)
         xs2 = lookup(p_s2[j], xs, dxs)
         yt1 = lookup(p_t1[j], ys, dys)
         yt2 = lookup(p_t2[j], ys, dys)
-        kx = a1[j] - b[j] * exp(xv) - c1[j] * exp(yt1) / (exp(xs1) + k1[j])
-        ky = a2[j] - c2[j] * exp(yt2) / (exp(xs2) + k2[j])
-        return kx, ky
+        return c1[j] * exp(yt1) / (exp(xs1) + k1[j]), a2[j] - c2[j] * exp(yt2) / (exp(xs2) + k2[j])
+
+    return n, a1, b, forcing
+
+
+def reference_rk4(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float, h: float):
+    """Reference oracle for RK4: classical RK4 on the log-state, one Python
+    step at a time, with _reference_forcing's delayed reads.  Returns the
+    knot arrays (x, y, dx, dy)."""
+    n, a1, b, forcing = _reference_forcing(spec, history, t0, t_end, h)
+    xs = [0.0] * (n + 1)
+    ys = [0.0] * (n + 1)
+    dxs = [0.0] * (n + 1)
+    dys = [0.0] * (n + 1)
+    xs[0] = math.log(history.value1(0.0))
+    ys[0] = math.log(history.value2(0.0))
+    exp = math.exp
+
+    def stage(j, xv):
+        q, ky = forcing(j, xs, ys, dxs, dys)
+        return a1[j] - b[j] * exp(xv) - q, ky
 
     hh = 0.5 * h
     h6 = h / 6.0
@@ -195,6 +208,44 @@ def reference_rk4(spec: ModelSpec, history: InitialHistory, t0: float, t_end: fl
         xs[k + 1] = x0 + h6 * (k1x + 2.0 * (k2x + k3x) + k4x)
         ys[k + 1] = y0 + h6 * (k1y + 2.0 * (k2y + k3y) + k4y)
     dxs[n], dys[n] = stage(2 * n, xs[n])
+    return np.array(xs), np.array(ys), np.array(dxs), np.array(dys)
+
+
+def reference_bernoulli(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float, h: float):
+    """Reference oracle for the integrator: one Python step at a time, with
+    _reference_forcing's delayed reads.  The prey takes the Bernoulli step:
+    w = e^-x solves w' = -g w + b with g = a1 - q, and with P and P_half the
+    integrals of g's quadratic through its three stages over the step and
+    its first half,
+
+        w <- e^-P w + (h/6)(e^-P b0 + 4 e^-(P - P_half) bm + be),
+
+    written for x as x + P - log1p(f e^P e^x), f the b term.  The predator takes RK4,
+    whose two mid-step stages coincide.  Returns the knot arrays (x, y, dx, dy)."""
+    n, a1, b, forcing = _reference_forcing(spec, history, t0, t_end, h)
+    xs = [0.0] * (n + 1)
+    ys = [0.0] * (n + 1)
+    dxs = [0.0] * (n + 1)
+    dys = [0.0] * (n + 1)
+    xs[0] = math.log(history.value1(0.0))
+    ys[0] = math.log(history.value2(0.0))
+    exp = math.exp
+    h6 = h / 6.0
+    q0, ky0 = forcing(0, xs, ys, dxs, dys)
+    for k in range(n):
+        j0 = 2 * k
+        g0 = a1[j0] - q0
+        dxs[k], dys[k] = g0 - b[j0] * exp(xs[k]), ky0  # the later stages may read these slopes
+        qm, kym = forcing(j0 + 1, xs, ys, dxs, dys)
+        qe, kye = forcing(j0 + 2, xs, ys, dxs, dys)
+        gm, ge = a1[j0 + 1] - qm, a1[j0 + 2] - qe
+        p = h6 * (g0 + 4.0 * gm + ge)
+        p_half = h / 24.0 * (5.0 * g0 + 8.0 * gm - ge)
+        f_ep = h6 * (b[j0] + 4.0 * exp(p_half) * b[j0 + 1] + exp(p) * b[j0 + 2])  # f e^P
+        xs[k + 1] = xs[k] + p - math.log1p(f_ep * exp(xs[k]))
+        ys[k + 1] = ys[k] + h6 * (ky0 + 2.0 * (kym + kym) + kye)
+        q0, ky0 = qe, kye
+    dxs[n], dys[n] = a1[2 * n] - q0 - b[2 * n] * exp(xs[n]), ky0
     return np.array(xs), np.array(ys), np.array(dxs), np.array(dys)
 
 

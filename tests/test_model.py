@@ -79,6 +79,21 @@ def test_validate_reports_a_nonpositive_constant_at_t0(text, value):
     assert report.bounds["c1"] == BoundsEstimate(abs(value), abs(value), 10.0, 1001)
 
 
+@pytest.mark.parametrize("a1", ["1 + 0*t", "1 + 1e-300*sin(t)"])
+def test_a_flat_coefficient_scans_in_one_block_of_memory(a1):
+    """A coefficient that is flat but not folded ties at every sample, and
+    keeps none of them as candidates (2e6 samples of it once traced 113 MB)."""
+    spec = ModelSpec.from_strings(preset_config("example1")["model"] | {"a1": a1})
+    tracemalloc.start()
+    try:
+        report = validate_model(spec, horizon=1000.0, samples=2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.bounds["a1"] == BoundsEstimate(1.0, 1.0, 1000.0, 2_000_000)
+    assert peak <= 6e6, f"peak {peak / 1e6:.1f} MB"
+
+
 @pytest.mark.parametrize("a1", [None, "sqrt(900 - t)"])
 def test_validate_scans_in_one_block_of_memory(a1):
     """At 2e6 samples the scan holds one block, not the 16 MB grid, whether
