@@ -276,7 +276,7 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
                 while k0 < s1:
                     if k0 == 0 or reach[k0 - s0] > start:  # step k0 reads past the window's first knot
                         # a new window: its first knot, and its prey sums S, log W and log W- (see below)
-                        start, s_sum, log_a, log_n = k0, np.zeros((1, m)), -kn[0, 0, k0][None], None
+                        start, s_run, log_a, log_n = k0, np.zeros((1, m)), -kn[0, 0, k0][None], None
                     k_next = s0 + int(np.searchsorted(reach, start, side="right"))
                     q, ky = forcing(2 * k0 + 1, 2 * k_next)
                     sl = slice(2 * k0 + 1 - lo, 2 * k_next + 1 - lo)
@@ -291,8 +291,7 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
                     p = h6 * (g0 + 4.0 * gm + ge)
                     p2 = h / 24.0 * (5.0 * ge + 8.0 * gm - g0)
                     f = h6 * (np.exp(-p) * bw[:-1:2] + 4.0 * np.exp(-p2) * bw[1::2] + bw[2::2])
-                    s_run = np.cumsum(np.concatenate([s_sum, p]), axis=0)[1:]
-                    s_sum = s_run[-1:]
+                    s_run = np.cumsum(np.concatenate([s_run[-1:], p]), axis=0)[1:]
                     if log_n is None and (f < 0.0).any():
                         log_n = np.full((1, m), -math.inf)
                     f_pos = f if log_n is None else np.maximum(f, 0.0)
@@ -336,6 +335,7 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
         delayed = tgrid - evaluate_array(expr, tgrid)
         log_hist(comp, delayed[delayed < t0] - t0)
     raise failure
+
 
 def integrate_batch(spec: ModelSpec, histories, t0: float, t_end: float, h: float) -> Trajectory:
     """Integrate many runs of one model on a shared grid, in one kernel call.

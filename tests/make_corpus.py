@@ -67,8 +67,8 @@ def draw_case(rng, index: int) -> dict:
         "c1": _f(rng, 0.1, 1.0), "c2": _f(rng, 0.1, 1.0), "k1": _f(rng, 0.5, 2.0), "k2": _varying(rng, 0.5, 2.0, 0.4),
     }
     d_min = max(h, 0.1)
-    delays = [_f(rng, d_min, 1.0) if rng.random() < 0.6 else f"{_f(rng, d_min + 0.1, 1.0)} + 0.1*sin({_f(rng, 0.5, 3.0)}*t)"
-              for _ in range(4)]
+    delays = [_f(rng, d_min, 1.0) if rng.random() < 0.6
+              else f"{_f(rng, d_min + 0.1, 1.0)} + 0.1*sin({_f(rng, 0.5, 3.0)}*t)" for _ in range(4)]
     if rng.random() < 0.4:  # shared delays, as in the presets
         delays = [delays[0], delays[0], delays[2], delays[2]]
     model |= dict(zip(("sigma1", "sigma2", "tau1", "tau2"), delays))

@@ -413,7 +413,8 @@ def test_a_prey_step_past_the_stiffness_bound_is_refused():
 def test_stiffness_is_checked_step_by_step():
     """a1 = 200 + 100 t first integrates past 2.79 over the step from t = 0.79,
     to 2.795 (the step from t = 0.78 gives 2.785)."""
-    with pytest.raises(IntegrationError, match=r"^prey too stiff for step h=0\.01 at t=0\.79: a1 - q integrates to 2\.795"):
+    with pytest.raises(IntegrationError,
+                       match=r"^prey too stiff for step h=0\.01 at t=0\.79: a1 - q integrates to 2\.795"):
         integrate(logistic_spec(a1="200 + 100*t"), InitialHistory(0.5, 0.5), 0.0, 5.0, 0.01)
 
 
