@@ -32,7 +32,7 @@ from .stability import estimate_liminf, run_attractivity, small_denominator
 
 __all__ = ["RunConfig", "load_config", "run_preset", "run_config", "run_pipeline", "main"]
 
-# most grid intervals a run may ask for: (t_end - t0) / h and fp_t_hi / fp_step; also caps sample counts
+# most grid intervals a run may ask for: (t_end - t0) / h and the fp_t_hi ratios; also caps sample counts
 _MAX_STEPS = 10**7
 # rows formatted per write by _write_csv: bounds the text and values held at once
 _CSV_BLOCK_ROWS = 1 << 16
@@ -89,8 +89,8 @@ class RunConfig:
     model: dict[str, str]
     history: dict
     run: dict
-    analyses: dict = field(default_factory=lambda: _check_section({}, "/analyses", _SCHEMA["analyses"]))
-    options: dict = field(default_factory=lambda: _check_section({}, "/options", _SCHEMA["options"]))
+    analyses: dict
+    options: dict
     table_bounds: dict | None = None
     paper_values: dict | None = None
     output_dir: str | None = None
@@ -181,17 +181,16 @@ def load_config(data: dict) -> RunConfig:
         count = span / step  # whole to 1e-9 relative, as apply_upsilon tests the quadrature step
         if not (0.5 < count <= _MAX_STEPS and abs(round(count) * step - span) <= 1e-9 * span):
             raise ConfigError(f"/options/{inner}", f"{inner} must divide {outer} into 1 .. {_MAX_STEPS} whole steps")
+    if options["fp_t_hi"] / options["fp_quad_step"] > _MAX_STEPS:  # apply_upsilon holds f on every node
+        raise ConfigError("/options/fp_quad_step", f"fp_t_hi / fp_quad_step must be at most {_MAX_STEPS} steps")
+    # a step past 4 ulps of its times keeps the fixed-point grid t0 + k fp_step increasing after rounding
+    spacing = 4.0 * math.ulp(max(abs(t0), abs(t0 + options["fp_t_hi"])))
+    if sections["analyses"]["fixed_point"] and not options["fp_step"] > spacing:
+        raise ConfigError("/options/fp_step", f"must exceed {spacing:.6g} for distinct grid times from t0 = {t0:.6g}")
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("/output_dir", "expected a string path")
     return RunConfig(**sections, output_dir=output_dir, raw=data)
-
-
-def _make_history(config: RunConfig) -> InitialHistory:
-    def conv(v):
-        return parse_expression(v) if isinstance(v, str) else float(v)
-
-    return InitialHistory(conv(config.history["phi1"]), conv(config.history["phi2"]))
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
@@ -205,6 +204,17 @@ def _write_csv(path: Path, header: str, columns) -> None:
         for lo in range(0, len(table), _CSV_BLOCK_ROWS):
             block = table[lo:lo + _CSV_BLOCK_ROWS]
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
+def _stage(path: str, stage, *args, **kwargs):
+    """Run stage(*args, **kwargs); a ValidationError it raises becomes a
+    ConfigError naming the field at path, and a ConfigError passes through."""
+    try:
+        return stage(*args, **kwargs)
+    except ConfigError:
+        raise
+    except ValidationError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True,
@@ -222,11 +232,9 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
     if not vrep.ok:
         sym, t_bad, value = vrep.failures[0]
         raise ConfigError(f"/model/{sym}", f"coefficient {sym} is {value:.6g} <= 0 at t={t_bad:.6g}")
-    history = _make_history(config)
-    try:
-        history.validate(vrep.max_lag_r)
-    except ValidationError as exc:
-        raise ConfigError("/history", str(exc)) from exc
+    history = InitialHistory(*(parse_expression(v) if isinstance(v, str) else float(v)
+                               for v in (config.history["phi1"], config.history["phi2"])))
+    _stage("/history", history.validate, vrep.max_lag_r)
 
     t0, t_end, h, t_settle = (config.run[k] for k in ("t0", "t_end", "h", "t_settle"))
     report: dict = {
@@ -246,12 +254,9 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         },
     }
 
-    pb_est = compute_permanence_bounds_from_values(CoefficientBounds.from_validation(vrep.bounds))
-    try:
-        pb_table = (compute_permanence_bounds_from_values(CoefficientBounds.from_table(config.table_bounds))
-                    if config.table_bounds else None)
-    except ValidationError as exc:
-        raise ConfigError("/table_bounds", str(exc)) from exc
+    pb_est = _stage("/model", compute_permanence_bounds_from_values, CoefficientBounds.from_validation(vrep.bounds))
+    pb_table = (_stage("/table_bounds", compute_permanence_bounds_from_values,
+                       CoefficientBounds.from_table(config.table_bounds)) if config.table_bounds else None)
     pb_active = pb_table if pb_table is not None else pb_est
 
     # the main history, the attractivity partner and the random histories
@@ -270,10 +275,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         random_cols = [first, *range(len(histories), len(histories) + random_histories)]
         rng = np.random.default_rng(seed)
         histories += [InitialHistory(u0, v0) for u0, v0 in rng.uniform(0.05, 2.0, size=(random_histories, 2)).tolist()]
-    try:
-        runs = integrate_batch(spec, histories, t0, t_end, h)
-    except ValidationError as exc:
-        raise ConfigError("/run/h", str(exc)) from exc
+    runs = _stage("/run/h", integrate_batch, spec, histories, t0, t_end, h)
     traj = runs.column(0)
     stride = opt["csv_stride"]
     # name -> (header, columns): each becomes <name>.csv once every stage has run
@@ -289,7 +291,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         }
 
     if analyses["bounds"]:
-        verification = verify_permanence(traj, pb_active, t_settle, t_end, slack=float(opt["slack"]))
+        verification = _stage("/run/t_settle", verify_permanence, traj, pb_active, t_settle, t_end, float(opt["slack"]))
         report["permanence"] = {
             "active_source": "table" if pb_table is not None else "estimates",
             "from_estimates": asdict(pb_est),
@@ -313,11 +315,9 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
             att = run_attractivity(traj, runs.column(1), threshold=float(opt["attractivity_threshold"]))
             series["attractivity"] = ("t,distance", (att.times[::stride], att.distances[::stride]))
         t_grid = np.linspace(0.0, float(opt["liminf_t_max"]), opt["liminf_points"])
-        try:
-            est = estimate_liminf(spec, pb_active, t_grid, opt["beta_denominator"])
-        except ValidationError as exc:  # the active box's m1 + k^i is too small
-            sym = small_denominator(pb_active.inputs_used, pb_active)
-            raise ConfigError(f"/table_bounds/{sym}_inf" if pb_table is not None else f"/model/{sym}", str(exc)) from exc
+        sym = small_denominator(pb_active.inputs_used, pb_active)  # the k whose m1 + k^i is too small, if any
+        est = _stage(f"/table_bounds/{sym}_inf" if pb_table is not None else f"/model/{sym}",
+                     estimate_liminf, spec, pb_active, t_grid, opt["beta_denominator"])
         sample_stride = max(1, len(est.alpha_samples) // 25)
         stability_section = {
             "beta_denominator": opt["beta_denominator"],
@@ -365,10 +365,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         }
 
     if analyses["pap"]:
-        try:
-            pr = solution_window_report(traj, t_settle, t_end)
-        except ValidationError as exc:
-            raise ConfigError("/run/t_settle", str(exc)) from exc
+        pr = _stage("/run/t_settle", solution_window_report, traj, t_settle, t_end)
         report["pap"] = {
             "window": list(pr.window),
             "trend_verdict": pr.trend_verdict,
@@ -404,7 +401,8 @@ def _build_discrepancies(paper_values: dict, pb_table, pb_est, stability_section
             computed, alt = stability_section["beta_liminf"], stability_section["beta_liminf_alt"]
         rel = abs(published - computed) / max(abs(published), 1e-12)
         entries.append({"quantity": quantity, "paper_value": published, "computed_value": computed,
-                        "relative_gap": rel, "flag": "major" if rel > 0.05 else "minor" if rel > 0.005 else "ok"})
+                        "relative_gap": rel if math.isfinite(rel) else None,
+                        "flag": "major" if rel > 0.05 else "minor" if rel > 0.005 else "ok"})
         if alt is not None:
             entries[-1]["computed_alt"] = alt
     return entries

@@ -57,10 +57,10 @@ __all__ = [
 
 class _NaturalSpline:
     """Natural cubic spline through (x, y), with the operations of scipy's
-    CubicSpline(x, y, bc_type="natural") and PPoly evaluation in their order;
-    every point from x_end on takes the one value at x_end."""
+    CubicSpline(x, y, bc_type="natural") and PPoly evaluation in their order,
+    extrapolating its end cubics beyond [x[0], x[-1]]."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, x_end: float):
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         if not np.isfinite(y).all():
             raise ValueError("spline values must be finite")
         dx = np.diff(x)
@@ -84,16 +84,8 @@ class _NaturalSpline:
         # CubicHermiteSpline's coefficients; PPoly's sum starts from 0.0, which turns a -0.0 value into 0.0
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x, self.c0, self.c1, self.c2, self.c3 = x, t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1] + 0.0
-        self.x_end, self.end = x_end, self._eval(np.array([x_end]))[0]
 
-    def __call__(self, xv) -> np.ndarray:
-        xv = np.asarray(xv, dtype=float)
-        out = np.full(xv.shape, self.end)
-        below = ~(xv >= self.x_end)  # NaN counts as below and evaluates to NaN
-        out[below] = self._eval(xv[below])
-        return out
-
-    def _eval(self, xv: np.ndarray) -> np.ndarray:
+    def __call__(self, xv: np.ndarray) -> np.ndarray:
         i = np.searchsorted(self.x[1:-1], xv, side="right")  # PPoly's interval, clamped to 0 .. n-2
         s = xv - self.x[i]
         s2 = s * s
@@ -142,11 +134,11 @@ class GridFunctionPair:
 
     @cached_property
     def _phi_spline(self):
-        return _NaturalSpline(self.grid(), self.phi, self.t_hi)
+        return _NaturalSpline(self.grid(), self.phi)
 
     @cached_property
     def _psi_spline(self):
-        return _NaturalSpline(self.grid(), self.psi, self.t_hi)
+        return _NaturalSpline(self.grid(), self.psi)
 
     def phi_at(self, s) -> np.ndarray:
         return self._phi_spline(np.clip(s, self.t_lo, self.t_hi))
@@ -242,8 +234,9 @@ def apply_upsilon(
     q = pair.step / p
     npts = len(pair.phi)
     K0 = (npts - 1) * p  # the last grid point's node
-    if coeff_bounds.a1_inf <= 0.0 or coeff_bounds.a2_inf <= 0.0:
-        raise QuadratureError("kernel decay rates a1^i, a2^i must be positive")
+    lo, hi = sorted((coeff_bounds.a1_inf, coeff_bounds.a2_inf))
+    if not (lo > 0.0 and 0.0 < lo * tail_tol and hi * tail_tol < math.inf):  # tail_tol > 0 follows
+        raise QuadratureError("kernel decay rates a1^i, a2^i and a^i tail_tol must be positive and finite")
 
     outputs = []
     for j, aj_inf, aj_expr in ((1, coeff_bounds.a1_inf, spec.a1), (2, coeff_bounds.a2_inf, spec.a2)):
@@ -340,7 +333,9 @@ def iterate_fixed_point(
             status = "converged"
             break
     try:
-        residual = dde_residual(spec, pair)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = dde_residual(spec, pair)
+        residual = residual if math.isfinite(residual) else None  # report.json holds no Infinity or NaN
     except (NumericalError, OverflowError, FloatingPointError):
         residual = None
     return FixedPointResult(pair=pair, iterations=iterations, final_delta=delta, residual=residual,

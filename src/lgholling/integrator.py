@@ -111,12 +111,13 @@ class Trajectory:
         return Trajectory(self.t0, self.t_end, self.h, self.t, x, y, dx, dy, (self.histories[i],), self.r)
 
     def window(self, t_lo: float, t_hi: float) -> np.ndarray:
-        """Mask of the knots in [t_lo, t_hi]; ValidationError for a batch,
-        and naming the window unless it lies on the run and holds a knot."""
+        """Mask of the knots in [t_lo, t_hi], up to the last knot when t_hi is within half a step of it;
+        ValidationError for a batch, and naming the window unless it lies on the run and holds a knot."""
         if self.x.ndim != 1:
             raise ValidationError("a window reads one run; take a batch's run with column(i)")
-        mask = (self.t >= t_lo) & (self.t <= t_hi)
-        # half a step of slop: the last knot t0 + n h may fall an ulp short of the t_end the run was asked for
+        # half a step of slop: the last knot t0 + n h may fall an ulp either side of the t_end asked for
+        reach = max(t_hi, self.t_end) if t_hi >= self.t_end - 0.5 * self.h else t_hi
+        mask = (self.t >= t_lo) & (self.t <= reach)
         if not (self.t0 <= t_lo < t_hi <= self.t_end + 0.5 * self.h and mask.any()):
             raise ValidationError(f"window [{t_lo}, {t_hi}] is empty or off the run [{self.t0}, {self.t_end}]")
         return mask

@@ -87,9 +87,10 @@ def check_c0(bounds_in: CoefficientBounds, M2: float) -> bool:
 
 
 def compute_permanence_bounds_from_values(cb: CoefficientBounds) -> PermanenceBounds:
-    """Evaluate the bound formulas from explicit sup/inf values."""
-    if cb.b_inf <= 0.0 or cb.c2_inf <= 0.0 or cb.b_sup <= 0.0 or cb.k1_inf <= 0.0 or cb.c2_sup <= 0.0:
-        raise ValidationError("permanence formulas need positive b^i, b^s, c2^i, c2^s, k1^i")
+    """Evaluate the bound formulas from explicit sup/inf values; ValidationError
+    for a denominator that is not positive, OverflowError for a bound that is not finite."""
+    if cb.b_inf <= 0.0 or cb.c2_inf <= 0.0 or cb.k1_inf <= 0.0 or cb.c2_sup <= 0.0 or not cb.b_sup * cb.k1_inf > 0.0:
+        raise ValidationError("permanence formulas need positive b^i, c2^i, c2^s, k1^i and b^s k1^i")
     M1 = cb.a1_sup / cb.b_inf
     M2 = cb.a2_sup * (M1 + cb.k2_sup) * math.exp(cb.a2_sup * cb.tau2_sup) / cb.c2_inf
     c0 = check_c0(cb, M2)
@@ -100,6 +101,8 @@ def compute_permanence_bounds_from_values(cb: CoefficientBounds) -> PermanenceBo
     # negative exponent: extreme parameters underflow toward 0 instead of
     # overflowing the denominator
     m2 = cb.a2_inf * (m1 + cb.k2_inf) / cb.c2_sup * math.exp(-cb.c2_sup * M2 * cb.tau2_sup / denom)
+    if not all(map(math.isfinite, (M1, M2, m1, m2))):
+        raise OverflowError(f"permanence box not finite: M1={M1}, M2={M2}, m1={m1}, m2={m2}")
     return PermanenceBounds(M1=M1, M2=M2, m1=m1, m2=m2, c0_holds=c0, inputs_used=cb)
 
 

@@ -129,8 +129,8 @@ def alpha_beta_from_gaps(cb: CoefficientBounds, pb: PermanenceBounds, gaps: tupl
 
     gaps = (g_zeta1, g_zeta2, g_sigma1, g_sigma2): lag inverse gaps of
     tau1, tau2, sigma1, sigma2 at the evaluation time, as floats or as
-    arrays over many times (the formulas work elementwise).  Raises
-    ValidationError when small_denominator names k1 or k2.
+    arrays over many times (the formulas work elementwise).  ValidationError
+    when small_denominator names k1 or k2, OverflowError for a non-finite value.
     """
     if sym := small_denominator(cb, pb):
         raise ValidationError(f"m1 + {sym}^i = {pb.m1 + getattr(cb, f'{sym}_inf'):.6g} is too small: its 4th power underflows")
@@ -168,6 +168,8 @@ def alpha_beta_from_gaps(cb: CoefficientBounds, pb: PermanenceBounds, gaps: tupl
         - (c2s * cb.a2_sup / K2 + 2.0 * c2s**2 * M2 / K2**2) * g_z2
         - (c2s * M1 * M2 / (K2**2 * K1) + c2s * c1s * M1 * M2**2 / (K2**2 * K1**2)) * g_s2
     )
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise OverflowError(f"alpha or beta not finite for the box M1={M1}, M2={M2}, m1={m1}")
     return alpha, beta
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,31 @@ def test_whole_file_error_prints_message_alone(tmp_path, capsys, content, messag
         cfg.write_text(content, encoding="utf-8")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"validation error: {message}")
+
+
+def test_fixed_point_quadrature_nodes_are_capped():
+    """fp_quad_step divides fp_step, but fp_t_hi / fp_quad_step nodes past
+    the step cap are refused before any run builds them."""
+    data = small_config()
+    data["options"].update(fp_t_hi=30.0, fp_step=0.1, fp_quad_step=1e-8)  # 3e9 nodes
+    with pytest.raises(ConfigError, match=r"^/options/fp_quad_step: fp_t_hi / fp_quad_step must be at most 10000000"):
+        load_config(data)
+    data["options"].update(fp_quad_step=5e-6)  # 6e6 nodes
+    assert load_config(data).options["fp_quad_step"] == 5e-6
+
+
+@pytest.mark.parametrize("fixed_point", [True, False])
+def test_fixed_point_grid_times_must_be_distinct(fixed_point):
+    """At t0 = 1e15 the float spacing is 0.125, so fp_step 0.1 would repeat
+    grid times: refused when the fixed-point analysis runs, and only then."""
+    data = small_config()
+    data["run"] = {"t0": 1e15, "t_end": 1e15 + 50, "h": 0.125}
+    data["analyses"]["fixed_point"] = fixed_point
+    if fixed_point:
+        with pytest.raises(ConfigError, match="^/options/fp_step: must exceed 0.5 "):
+            load_config(data)
+        data["options"]["fp_step"] = 0.75
+    assert load_config(data).run["t0"] == 1e15
 
 
 def test_sample_counts_are_capped():
@@ -539,8 +565,12 @@ def test_mutated_preset_config_exits_cleanly(tmp_path, name, path, value, flags)
 
 # a value at or past some boundary of every field kind: edges of the float
 # range, an int past it, wrong types, and expressions that fail on [0, 4]
-_BOUNDARY_VALUES = [0, -1, 1e-300, 1e300, 10**400, None, True, "x", [], {}, [0.5, "x"],
+_BOUNDARY_VALUES = [0, -1, 5e-324, 1e-300, 1e300, 1.7e308, 10**400, None, True, "x", [], {}, [0.5, "x"],
                     "1/t", "sqrt(t-1)", "exp(t*1000)"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"report.json holds {name}")
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
@@ -549,11 +579,14 @@ _BOUNDARY_VALUES = [0, -1, 1e-300, 1e300, 10**400, None, True, "x", [], {}, [0.5
        value=st.sampled_from(_BOUNDARY_VALUES))
 def test_schema_field_at_a_boundary_keeps_the_exit_contract(field, value):
     """Any _SCHEMA field of the shortened example2 set to a boundary value:
-    exit 0, 2 or 3 without a traceback, no file after 2 or 3, and an exit 2
-    names a path in the field's section."""
+    exit 0, 2 or 3 without a traceback, no file after 2 or 3, a report.json
+    after 0 that is JSON without NaN or Infinity, and an exit 2 names a path
+    in the field's section."""
     with tempfile.TemporaryDirectory() as tmp:
         code, err = run_mutated(Path(tmp), "example2", field, value, [])
         written = list((Path(tmp) / "out").rglob("*"))
+        if code == 0:
+            json.loads((Path(tmp) / "out" / "report.json").read_text(encoding="utf-8"), parse_constant=_refuse_constant)
     assert code in (0, 2, 3)
     assert "Traceback" not in err
     assert code == 0 or not written
@@ -587,11 +620,24 @@ def test_schema_field_at_a_boundary_keeps_the_exit_contract(field, value):
     (("options", "fp_quad_step"), 0.03, [], 2, "/options/fp_quad_step"),  # does not divide fp_step 0.1
     (("options", "fp_step"), 0.07, [], 2, "/options/fp_step"),  # does not divide fp_t_hi 2.0
     (("table_bounds", "k1_inf"), 1e-300, [], 2, "/table_bounds/k1_inf"),  # (m1 + k1^i)**2 underflows to 0
+    # the last knot 0.30000000000000004 lies past t_end: the window [0.29, 0.3] holds it alone
+    (("run",), dict(t0=0.0, t_end=0.3, h=0.1, t_settle=0.29), [], 2, "/run/t_settle: window [0.29, 0.3] holds 1 knot"),
+    # the last knot 0.999999999999 falls short of t_end by more than an ulp, and t_settle lies past it
+    (("run",), dict(t0=0.0, t_end=1.0, h=0.0999999999999, t_settle=0.9999999999995), [], 2,
+     "/run/t_settle: window [0.9999999999995, 1.0] is empty"),
+    (("table_bounds",), dict(preset_config("example2")["table_bounds"], b_sup=5e-324, k1_inf=0.5), [], 2,
+     "/table_bounds: permanence formulas need positive"),  # b^s k1^i underflows to 0
+    (("table_bounds", "a2_inf"), 1.7e308, [], 3, "overflow: permanence box not finite"),  # m2 = inf
+    (("table_bounds", "a1_inf"), 5e-324, [], 3, "a^i tail_tol must be positive and finite"),  # Υ's decay rate
+    # fp_step 0.1 is below the float spacing 0.125 at t0 = 1e15: the fixed-point grid times would repeat
+    (("run",), dict(t0=1e15, t_end=1e15 + 50, h=0.125), [], 2, "/options/fp_step: must exceed 0.5"),
 ], ids=["negative-c1", "phi1-zero-at-0", "phi1-huge-int", "t_end-huge", "fp_step-huge", "b_inf-zero",
         "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object", "t_settle-one-knot",
         "h-not-dividing", "exponent-infinite", "unary-minus-3000", "sum-5000", "t-sum-5000", "parens-400", "text-80k",
         "a2_inf-zero", "a2_inf-negative", "a1_inf-negative", "tau2_sup-negative", "fp_quad_step-not-dividing",
-        "fp_step-not-dividing", "k1_inf-tiny"])
+        "fp_step-not-dividing", "k1_inf-tiny", "t_settle-last-knot-past-t_end",
+        "t_settle-past-the-last-knot", "b_sup-k1_inf-underflow",
+        "a2_inf-max", "a1_inf-denormal", "t0-1e15"])
 def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
     """Mutations that once ended in a traceback or in an error naming no
     field.  A failed run writes no file, whichever stage it stops in."""
@@ -599,6 +645,17 @@ def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
     assert (got, "Traceback" in err) == (code, False)
     assert named in err
     assert not list((tmp_path / "out").rglob("*"))
+
+
+def test_bounds_reads_the_last_knot_past_t_end(tmp_path):
+    """3 * 0.1 rounds past t_end = 0.3: bounds checks the window [0.29, 0.3]
+    on that one knot and exits 0, where pap-check refuses it (above)."""
+    data = short_preset("example2")
+    data["run"] = dict(t0=0.0, t_end=0.3, h=0.1, t_settle=0.29)
+    cfg = write_config(tmp_path / "last.json", data)
+    assert main(["bounds", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    observed = load_report(tmp_path / "out")["permanence"]["verification"]["observed"]
+    assert observed["u_min"] == observed["u_max"] and observed["v_min"] == observed["v_max"]
 
 
 @pytest.mark.parametrize("value", [
@@ -626,6 +683,22 @@ def test_tiny_model_k1_fails_only_in_the_active_box(tmp_path, table, code, named
         got = main(["run", str(cfg), "--out", str(tmp_path / "out")])
     assert (got, err.getvalue().startswith(named)) == (code, True)
     assert bool(list((tmp_path / "out").rglob("*"))) == table
+
+
+@pytest.mark.parametrize("key, value, leaf", [
+    ("c2_inf", 1.7e308, lambda r: [d["relative_gap"] for d in r["discrepancies"] if d["quantity"] == "beta_inf"][0]),
+    ("a2_inf", 1e150, lambda r: r["fixed_point"]["residual"]),
+], ids=["beta-gap-overflows", "residual-overflows"])
+def test_a_value_that_overflows_is_reported_as_null(tmp_path, key, value, leaf):
+    """Extreme table bounds make beta's relative gap to its published value,
+    or the Picard residual, overflow: the report holds null there, and stays
+    JSON without Infinity, with no warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = run_mutated(tmp_path, "example2", ("table_bounds", key), value, [])
+    assert (code, err) == (0, "")
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+    assert leaf(report) is None
 
 
 def test_t_end_override_keeps_t_settle_after_t0(tmp_path):

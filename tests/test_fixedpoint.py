@@ -132,6 +132,17 @@ def test_apply_upsilon_tail_truncation_stability(unit_spec, unit_coeff_bounds):
     assert change < 2.0 * tail_tol
 
 
+@pytest.mark.parametrize("a1_inf, tail_tol", [(0.0, 1e-6), (-1.0, -1e-6), (5e-324, 1e-6), (4.0, 1.7e308)],
+                         ids=["zero", "both-negative", "product-underflows", "product-overflows"])
+def test_apply_upsilon_refuses_a_decay_rate_it_cannot_use(unit_spec, a1_inf, tail_tol):
+    """Lambda = ln(sup f / (a^i tail_tol)) needs a^i tail_tol positive and
+    finite: anything else is a QuadratureError, not a ZeroDivisionError or a
+    math domain error."""
+    bounds = CoefficientBounds.from_table({f: 1.0 for f in CoefficientBounds.__dataclass_fields__} | {"a1_inf": a1_inf})
+    with pytest.raises(QuadratureError, match="must be positive and finite"):
+        apply_upsilon(unit_spec, unit_pair(1.0, 1.0), quad_step=0.05, tail_tol=tail_tol, coeff_bounds=bounds)
+
+
 def test_apply_upsilon_quad_step_must_divide(unit_spec, unit_coeff_bounds):
     with pytest.raises(QuadratureError):
         apply_upsilon(unit_spec, unit_pair(1.0, 1.0), quad_step=0.07, tail_tol=1e-6,

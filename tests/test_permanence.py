@@ -164,6 +164,29 @@ def test_verify_permanence_accepts_the_run_window_when_the_last_knot_falls_short
     assert verify_permanence(traj, pb, t_settle=0.3, t_end=0.45).t_end == 0.45
 
 
+def test_window_keeps_the_last_knot_past_t_end(unit_spec):
+    """0 + 3 * 0.1 rounds to 0.30000000000000004, past the t_end of 0.3
+    the run was asked for: a window ending within half a step of the last
+    knot reads it, and one ending earlier does not."""
+    traj = integrate(unit_spec, InitialHistory(0.5, 0.5), 0.0, 0.3, 0.1)
+    assert traj.t[-1] > 0.3
+    assert traj.window(0.29, 0.3).tolist() == [False, False, False, True]
+    assert traj.window(0.0, 0.26).tolist() == [True, True, True, True]
+    assert traj.window(0.0, 0.24).tolist() == [True, True, True, False]
+    pb = compute_permanence_bounds_from_values(table_bounds("example2"))
+    res = verify_permanence(traj, pb, t_settle=0.29, t_end=0.3)
+    assert (res.u_min, res.v_max) == (traj.u[-1], traj.v[-1])
+
+
+def test_permanence_box_refuses_what_it_cannot_compute():
+    """A b^s k1^i that underflows to 0 is a zero denominator; an a2^i that
+    makes m2 overflow is a box that is not finite."""
+    with pytest.raises(ValidationError, match="b\\^s k1\\^i"):
+        compute_permanence_bounds_from_values(dataclasses.replace(table_bounds("example2"), b_sup=5e-324, k1_inf=0.5))
+    with pytest.raises(OverflowError, match="m2=inf"):
+        compute_permanence_bounds_from_values(dataclasses.replace(table_bounds("example2"), a2_inf=1.7e308))
+
+
 def test_verify_permanence_requires_window():
     spec = ModelSpec.from_strings({s: "1" for s in ("a1", "a2", "b", "c1", "c2", "k1", "k2")}
                                   | {s: "0.5" for s in ("tau1", "tau2", "sigma1", "sigma2")})

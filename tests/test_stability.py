@@ -140,6 +140,15 @@ def test_alpha_beta_without_interaction_terms():
     assert beta == 0.0
 
 
+def test_alpha_beta_refuse_a_value_that_is_not_finite():
+    """b^s = 1.7e308 makes alpha's 2 c1 b^s M1 M2 / K1^2 term overflow:
+    an OverflowError, not an alpha of -inf in the report."""
+    cb = dataclasses.replace(table_bounds("example2"), b_sup=1.7e308)
+    pb = compute_permanence_bounds_from_values(cb)
+    with pytest.raises(OverflowError, match="alpha or beta not finite"):
+        alpha_beta_from_gaps(cb, pb, (0.92, 0.92, 0.92, 0.92))
+
+
 def test_alpha_limit_as_interactions_vanish():
     pb = _bounds_with(c1=1e-12, c2=1e-12)
     alpha, _ = alpha_beta_from_gaps(pb.inputs_used, pb, (1.0, 1.0, 1.0, 1.0))
