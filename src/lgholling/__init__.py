@@ -4,9 +4,9 @@ functional response, time-varying coefficients).
 
 Main entry points:
 
-- expression layer: parse_expression, evaluate, estimate_bounds
+- expression layer: parse_expression, evaluate, evaluate_array
 - model: ModelSpec (frozen), InitialHistory, validate_model, delayed_term
-- integration: Trajectory, integrate, integrate_batch, sample_state
+- integration: Trajectory (with its dense output Trajectory.at), integrate, integrate_batch
 - coefficient sup/inf and permanence box: CoefficientBounds, compute_permanence_bounds_from_values,
   verify_permanence(trajectory)
 - attractivity: lag_inverse_gap, estimate_liminf, run_attractivity(two trajectories)
@@ -29,14 +29,13 @@ from .errors import (
 from .expr import (
     BoundsEstimate,
     CoefficientExpr,
-    estimate_bounds,
     evaluate,
     evaluate_array,
     parse_expression,
     serialize,
 )
 from .model import InitialHistory, ModelSpec, ValidationReport, delayed_term, validate_model
-from .integrator import Trajectory, integrate, integrate_batch, sample_state
+from .integrator import Trajectory, integrate, integrate_batch
 from .permanence import (
     CoefficientBounds,
     PermanenceBounds,

@@ -53,7 +53,6 @@ __all__ = [
     "evaluate",
     "evaluate_array",
     "serialize",
-    "estimate_bounds",
 ]
 
 _FUNCTIONS = ("abs", "exp", "sin", "cos", "sqrt")
@@ -456,19 +455,3 @@ def _scan(expr: CoefficientExpr, horizon: float, n: int):
     value, i = bad or least[0]  # with no nonpositive sample, f = |f|
     return BoundsEstimate(inf_value, sup_value, horizon, n), value, float(_grid(np.array([i]), n, horizon)[0])
 
-
-def estimate_bounds(expr: CoefficientExpr, horizon: float = 1000.0, samples: int = 100_000) -> BoundsEstimate:
-    """Estimate inf/sup of |expr| over [0, horizon].
-
-    Uniform grid scan refined by golden-section search around the grid
-    extrema.  Refinement only widens the interval, so finer grids never
-    shrink it: inf is non-increasing and sup non-decreasing in samples.
-    A constant c (every expression free of t folds to one) gets the value
-    the scan would find, inf = sup = |c|, without sampling.
-    """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be > 0")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    est, _, _ = _scan(expr, horizon, samples)
-    return est

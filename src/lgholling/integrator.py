@@ -42,8 +42,11 @@ block is raised only after the replay of a whole-run plan, one whole-grid
 array at a time: each distinct delay in channel order, the step checks on
 their minimum, every coefficient, then the history.
 
-A single integration is sequential; distinct integrations are independent
-and a finished Trajectory is immutable and safe to share.
+Trajectory.at reads a finished run the way the kernel reads its delayed
+values, through the same plan, gather and history read, so at a stage's
+time it gives the value the kernel used.  A single integration is
+sequential; distinct integrations are independent and a finished
+Trajectory is immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -54,14 +57,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
-from .expr import CoefficientExpr, evaluate_array, serialize
+from .expr import evaluate_array, serialize
 from .model import InitialHistory, ModelSpec, delayed_term
 
 __all__ = [
     "Trajectory",
     "integrate",
     "integrate_batch",
-    "sample_state",
 ]
 
 _LOG_LIMIT = 700.0  # beyond this exp overflows
@@ -122,6 +124,22 @@ class Trajectory:
             raise ValidationError(f"window [{t_lo}, {t_hi}] is empty or off the run [{self.t0}, {self.t_end}]")
         return mask
 
+    def at(self, times, column: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Log-state (x, y) of a column at times in [t0 - r, t_end], each shaped like times: the Hermite
+        cubic between knots, exact at knots, and the log-history before t0; IntegrationError outside."""
+        t = np.asarray(times, dtype=float)
+        if not ((t >= self.t0 - self.r - 1e-9) & (t <= self.t_end + 1e-9)).all():
+            raise IntegrationError(f"times outside the trajectory's domain [{self.t0 - self.r}, {self.t_end}]")
+        n = len(self.t) - 1
+        table = np.zeros((4, n + 2, 1))  # the kernel's knot table (see _rk4) of the one column
+        table[:, :n + 1, 0] = [a.reshape(n + 1, -1)[:, column] for a in (self.x, self.dx, self.y, self.dy)]
+        both = np.broadcast_to(np.minimum(t.ravel(), self.t_end), (2, t.size))  # within the slop: the last knot
+        in_history, _, _, taps, weights = _hermite_plan(both, self.t0, self.h, n, np.arange(2))
+        vals = _hermite_sum(table.reshape(-1, 1), taps, weights)
+        for comp, past in enumerate(in_history):
+            vals[comp, past] = _log_history((self.histories[column],), comp, both[comp, past] - self.t0)
+        return vals[0, :, 0].reshape(t.shape), vals[1, :, 0].reshape(t.shape)
+
 
 def _snap_interval(pos):
     """Map fractional grid positions to (interval index, theta in [0, 1]),
@@ -147,24 +165,41 @@ def _hermite_weights(theta, h):
     )
 
 
-def _log_history(phi, thetas: np.ndarray, what: str) -> np.ndarray:
-    """ln phi at the shifted times thetas, -inf where phi is 0."""
-    values = phi(thetas) if isinstance(phi, CoefficientExpr) else np.full(len(thetas), phi, dtype=float)
-    bad = ~(values >= 0.0)
-    if bad.any():
-        raise IntegrationError(f"{what} must be >= 0, got {float(values[bad][0])!r}")
-    with np.errstate(divide="ignore"):
-        return np.log(values)
+def _hermite_plan(times, t0, h, n, comps):
+    """Plan of Hermite reads at times (one row per component in comps) from the knot table of an
+    n-step run (see _rk4): the mask of the times before t0, which read the history instead, the
+    interval index and theta, the taps (table rows) of each read's four terms, and their weights."""
+    in_history = times < t0
+    idx, theta = _snap_interval((times - t0) / h)
+    taps = (np.where(in_history, 0, idx) + 2 * (n + 2) * comps[:, None])[..., None] + np.array([0, n + 2, 1, n + 3])
+    return in_history, idx, theta, taps, np.stack(_hermite_weights(theta, h), axis=-1)[..., None]
 
 
-def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
-    """The kernel on m columns sharing one model and grid: RK4's stage grid,
-    with the Bernoulli step for the prey and RK4's quadrature for the predator.
+def _hermite_sum(table, taps, weights):
+    """The Hermite cubics that a plan's taps and weights read from the flat knot table, per column."""
+    terms = weights * table.take(taps, axis=0)
+    return terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :] + terms[..., 3, :]
 
-    log_hist(component, thetas) gives the log-history of component 0 (u) or
-    1 (v) at the shifted times thetas, as an array of shape (len(thetas), m).
-    Returns the knot arrays (x, y, dx, dy), each of shape (n+1, m), and the
-    history reach r.
+
+def _log_history(histories, comp: int, thetas: np.ndarray) -> np.ndarray:
+    """ln phi1 (comp 0) or ln phi2 (comp 1) of each history at the shifted times thetas, one
+    column each; -inf where phi is 0."""
+    columns = []
+    for hist in histories:
+        values = np.asarray((hist.value1, hist.value2)[comp](thetas), dtype=float)
+        bad = ~(values >= 0.0)
+        if bad.any():
+            raise IntegrationError(f"history phi{comp + 1} must be >= 0, got {float(values[bad][0])!r}")
+        with np.errstate(divide="ignore"):
+            columns.append(np.log(values))
+    return np.array(columns).T
+
+
+def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
+    """The kernel on m columns, one per history, sharing one model and grid:
+    RK4's stage grid, with the Bernoulli step for the prey and RK4's
+    quadrature for the predator.  Returns the knot arrays (x, y, dx, dy),
+    each of shape (n+1, m), and the history reach r.
     """
     for name, value in (("t0", t0), ("t_end", t_end), ("step h", h)):
         if not math.isfinite(value):
@@ -207,16 +242,16 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
         if abs(n * h - span) > 1e-9 * max(1.0, span):  # malformed input, not a numerical failure
             raise ValidationError(f"step h={h!r} does not divide t_end - t0 = {span!r} into whole steps")
 
-    x0 = log_hist(0, np.zeros(1))[0]
-    y0 = log_hist(1, np.zeros(1))[0]
+    x0 = _log_history(histories, 0, np.zeros(1))[0]
+    y0 = _log_history(histories, 1, np.zeros(1))[0]
     m = len(x0)
     # kn[c, 0, i] and kn[c, 1, i] are the value and slope of knot i of component c (0 = x,
-    # 1 = y), so one take of the flat rows reads a Hermite cubic's four terms; knot n+1 pads
+    # 1 = y), so one take of the flat table reads a Hermite cubic's four terms; knot n+1 pads
     # the last read (zeros: a zero-weight term may touch a knot not computed yet, 0.0 * 0.0 = 0.0)
     kn = np.zeros((2, 2, n + 2, m))
     kn[0, 0, 0], kn[1, 0, 0] = x0, y0
-    rows = kn.reshape(-1, m)
-    comp_row = 2 * (n + 2) * np.array([[comp] for comp, _ in distinct])
+    table = kn.reshape(-1, m)
+    comps = np.array([comp for comp, _ in distinct])
     h6 = h / 6.0
 
     # plan one block of stages at a time and step through it
@@ -233,14 +268,11 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
                 a1, b, a2, c1, c2, k1, k2 = (evaluate_array(spec.expr(sym), t)[:, None] for sym in _COEFFS)
 
                 # Hermite plan of the block's stages for every distinct key
-                in_history = delayed < t0
-                idx, theta = _snap_interval((delayed - t0) / h)
-                weights = np.stack(_hermite_weights(theta, h), axis=-1)[..., None]
+                in_history, idx, theta, taps, weights = _hermite_plan(delayed, t0, h, n, comps)
                 # the knot each stage reads last with a nonzero weight (-1: history only)
                 reads = np.where(in_history, -1, idx + (theta > 0.0)).max(axis=0)
-                taps = (np.where(in_history, 0, idx) + comp_row)[..., None] + np.array([0, n + 2, 1, n + 3])
                 hist_stages = [np.flatnonzero(row) for row in in_history]
-                hist_values = [log_hist(comp, row[stages] - t0)
+                hist_values = [_log_history(histories, comp, row[stages] - t0)
                                for (comp, _), stages, row in zip(distinct, hist_stages, delayed)]
                 history = [(u, stages, values) for u, (stages, values) in enumerate(zip(hist_stages, hist_values))
                            if stages.size]
@@ -248,8 +280,7 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
                 def forcing(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
                     """Prey forcing q and predator slope ky at stages first..last, each (last-first+1, m)."""
                     sl = slice(first - lo, last - lo + 1)
-                    terms = weights[:, sl] * rows.take(taps[:, sl], axis=0)
-                    vals = terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2] + terms[:, :, 3]
+                    vals = _hermite_sum(table, taps[:, sl], weights[:, sl])
                     for u, stages, values in history:
                         a, e = np.searchsorted(stages, (sl.start, sl.stop))
                         if a < e:
@@ -334,7 +365,7 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, log_hist):
         evaluate_array(spec.expr(sym), tgrid)
     for (comp, _), expr in zip(distinct, delay_exprs):
         delayed = tgrid - evaluate_array(expr, tgrid)
-        log_hist(comp, delayed[delayed < t0] - t0)
+        _log_history(histories, comp, delayed[delayed < t0] - t0)
     raise failure
 
 
@@ -348,12 +379,7 @@ def integrate_batch(spec: ModelSpec, histories, t0: float, t_end: float, h: floa
     histories = tuple(histories)
     if not histories or any(hist.value1(0.0) <= 0.0 or hist.value2(0.0) <= 0.0 for hist in histories):
         raise IntegrationError("need at least one history, each with phi1(0) > 0 and phi2(0) > 0")
-
-    def log_hist(comp, thetas):
-        return np.array([_log_history((hist.phi1, hist.phi2)[comp], thetas, f"history phi{comp + 1}")
-                         for hist in histories]).T
-
-    x, y, dx, dy, r = _rk4(spec, t0, t_end, h, log_hist)
+    x, y, dx, dy, r = _rk4(spec, t0, t_end, h, histories)
     n = len(x) - 1
     return Trajectory(t0, t0 + n * h, h, t0 + h * np.arange(n + 1), x, y, dx, dy, histories, r)
 
@@ -363,23 +389,3 @@ def integrate(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float,
     inputs (two identical calls give bit-identical knots).  The run is a
     batch of one."""
     return integrate_batch(spec, [history], t0, t_end, h).column(0)
-
-
-def sample_state(traj: Trajectory, t: float) -> tuple[float, float]:
-    """Dense evaluation of a single run: exp of the Hermite-interpolated
-    log-state, exact at knots; initial history for t < t0."""
-    if traj.x.ndim != 1:
-        raise IntegrationError("sample_state reads one run; take a batch's run with column(i)")
-    if t < traj.t0 - traj.r - 1e-9 or t > traj.t_end + 1e-9:
-        raise IntegrationError(f"t={t!r} outside trajectory domain [{traj.t0 - traj.r}, {traj.t_end}]")
-    if t < traj.t0:
-        return traj.histories[0].value1(t - traj.t0), traj.histories[0].value2(t - traj.t0)
-    if traj.t_end == traj.t0:
-        return math.exp(traj.x[0]), math.exp(traj.y[0])
-    n = len(traj.t) - 1
-    idx, theta = _snap_interval((t - traj.t0) / traj.h)
-    idx = min(max(int(idx), 0), n - 1)
-    w00, w10, w01, w11 = _hermite_weights(float(theta), traj.h)
-    x = w00 * traj.x[idx] + w10 * traj.dx[idx] + w01 * traj.x[idx + 1] + w11 * traj.dx[idx + 1]
-    y = w00 * traj.y[idx] + w10 * traj.dy[idx] + w01 * traj.y[idx + 1] + w11 * traj.dy[idx + 1]
-    return math.exp(x), math.exp(y)

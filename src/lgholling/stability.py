@@ -99,7 +99,7 @@ def lag_inverse_gap(delay: CoefficientExpr, t):
         k = np.flatnonzero(active)
         if k.size == 0:
             break
-        mid = 0.5 * (a[k] + b[k])
+        mid = 0.5 * a[k] + 0.5 * b[k]  # (a + b) / 2 would overflow past half the float range
         fm = theta(mid) - tv[k]
         hit = np.abs(fm) <= _LAG_TOL  # close the bracket on mid, so that s = mid below
         lower = (fa[k] <= 0.0) == (fm <= 0.0)
@@ -107,7 +107,7 @@ def lag_inverse_gap(delay: CoefficientExpr, t):
         fa[k] = np.where(lower, fm, fa[k])
         b[k] = np.where(hit | ~lower, mid, b[k])
         active[k] = b[k] - a[k] >= 1e-17 * np.maximum(1.0, np.abs(tv[k]))
-    s = 0.5 * (a + b)
+    s = 0.5 * a + 0.5 * b
     stalled = np.abs(theta(s) - tv) > np.maximum(_LAG_TOL, 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(tv)))
     for i in np.flatnonzero(stalled):
         faults.setdefault(int(i), f"bisection stalled at t={float(tv[i])!r}")

@@ -119,6 +119,25 @@ def example2_constant_pair_u2(phi0: float, psi0: float, t_ref: float) -> float:
     return 3.6 * psi0 * psi0 / (phi0 + 5.7) * trapz(np.exp(-A), q)
 
 
+def hermite_plan(pos: float, h: float):
+    """The scalar Hermite read at the grid position pos (time - t0 over h):
+    (interval index, weight of its left value, left slope, right value,
+    right slope), taking the completed left interval at an exact knot."""
+    idx = math.floor(pos)
+    theta = pos - idx
+    if theta < 1e-9:
+        theta = 0.0
+    elif theta > 1.0 - 1e-9:
+        idx += 1
+        theta = 0.0
+    if theta == 0.0 and idx >= 1:
+        idx -= 1
+        theta = 1.0
+    om = 1.0 - theta
+    return (int(idx), (1.0 + 2.0 * theta) * om * om, h * theta * om * om,
+            theta * theta * (3.0 - 2.0 * theta), h * theta * theta * (theta - 1.0))
+
+
 def _reference_forcing(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float, h: float):
     """The stage grid t0 + j h/2 of the reference oracles: n, a1 and b at the
     stages, and forcing(j, xs, ys, dxs, dys), the prey forcing
@@ -140,20 +159,7 @@ def _reference_forcing(spec: ModelSpec, history: InitialHistory, t0: float, t_en
             if s < t0:
                 plan.append((True, log_hist(value, s - t0)))
                 continue
-            pos = (s - t0) / h
-            idx = math.floor(pos)
-            theta = pos - idx
-            if theta < 1e-9:
-                theta = 0.0
-            elif theta > 1.0 - 1e-9:
-                idx += 1
-                theta = 0.0
-            if theta == 0.0 and idx >= 1:
-                idx -= 1
-                theta = 1.0
-            om = 1.0 - theta
-            plan.append((False, int(idx), (1.0 + 2.0 * theta) * om * om, h * theta * om * om,
-                         theta * theta * (3.0 - 2.0 * theta), h * theta * theta * (theta - 1.0)))
+            plan.append((False, *hermite_plan((s - t0) / h, h)))
         return plan
 
     p_s1 = channel_plan("sigma1", history.value1)

@@ -530,6 +530,11 @@ def config_fields(node, path=()):
         yield from config_fields(value, path + (key,))
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning to the current stderr, as the interpreter does outside pytest."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
 def run_mutated(tmp_path, name, path, value, flags):
     """Run the CLI on short_preset(name) with the field at path set to value
     (or deleted); returns the exit code and standard error."""
@@ -631,18 +636,24 @@ def test_schema_field_at_a_boundary_keeps_the_exit_contract(field, value):
     (("table_bounds", "a1_inf"), 5e-324, [], 3, "a^i tail_tol must be positive and finite"),  # Υ's decay rate
     # fp_step 0.1 is below the float spacing 0.125 at t0 = 1e15: the fixed-point grid times would repeat
     (("run",), dict(t0=1e15, t_end=1e15 + 50, h=0.125), [], 2, "/options/fp_step: must exceed 0.5"),
+    # the lag inverse's bisection brackets reach 1.7e308: their midpoint must not sum past the float range
+    (("options", "liminf_t_max"), 1.7e308, [], 3, "s - delay(s) is not strictly increasing"),
 ], ids=["negative-c1", "phi1-zero-at-0", "phi1-huge-int", "t_end-huge", "fp_step-huge", "b_inf-zero",
         "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object", "t_settle-one-knot",
         "h-not-dividing", "exponent-infinite", "unary-minus-3000", "sum-5000", "t-sum-5000", "parens-400", "text-80k",
         "a2_inf-zero", "a2_inf-negative", "a1_inf-negative", "tau2_sup-negative", "fp_quad_step-not-dividing",
         "fp_step-not-dividing", "k1_inf-tiny", "t_settle-last-knot-past-t_end",
         "t_settle-past-the-last-knot", "b_sup-k1_inf-underflow",
-        "a2_inf-max", "a1_inf-denormal", "t0-1e15"])
+        "a2_inf-max", "a1_inf-denormal", "t0-1e15", "liminf_t_max-max"])
 def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
-    """Mutations that once ended in a traceback or in an error naming no
-    field.  A failed run writes no file, whichever stage it stops in."""
-    got, err = run_mutated(tmp_path, "example2", path, value, flags)
-    assert (got, "Traceback" in err) == (code, False)
+    """Mutations that once ended in a traceback, in an error naming no field
+    or in a raw numpy warning.  A failed run writes no file, whichever stage
+    it stops in."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        got, err = run_mutated(tmp_path, "example2", path, value, flags)
+    assert (got, "Traceback" in err, "RuntimeWarning" in err) == (code, False, False)
     assert named in err
     assert not list((tmp_path / "out").rglob("*"))
 

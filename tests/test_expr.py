@@ -9,7 +9,6 @@ from lgholling import (
     ExprDomainError,
     ExprSyntaxError,
     ModelSpec,
-    estimate_bounds,
     evaluate,
     evaluate_array,
     parse_expression,
@@ -368,31 +367,23 @@ def test_evaluate_is_pure(text, t):
     assert evaluate(e, t) == evaluate(e, t)
 
 
-def test_estimate_bounds_cosine():
-    est = estimate_bounds(parse_expression("2.6+0.5*cos(t)"), horizon=100.0, samples=100_000)
+def test_scan_cosine():
+    est, _, _ = _scan(parse_expression("2.6+0.5*cos(t)"), 100.0, 100_000)
     assert est.inf_value == pytest.approx(2.1, abs=1e-3)
     assert est.sup_value == pytest.approx(3.1, abs=1e-3)
 
 
-def test_estimate_bounds_constant():
+def test_scan_constant():
     for text in ("3.5", "(-3.5)", "7/2"):
-        est = estimate_bounds(parse_expression(text), horizon=10.0, samples=100)
+        est, _, _ = _scan(parse_expression(text), 10.0, 100)
         assert (est.inf_value, est.sup_value, est.horizon, est.samples) == (3.5, 3.5, 10.0, 100)
 
 
-def test_estimate_bounds_rational():
+def test_scan_rational():
     # decreasing from 8.43 at t=0 to the tail limit 32.72/4 = 8.18
-    est = estimate_bounds(parse_expression("(33.72+32.72*t^2)/(4+4*t^2)"), horizon=1e4, samples=100_000)
+    est, _, _ = _scan(parse_expression("(33.72+32.72*t^2)/(4+4*t^2)"), 1e4, 100_000)
     assert est.inf_value == pytest.approx(8.18, abs=1e-2)
     assert est.sup_value == pytest.approx(8.43, abs=1e-2)
-
-
-def test_estimate_bounds_validates_arguments():
-    e = parse_expression("t")
-    with pytest.raises(ValueError):
-        estimate_bounds(e, horizon=0.0, samples=10)
-    with pytest.raises(ValueError):
-        estimate_bounds(e, horizon=1.0, samples=1)
 
 
 @pytest.mark.parametrize("text", EXPR_CORPUS)
@@ -400,27 +391,27 @@ def test_bounds_nest_outward_with_finer_grids(text):
     # nested grids: linspace(0,H,n) points are a subset of linspace(0,H,2n-1)
     e = parse_expression(text)
     n = 501
-    prev = estimate_bounds(e, horizon=20.0, samples=n)
+    prev = _scan(e, 20.0, n)[0]
     for _ in range(3):
         n = 2 * n - 1
-        cur = estimate_bounds(e, horizon=20.0, samples=n)
+        cur = _scan(e, 20.0, n)[0]
         assert cur.inf_value <= prev.inf_value + 1e-12
         assert cur.sup_value >= prev.sup_value - 1e-12
         prev = cur
 
 
 def test_bounds_are_of_absolute_value():
-    est = estimate_bounds(parse_expression("-2 + t"), horizon=4.0, samples=4001)
+    est, _, _ = _scan(parse_expression("-2 + t"), 4.0, 4001)
     assert est.inf_value == pytest.approx(0.0, abs=1e-6)
     assert est.sup_value == pytest.approx(2.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_estimate_bounds_equals_scalar_golden_reference(name):
+def test_scan_equals_scalar_golden_reference(name):
     """The blocked scan, with all candidate cells refined together, gives
     the same sup/inf, raw minimum and its t, bit for bit, as the
     whole-array scan that refines the cells one at a time with scalar
-    evaluations; so do estimate_bounds and validate_model."""
+    evaluations; so does validate_model."""
     config = preset_config(name)
     horizon, samples = config["options"]["bounds_horizon"], config["options"]["bounds_samples"]
     grid = np.linspace(0.0, horizon, samples)
@@ -429,7 +420,6 @@ def test_estimate_bounds_equals_scalar_golden_reference(name):
         e = parse_expression(text)
         want = reference_scan(e, horizon, grid)
         assert _scan(e, horizon, samples) == want, sym
-        assert estimate_bounds(e, horizon=horizon, samples=samples) == want[0], sym
         assert report.bounds[sym] == want[0], sym
 
 

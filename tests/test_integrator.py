@@ -17,10 +17,9 @@ from lgholling import (
     integrate,
     integrate_batch,
     integrator,
-    sample_state,
 )
 from lgholling.presets import preset_config
-from conftest import make_spec, order_check, reference_bernoulli, reference_rk4
+from conftest import hermite_plan, make_spec, order_check, reference_bernoulli, reference_rk4
 
 
 def logistic_spec(**overrides):
@@ -43,7 +42,7 @@ def test_zero_length_run():
     traj = integrate(logistic_spec(), InitialHistory(0.5, 0.25), 0.0, 0.0, 0.01)
     assert traj.t_end == traj.t0
     assert len(traj.t) == 1
-    assert sample_state(traj, 0.0) == (pytest.approx(0.5), pytest.approx(0.25))
+    assert np.exp(traj.at(0.0)) == pytest.approx([0.5, 0.25])
 
 
 def test_example1_positivity(example1_spec):
@@ -52,52 +51,64 @@ def test_example1_positivity(example1_spec):
     assert traj.v.min() > 0.0
 
 
-def test_sample_state_exact_at_knots():
+def test_at_exact_at_knots():
     traj = integrate(logistic_spec(), InitialHistory(0.5, 0.5), 0.0, 5.0, 0.05)
-    for k in (0, 1, 37, 100):
-        u, v = sample_state(traj, float(traj.t[k]))
-        assert u == math.exp(traj.x[k])
-        assert v == math.exp(traj.y[k])
+    ks = [0, 1, 37, 100]
+    x, y = traj.at(traj.t[ks])
+    assert np.array_equal(x, traj.x[ks]) and np.array_equal(y, traj.y[ks])
 
 
-def test_sample_state_history_region():
+def test_at_history_region():
     traj = integrate(logistic_spec(), InitialHistory(0.7, 0.3), 0.0, 2.0, 0.05)
-    u, v = sample_state(traj, -traj.r / 2.0)
-    assert (u, v) == (0.7, 0.3)
+    x, y = traj.at(-traj.r / 2.0)
+    assert (x.shape, float(x), float(y)) == ((), math.log(0.7), math.log(0.3))
 
 
-def test_sample_state_midpoint_accuracy():
+def test_at_midpoint_accuracy():
     traj = integrate(logistic_spec(), InitialHistory(0.5, 0.5), 0.0, 10.0, 0.01)
     t = 5.005  # midpoint between knots
-    u, _ = sample_state(traj, t)
-    assert abs(u - logistic(t)) < 1e-6
+    x, _ = traj.at(t)
+    assert abs(math.exp(x) - logistic(t)) < 1e-6
 
 
-def test_sample_state_domain_errors():
+def test_at_domain_errors():
     traj = integrate(logistic_spec(), InitialHistory(0.5, 0.5), 0.0, 1.0, 0.05)
-    with pytest.raises(IntegrationError):
-        sample_state(traj, 1.5)
-    with pytest.raises(IntegrationError):
-        sample_state(traj, -10.0)
+    for times in (1.5, -10.0, [0.5, 1.5], np.nan):
+        with pytest.raises(IntegrationError, match=re.escape(f"[{traj.t0 - traj.r}, {traj.t_end}]")):
+            traj.at(times)
 
 
-def test_sample_state_refuses_a_batch():
+def test_at_equals_scalar_hermite_reference():
+    """at reads the knots with the scalar Hermite plan of the reference
+    oracles, bit for bit, and the history before t0 exactly, on times that
+    mix history, knots and points between knots; column 1 of a batch reads
+    as the single run from the same history."""
     spec = make_spec("example2")
-    runs = integrate_batch(spec, [InitialHistory(0.5, 0.5), InitialHistory(0.75, 0.75)], 0.0, 5.0, 0.01)
-    for t in (1.0, -0.5):
-        with pytest.raises(IntegrationError, match=r"one run.*column\(i\)"):
-            sample_state(runs, t)
-    assert sample_state(runs.column(1), 1.0) == sample_state(
-        integrate(spec, InitialHistory(0.75, 0.75), 0.0, 5.0, 0.01), 1.0)
+    hist = InitialHistory(parse_expression("0.75 + 0.1*t"), parse_expression("0.75*exp(t)"))
+    traj = integrate(spec, hist, 0.0, 5.0, 0.01)
+    runs = integrate_batch(spec, [InitialHistory(0.5, 0.5), hist], 0.0, 5.0, 0.01)
+    times = np.concatenate([np.linspace(-traj.r, 0.0, 6), traj.t[[1, 250, 499, 500]],
+                            np.random.default_rng(4).uniform(0.0, 5.0, 40), [2.505, 5.0 + 1e-10]])
+    got = traj.at(times)
+    for t, x, y in zip(times, *got):
+        if t < 0.0:
+            want = (math.log(hist.value1(t)), math.log(hist.value2(t)))
+        else:
+            i, w00, w10, w01, w11 = hermite_plan(min(t, traj.t_end) / 0.01, 0.01)  # t_end + 1e-10 reads t_end
+            want = tuple(w00 * v[i] + w10 * dv[i] + w01 * v[i + 1] + w11 * dv[i + 1]
+                         for v, dv in ((traj.x, traj.dx), (traj.y, traj.dy)))
+        assert (x, y) == want, t
+    assert (got[0][-1], got[1][-1]) == (traj.x[-1], traj.y[-1])
+    for a, b in zip(runs.at(times, column=1), got):
+        assert np.array_equal(a, b)
 
 
 def test_history_consistency_on_left_interval():
     hist = InitialHistory(0.8, 0.6)
     traj = integrate(logistic_spec(), hist, 0.0, 1.0, 0.05)
-    for t in np.linspace(-traj.r, 0.0, 7)[:-1]:
-        u, v = sample_state(traj, float(t))
-        assert abs(u - 0.8) <= 1e-12
-        assert abs(v - 0.6) <= 1e-12
+    u, v = np.exp(traj.at(np.linspace(-traj.r, 0.0, 7)[:-1]))
+    assert np.abs(u - 0.8).max() <= 1e-12
+    assert np.abs(v - 0.6).max() <= 1e-12
 
 
 def test_determinism_bit_identical():
@@ -533,7 +544,7 @@ def test_expression_history():
     hist = InitialHistory(parse_expression("0.5 + 0.2*t"), parse_expression("0.3*exp(t)"))
     traj = integrate(spec, hist, 0.0, 2.0, 0.01)
     assert traj.u.min() > 0.0
-    u, v = sample_state(traj, -0.25)
+    u, v = np.exp(traj.at(-0.25))
     assert u == pytest.approx(0.45, abs=1e-12)
     assert v == pytest.approx(0.3 * math.exp(-0.25), abs=1e-12)
 
