@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, ValidationError
+from .errors import ConfigError, ExprDomainError, NumericalError, ValidationError
 from .expr import parse_expression
 from .fixedpoint import GridFunctionPair, iterate_fixed_point
 from .integrator import integrate_batch
@@ -228,7 +228,10 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
 
     opt = config.options
     spec = ModelSpec.from_strings(config.model)
-    vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]), samples=opt["bounds_samples"])
+    try:
+        vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]), samples=opt["bounds_samples"])
+    except ExprDomainError as exc:  # name the coefficient's field, as a validation failure does
+        raise ExprDomainError(f"/model/{exc.symbol}: {exc}", exc.instruction) from exc
     if not vrep.ok:
         sym, t_bad, value = vrep.failures[0]
         raise ConfigError(f"/model/{sym}", f"coefficient {sym} is {value:.6g} <= 0 at t={t_bad:.6g}")

@@ -38,10 +38,12 @@ class ExprDomainError(NumericalError):
     """Expression evaluation hit a domain error (division by zero, sqrt of
     a negative number, overflow); carries the position in the program of
     the check that failed (the final non-finite check counts as the one
-    after the last instruction), or None."""
+    after the last instruction), or None, and the coefficient whose scan
+    raised it (set by validate_model), or None."""
 
     def __init__(self, message: str, instruction: int | None = None):
         self.instruction = instruction
+        self.symbol = None
         super().__init__(message)
 
 

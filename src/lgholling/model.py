@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ExprDomainError, NumericalError, ValidationError
 from .expr import BoundsEstimate, CoefficientExpr, parse_expression, _scan
 
 __all__ = [
@@ -101,11 +101,16 @@ class ValidationReport:
 def validate_model(spec: ModelSpec, horizon: float = 1000.0, samples: int = 100_000) -> ValidationReport:
     """Check positivity of all eleven coefficients on a sampling grid and
     estimate their sup/inf; computes the maximal lag r.  The grid is
-    linspace(0, horizon, samples), scanned block by block without being built."""
+    linspace(0, horizon, samples), scanned block by block without being built.
+    A coefficient whose scan raises ExprDomainError is named in its symbol."""
     bounds: dict[str, BoundsEstimate] = {}
     failures: list[tuple[str, float, float]] = []
     for sym in SYMBOLS:
-        est, raw_min, t_min = _scan(spec.expr(sym), horizon, samples)
+        try:
+            est, raw_min, t_min = _scan(spec.expr(sym), horizon, samples)
+        except ExprDomainError as exc:
+            exc.symbol = sym
+            raise
         bounds[sym] = est
         if raw_min <= 0.0:
             failures.append((sym, t_min, raw_min))

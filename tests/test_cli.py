@@ -351,7 +351,18 @@ def test_failing_constant_coefficient_exits_3(tmp_path, capsys, text, message):
     load_config(data)  # parses: the error belongs to evaluation
     cfg = write_config(tmp_path / "bad.json", data)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err == f"numerical failure: {message}\n"
+    assert capsys.readouterr().err == f"numerical failure: /model/c1: {message}\n"
+
+
+def test_coefficient_failing_on_its_scan_grid_names_its_field(tmp_path, capsys):
+    """The scan's own error text is kept after the field's path, and nothing is written."""
+    data = preset_config("example2")
+    data["model"]["a1"] = "sqrt(900 - t)"
+    data["options"]["bounds_samples"] = 100_001
+    cfg = write_config(tmp_path / "bad.json", data)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "numerical failure: /model/a1: sqrt of negative value at t=900.01\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_accepts_expression_history(tmp_path):

@@ -16,7 +16,8 @@ from lgholling import (
     validate_model,
 )
 from lgholling import expr as expr_module
-from lgholling.expr import _MAX_DEPTH, _MAX_LENGTH, CoefficientExpr, _grid, _scan
+from lgholling.expr import (_FUNCTIONS, _MAX_DEPTH, _MAX_LENGTH, CoefficientExpr, _enclose, _grid,
+                             _sampled_cells, _scan)
 from lgholling.presets import PRESET_NAMES, preset_config
 from conftest import reference_candidate_cells, reference_eval_array, reference_scan
 
@@ -338,6 +339,20 @@ def test_evaluate_array_returns_a_fresh_array(text):
     assert np.array_equal(g, before)
 
 
+@pytest.mark.parametrize("t", [np.linspace(2.0, 3.0, 7), np.linspace(2.0, 3.0, 6).reshape(2, 3), np.array(2.5)])
+def test_a_folded_constant_evaluates_without_the_loop(monkeypatch, t):
+    """A one-instruction constant is filled in without _run; a non-finite
+    literal raises at t's first time, from the check after its instruction."""
+    folded, huge = parse_expression("2*1.6"), parse_expression("1e999")
+    monkeypatch.setattr(expr_module, "_run", None)
+    got = evaluate_array(folded, t)
+    assert got.shape == t.shape and (got == 3.2).all()
+    assert evaluate_array(folded, np.empty(0)).shape == (0,)
+    with pytest.raises(ExprDomainError) as exc:
+        evaluate_array(huge, t)
+    assert (str(exc.value), exc.value.instruction) == (f"non-finite value at t={float(t.flat[0])!r}", 1)
+
+
 def test_serialize_keeps_a_folded_negative_literal_parenthesized():
     # (-1e200)^2 overflows, so it stays unfolded, with the folded -1e200 as its base
     e = parse_expression("t/((-1e200)^2)")
@@ -539,3 +554,199 @@ def test_blocked_scan_raises_the_inf_refinement_error_first():
     with pytest.raises(ExprDomainError) as got:
         _scan(e, 1.0, grid.size)
     assert str(got.value) == str(want.value) == "sqrt of negative value at t=0.5505207354546219"
+
+
+# ---------------------------------------------------------------------------
+# the skipping scan: cells an interval enclosure rules out are not sampled
+# ---------------------------------------------------------------------------
+
+
+def random_program_text(draw, depth=0):
+    """Random expression strings over the whole grammar, checks included:
+    a square root or a divisor may fail, and exp may overflow."""
+    if depth >= 3 or draw(st.integers(0, 2)) == 0:
+        return draw(st.one_of(st.just("t"), st.floats(min_value=0.0, max_value=9.5).map(lambda v: format(v, ".4f"))))
+    a = random_program_text(draw, depth + 1)
+    kind = draw(st.integers(0, 4))
+    if kind == 0:
+        return f"({a} {draw(st.sampled_from('+-*/'))} {random_program_text(draw, depth + 1)})"
+    if kind == 1:
+        return f"{draw(st.sampled_from(_FUNCTIONS))}({a})"
+    if kind == 2:
+        return f"({a})^{draw(st.integers(0, 4))}"
+    if kind == 3:
+        return f"(-{a})"
+    return f"{draw(st.sampled_from(['2.6', '0.5', '1']))} + {a}"
+
+
+def scan_outcome(scan):
+    """A scan's result, or the text of the ExprDomainError it raises."""
+    try:
+        return scan()
+    except ExprDomainError as exc:
+        return str(exc)
+
+
+@pytest.fixture(params=[2, 4])
+def small_cells(request, monkeypatch):
+    """Scan blocks of 8 samples and cells of 2 or 4: grids of 32 samples
+    and more go through the enclosure pass."""
+    monkeypatch.setattr(expr_module, "_SCAN_BLOCK", 8)
+    monkeypatch.setattr(expr_module, "_SCAN_CELL", request.param)
+
+
+def skipped_cells_meet_the_four_conditions(e, horizon: float, n: int) -> int:
+    """Checks each cell _sampled_cells skips against the whole grid: its
+    samples (and the next cell's first) are positive, lie above every
+    candidate the inf keeps and below every one the sup keeps, and its steps
+    are below the grid's largest; the end cells are sampled.  Returns how
+    many cells were skipped."""
+    sampled = _sampled_cells(e, horizon, n)
+    if sampled is None:
+        return 0
+    raw = evaluate_array(e, np.linspace(0.0, horizon, n))
+    mag, cell = np.abs(raw), expr_module._SCAN_CELL
+    steps = np.abs(np.diff(mag))
+    dmax, least, most = steps.max(), mag.min(), mag.max()
+    assert sampled[0] and sampled[-1]
+    at = np.minimum(np.flatnonzero(~sampled)[:, None] * cell + np.arange(cell + 1), n - 1)
+    assert (raw[at] > 0.0).all()
+    assert (mag[at].min(axis=1) > least + 2.0 * dmax + 1e-15).all()
+    assert (mag[at].max(axis=1) < most - 2.0 * dmax - 1e-15).all()
+    assert (steps[np.minimum(at[:, :-1], n - 2)].max(axis=1) < dmax).all()
+    return int((~sampled).sum())
+
+
+@pytest.mark.parametrize("n", [33, 101, 257])
+@pytest.mark.parametrize("text", [t for t in EXPR_CORPUS if t != "3.2"] + ["sin(3*t)"])
+def test_skipping_scan_equals_whole_array_scan(small_cells, text, n):
+    got, want = scan_both(text, 10.0, n)
+    assert got == want
+    skipped_cells_meet_the_four_conditions(parse_expression(text), 10.0, n)
+
+
+@pytest.mark.parametrize("text", ["1 + 1e-13*t", "1 + 3e-15*sin(t)", "2 + 1e-12*abs(cos(t))"])
+def test_skipping_scan_of_a_curve_within_rounding_of_flat(small_cells, text):
+    """Steps of a few ulps, set by rounding more than by the slope: only the
+    error bound keeps such cells from being skipped."""
+    got, want = scan_both(text, 10.0, 257)
+    assert got == want
+    skipped_cells_meet_the_four_conditions(parse_expression(text), 10.0, 257)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_skipped_cells_meet_the_four_conditions(name):
+    skipped = [skipped_cells_meet_the_four_conditions(parse_expression(text), 1000.0, 1_000_000)
+               for text in preset_config(name)["model"].values()]
+    assert sum(skipped) > 0
+
+
+def test_skipping_scan_skips_cells_of_the_corpus(small_cells):
+    """The corpus tests above are not all fallbacks: most of its curves skip cells."""
+    skipping = [text for text in EXPR_CORPUS if (s := _sampled_cells(parse_expression(text), 10.0, 257)) is not None
+                and not s.all()]
+    assert len(skipping) >= 4
+
+
+@pytest.mark.parametrize("idx", [7, 8, 15, 16])
+@pytest.mark.parametrize("shape", ["1 + (t - {c})^2", "2 - 0.1*(t - {c})^2"])
+def test_skipping_scan_extremum_on_a_block_edge(small_cells, shape, idx):
+    text = shape.format(c=repr(float(np.linspace(0.0, 3.2, 33)[idx])))
+    got, want = scan_both(text, 3.2, 33)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([(3.2, 33), (10.0, 65), (10.0, 101)]))
+def test_skipping_scan_of_random_programs_equals_whole_array_scan(data, grid):
+    horizon, n = grid
+    e = parse_expression(random_program_text(data.draw))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr_module, "_SCAN_BLOCK", 8)
+        patch.setattr(expr_module, "_SCAN_CELL", data.draw(st.sampled_from([2, 4])))
+        got = scan_outcome(lambda: _scan(e, horizon, n))
+        if not isinstance(got, str):
+            skipped_cells_meet_the_four_conditions(e, horizon, n)
+    assert got == scan_outcome(lambda: reference_scan(e, horizon, np.linspace(0.0, horizon, n)))
+
+
+def count_samples(monkeypatch):
+    """Wraps evaluate_array to count the samples it is given."""
+    count = [0]
+    inner = expr_module.evaluate_array
+
+    def counted(expr, t):
+        count[0] += np.size(t)
+        return inner(expr, t)
+
+    monkeypatch.setattr(expr_module, "evaluate_array", counted)
+    return count
+
+
+@pytest.mark.parametrize("text, horizon", [
+    ("1 + 0*t", 10.0),  # flat: no sampled step bounds the others
+    ("1 + 1e-300*sin(t)", 10.0),  # flat once rounded
+    ("sqrt(900 - t)", 1000.0),  # a square root that fails
+    ("exp(709*sin(t))", 10.0),  # every sample is finite, but the derivative's enclosure overflows
+])
+def test_scan_samples_every_cell_where_the_skip_cannot_be_proven(monkeypatch, text, horizon):
+    monkeypatch.setattr(expr_module, "_SCAN_BLOCK", 8)
+    monkeypatch.setattr(expr_module, "_SCAN_CELL", 4)
+    e, n = parse_expression(text), 101
+    assert _sampled_cells(e, horizon, n) is None
+    count = count_samples(monkeypatch)
+    got = scan_outcome(lambda: _scan(e, horizon, n))
+    assert count[0] >= n
+    assert got == scan_outcome(lambda: reference_scan(e, horizon, np.linspace(0.0, horizon, n)))
+
+
+def test_an_overflowing_enclosure_marks_its_cells_unsafe():
+    e, t = parse_expression("exp(709*sin(t))"), np.linspace(0.0, 10.0, 101)
+    assert np.isfinite(evaluate_array(e, t)).all()
+    assert not _enclose(e.program, t[:-1], t[1:])[-1].all()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_coefficients_sample_at_most_30_percent_of_their_grid(monkeypatch, name):
+    """Each time-varying coefficient of a preset samples at most 30% of its
+    10^6-point grid, pilots and refinement included."""
+    for sym, text in preset_config(name)["model"].items():
+        e = parse_expression(text)
+        if len(e.program) > 1:
+            count = count_samples(monkeypatch)
+            _scan(e, 1000.0, 1_000_000)
+            assert count[0] <= 300_000, (sym, count[0])
+
+
+def enclosure_holds_every_computed_sample_and_step(e, edges):
+    """On each cell between the edges, a safe enclosure holds every computed
+    sample, and every step is within h sup|f'| + 2E."""
+    vlo, vhi, dlo, dhi, err, safe = _enclose(e.program, edges[:-1], edges[1:])
+    for k in np.flatnonzero(safe):
+        t = np.linspace(edges[k], edges[k + 1], 65)
+        values = evaluate_array(e, t)
+        assert ((vlo[k] <= values) & (values <= vhi[k])).all()
+        h = float(np.diff(t).max()) * (1.0 + 1e-12)
+        assert (np.abs(np.diff(values)) <= h * max(abs(dlo[k]), abs(dhi[k])) + 2.0 * err[k]).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=1e-3, max_value=2.0))
+def test_enclosure_of_random_programs_holds_every_computed_sample_and_step(data, start, width):
+    e = parse_expression(random_program_text(data.draw))
+    enclosure_holds_every_computed_sample_and_step(e, np.linspace(start, start + 4.0 * width, 5))
+
+
+@pytest.mark.parametrize("text", [
+    "abs(t - 5) - t",  # the derivative's sign flips at the kink
+    "abs(t - 5)^3 - (t - 5)^3",
+    "(33.72 + 32.72*t^2)/(4 + 4*t^2)",  # a quotient whose derivative cancels
+    "sqrt(t + 1)*sin(3*t) - cos(3*t)/(2 + t)",
+    "exp(-t)*cos(t) + exp(sin(t))",
+])
+def test_enclosure_holds_every_computed_sample_and_step(text):
+    e = parse_expression(text)
+    for width in (0.01, 0.3, 2.0):
+        edges = np.linspace(3.0, 3.0 + 12 * width, 13)
+        assert _enclose(e.program, edges[:-1], edges[1:])[-1].all()
+        enclosure_holds_every_computed_sample_and_step(e, edges)
