@@ -2,7 +2,8 @@
 with time-dependent delays (Leslie-Gower predator limitation, Holling-II
 functional response, time-varying coefficients).
 
-Main entry points:
+Main entry points (each module's __all__ is its public API; the package
+republishes every one):
 
 - expression layer: parse_expression, evaluate, evaluate_array
 - model: ModelSpec (frozen), InitialHistory, validate_model, delayed_term
@@ -15,53 +16,15 @@ Main entry points:
 - orchestration: run_preset, run_config (also the `lgholling` CLI)
 """
 
-from .errors import (
-    ConfigError,
-    ExprDomainError,
-    ExprSyntaxError,
-    IntegrationError,
-    LagInversionError,
-    LgError,
-    NumericalError,
-    QuadratureError,
-    ValidationError,
-)
-from .expr import (
-    BoundsEstimate,
-    CoefficientExpr,
-    evaluate,
-    evaluate_array,
-    parse_expression,
-    serialize,
-)
-from .model import InitialHistory, ModelSpec, ValidationReport, delayed_term, validate_model
-from .integrator import Trajectory, integrate, integrate_batch
-from .permanence import (
-    CoefficientBounds,
-    PermanenceBounds,
-    PermanenceVerification,
-    check_c0,
-    compute_permanence_bounds_from_values,
-    verify_permanence,
-)
-from .stability import (
-    AttractivityResult,
-    LiminfEstimate,
-    alpha_beta_from_gaps,
-    estimate_liminf,
-    lag_inverse_gap,
-    run_attractivity,
-)
-from .pap import PapReport, PapTrend, ergodic_mean, pap0_trend, solution_window_report
-from .fixedpoint import (
-    FixedPointResult,
-    GridFunctionPair,
-    apply_upsilon,
-    dde_residual,
-    eval_f,
-    iterate_fixed_point,
-)
-from .presets import PRESET_NAMES, preset_config
-from .cli import RunConfig, load_config, run_config, run_pipeline, run_preset
+from .errors import *
+from .expr import *
+from .model import *
+from .integrator import *
+from .permanence import *
+from .stability import *
+from .pap import *
+from .fixedpoint import *
+from .presets import *
+from .cli import *
 
 __version__ = "0.1.0"

@@ -5,6 +5,9 @@ exit code 2) and numerical failures (domain errors, overflow, quadrature
 trouble, exit code 3).
 """
 
+__all__ = ["LgError", "ValidationError", "ConfigError", "NumericalError", "ExprSyntaxError",
+           "ExprDomainError", "IntegrationError", "QuadratureError", "LagInversionError"]
+
 
 class LgError(Exception):
     """Base class for all toolkit errors."""

@@ -9,6 +9,9 @@ The operator applied to a candidate pair (phi, psi) is
     U_2(phi, psi)(t) = int_t^inf exp(int_s^t a2) c2 psi(s - tau2(s)) psi(s)
                         / (phi(s - sigma2(s)) + k2) ds
 
+f_j, the integrand past the kernel, is written once in eval_f; the residual
+check reads it there too, as phi' = a1 phi - f_1 and psi' = a2 psi - f_2.
+
 With A = int_{t_lo} a_j, the kernel exp(A(t) - A(s)) decays at least like
 exp(-a_j^i (s - t)), so once A has risen by Lambda = ln(sup f / (a^i tol))
 past t, the rest of the improper integral is at most tol.  With
@@ -108,10 +111,14 @@ class GridFunctionPair:
 
     @staticmethod
     def _intervals(t_lo: float, t_hi: float, step: float) -> int:
-        span = (t_hi - t_lo) / step if all(map(math.isfinite, (t_lo, t_hi, step))) and step > 0.0 else 0.0
-        if not 0.5 < span < math.inf:  # at least 1 interval after rounding, and a finite count
+        count = (t_hi - t_lo) / step if all(map(math.isfinite, (t_lo, t_hi, step))) and step > 0.0 else 0.0
+        if not 0.5 < count < math.inf:  # at least 1 interval after rounding, and a finite count
             raise ValueError(f"need finite t_lo, t_hi, step > 0 and at least 2 grid points, got {t_lo}, {t_hi}, {step}")
-        return round(span)
+        # whole steps to 1e-9 relative, as load_config's rule for fp_step, give or take the rounding of the times
+        slack = 1e-9 * (t_hi - t_lo) + 2.0 * math.ulp(max(abs(t_lo), abs(t_hi)))
+        if abs(round(count) * step - (t_hi - t_lo)) > slack:
+            raise ValueError(f"step {step!r} does not divide the span [{t_lo!r}, {t_hi!r}] into whole steps")
+        return round(count)
 
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float)
@@ -344,7 +351,8 @@ def iterate_fixed_point(
 
 def dde_residual(spec: ModelSpec, pair: GridFunctionPair) -> float:
     """Max over the grid interior of |phi' - rhs_u| + |psi' - rhs_v| with
-    central-difference derivatives and interpolated delayed values."""
+    central-difference derivatives and interpolated delayed values, where
+    rhs_u = a1 phi - f_1 and rhs_v = a2 psi - f_2 read f_j through eval_f."""
     if len(pair.phi) < 5:
         raise QuadratureError("grid too coarse for a residual estimate (need >= 5 points)")
     g = pair.step
@@ -356,7 +364,6 @@ def dde_residual(spec: ModelSpec, pair: GridFunctionPair) -> float:
     psi_s = pair.psi[1:-1]
     u1, u2 = pair.phi_at(s - spec.sigma1(s)), pair.phi_at(s - spec.sigma2(s))
     v1, v2 = pair.psi_at(s - spec.tau1(s)), pair.psi_at(s - spec.tau2(s))
-    rhs_u = (spec.a1(s) - spec.b(s) * phi_s
-             - delayed_term(spec.c1(s) * v1, u1, spec.k1(s), s, "u(t - sigma1) + k1")) * phi_s
-    rhs_v = (spec.a2(s) - delayed_term(spec.c2(s) * v2, u2, spec.k2(s), s, "u(t - sigma2) + k2")) * psi_s
+    rhs_u = spec.a1(s) * phi_s - eval_f(spec, 1, s, phi_s, u1, None, v1)
+    rhs_v = spec.a2(s) * psi_s - eval_f(spec, 2, s, None, u2, psi_s, v2)
     return float((np.abs(dphi - rhs_u) + np.abs(dpsi - rhs_v)).max())

@@ -92,7 +92,11 @@ def compute_permanence_bounds_from_values(cb: CoefficientBounds) -> PermanenceBo
     if cb.b_inf <= 0.0 or cb.c2_inf <= 0.0 or cb.k1_inf <= 0.0 or cb.c2_sup <= 0.0 or not cb.b_sup * cb.k1_inf > 0.0:
         raise ValidationError("permanence formulas need positive b^i, c2^i, c2^s, k1^i and b^s k1^i")
     M1 = cb.a1_sup / cb.b_inf
-    M2 = cb.a2_sup * (M1 + cb.k2_sup) * math.exp(cb.a2_sup * cb.tau2_sup) / cb.c2_inf
+    try:
+        growth = math.exp(cb.a2_sup * cb.tau2_sup)
+    except OverflowError:  # an exponent past about 709.8: the finiteness check below names the box
+        growth = math.inf
+    M2 = cb.a2_sup * (M1 + cb.k2_sup) * growth / cb.c2_inf
     c0 = check_c0(cb, M2)
     m1 = (cb.a1_inf * cb.k1_inf - M2 * cb.c1_sup) / (cb.b_sup * cb.k1_inf) if c0 else 0.0
     denom = cb.k2_inf + m1

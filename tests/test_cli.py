@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lgholling import (ConfigError, InitialHistory, ModelSpec, integrate, integrate_batch, integrator,
-                       load_config, parse_expression, run_attractivity, run_config)
+                       load_config, parse_expression, run_attractivity, run_config, run_preset)
 from lgholling.cli import _SCHEMA, _write_csv, main
 from lgholling.presets import preset_config
 from conftest import load_report
@@ -757,6 +757,17 @@ def test_config_output_dir_is_the_default_out(tmp_path, monkeypatch, command):
     assert main([command, str(cfg)]) == 0
     assert (tmp_path / "from-config" / "report.json").exists()
     assert not (tmp_path / "lgholling-out").exists()
+
+
+def test_a_non_string_output_dir_is_refused():
+    with pytest.raises(ConfigError, match="^/output_dir: expected a string path$"):
+        load_config(small_config(output_dir=3))
+
+
+def test_an_unknown_preset_is_refused(tmp_path):
+    with pytest.raises(ConfigError, match="^/preset: unknown preset 'nope'$"):
+        run_preset("nope", tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_is_refused_where_nothing_reads_it(tmp_path):

@@ -1,10 +1,12 @@
 import json
+import re
 
 from lgholling import integrator
-from make_corpus import CORPUS_PATH, run_case
+from make_corpus import CORPUS_PATH, UPSILON_CORPUS_PATH, run_case, run_upsilon_case
 from test_answer_key import mismatches
 
 CORPUS = json.loads(CORPUS_PATH.read_text(encoding="utf-8"))
+UPSILON_CORPUS = json.loads(UPSILON_CORPUS_PATH.read_text(encoding="utf-8"))
 
 
 def test_corpus_cases_keep_their_outcomes():
@@ -33,3 +35,23 @@ def test_corpus_reaches_every_error_kind():
     assert "IntegrationError" in outcomes["prey-down"] & outcomes["predator-up"] & outcomes["stiff"] & outcomes["step"]
     assert outcomes["divide"] == {"ValidationError"}
     assert outcomes["ok"] == {"ok"}
+
+
+def test_upsilon_corpus_cases_keep_their_outcomes():
+    """Every apply_upsilon case ends as recorded: the same exception class
+    and message, or image summaries within the answer key's tolerance."""
+    moved = [f"upsilon case {case['id']} ({case['kind']}){m}"
+             for case in UPSILON_CORPUS for m in mismatches(case["outcome"], run_upsilon_case(case))]
+    assert moved == []
+
+
+def test_upsilon_corpus_reaches_both_node_parities_and_every_refusal():
+    ok = [case for case in UPSILON_CORPUS if case["kind"] == "ok"]
+    assert all("error" not in case["outcome"] for case in ok)
+    assert {case["quad_step"] for case in ok} == {0.1, 0.05}  # a grid step of 1 and of 2 quad steps
+    refusals = {"falls": r"f_(1: a1|2: a2) falls so far", "decay": "kernel decay rates", "tail": r"tail needs \d+ nodes"}
+    for case in UPSILON_CORPUS:
+        if case["kind"] != "ok":
+            outcome = case["outcome"]
+            assert outcome["error"] == "QuadratureError" and re.match(refusals[case["kind"]], outcome["message"])
+    assert {case["kind"] for case in UPSILON_CORPUS} == {"ok", *refusals}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -66,13 +67,22 @@ def test_pair_interpolant_equals_scipy_natural_spline(n, t_lo, step, hi_ulps, se
     (0.0, 0.04, 0.1, 1),
     (1e17, 1e17 + 10.0, 1.0, 11),  # doubles near 1e17 are 16 apart
     (-1e308, 1e308, 1.0, 3),  # the interval count overflows to inf
+    (0.0, 1.0, 0.3, 4),  # a grid ending at 0.9 would extrapolate its last cubic up to t_hi
 ], ids=["zero-step", "negative-step", "nan-t_hi", "inf-t_lo", "inf-t_hi", "nan-step", "inf-step",
-        "one-point", "rounds-to-one-point", "indistinct-points", "overflowing-count"])
+        "one-point", "rounds-to-one-point", "indistinct-points", "overflowing-count", "step-not-dividing"])
 def test_pair_grid_checks(t_lo, t_hi, step, npts):
     with pytest.raises(ValueError):
         GridFunctionPair(t_lo, t_hi, step, np.ones(npts), np.ones(npts))
     with pytest.raises(ValueError):
         GridFunctionPair.from_constants(t_lo, t_hi, step, 1.0, 1.0)
+
+
+def test_pair_refuses_a_step_that_does_not_divide_its_span():
+    with pytest.raises(ValueError, match=r"^step 0\.3 does not divide the span \[0\.0, 1\.0\] into whole steps$"):
+        GridFunctionPair(0.0, 1.0, 0.3, [0.0, 1.0, 2.0, 3.0], np.ones(4))
+    # a span off by the rounding of its times, as a pipeline's from t0 = 1e10, still divides
+    assert (1e10 + 30.1) - 1e10 == 30.100000381469727
+    assert len(GridFunctionPair.from_constants(1e10, 1e10 + 30.1, 0.7, 1.0, 1.0).phi) == 44
 
 
 def test_pair_nonfinite_values_raise_at_first_interpolation():
@@ -82,6 +92,17 @@ def test_pair_nonfinite_values_raise_at_first_interpolation():
     assert pair.psi_at(0.25) == 1.0
     with pytest.raises(ValueError, match="finite"):
         pair.phi_at(0.25)
+
+
+def test_eval_f_refuses_a_third_component(unit_spec):
+    with pytest.raises(ValueError, match="^j must be 1 or 2$"):
+        eval_f(unit_spec, 3, 0.0, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_upsilon_refuses_a_tail_past_the_node_cap(unit_spec, unit_coeff_bounds):
+    bounds = dataclasses.replace(unit_coeff_bounds, a1_inf=1e-7, a2_inf=1e-7)
+    with pytest.raises(QuadratureError, match=r"^tail needs 6206443700 nodes at quad_step=0\.05; grid too short"):
+        apply_upsilon(unit_spec, unit_pair(1.0, 1.0, t_hi=1.0), 0.05, 1e-6, bounds)
 
 
 def test_eval_f_zero_predator(unit_spec):

@@ -154,6 +154,18 @@ def test_nonfinite_time_arguments_rejected(t0, t_end, h, name):
         integrate(logistic_spec(), InitialHistory(0.5, 0.5), t0, t_end, h)
 
 
+@pytest.mark.parametrize("overrides, hist, t_end, h, message", [
+    ({}, (0.5, 0.5), 10.0, 0.0, "step h must be > 0"),
+    ({}, (0.5, 0.5), -1.0, 0.01, "t_end must be >= t0"),
+    ({"tau1": "0.5 - t"}, (0.5, 0.5), 10.0, 0.01, "delays must stay positive on the integration window"),
+    ({}, ("0.5 + 10*t", 0.5), 10.0, 0.01, "history phi1 must be >= 0, got -4.5"),
+], ids=["zero-step", "end-before-start", "delay-reaches-zero", "negative-history"])
+def test_integrate_refuses_a_run_it_cannot_make(overrides, hist, t_end, h, message):
+    history = InitialHistory(*(parse_expression(p) if isinstance(p, str) else p for p in hist))
+    with pytest.raises(IntegrationError, match=f"^{re.escape(message)}$"):
+        integrate(logistic_spec(**overrides), history, 0.0, t_end, h)
+
+
 def test_batch_matches_single_runs(example2_spec):
     rng = np.random.default_rng(11)
     # a value on which np.log and math.log differ in the last bit, if this

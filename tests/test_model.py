@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from lgholling import (
     ValidationError,
     dde_residual,
     delayed_term,
+    evaluate,
     evaluate_array,
     parse_expression,
     validate_model,
@@ -40,6 +42,17 @@ def test_validate_example1_preset(example1_spec):
     assert report.ok
     assert report.max_lag_r == pytest.approx(0.75, abs=1e-12)
     assert report.bounds["a1"].sup_value == pytest.approx(0.29, abs=1e-6)
+
+
+@pytest.mark.xfail(strict=True, reason="expr._SCAN_CAP refines 40 of the ~318 near-tied cusps of |cos t|, "
+                   "and the scan reports 8.180000264434934 (ROADMAP item 8)")
+def test_example2_b_inf_is_its_last_cusp_before_the_horizon(example2_spec):
+    """b = 8.18 + 0.25/(1 + t^2) + 0.25|cos t| takes its inf over [0, 1000]
+    at the last zero of cos t there, t = 317.5 pi."""
+    options = preset_config("example2")["options"]
+    report = validate_model(example2_spec, horizon=options["bounds_horizon"], samples=options["bounds_samples"])
+    assert evaluate(example2_spec.b, 317.5 * math.pi) == 8.180000251276802
+    assert math.isclose(report.bounds["b"].inf_value, 8.180000251276802, rel_tol=1e-12)
 
 
 def test_validate_constant_set():

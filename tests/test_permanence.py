@@ -16,6 +16,7 @@ from lgholling import (
     verify_permanence,
 )
 from conftest import table_bounds
+from lgholling.presets import preset_config
 
 # single-expression calculator oracles, frozen before the implementation:
 # example2 table values
@@ -179,12 +180,33 @@ def test_window_keeps_the_last_knot_past_t_end(unit_spec):
 
 
 def test_permanence_box_refuses_what_it_cannot_compute():
-    """A b^s k1^i that underflows to 0 is a zero denominator; an a2^i that
-    makes m2 overflow is a box that is not finite."""
+    """A b^s k1^i that underflows to 0 is a zero denominator, as is a
+    k2^i + m1 <= 0; an a2^i that makes m2 overflow is a box that is not finite."""
     with pytest.raises(ValidationError, match="b\\^s k1\\^i"):
         compute_permanence_bounds_from_values(dataclasses.replace(table_bounds("example2"), b_sup=5e-324, k1_inf=0.5))
+    with pytest.raises(ValidationError, match=r"^k2\^i \+ m1 must be positive$"):
+        compute_permanence_bounds_from_values(dataclasses.replace(table_bounds("example1"), k2_inf=-1.0))
     with pytest.raises(OverflowError, match="m2=inf"):
         compute_permanence_bounds_from_values(dataclasses.replace(table_bounds("example2"), a2_inf=1.7e308))
+
+
+def test_permanence_box_whose_exponent_overflows_is_not_finite():
+    """a2^s tau2^s past about 709.8 overflows exp: from a table or from the
+    model's estimates, the box is refused as not finite, M2 = inf."""
+    table = dataclasses.replace(table_bounds("example2"), a2_sup=10.0, tau2_sup=100.0)
+    spec = ModelSpec.from_strings(preset_config("example2")["model"] | {"a2": "10", "tau2": "100"})
+    estimates = CoefficientBounds.from_validation(validate_model(spec, horizon=20.0, samples=2001).bounds)
+    assert (estimates.a2_sup, estimates.tau2_sup) == (10.0, 100.0)
+    for cb in (table, estimates):
+        with pytest.raises(OverflowError, match=r"^permanence box not finite: M1=\S+, M2=inf, m1=0\.0, m2=0\.0$"):
+            compute_permanence_bounds_from_values(cb)
+
+
+def test_table_bounds_name_every_missing_bound():
+    values = dataclasses.asdict(table_bounds("example2"))
+    del values["c1_sup"], values["tau2_sup"]
+    with pytest.raises(ValidationError, match=r"^missing table bounds: c1_sup, tau2_sup$"):
+        CoefficientBounds.from_table(values)
 
 
 def test_verify_permanence_requires_window():

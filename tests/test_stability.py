@@ -149,6 +149,11 @@ def test_alpha_beta_refuse_a_value_that_is_not_finite():
         alpha_beta_from_gaps(cb, pb, (0.92, 0.92, 0.92, 0.92))
 
 
+def test_alpha_beta_refuse_an_unknown_beta_denominator(example2_bounds):
+    with pytest.raises(ValueError, match="^beta_denominator must be 'M1' or 'M2'$"):
+        alpha_beta_from_gaps(example2_bounds.inputs_used, example2_bounds, (0.92, 0.92, 0.92, 0.92), "M3")
+
+
 def test_alpha_limit_as_interactions_vanish():
     pb = _bounds_with(c1=1e-12, c2=1e-12)
     alpha, _ = alpha_beta_from_gaps(pb.inputs_used, pb, (1.0, 1.0, 1.0, 1.0))
@@ -195,6 +200,11 @@ def test_estimate_liminf_constant_case(example2_spec, example2_bounds):
     assert est.beta_liminf == pytest.approx(EX2_BETA_M2, abs=1e-9)
     values = [a for _, a in est.alpha_samples]
     assert max(values) - min(values) < 1e-9
+
+
+def test_estimate_liminf_refuses_an_empty_grid(example2_spec, example2_bounds):
+    with pytest.raises(ValueError, match="^t_grid must be nonempty$"):
+        estimate_liminf(example2_spec, example2_bounds, np.array([]))
 
 
 def test_estimate_liminf_sign_flip_by_construction(example2_spec, example2_bounds):
