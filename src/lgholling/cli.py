@@ -63,7 +63,6 @@ _SCHEMA = {
         "beta_denominator": _Field(("M1", "M2"), "M2"),
         "slack": _Field("number", 0.05),
         "bounds_horizon": _Field("number", 1000.0, 0.0),
-        "bounds_samples": _Field("int", 100_000, 1, _MAX_STEPS),
         "liminf_t_max": _Field("number", 500.0, 0.0),
         "liminf_points": _Field("int", 251, 0, _MAX_STEPS),
         "attractivity_threshold": _Field("number", 1e-3),
@@ -229,12 +228,13 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
     opt = config.options
     spec = ModelSpec.from_strings(config.model)
     try:
-        vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]), samples=opt["bounds_samples"])
+        vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]))
     except ExprDomainError as exc:  # name the coefficient's field, as a validation failure does
         raise ExprDomainError(f"/model/{exc.symbol}: {exc}", exc.instruction) from exc
     if not vrep.ok:
-        sym, t_bad, value = vrep.failures[0]
-        raise ConfigError(f"/model/{sym}", f"coefficient {sym} is {value:.6g} <= 0 at t={t_bad:.6g}")
+        sym, t_inf, value = vrep.failures[0]
+        raise ConfigError(f"/model/{sym}", f"coefficient {sym} is not shown > 0: it is {value:.6g} at t={t_inf:.6g}, "
+                                           f"and its inf is bounded below by {vrep.bounds[sym].inf_lower:.6g}")
     history = InitialHistory(*(parse_expression(v) if isinstance(v, str) else float(v)
                                for v in (config.history["phi1"], config.history["phi2"])))
     _stage("/history", history.validate, vrep.max_lag_r)
@@ -245,13 +245,12 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
         "config": config.raw,
         "model": {
             "coefficients": {
-                sym: {"source": config.model[sym],
-                      "inf": vrep.bounds[sym].inf_value,
-                      "sup": vrep.bounds[sym].sup_value}
-                for sym in SYMBOLS
+                sym: {"source": config.model[sym], "inf": est.inf_value, "sup": est.sup_value,
+                      "inf_lower": est.inf_lower,  # > 0, as the coefficient passed
+                      "sup_upper": est.sup_upper if math.isfinite(est.sup_upper) else None}
+                for sym, est in vrep.bounds.items()
             },
             "bounds_horizon": opt["bounds_horizon"],
-            "bounds_samples": opt["bounds_samples"],
             "positive": vrep.ok,
             "max_lag_r": vrep.max_lag_r,
         },

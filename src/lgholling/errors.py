@@ -41,7 +41,7 @@ class ExprDomainError(NumericalError):
     """Expression evaluation hit a domain error (division by zero, sqrt of
     a negative number, overflow); carries the position in the program of
     the check that failed (the final non-finite check counts as the one
-    after the last instruction), or None, and the coefficient whose scan
+    after the last instruction), or None, and the coefficient whose search
     raised it (set by validate_model), or None."""
 
     def __init__(self, message: str, instruction: int | None = None):

@@ -28,37 +28,19 @@ one walk over the whole: the earliest failing check, at its first time.
 ``_enclose`` walks a program too, as interval arithmetic over cells of
 time (Moore, Kearfott & Cloud, Introduction to Interval Analysis, 2009).
 
-The sup/inf estimate of a constant is closed-form.  Any other expression's
-grid, linspace(0, horizon, samples), is scanned in cache-sized blocks
-without ever being built: each block makes its own times, as the same
-floats, and is reduced at once to its largest step, its candidate samples
-(local minima and the grid's endpoints) and its first nonpositive value;
-then the candidate cells of both the sup and the inf are refined together,
-one evaluator call per golden-section iteration.
-
-The scan samples only the cells of _SCAN_CELL samples that an enclosure
-cannot rule out.  Each cell also covers the step to the next cell's first
-sample, and its enclosure bounds every value computed in it, the derivative
-and the rounding error E, so h sup|f'| + 2E bounds each of its steps.
-Pilot cells are sampled first (both ends, the cells whose |f| enclosure
-ends lowest and starts highest, the largest step bounds), giving a sampled
-least_up >= least |f|, most_low <= largest |f| and dmax_low <= dmax; D_up,
-the largest step bound, is >= dmax.  A cell is skipped only when
-
-- it is safe (no check can fail, every bound finite): it raises nothing;
-- its raw enclosure is above 0: it holds no nonpositive sample;
-- its |f| enclosure lies above least_up + 2 D_up + 1e-15 and below
-  most_low - 2 D_up - 1e-15: each candidate the scan keeps lies within
-  2 dmax + 1e-15 of the least (or largest) sample, so it holds none, nor
-  the least or largest sample itself;
-- its step bound is below dmax_low: dmax is a maximum over sampled steps.
-
-The first and last cells are always sampled, and every other cell goes
-through the same reduction in index order, so the estimate, the raw
-minimum and its time are the same floats as when every sample is taken.
-Where the skip cannot be proven (an unsafe cell, dmax_low = 0, or fewer
-than four blocks of samples, too few to pay for the pass) every cell is
-sampled by the same loop.
+The sup/inf of a constant is closed-form.  Any other expression's is found
+by branch-and-bound on the enclosures (Moore, Kearfott & Cloud 2009;
+Hansen & Walster, Global Optimization Using Interval Analysis, 2004): the
+interval is split into _CELLS cells, and per level one _enclose and one
+evaluate_array call, at the cells' midpoints, serve both signs.  A cell's
+bound is the larger of its enclosure and the mean-value form f(mid) -
+sup|f'| w/2 - 2E.  A cell that cannot beat its sign's least sample is
+dropped; one that could beat it by more than _GAP relative is split in
+four; the others are refined by golden-section search, each sign's
+least-bound cell first, and then those that could still beat the refined
+sample by more than _SLACK relative.  So the estimates are refined samples
+and each comes with a certified bracket, which is _GAP wide unless a cell
+reached the width floor or a level the cell cap.
 
 Expressions are immutable after parsing and evaluation is pure, so a parsed
 expression may be shared freely between threads.
@@ -108,12 +90,14 @@ class CoefficientExpr:
 
 @dataclass(frozen=True)
 class BoundsEstimate:
-    """Numeric surrogate for sup/inf of |f| over [0, horizon]."""
+    """The inf and sup of f over [0, horizon]: values f takes there, within
+    the certified bracket inf_lower <= inf f, sup f <= sup_upper."""
 
     inf_value: float
     sup_value: float
     horizon: float
-    samples: int
+    inf_lower: float
+    sup_upper: float
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +337,14 @@ def serialize(expr: CoefficientExpr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(g, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, iters: int = 80) -> np.ndarray:
+def _golden_min(g, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, iters: int = 80):
     """Plain golden-section minima of sign[i] * g(t) on the brackets
-    [lo[i], hi[i]], refined together; deterministic.  g maps an array of
-    times to an array of values.  It is called once for both starting
-    points and then once per iteration, on every bracket's new probe point.
-    A bracket that has shrunk below 1e-14 relative width stays frozen: its
-    probe is a point already evaluated, and its result is dropped."""
+    [lo[i], hi[i]], refined together, and their times; deterministic.  g
+    maps an array of times to an array of values.  It is called once for
+    both starting points and then once per iteration, on every bracket's
+    new probe point.  A bracket that has shrunk below 1e-15 relative width
+    stays frozen: its probe is a point already evaluated, and its result is
+    dropped."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - invphi * (b - a)
@@ -367,7 +352,7 @@ def _golden_min(g, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, iters: int 
     fc, fd = np.split(np.tile(sign, 2) * g(np.concatenate([c, d])), 2)
     active = np.ones(a.shape, dtype=bool)
     for _ in range(iters):
-        active &= b - a >= 1e-14 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        active &= b - a >= 1e-15 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         if not active.any():
             break
         left = active & (fc < fd)
@@ -379,7 +364,7 @@ def _golden_min(g, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, iters: int 
         values = sign * g(np.where(left, c, d))
         fc = np.where(left, values, fc)
         fd = np.where(right, values, fd)
-    return np.minimum(fc, fd)
+    return np.minimum(fc, fd), np.where(fc <= fd, c, d)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -468,7 +453,8 @@ def _enclose(program: tuple, lo: np.ndarray, hi: np.ndarray):
     [dlo, dhi] holds the exact derivative in t (where abs meets 0, the
     largest slope either way), and err bounds |computed - exact| at every
     float t in the cell.  safe is False where a check could fail (sqrt of a
-    value not above 0, a divisor that may be 0) or a bound is not finite."""
+    value that may be below 0, a divisor that may be 0) or a value bound is
+    not finite; the slope and error bounds may be infinite (at sqrt(0))."""
     safe = np.ones(lo.shape, dtype=bool)
     stack = []
     with np.errstate(all="ignore"):
@@ -508,8 +494,9 @@ def _enclose(program: tuple, lo: np.ndarray, hi: np.ndarray):
                 d = np.where(up, adlo, np.where(down, -adhi, -slope)), np.where(up, adhi, np.where(down, -adlo, slope))
                 e = ae
             elif op == "sqrt":
-                safe &= alo > 0.0
+                safe &= alo >= 0.0
                 v = _out(np.sqrt(alo), np.sqrt(ahi))
+                v = np.maximum(v[0], 0.0), v[1]  # at 0 the slope 1 / (2 sqrt(a)) is infinite
                 inv = _out(0.5 / v[1], 0.5 / v[0])  # 1 / (2 sqrt(a))
                 d, e = _mul(adlo, adhi, *inv), ae * inv[1] + (_EPS * v[1] + _TINY)
             elif op == "^" and arg == 0:
@@ -529,190 +516,78 @@ def _enclose(program: tuple, lo: np.ndarray, hi: np.ndarray):
                 e = grow * ae + _LIBM_ULPS * (_EPS * _mag(*v) + _TINY)
             stack.append((*v, *d, e * _PAD))
     vlo, vhi, dlo, dhi, err = (np.broadcast_to(x, lo.shape) for x in stack[-1])
-    safe &= np.isfinite(vlo) & np.isfinite(vhi) & np.isfinite(dlo) & np.isfinite(dhi) & np.isfinite(err)
-    return vlo, vhi, dlo, dhi, err, safe
+    safe &= np.isfinite(vlo) & np.isfinite(vhi)
+    nan = np.isnan(dlo) | np.isnan(dhi) | np.isnan(err)  # an infinite slope times a range holding 0
+    return vlo, vhi, np.where(nan, -np.inf, dlo), np.where(nan, np.inf, dhi), np.where(nan, np.inf, err), safe
 
 
-_SCAN_BLOCK = 1 << 16  # samples per block of the grid scan; a block's arrays stay in cache
-_SCAN_CAP = 40  # most candidate cells refined per sign
-_SCAN_CELL = 128  # samples per cell of the enclosure pass
-_ENCLOSE_CELLS = 4096  # cells per call of _enclose: its arrays stay small
-_SCAN_PILOTS = 8  # cells of the largest step bounds sampled before the scan
+_CELLS = 1024  # cells of the search's first level
+_GAP = 1e-6  # relative: a cell that cannot beat its incumbent by more is refined, not split
+_CELL_CAP = 1 << 14  # most cells a level may hold; past it the search keeps the bracket it has
+_SLACK = 1e-13  # relative: a refined cell that cannot beat its incumbent by more is not refined
+_FLOOR = 1e-13  # relative to the interval's largest |t|: a cell this narrow is not split
 
 
-def _grid(i: np.ndarray, n: int, horizon: float) -> np.ndarray:
-    """The samples i (an array of indices) of np.linspace(0.0, horizon, n),
-    as the same floats, made without the rest of the grid: i * (horizon /
-    (n - 1)), the last sample exactly horizon, and n = 1 giving [0.0]."""
-    div = max(n - 1, 1)
-    step = horizon / div
-    t = i * step if n > 1 and step != 0.0 else i / div * horizon  # linspace's way when the step underflows
-    if not step > 0.0:
-        t += 0.0  # linspace adds its start, 0.0, which turns a -0.0 into 0.0
-    if n > 1:
-        t[i == div] = horizon
-    return t
+def _improve(best, at, values, times, k) -> None:
+    """Lower each sign j's incumbent best[j] (at time at[j]) to the least of
+    values[k == j] if that is less, in place."""
+    for j in (0, 1):
+        mine = np.where(k == j, values, np.inf)
+        i = np.argmin(mine)
+        if mine[i] < best[j]:
+            best[j], at[j] = mine[i], times[i]
 
 
-def _sampled_cells(expr: CoefficientExpr, horizon: float, n: int):
-    """Which cells of _SCAN_CELL samples the scan must sample, as a bool
-    array over the cells, or None to sample them all (the module docstring
-    gives the four conditions a skipped cell meets).  Cell k holds the
-    samples [k C, (k + 1) C) and the step to the next cell's first sample.
-    Grids of fewer than 4 blocks are sampled whole: there the pass costs
-    about what it could save."""
-    cells = -(-n // _SCAN_CELL)
-    step = horizon / max(n - 1, 1)
-    if n < 4 * _SCAN_BLOCK or cells < 4 or not 0.0 < step < math.inf or not horizon < math.inf:
-        return None
-    h = (step + 2.0 * _EPS * horizon) * _PAD  # the largest gap between neighbouring samples
-    first = np.arange(cells) * _SCAN_CELL
-    last = np.minimum(first + _SCAN_CELL, n - 1)
-    vlo, vhi, bound = np.empty(cells), np.empty(cells), np.empty(cells)
-    for s in range(0, cells, _ENCLOSE_CELLS):
-        part = slice(s, s + _ENCLOSE_CELLS)
-        lo, hi, dlo, dhi, err, safe = _enclose(expr.program, _grid(first[part], n, horizon),
-                                               _grid(last[part], n, horizon))
-        if not safe.all():
-            return None
-        vlo[part], vhi[part] = lo, hi
-        bound[part] = (h * _mag(dlo, dhi) + 2.0 * err) * _PAD  # holds every |f| step of the cell
-    # pilot cells: both ends, the cell whose |f| enclosure ends lowest and the one that starts
-    # highest (so least_up and most_low are at least as good as those ends), the largest step bounds
-    mag_lo = np.where(vlo > 0.0, vlo, np.where(vhi < 0.0, -vhi, 0.0))
-    pilots = np.unique(np.concatenate([[0, cells - 1, np.argmin(_mag(vlo, vhi)), np.argmax(mag_lo)],
-                                       np.argsort(bound)[-_SCAN_PILOTS:]]))
-    idx = np.concatenate([np.arange(first[k], last[k] + 1) for k in pilots])
-    mag = np.abs(evaluate_array(expr, _grid(idx, n, horizon)))
-    steps = np.abs(np.diff(mag))[np.diff(idx) == 1]
-    dmax_low = float(steps.max()) if steps.size else 0.0  # a sampled step: dmax is at least this
-    dmax_up = float(bound.max())  # and no step is larger than this
-    skip = ((vlo > float(mag.min()) + 2.0 * dmax_up + 1e-15)  # positive, above the inf's kept candidates
-            & (-vhi > -float(mag.max()) + 2.0 * dmax_up + 1e-15)  # below the sup's
-            & (bound < dmax_low))  # and no step reaches dmax
-    skip[0] = skip[-1] = False
-    return ~skip if skip.any() else None
-
-
-def _blocks(sampled, n: int):
-    """Per block of _SCAN_BLOCK samples that holds a sampled cell: (lo, pos,
-    edge), the samples to evaluate being lo + pos, its sampled ones and a
-    neighbour on either side of each run of them, and edge the positions of
-    those neighbours.  With sampled None every block is whole, and pos is
-    None for lo + arange(size)."""
-    for start in range(0, n, _SCAN_BLOCK):
-        stop = min(start + _SCAN_BLOCK, n)
-        lo, hi = max(start - 1, 0), min(stop + 1, n)
-        if sampled is None:
-            yield lo, None, hi - lo, np.array([0] * (lo < start) + [hi - lo - 1] * (hi > stop), dtype=int)
-            continue
-        cell = np.arange(lo // _SCAN_CELL, (hi - 1) // _SCAN_CELL + 1)
-        own = np.repeat(sampled[cell], _SCAN_CELL)[lo - cell[0] * _SCAN_CELL:][:hi - lo]
-        own[:start - lo] = own[own.size - (hi - stop):] = False  # the neighbours are the next blocks' own
-        if own.any():
-            need = own.copy()
-            need[1:] |= own[:-1]
-            need[:-1] |= own[1:]
-            pos = np.flatnonzero(need)
-            yield lo, pos, pos.size, np.flatnonzero(~own[pos])
-
-
-def _scan(expr: CoefficientExpr, horizon: float, n: int):
-    """Scan of the n samples of linspace(0, horizon, n): (BoundsEstimate of
-    |f|, first nonpositive raw value and its t if any, else the raw minimum
-    and its t).  A constant c needs no scan: every sample and every
-    refinement finds |c|, and its raw minimum is c at the first sample.
-
-    No grid is built.  Each block of _SCAN_BLOCK samples makes its own
-    times, those of the cells _sampled_cells cannot rule out, with one
-    neighbour on either side of each run so that every adjacent pair is
-    compared, and is reduced at once to its candidates for each sign: the
-    grid's endpoints and the interior local minima of sign*|f| under a
-    non-strict test, which hold the first least sample of sign*|f|.  That
-    least is refined in the candidate cells within a sampling-offset slack,
-    twice the largest step between neighbouring samples, of it.  Every basin
-    whose bottom could undercut the best sampled cell gets refined, so a
-    coarser grid cannot out-refine a finer one on near-tied basins; past
-    _SCAN_CAP cells, the lowest are kept.  Both signs' cells are refined
-    in one golden-section search.  A block that raises ends the reductions,
-    and the scan raises the whole-grid walk's error (see _evaluate_parts)."""
+def _search(expr: CoefficientExpr, lo: float, hi: float):
+    """The inf and sup of f over [lo, hi] by branch-and-bound (the module
+    docstring describes it): (inf_value, inf_lower, sup_value, sup_upper,
+    t_inf).  inf_value and sup_value are values f takes at sampled times,
+    t_inf being the first's, and inf_lower <= inf f, sup f <= sup_upper.
+    A sample that raises ExprDomainError ends the search with its error."""
     if len(expr.program) == 1 and expr.program[0][0] == "const":
-        c = evaluate(expr, 0.0)  # a non-finite literal raises here, as in the scan
-        return BoundsEstimate(abs(c), abs(c), horizon, n), c, 0.0
-    dmax = 0.0  # largest |f| step between neighbouring samples
-    candidates = ([], []), ([], [])  # per sign: their indices and |f|, in index order
-    bad = None  # the first nonpositive raw sample and its index
-    flat, c = 0, 0.0  # while dmax is 0: the samples [0, flat) all tie at |f| = c
-    block = [None]  # the block being evaluated
+        c = evaluate(expr, lo)  # a non-finite literal raises here
+        return c, c, c, c, lo
 
-    def times():
-        for block[0] in _blocks(_sampled_cells(expr, horizon, n), n):
-            lo, pos, size, _ = block[0]
-            yield _grid(np.arange(lo, lo + size, dtype=float) if pos is None else pos + lo, n, horizon)
+    def f(t):
+        return evaluate_array(expr, t)
 
-    for _, raw in _evaluate_parts(expr, times()):
-        lo, pos, size, edge = block[0]  # _evaluate_parts yields each block before it takes the next
-
-        def index(i):  # the sample index of positions i in the block
-            return lo + (i if pos is None else pos[i])
-
-        mag = np.abs(raw)
-        nonpos = raw <= 0.0
-        nonpos[edge] = False  # the neighbours are other blocks' samples
-        if bad is None and nonpos.any():
-            i = int(np.argmax(nonpos))
-            bad = (float(raw[i]), int(index(i)))
-        step = np.diff(mag)
-        if step.size:
-            dmax = max(dmax, float(np.abs(step if pos is None else step[np.diff(pos) == 1]).max()))
-        if dmax == 0.0:  # a flat prefix: its candidates, every sample, are made only if a later block varies
-            flat, c = int(index(size - 1 - (size - 1 in edge))) + 1, float(mag[0])
-            continue
-        falls, rises = step[:-1], step[1:]
-        pick = np.zeros(size, dtype=bool)
-        pick[0], pick[-1] = index(0) == 0, index(size - 1) == n - 1  # the grid's endpoints, for both signs
-        for k, interior in enumerate(((falls <= 0.0) & (rises >= 0.0), (falls >= 0.0) & (rises <= 0.0))):
-            pick[1:-1] = interior
-            pick[edge] = False
-            cells = np.flatnonzero(pick)
-            candidates[k][0].append(index(cells))
-            candidates[k][1].append(mag[cells])
-
-    t0, t1 = _grid(np.arange(2), n, horizon)
-    h = t1 - t0 if n > 1 else 0.0
-    cells, signs, least = [], [], []
-    head = flat if dmax else 1  # the flat prefix, or its first sample when every sample ties
-    for k, sign in enumerate((1.0, -1.0)):
-        idxs = np.concatenate([np.arange(head), *candidates[k][0]])
-        values = sign * np.concatenate([np.full(head, c), *candidates[k][1]])
-        first = int(np.argmin(values))
-        least.append((float(values[first]), int(idxs[first])))  # the least sample of sign*|f|, first index
-        if n < 3 or dmax == 0.0:
-            sel = np.array([least[k][1]])  # flat sampling, nothing to refine
-        else:
-            keep = values <= least[k][0] + 2.0 * dmax + 1e-15  # holds the grid minimum
-            sel = idxs[keep]
-            if sel.size > _SCAN_CAP:
-                sel = sel[np.argpartition(values[keep], _SCAN_CAP)[:_SCAN_CAP]]
-        cells.append(sel)
-        signs.append(np.full(sel.size, sign))
-    cells = np.concatenate(cells)
-    at = _grid(cells, n, horizon)
-    lo = np.maximum(0.0, at - h)
-    hi = np.minimum(horizon, at + h)  # lo == hi == 0 on a one-point grid
-    split, signs = signs[0].size, np.concatenate(signs)
-
-    def mag(t):
-        return np.abs(evaluate_array(expr, t))
-
-    try:
-        refined = _golden_min(mag, lo, hi, signs)
-    except ExprDomainError:
-        for part in (slice(None, split), slice(split, None)):
-            _golden_min(mag, lo[part], hi[part], signs[part])  # the first error of the inf's search, then the sup's
-        raise
-    inf_value = min(least[0][0], float(refined[:split].min()))
-    sup_value = -min(least[1][0], float(refined[split:].min()))
-    value, i = bad or least[0]  # with no nonpositive sample, f = |f|
-    return BoundsEstimate(inf_value, sup_value, horizon, n), value, float(_grid(np.array([i]), n, horizon)[0])
-
+    sign = np.array([1.0, -1.0])  # sign k minimizes sign[k] * f: k = 0 finds the inf, k = 1 the sup
+    best, at = np.full(2, np.inf), np.full(2, float(lo))  # per sign: the least sample of sign * f, and its time
+    lower = np.full(2, np.inf)  # per sign: the least bound of the cells not split
+    # per sign, in time order: the point cell [lo, lo], the _CELLS cells and [hi, hi]
+    edges = np.linspace(lo, hi, _CELLS + 1)
+    a, b = np.tile(np.r_[lo, edges[:-1], hi], 2), np.tile(np.r_[lo, edges[1:], hi], 2)
+    k = np.repeat([0, 1], _CELLS + 2)
+    floor = _FLOOR * max(abs(lo), abs(hi))
+    refine = []  # per level: the cells that go to the golden-section search, with their signs and bounds
+    while True:
+        vlo, vhi, dlo, dhi, err, safe = _enclose(expr.program, a, b)
+        mid = 0.5 * (a + b)
+        g = sign[k] * f(mid)
+        _improve(best, at, g, mid, k)
+        with np.errstate(all="ignore"):  # an infinite slope or error bound, times a point cell's width 0
+            mean_value = g - (_mag(dlo, dhi) * np.maximum(mid - a, b - mid) + 2.0 * err) * _PAD
+        bound = np.where(safe, np.fmax(np.where(k == 0, vlo, -vhi), mean_value), -np.inf)
+        live = bound < best[k]  # could beat its incumbent
+        split = live & (bound < best[k] - _GAP * np.abs(best[k])) & (b - a > floor)
+        done = live & ~split
+        refine.append((a[done], b[done], k[done], bound[done]))
+        if 4 * np.count_nonzero(split) > _CELL_CAP:
+            np.minimum.at(lower, k[split], bound[split])
+            break
+        if not split.any():
+            break
+        e = np.column_stack([a[split, None] + (b - a)[split, None] * np.array([0.0, 0.25, 0.5, 0.75]), b[split]])
+        a, b, k = e[:, :-1].ravel(), e[:, 1:].ravel(), np.repeat(k[split], 4)
+    a, b, k, bound = (np.concatenate(x) for x in zip(*refine))
+    np.minimum.at(lower, k, bound)
+    # each sign's least-bound cell first: where cells tie (a periodic f), its
+    # refined sample leaves the others nothing to gain past _SLACK
+    first = np.zeros(k.size, dtype=bool)
+    first[[np.argmin(np.where(k == j, bound, np.inf)) for j in (0, 1) if (k == j).any()]] = True
+    for pick in (first, ~first):
+        keep = pick & (bound < best[k] - _SLACK * np.abs(best[k]))
+        if keep.any():
+            _improve(best, at, *_golden_min(f, a[keep], b[keep], sign[k[keep]]), k[keep])
+    lower = np.minimum(lower, best)
+    return float(best[0]), float(lower[0]), float(-best[1]), float(-lower[1]), float(at[0])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExprDomainError, NumericalError, ValidationError
-from .expr import BoundsEstimate, CoefficientExpr, parse_expression, _scan
+from .expr import BoundsEstimate, CoefficientExpr, parse_expression, _search
 
 __all__ = [
     "SYMBOLS",
@@ -31,7 +31,6 @@ __all__ = [
 
 SYMBOLS = ("a1", "a2", "b", "c1", "c2", "k1", "k2", "tau1", "tau2", "sigma1", "sigma2")
 DELAY_SYMBOLS = ("tau1", "tau2", "sigma1", "sigma2")
-_HISTORY_SAMPLES = 256  # points on [-r, 0] where a history is checked for sign
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,11 @@ class InitialHistory:
     def validate(self, r: float) -> None:
         if self.value1(0.0) <= 0.0 or self.value2(0.0) <= 0.0:
             raise ValidationError("history must satisfy phi1(0) > 0 and phi2(0) > 0")
-        thetas = np.linspace(-r, 0.0, _HISTORY_SAMPLES) if r > 0 else np.array([0.0])
-        for name, vals in (("phi1", self.value1(thetas)), ("phi2", self.value2(thetas))):
-            if (vals < 0.0).any():
-                raise ValidationError(f"history {name} negative at theta={float(thetas[vals < 0.0][0])}")
+        for name, phi in (("phi1", self.phi1), ("phi2", self.phi2)):
+            if isinstance(phi, CoefficientExpr):
+                least, _, _, _, theta = _search(phi, -r, 0.0)
+                if least < 0.0:
+                    raise ValidationError(f"history {name} negative at theta={theta}")
 
 
 @dataclass
@@ -95,25 +95,26 @@ class ValidationReport:
     ok: bool
     bounds: dict[str, BoundsEstimate]
     max_lag_r: float
-    failures: list[tuple[str, float, float]]  # (symbol, t, value)
+    failures: list[tuple[str, float, float]]  # (symbol, time of its inf, inf)
 
 
-def validate_model(spec: ModelSpec, horizon: float = 1000.0, samples: int = 100_000) -> ValidationReport:
-    """Check positivity of all eleven coefficients on a sampling grid and
-    estimate their sup/inf; computes the maximal lag r.  The grid is
-    linspace(0, horizon, samples), scanned block by block without being built.
-    A coefficient whose scan raises ExprDomainError is named in its symbol."""
+def validate_model(spec: ModelSpec, horizon: float = 1000.0) -> ValidationReport:
+    """Estimate the sup/inf of all eleven coefficients over [0, horizon]
+    with certified brackets, check that each is positive (its certified
+    lower bound above 0), and compute the maximal lag r.  A failure names
+    the time of the coefficient's inf.  A coefficient whose search raises
+    ExprDomainError is named in its symbol."""
     bounds: dict[str, BoundsEstimate] = {}
     failures: list[tuple[str, float, float]] = []
     for sym in SYMBOLS:
         try:
-            est, raw_min, t_min = _scan(spec.expr(sym), horizon, samples)
+            inf_value, inf_lower, sup_value, sup_upper, t_inf = _search(spec.expr(sym), 0.0, horizon)
         except ExprDomainError as exc:
             exc.symbol = sym
             raise
-        bounds[sym] = est
-        if raw_min <= 0.0:
-            failures.append((sym, t_min, raw_min))
+        bounds[sym] = BoundsEstimate(inf_value, sup_value, horizon, inf_lower, sup_upper)
+        if not inf_lower > 0.0:
+            failures.append((sym, t_inf, inf_value))
     r = max(bounds[s].sup_value for s in DELAY_SYMBOLS)
     return ValidationReport(ok=not failures, bounds=bounds, max_lag_r=r, failures=failures)
 

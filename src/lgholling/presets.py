@@ -26,7 +26,6 @@ PRESET_NAMES = ("example1", "example2")
 _COMMON_OPTIONS = {
     "slack": 0.05,
     "bounds_horizon": 1000.0,
-    "bounds_samples": 1_000_000,
     "liminf_t_max": 500.0,
     "liminf_points": 251,
     "attractivity_threshold": 1e-3,

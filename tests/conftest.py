@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from dataclasses import dataclass
@@ -7,7 +8,6 @@ import numpy as np
 import pytest
 
 from lgholling import (
-    BoundsEstimate,
     CoefficientBounds,
     CoefficientExpr,
     ExprDomainError,
@@ -390,29 +390,33 @@ def reference_candidate_cells(values: np.ndarray, cap: int = 40, dmax: float | N
     return sel
 
 
-def reference_scan(expr, horizon: float, grid: np.ndarray):
-    """Reference oracle for the sup/inf scan: the whole grid evaluated in
-    one call and reduced array by array, each candidate cell refined on
-    its own by reference_golden_min with scalar evaluations.  Returns
-    (BoundsEstimate, first nonpositive raw value or else the raw minimum,
-    its t) and raises the whole grid's ExprDomainError."""
+def reference_scan(expr, grid: np.ndarray) -> tuple[float, float]:
+    """Reference oracle for the sup/inf search: the inf and sup of f over a
+    grid, evaluated in one call, with each candidate cell of the least
+    samples of f and of -f refined on its own by reference_golden_min with
+    scalar evaluations.  Raises the whole grid's ExprDomainError."""
     if len(expr.program) == 1 and expr.program[0][0] == "const":
         c = evaluate(expr, 0.0)
-        return BoundsEstimate(abs(c), abs(c), horizon, grid.size), c, 0.0
+        return c, c
     raw = evaluate_array(expr, grid)
-    mag = np.abs(raw)
     h = grid[1] - grid[0] if grid.size > 1 else 0.0
-    dmax = float(np.abs(np.diff(mag)).max()) if grid.size > 2 else None
     least = {}
     for sign in (1.0, -1.0):
-        values = sign * mag
-        refined = [reference_golden_min(lambda t: sign * abs(evaluate(expr, t)),
-                                        max(0.0, grid[i] - h), min(horizon, grid[i] + h))
-                   for i in reference_candidate_cells(values, dmax=dmax)]
+        values = sign * raw
+        refined = [reference_golden_min(lambda t: sign * evaluate(expr, t),
+                                        max(grid[0], grid[i] - h), min(grid[-1], grid[i] + h))
+                   for i in reference_candidate_cells(values)]
         least[sign] = min(float(values.min()), float(min(refined)))
-    nonpos = raw <= 0.0
-    ibad = int(np.argmax(nonpos)) if nonpos.any() else int(np.argmin(raw))
-    return BoundsEstimate(least[1.0], -least[-1.0], horizon, grid.size), float(raw[ibad]), float(grid[ibad])
+    return least[1.0], -least[-1.0]
+
+
+def varying_delay_model(seed: int) -> dict[str, str]:
+    """The coefficient texts of the benchmark's varying-delay workload at seed."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {sym: c.text() for sym, c in workloads.generate_model(np.random.default_rng(seed)).items()}
 
 
 def reference_eval_array(text: str, t) -> np.ndarray:

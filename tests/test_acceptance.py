@@ -239,7 +239,7 @@ def test_criterion_08_operator_invariance(unit_spec, unit_coeff_bounds):
     cb = table_bounds("example2")
     # estimated, not table, bounds: the table's b_sup = 8.6 is below b(0) = 8.68
     options = preset_config("example2")["options"]
-    est = validate_model(spec, options["bounds_horizon"], options["bounds_samples"]).bounds
+    est = validate_model(spec, options["bounds_horizon"]).bounds
     rng = np.random.default_rng(7)
     margins = []
     violations = []

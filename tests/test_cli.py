@@ -29,7 +29,7 @@ def small_config(**overrides):
         "run": {"t0": 0.0, "t_end": 5.0, "h": 0.05, "t_settle": 2.0},
         "analyses": {"bounds": True, "stability": False, "attractivity": False,
                      "fixed_point": False, "pap": False},
-        "options": {"bounds_horizon": 20.0, "bounds_samples": 2001},
+        "options": {"bounds_horizon": 20.0},
     }
     data.update(overrides)
     return data
@@ -188,8 +188,6 @@ def test_nonfinite_run_value_exits_2(tmp_path, capsys, key, literal):
     ("options", "slack", "abc"),
     ("options", "csv_stride", "x"),
     ("options", "fp_step", 0),
-    ("options", "bounds_samples", 0),
-    ("options", "bounds_samples", 1),
     ("options", "liminf_points", 0),
     ("options", "attractivity_history", "x"),
     ("table_bounds", "a1_inf", "x"),
@@ -199,8 +197,7 @@ def test_nonfinite_run_value_exits_2(tmp_path, capsys, key, literal):
     ("options", "attractivity_history", [-1.0, 0.75]),
     ("options", "liminf_t_max", 0),
     ("options", "liminf_t_max", -5.0),
-    ("options", "bounds_samples", 10**12),  # caps: rejected before any sample is taken
-    ("options", "liminf_points", 10**12),
+    ("options", "liminf_points", 10**12),  # a cap: rejected before any sample is taken
 ])
 def test_malformed_value_exits_2_naming_its_path(tmp_path, capsys, section, key, value):
     data = small_config()
@@ -260,14 +257,13 @@ def test_fixed_point_grid_times_must_be_distinct(fixed_point):
     assert load_config(data).run["t0"] == 1e15
 
 
-def test_sample_counts_are_capped():
-    for key in ("bounds_samples", "liminf_points"):
-        data = small_config()
-        data["options"][key] = 10**7
-        assert load_config(data).options[key] == 10**7
-        data["options"][key] = 10**7 + 1
-        with pytest.raises(ConfigError, match=f"/options/{key}: must be <= "):
-            load_config(data)
+def test_sample_count_is_capped():
+    data = small_config()
+    data["options"]["liminf_points"] = 10**7
+    assert load_config(data).options["liminf_points"] == 10**7
+    data["options"]["liminf_points"] = 10**7 + 1
+    with pytest.raises(ConfigError, match="/options/liminf_points: must be <= "):
+        load_config(data)
 
 
 def test_table_bounds_section_gives_every_bound():
@@ -354,14 +350,51 @@ def test_failing_constant_coefficient_exits_3(tmp_path, capsys, text, message):
     assert capsys.readouterr().err == f"numerical failure: /model/c1: {message}\n"
 
 
-def test_coefficient_failing_on_its_scan_grid_names_its_field(tmp_path, capsys):
-    """The scan's own error text is kept after the field's path, and nothing is written."""
+def test_coefficient_failing_at_a_sample_names_its_field(tmp_path, capsys):
+    """The search's own error text is kept after the field's path, and
+    nothing is written.  The first samples past 900 are the first level's
+    midpoint 900.87890625 = 922.5 * 1000/1024."""
     data = preset_config("example2")
     data["model"]["a1"] = "sqrt(900 - t)"
-    data["options"]["bounds_samples"] = 100_001
     cfg = write_config(tmp_path / "bad.json", data)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err == "numerical failure: /model/a1: sqrt of negative value at t=900.01\n"
+    assert capsys.readouterr().err == "numerical failure: /model/a1: sqrt of negative value at t=900.87890625\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_coefficient_whose_inf_is_0_exits_2_naming_its_field(tmp_path, capsys):
+    """0.1 (1 + cos t) touches 0 at each odd multiple of pi: its certified
+    lower bound is not > 0, though no sample of it need be."""
+    data = preset_config("example2")
+    data["model"]["a2"] = "0.1*(1 + cos(t))"
+    data["options"]["bounds_horizon"] = 20.0
+    cfg = write_config(tmp_path / "zero.json", data)
+    assert main(["bounds", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: /model/a2: coefficient a2 is not shown > 0: it is ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_coefficient_with_an_infinite_slope_at_0_passes(tmp_path):
+    """sqrt(t) + 1 has an infinite slope at t = 0, where its inf 1.0 is: the
+    enclosure still bounds it, so its bracket is finite."""
+    data = preset_config("example2")
+    data["model"]["k2"] = "sqrt(t) + 1"
+    data["options"]["bounds_horizon"] = 20.0
+    cfg = write_config(tmp_path / "sqrt.json", data)
+    assert main(["bounds", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    entry = load_report(tmp_path / "out")["model"]["coefficients"]["k2"]
+    assert entry["inf"] == 1.0 and entry["sup"] == pytest.approx(1.0 + math.sqrt(20.0), rel=1e-15)
+    assert 1.0 - 1e-15 < entry["inf_lower"] <= 1.0 and entry["sup"] <= entry["sup_upper"] < math.inf
+
+
+def test_history_dipping_below_0_between_samples_exits_2_naming_history(tmp_path, capsys):
+    """phi1 is 0.5 at 256 evenly spaced points of [-r, 0] and -0.1 between them."""
+    data = preset_config("example2")
+    data["history"]["phi1"] = f"0.5 - 0.6*abs(sin({2.0 * math.pi * 255 / 0.92!r}*t))"
+    cfg = write_config(tmp_path / "dip.json", data)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("validation error: /history: history phi1 negative at theta=-0.")
     assert not (tmp_path / "out").exists()
 
 
@@ -528,7 +561,7 @@ def short_preset(name):
     """A preset config cut to a 4-unit run with coarse analysis grids."""
     data = preset_config(name)
     data["run"].update(t_end=4.0, t_settle=2.0, h=0.05)
-    data["options"].update(bounds_horizon=20.0, bounds_samples=2001, liminf_t_max=10.0, liminf_points=11,
+    data["options"].update(bounds_horizon=20.0, liminf_t_max=10.0, liminf_points=11,
                            fp_t_hi=2.0, fp_max_iter=2)
     return data
 

@@ -8,18 +8,15 @@ from hypothesis import given, settings, strategies as st
 from lgholling import (
     ExprDomainError,
     ExprSyntaxError,
-    ModelSpec,
     evaluate,
     evaluate_array,
     parse_expression,
     serialize,
-    validate_model,
 )
 from lgholling import expr as expr_module
-from lgholling.expr import (_FUNCTIONS, _MAX_DEPTH, _MAX_LENGTH, CoefficientExpr, _enclose, _grid,
-                             _sampled_cells, _scan)
+from lgholling.expr import _FUNCTIONS, _GAP, _MAX_DEPTH, _MAX_LENGTH, CoefficientExpr, _enclose, _search
 from lgholling.presets import PRESET_NAMES, preset_config
-from conftest import reference_candidate_cells, reference_eval_array, reference_scan
+from conftest import reference_eval_array, reference_scan, varying_delay_model
 
 EXPR_CORPUS = [
     "0.04 + 0.125*abs(cos(sqrt(2)*t)) + 0.125*exp(-t)",
@@ -382,182 +379,8 @@ def test_evaluate_is_pure(text, t):
     assert evaluate(e, t) == evaluate(e, t)
 
 
-def test_scan_cosine():
-    est, _, _ = _scan(parse_expression("2.6+0.5*cos(t)"), 100.0, 100_000)
-    assert est.inf_value == pytest.approx(2.1, abs=1e-3)
-    assert est.sup_value == pytest.approx(3.1, abs=1e-3)
-
-
-def test_scan_constant():
-    for text in ("3.5", "(-3.5)", "7/2"):
-        est, _, _ = _scan(parse_expression(text), 10.0, 100)
-        assert (est.inf_value, est.sup_value, est.horizon, est.samples) == (3.5, 3.5, 10.0, 100)
-
-
-def test_scan_rational():
-    # decreasing from 8.43 at t=0 to the tail limit 32.72/4 = 8.18
-    est, _, _ = _scan(parse_expression("(33.72+32.72*t^2)/(4+4*t^2)"), 1e4, 100_000)
-    assert est.inf_value == pytest.approx(8.18, abs=1e-2)
-    assert est.sup_value == pytest.approx(8.43, abs=1e-2)
-
-
-@pytest.mark.parametrize("text", EXPR_CORPUS)
-def test_bounds_nest_outward_with_finer_grids(text):
-    # nested grids: linspace(0,H,n) points are a subset of linspace(0,H,2n-1)
-    e = parse_expression(text)
-    n = 501
-    prev = _scan(e, 20.0, n)[0]
-    for _ in range(3):
-        n = 2 * n - 1
-        cur = _scan(e, 20.0, n)[0]
-        assert cur.inf_value <= prev.inf_value + 1e-12
-        assert cur.sup_value >= prev.sup_value - 1e-12
-        prev = cur
-
-
-def test_bounds_are_of_absolute_value():
-    est, _, _ = _scan(parse_expression("-2 + t"), 4.0, 4001)
-    assert est.inf_value == pytest.approx(0.0, abs=1e-6)
-    assert est.sup_value == pytest.approx(2.0, abs=1e-6)
-
-
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_scan_equals_scalar_golden_reference(name):
-    """The blocked scan, with all candidate cells refined together, gives
-    the same sup/inf, raw minimum and its t, bit for bit, as the
-    whole-array scan that refines the cells one at a time with scalar
-    evaluations; so does validate_model."""
-    config = preset_config(name)
-    horizon, samples = config["options"]["bounds_horizon"], config["options"]["bounds_samples"]
-    grid = np.linspace(0.0, horizon, samples)
-    report = validate_model(ModelSpec.from_strings(config["model"]), horizon=horizon, samples=samples)
-    for sym, text in config["model"].items():
-        e = parse_expression(text)
-        want = reference_scan(e, horizon, grid)
-        assert _scan(e, horizon, samples) == want, sym
-        assert report.bounds[sym] == want[0], sym
-
-
-@pytest.mark.parametrize("n, horizon", [(1, 1000.0), (2, 1000.0), (16, 1000.0), (12, 3.2), (1001, 1000.0),
-                                        (3, 5e-324), (7, -5.0)])
-def test_scan_grid_is_linspace(n, horizon):
-    """The scan's samples, made index by index, are the floats of
-    np.linspace(0, horizon, n), in any order: with an endpoint that
-    (n - 1) * step misses (16 on 1000, 12 on 3.2), a step that underflows
-    to 0 and a negative horizon's zero."""
-    want = np.linspace(0.0, horizon, n)
-    for i in (np.arange(n), np.arange(n)[::-1]):
-        assert _grid(i, n, horizon).tobytes() == want[i].tobytes()
-
-
-def scan_both(text: str, horizon: float, n: int):
-    """The blocked scan and the whole-array reference on linspace(0, horizon, n)."""
-    e = parse_expression(text)
-    grid = np.linspace(0.0, horizon, n)
-    return _scan(e, horizon, n), reference_scan(e, horizon, grid)
-
-
-@pytest.fixture
-def block8(monkeypatch):
-    """Scan blocks of 8 samples."""
-    monkeypatch.setattr(expr_module, "_SCAN_BLOCK", 8)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 17])
-@pytest.mark.parametrize("text", [t for t in EXPR_CORPUS if t != "3.2"] + ["sin(3*t)"])
-def test_blocked_scan_equals_whole_array_scan(block8, text, n):
-    got, want = scan_both(text, 10.0, n)
-    assert got == want
-
-
-@pytest.mark.parametrize("idx", [7, 8, 15, 16])
-@pytest.mark.parametrize("shape", ["1 + (t - {c})^2", "2 - 0.1*(t - {c})^2"])
-def test_blocked_scan_extremum_on_a_block_edge(block8, shape, idx):
-    grid = np.linspace(0.0, 3.2, 33)
-    text = shape.format(c=repr(float(grid[idx])))
-    mag = np.abs(evaluate_array(parse_expression(text), grid))
-    extreme = mag if shape.startswith("1") else -mag
-    assert idx in reference_candidate_cells(extreme)
-    got, want = scan_both(text, 3.2, 33)
-    assert got == want
-
-
-def test_blocked_scan_of_a_flat_expression(block8):
-    assert len(parse_expression("1 + 0*t").program) > 1
-    got, want = scan_both("1 + 0*t", 10.0, 101)
-    assert got == want
-    assert (got[0].inf_value, got[0].sup_value) == (1.0, 1.0)
-
-
-def test_blocked_scan_caps_near_tied_minima(monkeypatch):
-    monkeypatch.setattr(expr_module, "_SCAN_BLOCK", 64)
-    grid = np.linspace(0.0, 200.0, 2001)
-    mag = np.abs(evaluate_array(parse_expression("abs(sin(t))"), grid))
-    assert reference_candidate_cells(mag, cap=10**6).size > 40
-    got, want = scan_both("abs(sin(t))", 200.0, 2001)
-    assert got == want
-
-
-@pytest.mark.parametrize("text, t_min", [("cos(t)", 1.6), ("2 + cos(t)", 9.4)])
-def test_blocked_scan_finds_the_raw_minimum_in_a_later_block(block8, text, t_min):
-    """cos(t) first goes nonpositive at t = 1.6, in the third block; 2 + cos(t)
-    stays positive and is least at 9.4, in the twelfth."""
-    got, want = scan_both(text, 10.0, 101)
-    assert got == want
-    assert got[2] == t_min
-
-
-@pytest.mark.parametrize("block", [1, 8, 1 << 16])
-@pytest.mark.parametrize("text, n, message, early", [
-    # a block that holds t = 100 but no t > 400 fails on the division; the
-    # whole-grid walk fails on the square root first, and so does the scan
-    ("sqrt(400-t) + 1/(t-100)", 1001, "sqrt of negative value at t=401.0", (96, "division by zero at t=100.0")),
-    # three checks, each first failing in a later block than the check after
-    # it in the program: the first in the program wins
-    ("sqrt(700-t) + 0*sqrt(400-t) + 1/(t-100)", 1001, "sqrt of negative value at t=701.0",
-     (396, "sqrt of negative value at t=401.0")),
-    # non-finite from t = 0 on, but the final non-finite check comes after
-    # every instruction, so a square root that fails only later wins
-    ("exp(800 - 10*t) + sqrt(500 - t)", 1001, "sqrt of negative value at t=501.0", (0, "non-finite value at t=0.0")),
-    # one sample, at 0, and two, at 0 and exactly the horizon
-    ("sqrt(400-t) + 1/t", 1, "division by zero at t=0.0", None),
-    ("sqrt(400-t) + 1/t", 2, "sqrt of negative value at t=1000.0", None),
-    ("1/(t - 1000) + exp(800 - t)", 2, "division by zero at t=1000.0", None),
-    ("exp(800 - t)", 2, "non-finite value at t=0.0", None),
-])
-def test_blocked_scan_raises_the_whole_grid_error(monkeypatch, block, text, n, message, early):
-    monkeypatch.setattr(expr_module, "_SCAN_BLOCK", block)
-    e = parse_expression(text)
-    grid = np.linspace(0.0, 1000.0, n)
-    with pytest.raises(ExprDomainError) as whole:
-        reference_scan(e, 1000.0, grid)
-    assert str(whole.value) == message
-    with pytest.raises(ExprDomainError) as blocked:
-        _scan(e, 1000.0, n)
-    assert str(blocked.value) == message
-    if early:  # an 8-sample block there meets another error
-        start, block_message = early
-        with pytest.raises(ExprDomainError, match=f"^{re.escape(block_message)}$"):
-            evaluate_array(e, grid[start:start + 8])
-
-
-def test_blocked_scan_raises_the_inf_refinement_error_first():
-    """Every sample lies in the domain, but both refinements step out of it:
-    the inf's near t = 0.55 and, in an earlier golden-section iteration, the
-    sup's near t = 0.25.  The error raised is the inf's, as when each sign
-    is refined alone."""
-    e = parse_expression("sqrt(abs(t-0.55) - 0.003) + 1/sqrt(abs(t-0.25) - 0.004)")
-    grid = np.linspace(0.0, 1.0, 12)
-    evaluate_array(e, grid)
-    with pytest.raises(ExprDomainError) as want:
-        reference_scan(e, 1.0, grid)
-    with pytest.raises(ExprDomainError) as got:
-        _scan(e, 1.0, grid.size)
-    assert str(got.value) == str(want.value) == "sqrt of negative value at t=0.5505207354546219"
-
-
 # ---------------------------------------------------------------------------
-# the skipping scan: cells an interval enclosure rules out are not sampled
+# the sup/inf search: branch-and-bound on the enclosures
 # ---------------------------------------------------------------------------
 
 
@@ -579,143 +402,206 @@ def random_program_text(draw, depth=0):
     return f"{draw(st.sampled_from(['2.6', '0.5', '1']))} + {a}"
 
 
-def scan_outcome(scan):
-    """A scan's result, or the text of the ExprDomainError it raises."""
-    try:
-        return scan()
-    except ExprDomainError as exc:
-        return str(exc)
+def search_traced(e, lo: float, hi: float):
+    """_search of e over [lo, hi], and whether it ran short of the cell cap
+    and the width floor: every level it enclosed held at most a quarter of
+    _CELL_CAP cells, and every cell was wider than the floor."""
+    levels = []
+
+    def traced(program, a, b):
+        levels.append((a.size, (b - a).min()))
+        return _enclose(program, a, b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr_module, "_enclose", traced)
+        result = _search(e, lo, hi)
+    floor = expr_module._FLOOR * max(abs(lo), abs(hi))
+    return result, all(4 * size <= expr_module._CELL_CAP and width > floor for size, width in levels)
 
 
-@pytest.fixture(params=[2, 4])
-def small_cells(request, monkeypatch):
-    """Scan blocks of 8 samples and cells of 2 or 4: grids of 32 samples
-    and more go through the enclosure pass."""
-    monkeypatch.setattr(expr_module, "_SCAN_BLOCK", 8)
-    monkeypatch.setattr(expr_module, "_SCAN_CELL", request.param)
+def check_search(e, lo: float, hi: float, grid: np.ndarray) -> None:
+    """Each estimate lies inside its bracket; short of the cell cap and the
+    width floor the bracket is at most _GAP wide, relative; the inf is at
+    most reference_scan's on the grid and the sup at least its, within
+    1e-12 of the larger |f| of the two (a golden-section search stops some
+    ulps of t short of a zero that a grid may hit)."""
+    (inf_value, inf_lower, sup_value, sup_upper, t_inf), uncut = search_traced(e, lo, hi)
+    assert inf_lower <= inf_value <= sup_value <= sup_upper
+    assert lo <= t_inf <= hi and evaluate(e, t_inf) == inf_value
+    if uncut:
+        assert inf_value - inf_lower <= _GAP * abs(inf_value)
+        assert sup_upper - sup_value <= _GAP * abs(sup_value)
+    ref_inf, ref_sup = reference_scan(e, grid)
+    scale = max(abs(ref_inf), abs(ref_sup))
+    assert inf_value <= ref_inf + 1e-12 * scale
+    assert sup_value >= ref_sup - 1e-12 * scale
 
 
-def skipped_cells_meet_the_four_conditions(e, horizon: float, n: int) -> int:
-    """Checks each cell _sampled_cells skips against the whole grid: its
-    samples (and the next cell's first) are positive, lie above every
-    candidate the inf keeps and below every one the sup keeps, and its steps
-    are below the grid's largest; the end cells are sampled.  Returns how
-    many cells were skipped."""
-    sampled = _sampled_cells(e, horizon, n)
-    if sampled is None:
-        return 0
-    raw = evaluate_array(e, np.linspace(0.0, horizon, n))
-    mag, cell = np.abs(raw), expr_module._SCAN_CELL
-    steps = np.abs(np.diff(mag))
-    dmax, least, most = steps.max(), mag.min(), mag.max()
-    assert sampled[0] and sampled[-1]
-    at = np.minimum(np.flatnonzero(~sampled)[:, None] * cell + np.arange(cell + 1), n - 1)
-    assert (raw[at] > 0.0).all()
-    assert (mag[at].min(axis=1) > least + 2.0 * dmax + 1e-15).all()
-    assert (mag[at].max(axis=1) < most - 2.0 * dmax - 1e-15).all()
-    assert (steps[np.minimum(at[:, :-1], n - 2)].max(axis=1) < dmax).all()
-    return int((~sampled).sum())
+@pytest.mark.parametrize("text", ["3.5", "(-3.5)", "7/2"])
+def test_search_of_a_constant_is_closed_form(text):
+    c = evaluate(parse_expression(text), 0.0)
+    assert _search(parse_expression(text), 0.0, 10.0) == (c, c, c, c, 0.0)
 
 
-@pytest.mark.parametrize("n", [33, 101, 257])
-@pytest.mark.parametrize("text", [t for t in EXPR_CORPUS if t != "3.2"] + ["sin(3*t)"])
-def test_skipping_scan_equals_whole_array_scan(small_cells, text, n):
-    got, want = scan_both(text, 10.0, n)
-    assert got == want
-    skipped_cells_meet_the_four_conditions(parse_expression(text), 10.0, n)
+@pytest.mark.parametrize("lo, hi", [(0.0, 20.0), (-2.0, 0.0), (0.0, 1000.0), (0.0, 3.2), (-50.0, 50.0),
+                                    (5.0, 5.001), (1e3, 1e3 + 1.0)])
+@pytest.mark.parametrize("text", EXPR_CORPUS)
+def test_search_brackets_the_corpus(text, lo, hi):
+    check_search(parse_expression(text), lo, hi, np.linspace(lo, hi, 20_001))
 
 
-@pytest.mark.parametrize("text", ["1 + 1e-13*t", "1 + 3e-15*sin(t)", "2 + 1e-12*abs(cos(t))"])
-def test_skipping_scan_of_a_curve_within_rounding_of_flat(small_cells, text):
-    """Steps of a few ulps, set by rounding more than by the slope: only the
-    error bound keeps such cells from being skipped."""
-    got, want = scan_both(text, 10.0, 257)
-    assert got == want
-    skipped_cells_meet_the_four_conditions(parse_expression(text), 10.0, 257)
+@pytest.mark.parametrize("cells", [1, 2, 7])
+@pytest.mark.parametrize("text", EXPR_CORPUS)
+def test_search_from_a_few_first_cells_brackets_the_corpus(monkeypatch, text, cells):
+    """The bracket and the estimates do not rest on the first level's
+    1,024 cells: from one, two or seven, the splits find the same."""
+    monkeypatch.setattr(expr_module, "_CELLS", cells)
+    for lo, hi in [(0.0, 20.0), (0.0, 1000.0)]:
+        check_search(parse_expression(text), lo, hi, np.linspace(lo, hi, 20_001))
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_preset_skipped_cells_meet_the_four_conditions(name):
-    skipped = [skipped_cells_meet_the_four_conditions(parse_expression(text), 1000.0, 1_000_000)
-               for text in preset_config(name)["model"].values()]
-    assert sum(skipped) > 0
+@pytest.mark.parametrize("cap", [4, 64, 1024])
+@pytest.mark.parametrize("lo, hi", [(0.0, 20.0), (0.0, 1000.0)])
+@pytest.mark.parametrize("text", EXPR_CORPUS)
+def test_search_past_the_cell_cap_keeps_a_certified_bracket(monkeypatch, text, lo, hi, cap):
+    """A search stopped by the cell cap keeps a bracket wider than _GAP, but
+    still certified: it holds every sample of a dense grid."""
+    monkeypatch.setattr(expr_module, "_CELL_CAP", cap)
+    e = parse_expression(text)
+    inf_value, inf_lower, sup_value, sup_upper, t_inf = _search(e, lo, hi)
+    assert inf_lower <= inf_value <= sup_value <= sup_upper
+    assert lo <= t_inf <= hi and evaluate(e, t_inf) == inf_value
+    values = evaluate_array(e, np.linspace(lo, hi, 20_001))
+    assert inf_lower <= values.min() and values.max() <= sup_upper
 
 
-def test_skipping_scan_skips_cells_of_the_corpus(small_cells):
-    """The corpus tests above are not all fallbacks: most of its curves skip cells."""
-    skipping = [text for text in EXPR_CORPUS if (s := _sampled_cells(parse_expression(text), 10.0, 257)) is not None
-                and not s.all()]
-    assert len(skipping) >= 4
+@pytest.mark.parametrize("parts", [2, 3, 7])
+@pytest.mark.parametrize("text", EXPR_CORPUS)
+def test_search_brackets_of_a_partition_agree_with_the_whole(text, parts):
+    """Over [0, 20] split in parts: the whole's bracket holds every part's
+    estimates, and each of the whole's estimates lies within the parts'
+    brackets, since each is a value f takes in one part."""
+    e = parse_expression(text)
+    inf_value, inf_lower, sup_value, sup_upper, _ = _search(e, 0.0, 20.0)
+    edges = np.linspace(0.0, 20.0, parts + 1)
+    each = [_search(e, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    assert inf_lower <= min(p[0] for p in each) and max(p[2] for p in each) <= sup_upper
+    assert min(p[1] for p in each) <= inf_value and sup_value <= max(p[3] for p in each)
 
 
-@pytest.mark.parametrize("idx", [7, 8, 15, 16])
+@pytest.mark.parametrize("c", [0.0, 1.5, 1000.0])
+@pytest.mark.parametrize("text", EXPR_CORPUS)
+def test_search_of_a_point_interval_is_its_value(text, c):
+    """Over [c, c] both estimates are f(c), within a bracket no wider than
+    the rounding bound of f's evaluation."""
+    e = parse_expression(text)
+    v = evaluate(e, c)
+    inf_value, inf_lower, sup_value, sup_upper, t_inf = _search(e, c, c)
+    assert (inf_value, sup_value, t_inf) == (v, v, c)
+    assert inf_lower <= v <= sup_upper
+    assert v - inf_lower <= 1e-12 * abs(v) and sup_upper - v <= 1e-12 * abs(v)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 20.0), (0.0, 1000.0)])
+@pytest.mark.parametrize("text", EXPR_CORPUS)
+def test_search_of_minus_f_is_the_search_of_f_with_signs_swapped(text, lo, hi):
+    """Negation is exact in the evaluation and in the enclosures, so the
+    search of -f takes the same steps with its signs swapped: its inf is
+    minus f's sup, its bracket minus f's, bit for bit."""
+    inf_value, inf_lower, sup_value, sup_upper, _ = _search(parse_expression(text), lo, hi)
+    got = _search(parse_expression(f"-({text})"), lo, hi)
+    assert got[:4] == (-sup_value, -sup_upper, -inf_value, -inf_lower)
+
+
+@pytest.mark.parametrize("idx", [0, 1, 255, 511, 511.5, 512, 1023, 1024])
 @pytest.mark.parametrize("shape", ["1 + (t - {c})^2", "2 - 0.1*(t - {c})^2"])
-def test_skipping_scan_extremum_on_a_block_edge(small_cells, shape, idx):
-    text = shape.format(c=repr(float(np.linspace(0.0, 3.2, 33)[idx])))
-    got, want = scan_both(text, 3.2, 33)
-    assert got == want
+def test_search_finds_an_extremum_on_a_first_level_cell_edge(shape, idx):
+    """An extremum at an edge of the first level's cells of [0, 3.2] (a
+    whole idx), at one of their midpoints (511.5), or at an end point."""
+    c = 3.2 * idx / 1024
+    e = parse_expression(shape.format(c=repr(c)))
+    inf_value, inf_lower, sup_value, sup_upper, t_inf = _search(e, 0.0, 3.2)
+    if shape.startswith("1"):
+        assert inf_lower <= 1.0 == inf_value and abs(t_inf - c) <= 1e-7
+    else:
+        assert sup_value == 2.0 <= sup_upper
+
+
+@pytest.mark.parametrize("name", [*PRESET_NAMES, 1, 2, 3, 11, 101])
+def test_search_brackets_preset_and_varying_delay_coefficients(name):
+    """Both presets over their 10^6-sample grid of [0, 1000], and the
+    benchmark's varying-delay coefficients at five seeds over 10^5 samples."""
+    model = preset_config(name)["model"] if isinstance(name, str) else varying_delay_model(name)
+    grid = np.linspace(0.0, 1000.0, 1_000_001 if isinstance(name, str) else 100_001)
+    for text in model.values():
+        check_search(parse_expression(text), 0.0, 1000.0, grid)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data(), st.sampled_from([(3.2, 33), (10.0, 65), (10.0, 101)]))
-def test_skipping_scan_of_random_programs_equals_whole_array_scan(data, grid):
-    horizon, n = grid
+@given(st.data(), st.sampled_from([(0.0, 3.2), (0.0, 10.0), (-2.0, 0.0)]))
+def test_search_brackets_random_programs(data, interval):
+    """Where the search and the reference grid both evaluate without a
+    domain error (a search samples other times than a grid does)."""
+    lo, hi = interval
     e = parse_expression(random_program_text(data.draw))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(expr_module, "_SCAN_BLOCK", 8)
-        patch.setattr(expr_module, "_SCAN_CELL", data.draw(st.sampled_from([2, 4])))
-        got = scan_outcome(lambda: _scan(e, horizon, n))
-        if not isinstance(got, str):
-            skipped_cells_meet_the_four_conditions(e, horizon, n)
-    assert got == scan_outcome(lambda: reference_scan(e, horizon, np.linspace(0.0, horizon, n)))
+    try:
+        check_search(e, lo, hi, np.linspace(lo, hi, 4001))
+    except ExprDomainError:
+        pass
 
 
-def count_samples(monkeypatch):
-    """Wraps evaluate_array to count the samples it is given."""
-    count = [0]
-    inner = expr_module.evaluate_array
-
-    def counted(expr, t):
-        count[0] += np.size(t)
-        return inner(expr, t)
-
-    monkeypatch.setattr(expr_module, "evaluate_array", counted)
-    return count
-
-
-@pytest.mark.parametrize("text, horizon", [
-    ("1 + 0*t", 10.0),  # flat: no sampled step bounds the others
-    ("1 + 1e-300*sin(t)", 10.0),  # flat once rounded
-    ("sqrt(900 - t)", 1000.0),  # a square root that fails
-    ("exp(709*sin(t))", 10.0),  # every sample is finite, but the derivative's enclosure overflows
+@pytest.mark.parametrize("text, message", [
+    # the first level's midpoints on [0, 1000] are (k + 1/2) 1000/1024: 900.87890625 is the first past 900
+    ("sqrt(900 - t)", "sqrt of negative value at t=900.87890625"),
+    ("exp(800 - t)", "non-finite value at t=0.0"),  # the interval's ends are sampled first
+    # three checks: the first in the program to fail wins, at the first time it fails
+    ("sqrt(400-t) + 1/(t-100)", "sqrt of negative value at t=400.87890625"),
+    ("sqrt(700-t) + 0*sqrt(400-t) + 1/(t-100)", "sqrt of negative value at t=700.68359375"),
+    # the final non-finite check comes after every instruction's own
+    ("exp(800 - 10*t) + sqrt(500 - t)", "sqrt of negative value at t=500.48828125"),
+    ("sqrt(400-t) + 1/t", "sqrt of negative value at t=400.87890625"),
+    ("1/(t - 1000) + exp(800 - t)", "division by zero at t=1000.0"),
+    ("1/t", "division by zero at t=0.0"),
+    ("sqrt(t - 1)", "sqrt of negative value at t=0.0"),
+    ("sqrt(-t)", "sqrt of negative value at t=0.48828125"),  # sqrt(-0.0) is -0.0, no failure
+    ("1/(t - 0.48828125)", "division by zero at t=0.48828125"),
+    ("sqrt(sin(t))", "sqrt of negative value at t=3.41796875"),
+    ("exp(t)", "non-finite value at t=710.44921875"),
 ])
-def test_scan_samples_every_cell_where_the_skip_cannot_be_proven(monkeypatch, text, horizon):
-    monkeypatch.setattr(expr_module, "_SCAN_BLOCK", 8)
-    monkeypatch.setattr(expr_module, "_SCAN_CELL", 4)
-    e, n = parse_expression(text), 101
-    assert _sampled_cells(e, horizon, n) is None
-    count = count_samples(monkeypatch)
-    got = scan_outcome(lambda: _scan(e, horizon, n))
-    assert count[0] >= n
-    assert got == scan_outcome(lambda: reference_scan(e, horizon, np.linspace(0.0, horizon, n)))
+def test_search_raises_the_error_of_a_sample(text, message):
+    """The error is the one evaluate_array raises over the first level's
+    samples: the two end points and the 1,024 cells' midpoints."""
+    e = parse_expression(text)
+    edges = np.linspace(0.0, 1000.0, expr_module._CELLS + 1)
+    with pytest.raises(ExprDomainError, match=f"^{re.escape(message)}$"):
+        evaluate_array(e, np.r_[0.0, 0.5 * (edges[:-1] + edges[1:]), 1000.0])
+    with pytest.raises(ExprDomainError, match=f"^{re.escape(message)}$"):
+        _search(e, 0.0, 1000.0)
 
 
-def test_an_overflowing_enclosure_marks_its_cells_unsafe():
+def test_search_splits_cells_that_may_fail_until_a_sample_does():
+    """No first-level midpoint of [0, 1] lies in the gap (0.547, 0.553) where
+    the square root fails, but cells there cannot be ruled out: they split
+    until one of their samples raises, naming its time."""
+    e = parse_expression("sqrt(abs(t - 0.55) - 0.003) + 1")
+    with pytest.raises(ExprDomainError) as err:
+        _search(e, 0.0, 1.0)
+    t = float(re.fullmatch(r"sqrt of negative value at t=(.*)", str(err.value))[1])
+    assert abs(t - 0.55) < 0.003
+    with pytest.raises(ExprDomainError, match=re.escape(str(err.value))):
+        evaluate(e, t)
+
+
+def test_an_overflowing_slope_leaves_the_value_enclosure_safe():
+    """Every sample of exp(709 sin t) is finite, and so is each cell's value
+    enclosure, though its slope's overflows; at sqrt(0) the slope is
+    infinite, but no check can fail."""
     e, t = parse_expression("exp(709*sin(t))"), np.linspace(0.0, 10.0, 101)
     assert np.isfinite(evaluate_array(e, t)).all()
-    assert not _enclose(e.program, t[:-1], t[1:])[-1].all()
-
-
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_preset_coefficients_sample_at_most_30_percent_of_their_grid(monkeypatch, name):
-    """Each time-varying coefficient of a preset samples at most 30% of its
-    10^6-point grid, pilots and refinement included."""
-    for sym, text in preset_config(name)["model"].items():
-        e = parse_expression(text)
-        if len(e.program) > 1:
-            count = count_samples(monkeypatch)
-            _scan(e, 1000.0, 1_000_000)
-            assert count[0] <= 300_000, (sym, count[0])
+    vlo, vhi, dlo, dhi, err, safe = _enclose(e.program, t[:-1], t[1:])
+    assert safe.all() and not np.isfinite(dhi).all()
+    vlo, vhi, dlo, dhi, err, safe = _enclose(parse_expression("sqrt(t) + 1").program, np.zeros(1), np.ones(1))
+    assert safe.all() and vlo[0] <= 1.0 and dhi[0] == np.inf
 
 
 def enclosure_holds_every_computed_sample_and_step(e, edges):

@@ -1,6 +1,6 @@
 import dataclasses
 import math
-import tracemalloc
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from lgholling import (
     BoundsEstimate,
-    ExprDomainError,
     GridFunctionPair,
     InitialHistory,
     ModelSpec,
@@ -17,10 +16,10 @@ from lgholling import (
     dde_residual,
     delayed_term,
     evaluate,
-    evaluate_array,
     parse_expression,
     validate_model,
 )
+from lgholling import expr as expr_module
 from lgholling.model import DELAY_SYMBOLS, SYMBOLS
 from lgholling.presets import preset_config
 
@@ -38,26 +37,23 @@ def test_from_strings_reports_missing():
 
 
 def test_validate_example1_preset(example1_spec):
-    report = validate_model(example1_spec, horizon=200.0, samples=20_001)
+    report = validate_model(example1_spec, horizon=200.0)
     assert report.ok
     assert report.max_lag_r == pytest.approx(0.75, abs=1e-12)
     assert report.bounds["a1"].sup_value == pytest.approx(0.29, abs=1e-6)
 
 
-@pytest.mark.xfail(strict=True, reason="expr._SCAN_CAP refines 40 of the ~318 near-tied cusps of |cos t|, "
-                   "and the scan reports 8.180000264434934 (ROADMAP item 8)")
 def test_example2_b_inf_is_its_last_cusp_before_the_horizon(example2_spec):
     """b = 8.18 + 0.25/(1 + t^2) + 0.25|cos t| takes its inf over [0, 1000]
     at the last zero of cos t there, t = 317.5 pi."""
-    options = preset_config("example2")["options"]
-    report = validate_model(example2_spec, horizon=options["bounds_horizon"], samples=options["bounds_samples"])
+    report = validate_model(example2_spec, horizon=preset_config("example2")["options"]["bounds_horizon"])
     assert evaluate(example2_spec.b, 317.5 * math.pi) == 8.180000251276802
     assert math.isclose(report.bounds["b"].inf_value, 8.180000251276802, rel_tol=1e-12)
 
 
 def test_validate_constant_set():
     spec = constant_spec()
-    report = validate_model(spec, horizon=50.0, samples=5001)
+    report = validate_model(spec, horizon=50.0)
     assert report.ok
     assert report.max_lag_r == pytest.approx(0.5, abs=1e-12)
 
@@ -65,7 +61,7 @@ def test_validate_constant_set():
 def test_validate_leaves_the_frozen_spec_unchanged():
     spec = constant_spec(a1="1 + 0.5*sin(t)")
     before = dataclasses.astuple(spec)
-    report = validate_model(spec, horizon=10.0, samples=1001)
+    report = validate_model(spec, horizon=10.0)
     assert report.ok
     assert dataclasses.astuple(spec) == before
     assert [f.name for f in dataclasses.fields(spec)] == list(SYMBOLS)
@@ -75,63 +71,88 @@ def test_validate_leaves_the_frozen_spec_unchanged():
 
 def test_validate_rejects_sign_changing_coefficient():
     spec = constant_spec(b="cos(t)")
-    report = validate_model(spec, horizon=10.0, samples=10_001)
+    report = validate_model(spec, horizon=10.0)
     assert not report.ok
     failed = {sym for sym, _, _ in report.failures}
     assert failed == {"b"}
-    _, t_bad, value = report.failures[0]
-    assert 1.4 < t_bad < 2.0  # first zero crossing of cos is at pi/2
-    assert value <= 0.0
+    _, t_inf, value = report.failures[0]
+    assert min(abs(t_inf - math.pi), abs(t_inf - 3.0 * math.pi)) < 1e-6  # the failure names the time of the inf, -1
+    assert value == report.bounds["b"].inf_value == pytest.approx(-1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("text, value", [("(-3.2)", -3.2), ("0", 0.0), ("2*(-1.6)", -3.2)])
 def test_validate_reports_a_nonpositive_constant_at_t0(text, value):
-    report = validate_model(constant_spec(c1=text), horizon=10.0, samples=1001)
+    report = validate_model(constant_spec(c1=text), horizon=10.0)
     assert not report.ok
     assert report.failures == [("c1", 0.0, value)]
-    assert report.bounds["c1"] == BoundsEstimate(abs(value), abs(value), 10.0, 1001)
+    assert report.bounds["c1"] == BoundsEstimate(value, value, 10.0, value, value)
+
+
+@pytest.fixture(scope="module")
+def preset_reports():
+    """Each preset's validate_model report over its bounds horizon."""
+    reports = {}
+    for name in ("example1", "example2"):
+        config = preset_config(name)
+        reports[name] = validate_model(ModelSpec.from_strings(config["model"]),
+                                       horizon=config["options"]["bounds_horizon"])
+    return reports
+
+
+@pytest.mark.parametrize("sym", SYMBOLS)
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_preset_coefficient_bounds_are_its_search(preset_reports, name, sym):
+    """Each preset coefficient's estimate is its search over [0, horizon],
+    values f takes there inside a bracket within _GAP of them, and positive
+    by its certified lower bound."""
+    report, config = preset_reports[name], preset_config(name)
+    horizon = config["options"]["bounds_horizon"]
+    est = report.bounds[sym]
+    inf_value, inf_lower, sup_value, sup_upper, _ = expr_module._search(parse_expression(config["model"][sym]),
+                                                                        0.0, horizon)
+    assert est == BoundsEstimate(inf_value, sup_value, horizon, inf_lower, sup_upper)
+    assert 0.0 < est.inf_lower <= est.inf_value <= est.sup_value <= est.sup_upper
+    assert est.inf_value - est.inf_lower <= expr_module._GAP * est.inf_value
+    assert est.sup_upper - est.sup_value <= expr_module._GAP * est.sup_value
+    assert report.ok and sym not in [f[0] for f in report.failures]
 
 
 @pytest.mark.parametrize("a1", ["1 + 0*t", "1 + 1e-300*sin(t)"])
-def test_a_flat_coefficient_scans_in_one_block_of_memory(a1):
-    """A coefficient that is flat but not folded ties at every sample, and
-    keeps none of them as candidates (2e6 samples of it once traced 113 MB)."""
+def test_a_flat_coefficient_is_its_constant(a1):
+    """A coefficient that is flat but not folded: every sample is 1, and
+    every cell's bound ties with them to within rounding."""
     spec = ModelSpec.from_strings(preset_config("example1")["model"] | {"a1": a1})
-    tracemalloc.start()
-    try:
-        report = validate_model(spec, horizon=1000.0, samples=2_000_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.ok and report.bounds["a1"] == BoundsEstimate(1.0, 1.0, 1000.0, 2_000_000)
-    assert peak <= 6e6, f"peak {peak / 1e6:.1f} MB"
+    est = validate_model(spec, horizon=1000.0).bounds["a1"]
+    assert (est.inf_value, est.sup_value) == (1.0, 1.0)
+    assert 1.0 - 1e-15 < est.inf_lower and est.sup_upper < 1.0 + 1e-15
 
 
-@pytest.mark.parametrize("a1", [None, "sqrt(900 - t)"])
-def test_validate_scans_in_one_block_of_memory(a1):
-    """At 2e6 samples the scan holds one block, not the 16 MB grid, whether
-    every coefficient passes or a1 fails late in the grid; the error is the
-    one the whole grid's evaluation raises."""
-    config = preset_config("example1")
-    model = config["model"] | ({"a1": a1} if a1 else {})
-    spec, samples = ModelSpec.from_strings(model), 2_000_000
-    want = None
-    if a1:
-        with pytest.raises(ExprDomainError) as whole:
-            evaluate_array(spec.a1, np.linspace(0.0, 1000.0, samples))
-        want = str(whole.value)
-        assert want.startswith("sqrt of negative value at t=900.")
-    got = None
-    tracemalloc.start()
-    try:
-        validate_model(spec, horizon=1000.0, samples=samples)
-    except ExprDomainError as exc:
-        got = str(exc)
-    finally:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-    assert got == want
-    assert peak <= 6e6, f"peak {peak / 1e6:.1f} MB"
+@pytest.mark.parametrize("a1, capped", [("1 + 0.5*sin(1e6*t)", False), ("1 + 0.5*sin(1e6*t)*sin(1.1e6*t)", True)])
+def test_a_fast_coefficient_passes_within_seconds(monkeypatch, a1, capped):
+    """About 1.6e8 periods on [0, 1000].  Every trough of sin(1e6 t) is -1,
+    and the second level's samples come within _GAP of it; the troughs of
+    the product never quite line up, so its search stops at the cell cap.
+    Either way the first level's enclosures, 1 + 0.5 [-1, 1], show a1 > 0."""
+    spec = ModelSpec.from_strings(preset_config("example1")["model"] | {"a1": a1})
+    cap, inner = expr_module._CELL_CAP, expr_module._enclose
+    sizes = {}  # per cap: the cell count of each level the searches enclose
+
+    def traced(program, a, b):
+        sizes[expr_module._CELL_CAP].append(a.size)
+        return inner(program, a, b)
+
+    monkeypatch.setattr(expr_module, "_enclose", traced)
+    for limit in (cap, 4 * cap):
+        sizes[limit] = []
+        monkeypatch.setattr(expr_module, "_CELL_CAP", limit)
+        start = time.perf_counter()
+        report = validate_model(spec, horizon=1000.0)
+        assert time.perf_counter() - start < 5.0
+        est = report.bounds["a1"]
+        assert report.ok and 0.5 - 1e-15 < est.inf_lower <= est.inf_value
+        assert est.sup_value <= est.sup_upper < 1.5 + 1e-15
+    assert max(sizes[cap]) <= cap
+    assert (max(sizes[4 * cap]) > cap) == capped  # a larger cap lets the search go on
 
 
 def constant_pair(u, v, t_lo=0.0, t_hi=1.0):
@@ -216,6 +237,18 @@ def test_history_validation():
     bad = InitialHistory(parse_expression("t + 0.1"), 0.25)  # negative for t < -0.1
     with pytest.raises(ValidationError):
         bad.validate(1.0)
+
+
+def test_history_dipping_below_0_between_any_256_samples_is_refused():
+    """0.5 - 0.6|sin(w t)| with w = 2 pi 255/0.92 is 0.5 at every point of
+    linspace(-0.92, 0, 256) (up to rounding) but dips to -0.1 between them."""
+    w = 2.0 * math.pi * 255 / 0.92
+    phi1 = parse_expression(f"0.5 - 0.6*abs(sin({w!r}*t))")
+    assert (phi1(np.linspace(-0.92, 0.0, 256)) > 0.49).all()
+    with pytest.raises(ValidationError, match=r"^history phi1 negative at theta=-0\.") as err:
+        InitialHistory(phi1, 0.5).validate(0.92)
+    theta = float(str(err.value).rpartition("=")[2])
+    assert evaluate(phi1, theta) == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_history_expression_values():

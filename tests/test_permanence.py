@@ -79,7 +79,7 @@ def test_unit_case_by_direct_formula():
 
 
 def test_bounds_from_estimates_match_table_when_inputs_match(unit_spec):
-    report = validate_model(unit_spec, horizon=10.0, samples=1001)
+    report = validate_model(unit_spec, horizon=10.0)
     assert report.ok
     cb = CoefficientBounds.from_validation(report.bounds)
     pb_est = compute_permanence_bounds_from_values(cb)
@@ -91,7 +91,7 @@ def test_from_validation_maps_every_field_to_its_estimate():
     # every coefficient 10 (i + 1) + sin(t): the 18 fields are 18 distinct values
     spec = ModelSpec.from_strings({s: f"{10 * (i + 1)} + sin(t)" for i, s in enumerate(
         ("a1", "a2", "b", "c1", "c2", "k1", "k2", "tau1", "tau2", "sigma1", "sigma2"))})
-    report = validate_model(spec, horizon=10.0, samples=1001)
+    report = validate_model(spec, horizon=10.0)
     cb = CoefficientBounds.from_validation(report.bounds)
     for name, value in dataclasses.asdict(cb).items():
         sym, side = name.split("_")
@@ -142,7 +142,7 @@ def test_verify_permanence_logistic_limit():
         "a1": "1", "a2": "0.2", "b": "2", "c1": "1e-6", "c2": "1", "k1": "1", "k2": "1",
         "tau1": "0.5", "tau2": "0.5", "sigma1": "0.5", "sigma2": "0.5",
     })
-    report = validate_model(spec, horizon=10.0, samples=1001)
+    report = validate_model(spec, horizon=10.0)
     pb = compute_permanence_bounds_from_values(CoefficientBounds.from_validation(report.bounds))
     traj = integrate(spec, InitialHistory(0.4, 0.3), 0.0, 80.0, 0.01)
     res = verify_permanence(traj, pb, t_settle=40.0, t_end=80.0, slack=0.05)
@@ -195,7 +195,7 @@ def test_permanence_box_whose_exponent_overflows_is_not_finite():
     model's estimates, the box is refused as not finite, M2 = inf."""
     table = dataclasses.replace(table_bounds("example2"), a2_sup=10.0, tau2_sup=100.0)
     spec = ModelSpec.from_strings(preset_config("example2")["model"] | {"a2": "10", "tau2": "100"})
-    estimates = CoefficientBounds.from_validation(validate_model(spec, horizon=20.0, samples=2001).bounds)
+    estimates = CoefficientBounds.from_validation(validate_model(spec, horizon=20.0).bounds)
     assert (estimates.a2_sup, estimates.tau2_sup) == (10.0, 100.0)
     for cb in (table, estimates):
         with pytest.raises(OverflowError, match=r"^permanence box not finite: M1=\S+, M2=inf, m1=0\.0, m2=0\.0$"):
