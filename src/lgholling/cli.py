@@ -207,13 +207,18 @@ def _write_csv(path: Path, header: str, columns) -> None:
 
 def _stage(path: str, stage, *args, **kwargs):
     """Run stage(*args, **kwargs); a ValidationError it raises becomes a
-    ConfigError naming the field at path, and a ConfigError passes through."""
+    ConfigError naming the field at path, a ConfigError passes through, and
+    an ExprDomainError named in a symbol gains "<path>/<symbol>: "."""
     try:
         return stage(*args, **kwargs)
     except ConfigError:
         raise
     except ValidationError as exc:
         raise ConfigError(path, str(exc)) from exc
+    except ExprDomainError as exc:
+        if exc.symbol is None:
+            raise
+        raise ExprDomainError(f"{path}/{exc.symbol}: {exc}") from exc
 
 
 def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True,
@@ -227,10 +232,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
 
     opt = config.options
     spec = ModelSpec.from_strings(config.model)
-    try:
-        vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]))
-    except ExprDomainError as exc:  # name the coefficient's field, as a validation failure does
-        raise ExprDomainError(f"/model/{exc.symbol}: {exc}", exc.instruction) from exc
+    vrep = _stage("/model", validate_model, spec, horizon=float(opt["bounds_horizon"]))
     if not vrep.ok:
         sym, t_inf, value = vrep.failures[0]
         raise ConfigError(f"/model/{sym}", f"coefficient {sym} is not shown > 0: it is {value:.6g} at t={t_inf:.6g}, "

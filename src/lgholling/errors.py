@@ -39,15 +39,10 @@ class ExprSyntaxError(ValidationError):
 
 class ExprDomainError(NumericalError):
     """Expression evaluation hit a domain error (division by zero, sqrt of
-    a negative number, overflow); carries the position in the program of
-    the check that failed (the final non-finite check counts as the one
-    after the last instruction), or None, and the coefficient whose search
-    raised it (set by validate_model), or None."""
+    a negative number, overflow); carries the coefficient or history
+    component it was evaluating, where the caller named it, or None."""
 
-    def __init__(self, message: str, instruction: int | None = None):
-        self.instruction = instruction
-        self.symbol = None
-        super().__init__(message)
+    symbol: str | None = None
 
 
 class IntegrationError(NumericalError):
@@ -59,4 +54,4 @@ class QuadratureError(NumericalError):
 
 
 class LagInversionError(NumericalError):
-    """The lag map s - delay(s) is not increasing on the bracket."""
+    """s - delay(s) is not shown increasing, or cannot be inverted at a time."""

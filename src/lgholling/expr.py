@@ -22,11 +22,9 @@ its ExprDomainError, with the same message, when evaluated.
 One loop evaluates a program: ``evaluate_array`` over an array of times,
 with constants as float64 scalars that numpy broadcasts (a folded constant
 is returned filled in, without the loop), and ``evaluate`` on a one-point
-array.  An ExprDomainError carries the position in the program of the
-check that failed, so that arrays evaluated part by part raise the error of
-one walk over the whole: the earliest failing check, at its first time.
-``_enclose`` walks a program too, as interval arithmetic over cells of
-time (Moore, Kearfott & Cloud, Introduction to Interval Analysis, 2009).
+array.  ``_enclose`` walks a program too, as interval arithmetic over
+cells of time (Moore, Kearfott & Cloud, Introduction to Interval Analysis,
+2009).
 
 The sup/inf of a constant is closed-form.  Any other expression's is found
 by branch-and-bound on the enclosures (Moore, Kearfott & Cloud 2009;
@@ -40,7 +38,8 @@ four; the others are refined by golden-section search, each sign's
 least-bound cell first, and then those that could still beat the refined
 sample by more than _SLACK relative.  So the estimates are refined samples
 and each comes with a certified bracket, which is _GAP wide unless a cell
-reached the width floor or a level the cell cap.
+reached the width floor or a level the cell cap.  ``_increasing`` proves
+f' < 1 on cells split likewise, each safe with its f' hull below 1.
 
 Expressions are immutable after parsing and evaluation is pure, so a parsed
 expression may be shared freely between threads.
@@ -236,29 +235,29 @@ def _run(program: tuple, t: np.ndarray):
     gives a float64 scalar.  Only the values on its stack stay alive."""
     stack = []
     push, pop = stack.append, stack.pop
-    for i, (op, arg) in enumerate(program):
+    for op, arg in program:
         if op == "const":
             push(np.float64(arg))
         elif op == "t":
             push(t)
         elif (f := _BINARY.get(op)) is not None:
             if op == "/":
-                _check(stack[-1] == 0.0, t, "division by zero", i)
+                _check(stack[-1] == 0.0, t, "division by zero")
             stack[-1] = f(stack[-2], pop())  # both operands are read before the left one's slot is the top
         elif op == "^":
             stack[-1] = np.power(stack[-1], arg)  # not **: a float64 scalar's ** rounds differently
         else:
             if op == "sqrt":
-                _check(stack[-1] < 0.0, t, "sqrt of negative value", i)
+                _check(stack[-1] < 0.0, t, "sqrt of negative value")
             stack[-1] = _UNARY[op](stack[-1])
     return stack[-1]
 
 
-def _check(bad, t: np.ndarray, what: str, instruction: int) -> None:
+def _check(bad, t: np.ndarray, what: str) -> None:
     """ExprDomainError naming the first time in t where bad holds, if any."""
     bad = np.broadcast_to(bad, t.shape)
     if bad.any():
-        raise ExprDomainError(f"{what} at t={float(t[bad][0])!r}", instruction)
+        raise ExprDomainError(f"{what} at t={float(t[bad][0])!r}")
 
 
 def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
@@ -271,7 +270,7 @@ def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
     if len(expr.program) == 1 and expr.program[0][0] == "const":  # a folded constant: no walk
         c = expr.program[0][1]
         if t.size and not math.isfinite(c):
-            raise ExprDomainError(f"non-finite value at t={float(t.flat[0])!r}", 1)
+            raise ExprDomainError(f"non-finite value at t={float(t.flat[0])!r}")
         return np.full(t.shape, c)
     with np.errstate(over="ignore", invalid="ignore"):
         values = _run(expr.program, t)
@@ -279,29 +278,8 @@ def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
         values = np.array(np.broadcast_to(values, t.shape))
     bad = ~np.isfinite(values)
     if bad.any():
-        raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}", len(expr.program))
+        raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}")
     return values
-
-
-def _evaluate_parts(expr: CoefficientExpr, parts):
-    """evaluate_array over each array of times from the iterable parts, in
-    order, yielding (times, values) until a part raises ExprDomainError.
-    The parts after it are evaluated only to find the error that one walk
-    over all of them together meets: that of the failing check earliest in
-    the program, at the first part where it fails.  It is raised once the
-    parts run out.  Only one part need be alive at a time."""
-    held = None
-    for t in parts:
-        try:
-            values = evaluate_array(expr, t)
-        except ExprDomainError as err:
-            if held is None or err.instruction < held.instruction:
-                held = err
-            continue
-        if held is None:
-            yield t, values
-    if held is not None:
-        raise held
 
 
 def evaluate(expr: CoefficientExpr, t: float) -> float:
@@ -577,8 +555,7 @@ def _search(expr: CoefficientExpr, lo: float, hi: float):
             break
         if not split.any():
             break
-        e = np.column_stack([a[split, None] + (b - a)[split, None] * np.array([0.0, 0.25, 0.5, 0.75]), b[split]])
-        a, b, k = e[:, :-1].ravel(), e[:, 1:].ravel(), np.repeat(k[split], 4)
+        a, b, k = *_quarters(a[split], b[split]), np.repeat(k[split], 4)
     a, b, k, bound = (np.concatenate(x) for x in zip(*refine))
     np.minimum.at(lower, k, bound)
     # each sign's least-bound cell first: where cells tie (a periodic f), its
@@ -591,3 +568,25 @@ def _search(expr: CoefficientExpr, lo: float, hi: float):
             _improve(best, at, *_golden_min(f, a[keep], b[keep], sign[k[keep]]), k[keep])
     lower = np.minimum(lower, best)
     return float(best[0]), float(lower[0]), float(-best[1]), float(-lower[1]), float(at[0])
+
+
+def _quarters(a: np.ndarray, b: np.ndarray):
+    """The cells [a, b] each split in four, in time order."""
+    e = np.column_stack([a[:, None] + (b - a)[:, None] * np.array([0.0, 0.25, 0.5, 0.75]), b])
+    return e[:, :-1].ravel(), e[:, 1:].ravel()
+
+
+def _increasing(expr: CoefficientExpr, lo: float, hi: float):
+    """None when _enclose proves f' < 1 on every cell of [lo, hi], so that
+    s - f(s) increases; an unsafe cell (a pole's slope hull is finite but
+    holds nothing) is not proven.  Else the left end of the first cell not
+    proven once a level, split in four, reaches the width floor or cell cap."""
+    edges = 2.0 * np.linspace(0.5 * lo, 0.5 * hi, _CELLS + 1)  # halved: hi - lo may pass the float range
+    a, b = edges[:-1], edges[1:]
+    floor = _FLOOR * max(abs(lo), abs(hi))
+    while True:
+        _, _, _, dhi, _, safe = _enclose(expr.program, a, b)
+        a, b = np.compress(~(safe & (dhi < 1.0)), [a, b], axis=1)
+        if a.size == 0 or 4 * a.size > _CELL_CAP or (b - a <= floor).any():
+            return float(a[0]) if a.size else None
+        a, b = _quarters(a, b)

@@ -58,6 +58,15 @@ class ModelSpec:
         return getattr(self, symbol)
 
 
+def _named(symbol: str, evaluation, *args):
+    """evaluation(*args), an ExprDomainError it raises named in symbol."""
+    try:
+        return evaluation(*args)
+    except ExprDomainError as exc:
+        exc.symbol = symbol
+        raise
+
+
 def _history_value(phi: float | CoefficientExpr, theta):
     if isinstance(phi, CoefficientExpr):
         return phi(theta)
@@ -81,11 +90,11 @@ class InitialHistory:
         return _history_value(self.phi2, theta)
 
     def validate(self, r: float) -> None:
-        if self.value1(0.0) <= 0.0 or self.value2(0.0) <= 0.0:
+        if _named("phi1", self.value1, 0.0) <= 0.0 or _named("phi2", self.value2, 0.0) <= 0.0:
             raise ValidationError("history must satisfy phi1(0) > 0 and phi2(0) > 0")
         for name, phi in (("phi1", self.phi1), ("phi2", self.phi2)):
             if isinstance(phi, CoefficientExpr):
-                least, _, _, _, theta = _search(phi, -r, 0.0)
+                least, _, _, _, theta = _named(name, _search, phi, -r, 0.0)
                 if least < 0.0:
                     raise ValidationError(f"history {name} negative at theta={theta}")
 
@@ -107,11 +116,7 @@ def validate_model(spec: ModelSpec, horizon: float = 1000.0) -> ValidationReport
     bounds: dict[str, BoundsEstimate] = {}
     failures: list[tuple[str, float, float]] = []
     for sym in SYMBOLS:
-        try:
-            inf_value, inf_lower, sup_value, sup_upper, t_inf = _search(spec.expr(sym), 0.0, horizon)
-        except ExprDomainError as exc:
-            exc.symbol = sym
-            raise
+        inf_value, inf_lower, sup_value, sup_upper, t_inf = _named(sym, _search, spec.expr(sym), 0.0, horizon)
         bounds[sym] = BoundsEstimate(inf_value, sup_value, horizon, inf_lower, sup_upper)
         if not inf_lower > 0.0:
             failures.append((sym, t_inf, inf_value))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LagInversionError, ValidationError
-from .expr import CoefficientExpr, _evaluate_parts, evaluate_array
+from .expr import CoefficientExpr, _increasing, evaluate_array
 from .integrator import Trajectory
 from .model import ModelSpec
 from .permanence import CoefficientBounds, PermanenceBounds
@@ -39,57 +39,40 @@ __all__ = [
 
 _LAG_TOL = 1e-12  # bisection stops once |theta(s) - t| <= _LAG_TOL
 _K_FLOOR = np.finfo(float).tiny ** 0.25  # K**4 of a K below it is not a normal float
-_CHECK_ROWS = 2048  # brackets sampled at once by the monotonicity check, 65 samples each
 
 
 def lag_inverse_gap(delay: CoefficientExpr, t):
     """Solve theta(s) = s - delay(s) = t for s and return s - t, for one
     time or elementwise for an array of times.
 
-    theta must be strictly increasing on the bracket (checked by sampling);
-    the root is located by bisection until |theta(s) - t| <= _LAG_TOL.  All
-    times are bracketed and bisected together, each with its own stopping
-    point; when some fail, the error raised is the one the first failing
-    time (in array order) meets first.
+    All times are bracketed by doubling, then bisected until
+    |theta(s) - t| <= _LAG_TOL, together.  The enclosures must prove
+    delay' < 1 over all the brackets, and each must hold 64 float steps.
+    Refused first is a time not finite, then a theta not shown increasing,
+    then the first failing time in array order.
     """
     times = np.asarray(t, dtype=float)
     tv = times.reshape(-1)
-    faults: dict[int, str] = {}  # first failure per position in tv
+    if not np.isfinite(tv).all():
+        raise LagInversionError(f"time t={float(tv[~np.isfinite(tv)][0])!r} is not finite")
 
     def theta(s):
         return s - evaluate_array(delay, s)
 
-    def check_increasing(idx, a, b):
-        # mask of the brackets [a, b] (of times tv[idx]) where theta increases,
-        # sampled _CHECK_ROWS brackets at a time, in order, so that the faults
-        # and any ExprDomainError are those of all the samples at once
-        ok = np.empty(idx.size, dtype=bool)
-        parts = (np.linspace(a[r:r + _CHECK_ROWS], b[r:r + _CHECK_ROWS], 65, axis=-1)
-                 for r in range(0, idx.size, _CHECK_ROWS))
-        for k, (samples, delays) in enumerate(_evaluate_parts(delay, parts)):
-            r = k * _CHECK_ROWS
-            values = samples - delays
-            bad = values[:, 1:] <= values[:, :-1] + 1e-9 * np.diff(samples, axis=-1)
-            ok[r:r + _CHECK_ROWS] = ~bad.any(axis=-1)
-            for row in np.flatnonzero(~ok[r:r + _CHECK_ROWS]):
-                s_bad = float(samples[row, np.argmax(bad[row])])
-                faults.setdefault(int(idx[r + row]), f"s - delay(s) is not strictly increasing near s={s_bad!r}")
-        return ok
-
     width = np.maximum(2.0 * evaluate_array(delay, tv), 1.0)
     hi = tv + width
-    looking = check_increasing(np.arange(tv.size), tv, hi)  # for a bracket
+    looking = np.arange(tv.size)  # the times still looking for a bracket
     for _ in range(64):
-        idx = np.flatnonzero(looking)
-        if idx.size == 0:
+        looking = looking[theta(hi[looking]) < tv[looking]]
+        if looking.size == 0:
             break
-        idx = idx[theta(hi[idx]) < tv[idx]]
-        looking[:] = False
-        looking[idx] = check_increasing(idx, hi[idx], hi[idx] + width[idx])
-        hi[idx] += width[idx]
-        width[idx] *= 2.0
-    for i in np.flatnonzero(looking):
-        faults.setdefault(int(i), f"could not bracket the lag inverse near t={float(tv[i])!r}")
+        hi[looking] += width[looking]
+        width[looking] *= 2.0
+    if tv.size and (s_bad := _increasing(delay, float(tv.min()), float(hi.max()))) is not None:
+        raise LagInversionError(f"s - delay(s) is not shown increasing near s={s_bad!r}")
+    faults = {int(i): f"could not bracket the lag inverse near t={float(tv[i])!r}" for i in looking}  # first per time
+    for i in np.flatnonzero(64.0 * np.spacing(np.maximum(np.abs(tv), np.abs(hi))) >= hi - tv):
+        faults.setdefault(int(i), f"t={float(tv[i])!r} is too large to resolve its lag inverse in floats")
 
     hi[list(faults)] = tv[list(faults)]  # failed times take no further part
     a, b = tv.copy(), hi

@@ -298,8 +298,9 @@ def reference_upsilon(spec: ModelSpec, pair, quad_step: float, tail_tol: float,
 
 def reference_lag_gap(delay, t: float, tol: float = 1e-12) -> float:
     """Reference oracle for lag inversion: bracket and bisect one time t at
-    a time, with scalar evaluations of s - delay(s), the 65-sample
-    monotonicity check per bracket piece and the same stopping rules."""
+    a time, with scalar evaluations of s - delay(s), a 65-sample
+    monotonicity check per bracket piece (where the package proves it) and
+    the same stopping rules."""
 
     def theta(s):
         return s - evaluate(delay, s)

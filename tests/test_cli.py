@@ -362,6 +362,17 @@ def test_coefficient_failing_at_a_sample_names_its_field(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_history_failing_at_a_sample_names_its_field(tmp_path, capsys):
+    """sqrt(t + 0.5) fails on [-r, -0.5) with example2's r = 0.92: the
+    error is named by its history field, as a coefficient's is."""
+    data = preset_config("example2")
+    data["history"]["phi1"] = "sqrt(t + 0.5)"
+    cfg = write_config(tmp_path / "bad.json", data)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "numerical failure: /history/phi1: sqrt of negative value at t=-0.92\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_coefficient_whose_inf_is_0_exits_2_naming_its_field(tmp_path, capsys):
     """0.1 (1 + cos t) touches 0 at each odd multiple of pi: its certified
     lower bound is not > 0, though no sample of it need be."""
@@ -680,15 +691,16 @@ def test_schema_field_at_a_boundary_keeps_the_exit_contract(field, value):
     (("table_bounds", "a1_inf"), 5e-324, [], 3, "a^i tail_tol must be positive and finite"),  # Υ's decay rate
     # fp_step 0.1 is below the float spacing 0.125 at t0 = 1e15: the fixed-point grid times would repeat
     (("run",), dict(t0=1e15, t_end=1e15 + 50, h=0.125), [], 2, "/options/fp_step: must exceed 0.5"),
-    # the lag inverse's bisection brackets reach 1.7e308: their midpoint must not sum past the float range
-    (("options", "liminf_t_max"), 1.7e308, [], 3, "s - delay(s) is not strictly increasing"),
+    # lag-inverse brackets near the top of the float range hold fewer than 64 floats: refused with no overflow
+    (("options", "liminf_t_max"), 1.7e308, [], 3, "is too large to resolve its lag inverse in floats"),
+    (("options", "liminf_t_max"), 1e15, [], 3, "is too large to resolve its lag inverse in floats"),
 ], ids=["negative-c1", "phi1-zero-at-0", "phi1-huge-int", "t_end-huge", "fp_step-huge", "b_inf-zero",
         "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object", "t_settle-one-knot",
         "h-not-dividing", "exponent-infinite", "unary-minus-3000", "sum-5000", "t-sum-5000", "parens-400", "text-80k",
         "a2_inf-zero", "a2_inf-negative", "a1_inf-negative", "tau2_sup-negative", "fp_quad_step-not-dividing",
         "fp_step-not-dividing", "k1_inf-tiny", "t_settle-last-knot-past-t_end",
         "t_settle-past-the-last-knot", "b_sup-k1_inf-underflow",
-        "a2_inf-max", "a1_inf-denormal", "t0-1e15", "liminf_t_max-max"])
+        "a2_inf-max", "a1_inf-denormal", "t0-1e15", "liminf_t_max-max", "liminf_t_max-1e15"])
 def test_fuzz_findings_exit_cleanly(tmp_path, path, value, flags, code, named):
     """Mutations that once ended in a traceback, in an error naming no field
     or in a raw numpy warning.  A failed run writes no file, whichever stage

@@ -339,7 +339,7 @@ def test_evaluate_array_returns_a_fresh_array(text):
 @pytest.mark.parametrize("t", [np.linspace(2.0, 3.0, 7), np.linspace(2.0, 3.0, 6).reshape(2, 3), np.array(2.5)])
 def test_a_folded_constant_evaluates_without_the_loop(monkeypatch, t):
     """A one-instruction constant is filled in without _run; a non-finite
-    literal raises at t's first time, from the check after its instruction."""
+    literal raises at t's first time."""
     folded, huge = parse_expression("2*1.6"), parse_expression("1e999")
     monkeypatch.setattr(expr_module, "_run", None)
     got = evaluate_array(folded, t)
@@ -347,7 +347,7 @@ def test_a_folded_constant_evaluates_without_the_loop(monkeypatch, t):
     assert evaluate_array(folded, np.empty(0)).shape == (0,)
     with pytest.raises(ExprDomainError) as exc:
         evaluate_array(huge, t)
-    assert (str(exc.value), exc.value.instruction) == (f"non-finite value at t={float(t.flat[0])!r}", 1)
+    assert str(exc.value) == f"non-finite value at t={float(t.flat[0])!r}"
 
 
 def test_serialize_keeps_a_folded_negative_literal_parenthesized():

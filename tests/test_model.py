@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lgholling import (
     BoundsEstimate,
+    ExprDomainError,
     GridFunctionPair,
     InitialHistory,
     ModelSpec,
@@ -249,6 +250,17 @@ def test_history_dipping_below_0_between_any_256_samples_is_refused():
         InitialHistory(phi1, 0.5).validate(0.92)
     theta = float(str(err.value).rpartition("=")[2])
     assert evaluate(phi1, theta) == pytest.approx(-0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi1, phi2, name, message", [
+    ("sqrt(t + 0.5)", "0.5", "phi1", "sqrt of negative value at t=-0.92"),  # met by the search on [-r, 0]
+    ("0.5", "1/t", "phi2", "division by zero at t=0.0"),  # met at 0
+])
+def test_history_domain_error_is_named_in_its_component(phi1, phi2, name, message):
+    hist = InitialHistory(*(parse_expression(text) for text in (phi1, phi2)))
+    with pytest.raises(ExprDomainError) as err:
+        hist.validate(0.92)
+    assert (str(err.value), err.value.symbol) == (message, name)
 
 
 def test_history_expression_values():

@@ -1,8 +1,10 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lgholling import (
     CoefficientBounds,
@@ -21,7 +23,6 @@ from lgholling import (
     compute_permanence_bounds_from_values,
     run_attractivity,
 )
-from lgholling import stability
 from lgholling.stability import small_denominator
 from conftest import reference_lag_gap, table_bounds
 
@@ -54,6 +55,10 @@ def test_sine_delay_residual():
     ("0.9 + 0.3*abs(cos(0.7*t + 0.4))", np.linspace(0.0, 500.0, 1001)),
     ("0.8 + 0.4*cos(0.5*t)", np.linspace(0.0, 500.0, 1001)),
     ("0.5 + 0.25*sin(t)", np.linspace(-60.0, -0.5, 120)),
+    ("0.5 + 0.4999*sin(2*t)", np.linspace(0.0, 50.0, 101)),  # delay' comes within 2e-4 of 1
+    # slope hulls wider than the slope: 1.2 against 0.85 on a cell a period wide, so the proof splits
+    ("1 + 0.6*sin(t) + 0.6*cos(t)", np.linspace(0.0, 500.0, 251)),
+    ("1 + 0.45/(1 + 0.2*sin(t))", np.linspace(0.0, 500.0, 251)),
 ])
 def test_array_lag_gaps_equal_scalar_reference(text, times):
     d = parse_expression(text)
@@ -63,65 +68,132 @@ def test_array_lag_gaps_equal_scalar_reference(text, times):
     assert lag_inverse_gap(d, float(times[7])) == gaps[7]
 
 
+@settings(max_examples=40, deadline=None)
+@given(d0=st.floats(0.3, 2.0), d1=st.floats(0.01, 1.0), w=st.floats(0.05, 10.0), p=st.floats(0.0, 6.3),
+       t0=st.floats(-100.0, 100.0))
+def test_lag_gaps_of_a_sine_delay_equal_scalar_reference(d0, d1, w, p, t0):
+    """d0 + d1 sin(w t + p) with d1 w <= 0.9 is shown increasing, and its
+    gaps on a short grid are the sampled, scalar reference's, bit for bit."""
+    d1 = min(d1, 0.9 / w, 0.9 * d0)  # delay' <= 0.9, and the delay stays positive
+    d = parse_expression(f"{d0!r} + {d1!r}*sin({w!r}*t + {p!r})")
+    times = np.linspace(t0, t0 + 10.0, 11)
+    assert np.array_equal(lag_inverse_gap(d, times), [reference_lag_gap(d, float(t)) for t in times])
+
+
+@settings(max_examples=25, deadline=None)
+@given(d1=st.floats(0.01, 0.9), d2=st.floats(0.01, 0.9), w1=st.floats(0.05, 5.0), w2=st.floats(0.05, 5.0),
+       t0=st.floats(-100.0, 100.0))
+def test_lag_gaps_of_a_two_sine_delay_equal_scalar_reference(d1, d2, w1, w2, t0):
+    """2 + d1 sin(w1 t) + d2 cos(w2 t) with d1 w1 + d2 w2 <= 0.9: the sum's
+    slope hull adds the two terms' hulls, wider than its slope, yet the
+    delay is shown increasing on a short grid and its gaps are the
+    sampled, scalar reference's, bit for bit."""
+    scale = min(1.0, 0.9 / (d1 * w1 + d2 * w2))
+    d = parse_expression(f"2 + {d1 * scale!r}*sin({w1!r}*t) + {d2 * scale!r}*cos({w2!r}*t)")
+    times = np.linspace(t0, t0 + 10.0, 11)
+    assert np.array_equal(lag_inverse_gap(d, times), [reference_lag_gap(d, float(t)) for t in times])
+
+
 def test_array_lag_inversion_raises_the_first_scalar_error():
-    # delay' reaches 2*sqrt(2/e) > 1 near t = 50, so s - delay(s) turns down there
+    """delay' reaches 2 sqrt(2/e) > 1 near t = 50, and is at least 1 on
+    about [48.73, 49.73]: s - delay(s) turns down there.  The sampled
+    reference, the array and the scalar call all refuse, and the latter two
+    name a cell of expr's first level (under 0.1 wide) that meets it."""
     d = parse_expression("0.5 + 2*exp(-(t - 50)^2)")
     times = np.linspace(0.0, 100.0, 201)
-    first_bad = message = None
+    first_bad = None
     for t in times.tolist():
         try:
             reference_lag_gap(d, t)
-        except LagInversionError as exc:
-            first_bad, message = t, str(exc)
+        except LagInversionError:
+            first_bad = t
             break
-    assert first_bad is not None and first_bad > times[0] and "near s=" in message
-    with pytest.raises(LagInversionError) as scalar:
-        lag_inverse_gap(d, first_bad)
-    with pytest.raises(LagInversionError) as array:
-        lag_inverse_gap(d, times)
-    assert str(array.value) == str(scalar.value) == message
+    assert first_bad is not None and first_bad > times[0]
+    for at in (first_bad, times):
+        with pytest.raises(LagInversionError, match="^s - delay\\(s\\) is not shown increasing near s=") as err:
+            lag_inverse_gap(d, at)
+        s = float(str(err.value).rpartition("=")[2])
+        assert 48.7 - 0.1 < s < 49.8
 
 
-def test_lag_inversion_holds_a_few_thousand_brackets_at_a_time(monkeypatch):
-    """The monotonicity check samples its (N, 65) brackets in row chunks:
-    at 2e4 times the traced peak is a few MB (the whole array took 31 MB),
-    and the gaps are those of a one-chunk check."""
+def test_lag_inversion_holds_a_few_thousand_brackets_at_a_time():
+    """Bracketing and bisection keep a few arrays of the times' size: at
+    2e4 times the traced peak is a few MB."""
     d = parse_expression("0.8 + 0.4*cos(0.5*t)")
     times = np.linspace(0.0, 500.0, 20_000)
     tracemalloc.start()
     try:
-        gaps = lag_inverse_gap(d, times)
+        lag_inverse_gap(d, times)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 12e6, f"peak {peak / 1e6:.1f} MB"
-    monkeypatch.setattr(stability, "_CHECK_ROWS", times.size)
-    assert np.array_equal(gaps, lag_inverse_gap(d, times))
 
 
-@pytest.mark.parametrize("rows", [1, 2, 7, 10**6])
-def test_chunked_lag_check_raises_the_whole_array_error(monkeypatch, rows):
-    """s - delay(s) turns down near t = 0, a monotonicity fault in the
-    first chunk, and the square root fails past s = 10.5, in the brackets of
-    the last times: the domain error wins, at its first sample in array
-    order, whatever the chunk size."""
-    monkeypatch.setattr(stability, "_CHECK_ROWS", rows)
-    times = np.linspace(0.0, 10.0, 21)
-    with pytest.raises(LagInversionError, match="not strictly increasing"):
-        lag_inverse_gap(parse_expression("0.5 + 0.9*sin(2*t)"), times)
+def test_a_delay_domain_error_is_raised_where_evaluation_meets_it():
+    """The bracket search evaluates the delay past s = 10.5, where its
+    square root fails, before the proof would refuse the lag map, which
+    turns down near s = 0: the domain error is raised."""
     d = parse_expression("0.5 + 0.9*sin(2*t) + 0*sqrt(10.5 - t)")
-    with pytest.raises(ExprDomainError) as chunked:
-        lag_inverse_gap(d, times)
-    monkeypatch.setattr(stability, "_CHECK_ROWS", times.size)
-    with pytest.raises(ExprDomainError) as whole:
-        lag_inverse_gap(d, times)
-    assert str(chunked.value) == str(whole.value)
-    assert str(whole.value).startswith("sqrt of negative value at t=10.5")
+    with pytest.raises(ExprDomainError, match="^sqrt of negative value at t=1[01]\\."):
+        lag_inverse_gap(d, np.linspace(0.0, 10.0, 21))
 
 
-def test_degenerate_delay_raises_monotonicity_error():
-    with pytest.raises(LagInversionError, match="not strictly increasing"):
-        lag_inverse_gap(parse_expression("t"), 1.0)
+@pytest.mark.parametrize("text", [
+    "t",
+    "0.5 + 0.9*sin(2*t)",
+    "0.5 + 0.5*sin(2*t)",  # delay' touches 1 at each multiple of pi, 0 among them
+])
+def test_degenerate_delay_raises_monotonicity_error(text):
+    with pytest.raises(LagInversionError, match="^s - delay\\(s\\) is not shown increasing near s=0.0$"):
+        lag_inverse_gap(parse_expression(text), np.linspace(0.0, 10.0, 21))
+
+
+def test_a_delay_with_a_pole_is_refused():
+    """1 + 0.01/(t - 500.3) has a pole among the brackets, where s - delay(s)
+    jumps from +inf to -inf.  The cell over it has a finite slope hull, but
+    is unsafe, so it proves nothing and is split down to the width floor."""
+    with pytest.raises(LagInversionError, match="^s - delay\\(s\\) is not shown increasing near s=") as err:
+        lag_inverse_gap(parse_expression("1 + 0.01/(t - 500.3)"), np.linspace(0.0, 1000.0, 1001))
+    assert 500.3 - 1e-6 < float(str(err.value).rpartition("=")[2]) <= 500.3
+
+
+def test_a_delay_whose_slope_hull_needs_cells_past_the_cap_is_refused():
+    """1 + 0.6 sin t + 0.6 cos t has delay' <= 0.85, but its slope hull
+    reads 1.2 on a cell a period wide.  On [0, 2e4] the cell cap leaves
+    cells narrow enough to show delay' < 1; on [0, 1e5] it does not, and
+    the lag map is refused at the first cell, which the sampled check of
+    each bracket accepted."""
+    d = parse_expression("1 + 0.6*sin(t) + 0.6*cos(t)")
+    lag_inverse_gap(d, np.linspace(0.0, 2e4, 251))
+    with pytest.raises(LagInversionError, match="^s - delay\\(s\\) is not shown increasing near s=0.0$"):
+        lag_inverse_gap(d, np.linspace(0.0, 1e5, 251))
+    for t in np.linspace(0.0, 1e5, 251)[:5].tolist():
+        reference_lag_gap(d, t)  # the sampled check, bracket by bracket, raises nothing
+
+
+@pytest.mark.parametrize("times, named", [
+    ([np.nan, 1.0], "nan"),
+    ([np.inf], "inf"),
+    ([1.0, -np.inf, np.nan], "-inf"),
+])
+def test_lag_inversion_refuses_a_time_that_is_not_finite(times, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LagInversionError, match=f"^time t={named} is not finite$"):
+            lag_inverse_gap(parse_expression("0.8"), np.array(times))
+
+
+@pytest.mark.parametrize("t", [1e15, -1e15, 1.7e308])
+def test_lag_inversion_refuses_a_bracket_of_under_64_floats(t):
+    """A constant delay 0.8 brackets t in [t, t + 1.6], which holds 13
+    float steps at 1e15 and none at 1.7e308.  The proof spans [-t, t + 1.6],
+    wider than the float range at 1.7e308."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LagInversionError) as err:
+            lag_inverse_gap(parse_expression("0.8"), np.array([1.0, t, -t]))
+    assert str(err.value) == f"t={t!r} is too large to resolve its lag inverse in floats"
 
 
 def _bounds_with(c1=0.0, c2=0.0, M1=0.5, M2=0.5, m1=0.1):
