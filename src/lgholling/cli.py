@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ExprDomainError, NumericalError, ValidationError
+from .errors import ConfigError, NumericalError, ValidationError
 from .expr import parse_expression
 from .fixedpoint import GridFunctionPair, iterate_fixed_point
 from .integrator import integrate_batch
@@ -208,17 +208,18 @@ def _write_csv(path: Path, header: str, columns) -> None:
 def _stage(path: str, stage, *args, **kwargs):
     """Run stage(*args, **kwargs); a ValidationError it raises becomes a
     ConfigError naming the field at path, a ConfigError passes through, and
-    an ExprDomainError named in a symbol gains "<path>/<symbol>: "."""
+    a NumericalError named in a symbol gains "<path>/<symbol>: ", or
+    "/model/<symbol>: " for a coefficient, whose field is there at any stage."""
     try:
         return stage(*args, **kwargs)
     except ConfigError:
         raise
     except ValidationError as exc:
         raise ConfigError(path, str(exc)) from exc
-    except ExprDomainError as exc:
+    except NumericalError as exc:
         if exc.symbol is None:
             raise
-        raise ExprDomainError(f"{path}/{exc.symbol}: {exc}") from exc
+        raise type(exc)(f"{'/model' if exc.symbol in SYMBOLS else path}/{exc.symbol}: {exc}") from exc
 
 
 def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True,

@@ -26,7 +26,10 @@ class ConfigError(ValidationError):
 
 
 class NumericalError(LgError):
-    """Base class for failures during numerical computation."""
+    """Base class for failures during numerical computation; carries the coefficient
+    or history component it was about, where the caller named it, or None."""
+
+    symbol: str | None = None
 
 
 class ExprSyntaxError(ValidationError):
@@ -39,10 +42,7 @@ class ExprSyntaxError(ValidationError):
 
 class ExprDomainError(NumericalError):
     """Expression evaluation hit a domain error (division by zero, sqrt of
-    a negative number, overflow); carries the coefficient or history
-    component it was evaluating, where the caller named it, or None."""
-
-    symbol: str | None = None
+    a negative number, overflow)."""
 
 
 class IntegrationError(NumericalError):

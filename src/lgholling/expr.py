@@ -94,7 +94,6 @@ class BoundsEstimate:
 
     inf_value: float
     sup_value: float
-    horizon: float
     inf_lower: float
     sup_upper: float
 

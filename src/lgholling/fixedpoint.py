@@ -9,8 +9,8 @@ The operator applied to a candidate pair (phi, psi) is
     U_2(phi, psi)(t) = int_t^inf exp(int_s^t a2) c2 psi(s - tau2(s)) psi(s)
                         / (phi(s - sigma2(s)) + k2) ds
 
-f_j, the integrand past the kernel, is written once in eval_f; the residual
-check reads it there too, as phi' = a1 phi - f_1 and psi' = a2 psi - f_2.
+f_j, the integrand past the kernel, is read in one place, _f_values through
+eval_f, for the operator and the residual check phi' = a1 phi - f_1 etc.
 
 With A = int_{t_lo} a_j, the kernel exp(A(t) - A(s)) decays at least like
 exp(-a_j^i (s - t)), so once A has risen by Lambda = ln(sup f / (a^i tol))
@@ -321,7 +321,9 @@ def iterate_fixed_point(
 
     Stops when the sup-norm update drops to tol (converged), after max_iter
     sweeps, or as soon as the iterates blow past _ESCAPE_FACTOR times the
-    seed scale (diverged).  Non-convergence is a reported outcome.
+    seed scale (diverged).  Non-convergence is a reported outcome.  Converged
+    means a fixed point of the operator, which can be the extinction pair
+    (0, 0) rather than the paper's positive solution.
     """
     scale = max(float(np.abs(seed.phi).max()), float(np.abs(seed.psi).max()), 1.0)
     pair = seed
@@ -350,20 +352,15 @@ def iterate_fixed_point(
 
 
 def dde_residual(spec: ModelSpec, pair: GridFunctionPair) -> float:
-    """Max over the grid interior of |phi' - rhs_u| + |psi' - rhs_v| with
-    central-difference derivatives and interpolated delayed values, where
-    rhs_u = a1 phi - f_1 and rhs_v = a2 psi - f_2 read f_j through eval_f."""
+    """Max over the grid interior of |phi' - rhs_u| + |psi' - rhs_v| with central-difference
+    derivatives, rhs_u = a1 phi - f_1 and rhs_v = a2 psi - f_2, f_j through _f_values
+    (NumericalError unless all finite)."""
     if len(pair.phi) < 5:
         raise QuadratureError("grid too coarse for a residual estimate (need >= 5 points)")
     g = pair.step
-    grid = pair.grid()
-    s = grid[1:-1]
+    s = pair.grid()[1:-1]
     dphi = (pair.phi[2:] - pair.phi[:-2]) / (2.0 * g)
     dpsi = (pair.psi[2:] - pair.psi[:-2]) / (2.0 * g)
-    phi_s = pair.phi[1:-1]
-    psi_s = pair.psi[1:-1]
-    u1, u2 = pair.phi_at(s - spec.sigma1(s)), pair.phi_at(s - spec.sigma2(s))
-    v1, v2 = pair.psi_at(s - spec.tau1(s)), pair.psi_at(s - spec.tau2(s))
-    rhs_u = spec.a1(s) * phi_s - eval_f(spec, 1, s, phi_s, u1, None, v1)
-    rhs_v = spec.a2(s) * psi_s - eval_f(spec, 2, s, None, u2, psi_s, v2)
+    rhs_u = spec.a1(s) * pair.phi[1:-1] - _f_values(spec, pair, 1, s)
+    rhs_v = spec.a2(s) * pair.psi[1:-1] - _f_values(spec, pair, 2, s)
     return float((np.abs(dphi - rhs_u) + np.abs(dpsi - rhs_v)).max())

@@ -13,7 +13,7 @@ windows [k0, k1) in which every stage (a step's start, middle and end)
 reads delayed values at or before knot k0; with constant delays a window is
 W = floor(min delay / h) steps.  Per window, for every column at once, one
 take gathers the delayed values' Hermite terms and one np.exp pass gives the
-predator slope and the prey forcing q = c1 e^{y(t-tau1)} / (e^{x(t-sigma1)} + k1),
+predator slope and the prey's Holling term q = c1 e^{y(t-tau1)} / (e^{x(t-sigma1)} + k1),
 both delayed terms through model.delayed_term.  Channels with the same
 component and the same delay text share one plan, gather and exponential
 (both presets set all four delays equal).  The predator slope depends on
@@ -30,17 +30,19 @@ equilibrium is off by (P/6)(1 + 4e^{-P/2} + e^{-P})/(1 - e^{-P}) - 1, 3e-4
 at P = 1 and 1.5% at P = 2.7.  Every run is a batch: integrate is column(0)
 of a batch of one, and a column is bit-identical to the single run.
 
-Stages are planned per block of _PLAN_STEPS steps, in one pass.  A block
+Stages are planned per block of _PLAN_STEPS steps [s0, s1), in one pass:
+its stages 2 s0 .. 2 s1, so blocks share their boundary stage.  A block
 evaluates its distinct delays once, keeps running minima of the delays and
 of the delayed times (the history reach), checks the step against the
 smallest delay so far, then plans its coefficients, Hermite weights and
-indices and history values and steps through them.  A window cut by its
-block's end goes on in the next block with the same running sums, so the
-knots do not depend on the block size.  A run keeps its knots, 32 bytes per
-step per column; its working memory is one block's plan.  An error met in a
-block is raised only after the replay of a whole-run plan, one whole-grid
-array at a time: each distinct delay in channel order, the step checks on
-their minimum, every coefficient, then the history.
+indices and steps through them, each chunk of a window reading all its
+stages, its first one too.  A window cut by its block's end goes on in the
+next block with the same running sums, so the knots do not depend on the
+block size.  A run keeps its knots, 32 bytes per step per column; its
+working memory is one block's plan.  An error met in a block is raised only
+after the replay of a whole-run plan, one whole-grid array at a time: each
+distinct delay in channel order, the step checks on their minimum, every
+coefficient, then the history.
 
 Trajectory.at reads a finished run the way the kernel reads its delayed
 values, through the same plan, gather and history read, so at a stage's
@@ -136,8 +138,7 @@ class Trajectory:
         both = np.broadcast_to(np.minimum(t.ravel(), self.t_end), (2, t.size))  # within the slop: the last knot
         in_history, _, _, taps, weights = _hermite_plan(both, self.t0, self.h, n, np.arange(2))
         vals = _hermite_sum(table.reshape(-1, 1), taps, weights)
-        for comp, past in enumerate(in_history):
-            vals[comp, past] = _log_history((self.histories[column],), comp, both[comp, past] - self.t0)
+        _read_history(vals, in_history, both, range(2), (self.histories[column],), self.t0)
         return vals[0, :, 0].reshape(t.shape), vals[1, :, 0].reshape(t.shape)
 
 
@@ -195,6 +196,14 @@ def _log_history(histories, comp: int, thetas: np.ndarray) -> np.ndarray:
     return np.array(columns).T
 
 
+def _read_history(vals, in_history, times, comps, histories, t0) -> None:
+    """Overwrite the Hermite reads vals (one row per component in comps) at the times before t0,
+    marked in in_history, with the log-history of each column."""
+    for row, comp, past, when in zip(vals, comps, in_history, times):
+        if past.any():
+            row[past] = _log_history(histories, comp, when[past] - t0)
+
+
 def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
     """The kernel on m columns, one per history, sharing one model and grid:
     RK4's stage grid, with the Bernoulli step for the prey and RK4's
@@ -215,12 +224,9 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
         """Times t0 + j*h/2 of the stages j = lo..hi-1 (the same floats for any split)."""
         return t0 + 0.5 * h * np.arange(lo, hi)
 
-    # blocks of steps [s0, s1), each with its stages [lo, hi): the stages
-    # 2k+1 and 2k+2 of each step k, and in the first block also stage 0
-    blocks = []
-    for s0 in range(0, max(n, 1), _PLAN_STEPS):
-        s1 = min(s0 + _PLAN_STEPS, n)
-        blocks.append((s0, s1, 2 * s0 + (s0 > 0), 2 * s1 + 1))
+    # blocks of steps [s0, s1), each with its stages 2 s0 .. 2 s1: a block
+    # shares its first stage with the block before
+    blocks = [(s0, min(s0 + _PLAN_STEPS, n)) for s0 in range(0, max(n, 1), _PLAN_STEPS)]
     # a delayed read depends only on its component and its delay, so the
     # channels sharing both (key: component, canonical text, which keeps 0.0
     # and -0.0 apart) share every read: the U distinct keys, in the order
@@ -258,10 +264,10 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
     min_delay = min_delayed = math.inf  # over the blocks so far; min_delayed gives the history reach
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a bad knot is caught below
-            for s0, s1, lo, hi in blocks:
-                t = stage_times(lo, hi)
+            for s0, s1 in blocks:
+                t = stage_times(2 * s0, 2 * s1 + 1)
                 delays = np.array([evaluate_array(expr, t) for expr in delay_exprs])
-                delayed = t - delays  # shape (U, hi-lo)
+                delayed = t - delays  # shape (U, 2 (s1 - s0) + 1)
                 min_delay = min(min_delay, float(delays.min()))
                 min_delayed = min(min_delayed, float(delayed.min()))
                 check_delays(min_delay)
@@ -271,49 +277,31 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
                 in_history, idx, theta, taps, weights = _hermite_plan(delayed, t0, h, n, comps)
                 # the knot each stage reads last with a nonzero weight (-1: history only)
                 reads = np.where(in_history, -1, idx + (theta > 0.0)).max(axis=0)
-                hist_stages = [np.flatnonzero(row) for row in in_history]
-                hist_values = [_log_history(histories, comp, row[stages] - t0)
-                               for (comp, _), stages, row in zip(distinct, hist_stages, delayed)]
-                history = [(u, stages, values) for u, (stages, values) in enumerate(zip(hist_stages, hist_values))
-                           if stages.size]
-
-                def forcing(first: int, last: int) -> tuple[np.ndarray, np.ndarray]:
-                    """Prey forcing q and predator slope ky at stages first..last, each (last-first+1, m)."""
-                    sl = slice(first - lo, last - lo + 1)
-                    vals = _hermite_sum(table, taps[:, sl], weights[:, sl])
-                    for u, stages, values in history:
-                        a, e = np.searchsorted(stages, (sl.start, sl.stop))
-                        if a < e:
-                            vals[u, stages[a:e] - sl.start] = values[a:e]
-                    exps = np.exp(vals)
-                    es1, es2, et1, et2 = (exps[u] for u in slot)
-                    return (delayed_term(c1[sl] * et1, es1, k1[sl], t[sl, None], "u(t - sigma1) + k1"),
-                            a2[sl] - delayed_term(c2[sl] * et2, es2, k2[sl], t[sl, None], "u(t - sigma2) + k2"))
-
-                if lo == 0:
-                    q, ky = forcing(0, 0)
-                    g_last, b_last = a1[:1] - q, b[:1]  # g = a1 - q and b at the last stage stepped
-                    kn[0, 1, 0], kn[1, 1, 0] = g_last[0] - b[0] * np.exp(x0), ky[0]
-
                 # the window [start, k_next) holds the steps whose stages 2k+1,
-                # 2k+2 read no knot past start (stage 2*start was done before).
-                # Rounding at |t|/h beyond ~1e7 may put a stage a hair past the
-                # knot it may read; such a step gets a window of its own.
-                step_reads = np.maximum(reads[2 * s0 + 1 - lo::2], reads[2 * s0 + 2 - lo::2])
+                # 2k+2 read no knot past start; stage 2*start reads knots before
+                # start.  Rounding at |t|/h beyond ~1e7 may put a stage a hair
+                # past the knot it may read; such a step gets a window of its own.
+                step_reads = np.maximum(reads[1::2], reads[2::2])
                 # (a step before start reads a knot before start, so no running
                 # max need cross a block's start, and a window cut by a block's
                 # end goes on in the next block, with the same sums)
                 reach = np.maximum.accumulate(np.minimum(step_reads, np.arange(s0, s1)))
                 k0 = s0
-                while k0 < s1:
+                while True:  # at least once: a zero-step run still reads stage 0 for knot 0's slopes
                     if k0 == 0 or reach[k0 - s0] > start:  # step k0 reads past the window's first knot
                         # a new window: its first knot, and its prey sums S, log W and log W- (see below)
                         start, s_run, log_a, log_n = k0, np.zeros((1, m)), -kn[0, 0, k0][None], None
                     k_next = s0 + int(np.searchsorted(reach, start, side="right"))
-                    q, ky = forcing(2 * k0 + 1, 2 * k_next)
-                    sl = slice(2 * k0 + 1 - lo, 2 * k_next + 1 - lo)
-                    g, bw = np.concatenate([g_last, a1[sl] - q]), np.concatenate([b_last, b[sl]])
-                    g_last, b_last = g[-1:], bw[-1:]
+                    # the chunk reads its stages 2 k0 .. 2 k_next, the first one again and
+                    # to the same floats: it reads knots that were final when the chunk before did
+                    sl = slice(2 * (k0 - s0), 2 * (k_next - s0) + 1)
+                    vals = _hermite_sum(table, taps[:, sl], weights[:, sl])
+                    _read_history(vals, in_history[:, sl], delayed[:, sl], comps, histories, t0)
+                    exps = np.exp(vals)
+                    es1, es2, et1, et2 = (exps[u] for u in slot)
+                    g = a1[sl] - delayed_term(c1[sl] * et1, es1, k1[sl], t[sl, None], "u(t - sigma1) + k1")
+                    ky = a2[sl] - delayed_term(c2[sl] * et2, es2, k2[sl], t[sl, None], "u(t - sigma2) + k2")
+                    bw = b[sl]
                     # prey: w = e^-x solves w' = -g w + b.  Per step, p and p2 integrate
                     # g's quadratic through its stages over the step and its second half,
                     # and w <- e^-p w + f.  In a window W = e^S w, S the running sum of p,
@@ -334,7 +322,6 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
                         log_n = np.logaddexp.accumulate(np.concatenate([log_n[-1:], terms]), axis=0)[1:]
                         x = x - np.log1p(-np.exp(log_n - log_a))
                     # predator: ky depends on delayed values only, so y is a running sum
-                    ky = np.concatenate([kn[1, 1, k0][None], ky])
                     mid = ky[1::2]
                     inc = h6 * (ky[0:-1:2] + 2.0 * (mid + mid) + ky[2::2])
                     y = np.cumsum(np.concatenate([kn[1, 0, k0][None], inc]), axis=0)[1:]
@@ -348,10 +335,12 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
                                 f"prey too stiff for step h={h!r} at t={t0 + (k0 + k) * h!r}: a1 - q integrates to "
                                 f"{float(p[k].max())!r} over the step, above {_STIFF_LIMIT}; choose a smaller h")
                         raise IntegrationError(f"log-state overflow at t={t0 + (k0 + k + 1) * h!r}")
-                    done = slice(k0 + 1, k_next + 1)
-                    kn[0, 0, done], kn[0, 1, done] = x, ge - bw[2::2] * np.exp(x)
-                    kn[1, 0, done], kn[1, 1, done] = y, ky[2::2]
+                    kn[0, 0, k0 + 1:k_next + 1], kn[1, 0, k0 + 1:k_next + 1] = x, y
+                    done = slice(k0, k_next + 1)  # knot k0's slopes again, the same floats
+                    kn[0, 1, done], kn[1, 1, done] = g[::2] - bw[::2] * np.exp(kn[0, 0, done]), ky[::2]
                     k0 = k_next
+                    if k0 >= s1:
+                        break
     except Exception as exc:  # re-raised below unless an up-front error outranks it, whatever its kind
         failure = exc
     else:

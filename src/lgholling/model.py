@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExprDomainError, NumericalError, ValidationError
+from .errors import ExprDomainError, LagInversionError, NumericalError, ValidationError
 from .expr import BoundsEstimate, CoefficientExpr, parse_expression, _search
 
 __all__ = [
@@ -59,10 +59,10 @@ class ModelSpec:
 
 
 def _named(symbol: str, evaluation, *args):
-    """evaluation(*args), an ExprDomainError it raises named in symbol."""
+    """evaluation(*args), an ExprDomainError or LagInversionError it raises named in symbol."""
     try:
         return evaluation(*args)
-    except ExprDomainError as exc:
+    except (ExprDomainError, LagInversionError) as exc:
         exc.symbol = symbol
         raise
 
@@ -117,7 +117,7 @@ def validate_model(spec: ModelSpec, horizon: float = 1000.0) -> ValidationReport
     failures: list[tuple[str, float, float]] = []
     for sym in SYMBOLS:
         inf_value, inf_lower, sup_value, sup_upper, t_inf = _named(sym, _search, spec.expr(sym), 0.0, horizon)
-        bounds[sym] = BoundsEstimate(inf_value, sup_value, horizon, inf_lower, sup_upper)
+        bounds[sym] = BoundsEstimate(inf_value, sup_value, inf_lower, sup_upper)
         if not inf_lower > 0.0:
             failures.append((sym, t_inf, inf_value))
     r = max(bounds[s].sup_value for s in DELAY_SYMBOLS)

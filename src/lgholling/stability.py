@@ -24,7 +24,7 @@ import numpy as np
 from .errors import LagInversionError, ValidationError
 from .expr import CoefficientExpr, _increasing, evaluate_array
 from .integrator import Trajectory
-from .model import ModelSpec
+from .model import ModelSpec, _named
 from .permanence import CoefficientBounds, PermanenceBounds
 
 __all__ = [
@@ -177,14 +177,14 @@ def estimate_liminf(
     Samples on t_grid and takes the running minimum over the tail
     [T1/2, T1]; representative when the coefficients are (pseudo) almost
     periodic.  The four lag gaps are found once, over the whole grid, and
-    serve both beta denominators.
+    serve both beta denominators; a failure to find one is named in its delay.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     alt = "M1" if beta_denominator == "M2" else "M2"
     cb = bounds.inputs_used
-    gaps = tuple(lag_inverse_gap(spec.expr(sym), t_grid) for sym in ("tau1", "tau2", "sigma1", "sigma2"))
+    gaps = tuple(_named(sym, lag_inverse_gap, spec.expr(sym), t_grid) for sym in ("tau1", "tau2", "sigma1", "sigma2"))
     alphas, betas = alpha_beta_from_gaps(cb, bounds, gaps, beta_denominator)
     betas_alt = alpha_beta_from_gaps(cb, bounds, gaps, alt)[1]
     times = t_grid.tolist()

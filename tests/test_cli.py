@@ -373,6 +373,30 @@ def test_history_failing_at_a_sample_names_its_field(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("tau1, edits, message", [
+    ("0.95 + 0.9*sin(2*t)", {}, "s - delay(s) is not shown increasing near s=0.0"),
+    # the search of [0, 500] passes: only the lag inversion, up to 700, reads past 600
+    ("0.92 + 0*sqrt(600 - t)", {"options": dict(bounds_horizon=500, liminf_t_max=700)},
+     "sqrt of negative value at t=602.0"),
+    # with the estimates' box active and its m1 + k1^i too small, the lag inversion still fails first
+    ("0.92 + 0*sqrt(600 - t)", {"options": dict(bounds_horizon=500, liminf_t_max=700), "model": dict(k1="1e-300"),
+                                "table_bounds": None}, "sqrt of negative value at t=602.0"),
+], ids=["not-increasing", "domain", "domain-estimates-box"])
+def test_lag_inversion_failure_names_its_delay(tmp_path, capsys, tau1, edits, message):
+    """A delay that lag inversion refuses is named by its model field, with
+    either box active (example2's table box is), and no numpy warning."""
+    data = preset_config("example2")
+    data["model"]["tau1"] = tau1
+    for section, values in edits.items():
+        data[section] = values if values is None else data[section] | values
+    cfg = write_config(tmp_path / "tau.json", data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["stability", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: /model/tau1: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_coefficient_whose_inf_is_0_exits_2_naming_its_field(tmp_path, capsys):
     """0.1 (1 + cos t) touches 0 at each odd multiple of pi: its certified
     lower bound is not > 0, though no sample of it need be."""

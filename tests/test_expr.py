@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lgholling import (
     ExprDomainError,
@@ -424,7 +424,8 @@ def check_search(e, lo: float, hi: float, grid: np.ndarray) -> None:
     width floor the bracket is at most _GAP wide, relative; the inf is at
     most reference_scan's on the grid and the sup at least its, within
     1e-12 of the larger |f| of the two (a golden-section search stops some
-    ulps of t short of a zero that a grid may hit)."""
+    ulps of t short of a zero that a grid may hit), unless that side's
+    bracket is open: an f unbounded there has no extreme sample to find."""
     (inf_value, inf_lower, sup_value, sup_upper, t_inf), uncut = search_traced(e, lo, hi)
     assert inf_lower <= inf_value <= sup_value <= sup_upper
     assert lo <= t_inf <= hi and evaluate(e, t_inf) == inf_value
@@ -433,8 +434,8 @@ def check_search(e, lo: float, hi: float, grid: np.ndarray) -> None:
         assert sup_upper - sup_value <= _GAP * abs(sup_value)
     ref_inf, ref_sup = reference_scan(e, grid)
     scale = max(abs(ref_inf), abs(ref_sup))
-    assert inf_value <= ref_inf + 1e-12 * scale
-    assert sup_value >= ref_sup - 1e-12 * scale
+    assert inf_value <= ref_inf + 1e-12 * scale or inf_lower == -math.inf
+    assert sup_value >= ref_sup - 1e-12 * scale or sup_upper == math.inf
 
 
 @pytest.mark.parametrize("text", ["3.5", "(-3.5)", "7/2"])
@@ -537,17 +538,29 @@ def test_search_brackets_preset_and_varying_delay_coefficients(name):
         check_search(parse_expression(text), 0.0, 1000.0, grid)
 
 
+# t / cos(t) has a pole at pi/2: the search's sup sample there is 9.5e13, the grid's 5.3e14
+POLE = "((t / cos(t)) + t)"
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.data(), st.sampled_from([(0.0, 3.2), (0.0, 10.0), (-2.0, 0.0)]))
-def test_search_brackets_random_programs(data, interval):
+@given(st.composite(random_program_text)(), st.sampled_from([(0.0, 3.2), (0.0, 10.0), (-2.0, 0.0)]))
+@example(POLE, (0.0, 3.2))
+def test_search_brackets_random_programs(text, interval):
     """Where the search and the reference grid both evaluate without a
     domain error (a search samples other times than a grid does)."""
     lo, hi = interval
-    e = parse_expression(random_program_text(data.draw))
+    e = parse_expression(text)
     try:
         check_search(e, lo, hi, np.linspace(lo, hi, 4001))
     except ExprDomainError:
         pass
+
+
+def test_search_of_a_pole_leaves_both_brackets_open():
+    """The pinned draw above: t / cos(t) is unbounded on both sides of pi/2,
+    so neither side has a largest sample, and both brackets are open."""
+    _, inf_lower, _, sup_upper, _ = _search(parse_expression(POLE), 0.0, 3.2)
+    assert inf_lower == -math.inf and sup_upper == math.inf
 
 
 @pytest.mark.parametrize("text, message", [

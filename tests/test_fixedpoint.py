@@ -410,6 +410,17 @@ def test_iterate_example2_reports_nonconvergence(example2_spec, example2_bounds)
     assert res.status in ("diverged", "max_iter")
 
 
+def test_iterate_example2_converges_to_the_extinction_pair_from_a_low_seed(example2_spec):
+    """Converged means a fixed point of the operator, and (0, 0) is one:
+    from (0.3, 0.2), below example2's box, Picard settles there, not on the
+    paper's positive solution."""
+    seed = GridFunctionPair.from_constants(0.0, 30.0, 0.1, 0.3, 0.2)
+    res = iterate_fixed_point(example2_spec, seed, tol=1e-6, max_iter=200, quad_step=0.05, tail_tol=1e-6,
+                              coeff_bounds=table_bounds("example2"))
+    assert (res.status, res.iterations) == ("converged", 6)
+    assert 0.0 < res.pair.phi.max() < 1e-18 and 0.0 < res.pair.psi.max() < 1e-13
+
+
 def test_dde_residual_logistic_equilibrium(unit_spec):
     # phi = a1/b = 1, psi = 0 solves the reduced constant system exactly
     pair = unit_pair(1.0, 0.0)

@@ -43,6 +43,10 @@ def test_zero_length_run():
     assert traj.t_end == traj.t0
     assert len(traj.t) == 1
     assert np.exp(traj.at(0.0)) == pytest.approx([0.5, 0.25])
+    # knot 0's slopes are read at stage 0 even with no step to take
+    longer = integrate(logistic_spec(), InitialHistory(0.5, 0.25), 0.0, 1.0, 0.01)
+    assert (traj.dx[0], traj.dy[0]) == (longer.dx[0], longer.dy[0])
+    assert traj.dx[0] != 0.0 and traj.dy[0] != 0.0
 
 
 def test_example1_positivity(example1_spec):
@@ -385,7 +389,8 @@ def test_up_front_error_outranks_an_earlier_block_error(monkeypatch, overrides, 
 
 def test_each_distinct_delay_is_evaluated_once_per_stage(monkeypatch):
     """A successful run evaluates each distinct delay on its 2n+1 stage
-    samples, block by block, and never again."""
+    samples, block by block, and never again but at the stage each block
+    shares with the block before: 8 blocks of 64 steps share 7."""
     spec = seeded_varying_delay_spec(7)
     samples = {}
     evaluate_array = integrator.evaluate_array
@@ -397,7 +402,7 @@ def test_each_distinct_delay_is_evaluated_once_per_stage(monkeypatch):
     monkeypatch.setattr(integrator, "evaluate_array", counting)
     monkeypatch.setattr(integrator, "_PLAN_STEPS", 64)
     integrate(spec, InitialHistory(0.6, 0.4), 0.0, 5.0, 0.01)
-    assert [samples[id(spec.expr(sym))] for sym in ("sigma1", "sigma2", "tau1", "tau2")] == [1001] * 4
+    assert [samples[id(spec.expr(sym))] for sym in ("sigma1", "sigma2", "tau1", "tau2")] == [1001 + 7] * 4
 
 
 @pytest.mark.parametrize("steps", [1, 7, 4096])

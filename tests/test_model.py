@@ -86,7 +86,7 @@ def test_validate_reports_a_nonpositive_constant_at_t0(text, value):
     report = validate_model(constant_spec(c1=text), horizon=10.0)
     assert not report.ok
     assert report.failures == [("c1", 0.0, value)]
-    assert report.bounds["c1"] == BoundsEstimate(value, value, 10.0, value, value)
+    assert report.bounds["c1"] == BoundsEstimate(value, value, value, value)
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +111,7 @@ def test_preset_coefficient_bounds_are_its_search(preset_reports, name, sym):
     est = report.bounds[sym]
     inf_value, inf_lower, sup_value, sup_upper, _ = expr_module._search(parse_expression(config["model"][sym]),
                                                                         0.0, horizon)
-    assert est == BoundsEstimate(inf_value, sup_value, horizon, inf_lower, sup_upper)
+    assert est == BoundsEstimate(inf_value, sup_value, inf_lower, sup_upper)
     assert 0.0 < est.inf_lower <= est.inf_value <= est.sup_value <= est.sup_upper
     assert est.inf_value - est.inf_lower <= expr_module._GAP * est.inf_value
     assert est.sup_upper - est.sup_value <= expr_module._GAP * est.sup_value
