@@ -6,7 +6,7 @@ Main entry points (each module's __all__ is its public API; the package
 republishes every one):
 
 - expression layer: parse_expression, evaluate, evaluate_array
-- model: ModelSpec (frozen), InitialHistory, validate_model, delayed_term
+- model: ModelSpec and InitialHistory (both frozen), validate_model, delayed_term
 - integration: Trajectory (with its dense output Trajectory.at), integrate, integrate_batch
 - coefficient sup/inf and permanence box: CoefficientBounds, compute_permanence_bounds_from_values,
   verify_permanence(trajectory)

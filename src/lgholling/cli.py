@@ -207,19 +207,13 @@ def _write_csv(path: Path, header: str, columns) -> None:
 
 def _stage(path: str, stage, *args, **kwargs):
     """Run stage(*args, **kwargs); a ValidationError it raises becomes a
-    ConfigError naming the field at path, a ConfigError passes through, and
-    a NumericalError named in a symbol gains "<path>/<symbol>: ", or
-    "/model/<symbol>: " for a coefficient, whose field is there at any stage."""
+    ConfigError naming the field at path, and a ConfigError passes through."""
     try:
         return stage(*args, **kwargs)
     except ConfigError:
         raise
     except ValidationError as exc:
         raise ConfigError(path, str(exc)) from exc
-    except NumericalError as exc:
-        if exc.symbol is None:
-            raise
-        raise type(exc)(f"{'/model' if exc.symbol in SYMBOLS else path}/{exc.symbol}: {exc}") from exc
 
 
 def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True,
@@ -233,7 +227,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
 
     opt = config.options
     spec = ModelSpec.from_strings(config.model)
-    vrep = _stage("/model", validate_model, spec, horizon=float(opt["bounds_horizon"]))
+    vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]))
     if not vrep.ok:
         sym, t_inf, value = vrep.failures[0]
         raise ConfigError(f"/model/{sym}", f"coefficient {sym} is not shown > 0: it is {value:.6g} at t={t_inf:.6g}, "
@@ -574,7 +568,9 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        # the field of the coefficient or history component that failed, wherever it was met
+        where = "" if exc.symbol is None else f"/{'model' if exc.symbol in SYMBOLS else 'history'}/{exc.symbol}: "
+        print(f"numerical failure: {where}{exc}", file=sys.stderr)
         if "exceeds the smallest delay" in str(exc):
             print("hint: lower run.h below the smallest delay value", file=sys.stderr)
         return 3

@@ -27,9 +27,13 @@ class ConfigError(ValidationError):
 
 class NumericalError(LgError):
     """Base class for failures during numerical computation; carries the coefficient
-    or history component it was about, where the caller named it, or None."""
+    or history component it was about, or None.  An ExprDomainError takes its
+    expression's symbol, which ModelSpec and InitialHistory set, and
+    lag_inverse_gap's LagInversionError its delay's."""
 
-    symbol: str | None = None
+    def __init__(self, message: str, symbol: str | None = None):
+        self.symbol = symbol
+        super().__init__(message)
 
 
 class ExprSyntaxError(ValidationError):

@@ -22,7 +22,8 @@ its ExprDomainError, with the same message, when evaluated.
 One loop evaluates a program: ``evaluate_array`` over an array of times,
 with constants as float64 scalars that numpy broadcasts (a folded constant
 is returned filled in, without the loop), and ``evaluate`` on a one-point
-array.  ``_enclose`` walks a program too, as interval arithmetic over
+array.  Its ExprDomainError carries the expression's symbol, the field that
+holds it.  ``_enclose`` walks a program too, as interval arithmetic over
 cells of time (Moore, Kearfott & Cloud, Introduction to Interval Analysis,
 2009).
 
@@ -61,7 +62,6 @@ __all__ = [
     "parse_expression",
     "evaluate",
     "evaluate_array",
-    "serialize",
 ]
 
 _FUNCTIONS = ("abs", "exp", "sin", "cos", "sqrt")
@@ -76,10 +76,12 @@ _MAX_LENGTH = 65_536  # longest text parse_expression reads, checked before toke
 @dataclass(frozen=True)
 class CoefficientExpr:
     """A parsed coefficient function of time t: its postfix program (the
-    module docstring describes it) and the text it was parsed from."""
+    module docstring describes it), the text it was parsed from, and the
+    field that holds it (set by ModelSpec and InitialHistory, else None)."""
 
     program: tuple[tuple[str, float | int | None], ...]
     source_text: str
+    symbol: str | None = None
 
     def __call__(self, t):
         if isinstance(t, np.ndarray):
@@ -225,13 +227,14 @@ def _fold(program: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the two loops over a program: evaluation and serialization
+# the evaluation loop
 # ---------------------------------------------------------------------------
 
 
-def _run(program: tuple, t: np.ndarray):
+def _run(program: tuple, t: np.ndarray, symbol: str | None = None):
     """The evaluation loop: the program's values over t; a program free of t
-    gives a float64 scalar.  Only the values on its stack stay alive."""
+    gives a float64 scalar.  Only the values on its stack stay alive.  A
+    failed check raises ExprDomainError naming symbol."""
     stack = []
     push, pop = stack.append, stack.pop
     for op, arg in program:
@@ -241,22 +244,22 @@ def _run(program: tuple, t: np.ndarray):
             push(t)
         elif (f := _BINARY.get(op)) is not None:
             if op == "/":
-                _check(stack[-1] == 0.0, t, "division by zero")
+                _check(stack[-1] == 0.0, t, "division by zero", symbol)
             stack[-1] = f(stack[-2], pop())  # both operands are read before the left one's slot is the top
         elif op == "^":
             stack[-1] = np.power(stack[-1], arg)  # not **: a float64 scalar's ** rounds differently
         else:
             if op == "sqrt":
-                _check(stack[-1] < 0.0, t, "sqrt of negative value")
+                _check(stack[-1] < 0.0, t, "sqrt of negative value", symbol)
             stack[-1] = _UNARY[op](stack[-1])
     return stack[-1]
 
 
-def _check(bad, t: np.ndarray, what: str) -> None:
-    """ExprDomainError naming the first time in t where bad holds, if any."""
+def _check(bad, t: np.ndarray, what: str, symbol: str | None) -> None:
+    """ExprDomainError naming symbol and the first time in t where bad holds, if any."""
     bad = np.broadcast_to(bad, t.shape)
     if bad.any():
-        raise ExprDomainError(f"{what} at t={float(t[bad][0])!r}")
+        raise ExprDomainError(f"{what} at t={float(t[bad][0])!r}", symbol)
 
 
 def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
@@ -264,20 +267,21 @@ def evaluate_array(expr: CoefficientExpr, t: np.ndarray) -> np.ndarray:
     as a new float array of t's shape.
 
     Overflow is not an error until it reaches the result: a non-finite
-    value raises ExprDomainError naming the first time it occurs at."""
+    value raises ExprDomainError naming the first time it occurs at, as a
+    failed check does, and the expression's symbol."""
     t = np.asarray(t, dtype=float)
     if len(expr.program) == 1 and expr.program[0][0] == "const":  # a folded constant: no walk
         c = expr.program[0][1]
         if t.size and not math.isfinite(c):
-            raise ExprDomainError(f"non-finite value at t={float(t.flat[0])!r}")
+            raise ExprDomainError(f"non-finite value at t={float(t.flat[0])!r}", expr.symbol)
         return np.full(t.shape, c)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _run(expr.program, t)
+        values = _run(expr.program, t, expr.symbol)
     if values is t or values.shape != t.shape:
         values = np.array(np.broadcast_to(values, t.shape))
     bad = ~np.isfinite(values)
     if bad.any():
-        raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}")
+        raise ExprDomainError(f"non-finite value at t={float(t[bad][0])!r}", expr.symbol)
     return values
 
 
@@ -285,28 +289,6 @@ def evaluate(expr: CoefficientExpr, t: float) -> float:
     """Value of the expression at one finite time t: the array evaluator on
     a one-point grid."""
     return float(evaluate_array(expr, np.array([float(t)]))[0])
-
-
-def serialize(expr: CoefficientExpr) -> str:
-    """Fully parenthesized canonical form; reparsing yields an expression
-    that evaluates identically (exact float equality)."""
-    stack = []
-    for op, arg in expr.program:
-        if op == "const":
-            text = repr(arg).replace("inf", "1e999")  # a literal past float range reparses to inf
-            stack.append(f"({text})" if text.startswith("-") else text)  # a folded negation
-        elif op == "t":
-            stack.append("t")
-        elif op == "neg":
-            stack[-1] = f"(-{stack[-1]})"
-        elif op == "^":
-            stack[-1] = f"({stack[-1]}^{arg})"
-        elif op in _BINARY:
-            right = stack.pop()
-            stack[-1] = f"({stack[-1]}{op}{right})"
-        else:
-            stack[-1] = f"{op}({stack[-1]})"
-    return stack[-1]
 
 
 # ---------------------------------------------------------------------------

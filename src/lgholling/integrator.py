@@ -15,7 +15,7 @@ W = floor(min delay / h) steps.  Per window, for every column at once, one
 take gathers the delayed values' Hermite terms and one np.exp pass gives the
 predator slope and the prey's Holling term q = c1 e^{y(t-tau1)} / (e^{x(t-sigma1)} + k1),
 both delayed terms through model.delayed_term.  Channels with the same
-component and the same delay text share one plan, gather and exponential
+component and the same program share one plan, gather and exponential
 (both presets set all four delays equal).  The predator slope depends on
 delayed values only, so y advances by RK4's running sum.  The prey
 u' = (a1 - q) u - b u^2 is a Bernoulli equation: w = 1/u solves the linear
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
-from .expr import evaluate_array, serialize
+from .expr import evaluate_array
 from .model import InitialHistory, ModelSpec, delayed_term
 
 __all__ = [
@@ -228,10 +228,10 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
     # shares its first stage with the block before
     blocks = [(s0, min(s0 + _PLAN_STEPS, n)) for s0 in range(0, max(n, 1), _PLAN_STEPS)]
     # a delayed read depends only on its component and its delay, so the
-    # channels sharing both (key: component, canonical text, which keeps 0.0
-    # and -0.0 apart) share every read: the U distinct keys, in the order
-    # they first occur, are planned, read and exponentiated once each
-    keys = [(comp, serialize(spec.expr(sym))) for sym, comp in zip(_CHANNELS, _COMPONENT)]
+    # channels sharing both (key: component and the same program, compared by
+    # its repr, which keeps 0.0 and -0.0 apart) share every read: the U distinct
+    # keys, in the order they first occur, are planned, read and exponentiated once each
+    keys = [(comp, repr(spec.expr(sym).program)) for sym, comp in zip(_CHANNELS, _COMPONENT)]
     distinct = list(dict.fromkeys(keys))
     slot = [distinct.index(key) for key in keys]
     delay_exprs = [spec.expr(_CHANNELS[keys.index(key)]) for key in distinct]

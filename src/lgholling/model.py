@@ -5,18 +5,20 @@ and the one division of both delayed terms of the predator-prey equations
     v'(t) = (a2(t) - c2(t) v(t-tau2(t)) / (u(t-sigma2(t)) + k2(t))) v(t)
 
 The coefficient written b and b1 elsewhere is one and the same function here.
-A ModelSpec is frozen (validate_model returns its sup/inf in a report).
+A ModelSpec is frozen (validate_model returns its sup/inf in a report), and
+so is an InitialHistory.  Each gives the expressions it holds their field's
+name as their symbol, which names an expression's failures wherever they occur.
 The integrator, the integral operator and the residual check all divide by
 u(t - sigma) + k through delayed_term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ExprDomainError, LagInversionError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .expr import BoundsEstimate, CoefficientExpr, parse_expression, _search
 
 __all__ = [
@@ -47,6 +49,9 @@ class ModelSpec:
     sigma1: CoefficientExpr
     sigma2: CoefficientExpr
 
+    def __post_init__(self):
+        _name_fields(self, SYMBOLS)
+
     @classmethod
     def from_strings(cls, coefficients: dict[str, str]) -> "ModelSpec":
         missing = [s for s in SYMBOLS if s not in coefficients]
@@ -58,13 +63,11 @@ class ModelSpec:
         return getattr(self, symbol)
 
 
-def _named(symbol: str, evaluation, *args):
-    """evaluation(*args), an ExprDomainError or LagInversionError it raises named in symbol."""
-    try:
-        return evaluation(*args)
-    except (ExprDomainError, LagInversionError) as exc:
-        exc.symbol = symbol
-        raise
+def _name_fields(holder, names) -> None:
+    """Give each expression in the fields names of the frozen holder its field's name as its symbol."""
+    for name in names:
+        if isinstance(value := getattr(holder, name), CoefficientExpr):
+            object.__setattr__(holder, name, replace(value, symbol=name))
 
 
 def _history_value(phi: float | CoefficientExpr, theta):
@@ -73,13 +76,16 @@ def _history_value(phi: float | CoefficientExpr, theta):
     return phi if np.ndim(theta) == 0 else np.full(np.shape(theta), phi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InitialHistory:
     """Initial data on [-r, 0]; each component is a positive constant or an
     expression in the shifted time variable."""
 
     phi1: float | CoefficientExpr
     phi2: float | CoefficientExpr
+
+    def __post_init__(self):
+        _name_fields(self, ("phi1", "phi2"))
 
     def value1(self, theta):
         """phi1 at a time or over an array of times."""
@@ -90,11 +96,11 @@ class InitialHistory:
         return _history_value(self.phi2, theta)
 
     def validate(self, r: float) -> None:
-        if _named("phi1", self.value1, 0.0) <= 0.0 or _named("phi2", self.value2, 0.0) <= 0.0:
+        if self.value1(0.0) <= 0.0 or self.value2(0.0) <= 0.0:
             raise ValidationError("history must satisfy phi1(0) > 0 and phi2(0) > 0")
         for name, phi in (("phi1", self.phi1), ("phi2", self.phi2)):
             if isinstance(phi, CoefficientExpr):
-                least, _, _, _, theta = _named(name, _search, phi, -r, 0.0)
+                least, _, _, _, theta = _search(phi, -r, 0.0)
                 if least < 0.0:
                     raise ValidationError(f"history {name} negative at theta={theta}")
 
@@ -111,12 +117,12 @@ def validate_model(spec: ModelSpec, horizon: float = 1000.0) -> ValidationReport
     """Estimate the sup/inf of all eleven coefficients over [0, horizon]
     with certified brackets, check that each is positive (its certified
     lower bound above 0), and compute the maximal lag r.  A failure names
-    the time of the coefficient's inf.  A coefficient whose search raises
-    ExprDomainError is named in its symbol."""
+    the time of the coefficient's inf.  A search's ExprDomainError names its
+    coefficient's symbol."""
     bounds: dict[str, BoundsEstimate] = {}
     failures: list[tuple[str, float, float]] = []
     for sym in SYMBOLS:
-        inf_value, inf_lower, sup_value, sup_upper, t_inf = _named(sym, _search, spec.expr(sym), 0.0, horizon)
+        inf_value, inf_lower, sup_value, sup_upper, t_inf = _search(spec.expr(sym), 0.0, horizon)
         bounds[sym] = BoundsEstimate(inf_value, sup_value, inf_lower, sup_upper)
         if not inf_lower > 0.0:
             failures.append((sym, t_inf, inf_value))

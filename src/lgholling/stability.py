@@ -24,7 +24,7 @@ import numpy as np
 from .errors import LagInversionError, ValidationError
 from .expr import CoefficientExpr, _increasing, evaluate_array
 from .integrator import Trajectory
-from .model import ModelSpec, _named
+from .model import ModelSpec
 from .permanence import CoefficientBounds, PermanenceBounds
 
 __all__ = [
@@ -49,12 +49,13 @@ def lag_inverse_gap(delay: CoefficientExpr, t):
     |theta(s) - t| <= _LAG_TOL, together.  The enclosures must prove
     delay' < 1 over all the brackets, and each must hold 64 float steps.
     Refused first is a time not finite, then a theta not shown increasing,
-    then the first failing time in array order.
+    then the first failing time in array order, each a LagInversionError
+    naming the delay's symbol.
     """
     times = np.asarray(t, dtype=float)
     tv = times.reshape(-1)
     if not np.isfinite(tv).all():
-        raise LagInversionError(f"time t={float(tv[~np.isfinite(tv)][0])!r} is not finite")
+        raise LagInversionError(f"time t={float(tv[~np.isfinite(tv)][0])!r} is not finite", delay.symbol)
 
     def theta(s):
         return s - evaluate_array(delay, s)
@@ -69,7 +70,7 @@ def lag_inverse_gap(delay: CoefficientExpr, t):
         hi[looking] += width[looking]
         width[looking] *= 2.0
     if tv.size and (s_bad := _increasing(delay, float(tv.min()), float(hi.max()))) is not None:
-        raise LagInversionError(f"s - delay(s) is not shown increasing near s={s_bad!r}")
+        raise LagInversionError(f"s - delay(s) is not shown increasing near s={s_bad!r}", delay.symbol)
     faults = {int(i): f"could not bracket the lag inverse near t={float(tv[i])!r}" for i in looking}  # first per time
     for i in np.flatnonzero(64.0 * np.spacing(np.maximum(np.abs(tv), np.abs(hi))) >= hi - tv):
         faults.setdefault(int(i), f"t={float(tv[i])!r} is too large to resolve its lag inverse in floats")
@@ -95,7 +96,7 @@ def lag_inverse_gap(delay: CoefficientExpr, t):
     for i in np.flatnonzero(stalled):
         faults.setdefault(int(i), f"bisection stalled at t={float(tv[i])!r}")
     if faults:
-        raise LagInversionError(faults[min(faults)])
+        raise LagInversionError(faults[min(faults)], delay.symbol)
     gap = s - tv
     return float(gap[0]) if times.ndim == 0 else gap.reshape(times.shape)
 
@@ -177,14 +178,14 @@ def estimate_liminf(
     Samples on t_grid and takes the running minimum over the tail
     [T1/2, T1]; representative when the coefficients are (pseudo) almost
     periodic.  The four lag gaps are found once, over the whole grid, and
-    serve both beta denominators; a failure to find one is named in its delay.
+    serve both beta denominators.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     alt = "M1" if beta_denominator == "M2" else "M2"
     cb = bounds.inputs_used
-    gaps = tuple(_named(sym, lag_inverse_gap, spec.expr(sym), t_grid) for sym in ("tau1", "tau2", "sigma1", "sigma2"))
+    gaps = tuple(lag_inverse_gap(spec.expr(sym), t_grid) for sym in ("tau1", "tau2", "sigma1", "sigma2"))
     alphas, betas = alpha_beta_from_gaps(cb, bounds, gaps, beta_denominator)
     betas_alt = alpha_beta_from_gaps(cb, bounds, gaps, alt)[1]
     times = t_grid.tolist()

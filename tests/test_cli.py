@@ -397,6 +397,28 @@ def test_lag_inversion_failure_names_its_delay(tmp_path, capsys, tau1, edits, me
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("sym, text, edits, command, message", [
+    # the search of [0, 100] passes: only the kernel, up to t_end = 200, reads past 150
+    ("c2", "3.6 + 0*sqrt(150 - t)", {"options": dict(bounds_horizon=100)}, "run",
+     "sqrt of negative value at t=150.005"),
+    # the search and the run end at 35: only the integral operator's tail reads past 40
+    ("a2", "0.03 + 0.125*abs(sin(t)) + 0*sqrt(40 - t)",
+     {"run": dict(t_end=35, t_settle=20), "options": dict(bounds_horizon=35)}, "fixed-point",
+     "sqrt of negative value at t=40.050000000000004"),
+], ids=["kernel", "upsilon"])
+def test_a_coefficient_failing_past_its_search_names_its_field(tmp_path, capsys, sym, text, edits, command, message):
+    """A coefficient's failure is named by its field wherever it is met,
+    here in the kernel and in the integral operator, and nothing is written."""
+    data = preset_config("example2")
+    data["model"][sym] = text
+    for section, values in edits.items():
+        data[section] = data[section] | values
+    cfg = write_config(tmp_path / "bad.json", data)
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: /model/{sym}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_coefficient_whose_inf_is_0_exits_2_naming_its_field(tmp_path, capsys):
     """0.1 (1 + cos t) touches 0 at each odd multiple of pi: its certified
     lower bound is not > 0, though no sample of it need be."""

@@ -11,7 +11,6 @@ from lgholling import (
     evaluate,
     evaluate_array,
     parse_expression,
-    serialize,
 )
 from lgholling import expr as expr_module
 from lgholling.expr import _FUNCTIONS, _GAP, _MAX_DEPTH, _MAX_LENGTH, CoefficientExpr, _enclose, _search
@@ -129,23 +128,30 @@ def test_syntax_error_message_and_position(text, message, position):
     assert (str(exc.value), exc.value.position) == (f"{message} at position {position}", position)
 
 
-@pytest.mark.parametrize("text, canonical", [
-    ("-2^2", "(-4.0)"),  # unary minus binds looser than ^
-    ("2^3^2", "64.0"),  # ^ is left-associative: (2^3)^2
-    ("--t", "(-(-t))"),
-    ("+t", "t"),
-    (" t ", "t"),
-    ("sqrt(2)*t", "(1.4142135623730951*t)"),
-    ("-t^2", "(-(t^2))"),
-    ("t^0", "(t^0)"),
-    ("1.5e+3*t^02", "(1500.0*(t^2))"),
-    (".5e-1-t", "(0.05-t)"),
-    ("t\t+\t1", "(t+1.0)"),
-    ("3^2*t+-t/2", "((9.0*t)+((-t)/2.0))"),
-    ("1e999*t", "(1e999*t)"),
+T, NEG, ADD, SUB, MUL, DIV = ("t", None), ("neg", None), ("+", None), ("-", None), ("*", None), ("/", None)
+
+
+def const(v):
+    return ("const", v)
+
+
+@pytest.mark.parametrize("text, program", [
+    ("-2^2", (const(-4.0),)),  # unary minus binds looser than ^
+    ("2^3^2", (const(64.0),)),  # ^ is left-associative: (2^3)^2
+    ("--t", (T, NEG, NEG)),
+    ("+t", (T,)),
+    (" t ", (T,)),
+    ("sqrt(2)*t", (const(1.4142135623730951), T, MUL)),
+    ("-t^2", (T, ("^", 2), NEG)),
+    ("t^0", (T, ("^", 0))),
+    ("1.5e+3*t^02", (const(1500.0), T, ("^", 2), MUL)),
+    (".5e-1-t", (const(0.05), T, SUB)),
+    ("t\t+\t1", (T, const(1.0), ADD)),
+    ("3^2*t+-t/2", (const(9.0), T, MUL, T, NEG, const(2.0), DIV, ADD)),
+    ("1e999*t", (const(math.inf), T, MUL)),  # a literal past float range is infinite
 ])
-def test_parse_folds_to_canonical_form(text, canonical):
-    assert serialize(parse_expression(text)) == canonical
+def test_parse_folds_to_its_program(text, program):
+    assert repr(parse_expression(text).program) == repr(program)
 
 
 def test_non_finite_exponent_is_a_syntax_error():
@@ -189,6 +195,16 @@ def nest(shape: str, depth: int) -> str:
             "parens": "5+0*(" * (n // 2) + "t" + ")" * (n // 2) + "^1" * (n % 2)}[shape]
 
 
+def program_depth(program) -> int:
+    """The depth of a program's tree, by the stack it runs on."""
+    depths = []
+    for op, _ in program:
+        n = {"const": 0, "t": 0, "+": 2, "-": 2, "*": 2, "/": 2}.get(op, 1)
+        depths[len(depths) - n:] = [1 + max(depths[len(depths) - n:], default=0)]
+    (depth,) = depths
+    return depth
+
+
 def in_nested_frames(frames: int, fn, *args):
     """fn(*args) called from inside frames nested Python calls."""
     return fn(*args) if frames == 0 else in_nested_frames(frames - 1, fn, *args)
@@ -201,18 +217,20 @@ def test_depth_cap_is_500_wherever_the_caller_stands(shape, frames):
     depth 501 raises at position 0, also from 900 frames down."""
     assert _MAX_DEPTH == 500
     e = in_nested_frames(frames, parse_expression, nest(shape, 500))
-    assert evaluate(e, 2.0) == evaluate(parse_expression(serialize(e)), 2.0)
+    assert program_depth(e.program) == 500
+    assert evaluate(e, 2.0) == reference_eval_array(nest(shape, 500), [2.0])[0]
     with pytest.raises(ExprSyntaxError) as exc:
         in_nested_frames(frames, parse_expression, nest(shape, 501))
     assert (str(exc.value), exc.value.position) == ("expression nested too deeply at position 0", 0)
 
 
-def test_a_program_deeper_than_the_cap_evaluates_and_serializes():
-    """A 5,000-deep program built directly runs in the evaluation and
-    serialization loops; neither recurses."""
-    e = CoefficientExpr((("t", None),) + (("t", None), ("+", None)) * 5000, "t" + "+t" * 5000)
+def test_a_program_deeper_than_the_cap_parses_and_evaluates(monkeypatch):
+    """A 5,000-deep program built directly runs in the evaluation loop, and
+    with the cap raised the parser emits it for its text; neither recurses."""
+    e = CoefficientExpr((T,) + (T, ADD) * 5000, "t" + "+t" * 5000)
     assert np.array_equal(evaluate_array(e, np.arange(3.0)), np.arange(3.0) * 5001)
-    assert serialize(e) == "(" * 5000 + "t" + "+t)" * 5000
+    monkeypatch.setattr(expr_module, "_MAX_DEPTH", 10**4)
+    assert parse_expression(e.source_text).program == e.program
 
 
 def test_scientific_literals():
@@ -233,14 +251,6 @@ def test_array_matches_scalar_evaluation():
         arr = evaluate_array(e, ts)
         for i in (0, 17, 50, 100):
             assert arr[i] == evaluate(e, float(ts[i]))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(EXPR_CORPUS), st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
-def test_serialize_round_trip_evaluates_identically(text, t):
-    e = parse_expression(text)
-    e2 = parse_expression(serialize(e))
-    assert evaluate(e2, t) == evaluate(e, t)
 
 
 def random_expr_text(draw, depth=0):
@@ -273,17 +283,6 @@ def random_expr_text(draw, depth=0):
     if kind == 6:
         return f"({a})^{draw(st.integers(0, 3))}"
     return f"(-{a})"
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data(), st.floats(min_value=-20.0, max_value=20.0, allow_nan=False))
-def test_random_ast_round_trip(data, t):
-    text = random_expr_text(data.draw)
-    e = parse_expression(text)
-    e2 = parse_expression(serialize(e))
-    v1, v2 = evaluate(e, t), evaluate(e2, t)
-    assert v1 == v2
-    assert serialize(e2) == serialize(e)
 
 
 @pytest.mark.parametrize("text", EXPR_CORPUS + ["2*1.6", "t*(2^3) - sqrt(2)/cos(1)", "exp(-0.5)*t^3", "1/exp(1000) + t"])
@@ -350,26 +349,27 @@ def test_a_folded_constant_evaluates_without_the_loop(monkeypatch, t):
     assert str(exc.value) == f"non-finite value at t={float(t.flat[0])!r}"
 
 
-def test_serialize_keeps_a_folded_negative_literal_parenthesized():
+def test_a_folded_negative_literal_is_the_base_of_an_unfolded_power():
     # (-1e200)^2 overflows, so it stays unfolded, with the folded -1e200 as its base
     e = parse_expression("t/((-1e200)^2)")
-    e2 = parse_expression(serialize(e))
-    assert serialize(e2) == serialize(e)
-    assert not np.signbit(evaluate(e2, 1.0))
+    assert repr(e.program) == repr((T, const(-1e200), ("^", 2), DIV))
+    assert not np.signbit(evaluate(e, 1.0))
 
 
-@pytest.mark.parametrize("value, text", [(math.inf, "(1.0/(1e999*t))"), (-math.inf, "(1.0/((-1e999)*t))")])
-def test_serialize_writes_an_infinite_literal_that_reparses(value, text):
-    """A literal past float range is infinite; it serializes to a literal
-    that reparses to the same infinity (1/(inf*t) is a finite +-0)."""
-    e = CoefficientExpr((("const", 1.0), ("const", value), ("t", None), ("*", None), ("/", None)), text)
-    assert serialize(e) == text
-    reparsed = parse_expression(text)
-    assert serialize(reparsed) == text
+@pytest.mark.parametrize("value, text, program", [
+    (math.inf, "1.0/(1e999*t)", (const(1.0), const(math.inf), T, MUL, DIV)),
+    # negating inf is not folded, as no non-finite value is
+    (-math.inf, "1.0/((-1e999)*t)", (const(1.0), const(math.inf), NEG, T, MUL, DIV)),
+])
+def test_an_infinite_literal_parses_to_an_infinite_constant(value, text, program):
+    """A literal past float range parses to inf, and evaluates as a program
+    holding that infinity does (1/(inf*t) is a finite +-0)."""
+    parsed = parse_expression(text)
+    assert repr(parsed.program) == repr(program)
+    e = CoefficientExpr((const(1.0), const(value), T, MUL, DIV), text)
     g = np.array([-2.0, 0.5, 3.0])
-    a, b = evaluate_array(e, g), evaluate_array(reparsed, g)
+    a, b = evaluate_array(e, g), evaluate_array(parsed, g)
     assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-    assert serialize(parse_expression("1e999*t")) == "(1e999*t)"
 
 
 @settings(max_examples=60, deadline=None)

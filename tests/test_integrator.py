@@ -405,6 +405,29 @@ def test_each_distinct_delay_is_evaluated_once_per_stage(monkeypatch):
     assert [samples[id(spec.expr(sym))] for sym in ("sigma1", "sigma2", "tau1", "tau2")] == [1001 + 7] * 4
 
 
+@pytest.mark.parametrize("sigma1, sigma2, planned", [
+    ("0.75", "3*0.25", ("sigma1",)),  # 3*0.25 folds to 0.75's program
+    ("0.75 + 0.0*t", "0.75 + -0.0*t", ("sigma1", "sigma2")),
+], ids=["same-program", "signed-zero"])
+def test_delays_share_a_plan_only_when_their_programs_are_the_same(monkeypatch, sigma1, sigma2, planned):
+    """Two delays of one component with the same program are planned and
+    evaluated once, under the first channel's name; programs that differ
+    only by the sign of a zero compare equal as tuples but are planned apart."""
+    spec = logistic_spec(**ORACLE_PREDATION, sigma1=sigma1, sigma2=sigma2)
+    samples = {}
+    evaluate_array = integrator.evaluate_array
+
+    def counting(expr, t):
+        samples[expr.symbol] = samples.get(expr.symbol, 0) + np.size(t)
+        return evaluate_array(expr, t)
+
+    monkeypatch.setattr(integrator, "evaluate_array", counting)
+    integrate(spec, InitialHistory(0.6, 0.4), 0.0, 5.0, 0.01)
+    assert spec.sigma1.program == spec.sigma2.program
+    assert {sym: samples.get(sym, 0) for sym in ("sigma1", "sigma2")} == {
+        sym: 1001 if sym in planned else 0 for sym in ("sigma1", "sigma2")}
+
+
 @pytest.mark.parametrize("steps", [1, 7, 4096])
 def test_history_reach_is_the_whole_runs(monkeypatch, steps):
     """sigma1 = 0.5 + 2t makes the lag map fall, so the earliest delayed

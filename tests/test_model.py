@@ -17,6 +17,7 @@ from lgholling import (
     dde_residual,
     delayed_term,
     evaluate,
+    integrate,
     parse_expression,
     validate_model,
 )
@@ -261,6 +262,29 @@ def test_history_domain_error_is_named_in_its_component(phi1, phi2, name, messag
     with pytest.raises(ExprDomainError) as err:
         hist.validate(0.92)
     assert (str(err.value), err.value.symbol) == (message, name)
+
+
+def test_a_history_failing_only_in_the_kernel_is_named_in_its_component():
+    """With delays of 0.5 the kernel reads phi1 on [-0.5, 0], where
+    sqrt(t + 0.25) fails below -0.25; no validation runs first."""
+    hist = InitialHistory(parse_expression("sqrt(t + 0.25)"), 0.5)
+    with pytest.raises(ExprDomainError) as err:
+        integrate(constant_spec(), hist, 0.0, 1.0, 0.01)
+    assert (str(err.value), err.value.symbol) == ("sqrt of negative value at t=-0.5", "phi1")
+
+
+def test_each_held_expression_carries_its_field_however_it_is_built():
+    """ModelSpec and InitialHistory name each expression they hold by its
+    field, built from strings, field by field or by replace; both are frozen."""
+    one = parse_expression("1")
+    assert one.symbol is None
+    direct = ModelSpec(**dict.fromkeys(SYMBOLS, one))
+    for spec in (constant_spec(), direct, dataclasses.replace(direct, c2=one)):
+        assert [spec.expr(sym).symbol for sym in SYMBOLS] == list(SYMBOLS)
+    hist = InitialHistory(one, one)
+    assert (hist.phi1.symbol, hist.phi2.symbol, one.symbol) == ("phi1", "phi2", None)
+    with pytest.raises(dataclasses.FrozenInstanceError):  # so no field can take an expression named elsewhere
+        hist.phi1 = direct.a1
 
 
 def test_history_expression_values():
