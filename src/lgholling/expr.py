@@ -35,12 +35,15 @@ evaluate_array call, at the cells' midpoints, serve both signs.  A cell's
 bound is the larger of its enclosure and the mean-value form f(mid) -
 sup|f'| w/2 - 2E.  A cell that cannot beat its sign's least sample is
 dropped; one that could beat it by more than _GAP relative is split in
-four; the others are refined by golden-section search, each sign's
-least-bound cell first, and then those that could still beat the refined
-sample by more than _SLACK relative.  So the estimates are refined samples
-and each comes with a certified bracket, which is _GAP wide unless a cell
-reached the width floor or a level the cell cap.  ``_increasing`` proves
-f' < 1 on cells split likewise, each safe with its f' hull below 1.
+four; the others are refined by a zoom, each sign's least-bound cell
+first, and then those that could still beat the refined sample by more
+than _SLACK relative.  Each pass of the zoom samples _ZOOM evenly spaced
+times across every cell whose ends are not yet adjacent floats, and
+narrows the cell to its best sample's two neighbours.  So the estimates
+are refined samples and each comes with a certified bracket, which is
+_GAP wide unless a cell reached the width floor or a level the cell cap.
+``_increasing`` proves f' < 1 on cells split likewise, each safe with its
+f' hull below 1.
 
 Expressions are immutable after parsing and evaluation is pure, so a parsed
 expression may be shared freely between threads.
@@ -296,34 +299,23 @@ def evaluate(expr: CoefficientExpr, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _golden_min(g, lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, iters: int = 80):
-    """Plain golden-section minima of sign[i] * g(t) on the brackets
-    [lo[i], hi[i]], refined together, and their times; deterministic.  g
-    maps an array of times to an array of values.  It is called once for
-    both starting points and then once per iteration, on every bracket's
-    new probe point.  A bracket that has shrunk below 1e-15 relative width
-    stays frozen: its probe is a point already evaluated, and its result is
-    dropped."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = np.split(np.tile(sign, 2) * g(np.concatenate([c, d])), 2)
-    active = np.ones(a.shape, dtype=bool)
-    for _ in range(iters):
-        active &= b - a >= 1e-15 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-        if not active.any():
-            break
-        left = active & (fc < fd)
-        right = active & ~left
-        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
-        c = np.where(left, b - invphi * (b - a), c)
-        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
-        d = np.where(right, a + invphi * (b - a), d)
-        values = sign * g(np.where(left, c, d))
-        fc = np.where(left, values, fc)
-        fd = np.where(right, values, fd)
-    return np.minimum(fc, fd), np.where(fc <= fd, c, d)
+def _zoom(f, a: np.ndarray, b: np.ndarray, sign: np.ndarray):
+    """The least samples of sign[i] * f on the brackets [a[i], b[i]], and
+    their times: per pass, one call of f at _ZOOM evenly spaced times, ends
+    included, across each bracket whose ends are not yet adjacent floats,
+    and each narrowed to its best sample's two neighbours."""
+    best, at, i = np.full(a.shape, np.inf), a.copy(), np.arange(a.size)
+    a, b = a.copy(), b.copy()
+    while i.size:
+        t = a[i, None] + (b[i] - a[i])[:, None] * np.linspace(0.0, 1.0, _ZOOM)
+        t[:, -1] = b[i]  # a + (b - a) may round off b
+        g = sign[i, None] * f(t)
+        r, j = np.arange(i.size), np.argmin(g, axis=1)
+        better = g[r, j] < best[i]
+        best[i[better]], at[i[better]] = g[r, j][better], t[r, j][better]
+        a[i], b[i] = t[r, np.maximum(j - 1, 0)], t[r, np.minimum(j + 1, _ZOOM - 1)]
+        i = i[np.nextafter(a[i], np.inf) < b[i]]
+    return best, at
 
 
 _EPS = float(np.finfo(float).eps)
@@ -485,6 +477,7 @@ _GAP = 1e-6  # relative: a cell that cannot beat its incumbent by more is refine
 _CELL_CAP = 1 << 14  # most cells a level may hold; past it the search keeps the bracket it has
 _SLACK = 1e-13  # relative: a refined cell that cannot beat its incumbent by more is not refined
 _FLOOR = 1e-13  # relative to the interval's largest |t|: a cell this narrow is not split
+_ZOOM = 33  # times a pass of the zoom samples per bracket
 
 
 def _improve(best, at, values, times, k) -> None:
@@ -500,7 +493,8 @@ def _improve(best, at, values, times, k) -> None:
 def _search(expr: CoefficientExpr, lo: float, hi: float):
     """The inf and sup of f over [lo, hi] by branch-and-bound (the module
     docstring describes it): (inf_value, inf_lower, sup_value, sup_upper,
-    t_inf).  inf_value and sup_value are values f takes at sampled times,
+    t_inf).  inf_value and sup_value are values f takes at sampled times
+    (the best cell midpoints, refined by _zoom down to adjacent floats),
     t_inf being the first's, and inf_lower <= inf f, sup f <= sup_upper.
     A sample that raises ExprDomainError ends the search with its error."""
     if len(expr.program) == 1 and expr.program[0][0] == "const":
@@ -518,10 +512,10 @@ def _search(expr: CoefficientExpr, lo: float, hi: float):
     a, b = np.tile(np.r_[lo, edges[:-1], hi], 2), np.tile(np.r_[lo, edges[1:], hi], 2)
     k = np.repeat([0, 1], _CELLS + 2)
     floor = _FLOOR * max(abs(lo), abs(hi))
-    refine = []  # per level: the cells that go to the golden-section search, with their signs and bounds
+    refine = []  # per level: the cells that go to the zoom, with their signs and bounds
     while True:
         vlo, vhi, dlo, dhi, err, safe = _enclose(expr.program, a, b)
-        mid = 0.5 * (a + b)
+        mid = 0.5 * a + 0.5 * b  # a + b may overflow
         g = sign[k] * f(mid)
         _improve(best, at, g, mid, k)
         with np.errstate(all="ignore"):  # an infinite slope or error bound, times a point cell's width 0
@@ -546,7 +540,7 @@ def _search(expr: CoefficientExpr, lo: float, hi: float):
     for pick in (first, ~first):
         keep = pick & (bound < best[k] - _SLACK * np.abs(best[k]))
         if keep.any():
-            _improve(best, at, *_golden_min(f, a[keep], b[keep], sign[k[keep]]), k[keep])
+            _improve(best, at, *_zoom(f, a[keep], b[keep], sign[k[keep]]), k[keep])
     lower = np.minimum(lower, best)
     return float(best[0]), float(lower[0]), float(-best[1]), float(-lower[1]), float(at[0])
 

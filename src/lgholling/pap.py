@@ -92,7 +92,8 @@ def solution_window_report(traj: Trajectory, t_settle: float, t_end: float) -> P
     The window is re-centered so its midpoint plays the role of 0; the
     deviation of u from its window mean is fed to the ergodic-mean trend
     (persistent oscillation shows up as a non-vanishing mean), and a grid
-    search reports the shifts with the smallest sup-distance defects.  A
+    search over 200 shifts in [0.25, half] (in [half/200, half] when half
+    < 0.25) reports those with the smallest sup-distance defects.  A
     batch, a window off the run, or one holding fewer than 2 of its knots
     raises ValidationError.
     """
@@ -115,7 +116,7 @@ def solution_window_report(traj: Trajectory, t_settle: float, t_end: float) -> P
     # over base, with u(t) interpolated once for all the shifts
     base = times[times <= t_end - half]
     u_base = np.interp(base, times, u)
-    candidates = np.linspace(0.25, half, 200)
+    candidates = np.linspace(0.25 if half >= 0.25 else half / 200.0, half, 200)  # no shift past half
     defects = [(float(tau), float(np.abs(np.interp(base + tau, times, u) - u_base).max())) for tau in candidates]
     defects.sort(key=lambda p: p[1])
     best = sorted(defects[:_SHIFT_CANDIDATES])

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -423,9 +424,10 @@ def check_search(e, lo: float, hi: float, grid: np.ndarray) -> None:
     """Each estimate lies inside its bracket; short of the cell cap and the
     width floor the bracket is at most _GAP wide, relative; the inf is at
     most reference_scan's on the grid and the sup at least its, within
-    1e-12 of the larger |f| of the two (a golden-section search stops some
-    ulps of t short of a zero that a grid may hit), unless that side's
-    bracket is open: an f unbounded there has no extreme sample to find."""
+    1e-12 of the larger |f| of the two (where rounding makes f ragged near a
+    zero, the zoom may settle some ulps of t from a float a grid hits),
+    unless that side's bracket is open: an f unbounded there has no extreme
+    sample to find."""
     (inf_value, inf_lower, sup_value, sup_upper, t_inf), uncut = search_traced(e, lo, hi)
     assert inf_lower <= inf_value <= sup_value <= sup_upper
     assert lo <= t_inf <= hi and evaluate(e, t_inf) == inf_value
@@ -526,6 +528,24 @@ def test_search_finds_an_extremum_on_a_first_level_cell_edge(shape, idx):
         assert inf_lower <= 1.0 == inf_value and abs(t_inf - c) <= 1e-7
     else:
         assert sup_value == 2.0 <= sup_upper
+
+
+@pytest.mark.parametrize("text, lo, hi, t_min", [("abs(t - 0.3)", 0.0, 1000.0, 0.3), ("(t - 0.3)^2", 0.0, 1.0, 0.3)])
+def test_search_zooms_to_a_float_exact_minimum(text, lo, hi, t_min):
+    """The refinement narrows each bracket down to adjacent floats, so a
+    minimum that f reaches at a float is found there exactly."""
+    inf_value, inf_lower, _, _, t_inf = _search(parse_expression(text), lo, hi)
+    assert inf_lower <= inf_value == 0.0 and t_inf == t_min
+
+
+def test_search_takes_midpoints_near_the_top_of_the_float_range():
+    """Over [0, 1.7e308] the cells' ends sum past the float range; their
+    midpoints do not overflow, and every sample is finite."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inf_value, inf_lower, sup_value, sup_upper, t_inf = _search(parse_expression("2 + cos(t)"), 0.0, 1.7e308)
+    assert 1.0 - 1e-15 <= inf_lower <= inf_value <= sup_value <= sup_upper <= 3.0 + 1e-15
+    assert 0.0 <= t_inf <= 1.7e308
 
 
 @pytest.mark.parametrize("name", [*PRESET_NAMES, 1, 2, 3, 11, 101])

@@ -125,6 +125,16 @@ def test_solution_window_shift_search_equals_shift_defect(example1_spec):
     assert rep.shift_defects == sorted(sorted(defects, key=lambda p: p[1])[:3])
 
 
+def test_solution_window_shift_search_stays_inside_a_short_window(example2_spec):
+    """On a window shorter than 0.5 the 200 shifts span (0, half]: none
+    reads u past t_end, where np.interp would hold it at u(t_end)."""
+    traj = integrate(example2_spec, InitialHistory(0.5, 0.5), 0.0, 5.0, 0.01)
+    rep = solution_window_report(traj, 4.9, 5.0)
+    half = 0.5 * (5.0 - 4.9)
+    assert len(rep.shift_defects) == 3
+    assert all(0.0 < tau <= half for tau, _ in rep.shift_defects)
+
+
 @pytest.mark.parametrize("t_settle, t_end, message", [
     (10.0, 20.0, r"window \[10.0, 20.0\] is empty or off the run \[0.0, 5.0\]"),
     (4.0, 3.0, r"window \[4.0, 3.0\] is empty or off the run"),
