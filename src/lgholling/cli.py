@@ -224,6 +224,10 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
     analyses = config.analyses
     if require_analysis and not any(analyses.values()):
         raise ConfigError("/analyses", "nothing to report: every analysis is disabled")
+    t0, t_end, h, t_settle = (config.run[k] for k in ("t0", "t_end", "h", "t_settle"))
+    if random_histories * (t_end - t0) / h > _MAX_STEPS:  # a column of knots each, held to one run's bound
+        raise ConfigError("--random-histories", f"{random_histories} histories of {(t_end - t0) / h:.6g} steps "
+                                                f"pass {_MAX_STEPS} knots")
 
     opt = config.options
     spec = ModelSpec.from_strings(config.model)
@@ -236,7 +240,6 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
                                for v in (config.history["phi1"], config.history["phi2"])))
     _stage("/history", history.validate, vrep.max_lag_r)
 
-    t0, t_end, h, t_settle = (config.run[k] for k in ("t0", "t_end", "h", "t_settle"))
     report: dict = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "config": config.raw,

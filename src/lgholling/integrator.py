@@ -32,17 +32,17 @@ of a batch of one, and a column is bit-identical to the single run.
 
 Stages are planned per block of _PLAN_STEPS steps [s0, s1), in one pass:
 its stages 2 s0 .. 2 s1, so blocks share their boundary stage.  A block
-evaluates its distinct delays once, keeps running minima of the delays and
-of the delayed times (the history reach), checks the step against the
-smallest delay so far, then plans its coefficients, Hermite weights and
-indices and steps through them, each chunk of a window reading all its
-stages, its first one too.  A window cut by its block's end goes on in the
-next block with the same running sums, so the knots do not depend on the
-block size.  A run keeps its knots, 32 bytes per step per column; its
-working memory is one block's plan.  An error met in a block is raised only
-after the replay of a whole-run plan, one whole-grid array at a time: each
-distinct delay in channel order, the step checks on their minimum, every
-coefficient, then the history.
+evaluates its distinct delays once, keeps a running minimum of the delayed
+times (the history reach), checks the step against its smallest delay,
+then plans its coefficients, Hermite weights and indices and steps through
+them, each chunk of a window reading all its stages, its first one too.  A
+window cut by its block's end goes on in the next block with the same
+running sums, so the knots do not depend on the block size.  A run keeps
+its knots, 32 bytes per step per column; its working memory is one block's
+plan, whether the run succeeds or fails.  A failing run raises the first
+error of its first failing block, in the order the block checks: each
+distinct delay in channel order, the step checks, the coefficients, then
+its steps in time order.
 
 Trajectory.at reads a finished run the way the kernel reads its delayed
 values, through the same plan, gather and history read, so at a stage's
@@ -220,10 +220,6 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
     span = t_end - t0
     n = int(round(span / h))
 
-    def stage_times(lo: int, hi: int) -> np.ndarray:
-        """Times t0 + j*h/2 of the stages j = lo..hi-1 (the same floats for any split)."""
-        return t0 + 0.5 * h * np.arange(lo, hi)
-
     # blocks of steps [s0, s1), each with its stages 2 s0 .. 2 s1: a block
     # shares its first stage with the block before
     blocks = [(s0, min(s0 + _PLAN_STEPS, n)) for s0 in range(0, max(n, 1), _PLAN_STEPS)]
@@ -235,18 +231,6 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
     distinct = list(dict.fromkeys(keys))
     slot = [distinct.index(key) for key in keys]
     delay_exprs = [spec.expr(_CHANNELS[keys.index(key)]) for key in distinct]
-
-    def check_delays(min_delay: float) -> None:
-        # the delay checks come before the divisibility check, so a too-large step gets the actionable error
-        if min_delay <= 0.0:
-            raise IntegrationError("delays must stay positive on the integration window")
-        if n > 0 and h > min_delay * (1.0 + 1e-12):
-            raise IntegrationError(
-                f"step h={h!r} exceeds the smallest delay {min_delay!r}; "
-                "choose h <= min delay so delayed lookups never outrun the solution"
-            )
-        if abs(n * h - span) > 1e-9 * max(1.0, span):  # malformed input, not a numerical failure
-            raise ValidationError(f"step h={h!r} does not divide t_end - t0 = {span!r} into whole steps")
 
     x0 = _log_history(histories, 0, np.zeros(1))[0]
     y0 = _log_history(histories, 1, np.zeros(1))[0]
@@ -261,101 +245,96 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
     h6 = h / 6.0
 
     # plan one block of stages at a time and step through it
-    min_delay = min_delayed = math.inf  # over the blocks so far; min_delayed gives the history reach
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a bad knot is caught below
-            for s0, s1 in blocks:
-                t = stage_times(2 * s0, 2 * s1 + 1)
-                delays = np.array([evaluate_array(expr, t) for expr in delay_exprs])
-                delayed = t - delays  # shape (U, 2 (s1 - s0) + 1)
-                min_delay = min(min_delay, float(delays.min()))
-                min_delayed = min(min_delayed, float(delayed.min()))
-                check_delays(min_delay)
-                a1, b, a2, c1, c2, k1, k2 = (evaluate_array(spec.expr(sym), t)[:, None] for sym in _COEFFS)
+    min_delayed = math.inf  # over the blocks so far: it gives the history reach
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a bad knot is caught below
+        for s0, s1 in blocks:
+            t = t0 + 0.5 * h * np.arange(2 * s0, 2 * s1 + 1)  # the same floats for any split
+            delays = np.array([evaluate_array(expr, t) for expr in delay_exprs])
+            delayed = t - delays  # shape (U, 2 (s1 - s0) + 1)
+            min_delayed = min(min_delayed, float(delayed.min()))
+            # a block checks its own smallest delay (an earlier block's smaller one raised there), and
+            # before the divisibility check, so a too-large step gets the actionable error
+            min_delay = float(delays.min())
+            if min_delay <= 0.0:
+                raise IntegrationError("delays must stay positive on the integration window")
+            if n > 0 and h > min_delay * (1.0 + 1e-12):
+                raise IntegrationError(
+                    f"step h={h!r} exceeds the smallest delay {min_delay!r}; "
+                    "choose h <= min delay so delayed lookups never outrun the solution"
+                )
+            if abs(n * h - span) > 1e-9 * max(1.0, span):  # malformed input, not a numerical failure
+                raise ValidationError(f"step h={h!r} does not divide t_end - t0 = {span!r} into whole steps")
+            a1, b, a2, c1, c2, k1, k2 = (evaluate_array(spec.expr(sym), t)[:, None] for sym in _COEFFS)
 
-                # Hermite plan of the block's stages for every distinct key
-                in_history, idx, theta, taps, weights = _hermite_plan(delayed, t0, h, n, comps)
-                # the knot each stage reads last with a nonzero weight (-1: history only)
-                reads = np.where(in_history, -1, idx + (theta > 0.0)).max(axis=0)
-                # the window [start, k_next) holds the steps whose stages 2k+1,
-                # 2k+2 read no knot past start; stage 2*start reads knots before
-                # start.  Rounding at |t|/h beyond ~1e7 may put a stage a hair
-                # past the knot it may read; such a step gets a window of its own.
-                step_reads = np.maximum(reads[1::2], reads[2::2])
-                # (a step before start reads a knot before start, so no running
-                # max need cross a block's start, and a window cut by a block's
-                # end goes on in the next block, with the same sums)
-                reach = np.maximum.accumulate(np.minimum(step_reads, np.arange(s0, s1)))
-                k0 = s0
-                while True:  # at least once: a zero-step run still reads stage 0 for knot 0's slopes
-                    if k0 == 0 or reach[k0 - s0] > start:  # step k0 reads past the window's first knot
-                        # a new window: its first knot, and its prey sums S, log W and log W- (see below)
-                        start, s_run, log_a, log_n = k0, np.zeros((1, m)), -kn[0, 0, k0][None], None
-                    k_next = s0 + int(np.searchsorted(reach, start, side="right"))
-                    # the chunk reads its stages 2 k0 .. 2 k_next, the first one again and
-                    # to the same floats: it reads knots that were final when the chunk before did
-                    sl = slice(2 * (k0 - s0), 2 * (k_next - s0) + 1)
-                    vals = _hermite_sum(table, taps[:, sl], weights[:, sl])
-                    _read_history(vals, in_history[:, sl], delayed[:, sl], comps, histories, t0)
-                    exps = np.exp(vals)
-                    es1, es2, et1, et2 = (exps[u] for u in slot)
-                    g = a1[sl] - delayed_term(c1[sl] * et1, es1, k1[sl], t[sl, None], "u(t - sigma1) + k1")
-                    ky = a2[sl] - delayed_term(c2[sl] * et2, es2, k2[sl], t[sl, None], "u(t - sigma2) + k2")
-                    bw = b[sl]
-                    # prey: w = e^-x solves w' = -g w + b.  Per step, p and p2 integrate
-                    # g's quadratic through its stages over the step and its second half,
-                    # and w <- e^-p w + f.  In a window W = e^S w, S the running sum of p,
-                    # grows by e^S f; x = S - log W.  Where b < 0, W's negative part has a
-                    # sum of its own (log_n, None until then); W <= 0 gives x = inf or nan.
-                    g0, gm, ge = g[:-1:2], g[1::2], g[2::2]
-                    p = h6 * (g0 + 4.0 * gm + ge)
-                    p2 = h / 24.0 * (5.0 * ge + 8.0 * gm - g0)
-                    f = h6 * (np.exp(-p) * bw[:-1:2] + 4.0 * np.exp(-p2) * bw[1::2] + bw[2::2])
-                    s_run = np.cumsum(np.concatenate([s_run[-1:], p]), axis=0)[1:]
-                    if log_n is None and (f < 0.0).any():
-                        log_n = np.full((1, m), -math.inf)
-                    f_pos = f if log_n is None else np.maximum(f, 0.0)
-                    log_a = np.logaddexp.accumulate(np.concatenate([log_a[-1:], s_run + np.log(f_pos)]), axis=0)[1:]
-                    x = s_run - log_a
-                    if log_n is not None:
-                        terms = s_run + np.log(f_pos - f)
-                        log_n = np.logaddexp.accumulate(np.concatenate([log_n[-1:], terms]), axis=0)[1:]
-                        x = x - np.log1p(-np.exp(log_n - log_a))
-                    # predator: ky depends on delayed values only, so y is a running sum
-                    mid = ky[1::2]
-                    inc = h6 * (ky[0:-1:2] + 2.0 * (mid + mid) + ky[2::2])
-                    y = np.cumsum(np.concatenate([kn[1, 0, k0][None], inc]), axis=0)[1:]
-                    # the first stiff step, or the first step to a knot past the guard
-                    stiff = (p > _STIFF_LIMIT).any(axis=1)
-                    fail = stiff | ~((np.abs(x) < _LOG_LIMIT) & (np.abs(y) < _LOG_LIMIT)).all(axis=1)
-                    if fail.any():
-                        k = int(np.argmax(fail))
-                        if stiff[k]:
-                            raise IntegrationError(
-                                f"prey too stiff for step h={h!r} at t={t0 + (k0 + k) * h!r}: a1 - q integrates to "
-                                f"{float(p[k].max())!r} over the step, above {_STIFF_LIMIT}; choose a smaller h")
-                        raise IntegrationError(f"log-state overflow at t={t0 + (k0 + k + 1) * h!r}")
-                    kn[0, 0, k0 + 1:k_next + 1], kn[1, 0, k0 + 1:k_next + 1] = x, y
-                    done = slice(k0, k_next + 1)  # knot k0's slopes again, the same floats
-                    kn[0, 1, done], kn[1, 1, done] = g[::2] - bw[::2] * np.exp(kn[0, 0, done]), ky[::2]
-                    k0 = k_next
-                    if k0 >= s1:
-                        break
-    except Exception as exc:  # re-raised below unless an up-front error outranks it, whatever its kind
-        failure = exc
-    else:
-        return kn[0, 0, :n + 1], kn[1, 0, :n + 1], kn[0, 1, :n + 1], kn[1, 1, :n + 1], max(0.0, t0 - min_delayed)
-    # a whole-run plan evaluated each distinct delay, checked the step, then
-    # evaluated every coefficient and the history over the whole stage grid
-    # before the first step: their first error outranks the one met in a block
-    tgrid = stage_times(0, 2 * n + 1)
-    check_delays(min(float(evaluate_array(expr, tgrid).min()) for expr in delay_exprs))
-    for sym in _COEFFS:
-        evaluate_array(spec.expr(sym), tgrid)
-    for (comp, _), expr in zip(distinct, delay_exprs):
-        delayed = tgrid - evaluate_array(expr, tgrid)
-        _log_history(histories, comp, delayed[delayed < t0] - t0)
-    raise failure
+            # Hermite plan of the block's stages for every distinct key
+            in_history, idx, theta, taps, weights = _hermite_plan(delayed, t0, h, n, comps)
+            # the knot each stage reads last with a nonzero weight (-1: history only)
+            reads = np.where(in_history, -1, idx + (theta > 0.0)).max(axis=0)
+            # the window [start, k_next) holds the steps whose stages 2k+1,
+            # 2k+2 read no knot past start; stage 2*start reads knots before
+            # start.  Rounding at |t|/h beyond ~1e7 may put a stage a hair
+            # past the knot it may read; such a step gets a window of its own.
+            step_reads = np.maximum(reads[1::2], reads[2::2])
+            # (a step before start reads a knot before start, so no running
+            # max need cross a block's start, and a window cut by a block's
+            # end goes on in the next block, with the same sums)
+            reach = np.maximum.accumulate(np.minimum(step_reads, np.arange(s0, s1)))
+            k0 = s0
+            while True:  # at least once: a zero-step run still reads stage 0 for knot 0's slopes
+                if k0 == 0 or reach[k0 - s0] > start:  # step k0 reads past the window's first knot
+                    # a new window: its first knot, and its prey sums S, log W and log W- (see below)
+                    start, s_run, log_a, log_n = k0, np.zeros((1, m)), -kn[0, 0, k0][None], None
+                k_next = s0 + int(np.searchsorted(reach, start, side="right"))
+                # the chunk reads its stages 2 k0 .. 2 k_next, the first one again and
+                # to the same floats: it reads knots that were final when the chunk before did
+                sl = slice(2 * (k0 - s0), 2 * (k_next - s0) + 1)
+                vals = _hermite_sum(table, taps[:, sl], weights[:, sl])
+                _read_history(vals, in_history[:, sl], delayed[:, sl], comps, histories, t0)
+                exps = np.exp(vals)
+                es1, es2, et1, et2 = (exps[u] for u in slot)
+                g = a1[sl] - delayed_term(c1[sl] * et1, es1, k1[sl], t[sl, None], "u(t - sigma1) + k1")
+                ky = a2[sl] - delayed_term(c2[sl] * et2, es2, k2[sl], t[sl, None], "u(t - sigma2) + k2")
+                bw = b[sl]
+                # prey: w = e^-x solves w' = -g w + b.  Per step, p and p2 integrate
+                # g's quadratic through its stages over the step and its second half,
+                # and w <- e^-p w + f.  In a window W = e^S w, S the running sum of p,
+                # grows by e^S f; x = S - log W.  Where b < 0, W's negative part has a
+                # sum of its own (log_n, None until then); W <= 0 gives x = inf or nan.
+                g0, gm, ge = g[:-1:2], g[1::2], g[2::2]
+                p = h6 * (g0 + 4.0 * gm + ge)
+                p2 = h / 24.0 * (5.0 * ge + 8.0 * gm - g0)
+                f = h6 * (np.exp(-p) * bw[:-1:2] + 4.0 * np.exp(-p2) * bw[1::2] + bw[2::2])
+                s_run = np.cumsum(np.concatenate([s_run[-1:], p]), axis=0)[1:]
+                if log_n is None and (f < 0.0).any():
+                    log_n = np.full((1, m), -math.inf)
+                f_pos = f if log_n is None else np.maximum(f, 0.0)
+                log_a = np.logaddexp.accumulate(np.concatenate([log_a[-1:], s_run + np.log(f_pos)]), axis=0)[1:]
+                x = s_run - log_a
+                if log_n is not None:
+                    terms = s_run + np.log(f_pos - f)
+                    log_n = np.logaddexp.accumulate(np.concatenate([log_n[-1:], terms]), axis=0)[1:]
+                    x = x - np.log1p(-np.exp(log_n - log_a))
+                # predator: ky depends on delayed values only, so y is a running sum
+                mid = ky[1::2]
+                inc = h6 * (ky[0:-1:2] + 2.0 * (mid + mid) + ky[2::2])
+                y = np.cumsum(np.concatenate([kn[1, 0, k0][None], inc]), axis=0)[1:]
+                # the first stiff step, or the first step to a knot past the guard
+                stiff = (p > _STIFF_LIMIT).any(axis=1)
+                fail = stiff | ~((np.abs(x) < _LOG_LIMIT) & (np.abs(y) < _LOG_LIMIT)).all(axis=1)
+                if fail.any():
+                    k = int(np.argmax(fail))
+                    if stiff[k]:
+                        raise IntegrationError(
+                            f"prey too stiff for step h={h!r} at t={t0 + (k0 + k) * h!r}: a1 - q integrates to "
+                            f"{float(p[k].max())!r} over the step, above {_STIFF_LIMIT}; choose a smaller h")
+                    raise IntegrationError(f"log-state overflow at t={t0 + (k0 + k + 1) * h!r}")
+                kn[0, 0, k0 + 1:k_next + 1], kn[1, 0, k0 + 1:k_next + 1] = x, y
+                done = slice(k0, k_next + 1)  # knot k0's slopes again, the same floats
+                kn[0, 1, done], kn[1, 1, done] = g[::2] - bw[::2] * np.exp(kn[0, 0, done]), ky[::2]
+                k0 = k_next
+                if k0 >= s1:
+                    break
+    return kn[0, 0, :n + 1], kn[1, 0, :n + 1], kn[0, 1, :n + 1], kn[1, 1, :n + 1], max(0.0, t0 - min_delayed)
 
 
 def integrate_batch(spec: ModelSpec, histories, t0: float, t_end: float, h: float) -> Trajectory:

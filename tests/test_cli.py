@@ -553,6 +553,21 @@ def test_negative_count_exits_2_naming_the_flag(tmp_path, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("count", ["1000000000000000", "100001"])
+def test_too_many_random_histories_exit_2_naming_the_flag(tmp_path, count):
+    """Each random history is a column of knots: a count whose columns pass
+    one run's 10^7-knot bound (here 100 steps each) is refused up front."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cfg = write_config(tmp_path / "cfg.json", small_config())
+    proc = subprocess.run([sys.executable, "-m", "lgholling", "simulate", str(cfg), "--out", str(tmp_path / "out"),
+                           "--random-histories", count], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"validation error: --random-histories: {count} histories of 100 steps "
+                           "pass 10000000 knots\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_overflowing_random_history_exits_3_before_any_file(tmp_path, capsys):
     """The random histories ride in the main kernel call, so an overflow in
     one of them stops the run before trajectories.csv is written."""

@@ -333,29 +333,36 @@ def test_block_size_does_not_move_a_batch(monkeypatch, example2_spec):
         assert_same_run(integrate_batch(example2_spec, hists, 0.0, 4.0, 0.01), default)
 
 
-def test_delay_errors_at_block_size_one(monkeypatch):
+def test_block_size_one_raises_the_first_failing_blocks_error(monkeypatch):
+    """In 1-step blocks, tau1's sqrt fails in the block of t = 2.005, before
+    sigma2's block of t = 3.005 is planned, and the step check reads the
+    smallest delay of the first block where it is below h, 0.4211... at
+    t = 4.05, not the run's smallest, 0.4022... at t = 4.5 (see the two
+    tests above for one block)."""
     monkeypatch.setattr(integrator, "_PLAN_STEPS", 1)
-    test_first_delay_error_is_the_first_channel_that_raises()
-    test_smallest_delay_message_with_shared_delays()
+    spec = logistic_spec(**ORACLE_PREDATION, sigma2="0.4 + 0.1*sqrt(3 - t)", tau1="0.4 + 0.1*sqrt(2 - t)")
+    with pytest.raises(ExprDomainError, match=r"^sqrt of negative value at t=2\.005$"):
+        integrate(spec, InitialHistory(0.5, 0.5), 0.0, 5.0, 0.01)
+    spec = logistic_spec(**dict.fromkeys(("tau1", "tau2", "sigma1", "sigma2"), "0.5 + 0.1*sin(t)"))
+    with pytest.raises(IntegrationError, match=r"^step h=0\.45 exceeds the smallest delay 0\.4211474745573805; "):
+        integrate(spec, InitialHistory(0.5, 0.5), 0.0, 4.5, 0.45)
 
 
 # 1/t divides by zero at stage 0, in the first 256-step block; sqrt(30 - t)
-# fails at t = 30.005, in a later one.  One evaluation over the whole stage
-# grid checks sqrt first (it comes first in the program), so its error is
-# the one raised.
+# fails at t = 30.005, in a later one
 SQRT_THEN_DIVISION = "0*sqrt(30 - t) + 0*(1/t)"
 
 
 @pytest.mark.parametrize("overrides, message", [
-    ({"sigma1": "0.5 + " + SQRT_THEN_DIVISION}, "sqrt of negative value at t=30.005"),
-    ({"k2": "1 + " + SQRT_THEN_DIVISION}, "sqrt of negative value at t=30.005"),
-    # the delays are evaluated before the coefficients, so a delay's earlier
-    # error outranks a coefficient's later one; coefficients go in _COEFFS
-    # order, so b's error outranks c2's
+    ({"sigma1": "0.5 + " + SQRT_THEN_DIVISION}, "division by zero at t=0.0"),
+    ({"k2": "1 + " + SQRT_THEN_DIVISION}, "division by zero at t=0.0"),
     ({"c2": "0.4 + sqrt(35 - t)", "tau2": "0.5 + 0*(1/t)"}, "division by zero at t=0.0"),
     ({"c2": "0.4 + sqrt(35 - t)", "b": "1 + 0*(1/(t - 32))"}, "division by zero at t=32.0"),
+    # within one block [30.72, 33.28] the coefficients go in _COEFFS order, so
+    # b's error at t = 33 outranks c2's earlier one at t = 32.505
+    ({"c2": "0.4 + sqrt(32.5 - t)", "b": "1 + 0*(1/(t - 33))"}, "division by zero at t=33.0"),
 ])
-def test_domain_error_is_the_whole_grid_error(monkeypatch, overrides, message):
+def test_domain_error_is_the_first_failing_blocks(monkeypatch, overrides, message):
     monkeypatch.setattr(integrator, "_PLAN_STEPS", 256)
     spec = logistic_spec(**ORACLE_PREDATION | overrides)
     with pytest.raises(ExprDomainError, match=f"^{re.escape(message)}$"):
@@ -366,24 +373,26 @@ def test_domain_error_is_the_whole_grid_error(monkeypatch, overrides, message):
 NOTCHED_HISTORY = InitialHistory(parse_expression("0.5 + sqrt((t + 0.05)*(t + 0.05) - 0.0001)"), 0.5)
 
 
-@pytest.mark.parametrize("overrides, hist, t_end, steps, message", [
-    # c1 fails at t = 100.005, three blocks after the log-state overflows near t = 3.6
+@pytest.mark.parametrize("overrides, hist, t_end, steps, error, message", [
+    # the log-state overflows at t = 0.56, blocks before c1 fails at t = 100.005
     ({"a2": "200", "c2": "1e-300", "c1": "0.3 + sqrt(100 - t)"}, InitialHistory(0.5, 0.5), 120.0, None,
-     "sqrt of negative value at t=100.005"),
-    # a1 fails at t = 60.005, a block after the history's error
+     IntegrationError, "log-state overflow at t=0.56"),
+    # the history fails at the first stage's read, theta = -0.5, a block before a1 fails at t = 60.005
     ({"c1": "0.3", "c2": "0.4", "a1": "1 + sqrt(60 - t)"},
-     InitialHistory(parse_expression("0.5 + sqrt(t + 0.25)"), 0.5), 80.0, None, "sqrt of negative value at t=60.005"),
+     InitialHistory(parse_expression("0.5 + sqrt(t + 0.25)"), 0.5), 80.0, None,
+     ExprDomainError, "sqrt of negative value at t=-0.5"),
     ({"c1": "0.3", "c2": "0.4"}, InitialHistory(parse_expression("0.5 + sqrt(t + 0.25)"), 0.5), 80.0, None,
-     "sqrt of negative value at t=-0.5"),
+     ExprDomainError, "sqrt of negative value at t=-0.5"),
     # the log-state overflows at t = 0.36, a block before the history's error is read
-    ({"a2": "2000", "c2": "1e-300"}, NOTCHED_HISTORY, 10.0, 7, "sqrt of negative value at t=-0.06"),
+    ({"a2": "2000", "c2": "1e-300"}, NOTCHED_HISTORY, 10.0, 7, IntegrationError, "log-state overflow at t=0.36"),
 ], ids=["coefficient-after-overflow", "coefficient-after-history", "history", "history-after-overflow"])
-def test_up_front_error_outranks_an_earlier_block_error(monkeypatch, overrides, hist, t_end, steps, message):
-    """A whole-run plan evaluated every coefficient, then the history, before
-    the first step: their first error is raised, not the one a block meets."""
+def test_a_failing_run_raises_its_first_failing_blocks_error(monkeypatch, overrides, hist, t_end, steps, error,
+                                                              message):
+    """A run steps block by block and raises the first error it meets: an
+    earlier block's error outranks a later block's, whatever their kinds."""
     if steps is not None:
         monkeypatch.setattr(integrator, "_PLAN_STEPS", steps)
-    with pytest.raises(ExprDomainError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
         integrate(logistic_spec(**overrides), hist, 0.0, t_end, 0.01)
 
 
@@ -515,6 +524,27 @@ def test_working_memory_is_one_block(monkeypatch):
         tracemalloc.stop()
     assert len(traj.t) == 10_001
     assert peak - kept <= 1.5e6, f"peak {peak / 1e6:.2f} MB over {kept / 1e6:.2f} MB kept"
+
+
+def test_a_failing_run_holds_no_more_than_a_succeeding_one(monkeypatch, example2_spec):
+    """A 10k-step run of example2 whose c2 fails only in its last 256-step
+    block, at t = 99.005, peaks at the same memory as the run that succeeds:
+    it raises there, with no evaluation over the whole stage grid."""
+    monkeypatch.setattr(integrator, "_PLAN_STEPS", 256)
+    model = preset_config("example2")["model"]
+    failing = ModelSpec.from_strings(model | {"c2": model["c2"] + " + 0*sqrt(99 - t)"})
+    hist = InitialHistory(0.75, 0.75)
+    tracemalloc.start()
+    try:
+        integrate(example2_spec, hist, 0.0, 100.0, 0.01)
+        succeeding = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(ExprDomainError, match=r"^sqrt of negative value at t=99\.005$"):
+            integrate(failing, hist, 0.0, 100.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * succeeding, f"failing run peaks at {peak / 1e6:.2f} MB, succeeding at {succeeding / 1e6:.2f} MB"
 
 
 def assert_same_run(got, want):
