@@ -2,7 +2,8 @@
 
 Reports are deterministic for a fixed configuration: rerunning a preset
 produces an identical report.json apart from the generated_at timestamp and
-byte-identical CSV files.
+byte-identical CSV files.  The command line reaches the pipeline by one
+path: main turns argv into a config dict, and run_pipeline checks and runs it.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.
 """
@@ -13,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -30,7 +31,7 @@ from .permanence import CoefficientBounds, compute_permanence_bounds_from_values
 from .presets import PRESET_NAMES, preset_config
 from .stability import estimate_liminf, run_attractivity, small_denominator
 
-__all__ = ["RunConfig", "load_config", "run_preset", "run_config", "run_pipeline", "main"]
+__all__ = ["load_config", "run_preset", "run_config", "run_pipeline", "main"]
 
 # most grid intervals a run may ask for: (t_end - t0) / h and the fp_t_hi ratios; also caps sample counts
 _MAX_STEPS = 10**7
@@ -81,19 +82,6 @@ _SCHEMA = {
                                    "alpha_inf", "beta_inf"], _Field("number", None)),
 }
 _NULLABLE = ("table_bounds", "paper_values")
-
-
-@dataclass
-class RunConfig:
-    model: dict[str, str]
-    history: dict
-    run: dict
-    analyses: dict
-    options: dict
-    table_bounds: dict | None = None
-    paper_values: dict | None = None
-    output_dir: str | None = None
-    raw: dict = field(default_factory=dict)
 
 
 def _number(value, path: str) -> float:
@@ -153,9 +141,10 @@ def _check_section(section, path: str, fields: dict) -> dict:
     return checked
 
 
-def load_config(data: dict) -> RunConfig:
+def load_config(data: dict) -> dict:
     """Check a raw config dict against _SCHEMA and the rules that join its
-    fields; a bad field raises ConfigError naming its JSON path."""
+    fields; returns the checked sections keyed like _SCHEMA, plus
+    output_dir.  A bad field raises ConfigError naming its JSON path."""
     if not isinstance(data, dict):
         raise ConfigError("", "config must be a JSON object")
     for key in data:
@@ -189,7 +178,7 @@ def load_config(data: dict) -> RunConfig:
     output_dir = data.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("/output_dir", "expected a string path")
-    return RunConfig(**sections, output_dir=output_dir, raw=data)
+    return dict(sections, output_dir=output_dir)
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
@@ -207,45 +196,45 @@ def _write_csv(path: Path, header: str, columns) -> None:
 
 def _stage(path: str, stage, *args, **kwargs):
     """Run stage(*args, **kwargs); a ValidationError it raises becomes a
-    ConfigError naming the field at path, and a ConfigError passes through."""
+    ConfigError naming the field at path."""
     try:
         return stage(*args, **kwargs)
-    except ConfigError:
-        raise
     except ValidationError as exc:
         raise ConfigError(path, str(exc)) from exc
 
 
-def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True,
+def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis: bool = True,
                  random_histories: int = 0, seed: int = 0) -> dict:
-    """Run the configured analyses, then write report.json, CSV series, and a
-    gnuplot script into out_dir; returns the report dict.  A run that fails
-    writes nothing."""
-    analyses = config.analyses
+    """Check the raw config dict data with load_config, run the configured
+    analyses, then write report.json, CSV series, and a gnuplot script into
+    out_dir (by default the config's output_dir, else ./lgholling-out);
+    returns the report dict.  A run that fails writes nothing."""
+    config = load_config(data)
+    out_dir = Path((config["output_dir"] or "lgholling-out") if out_dir is None else out_dir)
+    analyses, opt = config["analyses"], config["options"]
     if require_analysis and not any(analyses.values()):
         raise ConfigError("/analyses", "nothing to report: every analysis is disabled")
-    t0, t_end, h, t_settle = (config.run[k] for k in ("t0", "t_end", "h", "t_settle"))
+    t0, t_end, h, t_settle = (config["run"][k] for k in ("t0", "t_end", "h", "t_settle"))
     if random_histories * (t_end - t0) / h > _MAX_STEPS:  # a column of knots each, held to one run's bound
         raise ConfigError("--random-histories", f"{random_histories} histories of {(t_end - t0) / h:.6g} steps "
                                                 f"pass {_MAX_STEPS} knots")
 
-    opt = config.options
-    spec = ModelSpec.from_strings(config.model)
+    spec = ModelSpec.from_strings(config["model"])
     vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]))
     if not vrep.ok:
         sym, t_inf, value = vrep.failures[0]
         raise ConfigError(f"/model/{sym}", f"coefficient {sym} is not shown > 0: it is {value:.6g} at t={t_inf:.6g}, "
                                            f"and its inf is bounded below by {vrep.bounds[sym].inf_lower:.6g}")
     history = InitialHistory(*(parse_expression(v) if isinstance(v, str) else float(v)
-                               for v in (config.history["phi1"], config.history["phi2"])))
+                               for v in (config["history"]["phi1"], config["history"]["phi2"])))
     _stage("/history", history.validate, vrep.max_lag_r)
 
     report: dict = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "config": config.raw,
+        "config": data,
         "model": {
             "coefficients": {
-                sym: {"source": config.model[sym], "inf": est.inf_value, "sup": est.sup_value,
+                sym: {"source": config["model"][sym], "inf": est.inf_value, "sup": est.sup_value,
                       "inf_lower": est.inf_lower,  # > 0, as the coefficient passed
                       "sup_upper": est.sup_upper if math.isfinite(est.sup_upper) else None}
                 for sym, est in vrep.bounds.items()
@@ -258,7 +247,7 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
 
     pb_est = _stage("/model", compute_permanence_bounds_from_values, CoefficientBounds.from_validation(vrep.bounds))
     pb_table = (_stage("/table_bounds", compute_permanence_bounds_from_values,
-                       CoefficientBounds.from_table(config.table_bounds)) if config.table_bounds else None)
+                       CoefficientBounds.from_table(config["table_bounds"])) if config["table_bounds"] else None)
     pb_active = pb_table if pb_table is not None else pb_est
 
     # the main history, the attractivity partner and the random histories
@@ -375,8 +364,8 @@ def run_pipeline(config: RunConfig, out_dir: Path, require_analysis: bool = True
             "shift_defects": [[s, d] for s, d in pr.shift_defects],
         }
 
-    if config.paper_values:
-        report["discrepancies"] = _build_discrepancies(config.paper_values, pb_table, pb_est, stability_section)
+    if config["paper_values"]:
+        report["discrepancies"] = _build_discrepancies(config["paper_values"], pb_table, pb_est, stability_section)
 
     _write_outputs(out_dir, report, series)
     return report
@@ -467,39 +456,35 @@ def _apply_overrides(data: dict, args) -> dict:
     load_config to name the bad field."""
     if not isinstance(data, dict):
         return data
-    flags = {"simulate": (), **_ANALYSIS_SUBCOMMANDS}.get(getattr(args, "command", None))
+    flags = {"simulate": (), **_ANALYSIS_SUBCOMMANDS}.get(args.command)
     if flags is not None:
         data = dict(data, analyses={key: key in flags for key in _SCHEMA["analyses"]})
     if not (isinstance(data.get("run"), dict) and isinstance(data.get("options", {}), dict)):
         return data
     run = dict(data["run"])
-    if getattr(args, "h", None) is not None:
+    if args.h is not None:
         run["h"] = args.h
-    if getattr(args, "t_end", None) is not None:
+    if args.t_end is not None:
         run["t_end"] = args.t_end
-        t0, t_settle = run.get("t0", 0.0), run.get("t_settle", 0.0)
-        if isinstance(t0, (int, float)) and isinstance(t_settle, (int, float)) and t_settle >= args.t_end:
-            run["t_settle"] = 0.5 * (t0 + args.t_end)  # the midpoint, load_config's default
+        try:
+            t0, t_settle = (_number(run.get(key, 0.0), f"/run/{key}") for key in ("t0", "t_settle"))
+        except ConfigError:
+            pass  # a malformed t0 or t_settle is left as it is, for load_config to name
+        else:
+            if t_settle >= args.t_end:
+                run["t_settle"] = 0.5 * (t0 + args.t_end)  # the midpoint, load_config's default
     data = dict(data, run=run)
-    if getattr(args, "beta_denominator", None) is not None:
+    if args.beta_denominator is not None:
         data["options"] = dict(data.get("options", {}), beta_denominator=args.beta_denominator)
     return data
 
 
-def _run(data, args, out_dir: Path | None, **pipeline_kwargs) -> dict:
-    """The one entry path: overrides, then load_config, then run_pipeline."""
-    config = load_config(_apply_overrides(data, args))
-    if out_dir is None:
-        out_dir = Path(config.output_dir or "lgholling-out")
-    return run_pipeline(config, out_dir, **pipeline_kwargs)
-
-
-def run_preset(name: str, out_dir: Path | None, args=None, **pipeline_kwargs) -> dict:
+def run_preset(name: str, out_dir: str | Path | None, **pipeline_kwargs) -> dict:
     """Run one of the built-in configurations end to end; out_dir defaults
     to ./lgholling-out."""
     if name not in PRESET_NAMES:
         raise ConfigError("/preset", f"unknown preset {name!r}")
-    return _run(preset_config(name), args, out_dir, **pipeline_kwargs)
+    return run_pipeline(preset_config(name), out_dir, **pipeline_kwargs)
 
 
 def _load_config_file(path: str | Path) -> dict:
@@ -512,10 +497,10 @@ def _load_config_file(path: str | Path) -> dict:
         raise ConfigError("", f"malformed JSON: {exc}") from exc
 
 
-def run_config(path: str | Path, out_dir: Path | None = None, args=None, **pipeline_kwargs) -> dict:
+def run_config(path: str | Path, out_dir: str | Path | None = None, **pipeline_kwargs) -> dict:
     """Run a user configuration file end to end; out_dir defaults to the
     config's output_dir."""
-    return _run(_load_config_file(path), args, out_dir, **pipeline_kwargs)
+    return run_pipeline(_load_config_file(path), out_dir, **pipeline_kwargs)
 
 
 def _count(text: str) -> int:
@@ -560,13 +545,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "preset":
-            run_preset(args.name, args.out, args=args)
-        elif args.command == "simulate":
-            run_config(args.config, args.out, args=args, require_analysis=False,
-                       random_histories=args.random_histories, seed=args.seed)
-        else:
-            run_config(args.config, args.out, args=args)
+        data = preset_config(args.name) if args.command == "preset" else _load_config_file(args.config)
+        kwargs = (dict(require_analysis=False, random_histories=args.random_histories, seed=args.seed)
+                  if args.command == "simulate" else {})
+        run_pipeline(_apply_overrides(data, args), args.out, **kwargs)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

@@ -33,7 +33,7 @@ def _sample(f, grid: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(f(grid), dtype=float), grid.shape)
 
 
-def ergodic_mean(f, T: float, n: int = 200_000) -> float:
+def ergodic_mean(f, T: float, n: int) -> float:
     """Composite-Simpson estimate, summed as scipy's simpson, of (1/2T) * integral of |f| over [-T, T]."""
     if T <= 0.0:
         raise ValueError("T must be > 0")
@@ -51,7 +51,7 @@ class PapTrend:
     means: list[tuple[float, float]]
 
 
-def pap0_trend(f, T_list, n_per_T=None) -> PapTrend:
+def pap0_trend(f, T_list) -> PapTrend:
     """Fit the trend of ergodic means over increasing windows.
 
     vanishing: the means decay below 10% of the first entry by the last T
@@ -62,11 +62,8 @@ def pap0_trend(f, T_list, n_per_T=None) -> PapTrend:
     T_list = [float(T) for T in T_list]
     if len(T_list) < 2 or any(b <= a for a, b in zip(T_list, T_list[1:])):
         raise ValueError("T_list must be increasing with at least 2 entries")
-    means = []
-    for T in T_list:
-        n = n_per_T(T) if n_per_T else int(min(2_000_000, max(2_000, 200.0 * T)))
-        n += (-n) % 4  # keep 0 an even node so kinks of |f| at 0 stay harmless
-        means.append((T, ergodic_mean(f, T, n)))
+    # 4,000 intervals per window: a multiple of 4, so 0 stays an even node and kinks of |f| at 0 stay harmless
+    means = [(T, ergodic_mean(f, T, 4_000)) for T in T_list]
     first = means[0][1]
     last = means[-1][1]
     if last < 1e-12 or last < 0.1 * first:
@@ -110,7 +107,7 @@ def solution_window_report(traj: Trajectory, t_settle: float, t_end: float) -> P
         return np.interp(np.asarray(th) + mid, times, u) - dev_mean
 
     T_list = [half / 8.0, half / 4.0, half / 2.0, half]
-    trend = pap0_trend(centered, T_list, n_per_T=lambda T: 4_000)
+    trend = pap0_trend(centered, T_list)
 
     # shift search on the raw window signal: shift_defect's max |u(t + tau) - u(t)|
     # over base, with u(t) interpolated once for all the shifts

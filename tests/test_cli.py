@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lgholling import (ConfigError, InitialHistory, ModelSpec, integrate, integrate_batch, integrator,
-                       load_config, parse_expression, run_attractivity, run_config, run_preset)
+                       load_config, parse_expression, run_attractivity, run_config, run_pipeline, run_preset)
 from lgholling.cli import _SCHEMA, _write_csv, main
 from lgholling.presets import preset_config
 from conftest import load_report
@@ -143,8 +143,7 @@ def test_nothing_to_report():
     data = small_config()
     data["analyses"] = {key: False for key in data["analyses"]}
     with pytest.raises(ConfigError, match="nothing to report"):
-        from lgholling import run_pipeline
-        run_pipeline(load_config(data), Path("/tmp/never-used"))
+        run_pipeline(data, Path("/tmp/never-used"))
 
 
 def test_step_above_delay_exits_3(tmp_path, capsys):
@@ -240,7 +239,7 @@ def test_fixed_point_quadrature_nodes_are_capped():
     with pytest.raises(ConfigError, match=r"^/options/fp_quad_step: fp_t_hi / fp_quad_step must be at most 10000000"):
         load_config(data)
     data["options"].update(fp_quad_step=5e-6)  # 6e6 nodes
-    assert load_config(data).options["fp_quad_step"] == 5e-6
+    assert load_config(data)["options"]["fp_quad_step"] == 5e-6
 
 
 @pytest.mark.parametrize("fixed_point", [True, False])
@@ -254,13 +253,13 @@ def test_fixed_point_grid_times_must_be_distinct(fixed_point):
         with pytest.raises(ConfigError, match="^/options/fp_step: must exceed 0.5 "):
             load_config(data)
         data["options"]["fp_step"] = 0.75
-    assert load_config(data).run["t0"] == 1e15
+    assert load_config(data)["run"]["t0"] == 1e15
 
 
 def test_sample_count_is_capped():
     data = small_config()
     data["options"]["liminf_points"] = 10**7
-    assert load_config(data).options["liminf_points"] == 10**7
+    assert load_config(data)["options"]["liminf_points"] == 10**7
     data["options"]["liminf_points"] = 10**7 + 1
     with pytest.raises(ConfigError, match="/options/liminf_points: must be <= "):
         load_config(data)
@@ -268,8 +267,8 @@ def test_sample_count_is_capped():
 
 def test_table_bounds_section_gives_every_bound():
     table = preset_config("example2")["table_bounds"]
-    assert load_config(small_config(table_bounds=table)).table_bounds == table
-    assert load_config(small_config(table_bounds=None)).table_bounds is None
+    assert load_config(small_config(table_bounds=table))["table_bounds"] == table
+    assert load_config(small_config(table_bounds=None))["table_bounds"] is None
     for partial in ({}, {k: v for k, v in table.items() if k != "k2_sup"}):
         with pytest.raises(ConfigError, match="/table_bounds/(a1_inf|k2_sup): missing required key"):
             load_config(small_config(table_bounds=partial))
@@ -279,12 +278,12 @@ def test_values_are_kept_as_given_and_defaults_filled_in():
     data = small_config()
     data["options"] = {"bounds_horizon": 20, "fp_max_iter": 3}
     config = load_config(data)
-    assert config.options["bounds_horizon"] == 20 and isinstance(config.options["bounds_horizon"], int)
-    assert config.options["slack"] == 0.05 and config.options["attractivity_history"] == [0.75, 0.75]
-    assert config.run["t0"] == 0.0 and isinstance(config.run["t0"], float)
+    assert config["options"]["bounds_horizon"] == 20 and isinstance(config["options"]["bounds_horizon"], int)
+    assert config["options"]["slack"] == 0.05 and config["options"]["attractivity_history"] == [0.75, 0.75]
+    assert config["run"]["t0"] == 0.0 and isinstance(config["run"]["t0"], float)
     del data["analyses"], data["run"]["t_settle"]
     config = load_config(data)
-    assert all(config.analyses.values()) and config.run["t_settle"] == 2.5
+    assert all(config["analyses"].values()) and config["run"]["t_settle"] == 2.5
 
 
 @pytest.mark.parametrize("raw", [b'{"model": 1' + b"0" * 5000 + b"}", b'{"model": "\xff"}'])
@@ -726,6 +725,10 @@ def test_schema_field_at_a_boundary_keeps_the_exit_contract(field, value):
     (("table_bounds", "a2_sup"), 1e300, [], 3, "overflow"),
     (("run",), 5, ["--t-end", "3"], 2, "/run"),
     (("options",), 5, ["--beta-denominator", "M1"], 2, "/options"),
+    # --t-end moves a t_settle past it only when t0 and t_settle are numbers: a malformed one is still named
+    (("run", "t_settle"), True, ["--t-end", "1"], 2, "/run/t_settle: expected a number"),
+    (("run", "t_settle"), math.inf, ["--t-end", "1"], 2, "/run/t_settle: expected a finite number"),
+    (("run", "t0"), 10**400, ["--t-end", "1"], 2, "/run/t0: expected a finite number"),
     (("run", "t_settle"), 3.99, [], 2, "/run/t_settle"),  # a settle window holding one knot
     (("run", "h"), 0.03, [], 2, "/run/h"),  # a step that does not divide the 4-unit run
     (("model", "a1"), "5 + 0*t^1e400", [], 2, "/model/a1: exponent must be a literal integer >= 0 at position 8"),
@@ -756,7 +759,8 @@ def test_schema_field_at_a_boundary_keeps_the_exit_contract(field, value):
     (("options", "liminf_t_max"), 1.7e308, [], 3, "is too large to resolve its lag inverse in floats"),
     (("options", "liminf_t_max"), 1e15, [], 3, "is too large to resolve its lag inverse in floats"),
 ], ids=["negative-c1", "phi1-zero-at-0", "phi1-huge-int", "t_end-huge", "fp_step-huge", "b_inf-zero",
-        "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object", "t_settle-one-knot",
+        "a1_inf-missing", "a2_sup-huge", "run-not-object", "options-not-object", "t_settle-bool-t_end",
+        "t_settle-inf-t_end", "t0-huge-int-t_end", "t_settle-one-knot",
         "h-not-dividing", "exponent-infinite", "unary-minus-3000", "sum-5000", "t-sum-5000", "parens-400", "text-80k",
         "a2_inf-zero", "a2_inf-negative", "a1_inf-negative", "tau2_sup-negative", "fp_quad_step-not-dividing",
         "fp_step-not-dividing", "k1_inf-tiny", "t_settle-last-knot-past-t_end",
@@ -836,6 +840,28 @@ def test_t_end_override_keeps_t_settle_after_t0(tmp_path):
     cfg = write_config(tmp_path / "t0.json", data)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--t-end", "2"]) == 0
     assert load_report(tmp_path / "out")["config"]["run"]["t_settle"] == 1.75
+
+
+def test_load_config_returns_the_schema_sections_and_output_dir():
+    assert set(load_config(small_config())) == set(_SCHEMA) | {"output_dir"}
+
+
+def test_cli_overrides_equal_run_pipeline_on_the_overridden_config(tmp_path):
+    """bounds --t-end --h through main, and run_pipeline on the config those
+    flags describe, write the same files apart from generated_at."""
+    data = short_preset("example2")
+    cfg = write_config(tmp_path / "cfg.json", data)
+    assert main(["bounds", str(cfg), "--t-end", "1.5", "--h", "0.025", "--out", str(tmp_path / "cli")]) == 0
+    data["analyses"] = {key: key == "bounds" for key in _SCHEMA["analyses"]}
+    data["run"].update(t_end=1.5, h=0.025, t_settle=0.75)  # t_settle 2.0 moves to the new midpoint
+    run_pipeline(data, str(tmp_path / "lib"))  # a str out_dir is a path as well
+    names = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "lib").iterdir())
+    for name in names:
+        cli, lib = ((tmp_path / d / name).read_bytes() for d in ("cli", "lib"))
+        if name == "report.json":
+            cli, lib = (re.sub(rb'"generated_at": "[^"]*"', b"", text) for text in (cli, lib))
+        assert cli == lib, name
 
 
 def test_overflowing_fixed_point_source_exits_3_without_warning(tmp_path):
