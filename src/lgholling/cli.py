@@ -1,7 +1,8 @@
 """Config ingestion, analysis orchestration, and report/plot-data emission.
 
-Reports are deterministic for a fixed configuration: rerunning a preset
-produces an identical report.json apart from the generated_at timestamp and
+Reports are deterministic for a fixed configuration: rerunning a preset, or
+the checked config that report.json echoes with every default, produces an
+identical report.json apart from the generated_at timestamp and
 byte-identical CSV files.  The command line reaches the pipeline by one
 path: main turns argv into a config dict, and run_pipeline checks and runs it.
 
@@ -137,7 +138,7 @@ def _check_section(section, path: str, fields: dict) -> dict:
         if key not in section and spec.default is ...:
             raise ConfigError(f"{path}/{key}", "missing required key")
         if key not in section and spec.default is not None:
-            checked[key] = spec.default
+            checked[key] = list(spec.default) if spec.kind == "pair" else spec.default  # _SCHEMA's list stays its own
     return checked
 
 
@@ -231,7 +232,7 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
 
     report: dict = {
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "config": data,
+        "config": config,
         "model": {
             "coefficients": {
                 sym: {"source": config["model"][sym], "inf": est.inf_value, "sup": est.sup_value,
@@ -239,8 +240,6 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
                       "sup_upper": est.sup_upper if math.isfinite(est.sup_upper) else None}
                 for sym, est in vrep.bounds.items()
             },
-            "bounds_horizon": opt["bounds_horizon"],
-            "positive": vrep.ok,
             "max_lag_r": vrep.max_lag_r,
         },
     }
@@ -290,8 +289,6 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
             "M1": pb_active.M1, "M2": pb_active.M2, "m1": pb_active.m1, "m2": pb_active.m2,
             "c0_holds": pb_active.c0_holds,
             "verification": {
-                "window": [verification.t_settle, verification.t_end],
-                "slack": verification.slack,
                 "observed": {"u_min": verification.u_min, "u_max": verification.u_max,
                              "v_min": verification.v_min, "v_max": verification.v_max},
                 "checks": verification.checks,
@@ -299,19 +296,13 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
             },
         }
 
-    stability_section = None
     if analyses["stability"]:
-        att = None
-        if analyses["attractivity"]:
-            att = run_attractivity(traj, runs.column(1), threshold=float(opt["attractivity_threshold"]))
-            series["attractivity"] = ("t,distance", (att.times[::stride], att.distances[::stride]))
         t_grid = np.linspace(0.0, float(opt["liminf_t_max"]), opt["liminf_points"])
         sym = small_denominator(pb_active.inputs_used, pb_active)  # the k whose m1 + k^i is too small, if any
         est = _stage(f"/table_bounds/{sym}_inf" if pb_table is not None else f"/model/{sym}",
                      estimate_liminf, spec, pb_active, t_grid, opt["beta_denominator"])
         sample_stride = max(1, len(est.alpha_samples) // 25)
-        stability_section = {
-            "beta_denominator": opt["beta_denominator"],
+        report["stability"] = {
             "alpha_liminf": est.alpha_liminf,
             "beta_liminf": est.beta_liminf,
             "beta_liminf_alt": est.beta_liminf_alt,
@@ -319,16 +310,15 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
             "alpha_samples": [[t, a] for t, a in est.alpha_samples[::sample_stride]],
             "beta_samples": [[t, b] for t, b in est.beta_samples[::sample_stride]],
         }
-        if att is not None:
-            stability_section["attractivity"] = {
+        if analyses["attractivity"]:
+            att = run_attractivity(traj, runs.column(1), threshold=float(opt["attractivity_threshold"]))
+            series["attractivity"] = ("t,distance", (traj.t[::stride], att.distances[::stride]))
+            report["stability"]["attractivity"] = {
                 "histories": [[history.value1(0.0), history.value2(0.0)], [float(alt[0]), float(alt[1])]],
-                "t_end": t_end,
-                "threshold": att.threshold,
                 "final_distance": att.final_distance,
                 "tail_nonincreasing": att.tail_nonincreasing,
                 "passed": att.passed,
             }
-        report["stability"] = stability_section
 
     if analyses["fixed_point"]:
         seed_phi = 0.5 * (pb_active.m1 + pb_active.M1)
@@ -343,12 +333,7 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
         )
         series["fixedpoint"] = ("t,u_star,v_star", (result.pair.grid(), result.pair.phi, result.pair.psi))
         report["fixed_point"] = {
-            "grid": {"t_lo": result.pair.t_lo, "t_hi": result.pair.t_hi, "step": result.pair.step},
             "seed": [seed_phi, seed_psi],
-            "tol": opt["fp_tol"],
-            "quad_step": opt["fp_quad_step"],
-            "tail_tol": opt["fp_tail_tol"],
-            "converged": result.converged,
             "status": result.status,
             "iterations": result.iterations,
             "final_delta": result.final_delta if math.isfinite(result.final_delta) else None,
@@ -358,23 +343,22 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
     if analyses["pap"]:
         pr = _stage("/run/t_settle", solution_window_report, traj, t_settle, t_end)
         report["pap"] = {
-            "window": list(pr.window),
             "trend_verdict": pr.trend_verdict,
             "ergodic_means": [[T, m] for T, m in pr.ergodic_means],
             "shift_defects": [[s, d] for s, d in pr.shift_defects],
         }
 
     if config["paper_values"]:
-        report["discrepancies"] = _build_discrepancies(config["paper_values"], pb_table, pb_est, stability_section)
+        report["discrepancies"] = _build_discrepancies(config["paper_values"], pb_table, pb_est, report)
 
     _write_outputs(out_dir, report, series)
     return report
 
 
-def _build_discrepancies(paper_values: dict, pb_table, pb_est, stability_section) -> list[dict]:
-    """Each published value beside its recomputed one.  computed_alt holds
-    the estimates' box when the table's is active, and beta's other
-    denominator."""
+def _build_discrepancies(paper_values: dict, pb_table, pb_est, report: dict) -> list[dict]:
+    """Each published value beside its recomputed one, alpha and beta from
+    report's stability section.  computed_alt holds the estimates' box when
+    the table's is active, and beta's other denominator."""
     pb_main, pb_alt = (pb_est, None) if pb_table is None else (pb_table, pb_est)
     entries = []
     for quantity, published in paper_values.items():
@@ -384,12 +368,12 @@ def _build_discrepancies(paper_values: dict, pb_table, pb_est, stability_section
         elif quantity in ("M1", "M2", "m1", "m2"):
             computed = getattr(pb_main, quantity)
             alt = getattr(pb_alt, quantity, None)
-        elif stability_section is None:
+        elif "stability" not in report:
             continue
         elif quantity == "alpha_inf":
-            computed = stability_section["alpha_liminf"]
+            computed = report["stability"]["alpha_liminf"]
         else:  # beta_inf
-            computed, alt = stability_section["beta_liminf"], stability_section["beta_liminf_alt"]
+            computed, alt = report["stability"]["beta_liminf"], report["stability"]["beta_liminf_alt"]
         rel = abs(published - computed) / max(abs(published), 1e-12)
         entries.append({"quantity": quantity, "paper_value": published, "computed_value": computed,
                         "relative_gap": rel if math.isfinite(rel) else None,
@@ -509,6 +493,18 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def _run_flag(key: str):
+    """The argparse type of the flag that overrides run.<key>: a number
+    that passes that key's _SCHEMA rule, so a bad one is named as the flag."""
+    def number(text: str) -> float:
+        try:
+            _check_value(float(text), "", _SCHEMA["run"][key])
+        except (ValueError, ConfigError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return float(text)
+    return number
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lgholling",
                                      description="Delayed predator-prey simulation and analysis toolkit")
@@ -518,8 +514,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_config:
             p.add_argument("config", help="path to a JSON run configuration")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--h", type=float, default=None, help="override integration step")
-        p.add_argument("--t-end", dest="t_end", type=float, default=None, help="override end time")
+        p.add_argument("--h", type=_run_flag("h"), default=None, help="override integration step")
+        p.add_argument("--t-end", dest="t_end", type=_run_flag("t_end"), default=None, help="override end time")
         p.add_argument("--beta-denominator", choices=("M1", "M2"), default=None)
 
     p = sub.add_parser("preset", help="run a built-in configuration")

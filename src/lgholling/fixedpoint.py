@@ -160,7 +160,6 @@ class FixedPointResult:
     iterations: int
     final_delta: float
     residual: float | None
-    converged: bool
     status: str  # converged | max_iter | diverged
 
 
@@ -347,8 +346,7 @@ def iterate_fixed_point(
         residual = residual if math.isfinite(residual) else None  # report.json holds no Infinity or NaN
     except (NumericalError, OverflowError, FloatingPointError):
         residual = None
-    return FixedPointResult(pair=pair, iterations=iterations, final_delta=delta, residual=residual,
-                            converged=status == "converged", status=status)
+    return FixedPointResult(pair=pair, iterations=iterations, final_delta=delta, residual=residual, status=status)
 
 
 def dde_residual(spec: ModelSpec, pair: GridFunctionPair) -> float:

@@ -80,7 +80,6 @@ class PapReport:
     ergodic_means: list[tuple[float, float]]
     shift_defects: list[tuple[float, float]]
     trend_verdict: str
-    window: tuple[float, float]  # solution window the diagnostics were run on
 
 
 def solution_window_report(traj: Trajectory, t_settle: float, t_end: float) -> PapReport:
@@ -121,5 +120,4 @@ def solution_window_report(traj: Trajectory, t_settle: float, t_end: float) -> P
         ergodic_means=trend.means,
         shift_defects=best,
         trend_verdict=trend.verdict,
-        window=(t_settle, t_end),
     )

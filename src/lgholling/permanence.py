@@ -112,9 +112,6 @@ def compute_permanence_bounds_from_values(cb: CoefficientBounds) -> PermanenceBo
 
 @dataclass
 class PermanenceVerification:
-    t_settle: float
-    t_end: float
-    slack: float
     u_min: float
     u_max: float
     v_min: float
@@ -148,7 +145,6 @@ def verify_permanence(
         "v_above_m2": v_min >= bounds.m2 - slack,
     }
     return PermanenceVerification(
-        t_settle=t_settle, t_end=t_end, slack=slack,
         u_min=u_min, u_max=u_max, v_min=v_min, v_max=v_max,
         checks=checks, all_ok=all(checks.values()),
     )

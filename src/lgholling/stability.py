@@ -205,12 +205,10 @@ def estimate_liminf(
 
 @dataclass(eq=False)
 class AttractivityResult:
-    times: np.ndarray
-    distances: np.ndarray  # |u_a - u_b| + |v_a - v_b|
+    distances: np.ndarray  # |u_a - u_b| + |v_a - v_b| at each time of the runs' grid
     final_distance: float
     tail_nonincreasing: bool
     passed: bool
-    threshold: float
 
 
 def run_attractivity(traj_a: Trajectory, traj_b: Trajectory, threshold: float) -> AttractivityResult:
@@ -233,10 +231,8 @@ def run_attractivity(traj_a: Trajectory, traj_b: Trajectory, threshold: float) -
     tail_ok = all(maxima[i + 1] <= maxima[i] + eps for i in range(len(maxima) - 1))
     final = float(d[-1])
     return AttractivityResult(
-        times=traj_a.t,
         distances=d,
         final_distance=final,
         tail_nonincreasing=tail_ok,
         passed=(final < threshold) and tail_ok,
-        threshold=threshold,
     )

@@ -296,7 +296,7 @@ def test_criterion_09_fixed_point_cross_validation():
                                            0.5 * (pb.m1 + pb.M1), 0.5 * (pb.m2 + pb.M2))
     result = iterate_fixed_point(spec, seed, tol=1e-6, max_iter=60, quad_step=0.05, tail_tol=1e-6,
                                  coeff_bounds=table_bounds("example2"))
-    if not result.converged:
+    if result.status != "converged":
         print(f"ACCEPTANCE 9 (fixed-point cross-validation): SKIP: Picard iteration "
               f"{result.status} after {result.iterations} sweeps; negative control "
               f"{control_res:.2f} > 0.1 held")

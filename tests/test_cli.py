@@ -56,7 +56,7 @@ def test_preset_example1_report_contents(example1_run):
     assert report["permanence"]["c0_holds"] is False
     assert report["permanence"]["m1"] == 0.0
     assert report["stability"]["hypothesis_holds"] is True
-    assert report["stability"]["beta_denominator"] == "M1"
+    assert report["config"]["options"]["beta_denominator"] == "M1"
     # the displayed-denominator variant is negative and stays on the record
     assert report["stability"]["beta_liminf_alt"] < 0.0
 
@@ -552,6 +552,20 @@ def test_negative_count_exits_2_naming_the_flag(tmp_path, flag):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--t-end", "inf"), ("--t-end", "1e400"), ("--h", "nan"), ("--h", "0"),
+                                         ("--h", "-0.01")])
+def test_a_bad_step_or_end_flag_exits_2_naming_the_flag(tmp_path, capsys, flag, value):
+    """A non-finite --t-end or --h, or an --h <= 0, is refused as the flag,
+    not as the config field it replaces: the file's values are valid."""
+    cfg = write_config(tmp_path / "ex2.json", preset_config("example2"))
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", str(cfg), "--out", str(tmp_path / "out"), flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err and "/run/" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("count", ["1000000000000000", "100001"])
 def test_too_many_random_histories_exit_2_naming_the_flag(tmp_path, count):
     """Each random history is a column of knots: a count whose columns pass
@@ -844,6 +858,45 @@ def test_t_end_override_keeps_t_settle_after_t0(tmp_path):
 
 def test_load_config_returns_the_schema_sections_and_output_dir():
     assert set(load_config(small_config())) == set(_SCHEMA) | {"output_dir"}
+
+
+def test_echoed_config_holds_every_default_and_reruns_the_run(tmp_path):
+    """report.json's config is the checked config: a config without options
+    or analyses echoes each of their defaults, and rerunning the echo
+    writes the same five files."""
+    data = preset_config("example2")
+    del data["options"], data["analyses"]
+    run_pipeline(data, tmp_path / "first")
+    config = load_report(tmp_path / "first")["config"]
+    assert config["options"] == {key: field.default for key, field in _SCHEMA["options"].items()}
+    assert config["analyses"] == dict.fromkeys(_SCHEMA["analyses"], True)
+    assert len(config["options"]) == 14 and len(config["analyses"]) == 5
+    run_pipeline(config, tmp_path / "again")
+    names = sorted(p.name for p in (tmp_path / "first").iterdir())
+    assert len(names) == 5 and names == sorted(p.name for p in (tmp_path / "again").iterdir())
+    for name in names:
+        first, again = ((tmp_path / d / name).read_bytes() for d in ("first", "again"))
+        if name == "report.json":
+            first, again = (re.sub(rb'"generated_at": "[^"]*"', b"", text) for text in (first, again))
+        assert first == again, name
+
+
+def test_editing_the_echoed_config_leaves_the_defaults_alone(tmp_path):
+    report = run_pipeline(small_config(), tmp_path)
+    report["config"]["options"]["attractivity_history"][0] = 2.0
+    assert load_config(small_config())["options"]["attractivity_history"] == [0.75, 0.75]
+
+
+def test_report_sections_do_not_restate_the_config(example1_run, example2_run):
+    """Each setting lives once, in the echoed config; the sections hold what
+    the run computed."""
+    for report, _ in (example1_run, example2_run):
+        assert not {"bounds_horizon", "positive"} & report["model"].keys()
+        assert not {"window", "slack"} & report["permanence"]["verification"].keys()
+        assert "beta_denominator" not in report["stability"]
+        assert not {"t_end", "threshold"} & report["stability"]["attractivity"].keys()
+        assert not {"grid", "tol", "quad_step", "tail_tol", "converged"} & report["fixed_point"].keys()
+        assert "window" not in report["pap"]
 
 
 def test_cli_overrides_equal_run_pipeline_on_the_overridden_config(tmp_path):

@@ -155,4 +155,5 @@ def test_solution_window_report_reads_one_run(unit_spec, example2_bounds):
     # verify_permanence reads the same window: a batch's columns are not merged into one run
     with pytest.raises(ValidationError, match=r"reads one run.*column\(i\)"):
         verify_permanence(runs, example2_bounds, 2.0, 5.0)
-    assert solution_window_report(runs.column(1), 2.0, 5.0).window == (2.0, 5.0)
+    # the trend reads the column's window [2, 5]: half-width 1.5 and its 1/8, 1/4 and 1/2
+    assert [T for T, _ in solution_window_report(runs.column(1), 2.0, 5.0).ergodic_means] == [0.1875, 0.375, 0.75, 1.5]

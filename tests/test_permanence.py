@@ -162,7 +162,8 @@ def test_verify_permanence_accepts_the_run_window_when_the_last_knot_falls_short
     traj = integrate(unit_spec, InitialHistory(0.5, 0.5), 0.3, 0.45, 0.01)
     assert traj.t[-1] < 0.45
     pb = compute_permanence_bounds_from_values(table_bounds("example2"))
-    assert verify_permanence(traj, pb, t_settle=0.3, t_end=0.45).t_end == 0.45
+    verification = verify_permanence(traj, pb, t_settle=0.3, t_end=0.45)
+    assert (verification.u_min, verification.u_max) == (traj.u.min(), traj.u.max())  # every knot of the run
 
 
 def test_window_keeps_the_last_knot_past_t_end(unit_spec):
