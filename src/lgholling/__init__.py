@@ -13,7 +13,7 @@ republishes every one):
 - attractivity: lag_inverse_gap, estimate_liminf, run_attractivity(two trajectories)
 - almost-periodicity diagnostics: ergodic_mean, pap0_trend, solution_window_report
 - integral operator: apply_upsilon, iterate_fixed_point, dde_residual
-- orchestration: load_config, run_pipeline, run_preset, run_config (also the `lgholling` CLI)
+- orchestration: load_config, and run_pipeline, the one library entry (also the `lgholling` CLI)
 """
 
 from .errors import *

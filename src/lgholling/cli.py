@@ -32,7 +32,7 @@ from .permanence import CoefficientBounds, compute_permanence_bounds_from_values
 from .presets import PRESET_NAMES, preset_config
 from .stability import estimate_liminf, run_attractivity, small_denominator
 
-__all__ = ["load_config", "run_preset", "run_config", "run_pipeline", "main"]
+__all__ = ["load_config", "run_pipeline", "main"]
 
 # most grid intervals a run may ask for: (t_end - t0) / h and the fp_t_hi ratios; also caps sample counts
 _MAX_STEPS = 10**7
@@ -235,7 +235,7 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
         "config": config,
         "model": {
             "coefficients": {
-                sym: {"source": config["model"][sym], "inf": est.inf_value, "sup": est.sup_value,
+                sym: {"inf": est.inf_value, "sup": est.sup_value,
                       "inf_lower": est.inf_lower,  # > 0, as the coefficient passed
                       "sup_upper": est.sup_upper if math.isfinite(est.sup_upper) else None}
                 for sym, est in vrep.bounds.items()
@@ -245,16 +245,15 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
     }
 
     pb_est = _stage("/model", compute_permanence_bounds_from_values, CoefficientBounds.from_validation(vrep.bounds))
-    pb_table = (_stage("/table_bounds", compute_permanence_bounds_from_values,
-                       CoefficientBounds.from_table(config["table_bounds"])) if config["table_bounds"] else None)
-    pb_active = pb_table if pb_table is not None else pb_est
+    # the box the analyses run on: the paper's table when the config gives one
+    box = (_stage("/table_bounds", compute_permanence_bounds_from_values,
+                  CoefficientBounds.from_table(config["table_bounds"])) if config["table_bounds"] else pb_est)
 
     # the main history, the attractivity partner and the random histories
     # are columns of one kernel call
     histories = [history]
     if analyses["stability"] and analyses["attractivity"]:
-        alt = opt["attractivity_history"]
-        histories.append(InitialHistory(float(alt[0]), float(alt[1])))
+        histories.append(InitialHistory(*map(float, opt["attractivity_history"])))
     if random_histories > 0:
         # the random set's row 0 is the constant (phi1(0), phi2(0)): column 0
         # itself when the main history is that constant
@@ -281,13 +280,10 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
         }
 
     if analyses["bounds"]:
-        verification = _stage("/run/t_settle", verify_permanence, traj, pb_active, t_settle, t_end, float(opt["slack"]))
+        verification = _stage("/run/t_settle", verify_permanence, traj, box, t_settle, t_end, float(opt["slack"]))
         report["permanence"] = {
-            "active_source": "table" if pb_table is not None else "estimates",
             "from_estimates": asdict(pb_est),
-            "from_table": asdict(pb_table) if pb_table is not None else None,
-            "M1": pb_active.M1, "M2": pb_active.M2, "m1": pb_active.m1, "m2": pb_active.m2,
-            "c0_holds": pb_active.c0_holds,
+            "M1": box.M1, "M2": box.M2, "m1": box.m1, "m2": box.m2, "c0_holds": box.c0_holds,
             "verification": {
                 "observed": {"u_min": verification.u_min, "u_max": verification.u_max,
                              "v_min": verification.v_min, "v_max": verification.v_max},
@@ -298,9 +294,9 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
 
     if analyses["stability"]:
         t_grid = np.linspace(0.0, float(opt["liminf_t_max"]), opt["liminf_points"])
-        sym = small_denominator(pb_active.inputs_used, pb_active)  # the k whose m1 + k^i is too small, if any
-        est = _stage(f"/table_bounds/{sym}_inf" if pb_table is not None else f"/model/{sym}",
-                     estimate_liminf, spec, pb_active, t_grid, opt["beta_denominator"])
+        sym = small_denominator(box.inputs_used, box)  # the k whose m1 + k^i is too small, if any
+        est = _stage(f"/table_bounds/{sym}_inf" if config["table_bounds"] else f"/model/{sym}",
+                     estimate_liminf, spec, box, t_grid, opt["beta_denominator"])
         sample_stride = max(1, len(est.alpha_samples) // 25)
         report["stability"] = {
             "alpha_liminf": est.alpha_liminf,
@@ -314,22 +310,21 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
             att = run_attractivity(traj, runs.column(1), threshold=float(opt["attractivity_threshold"]))
             series["attractivity"] = ("t,distance", (traj.t[::stride], att.distances[::stride]))
             report["stability"]["attractivity"] = {
-                "histories": [[history.value1(0.0), history.value2(0.0)], [float(alt[0]), float(alt[1])]],
                 "final_distance": att.final_distance,
                 "tail_nonincreasing": att.tail_nonincreasing,
                 "passed": att.passed,
             }
 
     if analyses["fixed_point"]:
-        seed_phi = 0.5 * (pb_active.m1 + pb_active.M1)
-        seed_psi = 0.5 * (pb_active.m2 + pb_active.M2)
+        seed_phi = 0.5 * (box.m1 + box.M1)
+        seed_psi = 0.5 * (box.m2 + box.M2)
         seed_pair = GridFunctionPair.from_constants(t0, t0 + float(opt["fp_t_hi"]),
                                                     float(opt["fp_step"]), seed_phi, seed_psi)
         result = iterate_fixed_point(
             spec, seed_pair,
             tol=float(opt["fp_tol"]), max_iter=opt["fp_max_iter"],
             quad_step=float(opt["fp_quad_step"]), tail_tol=float(opt["fp_tail_tol"]),
-            coeff_bounds=pb_active.inputs_used,
+            coeff_bounds=box.inputs_used,
         )
         series["fixedpoint"] = ("t,u_star,v_star", (result.pair.grid(), result.pair.phi, result.pair.psi))
         report["fixed_point"] = {
@@ -349,37 +344,32 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
         }
 
     if config["paper_values"]:
-        report["discrepancies"] = _build_discrepancies(config["paper_values"], pb_table, pb_est, report)
+        report["discrepancies"] = _build_discrepancies(config["paper_values"], box, report)
 
     _write_outputs(out_dir, report, series)
     return report
 
 
-def _build_discrepancies(paper_values: dict, pb_table, pb_est, report: dict) -> list[dict]:
-    """Each published value beside its recomputed one, alpha and beta from
-    report's stability section.  computed_alt holds the estimates' box when
-    the table's is active, and beta's other denominator."""
-    pb_main, pb_alt = (pb_est, None) if pb_table is None else (pb_table, pb_est)
+def _build_discrepancies(paper_values: dict, box, report: dict) -> list[dict]:
+    """Each published value beside its recomputed one: a coefficient bound
+    is report's estimate, M1 .. m2 the box's, alpha and beta report's
+    stability liminfs."""
     entries = []
     for quantity, published in paper_values.items():
-        published, alt = float(published), None
+        published = float(published)
         if quantity in _SCHEMA["table_bounds"]:
-            computed = getattr(pb_est.inputs_used, quantity)
+            sym, side = quantity.split("_")
+            computed = report["model"]["coefficients"][sym][side]
         elif quantity in ("M1", "M2", "m1", "m2"):
-            computed = getattr(pb_main, quantity)
-            alt = getattr(pb_alt, quantity, None)
+            computed = getattr(box, quantity)
         elif "stability" not in report:
             continue
-        elif quantity == "alpha_inf":
-            computed = report["stability"]["alpha_liminf"]
-        else:  # beta_inf
-            computed, alt = report["stability"]["beta_liminf"], report["stability"]["beta_liminf_alt"]
+        else:  # alpha_inf or beta_inf
+            computed = report["stability"][quantity.replace("_inf", "_liminf")]
         rel = abs(published - computed) / max(abs(published), 1e-12)
         entries.append({"quantity": quantity, "paper_value": published, "computed_value": computed,
                         "relative_gap": rel if math.isfinite(rel) else None,
                         "flag": "major" if rel > 0.05 else "minor" if rel > 0.005 else "ok"})
-        if alt is not None:
-            entries[-1]["computed_alt"] = alt
     return entries
 
 
@@ -463,14 +453,6 @@ def _apply_overrides(data: dict, args) -> dict:
     return data
 
 
-def run_preset(name: str, out_dir: str | Path | None, **pipeline_kwargs) -> dict:
-    """Run one of the built-in configurations end to end; out_dir defaults
-    to ./lgholling-out."""
-    if name not in PRESET_NAMES:
-        raise ConfigError("/preset", f"unknown preset {name!r}")
-    return run_pipeline(preset_config(name), out_dir, **pipeline_kwargs)
-
-
 def _load_config_file(path: str | Path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -479,12 +461,6 @@ def _load_config_file(path: str | Path) -> dict:
         raise ConfigError("", f"cannot read config: {exc}") from exc
     except ValueError as exc:  # bad syntax, bad UTF-8, or an integer past Python's digit limit
         raise ConfigError("", f"malformed JSON: {exc}") from exc
-
-
-def run_config(path: str | Path, out_dir: str | Path | None = None, **pipeline_kwargs) -> dict:
-    """Run a user configuration file end to end; out_dir defaults to the
-    config's output_dir."""
-    return run_pipeline(_load_config_file(path), out_dir, **pipeline_kwargs)
 
 
 def _count(text: str) -> int:

@@ -21,7 +21,7 @@ from lgholling import (
     evaluate,
     evaluate_array,
     integrate,
-    run_preset,
+    run_pipeline,
 )
 from lgholling.expr import _parse
 from lgholling.fixedpoint import _f_values, _prefix_simpson
@@ -82,7 +82,7 @@ def half_history():
 def example1_run(tmp_path_factory):
     """Full example1 pipeline, run once per session."""
     out = tmp_path_factory.mktemp("example1")
-    report = run_preset("example1", out)
+    report = run_pipeline(preset_config("example1"), out)
     return report, out
 
 
@@ -90,8 +90,24 @@ def example1_run(tmp_path_factory):
 def example2_run(tmp_path_factory):
     """Full example2 pipeline, run once per session."""
     out = tmp_path_factory.mktemp("example2")
-    report = run_preset("example2", out)
+    report = run_pipeline(preset_config("example2"), out)
     return report, out
+
+
+def known_answer_config() -> dict:
+    """Example2's config with constant coefficients, all four delays 0.92,
+    and no paper table: its distinguished solution is the positive
+    equilibrium KNOWN_EQUILIBRIUM (see tests/test_known_answer.py)."""
+    config = preset_config("example2")
+    config["model"].update(a1="5", b="8.4", c1="0.32", k1="16.7", a2="0.155", c2="3.6", k2="5.7",
+                           tau1="0.92", tau2="0.92", sigma1="0.92", sigma2="0.92")
+    config["table_bounds"] = config["paper_values"] = None
+    return config
+
+
+# (u*, v*) of known_answer_config: u* the positive root of
+# b u^2 + (b k1 - a1 + c1 a2 / c2) u + (c1 a2 k2 / c2 - a1 k1) = 0, and v* = a2 (u* + k2) / c2
+KNOWN_EQUILIBRIUM = (0.5946411158870899, 0.27101927026736083)
 
 
 def load_report(out_dir: Path) -> dict:

@@ -20,8 +20,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from lgholling import run_preset
-from lgholling.presets import PRESET_NAMES
+from lgholling import run_pipeline
+from lgholling.presets import PRESET_NAMES, preset_config
 
 KEY_PATH = Path(__file__).resolve().parent / "data" / "answer_key.json"
 CSV_FILES = ("trajectories.csv", "attractivity.csv", "fixedpoint.csv")
@@ -64,7 +64,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name in PRESET_NAMES:
             out = Path(tmp) / name
-            run_preset(name, out)
+            run_pipeline(preset_config(name), out)
             key[name] = answer_key_entry(out)
     KEY_PATH.parent.mkdir(exist_ok=True)
     KEY_PATH.write_text(json.dumps(key, indent=1) + "\n", encoding="utf-8")

@@ -34,7 +34,7 @@ from lgholling import (
     pap0_trend,
     parse_expression,
     preset_config,
-    run_preset,
+    run_pipeline,
     validate_model,
     verify_permanence,
 )
@@ -329,7 +329,7 @@ def test_criterion_10_pap_diagnostics():
 def test_criterion_11_determinism(tmp_path, example2_run):
     report_first, out_first = example2_run
     out_second = tmp_path / "second"
-    run_preset("example2", out_second)
+    run_pipeline(preset_config("example2"), out_second)
     a = json.loads((Path(out_first) / "report.json").read_text(encoding="utf-8"))
     b = load_report(out_second)
     ts_a, ts_b = a.pop("generated_at"), b.pop("generated_at")

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lgholling import (ConfigError, InitialHistory, ModelSpec, integrate, integrate_batch, integrator,
-                       load_config, parse_expression, run_attractivity, run_config, run_pipeline, run_preset)
+from lgholling import (CoefficientBounds, ConfigError, InitialHistory, ModelSpec, compute_permanence_bounds_from_values,
+                       integrate, integrate_batch, integrator, load_config, parse_expression, run_attractivity,
+                       run_pipeline)
 from lgholling.cli import _SCHEMA, _write_csv, main
 from lgholling.presets import preset_config
 from conftest import load_report
@@ -68,20 +69,36 @@ def test_every_paper_value_appears_once(example1_run, example2_run):
         assert sorted(quantities) == sorted(paper)
 
 
-def test_coefficient_discrepancies_are_the_model_estimates(example1_run):
+def test_coefficient_discrepancies_are_the_model_estimates(example1_run, example2_run):
+    """Every computed value of the audit is read from the report it audits:
+    a coefficient bound is the model's estimate, a box entry the top-level
+    box, and alpha and beta the stability liminfs."""
+    for report, _ in (example1_run, example2_run):
+        coefficients = report["model"]["coefficients"]
+        rows = {d["quantity"]: d["computed_value"] for d in report["discrepancies"]}
+        assert len(rows) == 24
+        for quantity in report["config"]["table_bounds"]:
+            sym, side = quantity.split("_")
+            assert rows.pop(quantity) == coefficients[sym][side], quantity
+        for quantity in ("M1", "M2", "m1", "m2"):
+            assert rows.pop(quantity) == report["permanence"][quantity], quantity
+        assert rows == {"alpha_inf": report["stability"]["alpha_liminf"],
+                        "beta_inf": report["stability"]["beta_liminf"]}
+
+
+def test_example1_box_is_the_table_box(example1_run):
+    """With table_bounds set, the top-level box is the one the table's
+    bounds give."""
     report, _ = example1_run
-    coefficients = report["model"]["coefficients"]
-    rows = [d for d in report["discrepancies"] if d["quantity"] in report["config"]["table_bounds"]]
-    assert len(rows) == 18
-    for row in rows:
-        sym, side = row["quantity"].split("_")
-        assert row["computed_value"] == coefficients[sym][side], row["quantity"]
+    box = compute_permanence_bounds_from_values(CoefficientBounds.from_table(report["config"]["table_bounds"]))
+    assert {key: report["permanence"][key] for key in ("M1", "M2", "m1", "m2", "c0_holds")} == \
+        {"M1": box.M1, "M2": box.M2, "m1": box.m1, "m2": box.m2, "c0_holds": box.c0_holds}
 
 
 def test_run_config_equals_preset(tmp_path, example2_run):
     report_preset, _ = example2_run
     cfg = write_config(tmp_path / "ex2.json", preset_config("example2"))
-    report = run_config(cfg, tmp_path / "out")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     a = dict(report_preset)
     b = load_report(tmp_path / "out")
     a.pop("generated_at")
@@ -887,10 +904,24 @@ def test_editing_the_echoed_config_leaves_the_defaults_alone(tmp_path):
     assert load_config(small_config())["options"]["attractivity_history"] == [0.75, 0.75]
 
 
+def _keys(node):
+    """Every key of a JSON tree, at any depth."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _keys(item)
+
+
 def test_report_sections_do_not_restate_the_config(example1_run, example2_run):
     """Each setting lives once, in the echoed config; the sections hold what
-    the run computed."""
+    the run computed, and no leaf repeats another: the table's box, the
+    active source, the coefficient texts, the attractivity histories and
+    the audit's second column are gone at every depth."""
     for report, _ in (example1_run, example2_run):
+        assert not {"from_table", "active_source", "source", "histories", "computed_alt"} & set(_keys(report))
         assert not {"bounds_horizon", "positive"} & report["model"].keys()
         assert not {"window", "slack"} & report["permanence"]["verification"].keys()
         assert "beta_denominator" not in report["stability"]
@@ -949,9 +980,13 @@ def test_a_non_string_output_dir_is_refused():
         load_config(small_config(output_dir=3))
 
 
-def test_an_unknown_preset_is_refused(tmp_path):
-    with pytest.raises(ConfigError, match="^/preset: unknown preset 'nope'$"):
-        run_preset("nope", tmp_path / "out")
+def test_an_unknown_preset_is_refused(tmp_path, capsys):
+    with pytest.raises(KeyError, match="unknown preset 'nope'; choose from example1, example2"):
+        preset_config("nope")
+    with pytest.raises(SystemExit) as exc:
+        main(["preset", "nope", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

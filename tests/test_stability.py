@@ -274,6 +274,15 @@ def test_estimate_liminf_constant_case(example2_spec, example2_bounds):
     assert max(values) - min(values) < 1e-9
 
 
+def test_estimate_liminf_reads_the_whole_grid_when_its_tail_is_empty(example2_spec, example2_bounds):
+    """A grid ending below 0 holds no point past its tail start, half its
+    last time: the liminfs are taken over every point."""
+    est = estimate_liminf(example2_spec, example2_bounds, np.array([-2.0, -1.0]))
+    assert est.tail_start == -0.5
+    assert est.alpha_liminf == min(a for _, a in est.alpha_samples) == pytest.approx(EX2_ALPHA, abs=1e-9)
+    assert est.beta_liminf == min(b for _, b in est.beta_samples) == pytest.approx(EX2_BETA_M2, abs=1e-9)
+
+
 def test_estimate_liminf_refuses_an_empty_grid(example2_spec, example2_bounds):
     with pytest.raises(ValueError, match="^t_grid must be nonempty$"):
         estimate_liminf(example2_spec, example2_bounds, np.array([]))
