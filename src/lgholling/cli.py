@@ -226,8 +226,7 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
         sym, t_inf, value = vrep.failures[0]
         raise ConfigError(f"/model/{sym}", f"coefficient {sym} is not shown > 0: it is {value:.6g} at t={t_inf:.6g}, "
                                            f"and its inf is bounded below by {vrep.bounds[sym].inf_lower:.6g}")
-    history = InitialHistory(*(parse_expression(v) if isinstance(v, str) else float(v)
-                               for v in (config["history"]["phi1"], config["history"]["phi2"])))
+    history = InitialHistory(config["history"]["phi1"], config["history"]["phi2"])
     _stage("/history", history.validate, vrep.max_lag_r)
 
     report: dict = {
@@ -253,11 +252,11 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
     # are columns of one kernel call
     histories = [history]
     if analyses["stability"] and analyses["attractivity"]:
-        histories.append(InitialHistory(*map(float, opt["attractivity_history"])))
+        histories.append(InitialHistory(*opt["attractivity_history"]))
     if random_histories > 0:
         # the random set's row 0 is the constant (phi1(0), phi2(0)): column 0
         # itself when the main history is that constant
-        row0 = InitialHistory(float(history.value1(0.0)), float(history.value2(0.0)))
+        row0 = InitialHistory(history.phi1(0.0), history.phi2(0.0))
         first = 0 if row0 == history else len(histories)
         if first:
             histories.append(row0)

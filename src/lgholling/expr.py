@@ -465,6 +465,7 @@ def _enclose(program: tuple, lo: np.ndarray, hi: np.ndarray):
                     v, slope, grow = (s, c, 1.0) if op == "sin" else (c, (-s[1], -s[0]), 1.0)
                 d = _mul(*slope, adlo, adhi)
                 e = grow * ae + _LIBM_ULPS * (_EPS * _mag(*v) + _TINY)
+            safe &= np.isfinite(v[0]) & np.isfinite(v[1])
             stack.append((*v, *d, e * _PAD))
     vlo, vhi, dlo, dhi, err = (np.broadcast_to(x, lo.shape) for x in stack[-1])
     safe &= np.isfinite(vlo) & np.isfinite(vhi)

@@ -187,7 +187,7 @@ def _log_history(histories, comp: int, thetas: np.ndarray) -> np.ndarray:
     column each; -inf where phi is 0."""
     columns = []
     for hist in histories:
-        values = np.asarray((hist.value1, hist.value2)[comp](thetas), dtype=float)
+        values = (hist.phi1, hist.phi2)[comp](thetas)
         bad = ~(values >= 0.0)
         if bad.any():
             raise IntegrationError(f"history phi{comp + 1} must be >= 0, got {float(values[bad][0])!r}")
@@ -345,7 +345,7 @@ def integrate_batch(spec: ModelSpec, histories, t0: float, t_end: float, h: floa
     from histories[i].
     """
     histories = tuple(histories)
-    if not histories or any(hist.value1(0.0) <= 0.0 or hist.value2(0.0) <= 0.0 for hist in histories):
+    if not histories or any(hist.phi1(0.0) <= 0.0 or hist.phi2(0.0) <= 0.0 for hist in histories):
         raise IntegrationError("need at least one history, each with phi1(0) > 0 and phi2(0) > 0")
     x, y, dx, dy, r = _rk4(spec, t0, t_end, h, histories)
     n = len(x) - 1

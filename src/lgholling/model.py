@@ -6,8 +6,8 @@ and the one division of both delayed terms of the predator-prey equations
 
 The coefficient written b and b1 elsewhere is one and the same function here.
 A ModelSpec is frozen (validate_model returns its sup/inf in a report), and
-so is an InitialHistory.  Each gives the expressions it holds their field's
-name as their symbol, which names an expression's failures wherever they occur.
+so is an InitialHistory, a pair of expressions.  Each gives the expressions it
+holds their field's name as their symbol, which names their failures anywhere.
 The integrator, the integral operator and the residual check all divide by
 u(t - sigma) + k through delayed_term.
 """
@@ -66,43 +66,30 @@ class ModelSpec:
 def _name_fields(holder, names) -> None:
     """Give each expression in the fields names of the frozen holder its field's name as its symbol."""
     for name in names:
-        if isinstance(value := getattr(holder, name), CoefficientExpr):
-            object.__setattr__(holder, name, replace(value, symbol=name))
-
-
-def _history_value(phi: float | CoefficientExpr, theta):
-    if isinstance(phi, CoefficientExpr):
-        return phi(theta)
-    return phi if np.ndim(theta) == 0 else np.full(np.shape(theta), phi)
+        object.__setattr__(holder, name, replace(getattr(holder, name), symbol=name))
 
 
 @dataclass(frozen=True)
 class InitialHistory:
-    """Initial data on [-r, 0]; each component is a positive constant or an
-    expression in the shifted time variable."""
+    """Initial data on [-r, 0]: two expressions in the shifted time variable, each given as
+    one, as text, or as a finite number v, which becomes the constant program of repr(float(v))."""
 
-    phi1: float | CoefficientExpr
-    phi2: float | CoefficientExpr
+    phi1: CoefficientExpr
+    phi2: CoefficientExpr
 
     def __post_init__(self):
+        for name in ("phi1", "phi2"):
+            if not isinstance(phi := getattr(self, name), CoefficientExpr):
+                object.__setattr__(self, name, parse_expression(phi if isinstance(phi, str) else repr(float(phi))))
         _name_fields(self, ("phi1", "phi2"))
 
-    def value1(self, theta):
-        """phi1 at a time or over an array of times."""
-        return _history_value(self.phi1, theta)
-
-    def value2(self, theta):
-        """phi2 at a time or over an array of times."""
-        return _history_value(self.phi2, theta)
-
     def validate(self, r: float) -> None:
-        if self.value1(0.0) <= 0.0 or self.value2(0.0) <= 0.0:
+        if self.phi1(0.0) <= 0.0 or self.phi2(0.0) <= 0.0:
             raise ValidationError("history must satisfy phi1(0) > 0 and phi2(0) > 0")
-        for name, phi in (("phi1", self.phi1), ("phi2", self.phi2)):
-            if isinstance(phi, CoefficientExpr):
-                least, _, _, _, theta = _search(phi, -r, 0.0)
-                if least < 0.0:
-                    raise ValidationError(f"history {name} negative at theta={theta}")
+        for name in ("phi1", "phi2"):
+            least, _, _, _, theta = _search(getattr(self, name), -r, 0.0)
+            if least < 0.0:
+                raise ValidationError(f"history {name} negative at theta={theta}")
 
 
 @dataclass

@@ -73,11 +73,6 @@ def unit_coeff_bounds():
     return CoefficientBounds.from_table({f: 1.0 for f in CoefficientBounds.__dataclass_fields__})
 
 
-@pytest.fixture
-def half_history():
-    return InitialHistory(0.5, 0.5)
-
-
 @pytest.fixture(scope="session")
 def example1_run(tmp_path_factory):
     """Full example1 pipeline, run once per session."""
@@ -178,10 +173,10 @@ def _reference_forcing(spec: ModelSpec, history: InitialHistory, t0: float, t_en
             plan.append((False, *hermite_plan((s - t0) / h, h)))
         return plan
 
-    p_s1 = channel_plan("sigma1", history.value1)
-    p_s2 = channel_plan("sigma2", history.value1)
-    p_t1 = channel_plan("tau1", history.value2)
-    p_t2 = channel_plan("tau2", history.value2)
+    p_s1 = channel_plan("sigma1", history.phi1)
+    p_s2 = channel_plan("sigma2", history.phi1)
+    p_t1 = channel_plan("tau1", history.phi2)
+    p_t2 = channel_plan("tau2", history.phi2)
     exp = math.exp
 
     def lookup(p, vals, dvals):
@@ -209,8 +204,8 @@ def reference_rk4(spec: ModelSpec, history: InitialHistory, t0: float, t_end: fl
     ys = [0.0] * (n + 1)
     dxs = [0.0] * (n + 1)
     dys = [0.0] * (n + 1)
-    xs[0] = math.log(history.value1(0.0))
-    ys[0] = math.log(history.value2(0.0))
+    xs[0] = math.log(history.phi1(0.0))
+    ys[0] = math.log(history.phi2(0.0))
     exp = math.exp
 
     def stage(j, xv):
@@ -249,8 +244,8 @@ def reference_bernoulli(spec: ModelSpec, history: InitialHistory, t0: float, t_e
     ys = [0.0] * (n + 1)
     dxs = [0.0] * (n + 1)
     dys = [0.0] * (n + 1)
-    xs[0] = math.log(history.value1(0.0))
-    ys[0] = math.log(history.value2(0.0))
+    xs[0] = math.log(history.phi1(0.0))
+    ys[0] = math.log(history.phi2(0.0))
     exp = math.exp
     h6 = h / 6.0
     q0, ky0 = forcing(0, xs, ys, dxs, dys)

@@ -15,8 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lgholling import (CoefficientBounds, ConfigError, InitialHistory, ModelSpec, compute_permanence_bounds_from_values,
-                       integrate, integrate_batch, integrator, load_config, parse_expression, run_attractivity,
-                       run_pipeline)
+                       integrate, integrate_batch, integrator, load_config, run_attractivity, run_pipeline)
 from lgholling.cli import _SCHEMA, _write_csv, main
 from lgholling.presets import preset_config
 from conftest import load_report
@@ -500,14 +499,15 @@ def test_cli_simulate_with_random_histories(tmp_path):
 
 @pytest.mark.parametrize("history, own_row0", [
     ({"phi1": 0.5, "phi2": 0.5}, False),
+    ({"phi1": "0.5", "phi2": "0.5"}, False),
     ({"phi1": "0.03", "phi2": "0.02 + 5*t*t"}, True),
-], ids=["constant", "expression"])
+], ids=["constant", "constant-text", "expression"])
 def test_random_histories_ride_in_the_one_kernel_call(tmp_path, monkeypatch, history, own_row0):
     """simulate --random-histories integrates the main and the random
     histories as columns of one kernel call.  min_uv is the one a separate
     batch of the constant (phi1(0), phi2(0)) and the random rows gives: a
-    constant history is its own row 0, an expression history gets a column
-    of its own for it."""
+    constant history, given as a number or as its text, is its own row 0, an
+    expression history gets a column of its own for it."""
     calls = []
     kernel = integrator._rk4
 
@@ -519,13 +519,13 @@ def test_random_histories_ride_in_the_one_kernel_call(tmp_path, monkeypatch, his
     data = small_config(history=history)
     cfg = write_config(tmp_path / "cfg.json", data)
     assert main(["simulate", str(cfg), "--out", str(tmp_path / "out"), "--random-histories", "5", "--seed", "3"]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(calls[0][4]) == 6 + own_row0  # _rk4(spec, t0, t_end, h, histories)
     got = load_report(tmp_path / "out")["random_histories"]["min_uv"]
 
     monkeypatch.undo()
     spec, run = ModelSpec.from_strings(data["model"]), data["run"]
-    hist = InitialHistory(*(parse_expression(v) if isinstance(v, str) else v for v in history.values()))
-    rows = np.vstack([[hist.value1(0.0), hist.value2(0.0)], np.random.default_rng(3).uniform(0.05, 2.0, size=(5, 2))])
+    hist = InitialHistory(*history.values())
+    rows = np.vstack([[hist.phi1(0.0), hist.phi2(0.0)], np.random.default_rng(3).uniform(0.05, 2.0, size=(5, 2))])
     rows = [InitialHistory(u0, v0) for u0, v0 in rows.tolist()]
     assert got == integrate_batch(spec, rows, run["t0"], run["t_end"], run["h"]).min_uv().min()
     # the expression history's own run dips lower than its constant row 0

@@ -656,6 +656,16 @@ def test_enclosure_of_random_programs_holds_every_computed_sample_and_step(data,
     enclosure_holds_every_computed_sample_and_step(e, np.linspace(start, start + 4.0 * width, 5))
 
 
+def test_a_non_finite_inner_value_makes_the_cell_unsafe():
+    """At the cell's subnormal left end 1/t overflows to inf and sin(inf) is
+    nan, though sin's hull [-1, 1] is finite: every operation's value hull
+    must be finite for the cell to be safe, not only the last one's."""
+    s = 2.225073858507203e-309
+    e = parse_expression("sin(1.0000/t)")
+    assert not _enclose(e.program, np.array([s]), np.array([1.0]))[-1][0]
+    enclosure_holds_every_computed_sample_and_step(e, np.linspace(s, s + 4.0, 5))
+
+
 @pytest.mark.parametrize("text", [
     "abs(t - 5) - t",  # the derivative's sign flips at the kink
     "abs(t - 5)^3 - (t - 5)^3",

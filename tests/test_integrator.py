@@ -96,7 +96,7 @@ def test_at_equals_scalar_hermite_reference():
     got = traj.at(times)
     for t, x, y in zip(times, *got):
         if t < 0.0:
-            want = (math.log(hist.value1(t)), math.log(hist.value2(t)))
+            want = (math.log(hist.phi1(t)), math.log(hist.phi2(t)))
         else:
             i, w00, w10, w01, w11 = hermite_plan(min(t, traj.t_end) / 0.01, 0.01)  # t_end + 1e-10 reads t_end
             want = tuple(w00 * v[i] + w10 * dv[i] + w01 * v[i + 1] + w11 * dv[i + 1]
@@ -165,7 +165,7 @@ def test_nonfinite_time_arguments_rejected(t0, t_end, h, name):
     ({}, ("0.5 + 10*t", 0.5), 10.0, 0.01, "history phi1 must be >= 0, got -4.5"),
 ], ids=["zero-step", "end-before-start", "delay-reaches-zero", "negative-history"])
 def test_integrate_refuses_a_run_it_cannot_make(overrides, hist, t_end, h, message):
-    history = InitialHistory(*(parse_expression(p) if isinstance(p, str) else p for p in hist))
+    history = InitialHistory(*hist)
     with pytest.raises(IntegrationError, match=f"^{re.escape(message)}$"):
         integrate(logistic_spec(**overrides), history, 0.0, t_end, h)
 
@@ -625,7 +625,7 @@ def test_history_zero_on_the_left_is_allowed():
     spec = logistic_spec(c1="0.3", c2="0.4")
     ramp = parse_expression("(t + 0.25 + abs(t + 0.25))/2")  # exactly 0 for t <= -0.25
     hist = InitialHistory(ramp, 0.5)
-    assert hist.value1(-0.5) == 0.0
+    assert hist.phi1(-0.5) == 0.0
     traj = integrate(spec, hist, 0.0, 2.0, 0.01)
     assert traj.u.min() > 0.0
     assert traj.v.min() > 0.0

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from lgholling import (
     BoundsEstimate,
+    CoefficientExpr,
     ExprDomainError,
+    ExprSyntaxError,
     GridFunctionPair,
     InitialHistory,
     ModelSpec,
@@ -239,6 +241,10 @@ def test_history_validation():
     bad = InitialHistory(parse_expression("t + 0.1"), 0.25)  # negative for t < -0.1
     with pytest.raises(ValidationError):
         bad.validate(1.0)
+    # a number is parsed from its repr, so a non-finite one is refused when the history is built
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ExprSyntaxError):
+            InitialHistory(value, 0.5)
 
 
 def test_history_dipping_below_0_between_any_256_samples_is_refused():
@@ -283,11 +289,19 @@ def test_each_held_expression_carries_its_field_however_it_is_built():
         assert [spec.expr(sym).symbol for sym in SYMBOLS] == list(SYMBOLS)
     hist = InitialHistory(one, one)
     assert (hist.phi1.symbol, hist.phi2.symbol, one.symbol) == ("phi1", "phi2", None)
+    # a number becomes the one-instruction constant program of its repr
+    numbers = InitialHistory(0.5, 2)
+    assert numbers.phi1 == CoefficientExpr((("const", 0.5),), "0.5", "phi1")
+    assert numbers.phi2 == CoefficientExpr((("const", 2.0),), "2.0", "phi2")
     with pytest.raises(dataclasses.FrozenInstanceError):  # so no field can take an expression named elsewhere
         hist.phi1 = direct.a1
 
 
 def test_history_expression_values():
     hist = InitialHistory(parse_expression("1 + t"), 2.0)
-    assert hist.value1(-0.5) == 0.5
-    assert hist.value2(-0.5) == 2.0
+    assert hist.phi1(-0.5) == 0.5
+    assert hist.phi2(-0.5) == 2.0
+    assert np.array_equal(hist.phi2(np.array([-0.5, 0.0])), [2.0, 2.0])
+    # text is parsed, and the text of a number gives the number's history
+    assert InitialHistory("1 + t", "2.0") == hist
+    assert InitialHistory("0.5", 0.5) == InitialHistory(0.5, 0.5)
