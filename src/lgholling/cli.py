@@ -222,7 +222,7 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
 
     spec = ModelSpec.from_strings(config["model"])
     vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]))
-    if not vrep.ok:
+    if vrep.failures:
         sym, t_inf, value = vrep.failures[0]
         raise ConfigError(f"/model/{sym}", f"coefficient {sym} is not shown > 0: it is {value:.6g} at t={t_inf:.6g}, "
                                            f"and its inf is bounded below by {vrep.bounds[sym].inf_lower:.6g}")
@@ -440,12 +440,10 @@ def _apply_overrides(data: dict, args) -> dict:
     if args.t_end is not None:
         run["t_end"] = args.t_end
         try:
-            t0, t_settle = (_number(run.get(key, 0.0), f"/run/{key}") for key in ("t0", "t_settle"))
+            if _number(run.get("t_settle", 0.0), "/run/t_settle") >= args.t_end:
+                run.pop("t_settle", None)  # for load_config's default, the run's midpoint
         except ConfigError:
-            pass  # a malformed t0 or t_settle is left as it is, for load_config to name
-        else:
-            if t_settle >= args.t_end:
-                run["t_settle"] = 0.5 * (t0 + args.t_end)  # the midpoint, load_config's default
+            pass  # a malformed t_settle is left as it is, for load_config to name
     data = dict(data, run=run)
     if args.beta_denominator is not None:
         data["options"] = dict(data.get("options", {}), beta_denominator=args.beta_denominator)
@@ -491,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--h", type=_run_flag("h"), default=None, help="override integration step")
         p.add_argument("--t-end", dest="t_end", type=_run_flag("t_end"), default=None, help="override end time")
-        p.add_argument("--beta-denominator", choices=("M1", "M2"), default=None)
+        p.add_argument("--beta-denominator", choices=_SCHEMA["options"]["beta_denominator"].kind, default=None)
 
     p = sub.add_parser("preset", help="run a built-in configuration")
     p.add_argument("name", choices=PRESET_NAMES)

@@ -9,8 +9,8 @@ The operator applied to a candidate pair (phi, psi) is
     U_2(phi, psi)(t) = int_t^inf exp(int_s^t a2) c2 psi(s - tau2(s)) psi(s)
                         / (phi(s - sigma2(s)) + k2) ds
 
-f_j, the integrand past the kernel, is read in one place, _f_values through
-eval_f, for the operator and the residual check phi' = a1 phi - f_1 etc.
+f_j, the integrand past the kernel, is written once, in _f_values, which the
+operator and the residual check phi' = a1 phi - f_1 etc. both call.
 
 With A = int_{t_lo} a_j, the kernel exp(A(t) - A(s)) decays at least like
 exp(-a_j^i (s - t)), so once A has risen by Lambda = ln(sup f / (a^i tol))
@@ -51,7 +51,6 @@ from .permanence import CoefficientBounds
 __all__ = [
     "GridFunctionPair",
     "FixedPointResult",
-    "eval_f",
     "apply_upsilon",
     "iterate_fixed_point",
     "dde_residual",
@@ -163,31 +162,17 @@ class FixedPointResult:
     status: str  # converged | max_iter | diverged
 
 
-def eval_f(spec: ModelSpec, j: int, s, phi_s, phi_shifted, psi_s, psi_shifted):
-    """Literal inhomogeneity f_j at time s, or elementwise over an array of
-    times (with matching value arrays).
-
-    For j=1 the shifted arguments are phi(s - sigma1(s)) and psi(s - tau1(s));
-    for j=2 they are phi(s - sigma2(s)) and psi(s - tau2(s)).  f_1 does not
-    read psi_s and f_2 does not read phi_s.
-    """
-    if j == 1:
-        return spec.b(s) * phi_s * phi_s + delayed_term(spec.c1(s) * psi_shifted * phi_s, phi_shifted, spec.k1(s),
-                                                         s, "f_1 denominator")
-    if j == 2:
-        return delayed_term(spec.c2(s) * psi_shifted * psi_s, phi_shifted, spec.k2(s), s, "f_2 denominator")
-    raise ValueError("j must be 1 or 2")
-
-
 def _f_values(spec: ModelSpec, pair: GridFunctionPair, j: int, s: np.ndarray) -> np.ndarray:
-    """f_j of the pair at the times s; NumericalError unless all finite."""
+    """f_j of the pair at the times s, f_1 = b phi^2 + c1 psi(s - tau1) phi / (phi(s - sigma1) + k1)
+    and f_2 = c2 psi(s - tau2) psi / (phi(s - sigma2) + k2); NumericalError unless all finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         if j == 1:
-            f = eval_f(spec, 1, s, pair.phi_at(s), pair.phi_at(s - spec.sigma1(s)),
-                       None, pair.psi_at(s - spec.tau1(s)))
+            phi, phi_lag, psi_lag = pair.phi_at(s), pair.phi_at(s - spec.sigma1(s)), pair.psi_at(s - spec.tau1(s))
+            f = spec.b(s) * phi * phi + delayed_term(spec.c1(s) * psi_lag * phi, phi_lag, spec.k1(s),
+                                                     s, "f_1 denominator")
         else:
-            f = eval_f(spec, 2, s, None, pair.phi_at(s - spec.sigma2(s)),
-                       pair.psi_at(s), pair.psi_at(s - spec.tau2(s)))
+            phi_lag, psi, psi_lag = pair.phi_at(s - spec.sigma2(s)), pair.psi_at(s), pair.psi_at(s - spec.tau2(s))
+            f = delayed_term(spec.c2(s) * psi_lag * psi, phi_lag, spec.k2(s), s, "f_2 denominator")
     if not np.isfinite(f).all():
         raise NumericalError(f"f_{j} not finite on the pair's grid")
     return f

@@ -227,10 +227,10 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
     # channels sharing both (key: component and the same program, compared by
     # its repr, which keeps 0.0 and -0.0 apart) share every read: the U distinct
     # keys, in the order they first occur, are planned, read and exponentiated once each
-    keys = [(comp, repr(spec.expr(sym).program)) for sym, comp in zip(_CHANNELS, _COMPONENT)]
+    keys = [(comp, repr(getattr(spec, sym).program)) for sym, comp in zip(_CHANNELS, _COMPONENT)]
     distinct = list(dict.fromkeys(keys))
     slot = [distinct.index(key) for key in keys]
-    delay_exprs = [spec.expr(_CHANNELS[keys.index(key)]) for key in distinct]
+    delay_exprs = [getattr(spec, _CHANNELS[keys.index(key)]) for key in distinct]
 
     x0 = _log_history(histories, 0, np.zeros(1))[0]
     y0 = _log_history(histories, 1, np.zeros(1))[0]
@@ -264,7 +264,7 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
                 )
             if abs(n * h - span) > 1e-9 * max(1.0, span):  # malformed input, not a numerical failure
                 raise ValidationError(f"step h={h!r} does not divide t_end - t0 = {span!r} into whole steps")
-            a1, b, a2, c1, c2, k1, k2 = (evaluate_array(spec.expr(sym), t)[:, None] for sym in _COEFFS)
+            a1, b, a2, c1, c2, k1, k2 = (evaluate_array(getattr(spec, sym), t)[:, None] for sym in _COEFFS)
 
             # Hermite plan of the block's stages for every distinct key
             in_history, idx, theta, taps, weights = _hermite_plan(delayed, t0, h, n, comps)

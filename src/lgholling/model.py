@@ -6,8 +6,9 @@ and the one division of both delayed terms of the predator-prey equations
 
 The coefficient written b and b1 elsewhere is one and the same function here.
 A ModelSpec is frozen (validate_model returns its sup/inf in a report), and
-so is an InitialHistory, a pair of expressions.  Each gives the expressions it
-holds their field's name as their symbol, which names their failures anywhere.
+so is an InitialHistory, a pair of expressions.  Both build their fields in
+_name_fields, from expressions, text or numbers, and give each expression its
+field's name as its symbol, which names its failures anywhere.
 The integrator, the integral operator and the residual check all divide by
 u(t - sigma) + k through delayed_term.
 """
@@ -57,30 +58,28 @@ class ModelSpec:
         missing = [s for s in SYMBOLS if s not in coefficients]
         if missing:
             raise ValidationError(f"missing coefficients: {', '.join(missing)}")
-        return cls(**{s: parse_expression(coefficients[s]) for s in SYMBOLS})
-
-    def expr(self, symbol: str) -> CoefficientExpr:
-        return getattr(self, symbol)
+        return cls(**{s: coefficients[s] for s in SYMBOLS})
 
 
 def _name_fields(holder, names) -> None:
-    """Give each expression in the fields names of the frozen holder its field's name as its symbol."""
+    """Make each field of the frozen holder named in names an expression with its field's name as
+    its symbol: an expression as it is, text parsed, a finite number v the constant program of
+    repr(float(v))."""
     for name in names:
-        object.__setattr__(holder, name, replace(getattr(holder, name), symbol=name))
+        if not isinstance(value := getattr(holder, name), CoefficientExpr):
+            value = parse_expression(value if isinstance(value, str) else repr(float(value)))
+        object.__setattr__(holder, name, replace(value, symbol=name))
 
 
 @dataclass(frozen=True)
 class InitialHistory:
-    """Initial data on [-r, 0]: two expressions in the shifted time variable, each given as
-    one, as text, or as a finite number v, which becomes the constant program of repr(float(v))."""
+    """Initial data on [-r, 0]: two expressions in the shifted time variable, each given, as
+    a coefficient of a ModelSpec is, as one, as text or as a finite number."""
 
     phi1: CoefficientExpr
     phi2: CoefficientExpr
 
     def __post_init__(self):
-        for name in ("phi1", "phi2"):
-            if not isinstance(phi := getattr(self, name), CoefficientExpr):
-                object.__setattr__(self, name, parse_expression(phi if isinstance(phi, str) else repr(float(phi))))
         _name_fields(self, ("phi1", "phi2"))
 
     def validate(self, r: float) -> None:
@@ -94,7 +93,6 @@ class InitialHistory:
 
 @dataclass
 class ValidationReport:
-    ok: bool
     bounds: dict[str, BoundsEstimate]
     max_lag_r: float
     failures: list[tuple[str, float, float]]  # (symbol, time of its inf, inf)
@@ -109,12 +107,12 @@ def validate_model(spec: ModelSpec, horizon: float = 1000.0) -> ValidationReport
     bounds: dict[str, BoundsEstimate] = {}
     failures: list[tuple[str, float, float]] = []
     for sym in SYMBOLS:
-        inf_value, inf_lower, sup_value, sup_upper, t_inf = _search(spec.expr(sym), 0.0, horizon)
+        inf_value, inf_lower, sup_value, sup_upper, t_inf = _search(getattr(spec, sym), 0.0, horizon)
         bounds[sym] = BoundsEstimate(inf_value, sup_value, inf_lower, sup_upper)
         if not inf_lower > 0.0:
             failures.append((sym, t_inf, inf_value))
     r = max(bounds[s].sup_value for s in DELAY_SYMBOLS)
-    return ValidationReport(ok=not failures, bounds=bounds, max_lag_r=r, failures=failures)
+    return ValidationReport(bounds=bounds, max_lag_r=r, failures=failures)
 
 
 def delayed_term(num, u_delayed, k, t, name: str):

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import LagInversionError, ValidationError
 from .expr import CoefficientExpr, _increasing, evaluate_array
 from .integrator import Trajectory
-from .model import ModelSpec
+from .model import DELAY_SYMBOLS, ModelSpec
 from .permanence import CoefficientBounds, PermanenceBounds
 
 __all__ = [
@@ -161,7 +161,6 @@ def alpha_beta_from_gaps(cb: CoefficientBounds, pb: PermanenceBounds, gaps: tupl
 class LiminfEstimate:
     alpha_liminf: float
     beta_liminf: float
-    tail_start: float
     alpha_samples: list[tuple[float, float]]
     beta_samples: list[tuple[float, float]]
     beta_liminf_alt: float  # the other beta denominator, from the same gaps
@@ -185,18 +184,16 @@ def estimate_liminf(
         raise ValueError("t_grid must be nonempty")
     alt = "M1" if beta_denominator == "M2" else "M2"
     cb = bounds.inputs_used
-    gaps = tuple(lag_inverse_gap(spec.expr(sym), t_grid) for sym in ("tau1", "tau2", "sigma1", "sigma2"))
+    gaps = tuple(lag_inverse_gap(getattr(spec, sym), t_grid) for sym in DELAY_SYMBOLS)
     alphas, betas = alpha_beta_from_gaps(cb, bounds, gaps, beta_denominator)
     betas_alt = alpha_beta_from_gaps(cb, bounds, gaps, alt)[1]
     times = t_grid.tolist()
-    tail_start = times[-1] / 2.0
-    tail = t_grid >= tail_start
+    tail = t_grid >= times[-1] / 2.0
     if not tail.any():
         tail[:] = True
     return LiminfEstimate(
         alpha_liminf=float(alphas[tail].min()),
         beta_liminf=float(betas[tail].min()),
-        tail_start=tail_start,
         alpha_samples=list(zip(times, alphas.tolist())),
         beta_samples=list(zip(times, betas.tolist())),
         beta_liminf_alt=float(betas_alt[tail].min()),

@@ -157,7 +157,7 @@ def _reference_forcing(spec: ModelSpec, history: InitialHistory, t0: float, t_en
     the knots computed so far (or from the history before t0)."""
     n = int(round((t_end - t0) / h))
     tgrid = t0 + 0.5 * h * np.arange(2 * n + 1)
-    a1, a2, b, c1, c2, k1, k2 = (evaluate_array(spec.expr(s), tgrid).tolist()
+    a1, a2, b, c1, c2, k1, k2 = (evaluate_array(getattr(spec, s), tgrid).tolist()
                                  for s in ("a1", "a2", "b", "c1", "c2", "k1", "k2"))
 
     def log_hist(value, theta):
@@ -166,7 +166,7 @@ def _reference_forcing(spec: ModelSpec, history: InitialHistory, t0: float, t_en
 
     def channel_plan(sym, value):
         plan = []
-        for s in tgrid - evaluate_array(spec.expr(sym), tgrid):
+        for s in tgrid - evaluate_array(getattr(spec, sym), tgrid):
             if s < t0:
                 plan.append((True, log_hist(value, s - t0)))
                 continue

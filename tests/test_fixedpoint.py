@@ -16,7 +16,6 @@ from lgholling import (
     QuadratureError,
     apply_upsilon,
     dde_residual,
-    eval_f,
     integrate,
     iterate_fixed_point,
     parse_expression,
@@ -94,40 +93,47 @@ def test_pair_nonfinite_values_raise_at_first_interpolation():
         pair.phi_at(0.25)
 
 
-def test_eval_f_refuses_a_third_component(unit_spec):
-    with pytest.raises(ValueError, match="^j must be 1 or 2$"):
-        eval_f(unit_spec, 3, 0.0, 1.0, 1.0, 1.0, 1.0)
-
-
 def test_upsilon_refuses_a_tail_past_the_node_cap(unit_spec, unit_coeff_bounds):
     bounds = dataclasses.replace(unit_coeff_bounds, a1_inf=1e-7, a2_inf=1e-7)
     with pytest.raises(QuadratureError, match=r"^tail needs 6206443700 nodes at quad_step=0\.05; grid too short"):
         apply_upsilon(unit_spec, unit_pair(1.0, 1.0, t_hi=1.0), 0.05, 1e-6, bounds)
 
 
-def test_eval_f_zero_predator(unit_spec):
-    assert eval_f(unit_spec, 2, 0.0, 0.5, 0.5, 0.0, 0.0) == 0.0
+def test_f_values_zero_predator(unit_spec):
+    pair = unit_pair(0.5, 0.0)
+    assert (_f_values(unit_spec, pair, 2, pair.grid()) == 0.0).all()
 
 
-def test_eval_f_unit_constants(unit_spec):
-    assert eval_f(unit_spec, 1, 0.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(1.5, abs=1e-15)
-    assert eval_f(unit_spec, 2, 0.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+def test_f_values_unit_constants(unit_spec):
+    s = np.array([0.0])
+    assert _f_values(unit_spec, unit_pair(1.0, 1.0), 1, s) == pytest.approx([1.5], abs=1e-15)
+    assert _f_values(unit_spec, unit_pair(1.0, 1.0), 2, s) == pytest.approx([0.5], abs=1e-15)
 
 
 @pytest.mark.parametrize("j", [1, 2])
-def test_eval_f_names_f_j_where_its_denominator_is_not_positive(unit_spec, j):
+def test_f_values_names_f_j_where_its_denominator_is_not_positive(unit_spec, j):
     """phi(s - sigma_j) + k_j = 1 - 1 = 0 at the second time: f_j is refused there."""
-    s = np.array([0.5, 1.5, 2.5])
-    phi_shifted = np.array([0.5, -1.0, -2.0])
+    pair = GridFunctionPair(0.0, 2.0, 1.0, [0.5, -1.0, -2.0], [1.0, 1.0, 1.0])
     with pytest.raises(NumericalError, match=rf"^f_{j} denominator not positive at t=1\.5$"):
-        eval_f(unit_spec, j, s, np.ones(3), phi_shifted, np.ones(3), np.ones(3))
+        _f_values(unit_spec, pair, j, np.array([0.5, 1.5, 2.5]))
 
 
-def test_eval_f_example2_direct_substitution(example2_spec):
+@pytest.mark.parametrize("j", [1, 2])
+def test_f_values_refuses_an_overflowing_f_j(unit_spec, j):
+    """phi = psi = 1e200: b phi^2 and c2 psi(s - tau2) psi overflow to inf, and
+    f_j is refused by name, with no raw overflow warning."""
+    pair = unit_pair(1e200, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=rf"^f_{j} not finite on the pair's grid$"):
+            _f_values(unit_spec, pair, j, pair.grid())
+
+
+def test_f_values_example2_direct_substitution(example2_spec):
     # b(0) = 0.25 + 33.72/4; f1 = b(0)*0.25 + 0.32*0.5*0.5/(0.5+16.7)
     want = (0.25 + 33.72 / 4.0) * 0.25 + 0.32 * 0.5 * 0.5 / (0.5 + 16.7)
-    got = eval_f(example2_spec, 1, 0.0, 0.5, 0.5, 0.5, 0.5)
-    assert got == pytest.approx(want, rel=1e-14)
+    got = _f_values(example2_spec, unit_pair(0.5, 0.5), 1, np.array([0.0]))
+    assert got == pytest.approx([want], rel=1e-14)
 
 
 def test_apply_upsilon_constant_closed_form(unit_spec, unit_coeff_bounds):

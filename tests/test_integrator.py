@@ -411,7 +411,7 @@ def test_each_distinct_delay_is_evaluated_once_per_stage(monkeypatch):
     monkeypatch.setattr(integrator, "evaluate_array", counting)
     monkeypatch.setattr(integrator, "_PLAN_STEPS", 64)
     integrate(spec, InitialHistory(0.6, 0.4), 0.0, 5.0, 0.01)
-    assert [samples[id(spec.expr(sym))] for sym in ("sigma1", "sigma2", "tau1", "tau2")] == [1001 + 7] * 4
+    assert [samples[id(getattr(spec, sym))] for sym in ("sigma1", "sigma2", "tau1", "tau2")] == [1001 + 7] * 4
 
 
 @pytest.mark.parametrize("sigma1, sigma2, planned", [

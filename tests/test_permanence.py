@@ -80,7 +80,7 @@ def test_unit_case_by_direct_formula():
 
 def test_bounds_from_estimates_match_table_when_inputs_match(unit_spec):
     report = validate_model(unit_spec, horizon=10.0)
-    assert report.ok
+    assert report.failures == []
     cb = CoefficientBounds.from_validation(report.bounds)
     pb_est = compute_permanence_bounds_from_values(cb)
     pb_tab = compute_permanence_bounds_from_values(CoefficientBounds.from_table(dataclasses.asdict(cb)))

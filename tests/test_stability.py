@@ -278,7 +278,6 @@ def test_estimate_liminf_reads_the_whole_grid_when_its_tail_is_empty(example2_sp
     """A grid ending below 0 holds no point past its tail start, half its
     last time: the liminfs are taken over every point."""
     est = estimate_liminf(example2_spec, example2_bounds, np.array([-2.0, -1.0]))
-    assert est.tail_start == -0.5
     assert est.alpha_liminf == min(a for _, a in est.alpha_samples) == pytest.approx(EX2_ALPHA, abs=1e-9)
     assert est.beta_liminf == min(b for _, b in est.beta_samples) == pytest.approx(EX2_BETA_M2, abs=1e-9)
 
@@ -314,7 +313,7 @@ def test_liminf_with_time_varying_delays(example2_bounds):
     est = estimate_liminf(spec, pb, np.linspace(0.0, 40.0, 81))
     alphas = np.array([a for _, a in est.alpha_samples])
     assert alphas.max() - alphas.min() > 1e-4  # really varies
-    tail = [a for t, a in est.alpha_samples if t >= est.tail_start]
+    tail = [a for t, a in est.alpha_samples if t >= 20.0]
     assert est.alpha_liminf == min(tail)
     # spot-check one sample against the explicit-gap evaluation
     t_probe = 17.5
