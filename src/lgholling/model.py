@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ExprSyntaxError, NumericalError, ValidationError
 from .expr import BoundsEstimate, CoefficientExpr, parse_expression, _search
 
 __all__ = [
@@ -64,10 +64,18 @@ class ModelSpec:
 def _name_fields(holder, names) -> None:
     """Make each field of the frozen holder named in names an expression with its field's name as
     its symbol: an expression as it is, text parsed, a finite number v the constant program of
-    repr(float(v))."""
+    repr(float(v)).  Text that does not parse raises ExprSyntaxError, anything else that is not
+    a number ValidationError, each message starting with the field's name."""
     for name in names:
         if not isinstance(value := getattr(holder, name), CoefficientExpr):
-            value = parse_expression(value if isinstance(value, str) else repr(float(value)))
+            try:
+                value = parse_expression(value if isinstance(value, str) else repr(float(value)))
+            except ExprSyntaxError as exc:
+                reason = str(exc).removesuffix(f" at position {exc.position}")
+                raise ExprSyntaxError(f"{name}: {reason}", exc.position) from None
+            except (TypeError, ValueError, OverflowError):
+                message = f"{name}: expected an expression, text or a finite number, got {value!r}"
+                raise ValidationError(message) from None
         object.__setattr__(holder, name, replace(value, symbol=name))
 
 

@@ -274,13 +274,14 @@ def test_knots_are_within_rk4s_own_error_of_reference_rk4(case):
 ])
 def test_each_distinct_delayed_argument_is_exponentiated_once(monkeypatch, spec, rows):
     """The presets set all four delays equal, so the kernel reads and
-    exponentiates one u row and one v row, and both delayed terms divide by
-    rows of that one array; four distinct delays keep four rows."""
+    exponentiates one u key and one v key, and both delayed terms divide by
+    a view of that one array, its keys on the axis before the stages; four
+    distinct delays keep four keys."""
     seen = []
     delayed_term = integrator.delayed_term
 
     def recording(num, u_delayed, k, t, name):
-        seen.append(u_delayed.base.shape[0])
+        seen.append(u_delayed.base.shape[-2])
         return delayed_term(num, u_delayed, k, t, name)
 
     monkeypatch.setattr(integrator, "delayed_term", recording)
@@ -394,6 +395,34 @@ def test_a_failing_run_raises_its_first_failing_blocks_error(monkeypatch, overri
         monkeypatch.setattr(integrator, "_PLAN_STEPS", steps)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         integrate(logistic_spec(**overrides), hist, 0.0, t_end, 0.01)
+
+
+@pytest.mark.parametrize("overrides, hist, message", [
+    # the log-state overflows at t = 0.35, before u(t - sigma1) + k1 falls to 0 at t = 0.505, in the same
+    # block: a later window's error does not hide an earlier step's failure
+    ({"a1": "-2000", "k1": "-0.2", "b": "0"}, InitialHistory(0.5, 0.5), "log-state overflow at t=0.35000000000000003"),
+    # the first window reads the history's notch before its steps overflow at t = 0.36
+    ({"a2": "2000", "c2": "1e-300"}, NOTCHED_HISTORY, "sqrt of negative value at t=-0.06"),
+], ids=["overflow-before-denominator", "history-before-overflow"])
+def test_the_first_error_inside_one_block_wins(overrides, hist, message):
+    """Stiffness and the log-state guard are checked once per block, yet a
+    run raises what a step-by-step check meets first."""
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        integrate(logistic_spec(**overrides), hist, 0.0, 10.0, 0.01)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"k1": "-0.2"}, "u(t - sigma1) + k1 not positive at t=2.41"),
+    ({"k2": "-0.2"}, "u(t - sigma2) + k2 not positive at t=2.41"),
+    # sigma2's row fails first in time, at t = 2.41, but sigma1's row is checked first
+    ({"k1": "-0.1", "k2": "-0.2"}, "u(t - sigma1) + k1 not positive at t=3.1"),
+])
+def test_a_batch_names_the_earliest_bad_denominator_over_its_columns(overrides, message):
+    """u = u0 e^-t with delays 2 reaches u(t - 2) = 0.2 at t = 2 + ln(u0 / 0.2), in one window:
+    the second column (u0 = 0.3) at t = 2.41, before the first (u0 = 0.5) at t = 2.92."""
+    spec = logistic_spec(a1="-1", b="0", **dict.fromkeys(("tau1", "tau2", "sigma1", "sigma2"), "2") | overrides)
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        integrate_batch(spec, [InitialHistory(0.5, 0.5), InitialHistory(0.3, 0.5)], 0.0, 10.0, 0.01)
 
 
 def test_each_distinct_delay_is_evaluated_once_per_stage(monkeypatch):

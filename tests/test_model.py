@@ -301,6 +301,17 @@ def test_each_held_expression_carries_its_field_however_it_is_built():
         hist.phi1 = direct.a1
 
 
+def test_text_that_does_not_parse_names_its_field():
+    with pytest.raises(ExprSyntaxError, match=r"^a1: unexpected end of input at position 2$") as err:
+        ModelSpec.from_strings(dict.fromkeys(SYMBOLS, "1+"))
+    assert err.value.position == 2
+
+
+def test_a_value_that_is_no_expression_names_its_field():
+    with pytest.raises(ValidationError, match=r"^phi1: expected an expression, text or a finite number, got None$"):
+        InitialHistory(None, 0.5)
+
+
 def test_history_expression_values():
     hist = InitialHistory(parse_expression("1 + t"), 2.0)
     assert hist.phi1(-0.5) == 0.5
