@@ -41,10 +41,10 @@ _CSV_BLOCK_ROWS = 1 << 16
 
 
 class _Field(NamedTuple):
-    """One config key.  kind is "number", "int", "bool", "expr", "history"
-    (a number or an expression), "pair" (a list of two numbers) or a tuple
-    of the allowed strings.  default is ... for a required key, and None
-    leaves an absent key absent.  A number must satisfy floor < x <= cap."""
+    """One config key.  kind is "number", "int", "bool", "expr" (expression
+    text or a number), "pair" (a list of two numbers) or a tuple of the
+    allowed strings.  default is ... for a required key, and None leaves an
+    absent key absent.  A number must satisfy floor < x <= cap."""
     kind: str | tuple
     default: object = ...
     floor: float | None = None
@@ -57,7 +57,7 @@ _NUMBER = _Field("number")
 # join two fields are in load_config.
 _SCHEMA = {
     "model": dict.fromkeys(SYMBOLS, _Field("expr")),
-    "history": dict.fromkeys(("phi1", "phi2"), _Field("history")),
+    "history": dict.fromkeys(("phi1", "phi2"), _Field("expr")),
     "run": {"t0": _NUMBER, "t_end": _NUMBER, "h": _Field("number", floor=0.0),
             "t_settle": _Field("number", None)},  # defaults to the run's midpoint
     "analyses": dict.fromkeys(("bounds", "stability", "attractivity", "fixed_point", "pap"), _Field("bool", True)),
@@ -107,14 +107,9 @@ def _check_value(value, path: str, spec: _Field) -> None:
             raise ConfigError(path, "expected a list of 2 numbers")
         for i, item in enumerate(value):
             _check_value(item, f"{path}/{i}", spec._replace(kind="number"))
-    elif kind == "expr" or (kind == "history" and isinstance(value, str)):
-        if not isinstance(value, str):
-            raise ConfigError(path, "expected an expression string")
-        try:
-            parse_expression(value)
-        except ValidationError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    else:  # "number", "int", or a constant history
+    elif kind == "expr" and isinstance(value, str):
+        _stage(path, parse_expression, value)
+    else:  # "number", "int", or an expression given as a number
         if kind == "int" and (isinstance(value, bool) or not isinstance(value, int)):
             raise ConfigError(path, "expected an integer")
         number = _number(value, path)
@@ -195,11 +190,11 @@ def _write_csv(path: Path, header: str, columns) -> None:
             fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
-def _stage(path: str, stage, *args, **kwargs):
-    """Run stage(*args, **kwargs); a ValidationError it raises becomes a
-    ConfigError naming the field at path."""
+def _stage(path: str, stage, *args):
+    """Run stage(*args); a ValidationError it raises becomes a ConfigError
+    naming the field at path."""
     try:
-        return stage(*args, **kwargs)
+        return stage(*args)
     except ValidationError as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -239,7 +234,6 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
                       "sup_upper": est.sup_upper if math.isfinite(est.sup_upper) else None}
                 for sym, est in vrep.bounds.items()
             },
-            "max_lag_r": vrep.max_lag_r,
         },
     }
 
@@ -275,7 +269,6 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
             "count": int(random_histories),
             "seed": int(seed),
             "min_uv": float(min_uv.min()),
-            "all_positive": bool((min_uv > 0.0).all()),
         }
 
     if analyses["bounds"]:

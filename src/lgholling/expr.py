@@ -79,11 +79,10 @@ _MAX_LENGTH = 65_536  # longest text parse_expression reads, checked before toke
 @dataclass(frozen=True)
 class CoefficientExpr:
     """A parsed coefficient function of time t: its postfix program (the
-    module docstring describes it), the text it was parsed from, and the
-    field that holds it (set by ModelSpec and InitialHistory, else None)."""
+    module docstring describes it) and the field that holds it (set by
+    ModelSpec and InitialHistory, else None), all that equality compares."""
 
     program: tuple[tuple[str, float | int | None], ...]
-    source_text: str
     symbol: str | None = None
 
     def __call__(self, t):
@@ -203,7 +202,7 @@ def parse_expression(text: str) -> CoefficientExpr:
         raise ExprSyntaxError(f"expression longer than {_MAX_LENGTH} characters", _MAX_LENGTH)
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return CoefficientExpr(_fold(_parse(text)), text)
+    return CoefficientExpr(_fold(_parse(text)))
 
 
 def _fold(program: tuple) -> tuple:

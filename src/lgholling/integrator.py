@@ -415,6 +415,7 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
                 _check_steps(p_max, kn, s0, k0, t0, h)
                 raise
             _check_steps(p_max, kn, s0, s1, t0, h)
+            del delays, delayed, in_history, idx, theta, taps, weights, reads, step_reads, reach  # before the next plan
     x, y, dx, dy = (kn[:, comp, part, :n + 1].T for part, comp in ((0, 0), (0, 1), (1, 0), (1, 1)))
     return x, y, dx, dy, max(0.0, t0 - min_delayed)
 

@@ -105,6 +105,23 @@ def test_run_config_equals_preset(tmp_path, example2_run):
     assert a == b
 
 
+def test_constant_coefficients_as_numbers_run_as_their_text(tmp_path, example2_run):
+    """Example2 with its eight constant coefficients given as JSON numbers
+    writes the text config's trajectories.csv and report.json, apart from
+    generated_at and the echoed config."""
+    report_text, out_text = example2_run
+    data = preset_config("example2")
+    for sym in ("c1", "c2", "k1", "k2", "tau1", "tau2", "sigma1", "sigma2"):
+        data["model"][sym] = float(data["model"][sym])
+    cfg = write_config(tmp_path / "ex2.json", data)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "trajectories.csv").read_bytes() == (out_text / "trajectories.csv").read_bytes()
+    report = load_report(tmp_path / "out")
+    assert report["config"]["model"]["c1"] == 0.32
+    assert {k: v for k, v in report.items() if k not in ("generated_at", "config")} == \
+        {k: v for k, v in report_text.items() if k not in ("generated_at", "config")}
+
+
 def test_missing_coefficient_is_named():
     data = small_config()
     del data["model"]["c2"]
@@ -492,7 +509,7 @@ def test_cli_simulate_with_random_histories(tmp_path):
                  "--random-histories", "5", "--seed", "3"])
     assert code == 0
     report = load_report(tmp_path / "out")
-    assert report["random_histories"]["all_positive"] is True
+    assert report["random_histories"]["min_uv"] > 0.0
     assert report["random_histories"]["count"] == 5
     assert "permanence" not in report
 
@@ -500,13 +517,14 @@ def test_cli_simulate_with_random_histories(tmp_path):
 @pytest.mark.parametrize("history, own_row0", [
     ({"phi1": 0.5, "phi2": 0.5}, False),
     ({"phi1": "0.5", "phi2": "0.5"}, False),
+    ({"phi1": "0.50", "phi2": "0.5"}, False),
     ({"phi1": "0.03", "phi2": "0.02 + 5*t*t"}, True),
-], ids=["constant", "constant-text", "expression"])
+], ids=["constant", "constant-text", "constant-other-text", "expression"])
 def test_random_histories_ride_in_the_one_kernel_call(tmp_path, monkeypatch, history, own_row0):
     """simulate --random-histories integrates the main and the random
     histories as columns of one kernel call.  min_uv is the one a separate
     batch of the constant (phi1(0), phi2(0)) and the random rows gives: a
-    constant history, given as a number or as its text, is its own row 0, an
+    constant history, given as a number or in any spelling, is its own row 0, an
     expression history gets a column of its own for it."""
     calls = []
     kernel = integrator._rk4

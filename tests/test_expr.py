@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from lgholling import (
     ExprDomainError,
     ExprSyntaxError,
+    InitialHistory,
     evaluate,
     evaluate_array,
     parse_expression,
@@ -228,10 +229,11 @@ def test_depth_cap_is_500_wherever_the_caller_stands(shape, frames):
 def test_a_program_deeper_than_the_cap_parses_and_evaluates(monkeypatch):
     """A 5,000-deep program built directly runs in the evaluation loop, and
     with the cap raised the parser emits it for its text; neither recurses."""
-    e = CoefficientExpr((T,) + (T, ADD) * 5000, "t" + "+t" * 5000)
+    text = "t" + "+t" * 5000
+    e = CoefficientExpr((T,) + (T, ADD) * 5000)
     assert np.array_equal(evaluate_array(e, np.arange(3.0)), np.arange(3.0) * 5001)
     monkeypatch.setattr(expr_module, "_MAX_DEPTH", 10**4)
-    assert parse_expression(e.source_text).program == e.program
+    assert parse_expression(text).program == e.program
 
 
 def test_scientific_literals():
@@ -307,6 +309,14 @@ def test_constant_subtrees_fold_to_one_const(text):
     assert value == reference_eval_array(text, [0.0])[0]
 
 
+def test_an_expression_is_its_program():
+    """Texts that fold to one program give equal expressions with equal
+    hashes, so a constant history equals its number in any spelling."""
+    folded, literal = parse_expression("2*1.6"), parse_expression("3.2")
+    assert folded == literal and hash(folded) == hash(literal)
+    assert InitialHistory("0.50", "0.5") == InitialHistory(0.5, 0.5)
+
+
 @pytest.mark.parametrize("text, message", [
     ("1/0", "division by zero at t=0.0"),
     ("sqrt(-1)", "sqrt of negative value at t=0.0"),
@@ -367,7 +377,7 @@ def test_an_infinite_literal_parses_to_an_infinite_constant(value, text, program
     holding that infinity does (1/(inf*t) is a finite +-0)."""
     parsed = parse_expression(text)
     assert repr(parsed.program) == repr(program)
-    e = CoefficientExpr((const(1.0), const(value), T, MUL, DIV), text)
+    e = CoefficientExpr((const(1.0), const(value), T, MUL, DIV))
     g = np.array([-2.0, 0.5, 3.0])
     a, b = evaluate_array(e, g), evaluate_array(parsed, g)
     assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))

@@ -555,6 +555,25 @@ def test_working_memory_is_one_block(monkeypatch):
     assert peak - kept <= 1.5e6, f"peak {peak / 1e6:.2f} MB over {kept / 1e6:.2f} MB kept"
 
 
+def test_a_multi_block_run_holds_one_plan_at_a_time(example2_spec):
+    """At the default block size, example2's 2-column batch to t = 200 (5
+    blocks) allocates beyond its kept knots no more than the same batch to
+    t = 40 (1 block): a block's plan is freed before the next is built."""
+    histories = [InitialHistory(0.5, 0.5), InitialHistory(0.75, 0.75)]
+    working = []
+    for t_end in (40.0, 200.0):
+        tracemalloc.start()
+        try:
+            runs = integrate_batch(example2_spec, histories, 0.0, t_end, 0.01)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        working.append(peak - kept)
+        del runs
+    one, many = working
+    assert many <= 1.1 * one, f"5 blocks: {many / 1e6:.2f} MB over the knots, 1 block: {one / 1e6:.2f} MB"
+
+
 def test_a_failing_run_holds_no_more_than_a_succeeding_one(monkeypatch, example2_spec):
     """A 10k-step run of example2 whose c2 fails only in its last 256-step
     block, at t = 99.005, peaks at the same memory as the run that succeeds:

@@ -295,8 +295,8 @@ def test_each_held_expression_carries_its_field_however_it_is_built():
     assert (hist.phi1.symbol, hist.phi2.symbol, one.symbol) == ("phi1", "phi2", None)
     # a number becomes the one-instruction constant program of its repr
     numbers = InitialHistory(0.5, 2)
-    assert numbers.phi1 == CoefficientExpr((("const", 0.5),), "0.5", "phi1")
-    assert numbers.phi2 == CoefficientExpr((("const", 2.0),), "2.0", "phi2")
+    assert numbers.phi1 == CoefficientExpr((("const", 0.5),), "phi1")
+    assert numbers.phi2 == CoefficientExpr((("const", 2.0),), "phi2")
     with pytest.raises(dataclasses.FrozenInstanceError):  # so no field can take an expression named elsewhere
         hist.phi1 = direct.a1
 
