@@ -260,8 +260,8 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
     runs = _stage("/run/h", integrate_batch, spec, histories, t0, t_end, h)
     traj = runs.column(0)
     stride = opt["csv_stride"]
-    # name -> (header, columns): each becomes <name>.csv once every stage has run
-    series = {"trajectories": ("t,u,v", (traj.t[::stride], traj.u[::stride], traj.v[::stride]))}
+    # name -> (header, columns, plot titles, log y): each becomes <name>.csv and its plot once every stage has run
+    series = {"trajectories": ("t,u,v", (traj.t[::stride], traj.u[::stride], traj.v[::stride]), ("u", "v"), False)}
 
     if random_histories > 0:
         min_uv = runs.min_uv()[random_cols]
@@ -300,7 +300,8 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
         }
         if analyses["attractivity"]:
             att = run_attractivity(traj, runs.column(1), threshold=float(opt["attractivity_threshold"]))
-            series["attractivity"] = ("t,distance", (traj.t[::stride], att.distances[::stride]))
+            series["attractivity"] = ("t,distance", (traj.t[::stride], att.distances[::stride]),
+                                      ("|u_a-u_b|+|v_a-v_b|",), True)
             report["stability"]["attractivity"] = {
                 "final_distance": att.final_distance,
                 "tail_nonincreasing": att.tail_nonincreasing,
@@ -318,7 +319,8 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
             quad_step=float(opt["fp_quad_step"]), tail_tol=float(opt["fp_tail_tol"]),
             coeff_bounds=box.inputs_used,
         )
-        series["fixedpoint"] = ("t,u_star,v_star", (result.pair.grid(), result.pair.phi, result.pair.psi))
+        series["fixedpoint"] = ("t,u_star,v_star", (result.pair.grid(), result.pair.phi, result.pair.psi),
+                                ("u*", "v*"), False)
         report["fixed_point"] = {
             "seed": [seed_phi, seed_psi],
             "status": result.status,
@@ -365,41 +367,26 @@ def _build_discrepancies(paper_values: dict, box, report: dict) -> list[dict]:
     return entries
 
 
-_PLOT_SCRIPT = """\
+_PLOT_HEAD = """\
 # gnuplot script for the emitted CSV series
 set datafile separator ','
 set key autotitle columnhead
 set terminal pngcairo size 1200,500
-set output 'trajectories.png'
-plot 'trajectories.csv' using 1:2 with lines title 'u', \\
-     'trajectories.csv' using 1:3 with lines title 'v'
-{attractivity}{fixedpoint}"""
-
-_PLOT_ATTRACTIVITY = """\
-set output 'attractivity.png'
-set logscale y
-plot 'attractivity.csv' using 1:2 with lines title '|u_a-u_b|+|v_a-v_b|'
-unset logscale y
-"""
-
-_PLOT_FIXEDPOINT = """\
-set output 'fixedpoint.png'
-plot 'fixedpoint.csv' using 1:2 with lines title 'u*', \\
-     'fixedpoint.csv' using 1:3 with lines title 'v*'
 """
 
 
 def _write_outputs(out_dir: Path, report: dict, series: dict) -> None:
-    """Every file of a run: <name>.csv for each series, plots.gp, then
-    report.json.  An unwritable out_dir raises ConfigError naming it."""
-    script = _PLOT_SCRIPT.format(
-        attractivity=_PLOT_ATTRACTIVITY if "attractivity" in series else "",
-        fixedpoint=_PLOT_FIXEDPOINT if "fixedpoint" in series else "",
-    )
+    """Every file of a run: <name>.csv for each series, plots.gp with one
+    plot per series, then report.json.  An unwritable out_dir raises
+    ConfigError naming it."""
+    script = _PLOT_HEAD
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, (header, columns) in series.items():
+        for name, (header, columns, titles, log_y) in series.items():
             _write_csv(out_dir / f"{name}.csv", header, columns)
+            plot = "plot " + ", \\\n     ".join(f"'{name}.csv' using 1:{i} with lines title '{title}'"
+                                              for i, title in enumerate(titles, 2)) + "\n"
+            script += f"set output '{name}.png'\n" + (f"set logscale y\n{plot}unset logscale y\n" if log_y else plot)
         (out_dir / "plots.gp").write_text(script, encoding="utf-8")
         with open(out_dir / "report.json", "w", encoding="utf-8", newline="\n") as fh:
             json.dump(report, fh, indent=2)
@@ -449,7 +436,7 @@ def _load_config_file(path: str | Path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError("", f"cannot read config: {exc}") from exc
-    except ValueError as exc:  # bad syntax, bad UTF-8, or an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too deep, or an integer past the digit limit
         raise ConfigError("", f"malformed JSON: {exc}") from exc
 
 

@@ -219,7 +219,7 @@ def apply_upsilon(
     coeff_bounds, and at most the N nodes of L = Lambda / a^i.  Beyond its
     grid the pair is continued by its boundary values (the tail weight is
     exponentially small there)."""
-    p = int(round(pair.step / quad_step))
+    p = int(round(pair.step / quad_step)) if quad_step > 0 else 0  # a quad_step not > 0, NaN too, is refused below
     if p < 1 or abs(p * quad_step - pair.step) > 1e-9 * pair.step:
         raise QuadratureError("quad_step must divide the pair's grid step")
     q = pair.step / p

@@ -1,10 +1,11 @@
 """Built-in run configurations for the two reference coefficient sets,
 including the published table values they are audited against.
 
-The coefficient formulas are carried verbatim; ``table_bounds`` holds the
-hand-entered sup/inf values and ``paper_values`` every published quantity
-(that table, then the permanence box and the liminf values),
-so a report can diff the published numbers against recomputed ones.
+The coefficient formulas are carried verbatim, and every option or analysis
+switch a preset leaves out takes its config-schema default; ``table_bounds``
+holds the hand-entered sup/inf values and ``paper_values`` every published
+quantity (that table, then the permanence box and the liminf values), so a
+report can diff the published numbers against recomputed ones.
 
 Note the second preset's prey growth rate really does add the same cosine
 term twice; that is how the source system is written.
@@ -17,27 +18,9 @@ published conclusion.  Reports carry both variants either way.
 
 from __future__ import annotations
 
-import copy
-
 __all__ = ["PRESET_NAMES", "preset_config"]
 
 PRESET_NAMES = ("example1", "example2")
-
-_COMMON_OPTIONS = {
-    "slack": 0.05,
-    "bounds_horizon": 1000.0,
-    "liminf_t_max": 500.0,
-    "liminf_points": 251,
-    "attractivity_threshold": 1e-3,
-    "attractivity_history": [0.75, 0.75],
-    "fp_t_hi": 30.0,
-    "fp_step": 0.1,
-    "fp_quad_step": 0.05,
-    "fp_tail_tol": 1e-6,
-    "fp_tol": 1e-6,
-    "fp_max_iter": 60,
-    "csv_stride": 10,
-}
 
 # each preset's published sup/inf table: its table_bounds, and the head of its paper_values
 _TABLE1 = {
@@ -68,8 +51,7 @@ _EXAMPLE1 = {
     },
     "history": {"phi1": 0.5, "phi2": 0.5},
     "run": {"t0": 0.0, "t_end": 200.0, "h": 0.01, "t_settle": 100.0},
-    "analyses": {"bounds": True, "stability": True, "attractivity": True, "fixed_point": True, "pap": True},
-    "options": dict(_COMMON_OPTIONS, beta_denominator="M1"),
+    "options": {"beta_denominator": "M1"},
     "table_bounds": _TABLE1,
     "paper_values": {
         **_TABLE1,
@@ -106,8 +88,6 @@ _EXAMPLE2 = {
     },
     "history": {"phi1": 0.5, "phi2": 0.5},
     "run": {"t0": 0.0, "t_end": 200.0, "h": 0.01, "t_settle": 100.0},
-    "analyses": {"bounds": True, "stability": True, "attractivity": True, "fixed_point": True, "pap": True},
-    "options": dict(_COMMON_OPTIONS, beta_denominator="M2"),
     "table_bounds": _TABLE2,
     "paper_values": {
         **_TABLE2,
@@ -120,7 +100,9 @@ _PRESETS = {"example1": _EXAMPLE1, "example2": _EXAMPLE2}
 
 
 def preset_config(name: str) -> dict:
-    """Deep copy of the named preset's run configuration."""
+    """The named preset's config as load_config checks it, every default filled
+    in: a new dict on each call, and what a run of it echoes as report["config"]."""
     if name not in _PRESETS:
         raise KeyError(f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
-    return copy.deepcopy(_PRESETS[name])
+    from .cli import load_config  # cli imports this module
+    return load_config(_PRESETS[name])

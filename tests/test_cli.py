@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from lgholling import (CoefficientBounds, ConfigError, InitialHistory, ModelSpec, compute_permanence_bounds_from_values,
                        integrate, integrate_batch, integrator, load_config, run_attractivity, run_pipeline)
 from lgholling.cli import _SCHEMA, _write_csv, main
-from lgholling.presets import preset_config
+from lgholling.presets import _PRESETS, preset_config
 from conftest import load_report
 
 
@@ -325,6 +325,16 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys, raw):
     cfg.write_bytes(raw)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "malformed JSON" in capsys.readouterr().err
+
+
+def test_a_config_nested_past_the_recursion_limit_exits_2(tmp_path, capsys):
+    """100,000 nested arrays overflow the JSON decoder's recursion: that is
+    malformed input, so exit 2 without a traceback, and nothing is written."""
+    cfg = tmp_path / "deep.json"
+    cfg.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("validation error: malformed JSON")
+    assert not (tmp_path / "out").exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -671,6 +681,48 @@ def test_plot_script_references_relative_paths(example2_run):
     assert "/" not in script.split("'")[1]  # relative, not absolute
 
 
+_PLOT_HEAD_TEXT = """\
+# gnuplot script for the emitted CSV series
+set datafile separator ','
+set key autotitle columnhead
+set terminal pngcairo size 1200,500
+"""
+_PLOT_TEXT = {
+    "trajectories": """\
+set output 'trajectories.png'
+plot 'trajectories.csv' using 1:2 with lines title 'u', \\
+     'trajectories.csv' using 1:3 with lines title 'v'
+""",
+    "attractivity": """\
+set output 'attractivity.png'
+set logscale y
+plot 'attractivity.csv' using 1:2 with lines title '|u_a-u_b|+|v_a-v_b|'
+unset logscale y
+""",
+    "fixedpoint": """\
+set output 'fixedpoint.png'
+plot 'fixedpoint.csv' using 1:2 with lines title 'u*', \\
+     'fixedpoint.csv' using 1:3 with lines title 'v*'
+""",
+}
+
+
+@pytest.mark.parametrize("command, names", [
+    ("run", ("trajectories", "attractivity", "fixedpoint")),
+    ("simulate", ("trajectories",)),
+    ("stability", ("trajectories", "attractivity")),
+    ("fixed-point", ("trajectories", "fixedpoint")),
+])
+def test_plot_script_holds_one_plot_per_csv(tmp_path, command, names):
+    """plots.gp is its fixed head, then one plot per CSV written, in the
+    order the stages run, as text pinned from earlier releases."""
+    cfg = write_config(tmp_path / "short.json", short_preset("example2"))
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.stem for p in (tmp_path / "out").glob("*.csv")) == sorted(names)
+    script = (tmp_path / "out" / "plots.gp").read_bytes().decode("utf-8")
+    assert script == _PLOT_HEAD_TEXT + "".join(_PLOT_TEXT[name] for name in names)
+
+
 # fuzz mutations: a field of a config takes one of these values, or is deleted
 _FUZZ_VALUES = [None, True, "x", "", "t", "1/0", "sqrt(-1)", "exp(1000)", "(-3.2)", "M1", [], [0.5, "x"],
                 [1.0, 1.0], {}, -1, 0, 1, 3, -0.5, 0.25, 2.5, 1e300, -1e300, 10**400, math.nan, math.inf]
@@ -914,6 +966,27 @@ def test_echoed_config_holds_every_default_and_reruns_the_run(tmp_path):
         if name == "report.json":
             first, again = (re.sub(rb'"generated_at": "[^"]*"', b"", text) for text in (first, again))
         assert first == again, name
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_preset_config_is_the_config_its_run_echoes(request, name):
+    """preset_config returns the checked config: a run of the preset echoes
+    it unchanged, key order included, and each call builds a new one."""
+    report, _ = request.getfixturevalue(f"{name}_run")  # run_pipeline(preset_config(name), out)
+    config = preset_config(name)
+    assert report["config"] == config and json.dumps(report["config"]) == json.dumps(config)
+    config["model"]["a1"] = "1"
+    config["options"]["attractivity_history"].append(1.0)
+    assert preset_config(name) == report["config"] and preset_config(name) is not preset_config(name)
+
+
+def test_presets_state_no_option_or_analysis_at_its_default():
+    """A preset states only its own choices: no option or analysis switch
+    it gives repeats its _SCHEMA default."""
+    for name, preset in _PRESETS.items():
+        for section in ("options", "analyses"):
+            for key, value in preset.get(section, {}).items():
+                assert value != _SCHEMA[section][key].default, (name, section, key)
 
 
 def test_editing_the_echoed_config_leaves_the_defaults_alone(tmp_path):

@@ -175,6 +175,15 @@ def test_apply_upsilon_quad_step_must_divide(unit_spec, unit_coeff_bounds):
                       coeff_bounds=unit_coeff_bounds)
 
 
+@pytest.mark.parametrize("quad_step", [0.0, math.nan, -0.05, math.inf], ids=["zero", "nan", "negative", "inf"])
+def test_apply_upsilon_refuses_a_quad_step_that_is_not_positive(unit_spec, unit_coeff_bounds, quad_step):
+    """A quad_step of 0 or NaN is refused as -0.05 and inf are, with a
+    QuadratureError, not a ZeroDivisionError or a float-to-int ValueError."""
+    with pytest.raises(QuadratureError, match="^quad_step must divide the pair's grid step$"):
+        apply_upsilon(unit_spec, unit_pair(1.0, 1.0), quad_step=quad_step, tail_tol=1e-6,
+                      coeff_bounds=unit_coeff_bounds)
+
+
 def test_upsilon_example2_box_corners_leave_box(example2_spec, example2_bounds):
     """The published invariance claim fails numerically: constant pairs at
     the box corners are mapped outside the box.  Verified against the
