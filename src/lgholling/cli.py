@@ -69,6 +69,9 @@ _SCHEMA = {
         "liminf_points": _Field("int", 251, 0, _MAX_STEPS),
         "attractivity_threshold": _Field("number", 1e-3),
         "attractivity_history": _Field("pair", [0.75, 0.75], 0.0),
+        # the random set: this many constant histories, drawn uniformly from [0.05, 2]^2 with this seed
+        "random_histories": _Field("int", 0, -1, _MAX_STEPS),
+        "random_seed": _Field("int", 0, -1),
         "fp_t_hi": _Field("number", 30.0, 0.0),
         "fp_step": _Field("number", 0.1, 0.0),
         "fp_quad_step": _Field("number", 0.05, 0.0),
@@ -160,6 +163,10 @@ def load_config(data: dict) -> dict:
     if not (t0 <= run["t_settle"] < t_end):
         raise ConfigError("/run/t_settle", "t_settle must lie in [t0, t_end)")
     options = sections["options"]
+    histories, steps = options["random_histories"], (t_end - t0) / h
+    if histories * steps > _MAX_STEPS:  # a column of knots each, held to one run's bound
+        raise ConfigError("/options/random_histories",
+                          f"{histories} histories of {steps:.6g} steps pass {_MAX_STEPS} knots")
     for outer, inner in (("fp_t_hi", "fp_step"), ("fp_step", "fp_quad_step")):
         span, step = options[outer], options[inner]
         count = span / step  # whole to 1e-9 relative, as apply_upsilon tests the quadrature step
@@ -199,8 +206,7 @@ def _stage(path: str, stage, *args):
         raise ConfigError(path, str(exc)) from exc
 
 
-def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis: bool = True,
-                 random_histories: int = 0, seed: int = 0) -> dict:
+def run_pipeline(data: dict, out_dir: str | Path | None = None) -> dict:
     """Check the raw config dict data with load_config, run the configured
     analyses, then write report.json, CSV series, and a gnuplot script into
     out_dir (by default the config's output_dir, else ./lgholling-out);
@@ -208,12 +214,7 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
     config = load_config(data)
     out_dir = Path((config["output_dir"] or "lgholling-out") if out_dir is None else out_dir)
     analyses, opt = config["analyses"], config["options"]
-    if require_analysis and not any(analyses.values()):
-        raise ConfigError("/analyses", "nothing to report: every analysis is disabled")
     t0, t_end, h, t_settle = (config["run"][k] for k in ("t0", "t_end", "h", "t_settle"))
-    if random_histories * (t_end - t0) / h > _MAX_STEPS:  # a column of knots each, held to one run's bound
-        raise ConfigError("--random-histories", f"{random_histories} histories of {(t_end - t0) / h:.6g} steps "
-                                                f"pass {_MAX_STEPS} knots")
 
     spec = ModelSpec.from_strings(config["model"])
     vrep = validate_model(spec, horizon=float(opt["bounds_horizon"]))
@@ -242,34 +243,23 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
     box = (_stage("/table_bounds", compute_permanence_bounds_from_values,
                   CoefficientBounds.from_table(config["table_bounds"])) if config["table_bounds"] else pb_est)
 
-    # the main history, the attractivity partner and the random histories
-    # are columns of one kernel call
-    histories = [history]
+    # the main history, the attractivity partner and the random set, whose row 0
+    # is the constant (phi1(0), phi2(0)): one kernel column per distinct history
+    histories, random_set = [history], []
     if analyses["stability"] and analyses["attractivity"]:
         histories.append(InitialHistory(*opt["attractivity_history"]))
-    if random_histories > 0:
-        # the random set's row 0 is the constant (phi1(0), phi2(0)): column 0
-        # itself when the main history is that constant
-        row0 = InitialHistory(history.phi1(0.0), history.phi2(0.0))
-        first = 0 if row0 == history else len(histories)
-        if first:
-            histories.append(row0)
-        random_cols = [first, *range(len(histories), len(histories) + random_histories)]
-        rng = np.random.default_rng(seed)
-        histories += [InitialHistory(u0, v0) for u0, v0 in rng.uniform(0.05, 2.0, size=(random_histories, 2)).tolist()]
-    runs = _stage("/run/h", integrate_batch, spec, histories, t0, t_end, h)
+    if opt["random_histories"]:
+        rows = np.random.default_rng(opt["random_seed"]).uniform(0.05, 2.0, size=(opt["random_histories"], 2)).tolist()
+        random_set = [InitialHistory(history.phi1(0.0), history.phi2(0.0)), *(InitialHistory(*row) for row in rows)]
+    column = {hist: i for i, hist in enumerate(dict.fromkeys(histories + random_set))}
+    runs = _stage("/run/h", integrate_batch, spec, list(column), t0, t_end, h)
     traj = runs.column(0)
     stride = opt["csv_stride"]
     # name -> (header, columns, plot titles, log y): each becomes <name>.csv and its plot once every stage has run
     series = {"trajectories": ("t,u,v", (traj.t[::stride], traj.u[::stride], traj.v[::stride]), ("u", "v"), False)}
 
-    if random_histories > 0:
-        min_uv = runs.min_uv()[random_cols]
-        report["random_histories"] = {
-            "count": int(random_histories),
-            "seed": int(seed),
-            "min_uv": float(min_uv.min()),
-        }
+    if random_set:
+        report["random_histories"] = {"min_uv": float(runs.min_uv()[[column[hist] for hist in random_set]].min())}
 
     if analyses["bounds"]:
         verification = _stage("/run/t_settle", verify_permanence, traj, box, t_settle, t_end, float(opt["slack"]))
@@ -299,7 +289,8 @@ def run_pipeline(data: dict, out_dir: str | Path | None = None, require_analysis
             "beta_samples": [[t, b] for t, b in est.beta_samples[::sample_stride]],
         }
         if analyses["attractivity"]:
-            att = run_attractivity(traj, runs.column(1), threshold=float(opt["attractivity_threshold"]))
+            partner = runs.column(column[histories[1]])
+            att = run_attractivity(traj, partner, threshold=float(opt["attractivity_threshold"]))
             series["attractivity"] = ("t,distance", (traj.t[::stride], att.distances[::stride]),
                                       ("|u_a-u_b|+|v_a-v_b|",), True)
             report["stability"]["attractivity"] = {
@@ -424,10 +415,9 @@ def _apply_overrides(data: dict, args) -> dict:
                 run.pop("t_settle", None)  # for load_config's default, the run's midpoint
         except ConfigError:
             pass  # a malformed t_settle is left as it is, for load_config to name
-    data = dict(data, run=run)
-    if args.beta_denominator is not None:
-        data["options"] = dict(data.get("options", {}), beta_denominator=args.beta_denominator)
-    return data
+    options = {key: value for key in ("beta_denominator", "random_histories", "random_seed")
+               if (value := getattr(args, key, None)) is not None}  # the last two are simulate's
+    return dict(data, run=run, options={**data.get("options", {}), **options})
 
 
 def _load_config_file(path: str | Path) -> dict:
@@ -440,21 +430,18 @@ def _load_config_file(path: str | Path) -> dict:
         raise ConfigError("", f"malformed JSON: {exc}") from exc
 
 
-def _count(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
-
-
-def _run_flag(key: str):
-    """The argparse type of the flag that overrides run.<key>: a number
+def _flag(section: str, key: str):
+    """The argparse type of the flag that overrides <section>.<key>: a number
     that passes that key's _SCHEMA rule, so a bad one is named as the flag."""
-    def number(text: str) -> float:
+    spec = _SCHEMA[section][key]
+
+    def number(text: str):
         try:
-            _check_value(float(text), "", _SCHEMA["run"][key])
+            value = int(text) if spec.kind == "int" else float(text)
+            _check_value(value, "", spec)
         except (ValueError, ConfigError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        return float(text)
+        return value
     return number
 
 
@@ -467,8 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if with_config:
             p.add_argument("config", help="path to a JSON run configuration")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--h", type=_run_flag("h"), default=None, help="override integration step")
-        p.add_argument("--t-end", dest="t_end", type=_run_flag("t_end"), default=None, help="override end time")
+        p.add_argument("--h", type=_flag("run", "h"), default=None, help="override integration step")
+        p.add_argument("--t-end", dest="t_end", type=_flag("run", "t_end"), default=None, help="override end time")
         p.add_argument("--beta-denominator", choices=_SCHEMA["options"]["beta_denominator"].kind, default=None)
 
     p = sub.add_parser("preset", help="run a built-in configuration")
@@ -480,9 +467,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate the model and export the trajectory")
     common(p)
-    p.add_argument("--random-histories", type=_count, default=0,
-                   help="additionally integrate N random positive constant histories")
-    p.add_argument("--seed", type=_count, default=0, help="seed for the random histories")
+    p.add_argument("--random-histories", metavar="N", type=_flag("options", "random_histories"), default=None,
+                   help="override options.random_histories: also integrate N random positive constant histories")
+    p.add_argument("--seed", dest="random_seed", metavar="SEED", type=_flag("options", "random_seed"), default=None,
+                   help="override options.random_seed, the seed of the random histories")
 
     for name in _ANALYSIS_SUBCOMMANDS:
         p = sub.add_parser(name, help=f"run only the {name.replace('-', ' ')} analysis")
@@ -495,9 +483,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         data = preset_config(args.name) if args.command == "preset" else _load_config_file(args.config)
-        kwargs = (dict(require_analysis=False, random_histories=args.random_histories, seed=args.seed)
-                  if args.command == "simulate" else {})
-        run_pipeline(_apply_overrides(data, args), args.out, **kwargs)
+        run_pipeline(_apply_overrides(data, args), args.out)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

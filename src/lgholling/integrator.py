@@ -33,8 +33,8 @@ of a batch of one, and a column is bit-identical to the single run.
 The knot table is column-major and the Hermite plan tap-first (see _rk4),
 so every array of a window has its stages last and numpy's inner loops run
 along the window, not along the columns.  A window works in place, one
-np.add.accumulate giving both S and y, and the knot arrays are (n+1, m)
-transposed views of the table.
+np.add.accumulate giving both S and y, and a Trajectory keeps the table,
+its knot arrays (n+1, m) transposed views of it.
 
 Stages are planned per block of _PLAN_STEPS steps [s0, s1), in one pass:
 its stages 2 s0 .. 2 s1, so blocks share their boundary stage.  A block
@@ -96,19 +96,22 @@ _PLAN_STEPS = 4096  # steps per block of the stage plan: a run's working memory 
 
 @dataclass(eq=False)
 class Trajectory:
-    """Dense log-space solution on a uniform knot grid; the knot arrays are
-    (n+1,) for one run and (n+1, m) for a batch, one column per history."""
+    """Dense log-space solution on a uniform knot grid: the kernel's knot table
+    (see _rk4), (2, 2, n+2) for one run and (m, 2, 2, n+2) for a batch, and
+    its views x, y, dx and dy, (n+1,) for one run and (n+1, m) for a batch,
+    one column per history."""
 
     t0: float
     t_end: float
     h: float
     t: np.ndarray
-    x: np.ndarray  # ln u at knots
-    y: np.ndarray  # ln v at knots
-    dx: np.ndarray
-    dy: np.ndarray
+    knots: np.ndarray
     histories: tuple[InitialHistory, ...]
     r: float  # history reach actually used by delayed lookups
+
+    def __post_init__(self):
+        # ln u, its slope, ln v and its slope at the knots
+        self.x, self.dx, self.y, self.dy = (self.knots[..., comp, part, :-1].T for comp in (0, 1) for part in (0, 1))
 
     @property
     def u(self) -> np.ndarray:
@@ -124,8 +127,8 @@ class Trajectory:
 
     def column(self, i: int) -> Trajectory:
         """The run of a batch from histories[i], as integrate() gives it."""
-        x, y, dx, dy = (np.ascontiguousarray(a[:, i]) for a in (self.x, self.y, self.dx, self.dy))
-        return Trajectory(self.t0, self.t_end, self.h, self.t, x, y, dx, dy, (self.histories[i],), self.r)
+        return Trajectory(self.t0, self.t_end, self.h, self.t, self.knots.reshape(-1, *self.knots.shape[-3:])[i],
+                          (self.histories[i],), self.r)
 
     def window(self, t_lo: float, t_hi: float) -> np.ndarray:
         """Mask of the knots in [t_lo, t_hi], up to the last knot when t_hi is within half a step of it;
@@ -146,11 +149,9 @@ class Trajectory:
         if not ((t >= self.t0 - self.r - 1e-9) & (t <= self.t_end + 1e-9)).all():
             raise IntegrationError(f"times outside the trajectory's domain [{self.t0 - self.r}, {self.t_end}]")
         n = len(self.t) - 1
-        table = np.zeros((4, n + 2))  # the kernel's knot table (see _rk4) of the one column
-        table[:, :n + 1] = [a.reshape(n + 1, -1)[:, column] for a in (self.x, self.dx, self.y, self.dy)]
         both = np.broadcast_to(np.minimum(t.ravel(), self.t_end), (2, t.size))  # within the slop: the last knot
         in_history, _, _, taps, weights = _hermite_plan(both, self.t0, self.h, n, np.arange(2))
-        vals = _hermite_sum(table.reshape(1, -1), taps, weights)
+        vals = _hermite_sum(self.knots.reshape(-1, 4 * (n + 2))[column, None], taps, weights)  # the column's table
         _read_history(vals, in_history, both, range(2), (self.histories[column],), self.t0)
         return vals[0, 0].reshape(t.shape), vals[0, 1].reshape(t.shape)
 
@@ -242,8 +243,8 @@ def _check_steps(p_max, kn, s0: int, k: int, t0: float, h: float) -> None:
 def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
     """The kernel on m columns, one per history, sharing one model and grid:
     RK4's stage grid, with the Bernoulli step for the prey and RK4's
-    quadrature for the predator.  Returns the knot arrays (x, y, dx, dy),
-    each of shape (n+1, m), and the history reach r.
+    quadrature for the predator.  Returns the knot table kn, of shape
+    (m, 2, 2, n+2), and the history reach r.
     """
     for name, value in (("t0", t0), ("t_end", t_end), ("step h", h)):
         if not math.isfinite(value):
@@ -416,8 +417,7 @@ def _rk4(spec: ModelSpec, t0: float, t_end: float, h: float, histories):
                 raise
             _check_steps(p_max, kn, s0, s1, t0, h)
             del delays, delayed, in_history, idx, theta, taps, weights, reads, step_reads, reach  # before the next plan
-    x, y, dx, dy = (kn[:, comp, part, :n + 1].T for part, comp in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    return x, y, dx, dy, max(0.0, t0 - min_delayed)
+    return kn, max(0.0, t0 - min_delayed)
 
 
 def integrate_batch(spec: ModelSpec, histories, t0: float, t_end: float, h: float) -> Trajectory:
@@ -430,9 +430,9 @@ def integrate_batch(spec: ModelSpec, histories, t0: float, t_end: float, h: floa
     histories = tuple(histories)
     if not histories or any(hist.phi1(0.0) <= 0.0 or hist.phi2(0.0) <= 0.0 for hist in histories):
         raise IntegrationError("need at least one history, each with phi1(0) > 0 and phi2(0) > 0")
-    x, y, dx, dy, r = _rk4(spec, t0, t_end, h, histories)
-    n = len(x) - 1
-    return Trajectory(t0, t0 + n * h, h, t0 + h * np.arange(n + 1), x, y, dx, dy, histories, r)
+    knots, r = _rk4(spec, t0, t_end, h, histories)
+    n = knots.shape[-1] - 2
+    return Trajectory(t0, t0 + n * h, h, t0 + h * np.arange(n + 1), knots, histories, r)
 
 
 def integrate(spec: ModelSpec, history: InitialHistory, t0: float, t_end: float, h: float) -> Trajectory:

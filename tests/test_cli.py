@@ -172,11 +172,15 @@ def test_bad_option_values():
         load_config(data)
 
 
-def test_nothing_to_report():
+def test_nothing_to_report(tmp_path):
+    """A config with every analysis off simulates, as simulate's mask asks:
+    it exits 0 and writes the trajectory and a report of the model alone."""
     data = small_config()
     data["analyses"] = {key: False for key in data["analyses"]}
-    with pytest.raises(ConfigError, match="nothing to report"):
-        run_pipeline(data, Path("/tmp/never-used"))
+    cfg = write_config(tmp_path / "cfg.json", data)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["plots.gp", "report.json", "trajectories.csv"]
+    assert load_report(tmp_path / "out").keys() == {"generated_at", "config", "model"}
 
 
 def test_step_above_delay_exits_3(tmp_path, capsys):
@@ -520,7 +524,8 @@ def test_cli_simulate_with_random_histories(tmp_path):
     assert code == 0
     report = load_report(tmp_path / "out")
     assert report["random_histories"]["min_uv"] > 0.0
-    assert report["random_histories"]["count"] == 5
+    assert list(report["random_histories"]) == ["min_uv"]  # the count and the seed are settings
+    assert (report["config"]["options"]["random_histories"], report["config"]["options"]["random_seed"]) == (5, 3)
     assert "permanence" not in report
 
 
@@ -582,6 +587,38 @@ def test_run_with_every_analysis_makes_one_kernel_call(tmp_path, monkeypatch):
     assert "attractivity" in report["stability"]
 
 
+def test_a_history_equal_to_the_attractivity_partner_is_one_column(tmp_path, monkeypatch):
+    """A history equal to attractivity_history is one distinct history: the
+    kernel integrates one column, not two, and the run writes what two
+    bit-identical columns give, a zero distance beside the files and report
+    of the same run without attractivity."""
+    calls = []
+    kernel = integrator._rk4
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(integrator, "_rk4", counting)
+    data = short_preset("example2")
+    data["history"] = {"phi1": 0.75, "phi2": 0.75}
+    assert data["options"]["attractivity_history"] == [0.75, 0.75]
+    report = run_pipeline(data, tmp_path / "same")
+    assert len(calls) == 1 and len(calls[0][4]) == 1  # _rk4(spec, t0, t_end, h, histories)
+
+    assert report["stability"].pop("attractivity") == {"final_distance": 0.0, "tail_nonincreasing": True,
+                                                       "passed": True}
+    distances = np.loadtxt(tmp_path / "same" / "attractivity.csv", delimiter=",", skiprows=1)[:, 1]
+    assert not distances.any()
+    off = dict(data, analyses=dict(data["analyses"], attractivity=False))
+    other = run_pipeline(off, tmp_path / "off")
+    for key in ("generated_at", "config"):
+        del report[key], other[key]
+    assert report == other
+    for name in ("trajectories.csv", "fixedpoint.csv"):
+        assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "off" / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("flag", ["--random-histories", "--seed"])
 def test_negative_count_exits_2_naming_the_flag(tmp_path, flag):
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -592,7 +629,7 @@ def test_negative_count_exits_2_naming_the_flag(tmp_path, flag):
     proc = subprocess.run([sys.executable, "-m", "lgholling", "simulate", str(cfg), "--out", str(tmp_path / "out"),
                            *argv], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
-    assert f"argument {flag}: expected an integer >= 0, got '-3'" in proc.stderr
+    assert f"argument {flag}: must be > -1" in proc.stderr  # the rule of its options field
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
 
@@ -613,16 +650,19 @@ def test_a_bad_step_or_end_flag_exits_2_naming_the_flag(tmp_path, capsys, flag, 
 
 @pytest.mark.parametrize("count", ["1000000000000000", "100001"])
 def test_too_many_random_histories_exit_2_naming_the_flag(tmp_path, count):
-    """Each random history is a column of knots: a count whose columns pass
-    one run's 10^7-knot bound (here 100 steps each) is refused up front."""
+    """Each random history is a column of knots: a count past the field's
+    cap is refused as the flag, and one whose columns pass one run's
+    10^7-knot bound (here 100 steps each) by load_config, before any search."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     cfg = write_config(tmp_path / "cfg.json", small_config())
     proc = subprocess.run([sys.executable, "-m", "lgholling", "simulate", str(cfg), "--out", str(tmp_path / "out"),
                            "--random-histories", count], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
-    assert proc.stderr == (f"validation error: --random-histories: {count} histories of 100 steps "
-                           "pass 10000000 knots\n")
+    assert proc.stderr.endswith({
+        "1000000000000000": "argument --random-histories: must be <= 10000000\n",
+        "100001": "validation error: /options/random_histories: 100001 histories of 100 steps pass 10000000 knots\n",
+    }[count])
     assert not (tmp_path / "out").exists()
 
 
@@ -947,25 +987,42 @@ def test_load_config_returns_the_schema_sections_and_output_dir():
     assert set(load_config(small_config())) == set(_SCHEMA) | {"output_dir"}
 
 
+def assert_same_outputs(first: Path, again: Path) -> list[str]:
+    """The two output directories hold the same files, byte for byte apart
+    from report.json's generated_at; returns their names."""
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        a, b = ((d / name).read_bytes() for d in (first, again))
+        if name == "report.json":
+            a, b = (re.sub(rb'"generated_at": "[^"]*"', b"", text) for text in (a, b))
+        assert a == b, name
+    return names
+
+
 def test_echoed_config_holds_every_default_and_reruns_the_run(tmp_path):
     """report.json's config is the checked config: a config without options
     or analyses echoes each of their defaults, and rerunning the echo
-    writes the same five files."""
+    writes the same five files.  A simulate run's echo holds its random
+    histories too, and reruns to the same files, their min_uv included."""
     data = preset_config("example2")
     del data["options"], data["analyses"]
     run_pipeline(data, tmp_path / "first")
     config = load_report(tmp_path / "first")["config"]
     assert config["options"] == {key: field.default for key, field in _SCHEMA["options"].items()}
     assert config["analyses"] == dict.fromkeys(_SCHEMA["analyses"], True)
-    assert len(config["options"]) == 14 and len(config["analyses"]) == 5
+    assert len(config["options"]) == 16 and len(config["analyses"]) == 5
     run_pipeline(config, tmp_path / "again")
-    names = sorted(p.name for p in (tmp_path / "first").iterdir())
-    assert len(names) == 5 and names == sorted(p.name for p in (tmp_path / "again").iterdir())
-    for name in names:
-        first, again = ((tmp_path / d / name).read_bytes() for d in ("first", "again"))
-        if name == "report.json":
-            first, again = (re.sub(rb'"generated_at": "[^"]*"', b"", text) for text in (first, again))
-        assert first == again, name
+    assert len(assert_same_outputs(tmp_path / "first", tmp_path / "again")) == 5
+
+    cfg = write_config(tmp_path / "cfg.json", short_preset("example2"))
+    assert main(["simulate", str(cfg), "--random-histories", "5", "--seed", "3", "--out", str(tmp_path / "sim")]) == 0
+    config = load_report(tmp_path / "sim")["config"]
+    assert (config["options"]["random_histories"], config["options"]["random_seed"]) == (5, 3)
+    run_pipeline(config, tmp_path / "sim-again")
+    assert assert_same_outputs(tmp_path / "sim", tmp_path / "sim-again") == ["plots.gp", "report.json",
+                                                                             "trajectories.csv"]
+    assert load_report(tmp_path / "sim-again")["random_histories"]["min_uv"] > 0.0
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
@@ -1030,13 +1087,7 @@ def test_cli_overrides_equal_run_pipeline_on_the_overridden_config(tmp_path):
     data["analyses"] = {key: key == "bounds" for key in _SCHEMA["analyses"]}
     data["run"].update(t_end=1.5, h=0.025, t_settle=0.75)  # t_settle 2.0 moves to the new midpoint
     run_pipeline(data, str(tmp_path / "lib"))  # a str out_dir is a path as well
-    names = sorted(p.name for p in (tmp_path / "cli").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "lib").iterdir())
-    for name in names:
-        cli, lib = ((tmp_path / d / name).read_bytes() for d in ("cli", "lib"))
-        if name == "report.json":
-            cli, lib = (re.sub(rb'"generated_at": "[^"]*"', b"", text) for text in (cli, lib))
-        assert cli == lib, name
+    assert_same_outputs(tmp_path / "cli", tmp_path / "lib")
 
 
 def test_overflowing_fixed_point_source_exits_3_without_warning(tmp_path):
