@@ -29,19 +29,21 @@ cells of time (Moore, Kearfott & Cloud, Introduction to Interval Analysis,
 
 The sup/inf of a constant is closed-form.  Any other expression's is found
 by branch-and-bound on the enclosures (Moore, Kearfott & Cloud 2009;
-Hansen & Walster, Global Optimization Using Interval Analysis, 2004): the
-interval is split into _CELLS cells, and per level one _enclose and one
-evaluate_array call, at the cells' midpoints, serve both signs.  A cell's
-bound is the larger of its enclosure and the mean-value form f(mid) -
-sup|f'| w/2 - 2E.  A cell that cannot beat its sign's least sample is
-dropped; one that could beat it by more than _GAP relative is split in
-four; the others are refined by a zoom, each sign's least-bound cell
-first, and then those that could still beat the refined sample by more
-than _SLACK relative.  Each pass of the zoom samples _ZOOM evenly spaced
-times across every cell whose ends are not yet adjacent floats, and
-narrows the cell to its best sample's two neighbours.  So the estimates
-are refined samples and each comes with a certified bracket, which is
-_GAP wide unless a cell reached the width floor or a level the cell cap.
+Hansen & Walster, Global Optimization Using Interval Analysis, 2004).  The
+first level, the interval's ends as point cells and _CELLS cells, is
+enclosed and sampled at its midpoints once; from it one descent per sign
+finds the inf, another the sup.  A cell's bound is the larger of its
+enclosure and the mean-value form f(mid) - sup|f'| w/2 - 2E.  Before its
+first split a descent zooms the first level's least-bound cell, so cells
+tied with it end done instead of split.  A cell that cannot beat the least
+sample is dropped; one that could beat it by more than _GAP relative is
+split in four; the others are done, and one last zoom round refines those
+that could still beat it by more than _SLACK relative.  Each pass of the
+zoom samples _ZOOM evenly spaced times across every cell whose ends are
+not yet adjacent floats, and narrows the cell to its best sample's two
+neighbours.  So the estimates are refined samples and each comes with a
+certified bracket, which is _GAP wide unless a cell reached the width
+floor or a level the cell cap.
 ``_increasing`` proves f' < 1 on cells split likewise, each safe with its
 f' hull below 1.
 
@@ -298,17 +300,17 @@ def evaluate(expr: CoefficientExpr, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _zoom(f, a: np.ndarray, b: np.ndarray, sign: np.ndarray):
-    """The least samples of sign[i] * f on the brackets [a[i], b[i]], and
-    their times: per pass, one call of f at _ZOOM evenly spaced times, ends
-    included, across each bracket whose ends are not yet adjacent floats,
-    and each narrowed to its best sample's two neighbours."""
+def _zoom(expr: CoefficientExpr, a: np.ndarray, b: np.ndarray, sign: float):
+    """The least samples of sign * f on the brackets [a[i], b[i]], and
+    their times: per pass, one evaluate_array call at _ZOOM evenly spaced
+    times, ends included, across each bracket whose ends are not yet
+    adjacent floats, and each narrowed to its best sample's two neighbours."""
     best, at, i = np.full(a.shape, np.inf), a.copy(), np.arange(a.size)
     a, b = a.copy(), b.copy()
     while i.size:
         t = a[i, None] + (b[i] - a[i])[:, None] * np.linspace(0.0, 1.0, _ZOOM)
         t[:, -1] = b[i]  # a + (b - a) may round off b
-        g = sign[i, None] * f(t)
+        g = sign * evaluate_array(expr, t)
         r, j = np.arange(i.size), np.argmin(g, axis=1)
         better = g[r, j] < best[i]
         best[i[better]], at[i[better]] = g[r, j][better], t[r, j][better]
@@ -480,16 +482,6 @@ _FLOOR = 1e-13  # relative to the interval's largest |t|: a cell this narrow is 
 _ZOOM = 33  # times a pass of the zoom samples per bracket
 
 
-def _improve(best, at, values, times, k) -> None:
-    """Lower each sign j's incumbent best[j] (at time at[j]) to the least of
-    values[k == j] if that is less, in place."""
-    for j in (0, 1):
-        mine = np.where(k == j, values, np.inf)
-        i = np.argmin(mine)
-        if mine[i] < best[j]:
-            best[j], at[j] = mine[i], times[i]
-
-
 def _search(expr: CoefficientExpr, lo: float, hi: float):
     """The inf and sup of f over [lo, hi] by branch-and-bound (the module
     docstring describes it): (inf_value, inf_lower, sup_value, sup_upper,
@@ -500,49 +492,54 @@ def _search(expr: CoefficientExpr, lo: float, hi: float):
     if len(expr.program) == 1 and expr.program[0][0] == "const":
         c = evaluate(expr, lo)  # a non-finite literal raises here
         return c, c, c, c, lo
-
-    def f(t):
-        return evaluate_array(expr, t)
-
-    sign = np.array([1.0, -1.0])  # sign k minimizes sign[k] * f: k = 0 finds the inf, k = 1 the sup
-    best, at = np.full(2, np.inf), np.full(2, float(lo))  # per sign: the least sample of sign * f, and its time
-    lower = np.full(2, np.inf)  # per sign: the least bound of the cells not split
-    # per sign, in time order: the point cell [lo, lo], the _CELLS cells and [hi, hi]
+    # in time order: the point cell [lo, lo], the _CELLS cells and [hi, hi]
     edges = np.linspace(lo, hi, _CELLS + 1)
-    a, b = np.tile(np.r_[lo, edges[:-1], hi], 2), np.tile(np.r_[lo, edges[1:], hi], 2)
-    k = np.repeat([0, 1], _CELLS + 2)
+    first = _level(expr, np.r_[lo, edges[:-1], hi], np.r_[lo, edges[1:], hi])
     floor = _FLOOR * max(abs(lo), abs(hi))
-    refine = []  # per level: the cells that go to the zoom, with their signs and bounds
+    inf_value, inf_lower, t_inf = _descend(expr, first, 1.0, floor)
+    sup_value, sup_upper, _ = _descend(expr, first, -1.0, floor)
+    return inf_value, inf_lower, -sup_value, -sup_upper, t_inf
+
+
+def _level(expr: CoefficientExpr, a: np.ndarray, b: np.ndarray):
+    """The cells [a, b], their value enclosure, mean-value spread sup|f'| w/2 + 2E, safe flags, midpoints and f there."""
+    vlo, vhi, dlo, dhi, err, safe = _enclose(expr.program, a, b)
+    mid = 0.5 * a + 0.5 * b  # a + b may overflow
+    with np.errstate(all="ignore"):  # an infinite slope or error bound, times a point cell's width 0
+        spread = (_mag(dlo, dhi) * np.maximum(mid - a, b - mid) + 2.0 * err) * _PAD
+    return a, b, vlo, vhi, spread, safe, mid, evaluate_array(expr, mid)
+
+
+def _descend(expr: CoefficientExpr, first, sign: float, floor: float):
+    """Branch-and-bound for the least of sign * f from the first level:
+    (the least sample, the least bound of the cells not split, its time)."""
+    best, at, done, level = np.inf, None, [], first  # the first sample sets at
     while True:
-        vlo, vhi, dlo, dhi, err, safe = _enclose(expr.program, a, b)
-        mid = 0.5 * a + 0.5 * b  # a + b may overflow
-        g = sign[k] * f(mid)
-        _improve(best, at, g, mid, k)
-        with np.errstate(all="ignore"):  # an infinite slope or error bound, times a point cell's width 0
-            mean_value = g - (_mag(dlo, dhi) * np.maximum(mid - a, b - mid) + 2.0 * err) * _PAD
-        bound = np.where(safe, np.fmax(np.where(k == 0, vlo, -vhi), mean_value), -np.inf)
-        live = bound < best[k]  # could beat its incumbent
-        split = live & (bound < best[k] - _GAP * np.abs(best[k])) & (b - a > floor)
-        done = live & ~split
-        refine.append((a[done], b[done], k[done], bound[done]))
-        if 4 * np.count_nonzero(split) > _CELL_CAP:
-            np.minimum.at(lower, k[split], bound[split])
+        a, b, vlo, vhi, spread, safe, mid, v = level
+        g = sign * v
+        best, at = _least(best, at, g, mid)
+        bound = np.where(safe, np.fmax(vlo if sign > 0.0 else -vhi, g - spread), -np.inf)
+        if level is first:  # zoomed before any split, the least-bound cell leaves those tied with it done
+            i = np.argmin(bound)
+            best, at = _least(best, at, *_zoom(expr, a[i:i + 1], b[i:i + 1], sign))
+        live = bound < best  # could beat the incumbent
+        split = live & (bound < best - _GAP * abs(best)) & (b - a > floor)
+        done.append(np.compress(live & ~split, [a, b, bound], axis=1))
+        if not split.any() or 4 * np.count_nonzero(split) > _CELL_CAP:
+            lower = bound[split].min(initial=np.inf)
             break
-        if not split.any():
-            break
-        a, b, k = *_quarters(a[split], b[split]), np.repeat(k[split], 4)
-    a, b, k, bound = (np.concatenate(x) for x in zip(*refine))
-    np.minimum.at(lower, k, bound)
-    # each sign's least-bound cell first: where cells tie (a periodic f), its
-    # refined sample leaves the others nothing to gain past _SLACK
-    first = np.zeros(k.size, dtype=bool)
-    first[[np.argmin(np.where(k == j, bound, np.inf)) for j in (0, 1) if (k == j).any()]] = True
-    for pick in (first, ~first):
-        keep = pick & (bound < best[k] - _SLACK * np.abs(best[k]))
-        if keep.any():
-            _improve(best, at, *_zoom(f, a[keep], b[keep], sign[k[keep]]), k[keep])
-    lower = np.minimum(lower, best)
-    return float(best[0]), float(lower[0]), float(-best[1]), float(-lower[1]), float(at[0])
+        level = _level(expr, *_quarters(a[split], b[split]))
+    a, b, bound = np.concatenate(done, axis=1)
+    keep = bound < best - _SLACK * abs(best)  # could still beat the incumbent
+    if keep.any():
+        best, at = _least(best, at, *_zoom(expr, a[keep], b[keep], sign))
+    return float(best), float(min(lower, bound.min(initial=np.inf), best)), float(at)
+
+
+def _least(best, at, values, times):
+    """The least of values and its time if it is below best, else (best, at)."""
+    i = np.argmin(values)
+    return (values[i], times[i]) if values[i] < best else (best, at)
 
 
 def _quarters(a: np.ndarray, b: np.ndarray):

@@ -15,6 +15,7 @@ u(t - sigma) + k through delayed_term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -63,19 +64,22 @@ class ModelSpec:
 
 def _name_fields(holder, names) -> None:
     """Make each field of the frozen holder named in names an expression with its field's name as
-    its symbol: an expression as it is, text parsed, a finite number v the constant program of
-    repr(float(v)).  Text that does not parse raises ExprSyntaxError, anything else that is not
-    a number ValidationError, each message starting with the field's name."""
+    its symbol: an expression as it is, text parsed, a finite number v the program
+    (("const", float(v)),).  Text that does not parse raises ExprSyntaxError, anything else that
+    is not a finite number ValidationError, each message starting with the field's name."""
     for name in names:
-        if not isinstance(value := getattr(holder, name), CoefficientExpr):
-            try:
-                value = parse_expression(value if isinstance(value, str) else repr(float(value)))
-            except ExprSyntaxError as exc:
-                reason = str(exc).removesuffix(f" at position {exc.position}")
-                raise ExprSyntaxError(f"{name}: {reason}", exc.position) from None
-            except (TypeError, ValueError, OverflowError):
-                message = f"{name}: expected an expression, text or a finite number, got {value!r}"
-                raise ValidationError(message) from None
+        try:
+            if isinstance(value := getattr(holder, name), str):
+                value = parse_expression(value)
+            elif not isinstance(value, CoefficientExpr):
+                if not math.isfinite(v := float(value)):
+                    raise ValueError  # refused below, as a value that is not a number is
+                value = CoefficientExpr((("const", v),))
+        except ExprSyntaxError as exc:
+            reason = str(exc).removesuffix(f" at position {exc.position}")
+            raise ExprSyntaxError(f"{name}: {reason}", exc.position) from None
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"{name}: expected an expression, text or a finite number, got {value!r}") from None
         object.__setattr__(holder, name, replace(value, symbol=name))
 
 

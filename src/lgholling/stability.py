@@ -79,18 +79,17 @@ def lag_inverse_gap(delay: CoefficientExpr, t):
     a, b = tv.copy(), hi
     fa = theta(a) - tv
     active = np.ones(tv.size, dtype=bool)
-    for _ in range(200):
-        k = np.flatnonzero(active)
-        if k.size == 0:
+    for _ in range(200):  # every time is sampled each round; one no longer active keeps its bracket
+        if not active.any():
             break
-        mid = 0.5 * a[k] + 0.5 * b[k]  # (a + b) / 2 would overflow past half the float range
-        fm = theta(mid) - tv[k]
+        mid = 0.5 * a + 0.5 * b  # (a + b) / 2 would overflow past half the float range
+        fm = theta(mid) - tv
         hit = np.abs(fm) <= _LAG_TOL  # close the bracket on mid, so that s = mid below
-        lower = (fa[k] <= 0.0) == (fm <= 0.0)
-        a[k] = np.where(hit | lower, mid, a[k])
-        fa[k] = np.where(lower, fm, fa[k])
-        b[k] = np.where(hit | ~lower, mid, b[k])
-        active[k] = b[k] - a[k] >= 1e-17 * np.maximum(1.0, np.abs(tv[k]))
+        lower = (fa <= 0.0) == (fm <= 0.0)
+        a = np.where(active & (hit | lower), mid, a)
+        fa = np.where(active & lower, fm, fa)
+        b = np.where(active & (hit | ~lower), mid, b)
+        active &= b - a >= 1e-17 * np.maximum(1.0, np.abs(tv))
     s = 0.5 * a + 0.5 * b
     stalled = np.abs(theta(s) - tv) > np.maximum(_LAG_TOL, 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(tv)))
     for i in np.flatnonzero(stalled):

@@ -568,6 +568,32 @@ def test_search_brackets_preset_and_varying_delay_coefficients(name):
         check_search(parse_expression(text), 0.0, 1000.0, grid)
 
 
+def test_search_of_the_presets_varying_coefficients_stays_near_its_first_level(monkeypatch):
+    """Each descent zooms its least-bound first-level cell before it splits, so the cells tied
+    with that cell end done (example1's a1 has about 450 kinks of |cos(sqrt(2) t)| at its inf):
+    four of the presets' six varying coefficients enclose only the shared first level, the
+    1,024 cells and the two end points, and all six fewer than 18,000 cells."""
+    sizes = []
+
+    def traced(program, a, b):
+        sizes.append(a.size)
+        return _enclose(program, a, b)
+
+    monkeypatch.setattr(expr_module, "_enclose", traced)
+    cells = {}
+    for name in PRESET_NAMES:
+        for sym, text in preset_config(name)["model"].items():
+            e = parse_expression(text)
+            if len(e.program) > 1:
+                sizes.clear()
+                _search(e, 0.0, 1000.0)
+                cells[name, sym] = sum(sizes)
+    assert len(cells) == 6
+    first_only = [("example1", "a1"), ("example1", "a2"), ("example1", "b"), ("example2", "a1")]
+    assert [cells[k] for k in first_only] == [1026] * 4
+    assert sum(cells.values()) <= 18_000
+
+
 # t / cos(t) has a pole at pi/2: the search's sup sample there is 9.5e13, the grid's 5.3e14
 POLE = "((t / cos(t)) + t)"
 

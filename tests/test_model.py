@@ -239,10 +239,25 @@ def test_history_validation():
     bad = InitialHistory(parse_expression("t + 0.1"), 0.25)  # negative for t < -0.1
     with pytest.raises(ValidationError):
         bad.validate(1.0)
-    # a number is parsed from its repr, so a non-finite one is refused when the history is built
+    # a non-finite number is refused when the history is built
     for value in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ExprSyntaxError):
+        with pytest.raises(ValidationError, match="finite number"):
             InitialHistory(value, 0.5)
+
+
+@pytest.mark.parametrize("value", [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2])
+def test_a_number_is_the_constant_its_repr_parses_to(value):
+    """A finite number builds the program its repr text parses to, the sign of 0 included, in a
+    ModelSpec and in an InitialHistory; the spec and a history from numbers integrate to the
+    knots of the same built from text."""
+    model = preset_config("example2")["model"]
+    spec, spec_text = (ModelSpec.from_strings({**model, "k2": v}) for v in (value, repr(value)))
+    hist, hist_text = InitialHistory(value, 0.1 + 0.2), InitialHistory(repr(value), repr(0.1 + 0.2))
+    assert (spec, hist) == (spec_text, hist_text)
+    assert repr((spec.k2.program, hist.phi1.program)) == repr((spec_text.k2.program, hist_text.phi1.program))
+    run = integrate(spec, InitialHistory(0.1 + 0.2, 0.5), 0.0, 1.0, 0.01)
+    run_text = integrate(spec_text, InitialHistory(repr(0.1 + 0.2), "0.5"), 0.0, 1.0, 0.01)
+    assert np.array_equal(run.knots, run_text.knots)
 
 
 def test_history_dipping_below_0_between_any_256_samples_is_refused():
