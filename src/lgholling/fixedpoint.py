@@ -28,7 +28,11 @@ by Lambda past every grid point.
 
 A candidate pair is the natural cubic spline through its grid values, equal
 bit for bit to scipy's CubicSpline(bc_type="natural") without importing scipy,
-and constant beyond [t_lo, t_hi].
+and constant beyond [t_lo, t_hi].  f_j reads it once per distinct argument:
+on one node set (the window's, which f_1 and f_2 share, each tail's, the
+residual's), each distinct delayed time s - delay(s), keyed by the delay's
+program, is computed and located in the spline once, and each component is
+evaluated there once; a time at or past t_hi takes the value at t_hi.
 
 Picard iteration is plain (no damping) and reports non-convergence honestly:
 existence of a fixed point does not make the iteration contractive, and
@@ -87,14 +91,24 @@ class _NaturalSpline:
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x, self.c0, self.c1, self.c2, self.c3 = x, t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1] + 0.0
 
-    def __call__(self, xv: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(self.x[1:-1], xv, side="right")  # PPoly's interval, clamped to 0 .. n-2
+    def locate(self, xv: np.ndarray) -> tuple:
+        """PPoly's interval i of each time, clamped to 0 .. n-2, and the powers s, s^2, s^3 of its
+        offset s = xv - x[i]; a location serves every spline on the same x."""
+        i = np.searchsorted(self.x[1:-1], xv, side="right")
         s = xv - self.x[i]
         s2 = s * s
+        return i, s, s2, s2 * s
+
+    def evaluate(self, where: tuple) -> np.ndarray:
+        """The spline at located times, c3 + c2 s + c1 s^2 + c0 s^3 summed in PPoly's order."""
+        i, s, s2, s3 = where
         out = self.c3[i] + self.c2[i] * s
         out += self.c1[i] * s2
-        out += self.c0[i] * (s2 * s)
+        out += self.c0[i] * s3
         return out
+
+    def __call__(self, xv: np.ndarray) -> np.ndarray:
+        return self.evaluate(self.locate(xv))
 
 
 @dataclass(eq=False)
@@ -162,16 +176,43 @@ class FixedPointResult:
     status: str  # converged | max_iter | diverged
 
 
-def _f_values(spec: ModelSpec, pair: GridFunctionPair, j: int, s: np.ndarray) -> np.ndarray:
+def _pair_at(pair: GridFunctionPair, reads: dict, comp: str, s: np.ndarray, delay=None) -> np.ndarray:
+    """The pair's comp ("phi" or "psi") at x = s - delay(s), or at s for delay None, as phi_at and
+    psi_at give it.  reads is one node set's dict, keyed by the delay's program (None: undelayed):
+    each x is computed and located once, each component evaluated there once.  An x at or past
+    t_hi takes the value at t_hi: only the x below it are clipped and located, and t_hi after them."""
+    key = None if delay is None else repr(delay.program)
+    if key not in reads:
+        x = s if delay is None else s - delay(s)
+        past = x >= pair.t_hi  # not a NaN, which np.clip keeps and the spline reads as NaN
+        past = past if past.any() else None
+        x = np.clip(x if past is None else np.append(x[~past], pair.t_hi), pair.t_lo, pair.t_hi)
+        reads[key] = {"past": past, "where": getattr(pair, f"_{comp}_spline").locate(x)}
+    entry = reads[key]
+    if comp not in entry:
+        values = getattr(pair, f"_{comp}_spline").evaluate(entry["where"])
+        if (past := entry["past"]) is not None:
+            values, part = np.full(past.shape, values[-1]), values[:-1]
+            values[~past] = part
+        entry[comp] = values
+    return entry[comp]
+
+
+def _f_values(spec: ModelSpec, pair: GridFunctionPair, j: int, s: np.ndarray,
+              reads: dict | None = None) -> np.ndarray:
     """f_j of the pair at the times s, f_1 = b phi^2 + c1 psi(s - tau1) phi / (phi(s - sigma1) + k1)
-    and f_2 = c2 psi(s - tau2) psi / (phi(s - sigma2) + k2); NumericalError unless all finite."""
+    and f_2 = c2 psi(s - tau2) psi / (phi(s - sigma2) + k2); NumericalError unless all finite.
+    reads is the node set's dict of _pair_at, which f_1 and f_2 on the same s share."""
+    reads = {} if reads is None else reads
     with np.errstate(over="ignore", invalid="ignore"):
         if j == 1:
-            phi, phi_lag, psi_lag = pair.phi_at(s), pair.phi_at(s - spec.sigma1(s)), pair.psi_at(s - spec.tau1(s))
+            phi, phi_lag, psi_lag = (_pair_at(pair, reads, "phi", s), _pair_at(pair, reads, "phi", s, spec.sigma1),
+                                     _pair_at(pair, reads, "psi", s, spec.tau1))
             f = spec.b(s) * phi * phi + delayed_term(spec.c1(s) * psi_lag * phi, phi_lag, spec.k1(s),
                                                      s, "f_1 denominator")
         else:
-            phi_lag, psi, psi_lag = pair.phi_at(s - spec.sigma2(s)), pair.psi_at(s), pair.psi_at(s - spec.tau2(s))
+            phi_lag, psi, psi_lag = (_pair_at(pair, reads, "phi", s, spec.sigma2), _pair_at(pair, reads, "psi", s),
+                                     _pair_at(pair, reads, "psi", s, spec.tau2))
             f = delayed_term(spec.c2(s) * psi_lag * psi, phi_lag, spec.k2(s), s, "f_2 denominator")
     if not np.isfinite(f).all():
         raise NumericalError(f"f_{j} not finite on the pair's grid")
@@ -230,9 +271,9 @@ def apply_upsilon(
         raise QuadratureError("kernel decay rates a1^i, a2^i and a^i tail_tol must be positive and finite")
 
     outputs = []
+    window, reads = pair.t_lo + q * np.arange(K0 + 1), {}  # f_1 and f_2 share the window's reads
     for j, aj_inf, aj_expr in ((1, coeff_bounds.a1_inf, spec.a1), (2, coeff_bounds.a2_inf, spec.a2)):
-        s = pair.t_lo + q * np.arange(K0 + 1)
-        f = _f_values(spec, pair, j, s)
+        f = _f_values(spec, pair, j, window, reads)
         # factor 2: the constant-extended tail can slightly exceed the
         # window's sup through coefficient oscillation
         lam = math.log(max(2.0 * float(np.abs(f).max()), 1e-12) / (aj_inf * tail_tol))
@@ -266,7 +307,7 @@ def apply_upsilon(
         with np.errstate(over="ignore", invalid="ignore"):
             # Simpson on [s_k, s_{k+2}] with the kernel taken relative to s_k
             inc = (q / 3.0) * (f[:-2] + 4.0 * np.exp(A[:-2] - A[1:-1]) * f[1:-1] + np.exp(A[:-2] - A[2:]) * f[2:])
-            for parity in np.unique(lo % 2):
+            for parity in (0,) if p % 2 == 0 else (0, 1):  # grid point k is node p k, even for every k when p is
                 B = A[parity::2]
                 R = _tail_integrals(B, inc[parity::2])
                 at = lo % 2 == parity
@@ -344,6 +385,7 @@ def dde_residual(spec: ModelSpec, pair: GridFunctionPair) -> float:
     s = pair.grid()[1:-1]
     dphi = (pair.phi[2:] - pair.phi[:-2]) / (2.0 * g)
     dpsi = (pair.psi[2:] - pair.psi[:-2]) / (2.0 * g)
-    rhs_u = spec.a1(s) * pair.phi[1:-1] - _f_values(spec, pair, 1, s)
-    rhs_v = spec.a2(s) * pair.psi[1:-1] - _f_values(spec, pair, 2, s)
+    reads = {}
+    rhs_u = spec.a1(s) * pair.phi[1:-1] - _f_values(spec, pair, 1, s, reads)
+    rhs_v = spec.a2(s) * pair.psi[1:-1] - _f_values(spec, pair, 2, s, reads)
     return float((np.abs(dphi - rhs_u) + np.abs(dpsi - rhs_v)).max())

@@ -227,7 +227,10 @@ def _read_history(vals, in_history, times, comps, histories, t0) -> None:
 def _check_steps(p_max, kn, s0: int, k: int, t0: float, h: float) -> None:
     """Raise for the first of the steps s0 .. k-1, in time order, that is too stiff (p_max, the
     largest integral of a1 - q over the step in any column, past _STIFF_LIMIT) or whose end knot
-    passes the log-state guard; a step failing both is too stiff."""
+    passes the log-state guard; a step failing both is too stiff.  The first block (s0 = 0)
+    guards knot 0 before its steps."""
+    if s0 == 0 and not ((kn[:, :, 0, 0] < _LOG_LIMIT) & (kn[:, :, 0, 0] > -_LOG_LIMIT)).all():
+        raise IntegrationError(f"log-state overflow at t={float(t0)!r}")
     stiff = p_max[:k - s0] > _STIFF_LIMIT
     knots = kn[:, :, 0, s0 + 1:k + 1]  # reduced over the columns first, so no array of the block's knots is made
     fail = stiff | ~((knots.max(axis=(0, 1)) < _LOG_LIMIT) & (knots.min(axis=(0, 1)) > -_LOG_LIMIT))

@@ -175,15 +175,18 @@ def estimate_liminf(
 
     Samples on t_grid and takes the running minimum over the tail
     [T1/2, T1]; representative when the coefficients are (pseudo) almost
-    periodic.  The four lag gaps are found once, over the whole grid, and
-    serve both beta denominators.
+    periodic.  The four lag gaps are found over the whole grid, once per
+    distinct delay program, and serve both beta denominators.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("t_grid must be nonempty")
     alt = "M1" if beta_denominator == "M2" else "M2"
     cb = bounds.inputs_used
-    gaps = tuple(lag_inverse_gap(getattr(spec, sym), t_grid) for sym in DELAY_SYMBOLS)
+    # one inversion per distinct delay program (its repr keeps 0.0 and -0.0 apart), by its first symbol
+    keys = [repr(getattr(spec, sym).program) for sym in DELAY_SYMBOLS]
+    gap = {key: lag_inverse_gap(getattr(spec, DELAY_SYMBOLS[keys.index(key)]), t_grid) for key in dict.fromkeys(keys)}
+    gaps = tuple(gap[key] for key in keys)
     alphas, betas = alpha_beta_from_gaps(cb, bounds, gaps, beta_denominator)
     betas_alt = alpha_beta_from_gaps(cb, bounds, gaps, alt)[1]
     times = t_grid.tolist()

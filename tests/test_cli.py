@@ -1172,3 +1172,12 @@ def test_pipeline_attractivity_equals_lone_runs(example2_run):
     rows = (out / "attractivity.csv").read_text(encoding="utf-8").splitlines()[1:]
     stride = opts["csv_stride"]
     assert [float(row.split(",")[1]) for row in rows] == alone.distances[::stride].tolist()
+
+
+def test_history_past_the_log_state_guard_at_t0_exits_3_naming_t0(tmp_path, capsys):
+    data = short_preset("example2")
+    data["history"]["phi1"] = 1.7976931348623157e308
+    cfg = write_config(tmp_path / "overflow.json", data)
+    assert main(["simulate", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "numerical failure: log-state overflow at t=0.0\n"
+    assert not (tmp_path / "out").exists()

@@ -24,7 +24,9 @@ from conftest import (example2_constant_pair_u2, in_box, kernel_identity_check, 
                       table_bounds, table_permanence, trapz)
 from lgholling import fixedpoint
 from lgholling.fixedpoint import _f_values
+from lgholling.model import delayed_term
 from lgholling.presets import preset_config
+from test_integrator import seeded_varying_delay_spec
 
 
 def unit_pair(phi, psi, t_hi=10.0, step=0.1):
@@ -500,3 +502,71 @@ def test_kernel_identity_converges_at_quadrature_rate():
     gaps = [kernel_identity_check(a, b, 0.7, 0.0, 2.0, n)[2] for n in (64, 128, 256)]
     assert gaps[0] / gaps[1] > 8.0
     assert gaps[1] / gaps[2] > 8.0
+
+
+def per_read_f(spec, pair, j, s):
+    """The reference f_j: phi_at and psi_at at s, s - sigma_j(s) and s - tau_j(s), each read afresh."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if j == 1:
+            phi, phi_lag, psi_lag = pair.phi_at(s), pair.phi_at(s - spec.sigma1(s)), pair.psi_at(s - spec.tau1(s))
+            return spec.b(s) * phi * phi + delayed_term(spec.c1(s) * psi_lag * phi, phi_lag, spec.k1(s), s, "f_1")
+        phi_lag, psi, psi_lag = pair.phi_at(s - spec.sigma2(s)), pair.psi_at(s), pair.psi_at(s - spec.tau2(s))
+        return delayed_term(spec.c2(s) * psi_lag * psi, phi_lag, spec.k2(s), s, "f_2")
+
+
+def per_read_residual(spec, pair):
+    """dde_residual with f_j through per_read_f."""
+    g, s = pair.step, pair.grid()[1:-1]
+    rhs_u = spec.a1(s) * pair.phi[1:-1] - per_read_f(spec, pair, 1, s)
+    rhs_v = spec.a2(s) * pair.psi[1:-1] - per_read_f(spec, pair, 2, s)
+    return float((np.abs((pair.phi[2:] - pair.phi[:-2]) / (2.0 * g) - rhs_u)
+                  + np.abs((pair.psi[2:] - pair.psi[:-2]) / (2.0 * g) - rhs_v)).max())
+
+
+@pytest.fixture(scope="session")
+def shared_read_cases(settled_trajectories):
+    """Both presets' settled pairs (one delay in all four channels) and a pair of
+    seeded_varying_delay_spec(7), whose four delays are distinct."""
+    cases = {name: (spec, settled_pair(traj, 0.1)) for name, (spec, traj) in settled_trajectories.items()}
+    spec = seeded_varying_delay_spec(7)
+    traj = integrate(spec, InitialHistory(0.6, 0.4), 0.0, 40.0, 0.01)
+    cases["varying-delay"] = spec, settled_pair(traj, 0.1, t_lo=20.0, t_hi=40.0)
+    return cases
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "varying-delay"])
+def test_f_values_with_shared_reads_equal_the_per_read_reference(shared_read_cases, name):
+    """f_1 and f_2 reading one node set's located arguments equal the per-read f_j bit for bit:
+    on the window's quad nodes, on tail nodes whose delayed arguments straddle t_hi, on nodes
+    around both ends, and in the residual."""
+    spec, pair = shared_read_cases[name]
+    q = 0.05
+    node_sets = {
+        "window": pair.t_lo + q * np.arange(int(round((pair.t_hi - pair.t_lo) / q)) + 1),
+        "tail": pair.t_hi + q * np.arange(1, 401),
+        "straddle": np.linspace(pair.t_hi - 3.0, pair.t_hi + 3.0, 241),
+        "both-ends": np.concatenate((np.linspace(pair.t_lo - 2.0, pair.t_lo + 2.0, 81), [pair.t_hi, 1e6])),
+    }
+    for nodes, s in node_sets.items():
+        reads = {}
+        for j in (1, 2):
+            want = per_read_f(spec, pair, j, s)
+            assert np.array_equal(_f_values(spec, pair, j, s, reads), want), (nodes, j)
+            assert np.array_equal(_f_values(spec, pair, j, s), want), (nodes, j)
+    assert dde_residual(spec, pair) == per_read_residual(spec, pair)
+
+
+def test_upsilon_and_residual_locate_each_distinct_argument_once(settled_trajectories, monkeypatch):
+    """One Υ call on example1's settled pair at q = 0.05 locates each distinct argument below
+    t_hi once (26,670 points when every f_j read located its own), and the residual its 999
+    interior points twice, undelayed and delayed (5,994 before)."""
+    spec, traj = settled_trajectories["example1"]
+    pair, located = settled_pair(traj, 0.1), []
+    locate = fixedpoint._NaturalSpline.locate
+    monkeypatch.setattr(fixedpoint._NaturalSpline, "locate",
+                        lambda self, xv: located.append(xv.size) or locate(self, xv))
+    apply_upsilon(spec, pair, quad_step=0.05, tail_tol=1e-6, coeff_bounds=table_bounds("example1"))
+    assert 4_001 <= sum(located) <= 4_100
+    located.clear()
+    dde_residual(spec, pair)
+    assert sum(located) == 1_998

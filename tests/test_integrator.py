@@ -754,3 +754,13 @@ def test_order_check_example2_kink_window(example2_spec):
     oc = order_check(example2_spec, InitialHistory(0.5, 0.5), 0.0, 20.0, 0.02)
     assert not oc.plateau
     assert 1.5 <= oc.ratio <= 10.0
+
+
+@pytest.mark.parametrize("t_end", [0.1, 0.0])
+def test_knot_0_past_the_log_state_guard_is_refused_at_t0(example2_spec, t_end):
+    """A history whose ln phi1(0) is 709.78 puts knot 0 past the guard: the run is refused
+    at t = 0, a zero-step run too, with no Trajectory that reads NaN at its own knots."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegrationError, match=r"^log-state overflow at t=0\.0$"):
+            integrate(example2_spec, InitialHistory(1.7976931348623157e308, 0.5), 0.0, t_end, 0.01)

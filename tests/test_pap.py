@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from lgholling import (InitialHistory, ValidationError, ergodic_mean, integrate, integrate_batch, pap0_trend,
-                       verify_permanence)
+from lgholling import (InitialHistory, ModelSpec, Trajectory, ValidationError, ergodic_mean, integrate, integrate_batch,
+                       pap0_trend, verify_permanence)
 from lgholling.pap import solution_window_report
-from conftest import shift_defect
+from lgholling.presets import preset_config
+from conftest import shift_defect, varying_delay_model
 
 
 def test_ergodic_mean_constant():
@@ -157,3 +158,78 @@ def test_solution_window_report_reads_one_run(unit_spec, example2_bounds):
         verify_permanence(runs, example2_bounds, 2.0, 5.0)
     # the trend reads the column's window [2, 5]: half-width 1.5 and its 1/8, 1/4 and 1/2
     assert [T for T, _ in solution_window_report(runs.column(1), 2.0, 5.0).ergodic_means] == [0.1875, 0.375, 0.75, 1.5]
+
+
+def per_shift_defects(traj, t_settle, t_end):
+    """The reference shift search: each of the 200 shifts measured over the whole base, the
+    three least defects kept (ties in shift order), sorted by shift."""
+    mask = traj.window(t_settle, t_end)
+    times, u = traj.t[mask], traj.u[mask]
+    half = 0.5 * (t_end - t_settle)
+    base = times[times <= t_end - half]
+    u_base = np.interp(base, times, u)
+    candidates = np.linspace(0.25 if half >= 0.25 else half / 200.0, half, 200)
+    defects = [(float(tau), float(np.abs(np.interp(base + tau, times, u) - u_base).max())) for tau in candidates]
+    defects.sort(key=lambda p: p[1])
+    return sorted(defects[:3])
+
+
+def signal_run(u, h=0.01):
+    """A one-column Trajectory on [0, (len(u) - 1) h] whose knots hold the signal u."""
+    knots = np.zeros((2, 2, len(u) + 1))
+    knots[0, 0, :-1] = np.log(u)
+    return Trajectory(0.0, (len(u) - 1) * h, h, h * np.arange(len(u)), knots, (InitialHistory(1.0, 1.0),), 0.0)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_bounded_shift_search_equals_every_shift_measured_on_the_presets(name):
+    config = preset_config(name)
+    run = config["run"]
+    history = InitialHistory(config["history"]["phi1"], config["history"]["phi2"])
+    traj = integrate(ModelSpec.from_strings(config["model"]), history, run["t0"], run["t_end"], run["h"])
+    rep = solution_window_report(traj, run["t_settle"], run["t_end"])
+    assert rep.shift_defects == per_shift_defects(traj, run["t_settle"], run["t_end"])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bounded_shift_search_equals_every_shift_measured_with_varying_delays(seed):
+    traj = integrate(ModelSpec.from_strings(varying_delay_model(seed)), InitialHistory(0.5, 0.5), 0.0, 100.0, 0.01)
+    assert solution_window_report(traj, 50.0, 100.0).shift_defects == per_shift_defects(traj, 50.0, 100.0)
+
+
+def test_bounded_shift_search_keeps_the_first_three_of_200_tied_shifts():
+    traj = signal_run(np.full(3001, 0.7))
+    rep = solution_window_report(traj, 0.0, 30.0)
+    assert rep.shift_defects == per_shift_defects(traj, 0.0, 30.0)
+    assert [d for _, d in rep.shift_defects] == [0.0, 0.0, 0.0]
+    assert [tau for tau, _ in rep.shift_defects] == np.linspace(0.25, 15.0, 200)[:3].tolist()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bounded_shift_search_equals_every_shift_measured_on_random_signals(seed):
+    """Noise, noise rounded to a few levels (ties among the defects), and a noisy
+    quasi-periodic signal."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 4000))
+    t = 0.01 * np.arange(n)
+    signals = (rng.uniform(0.1, 2.0, n), np.round(rng.uniform(0.1, 2.0, n), 1),
+               1.0 + 0.5 * np.sin(rng.uniform(0.5, 3.0) * t) * np.cos(rng.uniform(0.5, 3.0) * t)
+               + 1e-3 * rng.normal(size=n))
+    for u in signals:
+        traj = signal_run(u)
+        t_settle = float(rng.uniform(0.0, 0.3)) * traj.t_end
+        assert solution_window_report(traj, t_settle, traj.t_end).shift_defects == \
+            per_shift_defects(traj, t_settle, traj.t_end)
+
+
+def test_bounded_shift_search_measures_a_shift_whose_bound_equals_the_third_defect():
+    """One spike at a base knot off the every-32nd subsample gives every shift the same defect,
+    its height; only the first shift reads the spike from the subsample, so its bound equals that
+    defect. It must still be measured: it ties the others and comes first in shift order."""
+    h = 2.0**-5  # 0.25 = 8 h: knot 32 m + 8 is exactly knot 32 m shifted by the first candidate
+    u = np.ones(2001)
+    u[32 * 10 + 8] = 2.0
+    traj = signal_run(u, h)
+    rep = solution_window_report(traj, 0.0, traj.t_end)
+    assert rep.shift_defects == per_shift_defects(traj, 0.0, traj.t_end)
+    assert [tau for tau, _ in rep.shift_defects] == np.linspace(0.25, 31.25, 200)[:3].tolist()

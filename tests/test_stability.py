@@ -23,8 +23,11 @@ from lgholling import (
     compute_permanence_bounds_from_values,
     run_attractivity,
 )
-from lgholling.stability import small_denominator
-from conftest import reference_lag_gap, table_bounds
+from lgholling import stability
+from lgholling.model import DELAY_SYMBOLS
+from lgholling.presets import preset_config
+from lgholling.stability import LiminfEstimate, small_denominator
+from conftest import reference_lag_gap, table_bounds, table_permanence, varying_delay_model
 
 # calculator oracles for the preset coefficients (frozen ahead of the build)
 EX1_ALPHA = 2.3990621757903132
@@ -373,3 +376,32 @@ def test_a_denominator_too_small_for_alpha_and_beta_is_a_validation_error(field,
     assert (pb.m1, small_denominator(cb, pb)) == (0.0, sym)
     with pytest.raises(ValidationError, match=rf"^m1 \+ {sym}\^i = 1e-300 is too small: its 4th power underflows$"):
         alpha_beta_from_gaps(cb, pb, (0.75,) * 4)
+
+
+@pytest.mark.parametrize("name, inversions", [("example1", 1), ("example2", 1), ("varying-delay", 4)])
+def test_estimate_liminf_inverts_each_distinct_delay_program_once(monkeypatch, name, inversions):
+    """Both presets set one delay in all four channels: one inversion serves them. The estimate
+    equals the one from an inversion per symbol."""
+    spec = ModelSpec.from_strings(varying_delay_model(7) if name == "varying-delay" else preset_config(name)["model"])
+    bounds = table_permanence("example2" if name == "varying-delay" else name)
+    grid = np.linspace(0.0, 200.0, 401)
+    gaps = tuple(lag_inverse_gap(getattr(spec, sym), grid) for sym in DELAY_SYMBOLS)
+    alphas, betas = alpha_beta_from_gaps(bounds.inputs_used, bounds, gaps, "M2")
+    betas_alt = alpha_beta_from_gaps(bounds.inputs_used, bounds, gaps, "M1")[1]
+    calls = []
+    monkeypatch.setattr(stability, "lag_inverse_gap",
+                        lambda delay, t: calls.append(delay.symbol) or lag_inverse_gap(delay, t))
+    est = estimate_liminf(spec, bounds, grid, "M2")
+    assert len(calls) == inversions and calls[0] == "tau1"
+    tail = grid >= 100.0
+    assert est == LiminfEstimate(float(alphas[tail].min()), float(betas[tail].min()),
+                                 list(zip(grid.tolist(), alphas.tolist())), list(zip(grid.tolist(), betas.tolist())),
+                                 float(betas_alt[tail].min()))
+
+
+def test_a_delay_program_shared_by_four_symbols_is_refused_by_the_first():
+    spec = ModelSpec.from_strings(dict(preset_config("example2")["model"],
+                                       **dict.fromkeys(DELAY_SYMBOLS, "0.95 + 0.9*sin(2*t)")))
+    with pytest.raises(LagInversionError, match=r"s - delay\(s\) is not shown increasing") as exc:
+        estimate_liminf(spec, table_permanence("example2"), np.linspace(0.0, 10.0, 11))
+    assert exc.value.symbol == "tau1"
