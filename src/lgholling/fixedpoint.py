@@ -26,13 +26,13 @@ K nodes in all.  The nodes reach past the grid only as far as A needs: a
 first tail sized from the window's mean rate of A, doubled until A has risen
 by Lambda past every grid point.
 
-A candidate pair is the natural cubic spline through its grid values, equal
-bit for bit to scipy's CubicSpline(bc_type="natural") without importing scipy,
-and constant beyond [t_lo, t_hi].  f_j reads it once per distinct argument:
-on one node set (the window's, which f_1 and f_2 share, each tail's, the
-residual's), each distinct delayed time s - delay(s), keyed by the delay's
-program, is computed and located in the spline once, and each component is
-evaluated there once; a time at or past t_hi takes the value at t_hi.
+A candidate is read only through its at(x) -> (phi, psi): a GridFunctionPair
+is the natural cubic spline through its grid values (scipy's CubicSpline with
+bc_type="natural", bit for bit, without scipy), continued past t_hi by its
+values there, and a RunWindow reads a run, so a tail off the run is refused.
+f_j reads a candidate once per distinct argument s - delay(s), keyed by the
+delay's program, on node sets that share a start: the window's (f_1 and f_2),
+the two tails' (the shorter takes a prefix of the longer's reads), the residual's.
 
 Picard iteration is plain (no damping) and reports non-convergence honestly:
 existence of a fixed point does not make the iteration contractive, and
@@ -49,11 +49,13 @@ import numpy as np
 
 from .errors import NumericalError, QuadratureError
 from .expr import evaluate_array
+from .integrator import Trajectory
 from .model import ModelSpec, delayed_term
 from .permanence import CoefficientBounds
 
 __all__ = [
     "GridFunctionPair",
+    "RunWindow",
     "FixedPointResult",
     "apply_upsilon",
     "iterate_fixed_point",
@@ -107,9 +109,6 @@ class _NaturalSpline:
         out += self.c0[i] * s3
         return out
 
-    def __call__(self, xv: np.ndarray) -> np.ndarray:
-        return self.evaluate(self.locate(xv))
-
 
 @dataclass(eq=False)
 class GridFunctionPair:
@@ -134,8 +133,7 @@ class GridFunctionPair:
         return round(count)
 
     def __post_init__(self):
-        self.phi = np.asarray(self.phi, dtype=float)
-        self.psi = np.asarray(self.psi, dtype=float)
+        self.phi, self.psi = np.asarray(self.phi, dtype=float), np.asarray(self.psi, dtype=float)
         n = self._intervals(self.t_lo, self.t_hi, self.step)
         if len(self.phi) != n + 1 or len(self.psi) != n + 1:
             raise ValueError("grid arrays must have (t_hi - t_lo)/step + 1 points")
@@ -143,11 +141,9 @@ class GridFunctionPair:
             raise ValueError("step too small for distinct grid points")
 
     @classmethod
-    def from_constants(cls, t_lo: float, t_hi: float, step: float,
-                       phi_value: float, psi_value: float) -> "GridFunctionPair":
+    def from_constants(cls, t_lo: float, t_hi: float, step: float, phi_value: float, psi_value: float):
         n = cls._intervals(t_lo, t_hi, step)
-        return cls(t_lo, t_hi, step,
-                   np.full(n + 1, float(phi_value)), np.full(n + 1, float(psi_value)))
+        return cls(t_lo, t_hi, step, np.full(n + 1, float(phi_value)), np.full(n + 1, float(psi_value)))
 
     def grid(self) -> np.ndarray:
         return self.t_lo + self.step * np.arange(len(self.phi))
@@ -161,10 +157,41 @@ class GridFunctionPair:
         return _NaturalSpline(self.grid(), self.psi)
 
     def phi_at(self, s) -> np.ndarray:
-        return self._phi_spline(np.clip(s, self.t_lo, self.t_hi))
+        return self._phi_spline.evaluate(self._phi_spline.locate(np.clip(s, self.t_lo, self.t_hi)))
 
     def psi_at(self, s) -> np.ndarray:
-        return self._psi_spline(np.clip(s, self.t_lo, self.t_hi))
+        return self._psi_spline.evaluate(self._psi_spline.locate(np.clip(s, self.t_lo, self.t_hi)))
+
+    def at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(phi, psi) at the times x as phi_at and psi_at give them, each located once, t_hi once for all past it."""
+        below = ~(x >= self.t_hi)  # a NaN too, which np.clip keeps and the spline reads as NaN
+        where = self._phi_spline.locate(np.clip(np.append(x[below], self.t_hi), self.t_lo, self.t_hi))
+        values = np.empty((2,) + x.shape)
+        for row, spline in zip(values, (self._phi_spline, self._psi_spline)):
+            ends = spline.evaluate(where)
+            row[...], row[below] = ends[-1], ends[:-1]
+        return values[0], values[1]
+
+
+@dataclass(eq=False)
+class RunWindow:
+    """A run's window as a candidate: its values on the grid of [t_lo, t_hi] at step, and its reads
+    anywhere, are the run's u = e^x and v = e^y through Trajectory.at, so a read off the run raises
+    IntegrationError."""
+
+    run: Trajectory
+    t_lo: float
+    t_hi: float
+    step: float
+
+    def __post_init__(self):
+        n = GridFunctionPair._intervals(self.t_lo, self.t_hi, self.step)
+        self.phi, self.psi = self.at(self.t_lo + self.step * np.arange(n + 1))
+
+    grid = GridFunctionPair.grid
+
+    def at(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.exp(self.run.at(x)))
 
 
 @dataclass(eq=False)
@@ -176,43 +203,29 @@ class FixedPointResult:
     status: str  # converged | max_iter | diverged
 
 
-def _pair_at(pair: GridFunctionPair, reads: dict, comp: str, s: np.ndarray, delay=None) -> np.ndarray:
-    """The pair's comp ("phi" or "psi") at x = s - delay(s), or at s for delay None, as phi_at and
-    psi_at give it.  reads is one node set's dict, keyed by the delay's program (None: undelayed):
-    each x is computed and located once, each component evaluated there once.  An x at or past
-    t_hi takes the value at t_hi: only the x below it are clipped and located, and t_hi after them."""
+def _pair_at(cand, reads: dict, s: np.ndarray, delay=None) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate's (phi, psi) at x = s - delay(s), or at s for delay None, each x read once: reads is keyed
+    by the delay's program (None: undelayed) over node sets sharing a first node; a longer set's entry serves s."""
     key = None if delay is None else repr(delay.program)
-    if key not in reads:
-        x = s if delay is None else s - delay(s)
-        past = x >= pair.t_hi  # not a NaN, which np.clip keeps and the spline reads as NaN
-        past = past if past.any() else None
-        x = np.clip(x if past is None else np.append(x[~past], pair.t_hi), pair.t_lo, pair.t_hi)
-        reads[key] = {"past": past, "where": getattr(pair, f"_{comp}_spline").locate(x)}
-    entry = reads[key]
-    if comp not in entry:
-        values = getattr(pair, f"_{comp}_spline").evaluate(entry["where"])
-        if (past := entry["past"]) is not None:
-            values, part = np.full(past.shape, values[-1]), values[:-1]
-            values[~past] = part
-        entry[comp] = values
-    return entry[comp]
+    if key not in reads or reads[key][0].size < s.size:
+        reads[key] = cand.at(s if delay is None else s - delay(s))
+    return reads[key][0][:s.size], reads[key][1][:s.size]
 
 
-def _f_values(spec: ModelSpec, pair: GridFunctionPair, j: int, s: np.ndarray,
-              reads: dict | None = None) -> np.ndarray:
-    """f_j of the pair at the times s, f_1 = b phi^2 + c1 psi(s - tau1) phi / (phi(s - sigma1) + k1)
+def _f_values(spec: ModelSpec, cand, j: int, s: np.ndarray, reads: dict | None = None) -> np.ndarray:
+    """f_j of the candidate at the times s, f_1 = b phi^2 + c1 psi(s - tau1) phi / (phi(s - sigma1) + k1)
     and f_2 = c2 psi(s - tau2) psi / (phi(s - sigma2) + k2); NumericalError unless all finite.
-    reads is the node set's dict of _pair_at, which f_1 and f_2 on the same s share."""
+    reads is the dict of _pair_at, which f_1 and f_2 on the same s share."""
     reads = {} if reads is None else reads
     with np.errstate(over="ignore", invalid="ignore"):
         if j == 1:
-            phi, phi_lag, psi_lag = (_pair_at(pair, reads, "phi", s), _pair_at(pair, reads, "phi", s, spec.sigma1),
-                                     _pair_at(pair, reads, "psi", s, spec.tau1))
+            phi, phi_lag, psi_lag = (_pair_at(cand, reads, s)[0], _pair_at(cand, reads, s, spec.sigma1)[0],
+                                     _pair_at(cand, reads, s, spec.tau1)[1])
             f = spec.b(s) * phi * phi + delayed_term(spec.c1(s) * psi_lag * phi, phi_lag, spec.k1(s),
                                                      s, "f_1 denominator")
         else:
-            phi_lag, psi, psi_lag = (_pair_at(pair, reads, "phi", s, spec.sigma2), _pair_at(pair, reads, "psi", s),
-                                     _pair_at(pair, reads, "psi", s, spec.tau2))
+            phi_lag, psi, psi_lag = (_pair_at(cand, reads, s, spec.sigma2)[0], _pair_at(cand, reads, s)[1],
+                                     _pair_at(cand, reads, s, spec.tau2)[1])
             f = delayed_term(spec.c2(s) * psi_lag * psi, phi_lag, spec.k2(s), s, "f_2 denominator")
     if not np.isfinite(f).all():
         raise NumericalError(f"f_{j} not finite on the pair's grid")
@@ -234,8 +247,7 @@ def _tail_integrals(A: np.ndarray, inc: np.ndarray) -> np.ndarray:
     """R_m = sum_{j >= m} e^{A_m - A_j} inc_j (len(A) = len(inc) + 1, R_M = 0), the
     backward recursion R_m = e^{A_m - A_{m+1}} R_{m+1} + inc_m run as reversed
     cumsums over chunks of A-span <= _CHUNK_SPAN, each rescaled by its first A."""
-    R = np.zeros(A.size)
-    hi = inc.size
+    R, hi = np.zeros(A.size), inc.size
     while hi > 0:
         lo = min(int(np.searchsorted(A, A[hi - 1] - _CHUNK_SPAN)), hi - 1)
         part = np.cumsum((np.exp(A[lo] - A[lo:hi]) * inc[lo:hi])[::-1])[::-1]
@@ -246,36 +258,33 @@ def _tail_integrals(A: np.ndarray, inc: np.ndarray) -> np.ndarray:
 
 def apply_upsilon(
     spec: ModelSpec,
-    pair: GridFunctionPair,
+    pair: GridFunctionPair | RunWindow,
     quad_step: float,
     tail_tol: float,
     coeff_bounds: CoefficientBounds,
 ) -> GridFunctionPair:
-    """One application of the integral operator on the pair's grid: each
+    """One application of the integral operator on the candidate's grid: each
     grid point s_k gets composite Simpson on [s_k, s_{k+N_k}] through the
     backward recursion of the module docstring, one per node parity when the
     grid step is an odd number of quad steps.  N_k is the first even offset
     from 8 on where A has risen by Lambda = ln(2 sup f / (a^i tail_tol)), with
     sup f over the window's nodes and the decay floors a1^i, a2^i read from
-    coeff_bounds, and at most the N nodes of L = Lambda / a^i.  Beyond its
-    grid the pair is continued by its boundary values (the tail weight is
-    exponentially small there)."""
+    coeff_bounds, and at most the N nodes of L = Lambda / a^i.  On its grid
+    and past it the candidate is read through its at."""
     p = int(round(pair.step / quad_step)) if quad_step > 0 else 0  # a quad_step not > 0, NaN too, is refused below
     if p < 1 or abs(p * quad_step - pair.step) > 1e-9 * pair.step:
         raise QuadratureError("quad_step must divide the pair's grid step")
-    q = pair.step / p
-    npts = len(pair.phi)
+    q, npts = pair.step / p, len(pair.phi)
     K0 = (npts - 1) * p  # the last grid point's node
     lo, hi = sorted((coeff_bounds.a1_inf, coeff_bounds.a2_inf))
     if not (lo > 0.0 and 0.0 < lo * tail_tol and hi * tail_tol < math.inf):  # tail_tol > 0 follows
         raise QuadratureError("kernel decay rates a1^i, a2^i and a^i tail_tol must be positive and finite")
 
-    outputs = []
+    outputs, tail_reads = [], {}  # both tails start at node K0 + 1
     window, reads = pair.t_lo + q * np.arange(K0 + 1), {}  # f_1 and f_2 share the window's reads
     for j, aj_inf, aj_expr in ((1, coeff_bounds.a1_inf, spec.a1), (2, coeff_bounds.a2_inf, spec.a2)):
         f = _f_values(spec, pair, j, window, reads)
-        # factor 2: the constant-extended tail can slightly exceed the
-        # window's sup through coefficient oscillation
+        # factor 2: f on the tail can slightly exceed the window's sup through coefficient oscillation
         lam = math.log(max(2.0 * float(np.abs(f).max()), 1e-12) / (aj_inf * tail_tol))
         L = max(lam / aj_inf, 4.0 * q)
         N = max(8, 2 * math.ceil(L / (2.0 * q)))  # even, for Simpson pairs
@@ -284,8 +293,7 @@ def apply_upsilon(
         # the first pass takes the window alone and sizes the tail from A's
         # mean rate there; the tail then doubles until A has risen by lam
         # past every grid point, or holds N nodes
-        a_s = a_mid = np.empty(0)
-        n = 0
+        a_s, a_mid, n = np.empty(0), np.empty(0), 0
         while True:
             s = pair.t_lo + q * np.arange(K0 + n + 1)
             a = evaluate_array(aj_expr, np.concatenate((s[a_s.size:], s[a_mid.size:-1] + 0.5 * q)))
@@ -299,17 +307,16 @@ def apply_upsilon(
                 break
             else:
                 n = min(2 * n, N)
-        f = np.concatenate((f, _f_values(spec, pair, j, s[K0 + 1:])))
-        lo = p * np.arange(npts)
-        out = np.empty(npts)
+        f = np.concatenate((f, _f_values(spec, pair, j, s[K0 + 1:], tail_reads)))
+        lo, out = p * np.arange(npts), np.empty(npts)
         # an a_j that falls far makes the kernel overflow or R[c] dwarf the
         # image; the check below turns either into an error
         with np.errstate(over="ignore", invalid="ignore"):
-            # Simpson on [s_k, s_{k+2}] with the kernel taken relative to s_k
-            inc = (q / 3.0) * (f[:-2] + 4.0 * np.exp(A[:-2] - A[1:-1]) * f[1:-1] + np.exp(A[:-2] - A[2:]) * f[2:])
             for parity in (0,) if p % 2 == 0 else (0, 1):  # grid point k is node p k, even for every k when p is
-                B = A[parity::2]
-                R = _tail_integrals(B, inc[parity::2])
+                # Simpson on [s_k, s_{k+2}] with the kernel taken relative to s_k, for the k of this parity
+                B, g, mid = A[parity::2], f[parity::2], slice(parity + 1, -1, 2)
+                R = _tail_integrals(B, (q / 3.0) * (g[:-1] + 4.0 * np.exp(B[:-1] - A[mid]) * f[mid]
+                                                    + np.exp(B[:-1] - B[1:]) * g[1:]))
                 at = lo % 2 == parity
                 c = lo[at] // 2
                 # first node from c + 4 on whose B reaches B[c] + lam, through the
@@ -351,10 +358,7 @@ def iterate_fixed_point(
     (0, 0) rather than the paper's positive solution.
     """
     scale = max(float(np.abs(seed.phi).max()), float(np.abs(seed.psi).max()), 1.0)
-    pair = seed
-    delta = math.inf
-    status = "max_iter"
-    iterations = 0
+    pair, delta, status, iterations = seed, math.inf, "max_iter", 0
     for iterations in range(1, max_iter + 1):
         new = apply_upsilon(spec, pair, quad_step, tail_tol, coeff_bounds)
         delta = max(float(np.abs(new.phi - pair.phi).max()), float(np.abs(new.psi - pair.psi).max()))
@@ -375,17 +379,13 @@ def iterate_fixed_point(
     return FixedPointResult(pair=pair, iterations=iterations, final_delta=delta, residual=residual, status=status)
 
 
-def dde_residual(spec: ModelSpec, pair: GridFunctionPair) -> float:
+def dde_residual(spec: ModelSpec, pair: GridFunctionPair | RunWindow) -> float:
     """Max over the grid interior of |phi' - rhs_u| + |psi' - rhs_v| with central-difference
     derivatives, rhs_u = a1 phi - f_1 and rhs_v = a2 psi - f_2, f_j through _f_values
     (NumericalError unless all finite)."""
     if len(pair.phi) < 5:
         raise QuadratureError("grid too coarse for a residual estimate (need >= 5 points)")
-    g = pair.step
-    s = pair.grid()[1:-1]
-    dphi = (pair.phi[2:] - pair.phi[:-2]) / (2.0 * g)
-    dpsi = (pair.psi[2:] - pair.psi[:-2]) / (2.0 * g)
-    reads = {}
-    rhs_u = spec.a1(s) * pair.phi[1:-1] - _f_values(spec, pair, 1, s, reads)
-    rhs_v = spec.a2(s) * pair.psi[1:-1] - _f_values(spec, pair, 2, s, reads)
-    return float((np.abs(dphi - rhs_u) + np.abs(dpsi - rhs_v)).max())
+    s, reads = pair.grid()[1:-1], {None: (pair.phi[1:-1], pair.psi[1:-1])}  # a spline reads y + 0.0 at its knots
+    gaps = [np.abs((y[2:] - y[:-2]) / (2.0 * pair.step) - (a(s) * y[1:-1] - _f_values(spec, pair, j, s, reads)))
+            for j, y, a in ((1, pair.phi, spec.a1), (2, pair.psi, spec.a2))]
+    return float((gaps[0] + gaps[1]).max())

@@ -11,16 +11,20 @@ from lgholling import (
     CoefficientBounds,
     GridFunctionPair,
     InitialHistory,
+    IntegrationError,
     ModelSpec,
     NumericalError,
     QuadratureError,
+    RunWindow,
     apply_upsilon,
     dde_residual,
     integrate,
     iterate_fixed_point,
     parse_expression,
+    validate_model,
 )
-from conftest import (example2_constant_pair_u2, in_box, kernel_identity_check, make_spec, reference_upsilon,
+from conftest import (KNOWN_EQUILIBRIUM, example2_constant_pair_u2, in_box, kernel_identity_check, known_answer_config,
+                      make_spec, reference_upsilon,
                       table_bounds, table_permanence, trapz)
 from lgholling import fixedpoint
 from lgholling.fixedpoint import _f_values
@@ -559,7 +563,7 @@ def test_f_values_with_shared_reads_equal_the_per_read_reference(shared_read_cas
 def test_upsilon_and_residual_locate_each_distinct_argument_once(settled_trajectories, monkeypatch):
     """One Υ call on example1's settled pair at q = 0.05 locates each distinct argument below
     t_hi once (26,670 points when every f_j read located its own), and the residual its 999
-    interior points twice, undelayed and delayed (5,994 before)."""
+    interior points once, delayed, and t_hi (5,994 before): its undelayed reads are the grid values."""
     spec, traj = settled_trajectories["example1"]
     pair, located = settled_pair(traj, 0.1), []
     locate = fixedpoint._NaturalSpline.locate
@@ -569,4 +573,108 @@ def test_upsilon_and_residual_locate_each_distinct_argument_once(settled_traject
     assert 4_001 <= sum(located) <= 4_100
     located.clear()
     dde_residual(spec, pair)
-    assert sum(located) == 1_998
+    assert sum(located) == 1_000
+
+
+@pytest.mark.parametrize("name, want", [
+    ("example1", [2001, 2001, 2590, 2590]),
+    ("example2", [2001, 2001, 60, 60, 2020, 2020]),
+])
+def test_the_second_tail_reads_its_own_nodes_only_when_longer_than_the_first(settled_trajectories, monkeypatch,
+                                                                              name, want):
+    """Both tails start at node K0 + 1, so where f_2's is a prefix of f_1's (example1: 2,298 of 2,590
+    nodes) it reads nothing of its own; where it is longer (example2: 2,020 against 60) it reads its
+    own nodes.  Each read is one node set's two keys, undelayed and the presets' one delay."""
+    spec, traj = settled_trajectories[name]
+    sizes, at = [], GridFunctionPair.at
+    monkeypatch.setattr(GridFunctionPair, "at", lambda self, x: sizes.append(x.size) or at(self, x))
+    apply_upsilon(spec, settled_pair(traj, 0.1), quad_step=0.05, tail_tol=1e-6, coeff_bounds=table_bounds(name))
+    assert sizes == want
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "varying-delay"])
+def test_shared_tail_reads_equal_each_tail_read_on_its_own(shared_read_cases, monkeypatch, name):
+    """Υ with the tails sharing their reads equals Υ with every node set read on its own, bit for
+    bit: on the presets (one delay) and on a pair of four distinct delays, whose f_2 tail reads
+    sigma2 and tau2 on its own nodes."""
+    spec, pair = shared_read_cases[name]
+    bounds = CoefficientBounds.from_validation(validate_model(spec).bounds)
+    shared = apply_upsilon(spec, pair, 0.05, 1e-6, bounds)
+    pair_at = fixedpoint._pair_at
+    monkeypatch.setattr(fixedpoint, "_pair_at",
+                        lambda cand, reads, s, delay=None: pair_at(cand, reads.setdefault(s.size, {}), s, delay))
+    alone = apply_upsilon(spec, pair, 0.05, 1e-6, bounds)
+    assert np.array_equal(shared.phi, alone.phi) and np.array_equal(shared.psi, alone.psi)
+
+
+@pytest.fixture(scope="session")
+def long_runs():
+    """Both presets' trajectories on [0, 400] at h = 0.01, from their own histories."""
+    out = {}
+    for name in ("example1", "example2"):
+        spec, history = make_spec(name), preset_config(name)["history"]
+        out[name] = spec, integrate(spec, InitialHistory(history["phi1"], history["phi2"]), 0.0, 400.0, 0.01)
+    return out
+
+
+class ScaledWindow(RunWindow):
+    """A run's window read as 1.01 (u, v): the control that is not a fixed point."""
+
+    def at(self, x):
+        return tuple(1.01 * values for values in super().at(x))
+
+
+def window_defect(spec, window, name) -> float:
+    image = apply_upsilon(spec, window, quad_step=0.01, tail_tol=1e-8, coeff_bounds=table_bounds(name))
+    return float(max(np.abs(image.phi - window.phi).max(), np.abs(image.psi - window.psi).max()))
+
+
+@pytest.mark.parametrize("name, t_lo, bound", [("example1", 66.0, 5e-9), ("example2", 89.0, 5e-6)])
+def test_a_run_window_is_a_fixed_point_of_upsilon_and_its_scaled_copy_is_not(long_runs, name, t_lo, bound):
+    """Υ reads a settled window of the run itself, tails included: its defect max |Υ(u) - u| is
+    1.5e-9 on example1 and 2.7e-6 on example2 (the kernel's own kink-limited error), and the
+    window scaled by 1.01 misses by 1.7e-3 and 6.2e-3.  Its grid values are the run's knots."""
+    spec, run = long_runs[name]
+    window = RunWindow(run, t_lo, t_lo + 30.0, 0.01)
+    i0 = int(round(t_lo / 0.01))
+    assert np.array_equal(window.phi, run.u[i0:i0 + 3001]) and np.array_equal(window.psi, run.v[i0:i0 + 3001])
+    assert window_defect(spec, window, name) <= bound
+    assert window_defect(spec, ScaledWindow(run, t_lo, t_lo + 30.0, 0.01), name) >= 1e-3
+
+
+def test_a_run_window_whose_tail_leaves_the_run_is_refused(settled_trajectories):
+    """Example1's window [160, 190] of a 200-unit run needs a tail well past t = 200: the run's own
+    read refuses it, where a spline pair would continue by its end values."""
+    spec, run = settled_trajectories["example1"]
+    with pytest.raises(IntegrationError, match="outside the trajectory's domain"):
+        window_defect(spec, RunWindow(run, 160.0, 190.0, 0.01), "example1")
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "known-answer"])
+def test_no_box_is_upsilon_invariant_its_witness_pairs_leave_it(name):
+    """For any box m1 <= phi <= M1, m2 <= psi <= M2, Υ_2 on the constant pair (m1, M2) is M2^2 I_hi
+    and on (M1, m2) it is m2^2 I_lo, with I_lo <= I_hi, so an invariant box would need
+    M2 sup I_hi <= 1 <= m2 inf I_lo, that is M2 <= m2.  On the presets' table boxes the first
+    witness's Υ_2 / M2 is 1.89-1.97 (example1) and 1.88-2.00 (example2), the second's Υ_2 / m2
+    0.044-0.046 and 0.109-0.116; around the known-answer equilibrium, with constant coefficients,
+    they are M2 I(m1) and m2 I(M1), I(kappa) = c2 / (a2 (kappa + k2))."""
+    if name == "known-answer":
+        spec, (u, v) = ModelSpec.from_strings(known_answer_config()["model"]), KNOWN_EQUILIBRIUM
+        bounds = CoefficientBounds.from_validation(validate_model(spec).bounds)
+        m1, M1, m2, M2 = 0.9 * u, 1.1 * u, 0.9 * v, 1.1 * v
+    else:
+        spec, bounds, box = make_spec(name), table_bounds(name), table_permanence(name)
+        m1, M1, m2, M2 = box.m1, box.M1, box.m2, box.M2
+    assert m2 < M2
+    up = apply_upsilon(spec, GridFunctionPair.from_constants(0.0, 30.0, 0.1, m1, M2), 0.05, 1e-8, bounds).psi
+    down = apply_upsilon(spec, GridFunctionPair.from_constants(0.0, 30.0, 0.1, M1, m2), 0.05, 1e-8, bounds).psi
+    assert up.max() > M2 and down.min() < m2
+    if name == "known-answer":
+        c = {sym: float(text) for sym, text in known_answer_config()["model"].items()}
+        i_hi, i_lo = (c["c2"] / (c["a2"] * (kappa + c["k2"])) for kappa in (m1, M1))
+        np.testing.assert_allclose(up / M2, M2 * i_hi, rtol=1e-6)
+        np.testing.assert_allclose(down / m2, m2 * i_lo, rtol=1e-6)
+    else:
+        ranges = {"example1": ((1.89, 1.97), (0.043, 0.046)), "example2": ((1.87, 2.00), (0.108, 0.116))}[name]
+        for got, (low, high) in zip((up / M2, down / m2), ranges):
+            assert low <= got.min() and got.max() <= high
